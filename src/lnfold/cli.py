@@ -82,16 +82,17 @@ def _read_report(path: str) -> FoldReport:
 def _cmd_fold(args: argparse.Namespace) -> int:
     g, w = _load(args.topology, args.weights)
     report = _read_report(args.report)
-    observed = model_hash(g, w)
-    if observed != report.model_hash:
-        raise _Operational(
-            f"report was produced for model {report.model_hash[:12]}..., "
-            f"but this model hashes to {observed[:12]}..."
-        )
-    if args.dry_run:
-        print(dry_run(g, report))
-        return 0
-    if not args.out:
+    if args.dry_run or not args.out:
+        # apply_fold checks the hash itself, so hash here only when it will not run.
+        observed = model_hash(g, w)
+        if observed != report.model_hash:
+            raise _Operational(
+                f"report was produced for model {report.model_hash[:12]}..., "
+                f"but this model hashes to {observed[:12]}..."
+            )
+        if args.dry_run:
+            print(dry_run(g, report))
+            return 0
         raise _Operational("--out PREFIX is required unless --dry-run")
     try:
         folded_g, folded_w = apply_fold(g, w, report, allow_practical=args.practical)

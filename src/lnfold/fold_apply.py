@@ -57,10 +57,14 @@ def apply_fold(
                     f"insertion id {ins.node_id!r} does not reproduce on this graph"
                 )
 
+    swaps: dict[str, str] = {}
     for ln_id in report.foldable:
-        if ln_id not in new_graph.nodes or new_graph.nodes[ln_id].kind != "LayerNorm":
+        # A repeated id names a node that the first mention already swapped.
+        node = new_graph.nodes.get(ln_id)
+        if node is None or node.kind != "LayerNorm" or ln_id in swaps:
             raise FoldError(f"report names {ln_id!r} as a foldable LayerNorm but it is not one")
-        new_graph = new_graph.with_kind(ln_id, "RMSNorm")
+        swaps[ln_id] = "RMSNorm"
+    new_graph = new_graph.with_kinds(swaps)
 
     updates: dict[str, np.ndarray] = {}
     for node_id, spec in report.targets.items():

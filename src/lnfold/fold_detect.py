@@ -17,7 +17,9 @@ centered layers perturb nothing except LayerNorms.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .centering import CenteringSpec, spec_for_node
 from .graph_ir import (
@@ -141,9 +143,9 @@ def build_zero_mean_graph(g: Graph, ln_id: str) -> ZeroMeanGraph:
         raise ValueError(f"{ln_id!r} is not a LayerNorm node")
     zmg = ZeroMeanGraph(root=ln_id)
     edge_set: set[tuple[str, str]] = set()
-    frontier: list[tuple[str, str]] = [(ln_id, p) for p in g.predecessors(ln_id)]
+    frontier = deque((ln_id, p) for p in g.predecessors(ln_id))
     while frontier:
-        consumer, vertex = frontier.pop(0)
+        consumer, vertex = frontier.popleft()
         edge_set.add((consumer, vertex))
         if vertex in zmg.vertices:
             continue
@@ -196,7 +198,7 @@ def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph) -> SafetyVerdict:
     layers make the fold unsafe.
     """
     shifted = zmg.vertices - zmg.opaque_leaves
-    frontier: list[str] = []
+    frontier: deque[str] = deque()
     for vertex in sorted(shifted):
         for dst in g.successors(vertex):
             if dst not in zmg.vertices:
@@ -206,7 +208,7 @@ def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph) -> SafetyVerdict:
     exposed = {v for v in shifted if v in g.outputs}
     visited: set[str] = set()
     while frontier:
-        nid = frontier.pop(0)
+        nid = frontier.popleft()
         if nid in visited:
             continue
         visited.add(nid)
@@ -467,18 +469,21 @@ def detect_foldable(
             entries[nid] = FoldEntry(nid, VERDICT_NOT_FOLDABLE, zmg, {}, warnings)
 
     insertions: list[AuxInsertion] = []
-    safety_graph = g
     rescued: set[str] = set()
+    safety: SafetyVerdict | None = None
 
     if mode == "practical":
         failing = {nid: entries[nid].zero_mean_graph for nid in ln_ids if nid not in strict_ids}
         producers, rescued = plan_auxiliary_centering(g, failing)
         if producers:
             sim, aux_ids = graph_with_insertions(g, producers)
-            if strict_safety and not _overall_safety(sim, sorted(set(strict_ids) | rescued)).safe:
-                producers, rescued = [], set()
+            # Insertions change the zero-mean graphs, so they are rebuilt on sim.
+            safety = _overall_safety(sim, (
+                build_zero_mean_graph(sim, nid) for nid in sorted(set(strict_ids) | rescued)
+            ))
+            if strict_safety and not safety.safe:
+                producers, rescued, safety = [], set(), None
             else:
-                safety_graph = sim
                 sim_states = _state_pass(sim)
                 for nid in sorted(rescued):
                     st = _input_state(sim, sim_states, nid)
@@ -505,7 +510,8 @@ def detect_foldable(
                     )
 
     foldable = sorted(set(strict_ids) | rescued)
-    safety = _overall_safety(safety_graph, foldable)
+    if safety is None:
+        safety = _overall_safety(g, (entries[nid].zero_mean_graph for nid in foldable))
 
     targets: dict[str, CenteringSpec] = {}
     for nid in foldable:
@@ -523,9 +529,8 @@ def detect_foldable(
     )
 
 
-def _overall_safety(g: Graph, foldable: list[str]) -> SafetyVerdict:
+def _overall_safety(g: Graph, zmgs: Iterable[ZeroMeanGraph]) -> SafetyVerdict:
     affected: set[str] = set()
-    for nid in foldable:
-        verdict = compute_affected_layers(g, build_zero_mean_graph(g, nid))
-        affected |= verdict.affected
+    for zmg in zmgs:
+        affected |= compute_affected_layers(g, zmg).affected
     return SafetyVerdict(safe=not affected, affected=frozenset(affected))

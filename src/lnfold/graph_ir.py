@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -212,34 +213,38 @@ class Graph:
             if node.id in self.nodes:
                 raise ValueError(f"duplicate node id {node.id!r}")
             self.nodes[node.id] = node
-        self.edges: list[tuple[str, str, int]] = [
+        self.edges: tuple[tuple[str, str, int], ...] = tuple(
             (str(s), str(d), int(slot)) for (s, d, slot) in edges
-        ]
+        )
         self.inputs: list[str] = list(inputs)
         self.outputs: list[str] = list(outputs)
         self.provenance: dict[str, Any] | None = dict(provenance) if provenance else None
         self._topo: list[str] | None = None
+        # Adjacency indexes; the graph never changes, so they never go stale.
+        # Edges may name ids that are not nodes: validation reports those.
+        self._in: dict[str, list[tuple[str, int]]] = {}
+        self._out: dict[str, list[tuple[str, int]]] = {}
+        for s, d, slot in self.edges:
+            self._in.setdefault(d, []).append((s, slot))
+            self._out.setdefault(s, []).append((d, slot))
+        for incoming in self._in.values():
+            incoming.sort(key=lambda e: e[1])
 
     # -- adjacency ---------------------------------------------------------
 
     def in_edges(self, node_id: str) -> list[tuple[str, int]]:
         """(src, slot) pairs feeding node_id, sorted by slot."""
-        found = [(s, slot) for (s, d, slot) in self.edges if d == node_id]
-        return sorted(found, key=lambda e: e[1])
+        return list(self._in.get(node_id, ()))
 
     def out_edges(self, node_id: str) -> list[tuple[str, int]]:
         """(dst, slot) pairs consuming node_id's output, in edge order."""
-        return [(d, slot) for (s, d, slot) in self.edges if s == node_id]
+        return list(self._out.get(node_id, ()))
 
     def predecessors(self, node_id: str) -> list[str]:
         return [s for (s, _slot) in self.in_edges(node_id)]
 
     def successors(self, node_id: str) -> list[str]:
-        seen: list[str] = []
-        for d, _slot in self.out_edges(node_id):
-            if d not in seen:
-                seen.append(d)
-        return seen
+        return list(dict.fromkeys(d for d, _slot in self.out_edges(node_id)))
 
     def topo_order(self) -> list[str]:
         """Kahn topological order; deterministic given node insertion order."""
@@ -249,10 +254,10 @@ class Graph:
         for _s, d, _slot in self.edges:
             if d in indeg:
                 indeg[d] += 1
-        ready = [nid for nid in self.nodes if indeg[nid] == 0]
+        ready = deque(nid for nid in self.nodes if indeg[nid] == 0)
         order: list[str] = []
         while ready:
-            nid = ready.pop(0)
+            nid = ready.popleft()
             order.append(nid)
             for dst in self.successors(nid):
                 indeg[dst] -= 1
@@ -291,10 +296,16 @@ class Graph:
 
     # -- surgery (always returns a new Graph) ------------------------------
 
-    def with_kind(self, node_id: str, new_kind: str) -> "Graph":
-        node = self.nodes[node_id]
-        replaced = make_node(node.id, new_kind, node.attrs, node.param_refs, node.input_arity)
-        nodes = [replaced if n.id == node_id else n for n in self.nodes.values()]
+    def with_kinds(self, new_kinds: Mapping[str, str]) -> "Graph":
+        """Change the kind of every node named in new_kinds, in one rebuild."""
+        unknown = [nid for nid in new_kinds if nid not in self.nodes]
+        if unknown:
+            raise KeyError(unknown[0])
+        nodes = [
+            make_node(n.id, new_kinds[n.id], n.attrs, n.param_refs, n.input_arity)
+            if n.id in new_kinds else n
+            for n in self.nodes.values()
+        ]
         return Graph(nodes, self.edges, self.inputs, self.outputs, self.provenance)
 
     def insert_after(self, producer_id: str, new_node: Node) -> "Graph":
@@ -540,8 +551,7 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
 
     # Arity: one edge per slot, slots contiguous, count matches the kind.
     for node in g.nodes.values():
-        incoming = [(s, slot) for (s, d, slot) in g.edges if d == node.id]
-        slots = sorted(slot for _s, slot in incoming)
+        slots = [slot for _s, slot in g.in_edges(node.id)]
         if slots != list(range(len(slots))):
             problems.append(f"node {node.id!r}: input slots {slots} are not 0..k-1 with one edge each")
         fixed = _KIND_ARITY.get(node.kind, 1)

@@ -8,8 +8,8 @@ so identical data always yields byte-identical text.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 from typing import Any
 
 import numpy as np
@@ -44,7 +44,8 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        # What json.dumps(obj, ensure_ascii=False) calls for a string.
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -52,7 +53,7 @@ def _write(obj: Any, out: list[str]) -> None:
                 out.append(",")
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
             _write(value, out)
         out.append("}")

@@ -1,0 +1,154 @@
+"""Regression pin: CLI outputs stay byte-identical across refactors.
+
+Each case runs ``analyze`` -> ``fold`` -> ``verify --grad`` through the CLI
+and records exit codes and sha256 digests of the report, the folded model
+files and the verify JSON. The digests were recorded before graph adjacency
+was indexed; regenerate them with ``python tests/test_byte_identity.py``
+(with ``src`` on the path) only for a change that means to alter output.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import pytest
+
+from lnfold import fixtures
+from lnfold.cli import main
+from lnfold.graph_ir import save_model
+
+CASES = {
+    "linear_then_norm": lambda: fixtures.linear_then_norm(),
+    "residual_scale_mix": lambda: fixtures.residual_scale_mix(),
+    "post_ln_transformer": lambda: fixtures.post_ln_transformer(),
+    "fanout_trap": lambda: fixtures.fanout_trap(),
+    "pre_ln_transformer_12": lambda: fixtures.pre_ln_transformer(blocks=12),
+}
+MODES = ("strict", "practical")
+
+
+def _sha(path):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_case(case, mode, workdir):
+    """Exit codes of analyze, fold and verify, and digests of what they wrote."""
+    top, wts = os.path.join(workdir, "model.json"), os.path.join(workdir, "model.bin")
+    report, prefix = os.path.join(workdir, "report.json"), os.path.join(workdir, "folded")
+    save_model(*CASES[case](), top, wts)
+    practical = ["--practical"] if mode == "practical" else []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        codes = [
+            main(["analyze", top, wts, "--out", report] + practical),
+            main(["fold", top, wts, "--report", report, "--out", prefix] + practical),
+        ]
+        codes.append(
+            main(["verify", top, wts, prefix + ".json", prefix + ".bin",
+                  "--trials", "5", "--grad-trials", "2", "--grad"])
+            if os.path.exists(prefix + ".json") else None
+        )
+    return {
+        "exit": codes,
+        "report": _sha(report),
+        "folded_json": _sha(prefix + ".json"),
+        "folded_bin": _sha(prefix + ".bin"),
+        "verify": hashlib.sha256(out.getvalue().encode()).hexdigest() if codes[2] is not None else None,
+    }
+
+
+EXPECTED = {
+    "fanout_trap/strict": {
+        "exit": [0, 1, None],
+        "report": "b5a3a7e1c3c49e75851a1272143566a35841e62635c949b61b6c1f4991d6e55f",
+        "folded_json": None,
+        "folded_bin": None,
+        "verify": None,
+    },
+    "fanout_trap/practical": {
+        "exit": [0, 1, None],
+        "report": "3b37c514c8f4d2291ed0dd92516b731b113dacd252655170f42e99660049056e",
+        "folded_json": None,
+        "folded_bin": None,
+        "verify": None,
+    },
+    "linear_then_norm/strict": {
+        "exit": [0, 0, 0],
+        "report": "655d4ca325d3caf7745180fb2fd6ecf1d0cbd70cdc9141e1924d6e0a968b18fe",
+        "folded_json": "5d6fb54718eea6ba66ebca68bdf29692f44a23cab306d749ad3e4d48191cb90f",
+        "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
+        "verify": "d934a1d6bbed03d9143fdb9a6dec49482a26e5dd77acbdef6255d44973ef5eaa",
+    },
+    "linear_then_norm/practical": {
+        "exit": [0, 0, 0],
+        "report": "fb408547076345f1217e72805911ed058cd1dec7e5deadde88f7ad0504179969",
+        "folded_json": "bb7469f232d6b5841cd5156f071a203e4e902366b575790c0958dd2173316a29",
+        "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
+        "verify": "d934a1d6bbed03d9143fdb9a6dec49482a26e5dd77acbdef6255d44973ef5eaa",
+    },
+    "post_ln_transformer/strict": {
+        "exit": [0, 0, 0],
+        "report": "514f95b724a10336e4e85c15bf30132acacfe357de81f8981031349e8799fc85",
+        "folded_json": "88314dbee47cd0c1f918d8bd3b48c3c080170fc4da3d898ccc8041c2b6a3a204",
+        "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
+        "verify": "9d8c8a31329a4c9e4587015b4a2cf78e089aea5069b990d349df9425bd5b7038",
+    },
+    "post_ln_transformer/practical": {
+        "exit": [0, 0, 0],
+        "report": "17378b8c4113de36b85f1251cd87a46cecf97a88cbb663f6dfb90e29c9033d5e",
+        "folded_json": "faea224fc23979756e8af4c9146b448d115e601f5eea767da4d2811ffcc09288",
+        "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
+        "verify": "9d8c8a31329a4c9e4587015b4a2cf78e089aea5069b990d349df9425bd5b7038",
+    },
+    "pre_ln_transformer_12/strict": {
+        "exit": [0, 0, 0],
+        "report": "38882507081e6aaba168aa653c519c1fe7bd08852ead7f2136a5924483df6482",
+        "folded_json": "adb4c353c66dfaedc291a9c28317919a1caa165fc17ce503f8d5eef506a84b07",
+        "folded_bin": "c5f66b3a3c81902f430325c3550927be03b7d14944dd4792cc90540c6e327981",
+        "verify": "381dca335ba3a37782191856d6c4f1654e65b7505820fc418d79080b3d52ea8a",
+    },
+    "pre_ln_transformer_12/practical": {
+        "exit": [0, 0, 0],
+        "report": "bb3a816a9abc680e9e523d6ea83582838a48cf89b7c3cdd1c32c325d2ee139a4",
+        "folded_json": "f30d98aa312c6146b7d6f1385a0c4c24c5d4000187517e147927d448a2a35f70",
+        "folded_bin": "64333646e5199cf87e32aba11e86b47fc11bcf1c4ea755d53d6912b7f6c2314e",
+        "verify": "25944bfe330370518865df31736846ded260ced07cd42941a8e5469b79588eb1",
+    },
+    "residual_scale_mix/strict": {
+        "exit": [0, 0, 0],
+        "report": "1241861a1474a3ff76f26884d20f8bbd1e9ebd6c9e1eacf116ae6dd77095df5f",
+        "folded_json": "5473518e2faa0337b04e16c204871b82d1b2bd02fe8b2e5f8a4684d4eac17d62",
+        "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
+        "verify": "07764629ae807c75ff4c4ada4af2b1ed29613d63d062ededa21e195e4907413b",
+    },
+    "residual_scale_mix/practical": {
+        "exit": [0, 0, 0],
+        "report": "3e3fd77a77e328b3347f19a52c6aa1fc79e0887d2742e305b1a0c12b54eed324",
+        "folded_json": "4b2ea249a3757384c9599bb4f048c823d15cae3ef8d2acfca0d85ad29afce3ae",
+        "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
+        "verify": "07764629ae807c75ff4c4ada4af2b1ed29613d63d062ededa21e195e4907413b",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_byte_identical(case, mode, tmp_path):
+    assert run_case(case, mode, str(tmp_path)) == EXPECTED[f"{case}/{mode}"]
+
+
+if __name__ == "__main__":
+    table = {}
+    for case in sorted(CASES):
+        for mode in MODES:
+            with tempfile.TemporaryDirectory() as tmp:
+                table[f"{case}/{mode}"] = run_case(case, mode, tmp)
+    json.dump(table, sys.stdout, indent=4)
+    print()

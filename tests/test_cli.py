@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from lnfold import fixtures
+from lnfold import cli, fixtures, fold_apply
 from lnfold.cli import main
-from lnfold.graph_ir import WeightStore, load_model, save_model
+from lnfold.graph_ir import WeightStore, load_model, model_hash, save_model
 
 
 @pytest.fixture()
@@ -95,6 +95,34 @@ class TestFold:
         arrays["ffn2.weight"][0, 0] += 1.0
         save_model(g, WeightStore(arrays), topo, blob)
         assert main(["fold", topo, blob, "--report", rep, "--out", str(tmp_path / "f")]) == 1
+
+    @pytest.mark.parametrize("flags", [["--out", "f"], [], ["--dry-run"]])
+    def test_stale_report_message(self, models, tmp_path, capsys, flags):
+        # The hash check comes first whichever of the CLI or apply_fold makes it.
+        topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
+        stale = json.load(open(rep))["model_hash"]
+        other_topo, other_blob = models["concat_then_norm"]
+        other = model_hash(*load_model(other_topo, other_blob))
+        capsys.readouterr()
+        flags = [str(tmp_path / f) if f == "f" else f for f in flags]
+        assert main(["fold", other_topo, other_blob, "--report", rep, *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"error: report was produced for model {stale[:12]}..., "
+            f"but this model hashes to {other[:12]}...\n"
+        )
+        assert not os.path.exists(str(tmp_path / "f.json"))
+
+    @pytest.mark.parametrize("flags", [["--out", "f"], [], ["--dry-run"]])
+    def test_fold_hashes_model_once(self, models, tmp_path, monkeypatch, flags):
+        topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
+        calls = []
+        for module in (cli, fold_apply):
+            original = module.model_hash
+            monkeypatch.setattr(module, "model_hash",
+                                lambda g, w, original=original: calls.append(1) or original(g, w))
+        flags = [str(tmp_path / f) if f == "f" else f for f in flags]
+        main(["fold", topo, blob, "--report", rep, *flags])
+        assert len(calls) == 1
 
     def test_unsafe_model_refused(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "fanout_trap")

@@ -199,7 +199,7 @@ class TestNaiveSwapCounterexample:
     def test_swap_without_centering_differs(self):
         # replacing LN by RMS with no weight centering must change outputs
         g, w = fixtures.linear_then_norm()
-        swapped = g.with_kind("ln", "RMSNorm")
+        swapped = g.with_kinds({"ln": "RMSNorm"})
         rng = np.random.default_rng(0)
         inp = sample_inputs(g, rng)
         a, _ = forward(g, w, inp)

@@ -4,7 +4,7 @@ safety criterion, and the auxiliary-centering planner."""
 import numpy as np
 import pytest
 
-from lnfold import fixtures
+from lnfold import fixtures, fold_detect
 from lnfold.centering import Family
 from lnfold.fold_detect import (
     VERDICT_NOT_FOLDABLE,
@@ -302,3 +302,39 @@ class TestResidualRule:
         g, w = b.build()
         report = detect_foldable(g, w)
         assert report.entries["ln"].verdict == VERDICT_NOT_FOLDABLE
+
+
+class TestWorkDone:
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    @pytest.mark.parametrize("strict_safety", [True, False])
+    def test_each_safety_verdict_built_once(self, monkeypatch, blocks, strict_safety):
+        # Practical mode rescues all 2B+1 LayerNorms with one insertion. Each
+        # gets one zero-mean graph on the model and one on the simulated
+        # graph, and one affected-layer check.
+        calls = {"zmg": 0, "safety": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(fold_detect, "build_zero_mean_graph",
+                            counted("zmg", fold_detect.build_zero_mean_graph))
+        monkeypatch.setattr(fold_detect, "compute_affected_layers",
+                            counted("safety", fold_detect.compute_affected_layers))
+        g, w = fixtures.pre_ln_transformer(blocks=blocks)
+        report = detect_foldable(g, w, mode="practical", strict_safety=strict_safety)
+        lns = 2 * blocks + 1
+        assert len(report.foldable) == lns and len(report.insertions) == 1
+        assert calls == {"zmg": 2 * lns, "safety": lns}
+
+    def test_no_insertion_reuses_entry_graphs(self, monkeypatch):
+        calls = []
+        original = fold_detect.build_zero_mean_graph
+        monkeypatch.setattr(fold_detect, "build_zero_mean_graph",
+                            lambda g, nid: calls.append(nid) or original(g, nid))
+        g, w = fixtures.post_ln_transformer()
+        report = detect_foldable(g, w, mode="practical")
+        assert report.foldable == ["ln1", "ln2"] and not report.insertions
+        assert sorted(calls) == ["ln1", "ln2"]

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lnfold import fixtures
 from lnfold.graph_ir import (
     NODE_KINDS,
     Graph,
+    GraphValidationError,
     ModelFormatError,
     NodeClass,
     WeightStore,
@@ -232,3 +235,120 @@ class TestGraphOps:
         assert sorted(g2.successors("probe")) == sorted(consumers)
         # original untouched
         assert "probe" not in g.nodes
+
+
+# Reference adjacency: scan the whole edge list on every call.
+
+
+def _scan_in_edges(g, nid):
+    return sorted([(s, slot) for (s, d, slot) in g.edges if d == nid], key=lambda e: e[1])
+
+
+def _scan_out_edges(g, nid):
+    return [(d, slot) for (s, d, slot) in g.edges if s == nid]
+
+
+def _scan_successors(g, nid):
+    seen = []
+    for d, _slot in _scan_out_edges(g, nid):
+        if d not in seen:
+            seen.append(d)
+    return seen
+
+
+def _scan_topo_order(g):
+    indeg = {nid: 0 for nid in g.nodes}
+    for _s, d, _slot in g.edges:
+        if d in indeg:
+            indeg[d] += 1
+    ready = [nid for nid in g.nodes if indeg[nid] == 0]
+    order = []
+    while ready:
+        nid = ready.pop(0)
+        order.append(nid)
+        for dst in _scan_successors(g, nid):
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                ready.append(dst)
+    if len(order) != len(g.nodes):
+        raise GraphValidationError("cycle")
+    return order
+
+
+def _assert_adjacency_matches_scan(g):
+    for nid in list(g.nodes) + ["no_such_node"]:
+        assert g.in_edges(nid) == _scan_in_edges(g, nid)
+        assert g.out_edges(nid) == _scan_out_edges(g, nid)
+        assert g.predecessors(nid) == [s for s, _slot in _scan_in_edges(g, nid)]
+        assert g.successors(nid) == _scan_successors(g, nid)
+    assert g.topo_order() == _scan_topo_order(g)
+
+
+def _rewrites(g):
+    """g, g with a centering node spliced after its first producer, and g
+    with every LayerNorm (or else every ReLU) swapped in one rebuild."""
+    out = [g]
+    producer = next(nid for nid in g.topo_order() if g.successors(nid))
+    out.append(g.insert_after(producer, make_node("spliced", "AuxiliaryCentering")))
+    swaps = {nid: "RMSNorm" for nid, n in g.nodes.items() if n.kind == "LayerNorm"}
+    swaps = swaps or {nid: "DropoutInference" for nid, n in g.nodes.items() if n.kind == "ReLU"}
+    out.append(g.with_kinds(swaps))
+    return out
+
+
+@st.composite
+def random_dags(draw):
+    """Valid DAGs of ReLU and ResidualAdd nodes with fan-out, with node and
+    edge lists in random order."""
+    nodes = [make_node("x", "Input", {"shape": [4]})]
+    edges = []
+    for i in range(draw(st.integers(1, 14))):
+        earlier = [n.id for n in nodes]
+        k = min(draw(st.sampled_from([1, 1, 2, 3])), len(earlier))
+        srcs = draw(st.lists(st.sampled_from(earlier), min_size=k, max_size=k, unique=True))
+        nodes.append(make_node(f"n{i}", "ReLU" if k == 1 else "ResidualAdd", arity=k))
+        edges.extend((src, f"n{i}", slot) for slot, src in enumerate(srcs))
+    edges.append((nodes[-1].id, "out", 0))
+    nodes.append(make_node("out", "Output"))
+    return Graph(draw(st.permutations(nodes)), draw(st.permutations(edges)), ["x"], ["out"])
+
+
+class TestAdjacencyIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(random_dags())
+    def test_random_dags_match_edge_scan(self, g):
+        assert validate_graph(g, WeightStore()).ok
+        for rewritten in _rewrites(g):
+            _assert_adjacency_matches_scan(rewritten)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_fixtures_match_edge_scan(self, name):
+        g, _w = fixtures.ALL_FIXTURES[name]()
+        for rewritten in _rewrites(g):
+            _assert_adjacency_matches_scan(rewritten)
+
+    def test_repeated_source(self):
+        g = Graph(
+            [make_node("x", "Input", {"shape": [4]}), make_node("add", "ResidualAdd", arity=2),
+             make_node("out", "Output")],
+            [("x", "add", 1), ("x", "add", 0), ("add", "out", 0)],
+            ["x"], ["out"],
+        )
+        assert g.in_edges("add") == [("x", 0), ("x", 1)]
+        assert g.out_edges("x") == [("add", 1), ("add", 0)]
+        assert g.predecessors("add") == ["x", "x"]
+        assert g.successors("x") == ["add"]
+
+    def test_edges_are_immutable(self):
+        g, _w = fixtures.linear_then_norm()
+        assert isinstance(g.edges, tuple)
+
+    def test_with_kinds_swaps_only_named_nodes(self):
+        g, _w = fixtures.post_ln_transformer()
+        g2 = g.with_kinds({"ln1": "RMSNorm", "ln2": "RMSNorm"})
+        assert [n.kind for n in g2.nodes.values()] == [
+            "RMSNorm" if nid in ("ln1", "ln2") else n.kind for nid, n in g.nodes.items()
+        ]
+        assert g.nodes["ln1"].kind == "LayerNorm"
+        with pytest.raises(KeyError):
+            g.with_kinds({"nope": "RMSNorm"})

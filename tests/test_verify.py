@@ -45,7 +45,7 @@ class TestVerifyForward:
 
     def test_naive_swap_fails(self):
         g, w = fixtures.linear_then_norm()
-        swapped = g.with_kind("ln", "RMSNorm")
+        swapped = g.with_kinds({"ln": "RMSNorm"})
         rep = verify_forward(g, w, swapped, w, trials=10, seed=0)
         assert not rep.passed
         assert rep.max_abs_forward_diff > 1e-3
