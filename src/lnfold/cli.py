@@ -169,6 +169,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0 if fwd.passed else 2
 
 
+_TOL_HELP = "default: 1e-5 if either model holds f32 weights, else 1e-9"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lnfold",
@@ -204,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--grad", action="store_true", help="also compare parameter gradients")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("flops", help="operation counts for LN vs RMS normalization")
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="lnfold_out")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     p.set_defaults(fn=_cmd_pipeline)
 
     return parser

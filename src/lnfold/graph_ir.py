@@ -708,18 +708,29 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
             raise ModelFormatError(
                 f"topology parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"topology must be a JSON object, got {type(doc).__name__}")
 
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version!r}")
 
-    arity_by_id: dict[str, int] = {}
+    edges: list[tuple[str, str, int]] = []
     for entry in doc.get("edges", []):
-        arity_by_id[entry[1]] = arity_by_id.get(entry[1], 0) + 1
+        try:
+            src, dst, slot = entry[:3]
+            edges.append((str(src), str(dst), int(slot)))
+        except (TypeError, ValueError):
+            raise ModelFormatError(f"edge {entry!r} is not [src, dst, slot]") from None
+    arity_by_id: dict[str, int] = {}
+    for _src, dst, _slot in edges:
+        arity_by_id[dst] = arity_by_id.get(dst, 0) + 1
 
     nodes: list[Node] = []
     seen: set[str] = set()
     for spec in doc.get("nodes", []):
+        if not isinstance(spec, dict) or "id" not in spec or "kind" not in spec:
+            raise ModelFormatError(f"node {spec!r} needs an 'id' and a 'kind'")
         nid = str(spec["id"])
         kind = str(spec["kind"])
         if kind not in NODE_KINDS:
@@ -736,6 +747,7 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
         blob = fh.read()
 
     arrays: dict[str, np.ndarray] = {}
+    ranges: list[tuple[int, int, str]] = []
     expected_end = 0
     for entry in doc.get("weights_manifest", []):
         name = str(entry["name"])
@@ -757,7 +769,15 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
                 f"parameter {name!r}: {flat.size} values do not fill shape {shape}"
             )
         arrays[name] = flat.reshape(shape).astype(DTYPE_TAGS[tag], copy=True)
+        if byte_len:
+            ranges.append((offset, offset + byte_len, name))
         expected_end = max(expected_end, offset + byte_len)
+    ranges.sort()
+    for (_start, prev_end, prev), (start, end, name) in zip(ranges, ranges[1:]):
+        if start < prev_end:
+            raise ModelFormatError(
+                f"parameter {name!r}: bytes [{start}, {end}) overlap parameter {prev!r}"
+            )
     if expected_end != len(blob):
         raise ModelFormatError(
             f"weights blob length {len(blob)} does not match manifest extent {expected_end}"
@@ -765,7 +785,7 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
 
     graph = Graph(
         nodes,
-        [(str(e[0]), str(e[1]), int(e[2])) for e in doc.get("edges", [])],
+        edges,
         [str(i) for i in doc.get("inputs", [])],
         [str(o) for o in doc.get("outputs", [])],
         doc.get("provenance"),

@@ -37,8 +37,8 @@ class EquivalenceReport:
     trials: int
     seed: int
     tol: float
-    max_abs_forward_diff: float
-    max_abs_grad_diff: float | None
+    max_abs_forward_diff: float | None  # None: some trial was non-finite
+    max_abs_grad_diff: float | None  # None: not measured, or non-finite
     passed: bool
 
     def to_json(self) -> dict:
@@ -76,8 +76,7 @@ def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
-def _signature(g: Graph, w: WeightStore) -> tuple:
-    shapes = infer_shapes(g, w)
+def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...] | None]) -> tuple:
     ins = tuple(
         (
             tuple(g.nodes[nid].attrs.get("shape", ())),
@@ -90,9 +89,74 @@ def _signature(g: Graph, w: WeightStore) -> tuple:
     return ins, outs
 
 
-def _require_same_signature(gA: Graph, wA: WeightStore, gB: Graph, wB: WeightStore) -> None:
-    if _signature(gA, wA) != _signature(gB, wB):
+def _require_same_signature(gA: Graph, wA: WeightStore, gB: Graph, wB: WeightStore) -> tuple[dict, dict]:
+    """Both models' per-sample shapes, once their signatures are known to agree."""
+    shapesA, shapesB = infer_shapes(gA, wA), infer_shapes(gB, wB)
+    if _signature(gA, shapesA) != _signature(gB, shapesB):
         raise SignatureMismatchError("models do not share input/output signatures")
+    return shapesA, shapesB
+
+
+def default_tol(*stores: WeightStore) -> float:
+    """1e-5 when any store holds an f32 array (one-shot centering leaves
+    f32-sized residuals), 1e-9 otherwise."""
+    if any(arr.dtype == np.float32 for w in stores for _name, arr in w.items()):
+        return 1e-5
+    return 1e-9
+
+
+def _fold_worst(worst: float | None, values) -> float | None:
+    """Fold per-trial maxima into the running worst, in order.
+
+    None means some value was NaN or infinite: ``max`` would silently skip a
+    NaN, so a non-finite trial instead poisons the whole result.
+    """
+    for value in values:
+        value = float(value)
+        if worst is None or not np.isfinite(value):
+            return None
+        worst = max(worst, value)
+    return worst
+
+
+def _within(tol: float, *worsts: float | None) -> bool:
+    return all(w is not None and w <= tol for w in worsts)
+
+
+# Seeded trials are stacked until one forward's tape would hold about this
+# many f64 elements, which bounds the memory a stacked evaluation adds.
+TAPE_BUDGET = 2**18
+
+
+def _trials_per_batch(g: Graph, shapes: Mapping[str, tuple[int, ...] | None]) -> int:
+    """How many trials one stacked forward of g may evaluate.
+
+    A stacked batch prepends a (trials, 1) axis pair to every input, so a
+    node attribute that names a dimension from the front (a non-negative
+    ``axis``) would name the wrong one; such graphs, and graphs without
+    inputs, run one unstacked trial at a time. So does any ``axis`` that is
+    not a plain negative int.
+    """
+    axes = [n.attrs.get("axis", -1) for n in g.nodes.values()]
+    if not g.inputs or any(not isinstance(a, int) or a >= 0 for a in axes):
+        return 1
+    if any(s is None for s in shapes.values()):
+        return 1
+    footprint = sum(int(np.prod(s, dtype=np.int64)) for s in shapes.values())
+    return max(1, TAPE_BUDGET // max(1, footprint))
+
+
+def _stack_trials(batch: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Inputs of several trials as one (trials, 1) + per-sample stack.
+
+    The singleton axis keeps every matmul a stack of the same per-trial BLAS
+    calls (a (trials, d) stack would become one matrix product, which rounds
+    differently), so stacked results equal one-at-a-time results bit for bit.
+    A single trial keeps its per-sample shape.
+    """
+    if len(batch) == 1:
+        return batch[0]
+    return {nid: np.stack([trial[nid] for trial in batch])[:, None] for nid in batch[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +171,33 @@ def verify_forward(
     wB: WeightStore,
     trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float | None = None,
 ) -> EquivalenceReport:
-    """Max elementwise output difference over seeded random inputs, in f64."""
-    _require_same_signature(gA, wA, gB, wB)
+    """Max elementwise output difference over seeded random inputs, in f64.
+
+    Trials are evaluated in stacked batches under TAPE_BUDGET; each trial
+    draws its inputs from its own generator and is reduced to its own
+    maximum, so the result equals evaluating the trials one at a time. A
+    non-finite output or difference reports None and fails. tol defaults to
+    default_tol of the two stores.
+    """
+    shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
+    if tol is None:
+        tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
-    worst = 0.0
-    for rng in _trial_rngs(seed, trials):
-        inputs = sample_inputs(gA, rng)
-        outsA, _ = forward(gA, storeA, inputs)
-        outsB, _ = forward(gB, storeB, inputs)
-        for a, b in zip(outsA, outsB):
-            worst = max(worst, float(np.abs(a - b).max()))
-    return EquivalenceReport(trials, seed, tol, worst, None, worst <= tol)
+    per_batch = min(_trials_per_batch(gA, shapesA), _trials_per_batch(gB, shapesB))
+    rngs = _trial_rngs(seed, trials)
+    worst: float | None = 0.0
+    for start in range(0, trials, per_batch):
+        batch = [sample_inputs(gA, rng) for rng in rngs[start : start + per_batch]]
+        inputs = _stack_trials(batch)
+        # [0] drops each tape before the next forward runs.
+        outsA = forward(gA, storeA, inputs)[0]
+        outsB = forward(gB, storeB, inputs)[0]
+        maxima = [np.abs(a - b).reshape(len(batch), -1).max(axis=1) for a, b in zip(outsA, outsB)]
+        for t in range(len(batch)):
+            worst = _fold_worst(worst, (m[t] for m in maxima))
+    return EquivalenceReport(trials, seed, tol, worst, None, _within(tol, worst))
 
 
 def _proxied_effective(
@@ -179,7 +257,7 @@ def verify_gradients(
     wB: WeightStore,
     trials: int = 20,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float | None = None,
     proxied: Mapping[str, CenteringSpec] | None = None,
 ) -> EquivalenceReport:
     """Compare d(loss)/d(parameter) between the plain scheme A and the
@@ -187,27 +265,29 @@ def verify_gradients(
 
     Model B's weight store holds the proxy parameters (same names and values
     as A's); which of them are proxied is taken from the detection pass on A
-    unless given explicitly.
+    unless given explicitly. Non-finite results and the default tol follow
+    verify_forward.
     """
     _require_same_signature(gA, wA, gB, wB)
     if set(wA.names()) != set(wB.names()):
         raise ParameterPairingError(
             "parameter name sets differ; cannot pair proxy weights with originals"
         )
+    if tol is None:
+        tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
     if proxied is None:
         proxied = _derive_proxied(gA, storeA, gB)
 
     ones = lambda outs: [np.ones_like(o) for o in outs]
-    worst_fwd = 0.0
-    worst_grad = 0.0
+    worst_fwd: float | None = 0.0
+    worst_grad: float | None = 0.0
     for rng in _trial_rngs(seed, trials):
         inputs = sample_inputs(gA, rng)
         outsA, tapeA = forward(gA, storeA, inputs)
         gradsA = backward(tapeA, ones(outsA))
         outsB, gradsB = _proxied_grads(gB, storeB, proxied, inputs, ones)
-        for a, b in zip(outsA, outsB):
-            worst_fwd = max(worst_fwd, float(np.abs(a - b).max()))
+        worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
         for name in storeA.names():
             ga = gradsA.params.get(name)
             gb = gradsB.params.get(name)
@@ -217,9 +297,8 @@ def verify_gradients(
                 ga = np.zeros_like(storeA[name])
             if gb is None:
                 gb = np.zeros_like(storeB[name])
-            worst_grad = max(worst_grad, float(np.abs(ga - gb).max()))
-    passed = worst_fwd <= tol and worst_grad <= tol
-    return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, passed)
+            worst_grad = _fold_worst(worst_grad, [np.abs(ga - gb).max()])
+    return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
 
 
 def check_zero_mean(
@@ -230,16 +309,17 @@ def check_zero_mean(
     seed: int = 0,
     axis: int = -1,
 ) -> float:
-    """Max |mean along axis| of one node's output over seeded random inputs."""
+    """Max |mean along axis| of one node's output over seeded random inputs;
+    NaN when any trial's mean is non-finite, so every ``<= tol`` fails."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
     store = w.as_f64()
-    worst = 0.0
+    worst: float | None = 0.0
     for rng in _trial_rngs(seed, trials):
         _, tape = forward(g, store, sample_inputs(g, rng))
         value = tape.value_of(node_id)
-        worst = max(worst, float(np.abs(value.mean(axis=axis)).max()))
-    return worst
+        worst = _fold_worst(worst, [np.abs(value.mean(axis=axis)).max()])
+    return float("nan") if worst is None else worst
 
 
 # ---------------------------------------------------------------------------

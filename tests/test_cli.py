@@ -8,6 +8,7 @@ import pytest
 
 from lnfold import cli, fixtures, fold_apply
 from lnfold.cli import main
+from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import WeightStore, load_model, model_hash, save_model
 
 
@@ -151,6 +152,110 @@ class TestVerifyCmd:
         arrays["ffn2.weight"][0, 0] += 1e-3
         save_model(g, WeightStore(arrays), out + ".json", out + ".bin")
         assert main(["verify", topo, blob, out + ".json", out + ".bin", "--trials", "5"]) == 2
+
+
+def _save(tmp_path, stem, g, w):
+    topo, blob = str(tmp_path / f"{stem}.json"), str(tmp_path / f"{stem}.bin")
+    save_model(g, w, topo, blob)
+    return topo, blob
+
+
+def _last_json(capsys):
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+class TestNonFiniteCmd:
+    def test_verify_nan_folded_weight_exits_2(self, tmp_path, capsys):
+        g, w = fixtures.linear_then_norm()
+        fg, fw = fold_apply.apply_fold(g, w, detect_foldable(g, w))
+        arrays = {k: v.copy() for k, v in fw.items()}
+        arrays["lin.weight"][0, 0] = np.nan
+        topo, blob = _save(tmp_path, "orig", g, w)
+        ftopo, fblob = _save(tmp_path, "folded", fg, WeightStore(arrays))
+        assert main(["verify", topo, blob, ftopo, fblob, "--grad"]) == 2
+        doc = _last_json(capsys)
+        for part in ("forward", "gradients"):
+            assert doc[part]["max_abs_forward_diff"] is None
+            assert doc[part]["pass"] is False
+
+    def test_pipeline_nan_weight_exits_2(self, tmp_path, capsys):
+        g, w = fixtures.linear_then_norm()
+        arrays = {k: v.copy() for k, v in w.items()}
+        arrays["lin.weight"][0, 0] = np.nan
+        topo, blob = _save(tmp_path, "nan", g, WeightStore(arrays))
+        assert main(["pipeline", topo, blob, "--out-dir", str(tmp_path / "pipe")]) == 2
+        doc = _last_json(capsys)
+        assert (doc["forward"]["max_abs_forward_diff"], doc["forward"]["pass"]) == (None, False)
+
+
+class TestDtypeTolerance:
+    def _f32_post_ln(self, tmp_path):
+        g, w = fixtures.post_ln_transformer()
+        return _save(tmp_path, "post_ln_f32", g,
+                     WeightStore({k: v.astype(np.float32) for k, v in w.items()}))
+
+    def test_f32_pipeline_passes_at_default(self, tmp_path, capsys):
+        topo, blob = self._f32_post_ln(tmp_path)
+        assert main(["pipeline", topo, blob, "--out-dir", str(tmp_path / "pipe")]) == 0
+        assert _last_json(capsys)["forward"]["tol"] == 1e-5
+
+    def test_f32_pipeline_explicit_tol_still_fails(self, tmp_path, capsys):
+        topo, blob = self._f32_post_ln(tmp_path)
+        assert main(["pipeline", topo, blob, "--out-dir", str(tmp_path / "pipe"),
+                     "--tol", "1e-9"]) == 2
+        assert _last_json(capsys)["forward"]["tol"] == 1e-9
+
+    def test_f64_verify_default_stays_1e_9(self, models, tmp_path, capsys):
+        topo, blob = models["post_ln_transformer"]
+        assert main(["verify", topo, blob, topo, blob, "--trials", "3", "--grad"]) == 0
+        doc = _last_json(capsys)
+        assert doc["forward"]["tol"] == doc["gradients"]["tol"] == 1e-9
+
+
+def _edit_topology(topo, edit):
+    with open(topo, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc = edit(doc)
+    with open(topo, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _drop_kind(doc):
+    del doc["nodes"][1]["kind"]
+    return doc
+
+
+def _drop_id(doc):
+    del doc["nodes"][0]["id"]
+    return doc
+
+
+def _short_edge(doc):
+    doc["edges"][0] = doc["edges"][0][:2]
+    return doc
+
+
+def _overlap(doc):
+    first, second = doc["weights_manifest"][:2]
+    second["offset"] = first["offset"] + 8
+    return doc
+
+
+class TestMalformedTopology:
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_kind, "needs an 'id' and a 'kind'"),
+        (_drop_id, "needs an 'id' and a 'kind'"),
+        (_short_edge, "is not [src, dst, slot]"),
+        (lambda doc: [doc], "must be a JSON object, got list"),
+        (_overlap, "overlap parameter"),
+    ], ids=["node_without_kind", "node_without_id", "short_edge", "top_level_list",
+            "overlapping_manifest"])
+    def test_exits_1_with_message(self, models, tmp_path, capsys, edit, message):
+        topo, blob = models["post_ln_transformer"]
+        _edit_topology(topo, edit)
+        assert main(["analyze", topo, blob]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load model: ") and message in err
 
 
 class TestFlopsCmd:

@@ -168,6 +168,22 @@ class TestForward:
             row, _ = forward(g, w, [batch[i]])
             np.testing.assert_allclose(outs[0][i], row[0], atol=1e-14)
 
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_trials_x_one_stack_is_bit_identical(self, name):
+        # The (trials, 1) + per-sample stack that verification evaluates: every
+        # node's value equals its per-sample value exactly, not just closely.
+        g, w = fixtures.ALL_FIXTURES[name]()
+        rngs = [np.random.default_rng(seed) for seed in range(6)]
+        samples = [sample_inputs(g, rng) for rng in rngs]
+        stacked = {nid: np.stack([s[nid] for s in samples])[:, None] for nid in g.inputs}
+        _, tape = forward(g, w, stacked)
+        for t, sample in enumerate(samples):
+            _, alone = forward(g, w, sample)
+            for big, small in zip(tape.entries, alone.entries):
+                assert big.node_id == small.node_id
+                assert big.output.shape == (6, 1) + small.output.shape
+                np.testing.assert_array_equal(big.output[t, 0], small.output, err_msg=big.node_id)
+
 
 class TestBackward:
     def test_identity_linear_sum_loss(self):

@@ -4,16 +4,20 @@ zero-mean probes, the operation-count model, and lockstep training."""
 import numpy as np
 import pytest
 
-from lnfold import fixtures
-from lnfold.fold_apply import apply_fold
+from lnfold import fixtures, verify
+from lnfold.fold_apply import FoldError, apply_fold
 from lnfold.fold_detect import detect_foldable
-from lnfold.graph_ir import WeightStore
+from lnfold.graph_ir import Graph, WeightStore
+from lnfold.tensor_math import forward
 from lnfold.verify import (
     ParameterPairingError,
     SignatureMismatchError,
+    _trial_rngs,
     check_zero_mean,
+    default_tol,
     flops_estimate,
     model_speedup_estimate,
+    sample_inputs,
     training_equivalence,
     verify_forward,
     verify_gradients,
@@ -63,6 +67,192 @@ class TestVerifyForward:
         fg, fw = apply_fold(g, w32, detect_foldable(g, w32))
         rep = verify_forward(g, w32, fg, fw, trials=20, seed=0, tol=1e-5)
         assert rep.passed
+
+
+def _reference_forward_diff(gA, wA, gB, wB, trials, seed):
+    """verify_forward's maximum, one trial and one forward at a time."""
+    storeA, storeB = wA.as_f64(), wB.as_f64()
+    worst = 0.0
+    for rng in _trial_rngs(seed, trials):
+        inputs = sample_inputs(gA, rng)
+        outsA, _ = forward(gA, storeA, inputs)
+        outsB, _ = forward(gB, storeB, inputs)
+        for a, b in zip(outsA, outsB):
+            worst = max(worst, float(np.abs(a - b).max()))
+    return worst
+
+
+def _as_f32(w):
+    return WeightStore({k: v.astype(np.float32) for k, v in w.items()})
+
+
+def _comparison_pairs(name, f32, mode):
+    """The original fixture against its fold (where the fold is allowed) and
+    against the naive LayerNorm -> RMSNorm swap (which differs)."""
+    g, w = fixtures.ALL_FIXTURES[name]()
+    if f32:
+        w = _as_f32(w)
+    pairs = []
+    try:
+        pairs.append(apply_fold(g, w, detect_foldable(g, w, mode=mode), allow_practical=True))
+    except FoldError:
+        pass
+    swap = {n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"}
+    if swap:
+        pairs.append((g.with_kinds(swap), w))
+    return g, w, pairs
+
+
+def _group_norm_axis0(scale=1.0):
+    """GroupNorm over the first per-sample axis, which a stack would shift."""
+    b = fixtures._Builder(0)
+    x = b.input("x", (4, 6))
+    gn = b.simple("gn", "GroupNorm", x, {"axis": 0, "groups": 2})
+    b.output(b.simple("s", "ScalarScale", gn, {"scale": scale}))
+    return b.build()
+
+
+@pytest.fixture()
+def forward_calls(monkeypatch):
+    """Leading shape of the first input of every forward verify_forward runs."""
+    seen = []
+
+    def counting(g, w, inputs, *args, **kwargs):
+        seen.append(np.shape(inputs[g.inputs[0]]))
+        return forward(g, w, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "forward", counting)
+    return seen
+
+
+class TestStackedTrials:
+    @pytest.mark.parametrize("mode", ["strict", "practical"])
+    @pytest.mark.parametrize("f32", [False, True], ids=["f64", "f32"])
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_equals_one_trial_at_a_time(self, name, f32, mode):
+        g, w, pairs = _comparison_pairs(name, f32, mode)
+        assert pairs
+        for gB, wB in pairs:
+            rep = verify_forward(g, w, gB, wB, trials=100, seed=7)
+            assert rep.max_abs_forward_diff == _reference_forward_diff(g, w, gB, wB, 100, 7)
+
+    def test_deep_pre_ln_equals_one_trial_at_a_time(self):
+        g, w = fixtures.pre_ln_transformer(blocks=12)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        swapped = g.with_kinds({n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"})
+        for gB, wB in ((fg, fw), (swapped, w)):
+            rep = verify_forward(g, w, gB, wB, trials=30, seed=2)
+            assert rep.max_abs_forward_diff == _reference_forward_diff(g, w, gB, wB, 30, 2)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_fixtures_run_every_trial_in_one_batch(self, name, forward_calls):
+        g, w = fixtures.ALL_FIXTURES[name]()
+        verify_forward(g, w, g, w, trials=100, seed=0)
+        per_sample = tuple(g.nodes[g.inputs[0]].attrs["shape"])
+        assert forward_calls == [(100, 1) + per_sample] * 2
+
+    def test_deep_stack_runs_one_trial_per_batch(self, forward_calls):
+        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
+        verify_forward(g, w, g, w, trials=3, seed=0)
+        assert forward_calls == [(8,)] * 6
+
+    def test_batches_stop_at_the_tape_budget(self, forward_calls):
+        # 129,800 elements per trial: two trials fit under 2**18.
+        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
+        verify_forward(g, w, g, w, trials=5, seed=0)
+        assert forward_calls == [(2, 1, 8)] * 4 + [(8,)] * 2
+
+    def test_front_axis_group_norm_runs_one_trial_per_batch(self, forward_calls):
+        g, w = _group_norm_axis0()
+        gB, wB = _group_norm_axis0(scale=1.5)
+        rep = verify_forward(g, w, gB, wB, trials=20, seed=4)
+        assert forward_calls == [(4, 6)] * 40
+        assert rep.max_abs_forward_diff == _reference_forward_diff(g, w, gB, wB, 20, 4)
+        assert rep.max_abs_forward_diff > 0.1
+
+    def test_graph_without_inputs_runs_one_trial_per_batch(self):
+        assert verify._trials_per_batch(Graph([], [], [], []), {}) == 1
+
+
+class TestNonFinite:
+    def _nan_fold(self):
+        g, w = fixtures.linear_then_norm()
+        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        arrays = {k: v.copy() for k, v in fw.items()}
+        arrays["lin.weight"][0, 0] = np.nan
+        return g, w, fg, WeightStore(arrays)
+
+    def test_nan_weight_fails_forward(self):
+        g, w, fg, fw = self._nan_fold()
+        rep = verify_forward(g, w, fg, fw, trials=10, seed=0)
+        assert not rep.passed
+        assert rep.max_abs_forward_diff is None
+        assert rep.to_json()["max_abs_forward_diff"] is None
+
+    def test_one_nan_trial_fails_its_whole_batch(self, monkeypatch):
+        g, w = fixtures.linear_then_norm()
+        runs = []
+
+        def poisoned(graph, store, inputs, *args, **kwargs):
+            outs, tape = forward(graph, store, inputs, *args, **kwargs)
+            runs.append(graph)
+            if len(runs) == 2:  # model B of the only batch
+                outs[0][3] = np.nan
+            return outs, tape
+
+        monkeypatch.setattr(verify, "forward", poisoned)
+        rep = verify_forward(g, w, g, w, trials=10, seed=0)
+        assert len(runs) == 2
+        assert (rep.max_abs_forward_diff, rep.passed) == (None, False)
+
+    def test_infinite_difference_fails(self):
+        g, w = fixtures.linear_then_norm()
+        arrays = {k: v.copy() for k, v in w.items()}
+        arrays["ln.beta"][0] = np.inf
+        rep = verify_forward(g, w, g, WeightStore(arrays), trials=5, seed=0)
+        assert (rep.max_abs_forward_diff, rep.passed) == (None, False)
+
+    def test_nan_weight_fails_gradients(self):
+        g, w = fixtures.linear_then_norm()
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w))
+        arrays = {k: v.copy() for k, v in w.items()}
+        arrays["ln.gamma"][2] = np.nan
+        rep = verify_gradients(g, w, fg, WeightStore(arrays), trials=5, seed=0)
+        assert not rep.passed
+        assert rep.max_abs_forward_diff is None
+        assert rep.max_abs_grad_diff is None
+
+    def test_nan_weight_fails_zero_mean_probe(self):
+        g, w, fg, fw = self._nan_fold()
+        assert np.isnan(check_zero_mean(fg, fw, "lin", trials=10, seed=0))
+
+    def test_finite_results_fold_in_order(self):
+        assert verify._fold_worst(0.0, [1.0, 3.0, 2.0]) == 3.0
+        assert verify._fold_worst(0.0, [1.0, np.nan, 2.0]) is None
+        assert verify._fold_worst(None, [1.0]) is None
+
+
+class TestDefaultTolerance:
+    def test_f64_models_default_to_1e_9(self):
+        g, w = fixtures.linear_then_norm()
+        assert verify_forward(g, w, g, w, trials=2).tol == 1e-9
+        assert verify_gradients(g, w, g, w, trials=2).tol == 1e-9
+
+    def test_any_f32_array_selects_1e_5(self):
+        g, w = fixtures.linear_then_norm()
+        mixed = WeightStore({k: v.astype(np.float32) if k == "ln.beta" else v for k, v in w.items()})
+        assert default_tol(w, w) == 1e-9
+        assert default_tol(w, mixed) == 1e-5
+        assert default_tol(mixed, w) == 1e-5
+
+    def test_f32_fold_passes_at_the_default(self):
+        g, w = fixtures.post_ln_transformer()
+        w32 = _as_f32(w)
+        fg, fw = apply_fold(g, w32, detect_foldable(g, w32))
+        rep = verify_forward(g, w32, fg, fw, trials=20, seed=0)
+        assert (rep.tol, rep.passed) == (1e-5, True)
+        assert rep.max_abs_forward_diff > 1e-9
+        assert not verify_forward(g, w32, fg, fw, trials=20, seed=0, tol=1e-9).passed
 
 
 class TestVerifyGradients:
