@@ -12,21 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .graph_ir import Node
-
-
-class Family(Enum):
-    """Which slices of the weight tensor are constrained to sum to zero."""
-
-    LINEAR_COLUMNS = "linear_columns"          # columns of W[m, n]
-    CONV_OUT_CHANNELS = "conv_out_channels"    # out-channel fibers of K[co, ci, fh, fw]
-    RECURRENT_BOTH = "recurrent_both"          # columns of both cell matrices
-    ATTENTION_VALUE_ROWS = "attention_value_rows"  # rows of V[d, dv]
-    GROUPED_COLUMNS = "grouped_columns"        # per-group column chunks of W[m, n]
+from .ops import OPS, Family
 
 
 @dataclass(frozen=True)
@@ -61,23 +51,13 @@ class CenteringSpec:
         )
 
 
-_FAMILY_BY_KIND = {
-    "Linear": Family.LINEAR_COLUMNS,
-    "Conv2d": Family.CONV_OUT_CHANNELS,
-    "RecurrentCell": Family.RECURRENT_BOTH,
-    "AttentionValueProjection": Family.ATTENTION_VALUE_ROWS,
-}
-
-
 def spec_for_node(node: Node) -> CenteringSpec:
     """The unique centering spec for a general-linear node."""
-    family = _FAMILY_BY_KIND.get(node.kind)
-    if family is None:
+    op = OPS.get(node.kind)
+    if op is None or op.family is None:
         raise ValueError(f"node kind {node.kind!r} is not a general linear layer")
-    has_bias = (node.kind in ("Linear", "Conv2d") and len(node.param_refs) > 1) or (
-        node.kind == "RecurrentCell" and len(node.param_refs) > 2
-    )
-    return CenteringSpec(target=node.param_refs[0], family=family, includes_bias=has_bias)
+    has_bias = op.bias_of(node.param_refs) is not None
+    return CenteringSpec(target=node.param_refs[0], family=op.family, includes_bias=has_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +146,7 @@ def _apply_family(t: np.ndarray, family: Family, groups: int) -> np.ndarray:
 
 def constraint_residual(W: np.ndarray, family: Family, groups: int = 1) -> float:
     """Largest |sum| over the constrained slices."""
-    if family in (Family.LINEAR_COLUMNS, Family.RECURRENT_BOTH):
-        sums = W.sum(axis=0)
-    elif family is Family.CONV_OUT_CHANNELS:
+    if family in (Family.LINEAR_COLUMNS, Family.RECURRENT_BOTH, Family.CONV_OUT_CHANNELS):
         sums = W.sum(axis=0)
     elif family is Family.ATTENTION_VALUE_ROWS:
         sums = W.sum(axis=1)
@@ -216,15 +194,10 @@ def center_node_params(node: Node, arrays: dict[str, np.ndarray],
     out: dict[str, np.ndarray] = {}
     if spec.family is Family.RECURRENT_BOTH:
         wv_name, wh_name = node.param_refs[0], node.param_refs[1]
-        wv, wh = center_recurrent(arrays[wv_name], arrays[wh_name])
-        out[wv_name] = wv
-        out[wh_name] = wh
-        if spec.includes_bias and len(node.param_refs) > 2:
-            out[node.param_refs[2]] = center_bias(arrays[node.param_refs[2]])
-        return out
-    weight_name = spec.target
-    out[weight_name] = _apply_family(arrays[weight_name], spec.family, spec.groups)
-    if spec.includes_bias and len(node.param_refs) > 1:
-        bias_name = node.param_refs[1]
+        out[wv_name], out[wh_name] = center_recurrent(arrays[wv_name], arrays[wh_name])
+    else:
+        out[spec.target] = _apply_family(arrays[spec.target], spec.family, spec.groups)
+    bias_name = OPS[node.kind].bias_of(node.param_refs)
+    if spec.includes_bias and bias_name is not None:
         out[bias_name] = center_bias(arrays[bias_name])
     return out

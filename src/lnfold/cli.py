@@ -54,13 +54,27 @@ class _Operational(Exception):
     pass
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    g, w = _load(args.topology, args.weights)
-    mode = "practical" if args.practical else "strict"
+def _detect(g, w, practical: bool, strict_safety: bool) -> FoldReport:
+    mode = "practical" if practical else "strict"
     try:
-        report = detect_foldable(g, w, mode=mode, strict_safety=not args.no_strict_safety)
+        return detect_foldable(g, w, mode=mode, strict_safety=strict_safety)
     except GraphValidationError as exc:
         raise _Operational(f"model failed validation: {exc}") from exc
+
+
+def _fold(g, w, report: FoldReport, practical: bool, prefix: str):
+    """Apply the report and write the folded model to prefix.json/.bin."""
+    try:
+        folded_g, folded_w = apply_fold(g, w, report, allow_practical=practical)
+    except FoldError as exc:
+        raise _Operational(str(exc)) from exc
+    save_model(folded_g, folded_w, prefix + ".json", prefix + ".bin")
+    return folded_g, folded_w
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    g, w = _load(args.topology, args.weights)
+    report = _detect(g, w, args.practical, strict_safety=not args.no_strict_safety)
     _emit(report.to_json(), args.out)
     c = report.counts()
     _log(
@@ -94,11 +108,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
             print(dry_run(g, report))
             return 0
         raise _Operational("--out PREFIX is required unless --dry-run")
-    try:
-        folded_g, folded_w = apply_fold(g, w, report, allow_practical=args.practical)
-    except FoldError as exc:
-        raise _Operational(str(exc)) from exc
-    save_model(folded_g, folded_w, args.out + ".json", args.out + ".bin")
+    _fold(g, w, report, args.practical, args.out)
     _log(f"wrote {args.out}.json and {args.out}.bin")
     return 0
 
@@ -148,21 +158,11 @@ def _cmd_flops(args: argparse.Namespace) -> int:
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     g, w = _load(args.topology, args.weights)
-    mode = "practical" if args.practical else "strict"
-    try:
-        report = detect_foldable(g, w, mode=mode)
-    except GraphValidationError as exc:
-        raise _Operational(f"model failed validation: {exc}") from exc
+    report = _detect(g, w, args.practical, strict_safety=True)
     report_path = os.path.join(args.out_dir, "fold_report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(report.to_json()))
-        fh.write("\n")
-    try:
-        folded_g, folded_w = apply_fold(g, w, report, allow_practical=args.practical)
-    except FoldError as exc:
-        raise _Operational(str(exc)) from exc
+    _emit(report.to_json(), report_path)
     prefix = os.path.join(args.out_dir, "folded")
-    save_model(folded_g, folded_w, prefix + ".json", prefix + ".bin")
+    folded_g, folded_w = _fold(g, w, report, args.practical, prefix)
     fwd = verify_forward(g, w, folded_g, folded_w, trials=args.trials, seed=args.seed, tol=args.tol)
     _emit({"counts": report.counts(), "forward": fwd.to_json()}, None)
     _log(f"report: {report_path}; folded model: {prefix}.json/.bin")

@@ -33,21 +33,13 @@ from .graph_ir import (
     model_hash,
     require_valid,
 )
+from .ops import OPS
 
 REPORT_FORMAT_VERSION = 1
 
 VERDICT_STRICT = "foldable_strict"
 VERDICT_PRACTICAL = "foldable_practical"
 VERDICT_NOT_FOLDABLE = "not_foldable"
-
-# Activation axis that a general-linear node's centering constrains.
-_CENTERED_AXIS = {
-    "Linear": -1,
-    "RecurrentCell": -1,
-    "AttentionValueProjection": -1,
-    "Conv2d": -3,  # channel axis of (..., C, H, W)
-}
-
 
 @dataclass(frozen=True)
 class TensorState:
@@ -69,13 +61,13 @@ def _state_pass(g: Graph) -> dict[str, TensorState]:
     """
     states: dict[str, TensorState] = {}
     for nid in g.topo_order():
-        node = g.nodes[nid]
-        cls = classify_node(node.kind)
+        op = OPS[g.nodes[nid].kind]
+        cls = op.node_class
         ins = [states[src] for src, _slot in g.in_edges(nid)]
         if cls is NodeClass.GENERAL_LINEAR:
-            states[nid] = TensorState(True, _CENTERED_AXIS[node.kind], frozenset({nid}))
+            states[nid] = TensorState(True, op.centered_axis, frozenset({nid}))
         elif cls is NodeClass.ZERO_MEAN:
-            states[nid] = TensorState(True, -1, frozenset())
+            states[nid] = TensorState(True, op.centered_axis, frozenset())
         elif cls is NodeClass.SCALAR:
             states[nid] = ins[0]
         elif cls is NodeClass.RESIDUAL:

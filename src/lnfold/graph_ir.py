@@ -11,42 +11,20 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .jsonutil import canonical_dumps
+from .ops import OPS, NodeClass, OpDef
 
 FORMAT_VERSION = 1
 
-NODE_KINDS = (
-    "Linear",
-    "Conv2d",
-    "RecurrentCell",
-    "AttentionValueProjection",
-    "LayerNorm",
-    "RMSNorm",
-    "GroupNorm",
-    "ScalarScale",
-    "DropoutInference",
-    "ResidualAdd",
-    "Concat",
-    "ReLU",
-    "Softmax",
-    "Embedding",
-    "AuxiliaryCentering",
-    "Input",
-    "Output",
-)
-
-NORM_KINDS = ("LayerNorm", "RMSNorm", "GroupNorm")
+NODE_KINDS = tuple(OPS)
 
 DTYPE_TAGS = {"f32": np.float32, "f64": np.float64}
 TAG_BY_DTYPE = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _WIRE_DTYPES = {"f32": "<f4", "f64": "<f8"}
-
-DEFAULT_EPS = 1e-5
 
 
 class ModelFormatError(ValueError):
@@ -57,63 +35,16 @@ class GraphValidationError(ValueError):
     """Raised when an operation requires a valid graph but validation failed."""
 
 
-class NodeClass(Enum):
-    """Behavioral classes driving foldability analysis.
-
-    GENERAL_LINEAR layers can be forced to emit zero-mean output by centering
-    their weights. SCALAR and RESIDUAL layers preserve an incoming zero-mean
-    guarantee. ZERO_MEAN layers emit zero-mean output unconditionally. OPAQUE
-    layers give no guarantee and stop the analysis.
-    """
-
-    GENERAL_LINEAR = "general_linear"
-    SCALAR = "scalar"
-    RESIDUAL = "residual"
-    ZERO_MEAN = "zero_mean"
-    OPAQUE = "opaque"
-
-
-_CLASS_BY_KIND = {
-    "Linear": NodeClass.GENERAL_LINEAR,
-    "Conv2d": NodeClass.GENERAL_LINEAR,
-    "RecurrentCell": NodeClass.GENERAL_LINEAR,
-    "AttentionValueProjection": NodeClass.GENERAL_LINEAR,
-    "ScalarScale": NodeClass.SCALAR,
-    "DropoutInference": NodeClass.SCALAR,
-    "ResidualAdd": NodeClass.RESIDUAL,
-    "AuxiliaryCentering": NodeClass.ZERO_MEAN,
-    "LayerNorm": NodeClass.OPAQUE,
-    "RMSNorm": NodeClass.OPAQUE,
-    "GroupNorm": NodeClass.OPAQUE,
-    "Concat": NodeClass.OPAQUE,
-    "ReLU": NodeClass.OPAQUE,
-    "Softmax": NodeClass.OPAQUE,
-    "Embedding": NodeClass.OPAQUE,
-    "Input": NodeClass.OPAQUE,
-    "Output": NodeClass.OPAQUE,
-}
+# Defaults that let validation report an unknown kind and keep checking.
+_UNKNOWN_KIND = OpDef()
 
 
 def classify_node(kind: str) -> NodeClass:
     """Map a node kind to its behavioral class. Total over NODE_KINDS."""
     try:
-        return _CLASS_BY_KIND[kind]
+        return OPS[kind].node_class
     except KeyError:
         raise ValueError(f"unknown node kind {kind!r}") from None
-
-
-# Fixed arity per kind; None means "two or more, taken from the node".
-_KIND_ARITY: dict[str, int | None] = {
-    "Input": 0,
-    "RecurrentCell": 2,
-    "ResidualAdd": None,
-    "Concat": None,
-}
-
-
-def _default_arity(kind: str) -> int:
-    fixed = _KIND_ARITY.get(kind, 1)
-    return 2 if fixed is None else fixed
 
 
 @dataclass(frozen=True)
@@ -137,7 +68,7 @@ def make_node(
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {kind!r}")
     if arity is None:
-        arity = _default_arity(kind)
+        arity = OPS[kind].default_arity
     return Node(node_id, kind, dict(attrs or {}), tuple(params), arity)
 
 
@@ -259,7 +190,8 @@ class Graph:
         while ready:
             nid = ready.popleft()
             order.append(nid)
-            for dst in self.successors(nid):
+            # One decrement per edge: a node may take one source on two slots.
+            for dst, _slot in self.out_edges(nid):
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
                     ready.append(dst)
@@ -374,19 +306,6 @@ class ValidationReport:
     violations: list[str]
 
 
-def _expected_param_layout(kind: str) -> tuple[int, int]:
-    """(min, max) number of parameter refs for a kind."""
-    return {
-        "Linear": (1, 2),
-        "Conv2d": (1, 2),
-        "RecurrentCell": (2, 3),
-        "AttentionValueProjection": (1, 1),
-        "LayerNorm": (0, 2),
-        "RMSNorm": (0, 2),
-        "Embedding": (1, 1),
-    }.get(kind, (0, 0))
-
-
 def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], w: WeightStore,
               problems: list[str]) -> tuple[int, ...] | None:
     """Propagate per-sample shapes through one node; None when undecidable."""
@@ -394,135 +313,11 @@ def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], w: WeightStor
     def bad(msg: str) -> None:
         problems.append(f"node {node.id!r}: {msg}")
 
-    kind = node.kind
-    if kind == "Input":
-        shape = node.attrs.get("shape")
-        if shape is None:
-            bad("Input node missing 'shape' attr")
-            return None
-        return tuple(int(s) for s in shape)
-
-    if any(s is None for s in in_shapes):
-        return None
-    shapes = [tuple(s) for s in in_shapes]  # type: ignore[arg-type]
-
     params = [w[p] if p in w else None for p in node.param_refs]
-    if any(p is None for p in params):
+    # An Input's shape comes from its attrs alone.
+    if node.kind != "Input" and any(x is None for x in in_shapes + params):
         return None
-
-    if kind == "Linear":
-        weight = params[0]
-        if weight.ndim != 2:
-            bad(f"weight must be 2-D, got shape {weight.shape}")
-            return None
-        m, n = weight.shape
-        if shapes[0][-1] != n:
-            bad(f"weight shape {weight.shape} disagrees with incoming width {shapes[0][-1]}")
-            return None
-        if len(params) > 1 and params[1].shape != (m,):
-            bad(f"bias shape {params[1].shape} != ({m},)")
-        return shapes[0][:-1] + (m,)
-
-    if kind == "Conv2d":
-        kernel = params[0]
-        if kernel.ndim != 4:
-            bad(f"kernel must be 4-D, got shape {kernel.shape}")
-            return None
-        co, ci, fh, fw = kernel.shape
-        if len(shapes[0]) < 3:
-            bad(f"conv input must have (channels, h, w) trailing axes, got {shapes[0]}")
-            return None
-        c, h, wdt = shapes[0][-3:]
-        stride = int(node.attrs.get("stride", 1))
-        padding = int(node.attrs.get("padding", 0))
-        if c != ci:
-            bad(f"kernel expects {ci} input channels, got {c}")
-            return None
-        oh = (h + 2 * padding - fh) // stride + 1
-        ow = (wdt + 2 * padding - fw) // stride + 1
-        if oh < 1 or ow < 1:
-            bad(f"kernel {fh}x{fw} does not fit input {h}x{wdt}")
-            return None
-        if len(params) > 1 and params[1].shape != (co,):
-            bad(f"bias shape {params[1].shape} != ({co},)")
-        return shapes[0][:-3] + (co, oh, ow)
-
-    if kind == "RecurrentCell":
-        w_in, w_hid = params[0], params[1]
-        if w_in.ndim != 2 or w_hid.ndim != 2:
-            bad("recurrent weights must be 2-D")
-            return None
-        d, n = w_in.shape
-        if w_hid.shape != (d, d):
-            bad(f"hidden weight shape {w_hid.shape} != ({d}, {d})")
-            return None
-        if shapes[0][-1] != n:
-            bad(f"input width {shapes[0][-1]} != {n}")
-            return None
-        if shapes[1][-1] != d:
-            bad(f"hidden-state width {shapes[1][-1]} != {d}")
-            return None
-        return shapes[0][:-1] + (d,)
-
-    if kind == "AttentionValueProjection":
-        weight = params[0]
-        if weight.ndim != 2:
-            bad(f"value weight must be 2-D, got shape {weight.shape}")
-            return None
-        d, dv = weight.shape
-        if shapes[0][-1] != d:
-            bad(f"incoming width {shapes[0][-1]} != {d}")
-            return None
-        return shapes[0][:-1] + (dv,)
-
-    if kind in ("LayerNorm", "RMSNorm"):
-        n = shapes[0][-1]
-        declared = node.attrs.get("normalized_axis_length")
-        if declared is not None and int(declared) != n:
-            bad(f"normalized_axis_length {declared} != incoming width {n}")
-        for role, p in zip(("gamma", "beta"), params):
-            if p is not None and p.shape != (n,):
-                bad(f"{role} shape {p.shape} != ({n},)")
-        return shapes[0]
-
-    if kind == "GroupNorm":
-        axis = int(node.attrs.get("axis", -1))
-        groups = int(node.attrs.get("groups", 1))
-        try:
-            length = shapes[0][axis]
-        except IndexError:
-            bad(f"axis {axis} out of range for shape {shapes[0]}")
-            return None
-        if groups < 1 or length % groups != 0:
-            bad(f"groups {groups} must divide axis length {length}")
-        return shapes[0]
-
-    if kind == "Embedding":
-        table = params[0]
-        if table.ndim != 2:
-            bad(f"embedding table must be 2-D, got shape {table.shape}")
-            return None
-        return shapes[0] + (table.shape[1],)
-
-    if kind == "ResidualAdd":
-        if len(set(shapes)) != 1:
-            bad(f"branch shapes differ: {shapes}")
-            return None
-        return shapes[0]
-
-    if kind == "Concat":
-        axis = int(node.attrs.get("axis", -1))
-        if axis != -1:
-            bad("only last-axis concat is supported")
-            return None
-        bodies = {s[:-1] for s in shapes}
-        if len(bodies) != 1:
-            bad(f"concat operands disagree off the last axis: {shapes}")
-            return None
-        return shapes[0][:-1] + (sum(s[-1] for s in shapes),)
-
-    # Shape-preserving unary kinds.
-    return shapes[0]
+    return OPS.get(node.kind, _UNKNOWN_KIND).shape(node.attrs, in_shapes, params, bad)
 
 
 def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
@@ -554,7 +349,7 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
         slots = [slot for _s, slot in g.in_edges(node.id)]
         if slots != list(range(len(slots))):
             problems.append(f"node {node.id!r}: input slots {slots} are not 0..k-1 with one edge each")
-        fixed = _KIND_ARITY.get(node.kind, 1)
+        fixed = OPS.get(node.kind, _UNKNOWN_KIND).arity
         if fixed is None:
             if node.input_arity < 2:
                 problems.append(f"node {node.id!r}: {node.kind} needs arity >= 2")
@@ -568,7 +363,7 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
     # Parameter resolution; parameter sharing across nodes is not supported.
     owner: dict[str, str] = {}
     for node in g.nodes.values():
-        lo, hi = _expected_param_layout(node.kind)
+        lo, hi = OPS.get(node.kind, _UNKNOWN_KIND).params
         if not (lo <= len(node.param_refs) <= hi):
             problems.append(
                 f"node {node.id!r}: {node.kind} takes {lo}..{hi} params, got {len(node.param_refs)}"
@@ -583,18 +378,9 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
             else:
                 owner[ref] = node.id
 
-    # Attr sanity.
     for node in g.nodes.values():
-        if node.kind in NORM_KINDS:
-            eps = float(node.attrs.get("eps", DEFAULT_EPS))
-            if eps < 0:
-                problems.append(f"node {node.id!r}: eps must be >= 0, got {eps}")
-        if node.kind == "GroupNorm" and int(node.attrs.get("groups", 1)) < 1:
-            problems.append(f"node {node.id!r}: groups must be >= 1")
-        if node.kind == "DropoutInference" and node.attrs.get("mode", "inference") != "inference":
-            problems.append(f"node {node.id!r}: training-mode dropout is not representable")
-        if node.kind == "ScalarScale" and "scale" not in node.attrs:
-            problems.append(f"node {node.id!r}: ScalarScale requires a 'scale' attr")
+        for msg in OPS.get(node.kind, _UNKNOWN_KIND).check_attrs(node.attrs):
+            problems.append(f"node {node.id!r}: {msg}")
 
     for nid in g.inputs:
         if nid not in g.nodes:
@@ -738,9 +524,7 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
         if nid in seen:
             raise ModelFormatError(f"duplicate node id {nid!r}")
         seen.add(nid)
-        arity = arity_by_id.get(nid, _default_arity(kind) if kind != "Input" else 0)
-        if kind == "Input":
-            arity = 0
+        arity = 0 if kind == "Input" else arity_by_id.get(nid, OPS[kind].default_arity)
         nodes.append(make_node(nid, kind, spec.get("attrs", {}), spec.get("params", []), arity))
 
     with open(weights_path, "rb") as fh:

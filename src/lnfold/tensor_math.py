@@ -1,10 +1,11 @@
 """Dense-tensor execution engine with forward evaluation and exact gradients.
 
 This is the ground-truth oracle behind every equivalence claim in the
-package: deliberately small, numpy-only, deterministic. All operations accept
-arbitrary leading batch axes; normalization acts on the last axis unless a
-node says otherwise. Everything here is a pure function over immutable
-arrays, so independent evaluations can run concurrently.
+package: deliberately small, numpy-only, deterministic. forward and backward
+run each node through its kind's kernels in the op registry (lnfold.ops),
+whose numpy primitives are re-exported here. Everything here is a pure
+function over immutable arrays, so independent evaluations can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -15,212 +16,29 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .graph_ir import DEFAULT_EPS, Graph, WeightStore
+from .graph_ir import Graph, WeightStore
+from .ops import (  # noqa: F401  (the primitives are re-exported)
+    OPS,
+    NumericalError,
+    attention_value_forward,
+    auxiliary_centering,
+    concat,
+    conv2d_forward,
+    embedding_lookup,
+    group_norm,
+    layer_norm,
+    linear_forward,
+    relu,
+    residual_add,
+    rms_norm,
+    rnn_cell_forward,
+    scalar_scale,
+    softmax,
+)
 
 # Denominators below this are treated as numerically singular when flagging
 # ill-conditioned finite-difference probes.
 ILL_CONDITION_THRESHOLD = 1e-12
-
-
-class NumericalError(ArithmeticError):
-    """Raised in strict mode on division by zero or non-finite inputs."""
-
-
-# ---------------------------------------------------------------------------
-# Primitives
-# ---------------------------------------------------------------------------
-
-
-def _inv_sqrt(denom: np.ndarray, strict: bool) -> np.ndarray:
-    if strict and np.any(denom == 0.0):
-        raise NumericalError("zero variance with eps=0; use eps > 0 or lenient mode")
-    with np.errstate(divide="ignore"):
-        inv = np.where(denom > 0.0, 1.0 / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
-    return inv
-
-
-def layer_norm(
-    x: np.ndarray,
-    eps: float = DEFAULT_EPS,
-    gamma: np.ndarray | None = None,
-    beta: np.ndarray | None = None,
-    strict: bool = True,
-) -> np.ndarray:
-    """Center over the last axis, then scale by the root second moment."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    out = centered * _inv_sqrt(var + eps, strict)
-    if gamma is not None:
-        out = out * gamma
-    if beta is not None:
-        out = out + beta
-    return out
-
-
-def rms_norm(
-    x: np.ndarray,
-    eps: float = DEFAULT_EPS,
-    gamma: np.ndarray | None = None,
-    beta: np.ndarray | None = None,
-    strict: bool = True,
-) -> np.ndarray:
-    """Scale by the root mean square of the raw last-axis vector.
-
-    The optional affine matches layer_norm, bias included, so affine
-    parameters can be moved between the two verbatim.
-    """
-    ms = np.mean(x * x, axis=-1, keepdims=True)
-    out = x * _inv_sqrt(ms + eps, strict)
-    if gamma is not None:
-        out = out * gamma
-    if beta is not None:
-        out = out + beta
-    return out
-
-
-def group_norm(x: np.ndarray, groups: int, eps: float = DEFAULT_EPS, strict: bool = True) -> np.ndarray:
-    """Per-group layer_norm over contiguous last-axis chunks."""
-    n = x.shape[-1]
-    if groups < 1 or n % groups != 0:
-        raise ValueError(f"groups {groups} must divide axis length {n}")
-    grouped = x.reshape(x.shape[:-1] + (groups, n // groups))
-    return layer_norm(grouped, eps=eps, strict=strict).reshape(x.shape)
-
-
-def linear_forward(W: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    out = x @ W.T
-    if b is not None:
-        out = out + b
-    return out
-
-
-def conv2d_forward(
-    K: np.ndarray,
-    b: np.ndarray | None,
-    x: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    out, _ = _conv2d_with_patches(K, b, x, stride, padding)
-    return out
-
-
-def _im2col(x: np.ndarray, fh: int, fw: int, stride: int, padding: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """(B, OH*OW, C*fh*fw) patch matrix for x of shape (B, C, H, W)."""
-    bsz, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - fh) // stride + 1
-    ow = (w + 2 * padding - fw) // stride + 1
-    cols = np.empty((bsz, oh * ow, c * fh * fw), dtype=x.dtype)
-    idx = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = x[:, :, i * stride : i * stride + fh, j * stride : j * stride + fw]
-            cols[:, idx, :] = patch.reshape(bsz, -1)
-            idx += 1
-    return cols, (oh, ow)
-
-
-def _col2im(
-    cols: np.ndarray,
-    in_shape: tuple[int, int, int, int],
-    fh: int,
-    fw: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    bsz, c, h, w = in_shape
-    padded = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    oh = (h + 2 * padding - fh) // stride + 1
-    ow = (w + 2 * padding - fw) // stride + 1
-    idx = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = cols[:, idx, :].reshape(bsz, c, fh, fw)
-            padded[:, :, i * stride : i * stride + fh, j * stride : j * stride + fw] += patch
-            idx += 1
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
-def _conv2d_with_patches(
-    K: np.ndarray,
-    b: np.ndarray | None,
-    x: np.ndarray,
-    stride: int,
-    padding: int,
-) -> tuple[np.ndarray, dict[str, Any]]:
-    lead = x.shape[:-3]
-    c, h, w = x.shape[-3:]
-    co, ci, fh, fw = K.shape
-    if c != ci:
-        raise ValueError(f"conv input has {c} channels, kernel expects {ci}")
-    flat = x.reshape((-1, c, h, w))
-    cols, (oh, ow) = _im2col(flat, fh, fw, stride, padding)
-    out2 = cols @ K.reshape(co, -1).T  # (B, OH*OW, co)
-    if b is not None:
-        out2 = out2 + b
-    out = out2.transpose(0, 2, 1).reshape(lead + (co, oh, ow))
-    saved = {"cols": cols, "in_shape": (flat.shape), "lead": lead, "oh": oh, "ow": ow}
-    return out, saved
-
-
-def rnn_cell_forward(
-    Wv: np.ndarray,
-    Wh: np.ndarray,
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    b: np.ndarray | None = None,
-) -> np.ndarray:
-    out = x @ Wv.T + h_prev @ Wh.T
-    if b is not None:
-        out = out + b
-    return out
-
-
-def attention_value_forward(B: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Project attention-mixed activations through the value matrix: B @ V."""
-    return B @ V
-
-
-def residual_add(*xs: np.ndarray) -> np.ndarray:
-    out = xs[0]
-    for x in xs[1:]:
-        out = out + x
-    return out
-
-
-def scalar_scale(x: np.ndarray, scale: float) -> np.ndarray:
-    return x * scale
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def concat(xs: Sequence[np.ndarray], axis: int = -1) -> np.ndarray:
-    return np.concatenate(list(xs), axis=axis)
-
-
-def embedding_lookup(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise NumericalError("embedding indices must be integers")
-    return table[idx]
-
-
-def auxiliary_centering(x: np.ndarray) -> np.ndarray:
-    """Subtract the last-axis mean; the explicit form of a folded centering."""
-    return x - x.mean(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -269,165 +87,12 @@ class Tape:
             if entry.kind == "Input":
                 outs.append(entry.output)
                 continue
-            recomputed, _saved, _denom = _EVAL[entry.kind](
+            recomputed, _saved, _denom = OPS[entry.kind].forward(
                 entry.attrs, entry.inputs, entry.params, strict=False
             )
             outs.append(recomputed)
         by_id = {e.node_id: o for e, o in zip(self.entries, outs)}
         return [by_id[o] for o in self.output_ids]
-
-
-def _norm_params(params: tuple[np.ndarray, ...]) -> tuple[np.ndarray | None, np.ndarray | None]:
-    gamma = params[0] if len(params) > 0 else None
-    beta = params[1] if len(params) > 1 else None
-    return gamma, beta
-
-
-def _eval_layer_norm(attrs, inputs, params, strict):
-    (x,) = inputs
-    gamma, beta = _norm_params(params)
-    eps = float(attrs.get("eps", DEFAULT_EPS))
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    denom = var + eps
-    inv = _inv_sqrt(denom, strict)
-    xhat = centered * inv
-    out = xhat
-    if gamma is not None:
-        out = out * gamma
-    if beta is not None:
-        out = out + beta
-    return out, {"xhat": xhat, "inv": inv}, float(denom.min())
-
-
-def _eval_rms_norm(attrs, inputs, params, strict):
-    (x,) = inputs
-    gamma, beta = _norm_params(params)
-    eps = float(attrs.get("eps", DEFAULT_EPS))
-    ms = np.mean(x * x, axis=-1, keepdims=True)
-    denom = ms + eps
-    inv = _inv_sqrt(denom, strict)
-    xhat = x * inv
-    out = xhat
-    if gamma is not None:
-        out = out * gamma
-    if beta is not None:
-        out = out + beta
-    return out, {"xhat": xhat, "inv": inv}, float(denom.min())
-
-
-def _eval_group_norm(attrs, inputs, params, strict):
-    (x,) = inputs
-    eps = float(attrs.get("eps", DEFAULT_EPS))
-    groups = int(attrs.get("groups", 1))
-    axis = int(attrs.get("axis", -1))
-    moved = np.moveaxis(x, axis, -1)
-    n = moved.shape[-1]
-    grouped = moved.reshape(moved.shape[:-1] + (groups, n // groups))
-    mu = grouped.mean(axis=-1, keepdims=True)
-    centered = grouped - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    denom = var + eps
-    inv = _inv_sqrt(denom, strict)
-    xhat = centered * inv
-    out = np.moveaxis(xhat.reshape(moved.shape), -1, axis)
-    return out, {"xhat": xhat, "inv": inv, "axis": axis, "groups": groups}, float(denom.min())
-
-
-def _eval_linear(attrs, inputs, params, strict):
-    (x,) = inputs
-    W = params[0]
-    b = params[1] if len(params) > 1 else None
-    return linear_forward(W, b, x), {}, np.inf
-
-
-def _eval_conv2d(attrs, inputs, params, strict):
-    (x,) = inputs
-    K = params[0]
-    b = params[1] if len(params) > 1 else None
-    stride = int(attrs.get("stride", 1))
-    padding = int(attrs.get("padding", 0))
-    out, saved = _conv2d_with_patches(K, b, x, stride, padding)
-    saved.update({"stride": stride, "padding": padding})
-    return out, saved, np.inf
-
-
-def _eval_recurrent(attrs, inputs, params, strict):
-    x, h_prev = inputs
-    Wv, Wh = params[0], params[1]
-    b = params[2] if len(params) > 2 else None
-    return rnn_cell_forward(Wv, Wh, x, h_prev, b), {}, np.inf
-
-
-def _eval_attention_value(attrs, inputs, params, strict):
-    (x,) = inputs
-    return attention_value_forward(x, params[0]), {}, np.inf
-
-
-def _eval_scalar_scale(attrs, inputs, params, strict):
-    (x,) = inputs
-    return scalar_scale(x, float(attrs["scale"])), {}, np.inf
-
-
-def _eval_dropout_inference(attrs, inputs, params, strict):
-    (x,) = inputs
-    return scalar_scale(x, float(attrs.get("scale", 1.0))), {}, np.inf
-
-
-def _eval_residual_add(attrs, inputs, params, strict):
-    return residual_add(*inputs), {}, np.inf
-
-
-def _eval_concat(attrs, inputs, params, strict):
-    widths = tuple(x.shape[-1] for x in inputs)
-    return concat(inputs, axis=-1), {"widths": widths}, np.inf
-
-
-def _eval_relu(attrs, inputs, params, strict):
-    (x,) = inputs
-    return relu(x), {}, np.inf
-
-
-def _eval_softmax(attrs, inputs, params, strict):
-    (x,) = inputs
-    y = softmax(x)
-    return y, {"y": y}, np.inf
-
-
-def _eval_embedding(attrs, inputs, params, strict):
-    (idx,) = inputs
-    return embedding_lookup(params[0], idx), {}, np.inf
-
-
-def _eval_aux_centering(attrs, inputs, params, strict):
-    (x,) = inputs
-    return auxiliary_centering(x), {}, np.inf
-
-
-def _eval_output(attrs, inputs, params, strict):
-    (x,) = inputs
-    return x, {}, np.inf
-
-
-_EVAL: dict[str, Callable[..., tuple[np.ndarray, dict[str, Any], float]]] = {
-    "LayerNorm": _eval_layer_norm,
-    "RMSNorm": _eval_rms_norm,
-    "GroupNorm": _eval_group_norm,
-    "Linear": _eval_linear,
-    "Conv2d": _eval_conv2d,
-    "RecurrentCell": _eval_recurrent,
-    "AttentionValueProjection": _eval_attention_value,
-    "ScalarScale": _eval_scalar_scale,
-    "DropoutInference": _eval_dropout_inference,
-    "ResidualAdd": _eval_residual_add,
-    "Concat": _eval_concat,
-    "ReLU": _eval_relu,
-    "Softmax": _eval_softmax,
-    "Embedding": _eval_embedding,
-    "AuxiliaryCentering": _eval_aux_centering,
-    "Output": _eval_output,
-}
 
 
 def forward(
@@ -472,7 +137,7 @@ def forward(
             overrides[ref] if ref in overrides else w[ref] for ref in node.param_refs
         )
         try:
-            out, saved, denom = _EVAL[node.kind](node.attrs, in_vals, param_arrays, strict)
+            out, saved, denom = OPS[node.kind].forward(node.attrs, in_vals, param_arrays, strict)
         except NumericalError as exc:
             raise NumericalError(f"node {nid!r}: {exc}") from None
         min_denom = min(min_denom, denom)
@@ -496,19 +161,10 @@ class Gradients:
     inputs: dict[str, np.ndarray]
 
 
-def _sum_to(shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
-    """Sum leading broadcast axes of g down to shape (for bias-style params)."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    return g
-
-
-def _matmul_param_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """d(dy = x @ W.T)/dW summed over all leading axes: (m, n)."""
-    xf = x.reshape(-1, x.shape[-1])
-    df = dy.reshape(-1, dy.shape[-1])
-    return df.T @ xf
+def _accumulate(grads: dict[str, Any], names: Sequence[str], values: Sequence[np.ndarray]) -> None:
+    """Add each gradient into grads under its name; repeated names add up."""
+    for name, g in zip(names, values):
+        grads[name] = grads.get(name, 0.0) + g
 
 
 def backward(tape: Tape, out_grads: Sequence[np.ndarray]) -> Gradients:
@@ -516,165 +172,27 @@ def backward(tape: Tape, out_grads: Sequence[np.ndarray]) -> Gradients:
     if len(out_grads) != len(tape.output_ids):
         raise ValueError(f"expected {len(tape.output_ids)} output grads, got {len(out_grads)}")
 
-    grad_of: dict[str, np.ndarray] = {}
+    out_grads = [np.asarray(og) for og in out_grads]
     for oid, og in zip(tape.output_ids, out_grads):
         ref = tape.value_of(oid)
-        og = np.asarray(og)
         if og.shape != ref.shape:
             raise ValueError(f"output grad for {oid!r} has shape {og.shape}, expected {ref.shape}")
-        grad_of[oid] = grad_of.get(oid, 0.0) + og
+    grad_of: dict[str, np.ndarray] = {}
+    _accumulate(grad_of, tape.output_ids, out_grads)
 
     param_grads: dict[str, np.ndarray] = {}
     input_grads: dict[str, np.ndarray] = {}
-
-    def send(node_id: str, g: np.ndarray) -> None:
-        grad_of[node_id] = grad_of.get(node_id, 0.0) + g
-
     for entry in reversed(tape.entries):
         dy = grad_of.get(entry.node_id)
         if dy is None:
             continue
         dy = np.asarray(dy)
-        kind = entry.kind
-
-        if kind == "Input":
+        if entry.kind == "Input":
             input_grads[entry.node_id] = dy
             continue
-
-        if kind in ("LayerNorm", "RMSNorm"):
-            xhat = entry.saved["xhat"]
-            inv = entry.saved["inv"]
-            gamma = entry.params[0] if len(entry.params) > 0 else None
-            g = dy * gamma if gamma is not None else dy
-            if kind == "LayerNorm":
-                dx = inv * (
-                    g
-                    - g.mean(axis=-1, keepdims=True)
-                    - xhat * np.mean(g * xhat, axis=-1, keepdims=True)
-                )
-            else:
-                dx = inv * (g - xhat * np.mean(g * xhat, axis=-1, keepdims=True))
-            if gamma is not None:
-                param_grads[entry.param_names[0]] = param_grads.get(
-                    entry.param_names[0], 0.0
-                ) + _sum_to(gamma.shape, dy * xhat)
-            if len(entry.params) > 1:
-                beta = entry.params[1]
-                param_grads[entry.param_names[1]] = param_grads.get(
-                    entry.param_names[1], 0.0
-                ) + _sum_to(beta.shape, dy)
-            send(entry.input_ids[0], dx)
-
-        elif kind == "GroupNorm":
-            xhat = entry.saved["xhat"]
-            inv = entry.saved["inv"]
-            axis = entry.saved["axis"]
-            moved = np.moveaxis(dy, axis, -1)
-            g = moved.reshape(xhat.shape)
-            dxg = inv * (
-                g
-                - g.mean(axis=-1, keepdims=True)
-                - xhat * np.mean(g * xhat, axis=-1, keepdims=True)
-            )
-            dx = np.moveaxis(dxg.reshape(moved.shape), -1, axis)
-            send(entry.input_ids[0], dx)
-
-        elif kind == "Linear":
-            W = entry.params[0]
-            x = entry.inputs[0]
-            send(entry.input_ids[0], dy @ W)
-            param_grads[entry.param_names[0]] = param_grads.get(
-                entry.param_names[0], 0.0
-            ) + _matmul_param_grad(x, dy)
-            if len(entry.params) > 1:
-                param_grads[entry.param_names[1]] = param_grads.get(
-                    entry.param_names[1], 0.0
-                ) + _sum_to(entry.params[1].shape, dy)
-
-        elif kind == "Conv2d":
-            K = entry.params[0]
-            co = K.shape[0]
-            cols = entry.saved["cols"]
-            in_shape = entry.saved["in_shape"]
-            lead = entry.saved["lead"]
-            stride = entry.saved["stride"]
-            padding = entry.saved["padding"]
-            fh, fw = K.shape[2], K.shape[3]
-            dy2 = dy.reshape((-1, co, entry.saved["oh"] * entry.saved["ow"])).transpose(0, 2, 1)
-            dK2 = np.einsum("bpo,bpk->ok", dy2, cols)
-            param_grads[entry.param_names[0]] = param_grads.get(
-                entry.param_names[0], 0.0
-            ) + dK2.reshape(K.shape)
-            if len(entry.params) > 1:
-                db = dy2.reshape(-1, co).sum(axis=0)
-                param_grads[entry.param_names[1]] = param_grads.get(entry.param_names[1], 0.0) + db
-            dcols = dy2 @ K.reshape(co, -1)
-            dx = _col2im(dcols, in_shape, fh, fw, stride, padding)
-            send(entry.input_ids[0], dx.reshape(lead + dx.shape[-3:]))
-
-        elif kind == "RecurrentCell":
-            Wv, Wh = entry.params[0], entry.params[1]
-            x, h_prev = entry.inputs
-            send(entry.input_ids[0], dy @ Wv)
-            send(entry.input_ids[1], dy @ Wh)
-            param_grads[entry.param_names[0]] = param_grads.get(
-                entry.param_names[0], 0.0
-            ) + _matmul_param_grad(x, dy)
-            param_grads[entry.param_names[1]] = param_grads.get(
-                entry.param_names[1], 0.0
-            ) + _matmul_param_grad(h_prev, dy)
-            if len(entry.params) > 2:
-                param_grads[entry.param_names[2]] = param_grads.get(
-                    entry.param_names[2], 0.0
-                ) + _sum_to(entry.params[2].shape, dy)
-
-        elif kind == "AttentionValueProjection":
-            V = entry.params[0]
-            x = entry.inputs[0]
-            send(entry.input_ids[0], dy @ V.T)
-            xf = x.reshape(-1, x.shape[-1])
-            df = dy.reshape(-1, dy.shape[-1])
-            param_grads[entry.param_names[0]] = param_grads.get(entry.param_names[0], 0.0) + xf.T @ df
-
-        elif kind in ("ScalarScale", "DropoutInference"):
-            scale = float(entry.attrs.get("scale", 1.0))
-            send(entry.input_ids[0], dy * scale)
-
-        elif kind == "ResidualAdd":
-            for src in entry.input_ids:
-                send(src, dy)
-
-        elif kind == "Concat":
-            offset = 0
-            for src, width in zip(entry.input_ids, entry.saved["widths"]):
-                send(src, dy[..., offset : offset + width])
-                offset += width
-
-        elif kind == "ReLU":
-            x = entry.inputs[0]
-            send(entry.input_ids[0], dy * (x > 0))
-
-        elif kind == "Softmax":
-            y = entry.saved["y"]
-            send(entry.input_ids[0], y * (dy - np.sum(y * dy, axis=-1, keepdims=True)))
-
-        elif kind == "Embedding":
-            table = entry.params[0]
-            idx = entry.inputs[0]
-            dtable = param_grads.get(entry.param_names[0])
-            if not isinstance(dtable, np.ndarray):
-                dtable = np.zeros_like(table)
-            np.add.at(dtable, np.asarray(idx).ravel(), dy.reshape(-1, table.shape[1]))
-            param_grads[entry.param_names[0]] = dtable
-
-        elif kind == "AuxiliaryCentering":
-            send(entry.input_ids[0], dy - dy.mean(axis=-1, keepdims=True))
-
-        elif kind == "Output":
-            send(entry.input_ids[0], dy)
-
-        else:
-            raise ValueError(f"no gradient rule for kind {kind!r}")
+        dxs, dparams = OPS[entry.kind].backward(entry, dy)
+        _accumulate(grad_of, entry.input_ids, dxs)
+        _accumulate(param_grads, entry.param_names, dparams)
 
     return Gradients(params=param_grads, inputs=input_grads)
 

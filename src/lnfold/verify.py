@@ -401,7 +401,7 @@ def model_speedup_estimate(ln_time_fraction: float, layer_saving_fraction: float
 @dataclass
 class TrainingResult:
     steps: int
-    max_weight_diff: float
+    max_weight_diff: float  # NaN when a weight went non-finite, failing any <= tol
     final_loss_a: float
     final_loss_b: float
 
@@ -487,7 +487,5 @@ def training_equivalence(
         for name, grad in gradsB.params.items():
             arraysB[name] -= lr * grad
 
-    diff = 0.0
-    for name in arraysA:
-        diff = max(diff, float(np.abs(arraysA[name] - arraysB[name]).max()))
-    return TrainingResult(steps, diff, loss_a, loss_b)
+    diff = _fold_worst(0.0, (np.abs(arraysA[name] - arraysB[name]).max() for name in arraysA))
+    return TrainingResult(steps, float("nan") if diff is None else diff, loss_a, loss_b)

@@ -338,6 +338,7 @@ class TestAdjacencyIndex:
         assert g.out_edges("x") == [("add", 1), ("add", 0)]
         assert g.predecessors("add") == ["x", "x"]
         assert g.successors("x") == ["add"]
+        assert g.topo_order() == ["x", "add", "out"]
 
     def test_edges_are_immutable(self):
         g, _w = fixtures.linear_then_norm()

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from lnfold import fixtures
-from lnfold.graph_ir import Graph, WeightStore, make_node
+from lnfold.fold_apply import apply_fold
+from lnfold.fold_detect import detect_foldable
+from lnfold.graph_ir import NODE_KINDS, Graph, WeightStore, make_node
 from lnfold.tensor_math import (
     NumericalError,
     auxiliary_centering,
@@ -185,6 +187,39 @@ class TestForward:
                 np.testing.assert_array_equal(big.output[t, 0], small.output, err_msg=big.node_id)
 
 
+def _practical_fold(builder):
+    g, w = builder()
+    return apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+
+
+# Graphs whose reverse-mode gradients are checked against finite differences.
+FD_CASES = {
+    name: fixtures.ALL_FIXTURES[name]
+    for name in (
+        "linear_then_norm",
+        "scale_chain",
+        "residual_scale_mix",
+        "recurrent_then_norm",
+        "mlp_classifier",
+        "post_ln_transformer",
+        "pre_ln_transformer",
+        "concat_then_norm",
+        "softmax_then_norm",
+        "conv_block",
+    )
+}
+# Its fold holds RMSNorm and AuxiliaryCentering nodes.
+FD_CASES["pre_ln_transformer_practical_fold"] = lambda: _practical_fold(fixtures.pre_ln_transformer)
+
+
+def test_every_kind_is_gradient_checked():
+    # GroupNorm is checked by TestGroupNormNode::test_channel_axis_gradients.
+    checked = {"GroupNorm"}
+    for build in FD_CASES.values():
+        checked |= {node.kind for node in build()[0].nodes.values()}
+    assert checked == set(NODE_KINDS)
+
+
 class TestBackward:
     def test_identity_linear_sum_loss(self):
         nodes = [
@@ -220,23 +255,9 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(tape, [np.ones(3)])
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "linear_then_norm",
-            "scale_chain",
-            "residual_scale_mix",
-            "recurrent_then_norm",
-            "mlp_classifier",
-            "post_ln_transformer",
-            "pre_ln_transformer",
-            "concat_then_norm",
-            "softmax_then_norm",
-            "conv_block",
-        ],
-    )
+    @pytest.mark.parametrize("name", FD_CASES)
     def test_gradients_match_finite_differences(self, name):
-        g, w = fixtures.ALL_FIXTURES[name]()
+        g, w = FD_CASES[name]()
         rng = np.random.default_rng(7)
         inp = sample_inputs(g, rng)
         outs, tape = forward(g, w.as_f64(), inp)

@@ -402,6 +402,13 @@ class TestTrainingEquivalence:
             training_equivalence(g, w, fg, WeightStore(arrays), steps=1, lr=0.05)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_weight_gap_is_nan(self):
+        # One step at an infinite rate leaves inf/NaN weights in both schemes.
+        g, w, fg = self._pair()
+        res = training_equivalence(g, w, fg, w, steps=1, lr=float("inf"))
+        assert np.isnan(res.max_weight_diff)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported_distinctly(self):
         from lnfold.verify import TrainingDivergenceError
         g, w, fg = self._pair()
