@@ -19,7 +19,6 @@ from .fold_apply import FoldError, apply_fold, dry_run
 from .fold_detect import (
     FoldReport,
     SafetyVerdict,
-    TensorState,
     ZeroMeanGraph,
     build_zero_mean_graph,
     compute_affected_layers,

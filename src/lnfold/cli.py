@@ -54,6 +54,10 @@ class _Operational(Exception):
     pass
 
 
+# What verification raises when it cannot run a model at all.
+_VERIFY_ERRORS = (ValueError, GraphValidationError, ArithmeticError)
+
+
 def _detect(g, w, practical: bool, strict_safety: bool) -> FoldReport:
     mode = "practical" if practical else "strict"
     try:
@@ -126,7 +130,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
             doc["gradients"] = grad.to_json()
             ok = ok and grad.passed
-    except (ValueError, GraphValidationError, ArithmeticError) as exc:
+    except _VERIFY_ERRORS as exc:
         raise _Operational(f"verification could not run: {exc}") from exc
     _emit(doc, None)
     return 0 if ok else 2
@@ -163,7 +167,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     _emit(report.to_json(), report_path)
     prefix = os.path.join(args.out_dir, "folded")
     folded_g, folded_w = _fold(g, w, report, args.practical, prefix)
-    fwd = verify_forward(g, w, folded_g, folded_w, trials=args.trials, seed=args.seed, tol=args.tol)
+    try:
+        fwd = verify_forward(g, w, folded_g, folded_w, trials=args.trials, seed=args.seed, tol=args.tol)
+    except _VERIFY_ERRORS as exc:
+        raise _Operational(f"verification could not run: {exc}") from exc
     _emit({"counts": report.counts(), "forward": fwd.to_json()}, None)
     _log(f"report: {report_path}; folded model: {prefix}.json/.bin")
     return 0 if fwd.passed else 2

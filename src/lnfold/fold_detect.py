@@ -1,30 +1,32 @@
 """Detection of foldable LayerNorms and of the upstream layers to center.
 
-The detector runs a single forward dataflow pass over the graph, carrying a
-per-tensor state: whether the tensor is guaranteed zero-mean under weight
-centering, along which axis, and which upstream layers provide the
-guarantee. General linear layers start the guarantee, scalar layers keep it,
-residual adds keep it only when every branch has it, and everything else
-destroys it. A LayerNorm whose input carries the guarantee on its own
-normalization axis can be replaced by RMSNorm once those upstream layers are
-centered.
+Detection is one backtracking analysis. From each LayerNorm it walks
+upstream through scalar and residual nodes, which preserve a zero-mean
+input, and stops at the first node of any other class. The walk and its
+leaves form the LayerNorm's zero-mean graph: general linear leaves can be
+made to emit zero-mean output by centering their weights, zero-mean leaves
+emit it already, and opaque leaves give no guarantee. A LayerNorm folds
+into RMSNorm when its zero-mean graph has no opaque leaf and every other
+leaf centers the LayerNorm's own (last) axis; its centering targets are
+the linear leaves.
 
-For reporting and for the safety criterion, each LayerNorm also gets an
-explicit backtracked subgraph (its zero-mean graph) whose leaves show where
-the guarantee comes from, and a forward reachability check verifies that the
-centered layers perturb nothing except LayerNorms.
+In practical mode, a planner picks opaque leaves to follow with an explicit
+centering node. Such a node only turns that leaf into a last-axis zero-mean
+leaf, so the planner scores a candidate set by set arithmetic on the
+zero-mean graphs, without touching the model graph. A forward reachability
+check on the zero-mean graphs verifies that the centered layers perturb
+nothing except LayerNorms.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .centering import CenteringSpec, spec_for_node
 from .graph_ir import (
     Graph,
-    Node,
     NodeClass,
     WeightStore,
     classify_node,
@@ -40,49 +42,6 @@ REPORT_FORMAT_VERSION = 1
 VERDICT_STRICT = "foldable_strict"
 VERDICT_PRACTICAL = "foldable_practical"
 VERDICT_NOT_FOLDABLE = "not_foldable"
-
-@dataclass(frozen=True)
-class TensorState:
-    """Dataflow fact attached to a node's output."""
-
-    centered: bool
-    axis: int | None
-    sources: frozenset[str]
-
-
-_UNKNOWN = TensorState(False, None, frozenset())
-
-
-def _state_pass(g: Graph) -> dict[str, TensorState]:
-    """Propagate TensorState through the graph in topological order.
-
-    Pure dataflow over predecessor states, so the result is identical for
-    every valid topological order.
-    """
-    states: dict[str, TensorState] = {}
-    for nid in g.topo_order():
-        op = OPS[g.nodes[nid].kind]
-        cls = op.node_class
-        ins = [states[src] for src, _slot in g.in_edges(nid)]
-        if cls is NodeClass.GENERAL_LINEAR:
-            states[nid] = TensorState(True, op.centered_axis, frozenset({nid}))
-        elif cls is NodeClass.ZERO_MEAN:
-            states[nid] = TensorState(True, op.centered_axis, frozenset())
-        elif cls is NodeClass.SCALAR:
-            states[nid] = ins[0]
-        elif cls is NodeClass.RESIDUAL:
-            sources = frozenset().union(*(s.sources for s in ins))
-            axes = {s.axis for s in ins}
-            centered = all(s.centered for s in ins) and len(axes) == 1
-            states[nid] = TensorState(centered, axes.pop() if centered else None, sources)
-        else:
-            states[nid] = _UNKNOWN
-    return states
-
-
-def _input_state(g: Graph, states: dict[str, TensorState], node_id: str) -> TensorState:
-    preds = g.predecessors(node_id)
-    return states[preds[0]] if preds else _UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +112,18 @@ def build_zero_mean_graph(g: Graph, ln_id: str) -> ZeroMeanGraph:
             zmg.opaque_leaves.add(vertex)
     zmg.edges = sorted(edge_set)
     return zmg
+
+
+def _leaves_center_last_axis(g: Graph, zmg: ZeroMeanGraph) -> bool:
+    """Every linear and zero-mean leaf centers the LayerNorm's (last) axis."""
+    return all(
+        OPS[g.nodes[leaf].kind].centered_axis == -1
+        for leaf in zmg.linear_leaves | zmg.zero_mean_leaves
+    )
+
+
+def _targets(g: Graph, zmg: ZeroMeanGraph) -> dict[str, CenteringSpec]:
+    return {nid: spec_for_node(g.nodes[nid]) for nid in zmg.linear_leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +240,6 @@ def graph_with_insertions(g: Graph, producers: list[str]) -> tuple[Graph, dict[s
     return out, ids
 
 
-def _foldable_set(g: Graph) -> dict[str, TensorState]:
-    """LayerNorm ids whose input state allows folding, with their states."""
-    states = _state_pass(g)
-    out: dict[str, TensorState] = {}
-    for nid, node in g.nodes.items():
-        if node.kind != "LayerNorm":
-            continue
-        st = _input_state(g, states, nid)
-        if st.centered and st.axis == -1:
-            out[nid] = st
-    return out
-
-
 def plan_auxiliary_centering(
     g: Graph,
     failing_zmgs: dict[str, ZeroMeanGraph],
@@ -296,16 +254,26 @@ def plan_auxiliary_centering(
     when that margin is at least one. Not optimal set cover, but the graphs
     are small and the margin rule reproduces the architecture case studies.
 
+    A centering node after an opaque leaf makes that leaf a zero-mean leaf
+    and changes nothing else, since no zero-mean graph walks past an opaque
+    node. So a LayerNorm is rescued by a producer set exactly when the set
+    covers its opaque leaves and all its leaves then center the last axis.
+
     Returns (producers to center, rescued LayerNorm ids).
     """
-    failing = set(failing_zmgs)
     candidates = sorted({leaf for zmg in failing_zmgs.values() for leaf in zmg.opaque_leaves})
     if not candidates:
         return [], set()
+    aux_centers_last_axis = OPS["AuxiliaryCentering"].centered_axis == -1
+    rescuable = {
+        nid: zmg.opaque_leaves
+        for nid, zmg in failing_zmgs.items()
+        if aux_centers_last_axis and _leaves_center_last_axis(g, zmg)
+    }
 
     def rescued_by(producers: list[str]) -> set[str]:
-        sim, _ids = graph_with_insertions(g, producers)
-        return set(_foldable_set(sim)) & failing
+        centered = set(producers)
+        return {nid for nid, opaque in rescuable.items() if opaque <= centered}
 
     standalone = {c: len(rescued_by([c])) for c in candidates}
     order = sorted(candidates, key=lambda c: (-standalone[c], c))
@@ -419,17 +387,13 @@ class FoldReport:
         )
 
 
-def _targets_from_sources(g: Graph, sources: frozenset[str]) -> dict[str, CenteringSpec]:
-    return {nid: spec_for_node(g.nodes[nid]) for nid in sources}
-
-
 def detect_foldable(
     g: Graph,
     w: WeightStore,
     mode: str = "strict",
     strict_safety: bool = True,
 ) -> FoldReport:
-    """Run the detection pass and assemble a FoldReport.
+    """Build each LayerNorm's zero-mean graph and assemble a FoldReport.
 
     In practical mode, LayerNorms blocked only by opaque zero-mean-graph
     leaves can be rescued by planning explicit centering insertions after
@@ -439,7 +403,6 @@ def detect_foldable(
         raise ValueError(f"mode must be 'strict' or 'practical', got {mode!r}")
     require_valid(g, w)
 
-    states = _state_pass(g)
     shapes = infer_shapes(g, w)
     ln_ids = [nid for nid, node in g.nodes.items() if node.kind == "LayerNorm"]
 
@@ -447,16 +410,15 @@ def detect_foldable(
     strict_ids: list[str] = []
     for nid in ln_ids:
         zmg = build_zero_mean_graph(g, nid)
-        st = _input_state(g, states, nid)
         warnings: list[str] = []
         shape = shapes.get(nid)
         if shape is not None and shape[-1] == 1:
             warnings.append(
                 "normalizes an axis of length 1; centering annihilates the activation"
             )
-        if st.centered and st.axis == -1:
+        if not zmg.opaque_leaves and _leaves_center_last_axis(g, zmg):
             strict_ids.append(nid)
-            entries[nid] = FoldEntry(nid, VERDICT_STRICT, zmg, _targets_from_sources(g, st.sources), warnings)
+            entries[nid] = FoldEntry(nid, VERDICT_STRICT, zmg, _targets(g, zmg), warnings)
         else:
             entries[nid] = FoldEntry(nid, VERDICT_NOT_FOLDABLE, zmg, {}, warnings)
 
@@ -476,15 +438,10 @@ def detect_foldable(
             if strict_safety and not safety.safe:
                 producers, rescued, safety = [], set(), None
             else:
-                sim_states = _state_pass(sim)
                 for nid in sorted(rescued):
-                    st = _input_state(sim, sim_states, nid)
-                    entries[nid] = FoldEntry(
-                        nid,
-                        VERDICT_PRACTICAL,
-                        entries[nid].zero_mean_graph,
-                        _targets_from_sources(sim, st.sources),
-                        entries[nid].warnings,
+                    entry = entries[nid]
+                    entries[nid] = replace(
+                        entry, verdict=VERDICT_PRACTICAL, targets=_targets(g, entry.zero_mean_graph)
                     )
                 for producer in producers:
                     insertions.append(

@@ -191,7 +191,10 @@ class Graph:
             nid = ready.popleft()
             order.append(nid)
             # One decrement per edge: a node may take one source on two slots.
+            # Edges to unknown ids are skipped, as in the count; validation reports them.
             for dst, _slot in self.out_edges(nid):
+                if dst not in indeg:
+                    continue
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
                     ready.append(dst)
@@ -313,11 +316,22 @@ def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], w: WeightStor
     def bad(msg: str) -> None:
         problems.append(f"node {node.id!r}: {msg}")
 
+    op = OPS.get(node.kind, _UNKNOWN_KIND)
     params = [w[p] if p in w else None for p in node.param_refs]
+    # The layout, arity and attr checks report a short parameter list, a
+    # wrong input count or a malformed attr; the shape rule would trip on each.
+    if len(params) < op.params[0] or (op.arity is not None and len(in_shapes) != op.arity):
+        return None
+    if op.check_attrs(node.attrs):
+        return None
     # An Input's shape comes from its attrs alone.
     if node.kind != "Input" and any(x is None for x in in_shapes + params):
         return None
-    return OPS.get(node.kind, _UNKNOWN_KIND).shape(node.attrs, in_shapes, params, bad)
+    for slot, shape in enumerate(in_shapes):
+        if len(shape) < op.min_rank:
+            return bad(f"input {slot} has per-sample shape {shape}; "
+                       f"{node.kind} needs at least {op.min_rank} axes")
+    return op.shape(node.attrs, in_shapes, params, bad)
 
 
 def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
@@ -500,6 +514,11 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version!r}")
+    for key in ("nodes", "edges", "inputs", "outputs", "weights_manifest"):
+        if not isinstance(doc.get(key, []), list):
+            raise ModelFormatError(f"topology {key!r} must be a list, got {type(doc[key]).__name__}")
+    if not isinstance(doc.get("provenance") or {}, dict):
+        raise ModelFormatError("topology 'provenance' must be an object")
 
     edges: list[tuple[str, str, int]] = []
     for entry in doc.get("edges", []):
@@ -524,8 +543,11 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
         if nid in seen:
             raise ModelFormatError(f"duplicate node id {nid!r}")
         seen.add(nid)
+        attrs, params = spec.get("attrs", {}), spec.get("params", [])
+        if not isinstance(attrs, dict) or not isinstance(params, list):
+            raise ModelFormatError(f"node {nid!r}: 'attrs' must be an object and 'params' a list")
         arity = 0 if kind == "Input" else arity_by_id.get(nid, OPS[kind].default_arity)
-        nodes.append(make_node(nid, kind, spec.get("attrs", {}), spec.get("params", []), arity))
+        nodes.append(make_node(nid, kind, attrs, [str(p) for p in params], arity))
 
     with open(weights_path, "rb") as fh:
         blob = fh.read()
@@ -534,13 +556,21 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
     ranges: list[tuple[int, int, str]] = []
     expected_end = 0
     for entry in doc.get("weights_manifest", []):
-        name = str(entry["name"])
-        tag = entry["dtype"]
-        if tag not in _WIRE_DTYPES:
+        try:
+            name = str(entry["name"])
+            tag = entry["dtype"]
+            shape = tuple(int(s) for s in entry["shape"])
+            offset = int(entry["offset"])
+            byte_len = int(entry["byte_len"])
+        except (KeyError, TypeError, ValueError):
+            raise ModelFormatError(
+                f"manifest entry {entry!r} needs a name, a dtype, an integer shape, "
+                "an offset and a byte_len"
+            ) from None
+        if not isinstance(tag, str) or tag not in _WIRE_DTYPES:
             raise ModelFormatError(f"parameter {name!r}: unknown dtype {tag!r}")
-        shape = tuple(int(s) for s in entry["shape"])
-        offset = int(entry["offset"])
-        byte_len = int(entry["byte_len"])
+        if min((offset, byte_len) + shape) < 0:
+            raise ModelFormatError(f"parameter {name!r}: negative shape, offset or byte_len")
         if offset + byte_len > len(blob):
             raise ModelFormatError(
                 f"parameter {name!r}: manifest wants bytes [{offset}, {offset + byte_len}) "

@@ -1,9 +1,9 @@
 """The op registry: every fact about each node kind, in one entry per kind.
 
-An entry (an OpDef) holds the kind's input arity, parameter layout, node
-class, shape rule, forward kernel, backward rule, attr checks and, for
-general-linear kinds, the activation axis its centering constrains and its
-centering family. graph_ir, tensor_math, fold_detect and centering all read
+An entry (an OpDef) holds the kind's input arity and rank, parameter
+layout, node class, shape rule, forward kernel, backward rule, attr checks
+and, for general-linear kinds, the activation axis its centering constrains
+and its centering family. graph_ir, tensor_math, fold_detect and centering all read
 this one table, so adding a node kind means adding one OpDef to OPS.
 
 The numpy primitives behind the kernels live here too. All of them accept
@@ -245,6 +245,8 @@ def embedding_lookup(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     idx = np.asarray(idx)
     if not np.issubdtype(idx.dtype, np.integer):
         raise NumericalError("embedding indices must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= len(table)):
+        raise NumericalError(f"embedding indices must lie in [0, {len(table)})")
     return table[idx]
 
 
@@ -288,21 +290,25 @@ class OpDef:
     unary, parameter-free, shape-preserving opaque op.
 
     arity is the number of input slots (None: two or more, taken from the
-    node). params is the (min, max) number of parameter refs and bias the
-    slot of the optional bias among them, always the last one.
+    node), and min_rank the fewest per-sample axes each input needs: the
+    kinds that read the last axis need one. params is the (min, max) number
+    of parameter refs and bias the slot of the optional bias among them,
+    always the last one.
     General-linear kinds name the activation axis their centering
     constrains and their centering family; the zero-mean kind names the
     axis its output is centered on.
 
     The rules: check_attrs lists attr problems; shape maps per-sample input
     shapes and parameters to the output shape, reporting problems through
-    bad, which returns None; forward returns (output, saved tensors,
+    bad, which returns None (it runs only on a node whose layout, arity,
+    attrs and input ranks pass); forward returns (output, saved tensors,
     smallest normalization denominator); backward returns the gradients for
     each input slot and each parameter, in slot order.
     """
 
     node_class = NodeClass.OPAQUE
     arity: int | None = 1
+    min_rank = 0
     params = (0, 0)
     bias: int | None = None
     centered_axis: int | None = None
@@ -333,7 +339,7 @@ class OpDef:
 
 
 class _Linear(OpDef):
-    node_class, params, bias = NodeClass.GENERAL_LINEAR, (1, 2), 1
+    node_class, min_rank, params, bias = NodeClass.GENERAL_LINEAR, 1, (1, 2), 1
     centered_axis, family = -1, Family.LINEAR_COLUMNS
 
     def shape(self, attrs, shapes, params, bad):
@@ -356,16 +362,20 @@ class _Linear(OpDef):
 
 
 class _Conv2d(OpDef):
-    node_class, params, bias = NodeClass.GENERAL_LINEAR, (1, 2), 1
+    node_class, min_rank, params, bias = NodeClass.GENERAL_LINEAR, 3, (1, 2), 1
     centered_axis, family = -3, Family.CONV_OUT_CHANNELS  # channel axis of (..., C, H, W)
+
+    def check_attrs(self, attrs):
+        return _number_problems(attrs, ints=("stride", "padding")) or (
+            (["stride must be >= 1"] if int(attrs.get("stride", 1)) < 1 else [])
+            + (["padding must be >= 0"] if int(attrs.get("padding", 0)) < 0 else [])
+        )
 
     def shape(self, attrs, shapes, params, bad):
         kernel = params[0]
         if kernel.ndim != 4:
             return bad(f"kernel must be 4-D, got shape {kernel.shape}")
         co, ci, fh, fw = kernel.shape
-        if len(shapes[0]) < 3:
-            return bad(f"conv input must have (channels, h, w) trailing axes, got {shapes[0]}")
         c, h, wdt = shapes[0][-3:]
         stride = int(attrs.get("stride", 1))
         padding = int(attrs.get("padding", 0))
@@ -398,7 +408,7 @@ class _Conv2d(OpDef):
 
 
 class _RecurrentCell(OpDef):
-    node_class, arity, params, bias = NodeClass.GENERAL_LINEAR, 2, (2, 3), 2
+    node_class, arity, min_rank, params, bias = NodeClass.GENERAL_LINEAR, 2, 1, (2, 3), 2
     centered_axis, family = -1, Family.RECURRENT_BOTH
 
     def shape(self, attrs, shapes, params, bad):
@@ -412,6 +422,7 @@ class _RecurrentCell(OpDef):
             return bad(f"input width {shapes[0][-1]} != {n}")
         if shapes[1][-1] != d:
             return bad(f"hidden-state width {shapes[1][-1]} != {d}")
+        self._check_bias(params, d, bad)
         return shapes[0][:-1] + (d,)
 
     def forward(self, attrs, inputs, params, strict):
@@ -425,7 +436,7 @@ class _RecurrentCell(OpDef):
 
 
 class _AttentionValueProjection(OpDef):
-    node_class, params = NodeClass.GENERAL_LINEAR, (1, 1)
+    node_class, min_rank, params = NodeClass.GENERAL_LINEAR, 1, (1, 1)
     centered_axis, family = -1, Family.ATTENTION_VALUE_ROWS
 
     def shape(self, attrs, shapes, params, bad):
@@ -448,6 +459,27 @@ class _AttentionValueProjection(OpDef):
         return [dy @ e.params[0].T], [xf.T @ df]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _number_problems(attrs, ints=(), floats=()) -> list[str]:
+    """The named attrs that are present but not numbers (whole numbers, for ints)."""
+    problems = []
+    for key in ints:
+        value = attrs.get(key, 0)
+        if not (_is_int(value) or _is_number(value) and float(value).is_integer()):
+            problems.append(f"attr {key!r} must be an integer, got {value!r}")
+    for key in floats:
+        if not _is_number(attrs.get(key, 0.0)):
+            problems.append(f"attr {key!r} must be a number, got {attrs[key]!r}")
+    return problems
+
+
 def _eps_problems(attrs) -> list[str]:
     eps = float(attrs.get("eps", DEFAULT_EPS))
     return [f"eps must be >= 0, got {eps}"] if eps < 0 else []
@@ -457,7 +489,7 @@ class _LayerNorm(OpDef):
     """Last-axis LayerNorm with optional gamma and beta; RMSNorm below is
     the same op without the centering step."""
 
-    params, bias = (0, 2), 1
+    min_rank, params, bias = 1, (0, 2), 1
     center = True
 
     def _gamma_beta(self, params):
@@ -465,7 +497,9 @@ class _LayerNorm(OpDef):
         return (params[0] if params else None), beta
 
     def check_attrs(self, attrs):
-        return _eps_problems(attrs)
+        return _number_problems(
+            attrs, ints=("normalized_axis_length",), floats=("eps",)
+        ) or _eps_problems(attrs)
 
     def shape(self, attrs, shapes, params, bad):
         n = shapes[0][-1]
@@ -497,8 +531,10 @@ class _RMSNorm(_LayerNorm):
 
 class _GroupNorm(OpDef):
     def check_attrs(self, attrs):
-        groups_ok = int(attrs.get("groups", 1)) >= 1
-        return _eps_problems(attrs) + ([] if groups_ok else ["groups must be >= 1"])
+        return _number_problems(attrs, ints=("groups", "axis"), floats=("eps",)) or (
+            _eps_problems(attrs)
+            + ([] if int(attrs.get("groups", 1)) >= 1 else ["groups must be >= 1"])
+        )
 
     def shape(self, attrs, shapes, params, bad):
         axis = int(attrs.get("axis", -1))
@@ -534,7 +570,9 @@ class _ScalarScale(OpDef):
     node_class = NodeClass.SCALAR
 
     def check_attrs(self, attrs):
-        return [] if "scale" in attrs else ["ScalarScale requires a 'scale' attr"]
+        if "scale" not in attrs:
+            return ["ScalarScale requires a 'scale' attr"]
+        return _number_problems(attrs, floats=("scale",))
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
@@ -548,7 +586,7 @@ class _DropoutInference(_ScalarScale):
     def check_attrs(self, attrs):
         if attrs.get("mode", "inference") != "inference":
             return ["training-mode dropout is not representable"]
-        return []
+        return _number_problems(attrs, floats=("scale",))
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
@@ -571,7 +609,10 @@ class _ResidualAdd(OpDef):
 
 
 class _Concat(OpDef):
-    arity = None
+    arity, min_rank = None, 1
+
+    def check_attrs(self, attrs):
+        return _number_problems(attrs, ints=("axis",))
 
     def shape(self, attrs, shapes, params, bad):
         if int(attrs.get("axis", -1)) != -1:
@@ -602,6 +643,8 @@ class _ReLU(OpDef):
 
 
 class _Softmax(OpDef):
+    min_rank = 1
+
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
         y = softmax(x)
@@ -634,7 +677,7 @@ class _Embedding(OpDef):
 
 
 class _AuxiliaryCentering(OpDef):
-    node_class, centered_axis = NodeClass.ZERO_MEAN, -1
+    node_class, centered_axis, min_rank = NodeClass.ZERO_MEAN, -1, 1
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
@@ -649,11 +692,16 @@ class _Input(OpDef):
 
     arity = 0
 
-    def shape(self, attrs, shapes, params, bad):
+    def check_attrs(self, attrs):
         shape = attrs.get("shape")
         if shape is None:
-            return bad("Input node missing 'shape' attr")
-        return tuple(int(s) for s in shape)
+            return ["Input node missing 'shape' attr"]
+        if not isinstance(shape, (list, tuple)) or not all(_is_int(s) and s >= 0 for s in shape):
+            return [f"Input shape must be a list of non-negative integers, got {shape!r}"]
+        return _number_problems(attrs, ints=("high",))
+
+    def shape(self, attrs, shapes, params, bad):
+        return tuple(int(s) for s in attrs["shape"])
 
 
 class _Output(OpDef):

@@ -153,6 +153,13 @@ class TestVerifyCmd:
         save_model(g, WeightStore(arrays), out + ".json", out + ".bin")
         assert main(["verify", topo, blob, out + ".json", out + ".bin", "--trials", "5"]) == 2
 
+    def test_embedding_index_out_of_range_exits_1(self, tmp_path, capsys):
+        g, w = fixtures.pre_ln_transformer(blocks=1)
+        topo, blob = _save(tmp_path, "orig", g, w)
+        _edit_topology(topo, lambda doc: doc["nodes"][0]["attrs"].update(high=100) or doc)
+        assert main(["verify", topo, blob, topo, blob, "--trials", "3"]) == 1
+        assert "embedding indices must lie in [0, 13)" in capsys.readouterr().err
+
 
 def _save(tmp_path, stem, g, w):
     topo, blob = str(tmp_path / f"{stem}.json"), str(tmp_path / f"{stem}.bin")
@@ -241,6 +248,35 @@ def _overlap(doc):
     return doc
 
 
+def _manifest_without_dtype(doc):
+    del doc["weights_manifest"][0]["dtype"]
+    return doc
+
+
+def _manifest_entry_list(doc):
+    doc["weights_manifest"][0] = list(doc["weights_manifest"][0].values())
+    return doc
+
+
+def _manifest_shape_text(doc):
+    doc["weights_manifest"][0]["shape"] = ["four"]
+    return doc
+
+
+def _attrs_list(doc):
+    doc["nodes"][0]["attrs"] = [["shape", [6]]]
+    return doc
+
+
+def _node(doc, node_id):
+    return next(n for n in doc["nodes"] if n["id"] == node_id)
+
+
+def _linear_without_params(doc):
+    _node(doc, "ffn1")["params"] = []
+    return doc
+
+
 class TestMalformedTopology:
     @pytest.mark.parametrize("edit, message", [
         (_drop_kind, "needs an 'id' and a 'kind'"),
@@ -248,14 +284,32 @@ class TestMalformedTopology:
         (_short_edge, "is not [src, dst, slot]"),
         (lambda doc: [doc], "must be a JSON object, got list"),
         (_overlap, "overlap parameter"),
+        (_manifest_without_dtype, "needs a name, a dtype, an integer shape"),
+        (_manifest_entry_list, "needs a name, a dtype, an integer shape"),
+        (_manifest_shape_text, "needs a name, a dtype, an integer shape"),
+        (_attrs_list, "'attrs' must be an object"),
     ], ids=["node_without_kind", "node_without_id", "short_edge", "top_level_list",
-            "overlapping_manifest"])
+            "overlapping_manifest", "manifest_without_dtype", "manifest_entry_list",
+            "manifest_shape_not_integer", "attrs_not_object"])
     def test_exits_1_with_message(self, models, tmp_path, capsys, edit, message):
         topo, blob = models["post_ln_transformer"]
         _edit_topology(topo, edit)
         assert main(["analyze", topo, blob]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load model: ") and message in err
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("post_ln_transformer", _linear_without_params, "Linear takes 1..2 params, got 0"),
+        ("recurrent_then_norm",
+         lambda doc: dict(doc, edges=[e for e in doc["edges"] if e[0] != "h_prev"]),
+         "RecurrentCell arity must be 2, got 1"),
+    ], ids=["linear_without_params", "unary_recurrent_cell"])
+    def test_short_layout_exits_1(self, tmp_path, capsys, name, edit, message):
+        topo, blob = _save(tmp_path, name, *fixtures.ALL_FIXTURES[name]())
+        _edit_topology(topo, edit)
+        assert main(["analyze", topo, blob]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model failed validation: ") and message in err
 
 
 class TestFlopsCmd:

@@ -329,6 +329,19 @@ class TestWorkDone:
         assert len(report.foldable) == lns and len(report.insertions) == 1
         assert calls == {"zmg": 2 * lns, "safety": lns}
 
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    def test_planner_splices_only_the_kept_plan(self, monkeypatch, blocks):
+        # Candidates are scored on the zero-mean graphs; the model graph is
+        # spliced once, for the safety check of the plan that is kept.
+        calls = []
+        original = fold_detect.graph_with_insertions
+        monkeypatch.setattr(fold_detect, "graph_with_insertions",
+                            lambda g, producers: calls.append(list(producers)) or original(g, producers))
+        g, w = fixtures.pre_ln_transformer(blocks=blocks)
+        report = detect_foldable(g, w, mode="practical")
+        assert [ins.after for ins in report.insertions] == ["embed"]
+        assert calls == [["embed"]]
+
     def test_no_insertion_reuses_entry_graphs(self, monkeypatch):
         calls = []
         original = fold_detect.build_zero_mean_graph

@@ -1,5 +1,6 @@
 """Tests for the IR: node classification, validation, model file round-trip."""
 
+import copy
 import json
 
 import numpy as np
@@ -157,6 +158,58 @@ class TestValidation:
         g = Graph(nodes, [("x", "gn", 0), ("gn", "out", 0)], ["x"], ["out"])
         report = validate_graph(g, WeightStore({}))
         assert any("must divide" in v for v in report.violations)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: _replace_node(fixtures.linear_then_norm(), make_node("lin", "Linear")),
+         "Linear takes 1..2 params, got 0"),
+        (lambda: _unary_recurrent_cell(), "RecurrentCell arity must be 2, got 1"),
+    ], ids=["linear_without_params", "unary_recurrent_cell"])
+    def test_short_layout_reported_not_raised(self, build, message):
+        report = validate_graph(*build())
+        assert not report.ok
+        assert any(message in v for v in report.violations)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (3,)])
+    def test_recurrent_bias_shape_checked(self, shape):
+        g, w = fixtures.recurrent_then_norm()
+        arrays = {k: v for k, v in w.items() if k != "cell.bias"}
+        arrays["cell.bias"] = np.zeros(shape)
+        report = validate_graph(g, WeightStore(arrays))
+        assert f"node 'cell': bias shape {shape} != (6,)" in report.violations
+
+    @pytest.mark.parametrize("model, message", [
+        (lambda: _replace_node(fixtures.linear_then_norm(), make_node("ln", "LayerNorm", {"eps": "x"})),
+         "node 'ln': attr 'eps' must be a number, got 'x'"),
+        (lambda: _replace_node(fixtures.conv_block(), make_node(
+            "conv", "Conv2d", {"stride": 0}, ["conv.kernel", "conv.bias"])),
+         "node 'conv': stride must be >= 1"),
+        (lambda: _replace_node(fixtures.linear_then_norm(), make_node("x", "Input", {"shape": "6"})),
+         "node 'x': Input shape must be a list of non-negative integers, got '6'"),
+        (lambda: _replace_node(fixtures.linear_then_norm(), make_node("x", "Input", {"shape": []})),
+         "node 'lin': input 0 has per-sample shape (); Linear needs at least 1 axes"),
+    ], ids=["eps_text", "conv_stride_0", "input_shape_text", "rank_0_into_linear"])
+    def test_malformed_attrs_reported_not_raised(self, model, message):
+        report = validate_graph(*model())
+        assert message in report.violations
+
+    def test_edge_to_unknown_node_reported_not_raised(self):
+        g, w = fixtures.linear_then_norm()
+        g = Graph(g.nodes, list(g.edges) + [("lin", "ghost", 0)], g.inputs, g.outputs)
+        assert "edge references unknown destination 'ghost'" in validate_graph(g, w).violations
+
+
+def _replace_node(model, node):
+    g, w = model
+    nodes = [node if n.id == node.id else n for n in g.nodes.values()]
+    return Graph(nodes, g.edges, g.inputs, g.outputs), w
+
+
+def _unary_recurrent_cell():
+    """recurrent_then_norm with the hidden-state edge into the cell removed."""
+    g, w = fixtures.recurrent_then_norm()
+    cell = g.nodes["cell"]
+    g = Graph(g.nodes, [e for e in g.edges if e[0] != "h_prev"], g.inputs, g.outputs)
+    return _replace_node((g, w), make_node("cell", cell.kind, cell.attrs, cell.param_refs, 1))
 
 
 class TestModelFiles:
@@ -353,3 +406,81 @@ class TestAdjacencyIndex:
         assert g.nodes["ln1"].kind == "LayerNorm"
         with pytest.raises(KeyError):
             g.with_kinds({"nope": "RMSNorm"})
+
+
+# ---------------------------------------------------------------------------
+# Topology fuzz: every document loads cleanly or is refused cleanly
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved_fixtures(tmp_path_factory):
+    """name -> (topology document, weights path) for every fixture."""
+    root = tmp_path_factory.mktemp("fuzz")
+    saved = {}
+    for name, builder in fixtures.ALL_FIXTURES.items():
+        topo, blob = str(root / f"{name}.json"), str(root / f"{name}.bin")
+        save_model(*builder(), topo, blob)
+        with open(topo, encoding="utf-8") as fh:
+            saved[name] = (json.load(fh), blob)
+    return saved
+
+
+def _slots(value):
+    """Every (container, key) pair inside a JSON document, depth first."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value))
+    for key in list(keys):
+        yield value, key
+        if isinstance(value[key], (dict, list)):
+            yield from _slots(value[key])
+
+
+_RETYPED = st.sampled_from([None, True, 0, -3, 2.5, "x", [], {}, [1, "a"], {"k": 1}])
+
+
+@st.composite
+def topology_mutations(draw, names):
+    """(fixture name, edit): one to three edits that drop a key or list item,
+    retype a value, empty a list or object, or duplicate a list item (an edge
+    twice changes its destination's arity)."""
+    name = draw(st.sampled_from(names))
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        edits.append((draw(st.integers(0, 10**6)),
+                      draw(st.sampled_from(["drop", "retype", "empty", "duplicate"])),
+                      draw(_RETYPED)))
+    return name, edits
+
+
+def _apply_edits(doc, edits):
+    for pick, op, value in edits:
+        slots = list(_slots(doc))
+        if not slots:
+            return doc
+        container, key = slots[pick % len(slots)]
+        old = container[key]
+        if op == "drop":
+            del container[key]
+        elif op == "retype" or op == "empty" and not isinstance(old, (dict, list)):
+            container[key] = copy.deepcopy(value)
+        elif op == "empty":
+            container[key] = type(old)()
+        elif isinstance(container, list):
+            container.append(copy.deepcopy(old))
+    return doc
+
+
+class TestTopologyFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(topology_mutations(sorted(fixtures.ALL_FIXTURES)))
+    def test_loads_and_validates_or_is_refused(self, saved_fixtures, tmp_path_factory, mutation):
+        name, edits = mutation
+        doc, blob = saved_fixtures[name]
+        topo = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        topo.write_text(json.dumps(_apply_edits(copy.deepcopy(doc), edits)))
+        try:
+            g, w = load_model(str(topo), blob)
+        except ModelFormatError:
+            return
+        report = validate_graph(g, w)
+        assert report.ok == (not report.violations)
