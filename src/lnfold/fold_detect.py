@@ -1,35 +1,34 @@
 """Detection of foldable LayerNorms and of the upstream layers to center.
 
-Detection is one backtracking analysis. From each LayerNorm it walks
-upstream through scalar and residual nodes, which preserve a zero-mean
-input, and stops at the first node of any other class. The walk and its
-leaves form the LayerNorm's zero-mean graph: general linear leaves can be
-made to emit zero-mean output by centering their weights, zero-mean leaves
-emit it already, and opaque leaves give no guarantee. A LayerNorm folds
-into RMSNorm when its zero-mean graph has no opaque leaf and every other
-leaf centers the LayerNorm's own (last) axis; its centering targets are
-the linear leaves.
+Detection is one backtracking analysis. From a LayerNorm it walks upstream
+through scalar and residual nodes, which preserve a zero-mean input, and
+stops at the first node of any other class. The walk and its leaves form
+the LayerNorm's zero-mean graph: general linear leaves can be made to emit
+zero-mean output by centering their weights, zero-mean leaves emit it
+already, and opaque leaves give no guarantee. A LayerNorm folds into
+RMSNorm when its zero-mean graph has no opaque leaf and every other leaf
+centers the LayerNorm's own (last) axis; its centering targets are the
+linear leaves.
 
-In practical mode, a planner picks opaque leaves to follow with an explicit
-centering node. Such a node only turns that leaf into a last-axis zero-mean
-leaf, so the planner scores a candidate set by set arithmetic on the
-zero-mean graphs, without touching the model graph. A forward reachability
-check on the zero-mean graphs verifies that the centered layers perturb
-nothing except LayerNorms.
+The backtrack from a vertex does not depend on which LayerNorm reached it,
+so detection walks once from all LayerNorms together and reads each one's
+reachable leaves off that union graph in one pass. In practical mode, a
+planner picks opaque leaves to follow with an explicit centering node, which
+turns that leaf into a last-axis zero-mean leaf; it scores candidate sets by
+set arithmetic on the reachable leaves, without touching the model graph. A
+forward walk from the shifted vertices of the foldable set checks that the
+centered layers perturb nothing but nodes that remove a per-sample mean.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from .centering import CenteringSpec, spec_for_node
 from .graph_ir import (
     Graph,
     NodeClass,
     WeightStore,
-    classify_node,
     infer_shapes,
     make_node,
     model_hash,
@@ -37,11 +36,13 @@ from .graph_ir import (
 )
 from .ops import OPS
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 VERDICT_STRICT = "foldable_strict"
 VERDICT_PRACTICAL = "foldable_practical"
 VERDICT_NOT_FOLDABLE = "not_foldable"
+
+_PASS_THROUGH = (NodeClass.SCALAR, NodeClass.RESIDUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -51,79 +52,74 @@ VERDICT_NOT_FOLDABLE = "not_foldable"
 
 @dataclass
 class ZeroMeanGraph:
-    """Backtracked subgraph from one LayerNorm to its guarantee providers.
+    """Backtracked subgraph from some LayerNorms to their guarantee providers.
 
-    The root LayerNorm is metadata, not a vertex. Interior vertices are
-    scalar or residual nodes; leaves are partitioned by class. Edges point
-    against dataflow (consumer -> producer), recording the backtrack.
+    The root LayerNorms are metadata, not vertices. Interior vertices are
+    scalar or residual nodes; leaves are partitioned by class. Every
+    predecessor of a root or of an interior vertex is a vertex, so the
+    backtrack follows the model graph's own edges.
     """
 
-    root: str
+    roots: tuple[str, ...]
     vertices: set[str] = field(default_factory=set)
-    edges: list[tuple[str, str]] = field(default_factory=list)
     linear_leaves: set[str] = field(default_factory=set)
     zero_mean_leaves: set[str] = field(default_factory=set)
     opaque_leaves: set[str] = field(default_factory=set)
 
-    def to_json(self) -> dict:
-        return {
-            "root": self.root,
-            "vertices": sorted(self.vertices),
-            "edges": sorted([list(e) for e in self.edges]),
-            "linear_leaves": sorted(self.linear_leaves),
-            "zero_mean_leaves": sorted(self.zero_mean_leaves),
-            "opaque_leaves": sorted(self.opaque_leaves),
-        }
 
-    @staticmethod
-    def from_json(doc: dict) -> "ZeroMeanGraph":
-        return ZeroMeanGraph(
-            root=doc["root"],
-            vertices=set(doc["vertices"]),
-            edges=[(e[0], e[1]) for e in doc["edges"]],
-            linear_leaves=set(doc["linear_leaves"]),
-            zero_mean_leaves=set(doc["zero_mean_leaves"]),
-            opaque_leaves=set(doc["opaque_leaves"]),
-        )
-
-
-def build_zero_mean_graph(g: Graph, ln_id: str) -> ZeroMeanGraph:
-    """Backtrack from ln_id through scalar and residual nodes to the leaves."""
-    node = g.nodes.get(ln_id)
-    if node is None or node.kind != "LayerNorm":
-        raise ValueError(f"{ln_id!r} is not a LayerNorm node")
-    zmg = ZeroMeanGraph(root=ln_id)
-    edge_set: set[tuple[str, str]] = set()
-    frontier = deque((ln_id, p) for p in g.predecessors(ln_id))
+def build_zero_mean_graph(g: Graph, *ln_ids: str) -> ZeroMeanGraph:
+    """Backtrack from the ln_ids through scalar and residual nodes to the
+    leaves; the union of the LayerNorms' own zero-mean graphs."""
+    for ln_id in ln_ids:
+        node = g.nodes.get(ln_id)
+        if node is None or node.kind != "LayerNorm":
+            raise ValueError(f"{ln_id!r} is not a LayerNorm node")
+    zmg = ZeroMeanGraph(roots=ln_ids)
+    frontier = [p for ln_id in ln_ids for p in g.predecessors(ln_id)]
     while frontier:
-        consumer, vertex = frontier.popleft()
-        edge_set.add((consumer, vertex))
+        vertex = frontier.pop()
         if vertex in zmg.vertices:
             continue
         zmg.vertices.add(vertex)
-        cls = classify_node(g.nodes[vertex].kind)
-        if cls in (NodeClass.SCALAR, NodeClass.RESIDUAL):
-            frontier.extend((vertex, p) for p in g.predecessors(vertex))
+        cls = OPS[g.nodes[vertex].kind].node_class
+        if cls in _PASS_THROUGH:
+            frontier.extend(g.predecessors(vertex))
         elif cls is NodeClass.GENERAL_LINEAR:
             zmg.linear_leaves.add(vertex)
         elif cls is NodeClass.ZERO_MEAN:
             zmg.zero_mean_leaves.add(vertex)
         else:
             zmg.opaque_leaves.add(vertex)
-    zmg.edges = sorted(edge_set)
     return zmg
 
 
-def _leaves_center_last_axis(g: Graph, zmg: ZeroMeanGraph) -> bool:
-    """Every linear and zero-mean leaf centers the LayerNorm's (last) axis."""
-    return all(
-        OPS[g.nodes[leaf].kind].centered_axis == -1
-        for leaf in zmg.linear_leaves | zmg.zero_mean_leaves
-    )
+# (opaque leaves, off-axis leaves) reachable from a vertex or a root.
+_Leaves = tuple[frozenset[str], frozenset[str]]
 
 
-def _targets(g: Graph, zmg: ZeroMeanGraph) -> dict[str, CenteringSpec]:
-    return {nid: spec_for_node(g.nodes[nid]) for nid in zmg.linear_leaves}
+def _reachable_leaves(g: Graph, zmg: ZeroMeanGraph) -> dict[str, _Leaves]:
+    """Each root's reachable opaque leaves and off-axis leaves.
+
+    Off-axis leaves are linear or zero-mean leaves that center an axis other
+    than the last. One pass in dataflow order gives every vertex the leaves
+    below it, so a vertex shared by many roots is visited once.
+    """
+    below: dict[str, _Leaves] = {}
+
+    def gather(nid: str) -> _Leaves:
+        parts = [below[p] for p in g.predecessors(nid)]
+        return (frozenset().union(*(p[0] for p in parts)),
+                frozenset().union(*(p[1] for p in parts)))
+
+    for v in g.topo_order():
+        if v in zmg.opaque_leaves:
+            below[v] = (frozenset([v]), frozenset())
+        elif v in zmg.linear_leaves or v in zmg.zero_mean_leaves:
+            off_axis = OPS[g.nodes[v].kind].centered_axis != -1
+            below[v] = (frozenset(), frozenset([v] if off_axis else []))
+        elif v in zmg.vertices:
+            below[v] = gather(v)
+    return {root: gather(root) for root in zmg.roots}
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +129,12 @@ def _targets(g: Graph, zmg: ZeroMeanGraph) -> dict[str, CenteringSpec]:
 
 @dataclass
 class SafetyVerdict:
-    """safe iff the fold perturbs nothing except LayerNorm inputs.
+    """safe iff the fold perturbs nothing but nodes that remove a
+    per-sample mean.
 
-    affected lists every non-LayerNorm node that would see a changed
-    activation, plus any perturbed node whose activation is itself a
-    declared graph output.
+    affected lists every other node that would see a changed activation,
+    plus any perturbed node whose activation is itself a declared graph
+    output.
     """
 
     safe: bool
@@ -152,39 +149,32 @@ class SafetyVerdict:
 
 
 def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph) -> SafetyVerdict:
-    """Trace where the centered activations flow outside the zero-mean graph.
+    """Trace where the centered activations flow.
 
     Centering shifts the output of every zero-mean-graph vertex except
-    opaque leaves (those are left untouched). The shift rides through scalar
-    and residual nodes; any other node it reaches is an affected layer.
-    LayerNorms absorb a constant shift, so only non-LayerNorm affected
-    layers make the fold unsafe.
+    opaque leaves (those are left untouched) by a per-sample constant along
+    the last axis. Every consumer of a shifted vertex sees the shift, inside
+    the zero-mean graph or not. Scalar and residual nodes pass it on, and
+    kinds with OpDef.removes_mean absorb it; any other node it reaches is an
+    affected layer, and so is a shifted node that is a graph output.
     """
     shifted = zmg.vertices - zmg.opaque_leaves
-    frontier: deque[str] = deque()
-    for vertex in sorted(shifted):
-        for dst in g.successors(vertex):
-            if dst not in zmg.vertices:
-                frontier.append(dst)
-
-    affected: set[str] = set()
-    exposed = {v for v in shifted if v in g.outputs}
+    frontier = [dst for vertex in shifted for dst in g.successors(vertex)]
+    affected = {v for v in shifted if v in g.outputs}
     visited: set[str] = set()
     while frontier:
-        nid = frontier.popleft()
+        nid = frontier.pop()
         if nid in visited:
             continue
         visited.add(nid)
-        cls = classify_node(g.nodes[nid].kind)
-        if cls in (NodeClass.SCALAR, NodeClass.RESIDUAL):
+        op = OPS[g.nodes[nid].kind]
+        if op.node_class in _PASS_THROUGH:
             if nid in g.outputs:
-                exposed.add(nid)
+                affected.add(nid)
             frontier.extend(g.successors(nid))
-        else:
+        elif not op.removes_mean:
             affected.add(nid)
-
-    non_ln = {n for n in affected if g.nodes[n].kind != "LayerNorm"} | exposed
-    return SafetyVerdict(safe=not non_ln, affected=frozenset(non_ln))
+    return SafetyVerdict(safe=not affected, affected=frozenset(affected))
 
 
 # ---------------------------------------------------------------------------
@@ -240,35 +230,32 @@ def graph_with_insertions(g: Graph, producers: list[str]) -> tuple[Graph, dict[s
     return out, ids
 
 
-def plan_auxiliary_centering(
-    g: Graph,
-    failing_zmgs: dict[str, ZeroMeanGraph],
-) -> tuple[list[str], set[str]]:
+def plan_auxiliary_centering(failing: list["FoldEntry"]) -> tuple[list[str], set[str]]:
     """Pick producers to center so that blocked LayerNorms become foldable.
 
-    Greedy: candidates are the opaque leaves of the failing zero-mean
-    graphs, tried in order of how many LayerNorms each rescues on its own
-    (ties broken by id). A candidate joins the plan only if it rescues at
-    least two more LayerNorms than the plan already does, i.e. only if it
-    strictly increases rescued-minus-insertions; the whole plan is kept only
-    when that margin is at least one. Not optimal set cover, but the graphs
-    are small and the margin rule reproduces the architecture case studies.
+    Greedy: candidates are the opaque leaves of the failing entries, tried
+    in order of how many LayerNorms each rescues on its own (ties broken by
+    id). A candidate joins the plan only if it rescues at least two more
+    LayerNorms than the plan already does, i.e. only if it strictly
+    increases rescued-minus-insertions; the whole plan is kept only when
+    that margin is at least one. Not optimal set cover, but the graphs are
+    small and the margin rule reproduces the architecture case studies.
 
     A centering node after an opaque leaf makes that leaf a zero-mean leaf
-    and changes nothing else, since no zero-mean graph walks past an opaque
-    node. So a LayerNorm is rescued by a producer set exactly when the set
-    covers its opaque leaves and all its leaves then center the last axis.
+    and changes nothing else, since no backtrack walks past an opaque node.
+    So a LayerNorm is rescued by a producer set exactly when the set covers
+    its opaque leaves and it has no off-axis leaf.
 
     Returns (producers to center, rescued LayerNorm ids).
     """
-    candidates = sorted({leaf for zmg in failing_zmgs.values() for leaf in zmg.opaque_leaves})
+    candidates = sorted({leaf for entry in failing for leaf in entry.opaque_leaves})
     if not candidates:
         return [], set()
     aux_centers_last_axis = OPS["AuxiliaryCentering"].centered_axis == -1
     rescuable = {
-        nid: zmg.opaque_leaves
-        for nid, zmg in failing_zmgs.items()
-        if aux_centers_last_axis and _leaves_center_last_axis(g, zmg)
+        entry.ln_id: entry.opaque_leaves
+        for entry in failing
+        if aux_centers_last_axis and not entry.off_axis_leaves
     }
 
     def rescued_by(producers: list[str]) -> set[str]:
@@ -298,20 +285,22 @@ def plan_auxiliary_centering(
 
 @dataclass
 class FoldEntry:
+    """One LayerNorm's verdict and the leaves that decide it: the opaque
+    leaves a practical plan must center, and the leaves that center an
+    axis other than the last, which nothing rescues."""
+
     ln_id: str
     verdict: str
-    zero_mean_graph: ZeroMeanGraph
-    targets: dict[str, CenteringSpec]
+    opaque_leaves: frozenset[str] = frozenset()
+    off_axis_leaves: frozenset[str] = frozenset()
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "ln_id": self.ln_id,
             "verdict": self.verdict,
-            "zero_mean_graph": self.zero_mean_graph.to_json(),
-            "targets": [
-                {"node": nid, "spec": spec.to_json()} for nid, spec in sorted(self.targets.items())
-            ],
+            "opaque_leaves": sorted(self.opaque_leaves),
+            "off_axis_leaves": sorted(self.off_axis_leaves),
             "warnings": list(self.warnings),
         }
 
@@ -320,8 +309,8 @@ class FoldEntry:
         return FoldEntry(
             ln_id=doc["ln_id"],
             verdict=doc["verdict"],
-            zero_mean_graph=ZeroMeanGraph.from_json(doc["zero_mean_graph"]),
-            targets={t["node"]: CenteringSpec.from_json(t["spec"]) for t in doc["targets"]},
+            opaque_leaves=frozenset(doc["opaque_leaves"]),
+            off_axis_leaves=frozenset(doc["off_axis_leaves"]),
             warnings=list(doc["warnings"]),
         )
 
@@ -393,11 +382,14 @@ def detect_foldable(
     mode: str = "strict",
     strict_safety: bool = True,
 ) -> FoldReport:
-    """Build each LayerNorm's zero-mean graph and assemble a FoldReport.
+    """Decide every LayerNorm from one union zero-mean graph and assemble a
+    FoldReport.
 
-    In practical mode, LayerNorms blocked only by opaque zero-mean-graph
-    leaves can be rescued by planning explicit centering insertions after
-    those leaves; rescued entries get the practical verdict.
+    In practical mode, LayerNorms blocked only by opaque leaves can be
+    rescued by planning explicit centering insertions after those leaves;
+    rescued entries get the practical verdict. Targets and safety come from
+    the zero-mean graph of the foldable set, on the spliced graph when a
+    plan is kept.
     """
     if mode not in ("strict", "practical"):
         raise ValueError(f"mode must be 'strict' or 'practical', got {mode!r}")
@@ -405,44 +397,37 @@ def detect_foldable(
 
     shapes = infer_shapes(g, w)
     ln_ids = [nid for nid, node in g.nodes.items() if node.kind == "LayerNorm"]
+    reachable = _reachable_leaves(g, build_zero_mean_graph(g, *ln_ids))
 
     entries: dict[str, FoldEntry] = {}
-    strict_ids: list[str] = []
     for nid in ln_ids:
-        zmg = build_zero_mean_graph(g, nid)
+        opaque, off_axis = reachable[nid]
         warnings: list[str] = []
         shape = shapes.get(nid)
         if shape is not None and shape[-1] == 1:
             warnings.append(
                 "normalizes an axis of length 1; centering annihilates the activation"
             )
-        if not zmg.opaque_leaves and _leaves_center_last_axis(g, zmg):
-            strict_ids.append(nid)
-            entries[nid] = FoldEntry(nid, VERDICT_STRICT, zmg, _targets(g, zmg), warnings)
-        else:
-            entries[nid] = FoldEntry(nid, VERDICT_NOT_FOLDABLE, zmg, {}, warnings)
+        verdict = VERDICT_NOT_FOLDABLE if opaque or off_axis else VERDICT_STRICT
+        entries[nid] = FoldEntry(nid, verdict, opaque, off_axis, warnings)
+    foldable = sorted(nid for nid in ln_ids if entries[nid].verdict == VERDICT_STRICT)
 
     insertions: list[AuxInsertion] = []
-    rescued: set[str] = set()
-    safety: SafetyVerdict | None = None
-
+    zmg: ZeroMeanGraph | None = None
     if mode == "practical":
-        failing = {nid: entries[nid].zero_mean_graph for nid in ln_ids if nid not in strict_ids}
-        producers, rescued = plan_auxiliary_centering(g, failing)
+        failing = [e for e in entries.values() if e.verdict == VERDICT_NOT_FOLDABLE]
+        producers, rescued = plan_auxiliary_centering(failing)
         if producers:
             sim, aux_ids = graph_with_insertions(g, producers)
-            # Insertions change the zero-mean graphs, so they are rebuilt on sim.
-            safety = _overall_safety(sim, (
-                build_zero_mean_graph(sim, nid) for nid in sorted(set(strict_ids) | rescued)
-            ))
+            planned = sorted(set(foldable) | rescued)
+            zmg = build_zero_mean_graph(sim, *planned)
+            safety = compute_affected_layers(sim, zmg)
             if strict_safety and not safety.safe:
-                producers, rescued, safety = [], set(), None
+                zmg = None
             else:
-                for nid in sorted(rescued):
-                    entry = entries[nid]
-                    entries[nid] = replace(
-                        entry, verdict=VERDICT_PRACTICAL, targets=_targets(g, entry.zero_mean_graph)
-                    )
+                foldable = planned
+                for nid in rescued:
+                    entries[nid] = replace(entries[nid], verdict=VERDICT_PRACTICAL)
                 for producer in producers:
                     insertions.append(
                         AuxInsertion(
@@ -453,18 +438,17 @@ def detect_foldable(
                             ),
                             rescues=tuple(
                                 nid for nid in sorted(rescued)
-                                if producer in entries[nid].zero_mean_graph.opaque_leaves
+                                if producer in entries[nid].opaque_leaves
                             ),
                         )
                     )
-
-    foldable = sorted(set(strict_ids) | rescued)
-    if safety is None:
-        safety = _overall_safety(g, (entries[nid].zero_mean_graph for nid in foldable))
-
-    targets: dict[str, CenteringSpec] = {}
-    for nid in foldable:
-        targets.update(entries[nid].targets)
+    if zmg is None:
+        zmg = build_zero_mean_graph(g, *foldable)
+        safety = compute_affected_layers(g, zmg)
+    # Dataflow order: verification centers proxy gradients in this order,
+    # which sets its peak memory on wide models.
+    targets = {nid: spec_for_node(g.nodes[nid])
+               for nid in g.topo_order() if nid in zmg.linear_leaves}
 
     return FoldReport(
         mode=mode,
@@ -476,10 +460,3 @@ def detect_foldable(
         insertions=insertions,
         safety=safety,
     )
-
-
-def _overall_safety(g: Graph, zmgs: Iterable[ZeroMeanGraph]) -> SafetyVerdict:
-    affected: set[str] = set()
-    for zmg in zmgs:
-        affected |= compute_affected_layers(g, zmg).affected
-    return SafetyVerdict(safe=not affected, affected=frozenset(affected))

@@ -204,29 +204,29 @@ class Graph:
         return order
 
     def find_cycle(self) -> list[str] | None:
-        """Return node ids on one cycle, or None if the graph is acyclic."""
+        """Return node ids on one cycle, or None if the graph is acyclic.
+
+        Depth-first search with an explicit stack, so path length is not
+        bounded by the interpreter's recursion limit.
+        """
         color: dict[str, int] = {}
-        stack: list[str] = []
-
-        def visit(nid: str) -> list[str] | None:
-            color[nid] = 1
-            stack.append(nid)
-            for dst in self.successors(nid):
-                if color.get(dst, 0) == 1:
-                    return stack[stack.index(dst):] + [dst]
-                if color.get(dst, 0) == 0:
-                    found = visit(dst)
-                    if found:
-                        return found
-            stack.pop()
-            color[nid] = 2
-            return None
-
-        for nid in self.nodes:
-            if color.get(nid, 0) == 0:
-                found = visit(nid)
-                if found:
-                    return found
+        for root in self.nodes:
+            if color.get(root, 0):
+                continue
+            color[root] = 1
+            path = [root]
+            pending = [iter(self.successors(root))]
+            while pending:
+                dst = next(pending[-1], None)
+                if dst is None:
+                    color[path.pop()] = 2
+                    pending.pop()
+                elif color.get(dst, 0) == 1:
+                    return path[path.index(dst):] + [dst]
+                elif color.get(dst, 0) == 0:
+                    color[dst] = 1
+                    path.append(dst)
+                    pending.append(iter(self.successors(dst)))
         return None
 
     # -- surgery (always returns a new Graph) ------------------------------
@@ -309,8 +309,8 @@ class ValidationReport:
     violations: list[str]
 
 
-def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], w: WeightStore,
-              problems: list[str]) -> tuple[int, ...] | None:
+def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], sources: list[Node],
+              w: WeightStore, problems: list[str]) -> tuple[int, ...] | None:
     """Propagate per-sample shapes through one node; None when undecidable."""
 
     def bad(msg: str) -> None:
@@ -331,6 +331,8 @@ def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], w: WeightStor
         if len(shape) < op.min_rank:
             return bad(f"input {slot} has per-sample shape {shape}; "
                        f"{node.kind} needs at least {op.min_rank} axes")
+    for msg in op.check_sources(sources, params):
+        bad(msg)
     return op.shape(node.attrs, in_shapes, params, bad)
 
 
@@ -429,11 +431,12 @@ def infer_shapes(
         order = []
     for nid in order:
         node = g.nodes[nid]
-        preds = [shapes.get(p) for p in (s for s, _ in g.in_edges(nid))]
-        if len(preds) != node.input_arity:
+        sources = [s for s, _ in g.in_edges(nid)]
+        if len(sources) != node.input_arity:
             shapes[nid] = None
             continue
-        shapes[nid] = _shape_of(node, preds, w, sink)
+        preds = [shapes.get(s) for s in sources]
+        shapes[nid] = _shape_of(node, preds, [g.nodes[s] for s in sources], w, sink)
     return shapes
 
 

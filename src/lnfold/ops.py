@@ -296,14 +296,18 @@ class OpDef:
     always the last one.
     General-linear kinds name the activation axis their centering
     constrains and their centering family; the zero-mean kind names the
-    axis its output is centered on.
+    axis its output is centered on. removes_mean marks the kinds whose
+    output does not change when a per-sample constant is added to their
+    input along the last axis.
 
     The rules: check_attrs lists attr problems; shape maps per-sample input
     shapes and parameters to the output shape, reporting problems through
     bad, which returns None (it runs only on a node whose layout, arity,
-    attrs and input ranks pass); forward returns (output, saved tensors,
-    smallest normalization denominator); backward returns the gradients for
-    each input slot and each parameter, in slot order.
+    attrs and input ranks pass); check_sources lists problems with the
+    nodes feeding the node, one per input slot, and runs where shape does;
+    forward returns (output, saved tensors, smallest normalization
+    denominator); backward returns the gradients for each input slot and
+    each parameter, in slot order.
     """
 
     node_class = NodeClass.OPAQUE
@@ -313,6 +317,7 @@ class OpDef:
     bias: int | None = None
     centered_axis: int | None = None
     family: Family | None = None
+    removes_mean = False
 
     @property
     def default_arity(self) -> int:
@@ -336,6 +341,9 @@ class OpDef:
 
     def shape(self, attrs, shapes: list[Shape], params: list, bad) -> Shape | None:
         return shapes[0]
+
+    def check_sources(self, sources: Sequence[Any], params: list) -> list[str]:
+        return []
 
 
 class _Linear(OpDef):
@@ -490,7 +498,7 @@ class _LayerNorm(OpDef):
     the same op without the centering step."""
 
     min_rank, params, bias = 1, (0, 2), 1
-    center = True
+    center = removes_mean = True
 
     def _gamma_beta(self, params):
         beta = params[self.bias] if len(params) > self.bias else None
@@ -526,7 +534,7 @@ class _LayerNorm(OpDef):
 
 
 class _RMSNorm(_LayerNorm):
-    center = False
+    center = removes_mean = False
 
 
 class _GroupNorm(OpDef):
@@ -664,6 +672,20 @@ class _Embedding(OpDef):
             return bad(f"embedding table must be 2-D, got shape {table.shape}")
         return shapes[0] + (table.shape[1],)
 
+    def check_sources(self, sources, params):
+        (src,), table = sources, params[0]
+        if src.kind != "Input" or not src.attrs.get("integer"):
+            return [f"embedding indices must come from an integer Input; "
+                    f"{src.kind} {src.id!r} is not one"]
+        # The shape rule reports a table that is not 2-D, check_attrs a bad high.
+        if table.ndim != 2 or _number_problems(src.attrs, ints=("high",)):
+            return []
+        high = int(src.attrs.get("high", 2))  # inputs are drawn below high, 2 by default
+        if high > len(table):
+            return [f"embedding indices must lie in [0, {len(table)}), but Input {src.id!r} "
+                    f"draws them below high={high}"]
+        return []
+
     def forward(self, attrs, inputs, params, strict):
         (idx,) = inputs
         return embedding_lookup(params[0], idx), {}, np.inf
@@ -678,6 +700,7 @@ class _Embedding(OpDef):
 
 class _AuxiliaryCentering(OpDef):
     node_class, centered_axis, min_rank = NodeClass.ZERO_MEAN, -1, 1
+    removes_mean = True
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs

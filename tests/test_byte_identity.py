@@ -2,9 +2,11 @@
 
 Each case runs ``analyze`` -> ``fold`` -> ``verify --grad`` through the CLI
 and records exit codes and sha256 digests of the report, the folded model
-files and the verify JSON. The digests were recorded before graph adjacency
-was indexed; regenerate them with ``python tests/test_byte_identity.py``
-(with ``src`` on the path) only for a change that means to alter output.
+files and the verify JSON. The folded-model and verify digests were
+recorded before graph adjacency was indexed; the report digests were
+re-pinned once, for report format 2. Regenerate them with
+``python tests/test_byte_identity.py`` (with ``src`` on the path) only for
+a change that means to alter output.
 """
 
 import contextlib
@@ -67,70 +69,70 @@ def run_case(case, mode, workdir):
 EXPECTED = {
     "fanout_trap/strict": {
         "exit": [0, 1, None],
-        "report": "b5a3a7e1c3c49e75851a1272143566a35841e62635c949b61b6c1f4991d6e55f",
+        "report": "6765b7bade7b33482a76131bea508a06b9e7da35a1e1756740191b6004c7a0b0",
         "folded_json": None,
         "folded_bin": None,
         "verify": None,
     },
     "fanout_trap/practical": {
         "exit": [0, 1, None],
-        "report": "3b37c514c8f4d2291ed0dd92516b731b113dacd252655170f42e99660049056e",
+        "report": "1b953a4908a27856edd039d091f583b682f395f9cedc6e5430691a0c61597415",
         "folded_json": None,
         "folded_bin": None,
         "verify": None,
     },
     "linear_then_norm/strict": {
         "exit": [0, 0, 0],
-        "report": "655d4ca325d3caf7745180fb2fd6ecf1d0cbd70cdc9141e1924d6e0a968b18fe",
+        "report": "026c0762a72178ada35459192f009b5c7680eb34b7bd7242543e9cc8a34372ff",
         "folded_json": "5d6fb54718eea6ba66ebca68bdf29692f44a23cab306d749ad3e4d48191cb90f",
         "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
         "verify": "d934a1d6bbed03d9143fdb9a6dec49482a26e5dd77acbdef6255d44973ef5eaa",
     },
     "linear_then_norm/practical": {
         "exit": [0, 0, 0],
-        "report": "fb408547076345f1217e72805911ed058cd1dec7e5deadde88f7ad0504179969",
+        "report": "fe14ff89597ed2336a0c871966045139d4291df1cad777433debee4014ae92bf",
         "folded_json": "bb7469f232d6b5841cd5156f071a203e4e902366b575790c0958dd2173316a29",
         "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
         "verify": "d934a1d6bbed03d9143fdb9a6dec49482a26e5dd77acbdef6255d44973ef5eaa",
     },
     "post_ln_transformer/strict": {
         "exit": [0, 0, 0],
-        "report": "514f95b724a10336e4e85c15bf30132acacfe357de81f8981031349e8799fc85",
+        "report": "341c5b4bd113045e2c4d5910559963c1d800045b308dcad79e42ef74cf74b912",
         "folded_json": "88314dbee47cd0c1f918d8bd3b48c3c080170fc4da3d898ccc8041c2b6a3a204",
         "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
         "verify": "9d8c8a31329a4c9e4587015b4a2cf78e089aea5069b990d349df9425bd5b7038",
     },
     "post_ln_transformer/practical": {
         "exit": [0, 0, 0],
-        "report": "17378b8c4113de36b85f1251cd87a46cecf97a88cbb663f6dfb90e29c9033d5e",
+        "report": "c5a13bfcb3fa3825296fb54ce39dbb031605687d218900483fde530eb7461157",
         "folded_json": "faea224fc23979756e8af4c9146b448d115e601f5eea767da4d2811ffcc09288",
         "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
         "verify": "9d8c8a31329a4c9e4587015b4a2cf78e089aea5069b990d349df9425bd5b7038",
     },
     "pre_ln_transformer_12/strict": {
         "exit": [0, 0, 0],
-        "report": "38882507081e6aaba168aa653c519c1fe7bd08852ead7f2136a5924483df6482",
+        "report": "8f1e765f9619962e6db6d3eb48ee302eee97642e076e6a10a873158b21fa05bc",
         "folded_json": "adb4c353c66dfaedc291a9c28317919a1caa165fc17ce503f8d5eef506a84b07",
         "folded_bin": "c5f66b3a3c81902f430325c3550927be03b7d14944dd4792cc90540c6e327981",
         "verify": "381dca335ba3a37782191856d6c4f1654e65b7505820fc418d79080b3d52ea8a",
     },
     "pre_ln_transformer_12/practical": {
         "exit": [0, 0, 0],
-        "report": "bb3a816a9abc680e9e523d6ea83582838a48cf89b7c3cdd1c32c325d2ee139a4",
+        "report": "046e0adb869f507812d71e421a8cbdd67d7d5b7faa9cffc86ab5fb7cf0cb5906",
         "folded_json": "f30d98aa312c6146b7d6f1385a0c4c24c5d4000187517e147927d448a2a35f70",
         "folded_bin": "64333646e5199cf87e32aba11e86b47fc11bcf1c4ea755d53d6912b7f6c2314e",
         "verify": "25944bfe330370518865df31736846ded260ced07cd42941a8e5469b79588eb1",
     },
     "residual_scale_mix/strict": {
         "exit": [0, 0, 0],
-        "report": "1241861a1474a3ff76f26884d20f8bbd1e9ebd6c9e1eacf116ae6dd77095df5f",
+        "report": "abc11ce8ec9620d6460b86c971f24a381f9d72b687abef26f50e2800c4fcc607",
         "folded_json": "5473518e2faa0337b04e16c204871b82d1b2bd02fe8b2e5f8a4684d4eac17d62",
         "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
         "verify": "07764629ae807c75ff4c4ada4af2b1ed29613d63d062ededa21e195e4907413b",
     },
     "residual_scale_mix/practical": {
         "exit": [0, 0, 0],
-        "report": "3e3fd77a77e328b3347f19a52c6aa1fc79e0887d2742e305b1a0c12b54eed324",
+        "report": "9b8509a0d76bdd864bf6db8c39014a01e62310aa5011479df904fd96d9093dce",
         "folded_json": "4b2ea249a3757384c9599bb4f048c823d15cae3ef8d2acfca0d85ad29afce3ae",
         "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
         "verify": "07764629ae807c75ff4c4ada4af2b1ed29613d63d062ededa21e195e4907413b",

@@ -89,6 +89,13 @@ class TestFold:
         assert main(["fold", topo, blob, "--report", rep, "--dry-run"]) == 0
         assert "insert AuxiliaryCentering" in capsys.readouterr().out
 
+    def test_format_1_report_refused(self, models, tmp_path, capsys):
+        topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
+        _edit_topology(rep, lambda doc: dict(doc, format_version=1))
+        capsys.readouterr()
+        assert main(["fold", topo, blob, "--report", rep, "--out", str(tmp_path / "f")]) == 1
+        assert "unsupported report format_version 1" in capsys.readouterr().err
+
     def test_stale_report_refused(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
         g, w = load_model(topo, blob)
@@ -306,6 +313,19 @@ class TestMalformedTopology:
     ], ids=["linear_without_params", "unary_recurrent_cell"])
     def test_short_layout_exits_1(self, tmp_path, capsys, name, edit, message):
         topo, blob = _save(tmp_path, name, *fixtures.ALL_FIXTURES[name]())
+        _edit_topology(topo, edit)
+        assert main(["analyze", topo, blob]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model failed validation: ") and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: _node(doc, "tokens")["attrs"].pop("integer") and doc,
+         "embedding indices must come from an integer Input; Input 'tokens' is not one"),
+        (lambda doc: _node(doc, "tokens")["attrs"].update(high=100) or doc,
+         "embedding indices must lie in [0, 13), but Input 'tokens' draws them below high=100"),
+    ], ids=["float_indices", "indices_past_table"])
+    def test_embedding_input_exits_1(self, models, tmp_path, capsys, edit, message):
+        topo, blob = models["pre_ln_transformer"]
         _edit_topology(topo, edit)
         assert main(["analyze", topo, blob]) == 1
         err = capsys.readouterr().err

@@ -15,8 +15,10 @@ from lnfold.fold_detect import (
     compute_affected_layers,
     detect_foldable,
 )
-from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, make_node
+from lnfold.fold_apply import apply_fold
+from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, make_node, validate_graph
 from lnfold.jsonutil import canonical_dumps
+from lnfold.verify import verify_forward
 
 
 class TestDetectStrict:
@@ -26,8 +28,8 @@ class TestDetectStrict:
         assert report.foldable == ["ln1", "ln2"]
         assert all(report.entries[nid].verdict == VERDICT_STRICT for nid in report.foldable)
         assert sorted(report.targets) == ["attn_value", "ffn2", "skip1", "skip2"]
-        assert report.entries["ln1"].targets.keys() == {"attn_value", "skip1"}
-        assert report.entries["ln2"].targets.keys() == {"ffn2", "skip2"}
+        assert build_zero_mean_graph(g, "ln1").linear_leaves == {"attn_value", "skip1"}
+        assert build_zero_mean_graph(g, "ln2").linear_leaves == {"ffn2", "skip2"}
         assert report.safety.safe
 
     def test_target_families(self):
@@ -125,11 +127,21 @@ class TestZeroMeanGraph:
             g, w = builder()
             report = detect_foldable(g, w)
             for ln_id, entry in report.entries.items():
-                zmg = entry.zero_mean_graph
-                leaves_allow = not zmg.opaque_leaves and all(
-                    g.nodes[leaf].kind != "Conv2d" for leaf in zmg.linear_leaves
-                )
+                zmg = build_zero_mean_graph(g, ln_id)
+                conv = {leaf for leaf in zmg.linear_leaves if g.nodes[leaf].kind == "Conv2d"}
+                leaves_allow = not zmg.opaque_leaves and not conv
                 assert (entry.verdict == VERDICT_STRICT) == leaves_allow, (name, ln_id)
+                assert entry.opaque_leaves == zmg.opaque_leaves, (name, ln_id)
+                assert entry.off_axis_leaves == conv, (name, ln_id)
+
+    def test_union_of_roots(self):
+        g, _w = fixtures.post_ln_transformer()
+        both = build_zero_mean_graph(g, "ln1", "ln2")
+        one, two = build_zero_mean_graph(g, "ln1"), build_zero_mean_graph(g, "ln2")
+        assert both.roots == ("ln1", "ln2")
+        for part in ("vertices", "linear_leaves", "zero_mean_leaves", "opaque_leaves"):
+            assert getattr(both, part) == getattr(one, part) | getattr(two, part)
+        assert not build_zero_mean_graph(g).vertices
 
 
 class TestSafety:
@@ -163,6 +175,40 @@ class TestSafety:
         assert not report.safety.safe
         assert "lin" in report.safety.affected
 
+    def test_centered_layer_feeding_centered_layer_unsafe(self):
+        # l1 and l2 = Linear(l1) are both targets of ln: centering l1 moves
+        # l2's output by a shift that is not constant along the last axis.
+        b = fixtures._Builder(0)
+        x = b.input("x", (4,))
+        l1 = b.linear("l1", x, 4, 4)
+        l2 = b.linear("l2", l1, 4, 4)
+        b.output(b.layer_norm("ln", b.simple("add", "ResidualAdd", (l1, l2)), 4))
+        g, w = b.build()
+        report = detect_foldable(g, w)
+        assert report.foldable == ["ln"] and sorted(report.targets) == ["l1", "l2"]
+        assert not report.safety.safe
+        assert set(report.safety.affected) == {"l2"}
+
+    def _consumer_graph(self, kind):
+        b = fixtures._Builder(2)
+        x = b.input("x", (4,))
+        lin = b.linear("lin", x, 5, 4)
+        b.output(b.layer_norm("ln", lin, 5))
+        b.output(b.simple("consumer", kind, lin))
+        return b.build()
+
+    def test_auxiliary_centering_absorbs_the_shift(self):
+        g, w = self._consumer_graph("AuxiliaryCentering")
+        report = detect_foldable(g, w)
+        assert report.foldable == ["ln"] and report.safety.safe
+        fg, fw = apply_fold(g, w, report)
+        assert verify_forward(g, w, fg, fw, trials=5).passed
+
+    def test_rms_norm_does_not_absorb_the_shift(self):
+        g, w = self._consumer_graph("RMSNorm")
+        report = detect_foldable(g, w)
+        assert set(report.safety.affected) == {"consumer"}
+
 
 class TestPractical:
     def test_pre_ln_rescued_by_one_insertion(self):
@@ -175,7 +221,7 @@ class TestPractical:
         assert len(ins.rescues) == 5
         assert all(report.entries[nid].verdict == VERDICT_PRACTICAL for nid in report.foldable)
         assert report.safety.safe
-        # rescued entries still carry centering targets for the linear leaves
+        # the rescued LayerNorms' linear leaves are still centering targets
         assert sorted(report.targets) == [
             "attn_value_0", "attn_value_1", "ffn2_0", "ffn2_1",
         ]
@@ -289,7 +335,7 @@ class TestResidualRule:
         g, w = b.build()
         report = detect_foldable(g, w)
         assert report.foldable == ["ln_good"]
-        assert report.entries["ln_good"].targets.keys() == {"lin_a", "lin_b"}
+        assert build_zero_mean_graph(g, "ln_good").linear_leaves == {"lin_a", "lin_b"}
 
     def test_uncentered_branch_blocks(self):
         b = fixtures._Builder(1)
@@ -308,26 +354,36 @@ class TestWorkDone:
     @pytest.mark.parametrize("blocks", [1, 2, 5])
     @pytest.mark.parametrize("strict_safety", [True, False])
     def test_each_safety_verdict_built_once(self, monkeypatch, blocks, strict_safety):
-        # Practical mode rescues all 2B+1 LayerNorms with one insertion. Each
-        # gets one zero-mean graph on the model and one on the simulated
-        # graph, and one affected-layer check.
-        calls = {"zmg": 0, "safety": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(fold_detect, "build_zero_mean_graph",
-                            counted("zmg", fold_detect.build_zero_mean_graph))
-        monkeypatch.setattr(fold_detect, "compute_affected_layers",
-                            counted("safety", fold_detect.compute_affected_layers))
+        # Practical mode rescues all 2B+1 LayerNorms with one insertion. The
+        # zero-mean walks and the affected-layer check do not multiply with
+        # depth: one union walk over all LayerNorms, one over the foldable
+        # set on the spliced graph, and one safety walk.
         g, w = fixtures.pre_ln_transformer(blocks=blocks)
+        calls = _count_walks(monkeypatch)
         report = detect_foldable(g, w, mode="practical", strict_safety=strict_safety)
-        lns = 2 * blocks + 1
-        assert len(report.foldable) == lns and len(report.insertions) == 1
-        assert calls == {"zmg": 2 * lns, "safety": lns}
+        assert len(report.foldable) == 2 * blocks + 1 and len(report.insertions) == 1
+        assert calls == {"zmg": 2, "safety": 1}
+
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    def test_strict_detection_walks_twice(self, monkeypatch, blocks):
+        g, w = fixtures.pre_ln_transformer(blocks=blocks)
+        calls = _count_walks(monkeypatch)
+        detect_foldable(g, w, mode="strict")
+        assert calls == {"zmg": 2, "safety": 1}
+
+    def test_no_insertion_walks_twice(self, monkeypatch):
+        g, w = fixtures.post_ln_transformer()
+        calls = _count_walks(monkeypatch)
+        report = detect_foldable(g, w, mode="practical")
+        assert report.foldable == ["ln1", "ln2"] and not report.insertions
+        assert calls == {"zmg": 2, "safety": 1}
+
+    def test_dropped_plan_walks_three_times(self, monkeypatch):
+        g, w = TestPractical()._shared_leaf_graph(with_relu_consumer=True)
+        calls = _count_walks(monkeypatch)
+        report = detect_foldable(g, w, mode="practical")
+        assert not report.insertions
+        assert calls == {"zmg": 3, "safety": 2}
 
     @pytest.mark.parametrize("blocks", [1, 2, 5])
     def test_planner_splices_only_the_kept_plan(self, monkeypatch, blocks):
@@ -342,12 +398,28 @@ class TestWorkDone:
         assert [ins.after for ins in report.insertions] == ["embed"]
         assert calls == [["embed"]]
 
-    def test_no_insertion_reuses_entry_graphs(self, monkeypatch):
-        calls = []
-        original = fold_detect.build_zero_mean_graph
-        monkeypatch.setattr(fold_detect, "build_zero_mean_graph",
-                            lambda g, nid: calls.append(nid) or original(g, nid))
-        g, w = fixtures.post_ln_transformer()
+    def test_two_hundred_blocks(self):
+        # 1,604 nodes: deeper than the interpreter's recursion limit allows
+        # a recursive cycle search to go.
+        g, w = fixtures.pre_ln_transformer(d=4, hidden=8, seq=2, blocks=200)
+        assert len(g.nodes) == 1604 and validate_graph(g, w).ok
         report = detect_foldable(g, w, mode="practical")
-        assert report.foldable == ["ln1", "ln2"] and not report.insertions
-        assert sorted(calls) == ["ln1", "ln2"]
+        assert len(report.foldable) == 401 and len(report.insertions) == 1
+        assert report.safety.safe
+
+
+def _count_walks(monkeypatch):
+    """Count zero-mean-graph builds and affected-layer walks in fold_detect."""
+    calls = {"zmg": 0, "safety": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fold_detect, "build_zero_mean_graph",
+                        counted("zmg", fold_detect.build_zero_mean_graph))
+    monkeypatch.setattr(fold_detect, "compute_affected_layers",
+                        counted("safety", fold_detect.compute_affected_layers))
+    return calls

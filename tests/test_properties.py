@@ -9,9 +9,22 @@ import os
 import tempfile
 
 from lnfold import fixtures
-from lnfold.centering import Family, center_columns, center_grouped_columns, is_centered
+from lnfold.centering import (
+    Family,
+    center_columns,
+    center_grouped_columns,
+    is_centered,
+    spec_for_node,
+)
 from lnfold.fold_apply import apply_fold
-from lnfold.fold_detect import detect_foldable
+from lnfold.fold_detect import (
+    FoldEntry,
+    build_zero_mean_graph,
+    compute_affected_layers,
+    detect_foldable,
+    graph_with_insertions,
+    plan_auxiliary_centering,
+)
 from lnfold.graph_ir import (
     NODE_KINDS,
     Graph,
@@ -22,6 +35,7 @@ from lnfold.graph_ir import (
     save_model,
     validate_graph,
 )
+from lnfold.ops import OPS
 from lnfold.tensor_math import group_norm, layer_norm, rms_norm
 from lnfold.verify import verify_forward, verify_gradients
 
@@ -111,32 +125,56 @@ class TestClassification:
         assert classify_node(kind) in NodeClass
 
 
+# What builder_models draws: each pick adds one node, or several in order.
+_PREV_LINEAR = "Linear over the previous Linear"
+_LAST_TWO = "ResidualAdd of the last two nodes"
+_LAST_NODE = "LayerNorm over the last node"
+_PICKS = {
+    step: [step]
+    for step in ("Linear", "ScalarScale", "ResidualAdd", "ReLU", "Concat", "LayerNorm",
+                 "Embedding", "AuxiliaryCentering", _PREV_LINEAR, _LAST_TWO)
+}
+_PICKS["normalized linear pair"] = ["Linear", _PREV_LINEAR, _LAST_TWO, _LAST_NODE]
+
+
 @st.composite
 def builder_models(draw):
     """Valid models built with fixtures._Builder: Linear (with and without
-    bias), ScalarScale, ResidualAdd, ReLU, Concat and LayerNorm nodes over
-    earlier nodes, so outputs fan out, and Embedding nodes that read their
-    own integer Input; one or two graph outputs."""
+    bias), ScalarScale, ResidualAdd, ReLU, Concat, AuxiliaryCentering and
+    LayerNorm nodes over earlier nodes, so outputs fan out, and Embedding
+    nodes that read their own integer Input; one or two graph outputs.
+
+    Two biased steps make linear chains that meet again at a residual: a
+    Linear over the previous Linear, at its width, and a ResidualAdd of the
+    last two nodes. One pick draws a Linear, both steps and a LayerNorm of
+    the sum, in a row."""
     b = fixtures._Builder(draw(st.integers(0, 2**16)))
     width = {b.input("x", (4,)): 4}
-    for i in range(draw(st.integers(1, 10))):
+    linears: list[str] = []
+    picks = draw(st.lists(st.sampled_from(sorted(_PICKS)), min_size=1, max_size=8))
+    for i, step in enumerate(step for pick in picks for step in _PICKS[pick]):
         nid, ids = f"n{i}", list(width)
         src = draw(st.sampled_from(ids))
-        kind = draw(st.sampled_from(
-            ["Linear", "Linear", "ScalarScale", "ResidualAdd", "ReLU", "Concat", "LayerNorm",
-             "Embedding"]
-        ))
+        kind = step.split()[0]
+        if step == _PREV_LINEAR and linears:
+            src = linears[-1]
+        elif step in (_LAST_TWO, _LAST_NODE):
+            src = ids[-1]
         if kind == "Embedding":
             width[nid] = draw(st.sampled_from([3, 4]))
             b.embedding(nid, b.input(f"tokens{i}", (), integer=True, high=5), 5, width[nid])
         elif kind == "Linear":
-            width[nid] = draw(st.sampled_from([3, 4]))
+            width[nid] = width[src] if step == _PREV_LINEAR else draw(st.sampled_from([3, 4]))
             b.linear(nid, src, width[nid], width[src], bias=draw(st.booleans()))
+            linears.append(nid)
         elif kind == "LayerNorm":
             width[nid] = width[src]
             b.layer_norm(nid, src, width[src])
         elif kind == "ResidualAdd":
-            other = draw(st.sampled_from([j for j in ids if width[j] == width[src]]))
+            if step == _LAST_TWO and len(ids) > 1 and width[ids[-2]] == width[src]:
+                other = ids[-2]
+            else:
+                other = draw(st.sampled_from([j for j in ids if width[j] == width[src]]))
             width[nid] = width[src]
             b.simple(nid, kind, (src, other))
         elif kind == "Concat":
@@ -156,9 +194,65 @@ def builder_models(draw):
     return b.build()
 
 
+def _centered_layer_feeds_centered_layer():
+    """l1 and l2 = Linear(l1) are both linear leaves of one LayerNorm's
+    zero-mean graph, so centering l1 changes l2's output by a shift that is
+    not constant along the last axis."""
+    b = fixtures._Builder(0)
+    x = b.input("x", (4,))
+    l1 = b.linear("l1", x, 4, 4)
+    l2 = b.linear("l2", l1, 4, 4)
+    b.output(b.layer_norm("ln", b.simple("add", "ResidualAdd", (l1, l2)), 4))
+    return b.build()
+
+
+def per_layer_norm_reference(g, w, mode, strict_safety):
+    """The report fields a fold reads, from one zero-mean graph and one
+    affected-layer walk per LayerNorm, unioned."""
+    ln_ids = sorted(nid for nid, node in g.nodes.items() if node.kind == "LayerNorm")
+    zmgs = {nid: build_zero_mean_graph(g, nid) for nid in ln_ids}
+    entries = [
+        FoldEntry(nid, "", frozenset(z.opaque_leaves), frozenset(
+            leaf for leaf in z.linear_leaves | z.zero_mean_leaves
+            if OPS[g.nodes[leaf].kind].centered_axis != -1
+        ))
+        for nid, z in zmgs.items()
+    ]
+    strict = [e.ln_id for e in entries if not e.opaque_leaves and not e.off_axis_leaves]
+    producers, rescued = [], set()
+    if mode == "practical":
+        producers, rescued = plan_auxiliary_centering([e for e in entries if e.ln_id not in strict])
+
+    def affected_on(h, lns):
+        walks = [compute_affected_layers(h, build_zero_mean_graph(h, nid)) for nid in lns]
+        return set().union(*(v.affected for v in walks))
+
+    if producers:
+        sim, aux_ids = graph_with_insertions(g, producers)
+        affected = affected_on(sim, sorted(set(strict) | rescued))
+        if strict_safety and affected:
+            producers, rescued = [], set()
+    if not producers:
+        affected = affected_on(g, strict)
+    foldable = sorted(set(strict) | rescued)
+    targets = sorted({leaf for nid in foldable for leaf in zmgs[nid].linear_leaves})
+    return {
+        "foldable": foldable,
+        "targets": [{"node": t, "spec": spec_for_node(g.nodes[t]).to_json()} for t in targets],
+        "insertions": [
+            {"after": p, "node_id": aux_ids[p],
+             "edges": [[p, dst, slot] for dst, slot in g.out_edges(p)],
+             "rescues": [nid for nid in sorted(rescued) if p in zmgs[nid].opaque_leaves]}
+            for p in producers
+        ],
+        "safety": {"safe": not affected, "affected": sorted(affected)},
+    }
+
+
 class TestFoldSoundness:
     @settings(max_examples=40, deadline=None)
     @given(builder_models(), st.sampled_from(["strict", "practical"]))
+    @example(_centered_layer_feeds_centered_layer(), "strict")
     def test_safe_report_folds_to_an_equivalent_model(self, model, mode):
         g, w = model
         assert validate_graph(g, w).ok
@@ -191,3 +285,15 @@ class TestFoldSoundness:
         for doc in docs:
             doc.pop("model_hash")
         assert docs[0] == docs[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(builder_models())
+    @example(_centered_layer_feeds_centered_layer())
+    def test_report_equals_per_layer_norm_reference(self, model):
+        g, w = model
+        for mode in ("strict", "practical"):
+            for strict_safety in (True, False):
+                doc = detect_foldable(g, w, mode=mode, strict_safety=strict_safety).to_json()
+                got = {key: doc[key] for key in ("foldable", "targets", "insertions", "safety")}
+                want = per_layer_norm_reference(g, w, mode, strict_safety)
+                assert got == want, (mode, strict_safety)
