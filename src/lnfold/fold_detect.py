@@ -16,13 +16,15 @@ reachable leaves off that union graph in one pass. In practical mode, a
 planner picks opaque leaves to follow with an explicit centering node, which
 turns that leaf into a last-axis zero-mean leaf; it scores candidate sets by
 set arithmetic on the reachable leaves, without touching the model graph. A
-forward walk from the shifted vertices of the foldable set checks that the
-centered layers perturb nothing but nodes that remove a per-sample mean.
+fold moves the outputs of its targets and what the consumers of each
+centered producer read; a forward walk from those, on the model graph,
+checks that they perturb nothing but nodes that remove a per-sample mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from .centering import CenteringSpec, spec_for_node
 from .graph_ir import (
@@ -148,19 +150,21 @@ class SafetyVerdict:
         return SafetyVerdict(safe=bool(doc["safe"]), affected=frozenset(doc["affected"]))
 
 
-def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph) -> SafetyVerdict:
+def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph, producers: Iterable[str] = ()) -> SafetyVerdict:
     """Trace where the centered activations flow.
 
-    Centering shifts the output of every zero-mean-graph vertex except
-    opaque leaves (those are left untouched) by a per-sample constant along
-    the last axis. Every consumer of a shifted vertex sees the shift, inside
-    the zero-mean graph or not. Scalar and residual nodes pass it on, and
-    kinds with OpDef.removes_mean absorb it; any other node it reaches is an
-    affected layer, and so is a shifted node that is a graph output.
+    The fold moves the output of each centering target (zmg's linear
+    leaves) by a per-sample constant along the last axis, and the consumers
+    of each producer it centers read that producer's output minus its mean.
+    Nothing else moves: zero-mean leaves already in the model keep their
+    output. Every consumer of a moved node sees the shift, inside the
+    zero-mean graph or not. Scalar and residual nodes pass it on, and kinds
+    with OpDef.removes_mean absorb it; any other node it reaches is an
+    affected layer, and so is a moved or passing node that is a graph output.
     """
-    shifted = zmg.vertices - zmg.opaque_leaves
-    frontier = [dst for vertex in shifted for dst in g.successors(vertex)]
-    affected = {v for v in shifted if v in g.outputs}
+    moved = zmg.linear_leaves | set(producers)
+    frontier = [dst for vertex in moved for dst in g.successors(vertex)]
+    affected = {v for v in moved if v in g.outputs}
     visited: set[str] = set()
     while frontier:
         nid = frontier.pop()
@@ -175,6 +179,13 @@ def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph) -> SafetyVerdict:
         elif not op.removes_mean:
             affected.add(nid)
     return SafetyVerdict(safe=not affected, affected=frozenset(affected))
+
+
+def centering_targets(g: Graph, zmg: ZeroMeanGraph) -> dict[str, CenteringSpec]:
+    """The centering spec of each of zmg's linear leaves, in dataflow order:
+    verification centers proxy gradients in this order, which sets its peak
+    memory on wide models."""
+    return {nid: spec_for_node(g.nodes[nid]) for nid in g.topo_order() if nid in zmg.linear_leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +220,30 @@ class AuxInsertion:
         )
 
 
-def _aux_node_id(g: Graph, producer: str) -> str:
-    base = f"center_after_{producer}"
-    nid = base
-    n = 2
-    while nid in g.nodes:
-        nid = f"{base}_{n}"
-        n += 1
-    return nid
+def _aux_ids(g: Graph, producers: list[str]) -> list[str]:
+    """The id of the centering node spliced after each producer: the first
+    of center_after_<producer>, center_after_<producer>_2, ... that names
+    neither a node of g nor an earlier insertion."""
+    taken = set(g.nodes)
+    ids = []
+    for producer in producers:
+        base = nid = f"center_after_{producer}"
+        n = 2
+        while nid in taken:
+            nid = f"{base}_{n}"
+            n += 1
+        taken.add(nid)
+        ids.append(nid)
+    return ids
 
 
 def graph_with_insertions(g: Graph, producers: list[str]) -> tuple[Graph, dict[str, str]]:
     """Splice one centering node after each producer; returns (graph, id map)."""
     out = g
-    ids: dict[str, str] = {}
-    for producer in producers:
-        nid = _aux_node_id(out, producer)
+    ids = _aux_ids(g, producers)
+    for producer, nid in zip(producers, ids):
         out = out.insert_after(producer, make_node(nid, "AuxiliaryCentering"))
-        ids[producer] = nid
-    return out, ids
+    return out, dict(zip(producers, ids))
 
 
 def plan_auxiliary_centering(failing: list["FoldEntry"]) -> tuple[list[str], set[str]]:
@@ -387,9 +403,10 @@ def detect_foldable(
 
     In practical mode, LayerNorms blocked only by opaque leaves can be
     rescued by planning explicit centering insertions after those leaves;
-    rescued entries get the practical verdict. Targets and safety come from
-    the zero-mean graph of the foldable set, on the spliced graph when a
-    plan is kept.
+    rescued entries get the practical verdict. The kept plan, and then the
+    strict set, each get one zero-mean graph on the model graph, which
+    gives the targets and seeds the safety walk; under strict safety an
+    unsafe plan gives way to the strict set.
     """
     if mode not in ("strict", "practical"):
         raise ValueError(f"mode must be 'strict' or 'practical', got {mode!r}")
@@ -410,45 +427,32 @@ def detect_foldable(
             )
         verdict = VERDICT_NOT_FOLDABLE if opaque or off_axis else VERDICT_STRICT
         entries[nid] = FoldEntry(nid, verdict, opaque, off_axis, warnings)
-    foldable = sorted(nid for nid in ln_ids if entries[nid].verdict == VERDICT_STRICT)
+    strict = sorted(nid for nid in ln_ids if entries[nid].verdict == VERDICT_STRICT)
 
-    insertions: list[AuxInsertion] = []
-    zmg: ZeroMeanGraph | None = None
+    # (LayerNorms to fold, producers to center, rescued LayerNorms), best first.
+    plans: list[tuple[list[str], list[str], set[str]]] = [(strict, [], set())]
     if mode == "practical":
         failing = [e for e in entries.values() if e.verdict == VERDICT_NOT_FOLDABLE]
         producers, rescued = plan_auxiliary_centering(failing)
         if producers:
-            sim, aux_ids = graph_with_insertions(g, producers)
-            planned = sorted(set(foldable) | rescued)
-            zmg = build_zero_mean_graph(sim, *planned)
-            safety = compute_affected_layers(sim, zmg)
-            if strict_safety and not safety.safe:
-                zmg = None
-            else:
-                foldable = planned
-                for nid in rescued:
-                    entries[nid] = replace(entries[nid], verdict=VERDICT_PRACTICAL)
-                for producer in producers:
-                    insertions.append(
-                        AuxInsertion(
-                            after=producer,
-                            node_id=aux_ids[producer],
-                            edges=tuple(
-                                (producer, dst, slot) for dst, slot in g.out_edges(producer)
-                            ),
-                            rescues=tuple(
-                                nid for nid in sorted(rescued)
-                                if producer in entries[nid].opaque_leaves
-                            ),
-                        )
-                    )
-    if zmg is None:
+            plans.insert(0, (sorted(set(strict) | rescued), producers, rescued))
+    for foldable, producers, rescued in plans:
         zmg = build_zero_mean_graph(g, *foldable)
-        safety = compute_affected_layers(g, zmg)
-    # Dataflow order: verification centers proxy gradients in this order,
-    # which sets its peak memory on wide models.
-    targets = {nid: spec_for_node(g.nodes[nid])
-               for nid in g.topo_order() if nid in zmg.linear_leaves}
+        safety = compute_affected_layers(g, zmg, producers)
+        if safety.safe or not strict_safety:
+            break
+
+    for nid in rescued:
+        entries[nid] = replace(entries[nid], verdict=VERDICT_PRACTICAL)
+    insertions = [
+        AuxInsertion(
+            after=producer,
+            node_id=aux_id,
+            edges=tuple((producer, dst, slot) for dst, slot in g.out_edges(producer)),
+            rescues=tuple(nid for nid in sorted(rescued) if producer in entries[nid].opaque_leaves),
+        )
+        for producer, aux_id in zip(producers, _aux_ids(g, producers))
+    ]
 
     return FoldReport(
         mode=mode,
@@ -456,7 +460,7 @@ def detect_foldable(
         strict_safety=strict_safety,
         entries=entries,
         foldable=foldable,
-        targets=targets,
+        targets=centering_targets(g, zmg),
         insertions=insertions,
         safety=safety,
     )

@@ -473,34 +473,31 @@ def _topology_dict(g: Graph, manifest: list[dict[str, Any]]) -> dict[str, Any]:
     return doc
 
 
-def _manifest_and_blob(w: WeightStore) -> tuple[list[dict[str, Any]], bytes]:
+def _manifest_and_arrays(w: WeightStore) -> tuple[list[dict[str, Any]], list[np.ndarray]]:
+    """The weights manifest and, in its order, each array in wire layout;
+    the blob is those arrays' bytes back to back."""
     manifest: list[dict[str, Any]] = []
-    blob = bytearray()
+    raws: list[np.ndarray] = []
+    offset = 0
     for name in sorted(w.names()):
         arr = w[name]
         tag = TAG_BY_DTYPE[arr.dtype]
-        raw = arr.astype(_WIRE_DTYPES[tag], copy=False).tobytes(order="C")
-        manifest.append(
-            {
-                "name": name,
-                "dtype": tag,
-                "shape": list(arr.shape),
-                "offset": len(blob),
-                "byte_len": len(raw),
-            }
-        )
-        blob.extend(raw)
-    return manifest, bytes(blob)
+        raw = np.ascontiguousarray(arr.astype(_WIRE_DTYPES[tag], copy=False))
+        manifest.append({"name": name, "dtype": tag, "shape": list(arr.shape),
+                         "offset": offset, "byte_len": raw.nbytes})
+        offset += raw.nbytes
+        raws.append(raw)
+    return manifest, raws
 
 
 def save_model(g: Graph, w: WeightStore, topology_path: str, weights_path: str) -> None:
-    manifest, blob = _manifest_and_blob(w)
+    manifest, raws = _manifest_and_arrays(w)
     doc = _topology_dict(g, manifest)
     with open(topology_path, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps(doc))
         fh.write("\n")
     with open(weights_path, "wb") as fh:
-        fh.write(blob)
+        fh.writelines(raws)
 
 
 def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStore]:
@@ -612,10 +609,11 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
 
 def model_hash(g: Graph, w: WeightStore) -> str:
     """Content hash pinning analysis reports to the exact model they saw."""
-    manifest, blob = _manifest_and_blob(w)
+    manifest, raws = _manifest_and_arrays(w)
     doc = _topology_dict(g, manifest)
     digest = hashlib.sha256()
     digest.update(canonical_dumps(doc).encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(blob)
+    for raw in raws:
+        digest.update(raw)
     return digest.hexdigest()

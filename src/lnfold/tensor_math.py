@@ -212,14 +212,6 @@ def loss_value(outputs: Sequence[np.ndarray], selector: str | Callable = "sum") 
     raise ValueError(f"unknown loss selector {selector!r}")
 
 
-def loss_output_grads(outputs: Sequence[np.ndarray], selector: str = "sum") -> list[np.ndarray]:
-    if selector == "sum":
-        return [np.ones_like(o) for o in outputs]
-    if selector == "sumsq":
-        return [2.0 * o for o in outputs]
-    raise ValueError(f"unknown loss selector {selector!r}")
-
-
 @dataclass
 class FiniteDifferenceResult:
     params: dict[str, np.ndarray]

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .centering import CenteringSpec, center_node_params
-from .fold_detect import FoldReport, detect_foldable
+from .fold_detect import build_zero_mean_graph, centering_targets, detect_foldable
 from .graph_ir import Graph, WeightStore, infer_shapes
 from .tensor_math import Gradients, backward, forward, softmax
 
@@ -236,18 +236,14 @@ def _proxied_grads(
     return outs, grads
 
 
-def _derive_proxied(gA: Graph, wA: WeightStore, gB: Graph | None = None) -> dict[str, CenteringSpec]:
-    """Which of scheme B's parameters are proxies for centered weights.
-
-    A folded model records the fold mode in its provenance; detection on the
-    original model in that mode reproduces the centering target set. Without
-    provenance, strict mode is assumed.
-    """
-    mode = "strict"
-    if gB is not None and gB.provenance:
-        mode = gB.provenance.get("mode", "strict")
-    report = detect_foldable(gA, wA, mode=mode)
-    return dict(report.targets)
+def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
+    """Which of scheme B's parameters are proxies for centered weights: the
+    centering targets of the LayerNorms of A that B carries as RMSNorm."""
+    swapped = [
+        nid for nid, node in gA.nodes.items()
+        if node.kind == "LayerNorm" and nid in gB.nodes and gB.nodes[nid].kind == "RMSNorm"
+    ]
+    return centering_targets(gA, build_zero_mean_graph(gA, *swapped))
 
 
 def verify_gradients(
@@ -258,15 +254,14 @@ def verify_gradients(
     trials: int = 20,
     seed: int = 0,
     tol: float | None = None,
-    proxied: Mapping[str, CenteringSpec] | None = None,
 ) -> EquivalenceReport:
     """Compare d(loss)/d(parameter) between the plain scheme A and the
     proxy-weight scheme B under a sum-of-outputs loss.
 
     Model B's weight store holds the proxy parameters (same names and values
-    as A's); which of them are proxied is taken from the detection pass on A
-    unless given explicitly. Non-finite results and the default tol follow
-    verify_forward.
+    as A's); which of them are proxied follows from the LayerNorms B swapped
+    for RMSNorm (_derive_proxied). Non-finite results and the default tol
+    follow verify_forward.
     """
     _require_same_signature(gA, wA, gB, wB)
     if set(wA.names()) != set(wB.names()):
@@ -276,8 +271,7 @@ def verify_gradients(
     if tol is None:
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
-    if proxied is None:
-        proxied = _derive_proxied(gA, storeA, gB)
+    proxied = _derive_proxied(gA, gB)
 
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd: float | None = 0.0
@@ -449,11 +443,10 @@ def training_equivalence(
     arraysB = {k: v.astype(np.float64) for k, v in wB.items()}
     storeA, storeB = WeightStore(arraysA), WeightStore(arraysB)
 
-    report = detect_foldable(gA, storeA, mode="strict")
-    proxied = dict(report.targets)
-    for ln_id in report.foldable:
+    for ln_id in detect_foldable(gA, storeA, mode="strict").foldable:
         if gB.nodes.get(ln_id) is None or gB.nodes[ln_id].kind != "RMSNorm":
             raise ValueError(f"scheme B should carry RMSNorm at {ln_id!r}")
+    proxied = _derive_proxied(gA, gB)
 
     input_id = gA.inputs[0]
     in_dim = int(gA.nodes[input_id].attrs["shape"][-1])

@@ -168,6 +168,52 @@ class TestVerifyCmd:
         assert "embedding indices must lie in [0, 13)" in capsys.readouterr().err
 
 
+def _dead_branch_graph():
+    """Centering emb rescues ln1 and ln2, whose other leaves lin1 and lin2
+    are centering targets; the ReLU it would also perturb reaches no output."""
+    b = fixtures._Builder(0)
+    emb = b.embedding("emb", b.input("tokens", (3,), integer=True, high=7), 7, 6)
+    x = b.input("x", (3, 4))
+    lin1, lin2 = b.linear("lin1", x, 6, 4), b.linear("lin2", x, 6, 4)
+    b.output(b.layer_norm("ln1", b.simple("add1", "ResidualAdd", (emb, lin1)), 6))
+    scaled = b.simple("sc", "ScalarScale", emb, {"scale": 0.5})
+    b.output(b.layer_norm("ln2", b.simple("add2", "ResidualAdd", (scaled, lin2)), 6))
+    b.simple("act", "ReLU", emb)
+    return b.build()
+
+
+def _centering_node_graph():
+    """lin -> aux -> {ln, ReLU act}: folding ln moves nothing act reads."""
+    b = fixtures._Builder(0)
+    aux = b.simple("aux", "AuxiliaryCentering", b.linear("lin", b.input("x", (4,)), 5, 4))
+    b.output(b.layer_norm("ln", aux, 5))
+    b.output(b.simple("act", "ReLU", aux))
+    return b.build()
+
+
+class TestFoldThenVerifyGrad:
+    # The dead-branch fold keeps a plan that strict safety would drop, and
+    # verify --grad must proxy the targets of what was folded. The
+    # centering-node graph is safe, so it folds and verifies.
+    @pytest.mark.parametrize("build, analyze_flags, fold_flags, safe", [
+        (_dead_branch_graph, ["--practical", "--no-strict-safety"], ["--practical"], False),
+        (_centering_node_graph, [], [], True),
+        (_centering_node_graph, ["--practical"], ["--practical"], True),
+    ], ids=["dead_branch_unsafe_plan", "centering_node_strict", "centering_node_practical"])
+    def test_analyze_fold_verify_grad_exits_0(self, tmp_path, capsys, build,
+                                               analyze_flags, fold_flags, safe):
+        topo, blob = _save(tmp_path, "orig", *build())
+        rep, out = str(tmp_path / "rep.json"), str(tmp_path / "folded")
+        assert main(["analyze", topo, blob, "--out", rep] + analyze_flags) == 0
+        with open(rep) as fh:
+            assert json.load(fh)["safety"]["safe"] is safe
+        assert main(["fold", topo, blob, "--report", rep, "--out", out] + fold_flags) == 0
+        capsys.readouterr()
+        assert main(["verify", topo, blob, out + ".json", out + ".bin", "--grad"]) == 0
+        doc = _last_json(capsys)
+        assert doc["gradients"]["max_abs_grad_diff"] <= 1e-9
+
+
 def _save(tmp_path, stem, g, w):
     topo, blob = str(tmp_path / f"{stem}.json"), str(tmp_path / f"{stem}.bin")
     save_model(g, w, topo, blob)

@@ -204,6 +204,28 @@ class TestSafety:
         fg, fw = apply_fold(g, w, report)
         assert verify_forward(g, w, fg, fw, trials=5).passed
 
+    def test_centering_node_in_the_model_does_not_move(self):
+        # aux is a zero-mean leaf of ln's zero-mean graph, but folding ln
+        # centers nothing, so aux's ReLU consumer reads the same values.
+        b = fixtures._Builder(0)
+        x = b.input("x", (4,))
+        aux = b.simple("aux", "AuxiliaryCentering", b.linear("lin", x, 5, 4))
+        b.output(b.layer_norm("ln", aux, 5))
+        b.output(b.simple("act", "ReLU", aux))
+        g, w = b.build()
+        for mode in ("strict", "practical"):
+            report = detect_foldable(g, w, mode=mode)
+            assert report.foldable == ["ln"] and not report.targets
+            assert report.safety.safe and not report.safety.affected
+
+    def test_centered_producer_moves_its_consumers(self):
+        # Seeded with a producer, the walk flags what the inserted centering
+        # node would feed, on the model graph itself.
+        g, w = TestPractical()._shared_leaf_graph(with_relu_consumer=True)
+        zmg = build_zero_mean_graph(g, "ln1", "ln2")
+        assert compute_affected_layers(g, zmg).safe
+        assert set(compute_affected_layers(g, zmg, ["emb"]).affected) == {"act"}
+
     def test_rms_norm_does_not_absorb_the_shift(self):
         g, w = self._consumer_graph("RMSNorm")
         report = detect_foldable(g, w)
@@ -387,8 +409,8 @@ class TestWorkDone:
 
     @pytest.mark.parametrize("blocks", [1, 2, 5])
     def test_planner_splices_only_the_kept_plan(self, monkeypatch, blocks):
-        # Candidates are scored on the zero-mean graphs; the model graph is
-        # spliced once, for the safety check of the plan that is kept.
+        # Candidates are scored on the zero-mean graphs, and the kept plan's
+        # safety is walked on the model graph itself: detection never splices.
         calls = []
         original = fold_detect.graph_with_insertions
         monkeypatch.setattr(fold_detect, "graph_with_insertions",
@@ -396,7 +418,7 @@ class TestWorkDone:
         g, w = fixtures.pre_ln_transformer(blocks=blocks)
         report = detect_foldable(g, w, mode="practical")
         assert [ins.after for ins in report.insertions] == ["embed"]
-        assert calls == [["embed"]]
+        assert calls == []
 
     def test_two_hundred_blocks(self):
         # 1,604 nodes: deeper than the interpreter's recursion limit allows

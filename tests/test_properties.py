@@ -36,8 +36,8 @@ from lnfold.graph_ir import (
     validate_graph,
 )
 from lnfold.ops import OPS
-from lnfold.tensor_math import group_norm, layer_norm, rms_norm
-from lnfold.verify import verify_forward, verify_gradients
+from lnfold.tensor_math import forward, group_norm, layer_norm, rms_norm
+from lnfold.verify import sample_inputs, verify_forward, verify_gradients
 
 EPS_M = float(np.finfo(np.float64).eps)
 
@@ -206,6 +206,18 @@ def _centered_layer_feeds_centered_layer():
     return b.build()
 
 
+def _centering_node_feeds_a_relu():
+    """aux is a zero-mean leaf of ln's zero-mean graph, but a centering node
+    already in the model keeps its output under the fold, so its ReLU
+    consumer sees no change."""
+    b = fixtures._Builder(0)
+    x = b.input("x", (4,))
+    aux = b.simple("aux", "AuxiliaryCentering", b.linear("lin", x, 5, 4))
+    b.output(b.layer_norm("ln", aux, 5))
+    b.output(b.simple("act", "ReLU", aux))
+    return b.build()
+
+
 def per_layer_norm_reference(g, w, mode, strict_safety):
     """The report fields a fold reads, from one zero-mean graph and one
     affected-layer walk per LayerNorm, unioned."""
@@ -223,13 +235,14 @@ def per_layer_norm_reference(g, w, mode, strict_safety):
     if mode == "practical":
         producers, rescued = plan_auxiliary_centering([e for e in entries if e.ln_id not in strict])
 
-    def affected_on(h, lns):
-        walks = [compute_affected_layers(h, build_zero_mean_graph(h, nid)) for nid in lns]
+    def affected_on(h, lns, moved=()):
+        walks = [compute_affected_layers(h, build_zero_mean_graph(h, nid), moved) for nid in lns]
         return set().union(*(v.affected for v in walks))
 
     if producers:
+        # On the spliced graph the inserted nodes are the moved producers.
         sim, aux_ids = graph_with_insertions(g, producers)
-        affected = affected_on(sim, sorted(set(strict) | rescued))
+        affected = affected_on(sim, sorted(set(strict) | rescued), aux_ids.values())
         if strict_safety and affected:
             producers, rescued = [], set()
     if not producers:
@@ -253,6 +266,8 @@ class TestFoldSoundness:
     @settings(max_examples=40, deadline=None)
     @given(builder_models(), st.sampled_from(["strict", "practical"]))
     @example(_centered_layer_feeds_centered_layer(), "strict")
+    @example(_centering_node_feeds_a_relu(), "strict")
+    @example(_centering_node_feeds_a_relu(), "practical")
     def test_safe_report_folds_to_an_equivalent_model(self, model, mode):
         g, w = model
         assert validate_graph(g, w).ok
@@ -297,3 +312,18 @@ class TestFoldSoundness:
                 got = {key: doc[key] for key in ("foldable", "targets", "insertions", "safety")}
                 want = per_layer_norm_reference(g, w, mode, strict_safety)
                 assert got == want, (mode, strict_safety)
+
+
+class TestLeadingBatchAxis:
+    @settings(max_examples=40, deadline=None)
+    @given(builder_models())
+    def test_batch_equals_per_sample_forwards(self, model):
+        # Not bit for bit: a (3, d) batch turns per-sample matrix-vector
+        # products into one matrix product, which may round differently.
+        g, w = model
+        samples = [sample_inputs(g, np.random.default_rng(seed)) for seed in range(3)]
+        batched = forward(g, w, {nid: np.stack([s[nid] for s in samples]) for nid in g.inputs})[0]
+        for t, sample in enumerate(samples):
+            for y_batch, y in zip(batched, forward(g, w, sample)[0]):
+                assert y_batch.shape == (3,) + y.shape
+                assert np.all(np.abs(y_batch[t] - y) <= 1e-12 * (1 + np.abs(y)))

@@ -273,13 +273,32 @@ class TestVerifyGradients:
         from lnfold.verify import _proxied_grads, _derive_proxied
         g, w = fixtures.linear_then_norm()
         store = w.as_f64()
-        proxied = _derive_proxied(g, store)
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w))
+        proxied = _derive_proxied(g, fg)
+        assert list(proxied) == ["lin"]
         zeros = lambda outs: [np.zeros_like(o) for o in outs]
         rng = np.random.default_rng(0)
         from lnfold.verify import sample_inputs
         _, grads = _proxied_grads(g, store, proxied, sample_inputs(g, rng), zeros)
         for name, grad in grads.params.items():
             np.testing.assert_array_equal(grad, np.zeros_like(grad))
+
+    def test_runs_no_detection(self, monkeypatch):
+        # The proxies are read off the LayerNorm->RMSNorm swaps of the fold.
+        g, w = fixtures.pre_ln_transformer()
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        monkeypatch.setattr(verify, "detect_foldable",
+                            lambda *args, **kwargs: pytest.fail("verify_gradients ran detection"))
+        assert verify_gradients(g, w, fg, fw, trials=2).passed
+
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    @pytest.mark.parametrize("mode", ["strict", "practical"])
+    def test_proxies_are_the_report_targets(self, name, mode):
+        g, w = fixtures.ALL_FIXTURES[name]()
+        report = detect_foldable(g, w, mode=mode, strict_safety=False)
+        fg, _fw = apply_fold(g, w, report, allow_practical=True)
+        proxied = verify._derive_proxied(g, fg)
+        assert list(proxied.items()) == list(report.targets.items())
 
     def test_pairing_failure(self):
         g, w = fixtures.linear_then_norm()
