@@ -31,7 +31,7 @@ from .graph_ir import (
     Graph,
     NodeClass,
     WeightStore,
-    infer_shapes,
+    infer_shapes,  # noqa: F401  (unused here; lnbench's tracer patches this name)
     make_node,
     model_hash,
     require_valid,
@@ -410,9 +410,7 @@ def detect_foldable(
     """
     if mode not in ("strict", "practical"):
         raise ValueError(f"mode must be 'strict' or 'practical', got {mode!r}")
-    require_valid(g, w)
-
-    shapes = infer_shapes(g, w)
+    shapes = require_valid(g, w)
     ln_ids = [nid for nid, node in g.nodes.items() if node.kind == "LayerNorm"]
     reachable = _reachable_leaves(g, build_zero_mean_graph(g, *ln_ids))
 

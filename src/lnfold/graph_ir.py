@@ -307,6 +307,8 @@ def stores_equal(a: WeightStore, b: WeightStore) -> bool:
 class ValidationReport:
     ok: bool
     violations: list[str]
+    # infer_shapes' result; empty when the graph has a cycle.
+    shapes: dict[str, tuple[int, ...] | None] = field(default_factory=dict)
 
 
 def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], sources: list[Node],
@@ -413,10 +415,9 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
         problems.append("graph declares no outputs")
 
     # Shape propagation (only meaningful once the structure is sound).
-    if not cycle:
-        infer_shapes(g, w, problems)
+    shapes = {} if cycle else infer_shapes(g, w, problems)
 
-    return ValidationReport(ok=not problems, violations=problems)
+    return ValidationReport(ok=not problems, violations=problems, shapes=shapes)
 
 
 def infer_shapes(
@@ -440,10 +441,12 @@ def infer_shapes(
     return shapes
 
 
-def require_valid(g: Graph, w: WeightStore) -> None:
+def require_valid(g: Graph, w: WeightStore) -> dict[str, tuple[int, ...] | None]:
+    """Raise GraphValidationError unless g is valid; else every node's shape."""
     report = validate_graph(g, w)
     if not report.ok:
         raise GraphValidationError("; ".join(report.violations))
+    return report.shapes
 
 
 # ---------------------------------------------------------------------------

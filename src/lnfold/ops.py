@@ -255,19 +255,36 @@ def auxiliary_centering(x: np.ndarray) -> np.ndarray:
     return x - x.mean(axis=-1, keepdims=True)
 
 
-def _sum_to(shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
-    """Sum leading broadcast axes of g down to shape (for bias-style params)."""
-    extra = g.ndim - len(shape)
+# Parameter gradients sum over every leading (batch) axis. With keep, axis 0
+# holds stacked trials instead and stays: each trial gets the gradient it
+# would get evaluated by itself, bit for bit, because each trial's slice
+# goes through the same numpy reduction (or per-slice BLAS call) alone.
+
+
+def _sum_to(shape: tuple[int, ...], g: np.ndarray, keep: bool = False) -> np.ndarray:
+    """Sum leading broadcast axes of g down to shape (for bias-style params),
+    all but axis 0 when keep."""
+    extra = g.ndim - len(shape) - keep
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = g.sum(axis=tuple(range(keep, keep + extra)))
     return g
 
 
-def _matmul_param_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """d(dy = x @ W.T)/dW summed over all leading axes: (m, n)."""
-    xf = x.reshape(-1, x.shape[-1])
-    df = dy.reshape(-1, dy.shape[-1])
-    return df.T @ xf
+def _matmul_param_grad(x: np.ndarray, dy: np.ndarray, keep: bool = False) -> np.ndarray:
+    """d(dy = x @ W.T)/dW summed over all leading axes: (m, n), or with keep
+    (trials, m, n) from a batched matmul, one BLAS call per trial."""
+    lead = x.shape[:keep]
+    xf = x.reshape(lead + (-1, x.shape[-1]))
+    df = dy.reshape(lead + (-1, dy.shape[-1]))
+    return df.swapaxes(-1, -2) @ xf
+
+
+def _per_trial(keep: bool, reduce: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
+    """reduce(*arrays), for a reduction with no kept-axis form of its own:
+    with keep, reduce runs on each trial's slices and the results stack."""
+    if not keep:
+        return reduce(*arrays)
+    return np.stack([reduce(*trial) for trial in zip(*arrays)])
 
 
 def _norm_input_grad(g, xhat, inv, center):
@@ -307,7 +324,9 @@ class OpDef:
     nodes feeding the node, one per input slot, and runs where shape does;
     forward returns (output, saved tensors, smallest normalization
     denominator); backward returns the gradients for each input slot and
-    each parameter, in slot order.
+    each parameter, in slot order. backward's keep says that axis 0 of the
+    activations holds stacked trials: each parameter gradient then keeps
+    that axis, one gradient per trial (see _sum_to).
     """
 
     node_class = NodeClass.OPAQUE
@@ -327,9 +346,9 @@ class OpDef:
         """The bias among params, or None if the node has none."""
         return params[self.bias] if self.bias is not None and len(params) > self.bias else None
 
-    def _bias_grad(self, params, dy) -> list[np.ndarray]:
+    def _bias_grad(self, params, dy, keep) -> list[np.ndarray]:
         """[d(loss)/d(bias)], or [] when the node has no bias."""
-        return [_sum_to(params[self.bias].shape, dy)] if len(params) > self.bias else []
+        return [_sum_to(params[self.bias].shape, dy, keep)] if len(params) > self.bias else []
 
     def _check_bias(self, params, size: int, bad: Callable[[str], None]) -> None:
         b = self.bias_of(params)
@@ -364,9 +383,9 @@ class _Linear(OpDef):
         (x,) = inputs
         return linear_forward(params[0], self.bias_of(params), x), {}, np.inf
 
-    def backward(self, e, dy):
-        dW = _matmul_param_grad(e.inputs[0], dy)
-        return [dy @ e.params[0]], [dW] + self._bias_grad(e.params, dy)
+    def backward(self, e, dy, keep):
+        dW = _matmul_param_grad(e.inputs[0], dy, keep)
+        return [dy @ e.params[0]], [dW] + self._bias_grad(e.params, dy, keep)
 
 
 class _Conv2d(OpDef):
@@ -404,14 +423,22 @@ class _Conv2d(OpDef):
         saved.update({"stride": stride, "padding": padding})
         return out, saved, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         K, s = e.params[0], e.saved
         co, _ci, fh, fw = K.shape
-        dy2 = dy.reshape((-1, co, s["oh"] * s["ow"])).transpose(0, 2, 1)
-        dparams = [np.einsum("bpo,bpk->ok", dy2, s["cols"]).reshape(K.shape)]
+
+        def patch_rows(d):  # (B, OH*OW, co), row for row with the patch matrix
+            return d.reshape((-1, co, s["oh"] * s["ow"])).transpose(0, 2, 1)
+
+        def kernel_grad(d, cols):
+            cols = cols.reshape((-1,) + cols.shape[-2:])
+            return np.einsum("bpo,bpk->ok", patch_rows(d), cols).reshape(K.shape)
+
+        # The patch matrix regains its leading axes, so a kept axis 0 splits it by trial.
+        dparams = [_per_trial(keep, kernel_grad, dy, s["cols"].reshape(s["lead"] + s["cols"].shape[1:]))]
         if self.bias_of(e.params) is not None:
-            dparams.append(dy2.reshape(-1, co).sum(axis=0))
-        dx = _col2im(dy2 @ K.reshape(co, -1), s["in_shape"], fh, fw, s["stride"], s["padding"])
+            dparams.append(_per_trial(keep, lambda d: patch_rows(d).reshape(-1, co).sum(axis=0), dy))
+        dx = _col2im(patch_rows(dy) @ K.reshape(co, -1), s["in_shape"], fh, fw, s["stride"], s["padding"])
         return [dx.reshape(s["lead"] + dx.shape[-3:])], dparams
 
 
@@ -437,10 +464,10 @@ class _RecurrentCell(OpDef):
         x, h_prev = inputs
         return rnn_cell_forward(params[0], params[1], x, h_prev, self.bias_of(params)), {}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         (x, h_prev), (Wv, Wh) = e.inputs, e.params[:2]
-        dW = [_matmul_param_grad(x, dy), _matmul_param_grad(h_prev, dy)]
-        return [dy @ Wv, dy @ Wh], dW + self._bias_grad(e.params, dy)
+        dW = [_matmul_param_grad(x, dy, keep), _matmul_param_grad(h_prev, dy, keep)]
+        return [dy @ Wv, dy @ Wh], dW + self._bias_grad(e.params, dy, keep)
 
 
 class _AttentionValueProjection(OpDef):
@@ -460,11 +487,9 @@ class _AttentionValueProjection(OpDef):
         (x,) = inputs
         return attention_value_forward(x, params[0]), {}, np.inf
 
-    def backward(self, e, dy):
-        x = e.inputs[0]
-        xf = x.reshape(-1, x.shape[-1])
-        df = dy.reshape(-1, dy.shape[-1])
-        return [dy @ e.params[0].T], [xf.T @ df]
+    def backward(self, e, dy, keep):
+        # d(y = x @ V)/dV is the Linear weight gradient with x and dy swapped.
+        return [dy @ e.params[0].T], [_matmul_param_grad(dy, e.inputs[0], keep)]
 
 
 def _is_int(value) -> bool:
@@ -525,12 +550,12 @@ class _LayerNorm(OpDef):
         out, xhat, inv, denom = _center_scale(x, eps, *self._gamma_beta(params), strict, self.center)
         return out, {"xhat": xhat, "inv": inv}, float(denom.min())
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         xhat, inv = e.saved["xhat"], e.saved["inv"]
         gamma = e.params[0] if e.params else None
         g = dy if gamma is None else dy * gamma
-        dgamma = [] if gamma is None else [_sum_to(gamma.shape, dy * xhat)]
-        return [_norm_input_grad(g, xhat, inv, self.center)], dgamma + self._bias_grad(e.params, dy)
+        dgamma = [] if gamma is None else [_sum_to(gamma.shape, dy * xhat, keep)]
+        return [_norm_input_grad(g, xhat, inv, self.center)], dgamma + self._bias_grad(e.params, dy, keep)
 
 
 class _RMSNorm(_LayerNorm):
@@ -567,7 +592,7 @@ class _GroupNorm(OpDef):
         out = np.moveaxis(xhat.reshape(moved.shape), -1, axis)
         return out, {"xhat": xhat, "inv": inv, "axis": axis}, float(denom.min())
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         xhat, inv, axis = e.saved["xhat"], e.saved["inv"], e.saved["axis"]
         moved = np.moveaxis(dy, axis, -1)
         dxg = _norm_input_grad(moved.reshape(xhat.shape), xhat, inv, center=True)
@@ -586,7 +611,7 @@ class _ScalarScale(OpDef):
         (x,) = inputs
         return scalar_scale(x, float(attrs["scale"])), {}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         return [dy * float(e.attrs.get("scale", 1.0))], []
 
 
@@ -612,7 +637,7 @@ class _ResidualAdd(OpDef):
     def forward(self, attrs, inputs, params, strict):
         return residual_add(*inputs), {}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         return [dy] * len(e.input_ids), []
 
 
@@ -633,7 +658,7 @@ class _Concat(OpDef):
         widths = tuple(x.shape[-1] for x in inputs)
         return concat(inputs, axis=-1), {"widths": widths}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         grads, offset = [], 0
         for width in e.saved["widths"]:
             grads.append(dy[..., offset : offset + width])
@@ -646,7 +671,7 @@ class _ReLU(OpDef):
         (x,) = inputs
         return relu(x), {}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         return [dy * (e.inputs[0] > 0)], []
 
 
@@ -658,7 +683,7 @@ class _Softmax(OpDef):
         y = softmax(x)
         return y, {"y": y}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         y = e.saved["y"]
         return [y * (dy - np.sum(y * dy, axis=-1, keepdims=True))], []
 
@@ -690,12 +715,16 @@ class _Embedding(OpDef):
         (idx,) = inputs
         return embedding_lookup(params[0], idx), {}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         # Integer indices take no gradient.
         table = e.params[0]
-        dtable = np.zeros_like(table)
-        np.add.at(dtable, np.asarray(e.inputs[0]).ravel(), dy.reshape(-1, table.shape[1]))
-        return [], [dtable]
+
+        def scatter(idx, d):
+            dtable = np.zeros_like(table)
+            np.add.at(dtable, np.asarray(idx).ravel(), d.reshape(-1, table.shape[1]))
+            return dtable
+
+        return [], [_per_trial(keep, scatter, e.inputs[0], dy)]
 
 
 class _AuxiliaryCentering(OpDef):
@@ -706,7 +735,7 @@ class _AuxiliaryCentering(OpDef):
         (x,) = inputs
         return auxiliary_centering(x), {}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         return [dy - dy.mean(axis=-1, keepdims=True)], []
 
 
@@ -732,7 +761,7 @@ class _Output(OpDef):
         (x,) = inputs
         return x, {}, np.inf
 
-    def backward(self, e, dy):
+    def backward(self, e, dy, keep):
         return [dy], []
 
 

@@ -167,8 +167,13 @@ def _accumulate(grads: dict[str, Any], names: Sequence[str], values: Sequence[np
         grads[name] = grads.get(name, 0.0) + g
 
 
-def backward(tape: Tape, out_grads: Sequence[np.ndarray]) -> Gradients:
-    """Exact reverse-mode gradients for every recorded primitive."""
+def backward(tape: Tape, out_grads: Sequence[np.ndarray], keep_axis0: bool = False) -> Gradients:
+    """Exact reverse-mode gradients for every recorded primitive.
+
+    keep_axis0 is for a tape of stacked trials, whose axis 0 indexes the
+    trials: each parameter gradient then keeps that axis, holding every
+    trial's own gradient, where otherwise all leading axes are summed.
+    """
     if len(out_grads) != len(tape.output_ids):
         raise ValueError(f"expected {len(tape.output_ids)} output grads, got {len(out_grads)}")
 
@@ -190,7 +195,7 @@ def backward(tape: Tape, out_grads: Sequence[np.ndarray]) -> Gradients:
         if entry.kind == "Input":
             input_grads[entry.node_id] = dy
             continue
-        dxs, dparams = OPS[entry.kind].backward(entry, dy)
+        dxs, dparams = OPS[entry.kind].backward(entry, dy, keep_axis0)
         _accumulate(grad_of, entry.input_ids, dxs)
         _accumulate(param_grads, entry.param_names, dparams)
 

@@ -10,7 +10,7 @@ quantifies what the rewrite saves per normalization layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -124,7 +124,9 @@ def _within(tol: float, *worsts: float | None) -> bool:
 
 
 # Seeded trials are stacked until one forward's tape would hold about this
-# many f64 elements, which bounds the memory a stacked evaluation adds.
+# many f64 elements, which bounds the memory a stacked evaluation adds. A
+# gradient batch also keeps each trial's own parameter gradients, so trials
+# times parameters must fit under it as well.
 TAPE_BUDGET = 2**18
 
 
@@ -159,6 +161,29 @@ def _stack_trials(batch: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {nid: np.stack([trial[nid] for trial in batch])[:, None] for nid in batch[0]}
 
 
+def _trial_batches(
+    g: Graph, seed: int, trials: int, per_batch: int
+) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """Yield (count, inputs) for consecutive batches of up to per_batch
+    seeded trials; each trial draws from its own generator, and a batch of
+    more than one is stacked (_stack_trials)."""
+    rngs = _trial_rngs(seed, trials)
+    for start in range(0, trials, per_batch):
+        batch = [sample_inputs(g, rng) for rng in rngs[start : start + per_batch]]
+        yield len(batch), _stack_trials(batch)
+
+
+def _fold_trials(worst: float | None, count: int, diffs: Iterable[np.ndarray]) -> float | None:
+    """Reduce each difference to one max |.| per trial of a batch of count
+    (axis 0 holds the trials when count > 1) and fold them in trial order.
+    Each difference is reduced as diffs yields it, so a generator never
+    holds them all at once."""
+    maxima = [np.abs(d).reshape(count, -1).max(axis=1) for d in diffs]
+    for t in range(count):
+        worst = _fold_worst(worst, (m[t] for m in maxima))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Forward and gradient equivalence
 # ---------------------------------------------------------------------------
@@ -186,17 +211,12 @@ def verify_forward(
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
     per_batch = min(_trials_per_batch(gA, shapesA), _trials_per_batch(gB, shapesB))
-    rngs = _trial_rngs(seed, trials)
     worst: float | None = 0.0
-    for start in range(0, trials, per_batch):
-        batch = [sample_inputs(gA, rng) for rng in rngs[start : start + per_batch]]
-        inputs = _stack_trials(batch)
+    for count, inputs in _trial_batches(gA, seed, trials, per_batch):
         # [0] drops each tape before the next forward runs.
         outsA = forward(gA, storeA, inputs)[0]
         outsB = forward(gB, storeB, inputs)[0]
-        maxima = [np.abs(a - b).reshape(len(batch), -1).max(axis=1) for a, b in zip(outsA, outsB)]
-        for t in range(len(batch)):
-            worst = _fold_worst(worst, (m[t] for m in maxima))
+        worst = _fold_trials(worst, count, (a - b for a, b in zip(outsA, outsB)))
     return EquivalenceReport(trials, seed, tol, worst, None, _within(tol, worst))
 
 
@@ -217,22 +237,33 @@ def _proxied_grads(
     proxied: Mapping[str, CenteringSpec],
     inputs: Mapping[str, np.ndarray],
     out_grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
+    keep_axis0: bool = False,
 ) -> tuple[list[np.ndarray], Gradients]:
     """Forward/backward with proxy parameters.
 
     The forward pass sees centered (effective) weights; gradients w.r.t. the
     stored proxy weights come from projecting the effective-weight gradients
-    through the same centering map.
+    through the same centering map. keep_axis0 is backward's: inputs are
+    stacked trials, and each trial's gradients are projected on their own.
     """
     effective = _proxied_effective(g, w, proxied)
     outs, tape = forward(g, w, inputs, param_overrides=effective)
-    grads = backward(tape, out_grad_fn(outs))
+    grads = backward(tape, out_grad_fn(outs), keep_axis0)
+    lead = outs[0].shape[:1] if keep_axis0 else ()
     for node_id, spec in proxied.items():
         node = g.nodes[node_id]
         grad_arrays = {
-            name: grads.params.get(name, np.zeros_like(w[name])) for name in node.param_refs
+            name: grads.params.get(name, np.zeros(lead + w[name].shape, w[name].dtype))
+            for name in node.param_refs
         }
-        grads.params.update(center_node_params(node, grad_arrays, spec))
+        if keep_axis0:
+            projected = [
+                center_node_params(node, {name: arr[t] for name, arr in grad_arrays.items()}, spec)
+                for t in range(lead[0])
+            ]
+            grads.params.update({name: np.stack([p[name] for p in projected]) for name in projected[0]})
+        else:
+            grads.params.update(center_node_params(node, grad_arrays, spec))
     return outs, grads
 
 
@@ -244,6 +275,18 @@ def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
         if node.kind == "LayerNorm" and nid in gB.nodes and gB.nodes[nid].kind == "RMSNorm"
     ]
     return centering_targets(gA, build_zero_mean_graph(gA, *swapped))
+
+
+def _grad_diffs(storeA: WeightStore, gradsA: Gradients,
+                storeB: WeightStore, gradsB: Gradients) -> Iterator[np.ndarray]:
+    """A's minus B's gradient of each parameter either one has, in A's
+    parameter order; a missing gradient is zero, broadcast against the
+    other's trial axis."""
+    for name in storeA.names():
+        ga, gb = gradsA.params.get(name), gradsB.params.get(name)
+        if ga is None and gb is None:
+            continue
+        yield (np.zeros_like(storeA[name]) if ga is None else ga) - (np.zeros_like(storeB[name]) if gb is None else gb)
 
 
 def verify_gradients(
@@ -260,10 +303,12 @@ def verify_gradients(
 
     Model B's weight store holds the proxy parameters (same names and values
     as A's); which of them are proxied follows from the LayerNorms B swapped
-    for RMSNorm (_derive_proxied). Non-finite results and the default tol
+    for RMSNorm (_derive_proxied). Trials are stacked as in verify_forward,
+    and each keeps its own parameter gradients, so trials times parameters
+    also stay under TAPE_BUDGET. Non-finite results and the default tol
     follow verify_forward.
     """
-    _require_same_signature(gA, wA, gB, wB)
+    shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
     if set(wA.names()) != set(wB.names()):
         raise ParameterPairingError(
             "parameter name sets differ; cannot pair proxy weights with originals"
@@ -272,26 +317,20 @@ def verify_gradients(
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
     proxied = _derive_proxied(gA, gB)
+    params = sum(arr.size for _name, arr in storeA.items())
+    per_batch = min(_trials_per_batch(gA, shapesA), _trials_per_batch(gB, shapesB),
+                    max(1, TAPE_BUDGET // max(1, params)))
 
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd: float | None = 0.0
     worst_grad: float | None = 0.0
-    for rng in _trial_rngs(seed, trials):
-        inputs = sample_inputs(gA, rng)
+    for count, inputs in _trial_batches(gA, seed, trials, per_batch):
+        keep = count > 1
         outsA, tapeA = forward(gA, storeA, inputs)
-        gradsA = backward(tapeA, ones(outsA))
-        outsB, gradsB = _proxied_grads(gB, storeB, proxied, inputs, ones)
-        worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
-        for name in storeA.names():
-            ga = gradsA.params.get(name)
-            gb = gradsB.params.get(name)
-            if ga is None and gb is None:
-                continue
-            if ga is None:
-                ga = np.zeros_like(storeA[name])
-            if gb is None:
-                gb = np.zeros_like(storeB[name])
-            worst_grad = _fold_worst(worst_grad, [np.abs(ga - gb).max()])
+        gradsA = backward(tapeA, ones(outsA), keep)
+        outsB, gradsB = _proxied_grads(gB, storeB, proxied, inputs, ones, keep)
+        worst_fwd = _fold_trials(worst_fwd, count, (a - b for a, b in zip(outsA, outsB)))
+        worst_grad = _fold_trials(worst_grad, count, _grad_diffs(storeA, gradsA, storeB, gradsB))
     return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
 
 
@@ -304,15 +343,20 @@ def check_zero_mean(
     axis: int = -1,
 ) -> float:
     """Max |mean along axis| of one node's output over seeded random inputs;
-    NaN when any trial's mean is non-finite, so every ``<= tol`` fails."""
+    NaN when any trial's mean is non-finite, so every ``<= tol`` fails.
+    Trials are stacked as in verify_forward."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
     store = w.as_f64()
+    shapes = infer_shapes(g, store)
+    rank = len(shapes.get(node_id) or ())
+    # A stack prepends axes, so only an axis counted from the back of the
+    # node's own shape still names the same one.
+    per_batch = _trials_per_batch(g, shapes) if -rank <= axis < 0 else 1
     worst: float | None = 0.0
-    for rng in _trial_rngs(seed, trials):
-        _, tape = forward(g, store, sample_inputs(g, rng))
-        value = tape.value_of(node_id)
-        worst = _fold_worst(worst, [np.abs(value.mean(axis=axis)).max()])
+    for count, inputs in _trial_batches(g, seed, trials, per_batch):
+        _, tape = forward(g, store, inputs)
+        worst = _fold_trials(worst, count, [tape.value_of(node_id).mean(axis=axis)])
     return float("nan") if worst is None else worst
 
 

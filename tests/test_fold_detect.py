@@ -420,6 +420,19 @@ class TestWorkDone:
         assert [ins.after for ins in report.insertions] == ["embed"]
         assert calls == []
 
+    @pytest.mark.parametrize("mode", ["strict", "practical"])
+    def test_shapes_inferred_once(self, monkeypatch, mode):
+        # Validation's shapes serve the length-one-axis warning too.
+        from lnfold import graph_ir
+        calls = []
+        for module in (graph_ir, fold_detect):
+            original = module.infer_shapes
+            monkeypatch.setattr(module, "infer_shapes",
+                                lambda *args, _f=original: calls.append(1) or _f(*args))
+        g, w = fixtures.pre_ln_transformer(blocks=2)
+        detect_foldable(g, w, mode=mode)
+        assert len(calls) == 1
+
     def test_two_hundred_blocks(self):
         # 1,604 nodes: deeper than the interpreter's recursion limit allows
         # a recursive cycle search to go.

@@ -7,8 +7,9 @@ import pytest
 from lnfold import fixtures, verify
 from lnfold.fold_apply import FoldError, apply_fold
 from lnfold.fold_detect import detect_foldable
-from lnfold.graph_ir import Graph, WeightStore
-from lnfold.tensor_math import forward
+from lnfold.graph_ir import Graph, WeightStore, infer_shapes
+from lnfold.ops import OPS
+from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
     ParameterPairingError,
     SignatureMismatchError,
@@ -82,6 +83,33 @@ def _reference_forward_diff(gA, wA, gB, wB, trials, seed):
     return worst
 
 
+def _reference_grad_diff(gA, wA, gB, wB, trials, seed):
+    """verify_gradients' two maxima and verdict, one trial, one forward and
+    one backward at a time."""
+    storeA, storeB = wA.as_f64(), wB.as_f64()
+    proxied = verify._derive_proxied(gA, gB)
+    ones = lambda outs: [np.ones_like(o) for o in outs]
+    worst_fwd = worst_grad = 0.0
+    for rng in _trial_rngs(seed, trials):
+        inputs = sample_inputs(gA, rng)
+        outsA, tapeA = forward(gA, storeA, inputs)
+        gradsA = backward(tapeA, ones(outsA))
+        outsB, gradsB = verify._proxied_grads(gB, storeB, proxied, inputs, ones)
+        worst_fwd = verify._fold_worst(worst_fwd, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
+        for name in storeA.names():
+            ga, gb = gradsA.params.get(name), gradsB.params.get(name)
+            if ga is None and gb is None:
+                continue
+            ga = np.zeros_like(storeA[name]) if ga is None else ga
+            gb = np.zeros_like(storeB[name]) if gb is None else gb
+            worst_grad = verify._fold_worst(worst_grad, [np.abs(ga - gb).max()])
+    return worst_fwd, worst_grad, verify._within(default_tol(wA, wB), worst_fwd, worst_grad)
+
+
+def _grad_result(rep):
+    return rep.max_abs_forward_diff, rep.max_abs_grad_diff, rep.passed
+
+
 def _as_f32(w):
     return WeightStore({k: v.astype(np.float32) for k, v in w.items()})
 
@@ -114,7 +142,7 @@ def _group_norm_axis0(scale=1.0):
 
 @pytest.fixture()
 def forward_calls(monkeypatch):
-    """Leading shape of the first input of every forward verify_forward runs."""
+    """Leading shape of the first input of every forward verify runs."""
     seen = []
 
     def counting(g, w, inputs, *args, **kwargs):
@@ -172,6 +200,143 @@ class TestStackedTrials:
 
     def test_graph_without_inputs_runs_one_trial_per_batch(self):
         assert verify._trials_per_batch(Graph([], [], [], []), {}) == 1
+
+
+class TestStackedGradients:
+    @pytest.mark.parametrize("mode", ["strict", "practical"])
+    @pytest.mark.parametrize("f32", [False, True], ids=["f64", "f32"])
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_equals_one_trial_at_a_time(self, name, f32, mode):
+        g, w, pairs = _comparison_pairs(name, f32, mode)
+        for gB, wB in pairs:
+            rep = verify_gradients(g, w, gB, wB, trials=20, seed=7)
+            assert _grad_result(rep) == _reference_grad_diff(g, w, gB, wB, 20, 7)
+
+    def test_deep_pre_ln_equals_one_trial_at_a_time(self):
+        g, w = fixtures.pre_ln_transformer(blocks=12)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        swapped = g.with_kinds({n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"})
+        for gB, wB in ((fg, fw), (swapped, w)):
+            rep = verify_gradients(g, w, gB, wB, trials=20, seed=2)
+            assert _grad_result(rep) == _reference_grad_diff(g, w, gB, wB, 20, 2)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_fixtures_run_every_trial_in_one_batch(self, name, forward_calls):
+        g, w = fixtures.ALL_FIXTURES[name]()
+        verify_gradients(g, w, g, w, trials=20, seed=0)
+        per_sample = tuple(g.nodes[g.inputs[0]].attrs["shape"])
+        assert forward_calls == [(20, 1) + per_sample] * 2
+
+    def test_parameter_count_caps_the_batch(self, forward_calls):
+        # 3 trials' tapes fit under the budget, but not 2 trials' gradients.
+        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
+        assert verify._trials_per_batch(g, infer_shapes(g, w)) >= 3
+        assert 2 * sum(arr.size for _name, arr in w.items()) > verify.TAPE_BUDGET
+        verify_gradients(g, w, g, w, trials=3, seed=0)
+        assert forward_calls == [(8,)] * 6
+
+    def test_front_axis_group_norm_runs_one_trial_per_batch(self, forward_calls):
+        g, w = _group_norm_axis0()
+        gB, wB = _group_norm_axis0(scale=1.5)
+        rep = verify_gradients(g, w, gB, wB, trials=20, seed=4)
+        assert forward_calls == [(4, 6)] * 40
+        assert _grad_result(rep) == _reference_grad_diff(g, w, gB, wB, 20, 4)
+        assert rep.max_abs_forward_diff > 0.1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_trial_gradient_fails_its_batch(self, monkeypatch, bad):
+        g, w = fixtures.linear_then_norm()
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w))
+        keeps = []
+
+        def poisoned(tape, out_grads, *args):
+            grads = backward(tape, out_grads, *args)
+            keeps.append(args)
+            if len(keeps) == 1:  # model A of the only batch: trial 7 of 20
+                grads.params["lin.weight"][7, 2, 3] = bad
+            return grads
+
+        monkeypatch.setattr(verify, "backward", poisoned)
+        rep = verify_gradients(g, w, fg, w, trials=20, seed=0)
+        assert keeps == [(True,), (True,)]
+        assert rep.max_abs_forward_diff is not None
+        assert (rep.max_abs_grad_diff, rep.passed) == (None, False)
+        assert rep.to_json()["max_abs_grad_diff"] is None
+
+
+def _one_op_graphs():
+    """A small graph around each node kind that has parameters, with a
+    per-sample leading axis so every reduction sums more than one row."""
+    def linear(b):
+        return b.linear("op", b.input("x", (3, 5)), 4, 5)
+
+    def conv(b):
+        return b.conv2d("op", b.input("x", (2, 2, 5, 5)), 3, 2, 3, padding=1)
+
+    def recurrent(b):
+        return b.recurrent("op", b.input("x", (3, 5)), b.input("h", (3, 6)), 6, 5)
+
+    def value(b):
+        return b.value_projection("op", b.input("x", (3, 4)), 4, 5)
+
+    def norm(b):
+        return b.layer_norm("op", b.input("x", (3, 6)), 6)
+
+    def embedding(b):
+        return b.embedding("op", b.input("x", (3,), integer=True, high=7), 7, 4)
+
+    builders = {"Linear": linear, "Conv2d": conv, "RecurrentCell": recurrent,
+                "AttentionValueProjection": value, "LayerNorm": norm, "RMSNorm": norm,
+                "Embedding": embedding}
+    graphs = {}
+    for kind, build in builders.items():
+        b = fixtures._Builder(3)
+        b.output(build(b))
+        g, w = b.build()
+        graphs[kind] = (g.with_kinds({"op": kind}), w)
+    return graphs
+
+
+ONE_OP_GRAPHS = _one_op_graphs()
+
+
+def test_every_kind_with_parameters_has_a_one_op_graph():
+    assert set(ONE_OP_GRAPHS) == {kind for kind, op in OPS.items() if op.params[1] > 0}
+
+
+class TestKeptAxisBackward:
+    def _stacked(self, g, w, trials=5):
+        batch = [sample_inputs(g, rng) for rng in _trial_rngs(11, trials)]
+        outs, tape = forward(g, w, verify._stack_trials(batch))
+        out_grads = [np.random.default_rng(5).normal(size=o.shape) for o in outs]
+        return batch, tape, out_grads
+
+    @pytest.mark.parametrize("kind", sorted(ONE_OP_GRAPHS))
+    def test_each_slice_equals_that_trial_alone(self, kind):
+        g, w = ONE_OP_GRAPHS[kind]
+        batch, tape, out_grads = self._stacked(g, w)
+        kept = backward(tape, out_grads, keep_axis0=True)
+        assert set(kept.params) == set(w.names())
+        for t, inputs in enumerate(batch):
+            _, single_tape = forward(g, w, inputs)
+            single = backward(single_tape, [og[t, 0] for og in out_grads])
+            for name, grad in single.params.items():
+                assert kept.params[name].shape == (len(batch),) + grad.shape
+                assert kept.params[name][t].tobytes() == grad.tobytes(), (name, t)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("kind", sorted(ONE_OP_GRAPHS))
+    def test_leaves_its_arguments_unmodified(self, kind, keep):
+        g, w = ONE_OP_GRAPHS[kind]
+        _, tape, out_grads = self._stacked(g, w)
+        arrays = [*out_grads]
+        for e in tape.entries:
+            arrays += [*e.inputs, *e.params, e.output]
+            arrays += [v for v in e.saved.values() if isinstance(v, np.ndarray)]
+        before = [a.copy() for a in arrays]
+        backward(tape, out_grads, keep_axis0=keep)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestNonFinite:
@@ -323,6 +488,34 @@ class TestCheckZeroMean:
         g, w = fixtures.linear_then_norm()
         with pytest.raises(KeyError):
             check_zero_mean(g, w, "nope")
+
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_stacked_equals_one_trial_at_a_time(self, name, forward_calls):
+        g, w = fixtures.ALL_FIXTURES[name]()
+        store = w.as_f64()
+        for nid in g.nodes:
+            forward_calls.clear()
+            worst = check_zero_mean(g, w, nid, trials=30, seed=5)
+            reference = 0.0
+            for rng in _trial_rngs(5, 30):
+                value = forward(g, store, sample_inputs(g, rng))[1].value_of(nid)
+                reference = max(reference, float(np.abs(value.mean(axis=-1)).max()))
+            assert worst == reference, nid
+            assert forward_calls[0][:2] == (30, 1)
+
+    def test_front_counted_axis_runs_unstacked(self, forward_calls):
+        g, w = fixtures.conv_block()
+        back = check_zero_mean(g, w, "conv", trials=20, seed=1, axis=-3)
+        assert forward_calls == [(20, 1, 2, 6, 6)]
+        forward_calls.clear()
+        assert check_zero_mean(g, w, "conv", trials=20, seed=1, axis=0) == back
+        assert forward_calls == [(2, 6, 6)] * 20
+
+    def test_axis_beyond_the_node_still_raises(self):
+        # A stack would give the axis something to name; a single trial does not.
+        g, w = fixtures.linear_then_norm()
+        with pytest.raises(np.exceptions.AxisError):
+            check_zero_mean(g, w, "lin", axis=-2)
 
     def test_conv_channel_axis(self):
         from lnfold.centering import center_bias, center_conv_kernel
