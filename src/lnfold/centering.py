@@ -64,19 +64,45 @@ def spec_for_node(node: Node) -> CenteringSpec:
 # Transforms
 # ---------------------------------------------------------------------------
 
+# The weight axis whose slices each family constrains, counted from the back
+# so that leading axes (stacked trials' gradients) ride along. Grouped
+# columns split that axis into groups first (_slices).
+_WEIGHT_AXIS = {
+    Family.LINEAR_COLUMNS: -2,
+    Family.RECURRENT_BOTH: -2,
+    Family.GROUPED_COLUMNS: -2,
+    Family.CONV_OUT_CHANNELS: -4,
+    Family.ATTENTION_VALUE_ROWS: -1,
+}
+
+
+def _slices(t: np.ndarray, family: Family, groups: int) -> np.ndarray:
+    """t viewed so that its constrained slices run along _WEIGHT_AXIS[family]."""
+    if family is not Family.GROUPED_COLUMNS:
+        return t
+    m = t.shape[-2]
+    if groups < 1 or m % groups != 0:
+        raise ValueError(f"groups {groups} must divide the centered-axis length {m}")
+    return t.reshape(t.shape[:-2] + (groups, m // groups, t.shape[-1]))
+
+
+def _apply_family(t: np.ndarray, family: Family, groups: int = 1) -> np.ndarray:
+    s = _slices(t, family, groups)
+    return (s - s.mean(axis=_WEIGHT_AXIS[family], keepdims=True)).reshape(t.shape)
+
 
 def center_columns(W: np.ndarray) -> np.ndarray:
     """Subtract each column's mean so every column sums to zero."""
     if W.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {W.shape}")
-    return W - W.mean(axis=0, keepdims=True)
+    return _apply_family(W, Family.LINEAR_COLUMNS)
 
 
 def center_conv_kernel(K: np.ndarray) -> np.ndarray:
     """Center over output channels per (in-channel, kernel position)."""
     if K.ndim != 4:
         raise ValueError(f"expected a 4-axis kernel, got shape {K.shape}")
-    return K - K.mean(axis=0, keepdims=True)
+    return _apply_family(K, Family.CONV_OUT_CHANNELS)
 
 
 def center_recurrent(Wv: np.ndarray, Wh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +114,7 @@ def center_value_rows(V: np.ndarray) -> np.ndarray:
     """Center each row of the value projection over the output width."""
     if V.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {V.shape}")
-    return V - V.mean(axis=1, keepdims=True)
+    return _apply_family(V, Family.ATTENTION_VALUE_ROWS)
 
 
 def center_grouped_columns(W: np.ndarray, groups: int) -> np.ndarray:
@@ -99,22 +125,17 @@ def center_grouped_columns(W: np.ndarray, groups: int) -> np.ndarray:
     """
     if W.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {W.shape}")
-    m = W.shape[0]
-    if groups < 1 or m % groups != 0:
-        raise ValueError(f"groups {groups} must divide the centered-axis length {m}")
-    chunk = m // groups
-    if chunk == 1 and np.any(W):
+    if groups == W.shape[0] and np.any(W):
         warnings.warn(
             "one-element groups over-constrain the weights; the projection zeroes the layer",
             stacklevel=2,
         )
-    grouped = W.reshape(groups, chunk, W.shape[1])
-    return (grouped - grouped.mean(axis=1, keepdims=True)).reshape(W.shape)
+    return _apply_family(W, Family.GROUPED_COLUMNS, groups)
 
 
 def center_bias(b: np.ndarray) -> np.ndarray:
     """Bias rides along as one more weight column: subtract its mean."""
-    return b - b.mean()
+    return b - b.mean(axis=-1, keepdims=True)
 
 
 def centering_gradient(dV: np.ndarray, family: Family = Family.LINEAR_COLUMNS,
@@ -124,19 +145,9 @@ def centering_gradient(dV: np.ndarray, family: Family = Family.LINEAR_COLUMNS,
     Every family's transform is a symmetric idempotent projection, so the
     backward map is the forward map applied to the gradient.
     """
-    return _apply_family(dV, family, groups)
-
-
-def _apply_family(t: np.ndarray, family: Family, groups: int) -> np.ndarray:
-    if family in (Family.LINEAR_COLUMNS, Family.RECURRENT_BOTH):
-        return center_columns(t)
-    if family is Family.CONV_OUT_CHANNELS:
-        return center_conv_kernel(t)
-    if family is Family.ATTENTION_VALUE_ROWS:
-        return center_value_rows(t)
     if family is Family.GROUPED_COLUMNS:
-        return center_grouped_columns(t, groups)
-    raise ValueError(f"unknown family {family!r}")
+        return center_grouped_columns(dV, groups)
+    return _apply_family(dV, family, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +157,7 @@ def _apply_family(t: np.ndarray, family: Family, groups: int) -> np.ndarray:
 
 def constraint_residual(W: np.ndarray, family: Family, groups: int = 1) -> float:
     """Largest |sum| over the constrained slices."""
-    if family in (Family.LINEAR_COLUMNS, Family.RECURRENT_BOTH, Family.CONV_OUT_CHANNELS):
-        sums = W.sum(axis=0)
-    elif family is Family.ATTENTION_VALUE_ROWS:
-        sums = W.sum(axis=1)
-    elif family is Family.GROUPED_COLUMNS:
-        m = W.shape[0]
-        if m % groups != 0:
-            raise ValueError(f"groups {groups} must divide the centered-axis length {m}")
-        sums = W.reshape(groups, m // groups, W.shape[1]).sum(axis=1)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    sums = _slices(W, family, groups).sum(axis=_WEIGHT_AXIS[family])
     return float(np.abs(sums).max()) if sums.size else 0.0
 
 
@@ -165,21 +166,13 @@ def default_tolerance(dtype: np.dtype, axis_len: int) -> float:
     return base * max(axis_len, 1)
 
 
-def _constrained_axis_len(W: np.ndarray, family: Family, groups: int) -> int:
-    if family is Family.ATTENTION_VALUE_ROWS:
-        return W.shape[1]
-    if family is Family.GROUPED_COLUMNS:
-        return W.shape[0] // max(groups, 1)
-    return W.shape[0]
-
-
 def is_centered(W: np.ndarray, family: Family, groups: int = 1, tol: float | None = None) -> bool:
     """True iff every constrained slice sums to at most tol in absolute value.
 
     The all-zero tensor trivially satisfies every family's constraint.
     """
     if tol is None:
-        tol = default_tolerance(W.dtype, _constrained_axis_len(W, family, groups))
+        tol = default_tolerance(W.dtype, _slices(W, family, groups).shape[_WEIGHT_AXIS[family]])
     return constraint_residual(W, family, groups) <= tol
 
 
@@ -188,16 +181,14 @@ def is_centered(W: np.ndarray, family: Family, groups: int = 1, tol: float | Non
 # ---------------------------------------------------------------------------
 
 
-def center_node_params(node: Node, arrays: dict[str, np.ndarray],
-                       spec: CenteringSpec) -> dict[str, np.ndarray]:
-    """Centered replacements for one node's parameters, keyed by name."""
-    out: dict[str, np.ndarray] = {}
-    if spec.family is Family.RECURRENT_BOTH:
-        wv_name, wh_name = node.param_refs[0], node.param_refs[1]
-        out[wv_name], out[wh_name] = center_recurrent(arrays[wv_name], arrays[wh_name])
-    else:
-        out[spec.target] = _apply_family(arrays[spec.target], spec.family, spec.groups)
+def center_node_params(node: Node, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Centered replacements for one general-linear node's parameters, keyed
+    by name, as spec_for_node(node) prescribes. Leading axes of the arrays
+    (one gradient per stacked trial) ride along."""
+    spec = spec_for_node(node)
+    centered = node.param_refs[:2] if spec.family is Family.RECURRENT_BOTH else [spec.target]
+    out = {name: _apply_family(arrays[name], spec.family) for name in centered}
     bias_name = OPS[node.kind].bias_of(node.param_refs)
-    if spec.includes_bias and bias_name is not None:
+    if bias_name is not None:
         out[bias_name] = center_bias(arrays[bias_name])
     return out

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .centering import center_node_params
+from .centering import center_node_params, spec_for_node
 from .fold_detect import FoldReport, graph_with_insertions
 from .graph_ir import Graph, WeightStore, model_hash, require_valid
 
@@ -50,6 +50,9 @@ def apply_fold(
     new_graph = g
     if report.insertions:
         producers = [ins.after for ins in report.insertions]
+        unknown = [p for p in producers if p not in g.nodes]
+        if unknown:
+            raise FoldError(f"insertion after unknown node(s) {', '.join(map(repr, unknown))}")
         new_graph, aux_ids = graph_with_insertions(new_graph, producers)
         for ins in report.insertions:
             if aux_ids[ins.after] != ins.node_id:
@@ -71,8 +74,15 @@ def apply_fold(
         node = g.nodes.get(node_id)
         if node is None:
             raise FoldError(f"centering target {node_id!r} does not exist")
-        arrays = {name: w[name] for name in node.param_refs}
-        updates.update(center_node_params(node, arrays, spec))
+        try:
+            expected = spec_for_node(node)
+        except ValueError as exc:
+            raise FoldError(f"centering target {node_id!r}: {exc}") from exc
+        if spec != expected:
+            raise FoldError(
+                f"centering target {node_id!r} needs spec {expected.to_json()}, report gives {spec.to_json()}"
+            )
+        updates.update(center_node_params(node, {name: w[name] for name in node.param_refs}))
     new_store = w.replacing(updates)
 
     new_graph = new_graph.with_provenance(

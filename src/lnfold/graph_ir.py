@@ -104,8 +104,9 @@ class WeightStore:
         return iter(self._arrays.items())
 
     def as_f64(self) -> "WeightStore":
-        """Widened copy used by equivalence verification."""
-        return WeightStore({k: v.astype(np.float64) for k, v in self.items()})
+        """The store widened to f64 for equivalence verification; arrays that
+        are already f64 are shared, not copied."""
+        return WeightStore({k: v.astype(np.float64, copy=False) for k, v in self.items()})
 
     def replacing(self, updates: Mapping[str, np.ndarray]) -> "WeightStore":
         """New store with some arrays swapped out; untouched arrays are shared."""

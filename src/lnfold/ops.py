@@ -567,6 +567,8 @@ class _GroupNorm(OpDef):
         return _number_problems(attrs, ints=("groups", "axis"), floats=("eps",)) or (
             _eps_problems(attrs)
             + ([] if int(attrs.get("groups", 1)) >= 1 else ["groups must be >= 1"])
+            # Leading batch axes would shift an axis counted from the front.
+            + ([] if int(attrs.get("axis", -1)) < 0 else [f"axis {attrs['axis']} must be negative"])
         )
 
     def shape(self, attrs, shapes, params, bad):

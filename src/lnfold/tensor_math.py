@@ -67,10 +67,6 @@ class Tape:
     output_ids: list[str]
     min_norm_denom: float
 
-    def outputs(self) -> list[np.ndarray]:
-        by_id = {e.node_id: e.output for e in self.entries}
-        return [by_id[o] for o in self.output_ids]
-
     def value_of(self, node_id: str) -> np.ndarray:
         for entry in self.entries:
             if entry.node_id == node_id:

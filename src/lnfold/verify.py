@@ -10,13 +10,13 @@ quantifies what the rewrite saves per normalization layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .centering import CenteringSpec, center_node_params
 from .fold_detect import build_zero_mean_graph, centering_targets, detect_foldable
-from .graph_ir import Graph, WeightStore, infer_shapes
+from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
 from .tensor_math import Gradients, backward, forward, softmax
 
 
@@ -76,7 +76,7 @@ def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
-def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...] | None]) -> tuple:
+def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> tuple:
     ins = tuple(
         (
             tuple(g.nodes[nid].attrs.get("shape", ())),
@@ -90,8 +90,9 @@ def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...] | None]) -> tuple:
 
 
 def _require_same_signature(gA: Graph, wA: WeightStore, gB: Graph, wB: WeightStore) -> tuple[dict, dict]:
-    """Both models' per-sample shapes, once their signatures are known to agree."""
-    shapesA, shapesB = infer_shapes(gA, wA), infer_shapes(gB, wB)
+    """Both models' per-sample shapes, once both are valid
+    (GraphValidationError otherwise) and their signatures agree."""
+    shapesA, shapesB = require_valid(gA, wA), require_valid(gB, wB)
     if _signature(gA, shapesA) != _signature(gB, shapesB):
         raise SignatureMismatchError("models do not share input/output signatures")
     return shapesA, shapesB
@@ -130,20 +131,9 @@ def _within(tol: float, *worsts: float | None) -> bool:
 TAPE_BUDGET = 2**18
 
 
-def _trials_per_batch(g: Graph, shapes: Mapping[str, tuple[int, ...] | None]) -> int:
-    """How many trials one stacked forward of g may evaluate.
-
-    A stacked batch prepends a (trials, 1) axis pair to every input, so a
-    node attribute that names a dimension from the front (a non-negative
-    ``axis``) would name the wrong one; such graphs, and graphs without
-    inputs, run one unstacked trial at a time. So does any ``axis`` that is
-    not a plain negative int.
-    """
-    axes = [n.attrs.get("axis", -1) for n in g.nodes.values()]
-    if not g.inputs or any(not isinstance(a, int) or a >= 0 for a in axes):
-        return 1
-    if any(s is None for s in shapes.values()):
-        return 1
+def _trials_per_batch(shapes: Mapping[str, tuple[int, ...]]) -> int:
+    """How many trials one stacked forward of a valid graph with these
+    per-sample shapes may evaluate under TAPE_BUDGET."""
     footprint = sum(int(np.prod(s, dtype=np.int64)) for s in shapes.values())
     return max(1, TAPE_BUDGET // max(1, footprint))
 
@@ -154,10 +144,7 @@ def _stack_trials(batch: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     The singleton axis keeps every matmul a stack of the same per-trial BLAS
     calls (a (trials, d) stack would become one matrix product, which rounds
     differently), so stacked results equal one-at-a-time results bit for bit.
-    A single trial keeps its per-sample shape.
     """
-    if len(batch) == 1:
-        return batch[0]
     return {nid: np.stack([trial[nid] for trial in batch])[:, None] for nid in batch[0]}
 
 
@@ -165,8 +152,8 @@ def _trial_batches(
     g: Graph, seed: int, trials: int, per_batch: int
 ) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
     """Yield (count, inputs) for consecutive batches of up to per_batch
-    seeded trials; each trial draws from its own generator, and a batch of
-    more than one is stacked (_stack_trials)."""
+    seeded trials; each trial draws from its own generator, and every batch
+    is stacked (_stack_trials)."""
     rngs = _trial_rngs(seed, trials)
     for start in range(0, trials, per_batch):
         batch = [sample_inputs(g, rng) for rng in rngs[start : start + per_batch]]
@@ -175,7 +162,7 @@ def _trial_batches(
 
 def _fold_trials(worst: float | None, count: int, diffs: Iterable[np.ndarray]) -> float | None:
     """Reduce each difference to one max |.| per trial of a batch of count
-    (axis 0 holds the trials when count > 1) and fold them in trial order.
+    (axis 0 holds the trials) and fold them in trial order.
     Each difference is reduced as diffs yields it, so a generator never
     holds them all at once."""
     maxima = [np.abs(d).reshape(count, -1).max(axis=1) for d in diffs]
@@ -204,13 +191,13 @@ def verify_forward(
     draws its inputs from its own generator and is reduced to its own
     maximum, so the result equals evaluating the trials one at a time. A
     non-finite output or difference reports None and fails. tol defaults to
-    default_tol of the two stores.
+    default_tol of the two stores. Both models are validated first.
     """
     shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
     if tol is None:
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
-    per_batch = min(_trials_per_batch(gA, shapesA), _trials_per_batch(gB, shapesB))
+    per_batch = min(_trials_per_batch(shapesA), _trials_per_batch(shapesB))
     worst: float | None = 0.0
     for count, inputs in _trial_batches(gA, seed, trials, per_batch):
         # [0] drops each tape before the next forward runs.
@@ -220,50 +207,41 @@ def verify_forward(
     return EquivalenceReport(trials, seed, tol, worst, None, _within(tol, worst))
 
 
-def _proxied_effective(
-    g: Graph, w: WeightStore, proxied: Mapping[str, CenteringSpec]
-) -> dict[str, np.ndarray]:
+def _proxied_effective(g: Graph, w: WeightStore, proxied: Iterable[str]) -> dict[str, np.ndarray]:
+    """The centered (effective) weights of the proxied nodes."""
     effective: dict[str, np.ndarray] = {}
-    for node_id, spec in proxied.items():
+    for node_id in proxied:
         node = g.nodes[node_id]
-        arrays = {name: w[name] for name in node.param_refs}
-        effective.update(center_node_params(node, arrays, spec))
+        effective.update(center_node_params(node, {name: w[name] for name in node.param_refs}))
     return effective
 
 
 def _proxied_grads(
     g: Graph,
     w: WeightStore,
-    proxied: Mapping[str, CenteringSpec],
+    proxied: Collection[str],
     inputs: Mapping[str, np.ndarray],
     out_grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
     keep_axis0: bool = False,
 ) -> tuple[list[np.ndarray], Gradients]:
-    """Forward/backward with proxy parameters.
+    """Forward/backward with proxy parameters for the proxied node ids.
 
     The forward pass sees centered (effective) weights; gradients w.r.t. the
     stored proxy weights come from projecting the effective-weight gradients
     through the same centering map. keep_axis0 is backward's: inputs are
-    stacked trials, and each trial's gradients are projected on their own.
+    stacked trials, each with its own gradients, and the projection centers
+    them all in one call per node, since it leaves leading axes alone.
     """
     effective = _proxied_effective(g, w, proxied)
     outs, tape = forward(g, w, inputs, param_overrides=effective)
     grads = backward(tape, out_grad_fn(outs), keep_axis0)
     lead = outs[0].shape[:1] if keep_axis0 else ()
-    for node_id, spec in proxied.items():
+    for node_id in proxied:
         node = g.nodes[node_id]
-        grad_arrays = {
+        grads.params.update(center_node_params(node, {
             name: grads.params.get(name, np.zeros(lead + w[name].shape, w[name].dtype))
             for name in node.param_refs
-        }
-        if keep_axis0:
-            projected = [
-                center_node_params(node, {name: arr[t] for name, arr in grad_arrays.items()}, spec)
-                for t in range(lead[0])
-            ]
-            grads.params.update({name: np.stack([p[name] for p in projected]) for name in projected[0]})
-        else:
-            grads.params.update(center_node_params(node, grad_arrays, spec))
+        }))
     return outs, grads
 
 
@@ -318,17 +296,16 @@ def verify_gradients(
     storeA, storeB = wA.as_f64(), wB.as_f64()
     proxied = _derive_proxied(gA, gB)
     params = sum(arr.size for _name, arr in storeA.items())
-    per_batch = min(_trials_per_batch(gA, shapesA), _trials_per_batch(gB, shapesB),
+    per_batch = min(_trials_per_batch(shapesA), _trials_per_batch(shapesB),
                     max(1, TAPE_BUDGET // max(1, params)))
 
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd: float | None = 0.0
     worst_grad: float | None = 0.0
     for count, inputs in _trial_batches(gA, seed, trials, per_batch):
-        keep = count > 1
         outsA, tapeA = forward(gA, storeA, inputs)
-        gradsA = backward(tapeA, ones(outsA), keep)
-        outsB, gradsB = _proxied_grads(gB, storeB, proxied, inputs, ones, keep)
+        gradsA = backward(tapeA, ones(outsA), True)
+        outsB, gradsB = _proxied_grads(gB, storeB, proxied, inputs, ones, True)
         worst_fwd = _fold_trials(worst_fwd, count, (a - b for a, b in zip(outsA, outsB)))
         worst_grad = _fold_trials(worst_grad, count, _grad_diffs(storeA, gradsA, storeB, gradsB))
     return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
@@ -344,17 +321,20 @@ def check_zero_mean(
 ) -> float:
     """Max |mean along axis| of one node's output over seeded random inputs;
     NaN when any trial's mean is non-finite, so every ``<= tol`` fails.
-    Trials are stacked as in verify_forward."""
+    axis counts the node's per-sample axes; one outside them raises numpy's
+    AxisError. The graph is validated first, and trials are stacked as in
+    verify_forward."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
     store = w.as_f64()
-    shapes = infer_shapes(g, store)
-    rank = len(shapes.get(node_id) or ())
-    # A stack prepends axes, so only an axis counted from the back of the
-    # node's own shape still names the same one.
-    per_batch = _trials_per_batch(g, shapes) if -rank <= axis < 0 else 1
+    shapes = require_valid(g, store)
+    rank = len(shapes[node_id])
+    np.zeros((0,) * rank).sum(axis=axis)  # numpy's own range check
+    # Counted from the back, the axis names the same one behind the stack's
+    # leading trial axes.
+    axis = axis - rank if axis >= 0 else axis
     worst: float | None = 0.0
-    for count, inputs in _trial_batches(g, seed, trials, per_batch):
+    for count, inputs in _trial_batches(g, seed, trials, _trials_per_batch(shapes)):
         _, tape = forward(g, store, inputs)
         worst = _fold_trials(worst, count, [tape.value_of(node_id).mean(axis=axis)])
     return float("nan") if worst is None else worst

@@ -143,7 +143,68 @@ class TestFold:
         assert main(["fold", topo, blob, "--report", rep, "--out", out, "--practical"]) == 0
 
 
+def _spec(**fields):
+    def edit(doc):
+        doc["targets"][0]["spec"].update(fields)
+        return doc
+    return edit
+
+
+def _insert_after_ghost(doc):
+    doc["insertions"].append({"after": "ghost", "node_id": "center_after_ghost",
+                              "edges": [["ghost", "center_after_ghost", 0]], "rescues": ["ln"]})
+    return doc
+
+
+class TestMalformedReport:
+    """Edits that keep the model hash valid but do not describe a fold of
+    this model: each is refused with a message, never a traceback."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_spec(family="conv_out_channels"), "centering target 'lin' needs spec"),
+        (_spec(family="recurrent_both"), "centering target 'lin' needs spec"),
+        (_spec(family="grouped_columns", groups=3), "centering target 'lin' needs spec"),
+        (_spec(family="grouped_columns", groups=2), "centering target 'lin' needs spec"),
+        (lambda doc: doc["targets"][0].update(node="ln") or doc,
+         "centering target 'ln': node kind 'LayerNorm' is not a general linear layer"),
+        (_spec(target="ln.weight"), "centering target 'lin' needs spec"),
+        (_insert_after_ghost, "insertion after unknown node(s) 'ghost'"),
+    ], ids=["conv_family", "recurrent_family", "groups_3", "groups_2", "target_node_ln",
+            "spec_target_ln_weight", "insertion_after_ghost"])
+    def test_fold_exits_1(self, tmp_path, capsys, edit, message):
+        topo, blob = _save(tmp_path, "m", *fixtures.linear_then_norm())
+        rep = str(tmp_path / "rep.json")
+        assert main(["analyze", topo, blob, "--out", rep]) == 0
+        _edit_topology(rep, edit)
+        capsys.readouterr()
+        out = str(tmp_path / "f")
+        assert main(["fold", topo, blob, "--report", rep, "--out", out, "--practical"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not os.path.exists(out + ".json")
+
+
+def _extra_edge(doc):
+    doc["edges"].append(["x", "ghost", 0])
+    return doc
+
+
 class TestVerifyCmd:
+    @pytest.mark.parametrize("edit, message", [
+        (_extra_edge, "edge references unknown destination 'ghost'"),
+        (lambda doc: _node(doc, "ln").update(kind="Concat") or doc, "node 'ln': Concat needs arity >= 2"),
+    ], ids=["edge_to_unknown_node", "layer_norm_retyped_to_concat"])
+    def test_invalid_folded_model_exits_1(self, tmp_path, capsys, edit, message):
+        g, w = fixtures.linear_then_norm()
+        topo, blob = _save(tmp_path, "orig", g, w)
+        folded = _save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w)))
+        _edit_topology(folded[0], edit)
+        capsys.readouterr()
+        assert main(["verify", topo, blob, *folded, "--trials", "3", "--grad"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: verification could not run: ") and message in err
+        assert "Traceback" not in err
+
     def test_pass_and_fail_exit_codes(self, models, tmp_path, capsys):
         topo, blob, rep = TestFold()._analyze(models, tmp_path, "post_ln_transformer")
         out = str(tmp_path / "folded")

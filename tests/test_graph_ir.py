@@ -159,6 +159,19 @@ class TestValidation:
         report = validate_graph(g, WeightStore({}))
         assert any("must divide" in v for v in report.violations)
 
+    @pytest.mark.parametrize("axis, ok", [(0, False), (1, False), (-2, True)])
+    def test_group_norm_axis_counts_from_the_back(self, axis, ok):
+        # Leading batch axes would shift an axis counted from the front.
+        nodes = [
+            make_node("x", "Input", {"shape": [4, 6]}),
+            make_node("gn", "GroupNorm", {"groups": 2, "axis": axis}),
+            make_node("out", "Output"),
+        ]
+        g = Graph(nodes, [("x", "gn", 0), ("gn", "out", 0)], ["x"], ["out"])
+        report = validate_graph(g, WeightStore({}))
+        assert report.ok == ok
+        assert ok or report.violations == [f"node 'gn': axis {axis} must be negative"]
+
     @pytest.mark.parametrize("build, message", [
         (lambda: _replace_node(fixtures.linear_then_norm(), make_node("lin", "Linear")),
          "Linear takes 1..2 params, got 0"),
@@ -210,6 +223,17 @@ def _unary_recurrent_cell():
     cell = g.nodes["cell"]
     g = Graph(g.nodes, [e for e in g.edges if e[0] != "h_prev"], g.inputs, g.outputs)
     return _replace_node((g, w), make_node("cell", cell.kind, cell.attrs, cell.param_refs, 1))
+
+
+class TestWeightStore:
+    def test_as_f64_shares_f64_arrays_and_widens_f32(self):
+        _g, w = fixtures.linear_then_norm()
+        w32 = WeightStore({k: v.astype(np.float32) for k, v in w.items()})
+        for name, arr in w.as_f64().items():
+            assert np.shares_memory(arr, w[name]), name
+        for name, arr in w32.as_f64().items():
+            assert arr.dtype == np.float64 and not np.shares_memory(arr, w32[name]), name
+            np.testing.assert_array_equal(arr, w32[name])
 
 
 class TestModelFiles:

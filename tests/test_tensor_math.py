@@ -7,7 +7,7 @@ import pytest
 from lnfold import fixtures
 from lnfold.fold_apply import apply_fold
 from lnfold.fold_detect import detect_foldable
-from lnfold.graph_ir import NODE_KINDS, Graph, WeightStore, make_node
+from lnfold.graph_ir import NODE_KINDS, Graph, WeightStore, make_node, validate_graph
 from lnfold.tensor_math import (
     NumericalError,
     auxiliary_centering,
@@ -307,6 +307,21 @@ class TestGroupNormNode:
         grads = backward(tape, [2.0 * outs[0]])
         fd = finite_difference_grad(g, w, inp, "sumsq", h=1e-6)
         assert rel_error(grads.params["conv.kernel"], fd.params["conv.kernel"]) <= 1e-5
+
+
+    def test_batched_forward_equals_per_sample_forwards(self):
+        # The kernel reads axis on the whole array, so only a back-counted
+        # axis still names the per-sample axis behind the batch axis.
+        g = Graph([make_node("x", "Input", {"shape": [4, 3, 3]}),
+                   make_node("gn", "GroupNorm", {"groups": 2, "axis": -3}),
+                   make_node("out", "Output")],
+                  [("x", "gn", 0), ("gn", "out", 0)], ["x"], ["out"])
+        w = WeightStore({})
+        assert validate_graph(g, w).ok
+        batch = np.random.default_rng(6).uniform(-2, 2, size=(4, 4, 3, 3))
+        batched = forward(g, w, [batch])[0][0]
+        for i, sample in enumerate(batch):
+            np.testing.assert_array_equal(batched[i], forward(g, w, [sample])[0][0])
 
 
 class TestFiniteDifferences:

@@ -7,7 +7,7 @@ import pytest
 from lnfold import fixtures, verify
 from lnfold.fold_apply import FoldError, apply_fold
 from lnfold.fold_detect import detect_foldable
-from lnfold.graph_ir import Graph, WeightStore, infer_shapes
+from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, infer_shapes
 from lnfold.ops import OPS
 from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
@@ -131,11 +131,11 @@ def _comparison_pairs(name, f32, mode):
     return g, w, pairs
 
 
-def _group_norm_axis0(scale=1.0):
-    """GroupNorm over the first per-sample axis, which a stack would shift."""
+def _group_norm(axis, scale=1.0):
+    """GroupNorm over the first of two per-sample axes."""
     b = fixtures._Builder(0)
     x = b.input("x", (4, 6))
-    gn = b.simple("gn", "GroupNorm", x, {"axis": 0, "groups": 2})
+    gn = b.simple("gn", "GroupNorm", x, {"axis": axis, "groups": 2})
     b.output(b.simple("s", "ScalarScale", gn, {"scale": scale}))
     return b.build()
 
@@ -182,24 +182,29 @@ class TestStackedTrials:
     def test_deep_stack_runs_one_trial_per_batch(self, forward_calls):
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
         verify_forward(g, w, g, w, trials=3, seed=0)
-        assert forward_calls == [(8,)] * 6
+        assert forward_calls == [(1, 1, 8)] * 6
 
     def test_batches_stop_at_the_tape_budget(self, forward_calls):
         # 129,800 elements per trial: two trials fit under 2**18.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
         verify_forward(g, w, g, w, trials=5, seed=0)
-        assert forward_calls == [(2, 1, 8)] * 4 + [(8,)] * 2
+        assert forward_calls == [(2, 1, 8)] * 4 + [(1, 1, 8)] * 2
 
-    def test_front_axis_group_norm_runs_one_trial_per_batch(self, forward_calls):
-        g, w = _group_norm_axis0()
-        gB, wB = _group_norm_axis0(scale=1.5)
+    def test_back_axis_group_norm_stacks(self, forward_calls):
+        # A front-counted axis would name a stacked axis, so validation refuses it.
+        with pytest.raises(GraphValidationError, match="axis 0 must be negative"):
+            verify_forward(*_group_norm(0), *_group_norm(0), trials=2)
+        g, w = _group_norm(-2)
+        gB, wB = _group_norm(-2, scale=1.5)
         rep = verify_forward(g, w, gB, wB, trials=20, seed=4)
-        assert forward_calls == [(4, 6)] * 40
+        assert forward_calls == [(20, 1, 4, 6)] * 2
         assert rep.max_abs_forward_diff == _reference_forward_diff(g, w, gB, wB, 20, 4)
         assert rep.max_abs_forward_diff > 0.1
 
-    def test_graph_without_inputs_runs_one_trial_per_batch(self):
-        assert verify._trials_per_batch(Graph([], [], [], []), {}) == 1
+    def test_graph_without_inputs_is_refused(self):
+        g, w = fixtures.linear_then_norm()
+        with pytest.raises(GraphValidationError):
+            verify_forward(Graph([], [], [], []), WeightStore(), g, w, trials=1)
 
 
 class TestStackedGradients:
@@ -230,16 +235,18 @@ class TestStackedGradients:
     def test_parameter_count_caps_the_batch(self, forward_calls):
         # 3 trials' tapes fit under the budget, but not 2 trials' gradients.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
-        assert verify._trials_per_batch(g, infer_shapes(g, w)) >= 3
+        assert verify._trials_per_batch(infer_shapes(g, w)) >= 3
         assert 2 * sum(arr.size for _name, arr in w.items()) > verify.TAPE_BUDGET
         verify_gradients(g, w, g, w, trials=3, seed=0)
-        assert forward_calls == [(8,)] * 6
+        assert forward_calls == [(1, 1, 8)] * 6
 
-    def test_front_axis_group_norm_runs_one_trial_per_batch(self, forward_calls):
-        g, w = _group_norm_axis0()
-        gB, wB = _group_norm_axis0(scale=1.5)
+    def test_back_axis_group_norm_stacks(self, forward_calls):
+        with pytest.raises(GraphValidationError, match="axis 0 must be negative"):
+            verify_gradients(*_group_norm(0), *_group_norm(0), trials=2)
+        g, w = _group_norm(-2)
+        gB, wB = _group_norm(-2, scale=1.5)
         rep = verify_gradients(g, w, gB, wB, trials=20, seed=4)
-        assert forward_calls == [(4, 6)] * 40
+        assert forward_calls == [(20, 1, 4, 6)] * 2
         assert _grad_result(rep) == _reference_grad_diff(g, w, gB, wB, 20, 4)
         assert rep.max_abs_forward_diff > 0.1
 
@@ -503,19 +510,19 @@ class TestCheckZeroMean:
             assert worst == reference, nid
             assert forward_calls[0][:2] == (30, 1)
 
-    def test_front_counted_axis_runs_unstacked(self, forward_calls):
+    def test_front_counted_axis_runs_stacked(self, forward_calls):
         g, w = fixtures.conv_block()
         back = check_zero_mean(g, w, "conv", trials=20, seed=1, axis=-3)
-        assert forward_calls == [(20, 1, 2, 6, 6)]
-        forward_calls.clear()
         assert check_zero_mean(g, w, "conv", trials=20, seed=1, axis=0) == back
-        assert forward_calls == [(2, 6, 6)] * 20
+        assert forward_calls == [(20, 1, 2, 6, 6)] * 2
 
     def test_axis_beyond_the_node_still_raises(self):
-        # A stack would give the axis something to name; a single trial does not.
+        # The stack's trial axes would give either axis something to name;
+        # the check counts only the node's own axes.
         g, w = fixtures.linear_then_norm()
-        with pytest.raises(np.exceptions.AxisError):
-            check_zero_mean(g, w, "lin", axis=-2)
+        for axis in (-2, 1):
+            with pytest.raises(np.exceptions.AxisError):
+                check_zero_mean(g, w, "lin", axis=axis)
 
     def test_conv_channel_axis(self):
         from lnfold.centering import center_bias, center_conv_kernel
