@@ -30,7 +30,11 @@ def _log(msg: str) -> None:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("LNFOLD_SEED", "0"))
+    raw = os.environ.get("LNFOLD_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise _Operational(f"LNFOLD_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -237,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
+        parser = build_parser()  # reads LNFOLD_SEED
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
         return args.fn(args)
     except _Operational as exc:
         _log(f"error: {exc}")

@@ -99,7 +99,7 @@ class _Builder:
     def simple(self, nid: str, kind: str, srcs: tuple[str, ...] | str,
                attrs: dict | None = None) -> str:
         srcs = (srcs,) if isinstance(srcs, str) else srcs
-        self.nodes.append(make_node(nid, kind, attrs, arity=len(srcs)))
+        self.nodes.append(make_node(nid, kind, attrs))
         self._wire(srcs, nid)
         return nid
 

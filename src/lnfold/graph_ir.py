@@ -55,7 +55,6 @@ class Node:
     kind: str
     attrs: Mapping[str, Any] = field(default_factory=dict)
     param_refs: tuple[str, ...] = ()
-    input_arity: int = 1
 
 
 def make_node(
@@ -63,13 +62,10 @@ def make_node(
     kind: str,
     attrs: Mapping[str, Any] | None = None,
     params: Sequence[str] = (),
-    arity: int | None = None,
 ) -> Node:
     if kind not in NODE_KINDS:
         raise ValueError(f"unknown node kind {kind!r}")
-    if arity is None:
-        arity = OPS[kind].default_arity
-    return Node(node_id, kind, dict(attrs or {}), tuple(params), arity)
+    return Node(node_id, kind, dict(attrs or {}), tuple(params))
 
 
 class WeightStore:
@@ -122,10 +118,10 @@ class WeightStore:
 class Graph:
     """Directed acyclic computation graph.
 
-    Edges are (src id, dst id, dst input slot). Every non-Input node receives
-    exactly one edge per slot 0..input_arity-1. Time-unrolling of the
-    recurrent cell is the caller's concern; the cell is one node with two
-    input slots.
+    Edges are (src id, dst id, dst input slot), and they are the only record
+    of a node's inputs: its arity is its number of incoming edges, one per
+    slot 0..k-1. Time-unrolling of the recurrent cell is the caller's
+    concern; the cell is one node with two input slots.
     """
 
     def __init__(
@@ -151,7 +147,7 @@ class Graph:
         self.inputs: list[str] = list(inputs)
         self.outputs: list[str] = list(outputs)
         self.provenance: dict[str, Any] | None = dict(provenance) if provenance else None
-        self._topo: list[str] | None = None
+        self._kahn: tuple[list[str], dict[str, int]] | None = None
         # Adjacency indexes; the graph never changes, so they never go stale.
         # Edges may name ids that are not nodes: validation reports those.
         self._in: dict[str, list[tuple[str, int]]] = {}
@@ -178,57 +174,53 @@ class Graph:
     def successors(self, node_id: str) -> list[str]:
         return list(dict.fromkeys(d for d, _slot in self.out_edges(node_id)))
 
+    def _sorted(self) -> tuple[list[str], dict[str, int]]:
+        """One cached Kahn pass: the topological order, and the nodes left
+        over with their unmet in-degrees, in node order.
+
+        The order is deterministic given node insertion order. Only edges
+        between known nodes count (validation reports the others), so an
+        edge from an unknown id strands nothing. A node is left over only on
+        or downstream of a cycle.
+        """
+        if self._kahn is None:
+            indeg = dict.fromkeys(self.nodes, 0)
+            for s, d, _slot in self.edges:
+                if s in indeg and d in indeg:
+                    indeg[d] += 1
+            ready = deque(nid for nid, n in indeg.items() if n == 0)
+            order: list[str] = []
+            while ready:
+                nid = ready.popleft()
+                order.append(nid)
+                # One decrement per edge: a node may take one source on two slots.
+                for dst, _slot in self._out.get(nid, ()):
+                    if dst in indeg:
+                        indeg[dst] -= 1
+                        if indeg[dst] == 0:
+                            ready.append(dst)
+            self._kahn = order, {nid: n for nid, n in indeg.items() if n}
+        return self._kahn
+
     def topo_order(self) -> list[str]:
-        """Kahn topological order; deterministic given node insertion order."""
-        if self._topo is not None:
-            return self._topo
-        indeg = {nid: 0 for nid in self.nodes}
-        for _s, d, _slot in self.edges:
-            if d in indeg:
-                indeg[d] += 1
-        ready = deque(nid for nid in self.nodes if indeg[nid] == 0)
-        order: list[str] = []
-        while ready:
-            nid = ready.popleft()
-            order.append(nid)
-            # One decrement per edge: a node may take one source on two slots.
-            # Edges to unknown ids are skipped, as in the count; validation reports them.
-            for dst, _slot in self.out_edges(nid):
-                if dst not in indeg:
-                    continue
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    ready.append(dst)
-        if len(order) != len(self.nodes):
+        order, left = self._sorted()
+        if left:
             raise GraphValidationError("graph contains a cycle; run validate_graph")
-        self._topo = order
         return order
 
     def find_cycle(self) -> list[str] | None:
-        """Return node ids on one cycle, or None if the graph is acyclic.
+        """Node ids along one cycle, the first repeated last; None if acyclic.
 
-        Depth-first search with an explicit stack, so path length is not
-        bounded by the interpreter's recursion limit.
+        Every node Kahn leaves over has a left-over predecessor, so a walk
+        back through them must meet a node it passed; that stretch, read
+        forwards, is a cycle.
         """
-        color: dict[str, int] = {}
-        for root in self.nodes:
-            if color.get(root, 0):
-                continue
-            color[root] = 1
-            path = [root]
-            pending = [iter(self.successors(root))]
-            while pending:
-                dst = next(pending[-1], None)
-                if dst is None:
-                    color[path.pop()] = 2
-                    pending.pop()
-                elif color.get(dst, 0) == 1:
-                    return path[path.index(dst):] + [dst]
-                elif color.get(dst, 0) == 0:
-                    color[dst] = 1
-                    path.append(dst)
-                    pending.append(iter(self.successors(dst)))
-        return None
+        _order, left = self._sorted()
+        walk, at = list(left)[:1], {}
+        while walk and walk[-1] not in at:
+            at[walk[-1]] = len(walk) - 1
+            walk.append(next(s for s, _slot in self._in[walk[-1]] if s in left))
+        return walk[at[walk[-1]]:][::-1] if walk else None
 
     # -- surgery (always returns a new Graph) ------------------------------
 
@@ -238,7 +230,7 @@ class Graph:
         if unknown:
             raise KeyError(unknown[0])
         nodes = [
-            make_node(n.id, new_kinds[n.id], n.attrs, n.param_refs, n.input_arity)
+            make_node(n.id, new_kinds[n.id], n.attrs, n.param_refs)
             if n.id in new_kinds else n
             for n in self.nodes.values()
         ]
@@ -250,7 +242,7 @@ class Graph:
             raise KeyError(producer_id)
         if new_node.id in self.nodes:
             raise ValueError(f"node id {new_node.id!r} already exists")
-        if new_node.input_arity != 1:
+        if OPS.get(new_node.kind, _UNKNOWN_KIND).arity != 1:
             raise ValueError("inserted node must be unary")
         edges = []
         for s, d, slot in self.edges:
@@ -273,12 +265,7 @@ def graphs_equal(a: Graph, b: Graph) -> bool:
         return False
     for nid, node in a.nodes.items():
         other = b.nodes[nid]
-        if (node.kind, dict(node.attrs), node.param_refs, node.input_arity) != (
-            other.kind,
-            dict(other.attrs),
-            other.param_refs,
-            other.input_arity,
-        ):
+        if (node.kind, dict(node.attrs), node.param_refs) != (other.kind, dict(other.attrs), other.param_refs):
             return False
     return (
         sorted(a.edges) == sorted(b.edges)
@@ -323,7 +310,7 @@ def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], sources: list
     params = [w[p] if p in w else None for p in node.param_refs]
     # The layout, arity and attr checks report a short parameter list, a
     # wrong input count or a malformed attr; the shape rule would trip on each.
-    if len(params) < op.params[0] or (op.arity is not None and len(in_shapes) != op.arity):
+    if len(params) < op.params[0] or not op.takes(len(in_shapes)):
         return None
     if op.check_attrs(node.attrs):
         return None
@@ -363,21 +350,16 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
     if cycle:
         problems.append("cycle through ids " + " -> ".join(cycle))
 
-    # Arity: one edge per slot, slots contiguous, count matches the kind.
+    # Arity is the number of incoming edges: one per slot, slots contiguous,
+    # count accepted by the kind.
     for node in g.nodes.values():
         slots = [slot for _s, slot in g.in_edges(node.id)]
         if slots != list(range(len(slots))):
             problems.append(f"node {node.id!r}: input slots {slots} are not 0..k-1 with one edge each")
-        fixed = OPS.get(node.kind, _UNKNOWN_KIND).arity
-        if fixed is None:
-            if node.input_arity < 2:
-                problems.append(f"node {node.id!r}: {node.kind} needs arity >= 2")
-        elif node.input_arity != fixed:
-            problems.append(f"node {node.id!r}: {node.kind} arity must be {fixed}, got {node.input_arity}")
-        if len(slots) != node.input_arity:
-            problems.append(
-                f"node {node.id!r}: expected {node.input_arity} incoming edges, found {len(slots)}"
-            )
+        op = OPS.get(node.kind, _UNKNOWN_KIND)
+        if not op.takes(len(slots)):
+            need = "needs arity >= 2" if op.arity is None else f"arity must be {op.arity}"
+            problems.append(f"node {node.id!r}: {node.kind} {need}, got {len(slots)} incoming edges")
 
     # Parameter resolution; parameter sharing across nodes is not supported.
     owner: dict[str, str] = {}
@@ -432,13 +414,12 @@ def infer_shapes(
     except GraphValidationError:
         order = []
     for nid in order:
-        node = g.nodes[nid]
         sources = [s for s, _ in g.in_edges(nid)]
-        if len(sources) != node.input_arity:
+        if not all(s in g.nodes for s in sources):  # validation reports the unknown id
             shapes[nid] = None
             continue
-        preds = [shapes.get(s) for s in sources]
-        shapes[nid] = _shape_of(node, preds, [g.nodes[s] for s in sources], w, sink)
+        preds = [shapes[s] for s in sources]
+        shapes[nid] = _shape_of(g.nodes[nid], preds, [g.nodes[s] for s in sources], w, sink)
     return shapes
 
 
@@ -531,9 +512,6 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
             edges.append((str(src), str(dst), int(slot)))
         except (TypeError, ValueError):
             raise ModelFormatError(f"edge {entry!r} is not [src, dst, slot]") from None
-    arity_by_id: dict[str, int] = {}
-    for _src, dst, _slot in edges:
-        arity_by_id[dst] = arity_by_id.get(dst, 0) + 1
 
     nodes: list[Node] = []
     seen: set[str] = set()
@@ -550,8 +528,7 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
         attrs, params = spec.get("attrs", {}), spec.get("params", [])
         if not isinstance(attrs, dict) or not isinstance(params, list):
             raise ModelFormatError(f"node {nid!r}: 'attrs' must be an object and 'params' a list")
-        arity = 0 if kind == "Input" else arity_by_id.get(nid, OPS[kind].default_arity)
-        nodes.append(make_node(nid, kind, attrs, [str(p) for p in params], arity))
+        nodes.append(make_node(nid, kind, attrs, [str(p) for p in params]))
 
     with open(weights_path, "rb") as fh:
         blob = fh.read()

@@ -306,11 +306,11 @@ class OpDef:
     """Every fact about one node kind. The base class is the default: a
     unary, parameter-free, shape-preserving opaque op.
 
-    arity is the number of input slots (None: two or more, taken from the
-    node), and min_rank the fewest per-sample axes each input needs: the
-    kinds that read the last axis need one. params is the (min, max) number
-    of parameter refs and bias the slot of the optional bias among them,
-    always the last one.
+    arity is the number of input slots (None: two or more); a node's count
+    is its number of incoming edges, and takes accepts it. min_rank is the
+    fewest per-sample axes each input needs: the kinds that read the last
+    axis need one. params is the (min, max) number of parameter refs and
+    bias the slot of the optional bias among them, always the last one.
     General-linear kinds name the activation axis their centering
     constrains and their centering family; the zero-mean kind names the
     axis its output is centered on. removes_mean marks the kinds whose
@@ -338,9 +338,9 @@ class OpDef:
     family: Family | None = None
     removes_mean = False
 
-    @property
-    def default_arity(self) -> int:
-        return 2 if self.arity is None else self.arity
+    def takes(self, inputs: int) -> bool:
+        """Whether a node of this kind may have this many incoming edges."""
+        return inputs >= 2 if self.arity is None else inputs == self.arity
 
     def bias_of(self, params: Sequence[Any]) -> Any:
         """The bias among params, or None if the node has none."""
@@ -707,7 +707,7 @@ class _Embedding(OpDef):
         # The shape rule reports a table that is not 2-D, check_attrs a bad high.
         if table.ndim != 2 or _number_problems(src.attrs, ints=("high",)):
             return []
-        high = int(src.attrs.get("high", 2))  # inputs are drawn below high, 2 by default
+        high = _Input.high(src.attrs)
         if high > len(table):
             return [f"embedding indices must lie in [0, {len(table)}), but Input {src.id!r} "
                     f"draws them below high={high}"]
@@ -745,6 +745,11 @@ class _Input(OpDef):
     """Bound to a caller-supplied array, so it has no forward or backward rule."""
 
     arity = 0
+
+    @staticmethod
+    def high(attrs: Mapping[str, Any]) -> int:
+        """An integer Input draws its values from [0, high); high defaults to 2."""
+        return int(attrs.get("high", 2))
 
     def check_attrs(self, attrs):
         shape = attrs.get("shape")

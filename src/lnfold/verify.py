@@ -17,6 +17,7 @@ import numpy as np
 from .centering import CenteringSpec, center_node_params
 from .fold_detect import build_zero_mean_graph, centering_targets, detect_foldable
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
+from .ops import OPS
 from .tensor_math import Gradients, backward, forward, softmax
 
 
@@ -65,14 +66,15 @@ def sample_inputs(g: Graph, rng: np.random.Generator) -> dict[str, np.ndarray]:
         attrs = g.nodes[nid].attrs
         shape = tuple(int(s) for s in attrs.get("shape", ()))
         if attrs.get("integer"):
-            high = int(attrs.get("high", 2))
-            out[nid] = rng.integers(0, high, size=shape)
+            out[nid] = rng.integers(0, OPS["Input"].high(attrs), size=shape)
         else:
             out[nid] = rng.uniform(-2.0, 2.0, size=shape)
     return out
 
 
 def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
@@ -81,7 +83,7 @@ def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> tuple:
         (
             tuple(g.nodes[nid].attrs.get("shape", ())),
             bool(g.nodes[nid].attrs.get("integer", False)),
-            int(g.nodes[nid].attrs.get("high", 0)),
+            OPS["Input"].high(g.nodes[nid].attrs),
         )
         for nid in g.inputs
     )
@@ -247,12 +249,18 @@ def _proxied_grads(
 
 def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
     """Which of scheme B's parameters are proxies for centered weights: the
-    centering targets of the LayerNorms of A that B carries as RMSNorm."""
+    centering targets of the LayerNorms of A that B carries as RMSNorm.
+    Each target must be a node of B that owns the same parameters as in A
+    (ParameterPairingError otherwise)."""
     swapped = [
         nid for nid, node in gA.nodes.items()
         if node.kind == "LayerNorm" and nid in gB.nodes and gB.nodes[nid].kind == "RMSNorm"
     ]
-    return centering_targets(gA, build_zero_mean_graph(gA, *swapped))
+    proxied = centering_targets(gA, build_zero_mean_graph(gA, *swapped))
+    for nid in proxied:
+        if nid not in gB.nodes or gB.nodes[nid].param_refs != gA.nodes[nid].param_refs:
+            raise ParameterPairingError(f"centered node {nid!r} has no counterpart with the same parameters")
+    return proxied
 
 
 def _grad_diffs(storeA: WeightStore, gradsA: Gradients,

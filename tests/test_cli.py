@@ -228,6 +228,62 @@ class TestVerifyCmd:
         assert main(["verify", topo, blob, topo, blob, "--trials", "3"]) == 1
         assert "embedding indices must lie in [0, 13)" in capsys.readouterr().err
 
+    def _folded_linear_then_norm(self, tmp_path):
+        g, w = fixtures.linear_then_norm()
+        return (*_save(tmp_path, "orig", g, w),
+                *_save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w))))
+
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", ["--trials", "0"]),
+        ("verify", ["--trials", "-1"]),
+        ("verify", ["--grad", "--grad-trials", "0"]),
+        ("pipeline", ["--trials", "0"]),
+    ], ids=["verify_trials_0", "verify_trials_negative", "grad_trials_0", "pipeline_trials_0"])
+    def test_no_trials_exits_1(self, tmp_path, capsys, command, flags):
+        orig_topo, orig_blob, *folded = self._folded_linear_then_norm(tmp_path)
+        models = [orig_topo, orig_blob]
+        if command == "verify":
+            models += folded
+        else:
+            flags = flags + ["--out-dir", str(tmp_path / "pipe")]
+        capsys.readouterr()
+        assert main([command, *models, *flags]) == 1
+        captured = capsys.readouterr()
+        assert '"pass"' not in captured.out
+        assert "error: verification could not run: trials must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_renamed_centering_target_exits_1(self, tmp_path, capsys):
+        def rename(doc):
+            _node(doc, "lin")["id"] = "lin2"
+            doc["edges"] = [["lin2" if e[0] == "lin" else e[0], "lin2" if e[1] == "lin" else e[1], e[2]]
+                            for e in doc["edges"]]
+            return doc
+
+        orig_topo, orig_blob, folded_topo, folded_blob = self._folded_linear_then_norm(tmp_path)
+        _edit_topology(folded_topo, rename)
+        capsys.readouterr()
+        assert main(["verify", orig_topo, orig_blob, folded_topo, folded_blob, "--trials", "3"]) == 0
+        capsys.readouterr()
+        assert main(["verify", orig_topo, orig_blob, folded_topo, folded_blob,
+                     "--trials", "3", "--grad"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: verification could not run: centered node 'lin'")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("high, code", [(2, 0), (3, 1)])
+    def test_missing_high_means_two(self, tmp_path, capsys, high, code):
+        g, w = fixtures.pre_ln_transformer(blocks=1)
+        topo, blob = _save(tmp_path, "orig", g, w)
+        copy_topo, copy_blob = _save(tmp_path, "copy", g, w)
+        _edit_topology(topo, lambda doc: _node(doc, "tokens")["attrs"].pop("high") and doc)
+        _edit_topology(copy_topo, lambda doc: _node(doc, "tokens")["attrs"].update(high=high) or doc)
+        capsys.readouterr()
+        assert main(["verify", topo, blob, copy_topo, copy_blob, "--trials", "3", "--grad"]) == code
+        err = capsys.readouterr().err
+        assert code == 0 or err.startswith("error: verification could not run: models do not share")
+        assert "Traceback" not in err
+
 
 def _dead_branch_graph():
     """Centering emb rescues ln1 and ln2, whose other leaves lin1 and lin2
@@ -480,3 +536,12 @@ class TestSeedEnv:
         assert main(["verify", topo, blob, out + ".json", out + ".bin", "--trials", "3"]) == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["forward"]["seed"] == 123
+
+    @pytest.mark.parametrize("argv", [["flops", "--d", "4"], ["analyze", "missing.json", "missing.bin"]],
+                             ids=["flops", "analyze"])
+    def test_non_integer_seed_exits_1(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("LNFOLD_SEED", "abc")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: LNFOLD_SEED must be an integer, got 'abc'\n"

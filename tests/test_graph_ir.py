@@ -78,7 +78,7 @@ class TestValidation:
         nodes = [
             make_node("x", "Input", {"shape": [2]}),
             make_node("a", "ScalarScale", {"scale": 1.0}),
-            make_node("b", "ResidualAdd", arity=2),
+            make_node("b", "ResidualAdd"),
             make_node("out", "Output"),
         ]
         edges = [("x", "b", 0), ("a", "b", 1), ("b", "a", 0), ("b", "out", 0)]
@@ -132,7 +132,7 @@ class TestValidation:
     def test_arity_violation(self):
         nodes = [
             make_node("x", "Input", {"shape": [2]}),
-            make_node("add", "ResidualAdd", arity=2),
+            make_node("add", "ResidualAdd"),
             make_node("out", "Output"),
         ]
         g = Graph(nodes, [("x", "add", 0), ("add", "out", 0)], ["x"], ["out"])
@@ -222,7 +222,7 @@ def _unary_recurrent_cell():
     g, w = fixtures.recurrent_then_norm()
     cell = g.nodes["cell"]
     g = Graph(g.nodes, [e for e in g.edges if e[0] != "h_prev"], g.inputs, g.outputs)
-    return _replace_node((g, w), make_node("cell", cell.kind, cell.attrs, cell.param_refs, 1))
+    return _replace_node((g, w), make_node("cell", cell.kind, cell.attrs, cell.param_refs))
 
 
 class TestWeightStore:
@@ -383,11 +383,68 @@ def random_dags(draw):
         earlier = [n.id for n in nodes]
         k = min(draw(st.sampled_from([1, 1, 2, 3])), len(earlier))
         srcs = draw(st.lists(st.sampled_from(earlier), min_size=k, max_size=k, unique=True))
-        nodes.append(make_node(f"n{i}", "ReLU" if k == 1 else "ResidualAdd", arity=k))
+        nodes.append(make_node(f"n{i}", "ReLU" if k == 1 else "ResidualAdd"))
         edges.extend((src, f"n{i}", slot) for slot, src in enumerate(srcs))
     edges.append((nodes[-1].id, "out", 0))
     nodes.append(make_node("out", "Output"))
     return Graph(draw(st.permutations(nodes)), draw(st.permutations(edges)), ["x"], ["out"])
+
+
+@st.composite
+def dags_with_back_edge(draw):
+    """A random DAG plus one edge from a node back to itself or to one of its
+    ancestors, which closes at least one cycle."""
+    g = draw(random_dags())
+    ancestors = {}
+    for nid in g.topo_order():
+        ancestors[nid] = {nid}.union(*(ancestors[s] for s in g.predecessors(nid)))
+    tail = draw(st.sampled_from(sorted(ancestors)))
+    head = draw(st.sampled_from(sorted(ancestors[tail])))
+    edges = list(g.edges) + [(tail, head, len(g.in_edges(head)))]
+    return Graph(g.nodes, draw(st.permutations(edges)), g.inputs, g.outputs)
+
+
+class TestKahnPass:
+    @settings(max_examples=200, deadline=None)
+    @given(dags_with_back_edge())
+    def test_find_cycle_returns_a_real_cycle(self, g):
+        cycle = g.find_cycle()
+        pairs = {(s, d) for s, d, _slot in g.edges}
+        assert cycle and len(cycle) >= 2 and cycle[0] == cycle[-1]
+        assert all((a, b) in pairs for a, b in zip(cycle, cycle[1:]))
+        with pytest.raises(GraphValidationError, match="cycle"):
+            g.topo_order()
+        assert "cycle through ids " + " -> ".join(cycle) in validate_graph(g, WeightStore()).violations
+
+    def test_edge_from_unknown_id_is_no_cycle(self):
+        base, w = fixtures.linear_then_norm()
+        g = Graph(base.nodes, list(base.edges) + [("ghost", "lin", 1)], base.inputs, base.outputs)
+        assert g.topo_order() == base.topo_order()
+        assert g.find_cycle() is None
+        report = validate_graph(g, w)
+        assert "edge references unknown source 'ghost'" in report.violations
+        assert not any("cycle" in v for v in report.violations)
+        assert report.shapes["lin"] is None and report.shapes["x"] == (6,)
+
+    def test_deep_model_validates_and_long_ring_is_found(self):
+        g, w = fixtures.pre_ln_transformer(d=4, hidden=8, seq=2, blocks=200)
+        assert validate_graph(g, w).ok and g.find_cycle() is None
+        # A ring longer than the interpreter's recursion limit.
+        ids = [f"r{i}" for i in range(3000)]
+        ring = Graph([make_node(i, "ReLU") for i in ids],
+                     [(a, b, 0) for a, b in zip(ids, ids[1:] + ids[:1])], [], [])
+        cycle = ring.find_cycle()
+        assert len(cycle) == 3001 and cycle[0] == cycle[-1] and set(cycle) == set(ids)
+
+    def test_arity_is_the_incoming_edge_count(self):
+        nodes = [make_node("x", "Input", {"shape": [2]}), make_node("add", "ResidualAdd"),
+                 make_node("out", "Output")]
+        three = Graph(nodes, [("x", "add", 0), ("x", "add", 1), ("x", "add", 2), ("add", "out", 0)],
+                      ["x"], ["out"])
+        assert validate_graph(three, WeightStore()).ok
+        into_input = Graph(nodes, list(three.edges) + [("add", "x", 0)], ["x"], ["out"])
+        assert "node 'x': Input arity must be 0, got 1 incoming edges" in \
+            validate_graph(into_input, WeightStore()).violations
 
 
 class TestAdjacencyIndex:
@@ -406,7 +463,7 @@ class TestAdjacencyIndex:
 
     def test_repeated_source(self):
         g = Graph(
-            [make_node("x", "Input", {"shape": [4]}), make_node("add", "ResidualAdd", arity=2),
+            [make_node("x", "Input", {"shape": [4]}), make_node("add", "ResidualAdd"),
              make_node("out", "Output")],
             [("x", "add", 1), ("x", "add", 0), ("add", "out", 0)],
             ["x"], ["out"],

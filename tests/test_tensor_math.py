@@ -238,7 +238,7 @@ class TestBackward:
         nodes = [
             make_node("a", "Input", {"shape": [4]}),
             make_node("b", "Input", {"shape": [4]}),
-            make_node("add", "ResidualAdd", arity=2),
+            make_node("add", "ResidualAdd"),
             make_node("out", "Output"),
         ]
         g = Graph(nodes, [("a", "add", 0), ("b", "add", 1), ("add", "out", 0)], ["a", "b"], ["out"])

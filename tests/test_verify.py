@@ -7,7 +7,7 @@ import pytest
 from lnfold import fixtures, verify
 from lnfold.fold_apply import FoldError, apply_fold
 from lnfold.fold_detect import detect_foldable
-from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, infer_shapes
+from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, infer_shapes, make_node
 from lnfold.ops import OPS
 from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
@@ -477,6 +477,32 @@ class TestVerifyGradients:
         g2, w2 = fixtures.linear_then_norm(bias=False)
         with pytest.raises(ParameterPairingError):
             verify_gradients(g, w, g2, w2, trials=1)
+
+    @pytest.mark.parametrize("params", [None, ["lin.weight"]], ids=["renamed", "bias_dropped"])
+    def test_target_must_own_the_same_parameters(self, params):
+        g, w = fixtures.linear_then_norm()
+        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        lin = fg.nodes["lin"]
+        moved = make_node("lin2" if params is None else "lin", lin.kind, lin.attrs,
+                          params or lin.param_refs)
+        nodes = [moved if n.id == "lin" else n for n in fg.nodes.values()]
+        edges = [tuple(moved.id if v == "lin" else v for v in e[:2]) + e[2:] for e in fg.edges]
+        fg = Graph(nodes, edges, fg.inputs, fg.outputs)
+        with pytest.raises(ParameterPairingError, match="centered node 'lin'"):
+            verify_gradients(g, w, fg, fw, trials=1)
+        with pytest.raises(ParameterPairingError, match="centered node 'lin'"):
+            training_equivalence(g, w, fg, w, steps=1)
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_is_refused(self, trials):
+        g, w = fixtures.linear_then_norm()
+        for run in (lambda: verify_forward(g, w, g, w, trials=trials),
+                    lambda: verify_gradients(g, w, g, w, trials=trials),
+                    lambda: check_zero_mean(g, w, "lin", trials=trials)):
+            with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+                run()
 
 
 class TestCheckZeroMean:
