@@ -22,7 +22,7 @@ from .graph_ir import (
     save_model,
 )
 from .jsonutil import canonical_dumps
-from .verify import flops_estimate, verify_forward, verify_gradients
+from .verify import check_trials, flops_estimate, verify_forward, verify_gradients
 
 
 def _log(msg: str) -> None:
@@ -60,6 +60,15 @@ class _Operational(Exception):
 
 # What verification raises when it cannot run a model at all.
 _VERIFY_ERRORS = (ValueError, GraphValidationError, ArithmeticError)
+
+
+def _check_trials(*counts: int) -> None:
+    """Refuse a trial count below 1 before any model is loaded or written."""
+    try:
+        for count in counts:
+            check_trials(count)
+    except ValueError as exc:
+        raise _Operational(f"verification could not run: {exc}") from exc
 
 
 def _detect(g, w, practical: bool, strict_safety: bool) -> FoldReport:
@@ -122,6 +131,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_trials(args.trials, *([args.grad_trials] if args.grad else []))
     gA, wA = _load(args.orig_topology, args.orig_weights)
     gB, wB = _load(args.folded_topology, args.folded_weights)
     try:
@@ -164,6 +174,7 @@ def _cmd_flops(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
     os.makedirs(args.out_dir, exist_ok=True)
     g, w = _load(args.topology, args.weights)
     report = _detect(g, w, args.practical, strict_safety=True)

@@ -20,7 +20,6 @@ def apply_fold(
     w: WeightStore,
     report: FoldReport,
     allow_practical: bool = False,
-    strict_safety: bool = True,
 ) -> tuple[Graph, WeightStore]:
     """Apply the report's rewrites, returning a new (graph, weights) pair.
 
@@ -38,7 +37,7 @@ def apply_fold(
         raise FoldError(
             "report plans explicit centering insertions; pass allow_practical=True to apply them"
         )
-    if strict_safety and report.strict_safety and not report.safety.safe:
+    if report.strict_safety and not report.safety.safe:
         raise FoldError(
             "fold refused: centered layers would perturb non-LayerNorm consumers "
             f"({', '.join(sorted(report.safety.affected))})"

@@ -614,7 +614,7 @@ class _ScalarScale(OpDef):
         return scalar_scale(x, float(attrs["scale"])), {}, np.inf
 
     def backward(self, e, dy, keep):
-        return [dy * float(e.attrs.get("scale", 1.0))], []
+        return [dy * float(e.node.attrs.get("scale", 1.0))], []
 
 
 class _DropoutInference(_ScalarScale):
@@ -640,7 +640,7 @@ class _ResidualAdd(OpDef):
         return residual_add(*inputs), {}, np.inf
 
     def backward(self, e, dy, keep):
-        return [dy] * len(e.input_ids), []
+        return [dy] * len(e.inputs), []
 
 
 class _Concat(OpDef):

@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .graph_ir import Graph, WeightStore
+from .graph_ir import Graph, Node, WeightStore
 from .ops import (  # noqa: F401  (the primitives are re-exported)
     OPS,
     NumericalError,
@@ -48,74 +48,58 @@ ILL_CONDITION_THRESHOLD = 1e-12
 
 @dataclass
 class TapeEntry:
-    node_id: str
-    kind: str
-    input_ids: tuple[str, ...]
+    node: Node
     inputs: tuple[np.ndarray, ...]
     params: tuple[np.ndarray, ...]
-    param_names: tuple[str, ...]
     output: np.ndarray
     saved: dict[str, Any] = field(default_factory=dict)
-    attrs: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class Tape:
-    """Record of one forward evaluation, sufficient for reverse-mode grads."""
+    """Record of one forward evaluation, sufficient for reverse-mode grads.
 
-    entries: list[TapeEntry]
-    output_ids: list[str]
+    entries holds one TapeEntry per node of graph, keyed by node id, in
+    topological order.
+    """
+
+    graph: Graph
+    entries: dict[str, TapeEntry]
     min_norm_denom: float
 
     def value_of(self, node_id: str) -> np.ndarray:
-        for entry in self.entries:
-            if entry.node_id == node_id:
-                return entry.output
-        raise KeyError(node_id)
+        return self.entries[node_id].output
 
     def replay(self) -> list[np.ndarray]:
         """Re-execute every primitive from its saved inputs.
 
         Reproduces the recorded outputs bit-identically in the same dtype.
         """
-        outs: list[np.ndarray] = []
-        for entry in self.entries:
-            if entry.kind == "Input":
-                outs.append(entry.output)
+        outs: dict[str, np.ndarray] = {}
+        for nid, entry in self.entries.items():
+            node = entry.node
+            if node.kind == "Input":
+                outs[nid] = entry.output
                 continue
-            recomputed, _saved, _denom = OPS[entry.kind].forward(
-                entry.attrs, entry.inputs, entry.params, strict=False
-            )
-            outs.append(recomputed)
-        by_id = {e.node_id: o for e, o in zip(self.entries, outs)}
-        return [by_id[o] for o in self.output_ids]
+            outs[nid] = OPS[node.kind].forward(node.attrs, entry.inputs, entry.params, strict=False)[0]
+        return [outs[o] for o in self.graph.outputs]
 
 
 def forward(
     g: Graph,
     w: WeightStore,
-    inputs: Mapping[str, np.ndarray] | Sequence[np.ndarray],
+    inputs: Mapping[str, np.ndarray],
     strict: bool = True,
-    param_overrides: Mapping[str, np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], Tape]:
     """Evaluate the graph in topological order.
 
-    inputs may be a dict keyed by Input-node id or a sequence in declared
-    order. param_overrides substitutes parameter arrays by name without
-    touching the store (used by the reparameterized training harness).
+    inputs is keyed by Input-node id; every parameter comes from w.
     """
-    if not isinstance(inputs, Mapping):
-        given = list(inputs)
-        if len(given) != len(g.inputs):
-            raise ValueError(f"expected {len(g.inputs)} inputs, got {len(given)}")
-        inputs = dict(zip(g.inputs, given))
     missing = [nid for nid in g.inputs if nid not in inputs]
     if missing:
         raise ValueError(f"missing inputs for {missing}")
 
-    overrides = dict(param_overrides or {})
-    values: dict[str, np.ndarray] = {}
-    entries: list[TapeEntry] = []
+    entries: dict[str, TapeEntry] = {}
     min_denom = np.inf
 
     for nid in g.topo_order():
@@ -124,26 +108,19 @@ def forward(
             arr = np.asarray(inputs[nid])
             if strict and np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
                 raise NumericalError(f"non-finite input at node {nid!r}")
-            values[nid] = arr
-            entries.append(TapeEntry(nid, "Input", (), (), (), (), arr, {}, node.attrs))
+            entries[nid] = TapeEntry(node, (), (), arr)
             continue
-        in_ids = tuple(src for src, _slot in g.in_edges(nid))
-        in_vals = tuple(values[src] for src in in_ids)
-        param_arrays = tuple(
-            overrides[ref] if ref in overrides else w[ref] for ref in node.param_refs
-        )
+        in_vals = tuple(entries[src].output for src in g.predecessors(nid))
+        param_arrays = tuple(w[ref] for ref in node.param_refs)
         try:
             out, saved, denom = OPS[node.kind].forward(node.attrs, in_vals, param_arrays, strict)
         except NumericalError as exc:
             raise NumericalError(f"node {nid!r}: {exc}") from None
         min_denom = min(min_denom, denom)
-        values[nid] = out
-        entries.append(
-            TapeEntry(nid, node.kind, in_ids, in_vals, param_arrays, node.param_refs, out, saved, node.attrs)
-        )
+        entries[nid] = TapeEntry(node, in_vals, param_arrays, out, saved)
 
-    outs = [values[o] for o in g.outputs]
-    return outs, Tape(entries, list(g.outputs), float(min_denom))
+    outs = [entries[o].output for o in g.outputs]
+    return outs, Tape(g, entries, float(min_denom))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +135,10 @@ class Gradients:
 
 
 def _accumulate(grads: dict[str, Any], names: Sequence[str], values: Sequence[np.ndarray]) -> None:
-    """Add each gradient into grads under its name; repeated names add up."""
+    """Add each gradient into grads under its name; repeated names add up,
+    and a lone one is stored as given (no gradient is updated in place)."""
     for name, g in zip(names, values):
-        grads[name] = grads.get(name, 0.0) + g
+        grads[name] = grads[name] + g if name in grads else g
 
 
 def backward(tape: Tape, out_grads: Sequence[np.ndarray], keep_axis0: bool = False) -> Gradients:
@@ -170,30 +148,31 @@ def backward(tape: Tape, out_grads: Sequence[np.ndarray], keep_axis0: bool = Fal
     trials: each parameter gradient then keeps that axis, holding every
     trial's own gradient, where otherwise all leading axes are summed.
     """
-    if len(out_grads) != len(tape.output_ids):
-        raise ValueError(f"expected {len(tape.output_ids)} output grads, got {len(out_grads)}")
+    g = tape.graph
+    if len(out_grads) != len(g.outputs):
+        raise ValueError(f"expected {len(g.outputs)} output grads, got {len(out_grads)}")
 
     out_grads = [np.asarray(og) for og in out_grads]
-    for oid, og in zip(tape.output_ids, out_grads):
+    for oid, og in zip(g.outputs, out_grads):
         ref = tape.value_of(oid)
         if og.shape != ref.shape:
             raise ValueError(f"output grad for {oid!r} has shape {og.shape}, expected {ref.shape}")
     grad_of: dict[str, np.ndarray] = {}
-    _accumulate(grad_of, tape.output_ids, out_grads)
+    _accumulate(grad_of, g.outputs, out_grads)
 
     param_grads: dict[str, np.ndarray] = {}
     input_grads: dict[str, np.ndarray] = {}
-    for entry in reversed(tape.entries):
-        dy = grad_of.get(entry.node_id)
+    for nid, entry in reversed(tape.entries.items()):
+        dy = grad_of.get(nid)
         if dy is None:
             continue
         dy = np.asarray(dy)
-        if entry.kind == "Input":
-            input_grads[entry.node_id] = dy
+        if entry.node.kind == "Input":
+            input_grads[nid] = dy
             continue
-        dxs, dparams = OPS[entry.kind].backward(entry, dy, keep_axis0)
-        _accumulate(grad_of, entry.input_ids, dxs)
-        _accumulate(param_grads, entry.param_names, dparams)
+        dxs, dparams = OPS[entry.node.kind].backward(entry, dy, keep_axis0)
+        _accumulate(grad_of, g.predecessors(nid), dxs)
+        _accumulate(param_grads, entry.node.param_refs, dparams)
 
     return Gradients(params=param_grads, inputs=input_grads)
 
@@ -222,7 +201,7 @@ class FiniteDifferenceResult:
 def finite_difference_grad(
     g: Graph,
     w: WeightStore,
-    inputs: Mapping[str, np.ndarray] | Sequence[np.ndarray],
+    inputs: Mapping[str, np.ndarray],
     loss_selector: str | Callable = "sum",
     h: float = 1e-6,
     param_names: Sequence[str] | None = None,

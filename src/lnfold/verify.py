@@ -14,7 +14,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .centering import CenteringSpec, center_node_params
+from .centering import CenteringSpec, center_node_params, default_tolerance
 from .fold_detect import build_zero_mean_graph, centering_targets, detect_foldable
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
 from .ops import OPS
@@ -72,9 +72,14 @@ def sample_inputs(g: Graph, rng: np.random.Generator) -> dict[str, np.ndarray]:
     return out
 
 
-def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
+def check_trials(trials: int) -> None:
+    """ValueError unless there is at least one trial to run."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
+    check_trials(trials)
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
@@ -101,18 +106,20 @@ def _require_same_signature(gA: Graph, wA: WeightStore, gB: Graph, wB: WeightSto
 
 
 def default_tol(*stores: WeightStore) -> float:
-    """1e-5 when any store holds an f32 array (one-shot centering leaves
-    f32-sized residuals), 1e-9 otherwise."""
-    if any(arr.dtype == np.float32 for w in stores for _name, arr in w.items()):
-        return 1e-5
-    return 1e-9
+    """The centering tolerance of the least precise array in the stores
+    (one-shot centering leaves residuals of that dtype's size): 1e-5 when
+    any array is f32, 1e-9 otherwise."""
+    return max((default_tolerance(arr.dtype, 1) for w in stores for _name, arr in w.items()),
+               default=default_tolerance(np.float64, 1))
 
 
 def _fold_worst(worst: float | None, values) -> float | None:
-    """Fold per-trial maxima into the running worst, in order.
+    """Fold maxima into the running worst, in order.
 
     None means some value was NaN or infinite: ``max`` would silently skip a
-    NaN, so a non-finite trial instead poisons the whole result.
+    NaN, so a non-finite trial instead poisons the whole result. One value
+    per stacked batch suffices: numpy's max over the whole batch is the
+    largest of its trials' maxima, and it propagates NaN.
     """
     for value in values:
         value = float(value)
@@ -150,27 +157,12 @@ def _stack_trials(batch: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return {nid: np.stack([trial[nid] for trial in batch])[:, None] for nid in batch[0]}
 
 
-def _trial_batches(
-    g: Graph, seed: int, trials: int, per_batch: int
-) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """Yield (count, inputs) for consecutive batches of up to per_batch
-    seeded trials; each trial draws from its own generator, and every batch
-    is stacked (_stack_trials)."""
+def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator[dict[str, np.ndarray]]:
+    """Yield the stacked inputs (_stack_trials) of consecutive batches of up
+    to per_batch seeded trials; each trial draws from its own generator."""
     rngs = _trial_rngs(seed, trials)
     for start in range(0, trials, per_batch):
-        batch = [sample_inputs(g, rng) for rng in rngs[start : start + per_batch]]
-        yield len(batch), _stack_trials(batch)
-
-
-def _fold_trials(worst: float | None, count: int, diffs: Iterable[np.ndarray]) -> float | None:
-    """Reduce each difference to one max |.| per trial of a batch of count
-    (axis 0 holds the trials) and fold them in trial order.
-    Each difference is reduced as diffs yields it, so a generator never
-    holds them all at once."""
-    maxima = [np.abs(d).reshape(count, -1).max(axis=1) for d in diffs]
-    for t in range(count):
-        worst = _fold_worst(worst, (m[t] for m in maxima))
-    return worst
+        yield _stack_trials([sample_inputs(g, rng) for rng in rngs[start : start + per_batch]])
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +193,27 @@ def verify_forward(
     storeA, storeB = wA.as_f64(), wB.as_f64()
     per_batch = min(_trials_per_batch(shapesA), _trials_per_batch(shapesB))
     worst: float | None = 0.0
-    for count, inputs in _trial_batches(gA, seed, trials, per_batch):
+    for inputs in _trial_batches(gA, seed, trials, per_batch):
         # [0] drops each tape before the next forward runs.
         outsA = forward(gA, storeA, inputs)[0]
         outsB = forward(gB, storeB, inputs)[0]
-        worst = _fold_trials(worst, count, (a - b for a, b in zip(outsA, outsB)))
+        worst = _fold_worst(worst, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
     return EquivalenceReport(trials, seed, tol, worst, None, _within(tol, worst))
 
 
-def _proxied_effective(g: Graph, w: WeightStore, proxied: Iterable[str]) -> dict[str, np.ndarray]:
-    """The centered (effective) weights of the proxied nodes."""
+def _proxied_effective(g: Graph, w: WeightStore, proxied: Iterable[str]) -> WeightStore:
+    """The proxy store w with the proxied nodes' weights centered: the
+    effective weights that scheme B's forward pass sees."""
     effective: dict[str, np.ndarray] = {}
     for node_id in proxied:
         node = g.nodes[node_id]
         effective.update(center_node_params(node, {name: w[name] for name in node.param_refs}))
-    return effective
+    return w.replacing(effective)
 
 
 def _proxied_grads(
     g: Graph,
-    w: WeightStore,
+    effective: WeightStore,
     proxied: Collection[str],
     inputs: Mapping[str, np.ndarray],
     out_grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
@@ -228,20 +221,19 @@ def _proxied_grads(
 ) -> tuple[list[np.ndarray], Gradients]:
     """Forward/backward with proxy parameters for the proxied node ids.
 
-    The forward pass sees centered (effective) weights; gradients w.r.t. the
-    stored proxy weights come from projecting the effective-weight gradients
-    through the same centering map. keep_axis0 is backward's: inputs are
-    stacked trials, each with its own gradients, and the projection centers
-    them all in one call per node, since it leaves leading axes alone.
+    The forward pass reads the store _proxied_effective made; gradients
+    w.r.t. the proxy weights project the effective-weight gradients through
+    the same centering map. keep_axis0 is backward's: inputs are stacked
+    trials, each with its own gradients, and the projection centers them all
+    in one call per node, since it leaves leading axes alone.
     """
-    effective = _proxied_effective(g, w, proxied)
-    outs, tape = forward(g, w, inputs, param_overrides=effective)
+    outs, tape = forward(g, effective, inputs)
     grads = backward(tape, out_grad_fn(outs), keep_axis0)
     lead = outs[0].shape[:1] if keep_axis0 else ()
     for node_id in proxied:
         node = g.nodes[node_id]
         grads.params.update(center_node_params(node, {
-            name: grads.params.get(name, np.zeros(lead + w[name].shape, w[name].dtype))
+            name: grads.params.get(name, np.zeros(lead + effective[name].shape, effective[name].dtype))
             for name in node.param_refs
         }))
     return outs, grads
@@ -303,6 +295,7 @@ def verify_gradients(
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
     proxied = _derive_proxied(gA, gB)
+    effective = _proxied_effective(gB, storeB, proxied)
     params = sum(arr.size for _name, arr in storeA.items())
     per_batch = min(_trials_per_batch(shapesA), _trials_per_batch(shapesB),
                     max(1, TAPE_BUDGET // max(1, params)))
@@ -310,12 +303,13 @@ def verify_gradients(
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd: float | None = 0.0
     worst_grad: float | None = 0.0
-    for count, inputs in _trial_batches(gA, seed, trials, per_batch):
+    for inputs in _trial_batches(gA, seed, trials, per_batch):
         outsA, tapeA = forward(gA, storeA, inputs)
         gradsA = backward(tapeA, ones(outsA), True)
-        outsB, gradsB = _proxied_grads(gB, storeB, proxied, inputs, ones, True)
-        worst_fwd = _fold_trials(worst_fwd, count, (a - b for a, b in zip(outsA, outsB)))
-        worst_grad = _fold_trials(worst_grad, count, _grad_diffs(storeA, gradsA, storeB, gradsB))
+        outsB, gradsB = _proxied_grads(gB, effective, proxied, inputs, ones, True)
+        worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
+        diffs = _grad_diffs(storeA, gradsA, storeB, gradsB)
+        worst_grad = _fold_worst(worst_grad, (np.abs(d).max() for d in diffs))
     return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
 
 
@@ -342,9 +336,9 @@ def check_zero_mean(
     # leading trial axes.
     axis = axis - rank if axis >= 0 else axis
     worst: float | None = 0.0
-    for count, inputs in _trial_batches(g, seed, trials, _trials_per_batch(shapes)):
+    for inputs in _trial_batches(g, seed, trials, _trials_per_batch(shapes)):
         _, tape = forward(g, store, inputs)
-        worst = _fold_trials(worst, count, [tape.value_of(node_id).mean(axis=axis)])
+        worst = _fold_worst(worst, [np.abs(tape.value_of(node_id).mean(axis=axis)).max()])
     return float("nan") if worst is None else worst
 
 
@@ -450,19 +444,16 @@ def training_equivalence(
     steps: int,
     lr: float = 0.05,
     seed: int = 0,
-    lr_b: float | None = None,
-    batch_size: int = 8,
 ) -> TrainingResult:
     """Train both schemes in lockstep with plain gradient descent on a seeded
-    synthetic classification stream and report the max paired-weight gap.
+    synthetic classification stream, 8 samples a step, and report the max
+    paired-weight gap.
 
     Scheme A trains its parameters directly; scheme B holds proxy parameters
     for the centered layers and projects both the forward weights and the
     gradients through the centering map each step. Both schemes see the same
     batches and the same learning rate.
     """
-    if lr_b is not None and lr_b != lr:
-        raise ValueError("schemes must share hyperparameters; unequal learning rates rejected")
     if set(wA.names()) != set(wB.names()):
         raise ParameterPairingError("parameter name sets differ between schemes")
     for name in wA.names():
@@ -490,7 +481,7 @@ def training_equivalence(
 
     loss_a = loss_b = 0.0
     for _step in range(steps):
-        x = rng.uniform(-2.0, 2.0, size=(batch_size, in_dim))
+        x = rng.uniform(-2.0, 2.0, size=(8, in_dim))
         labels = np.argmax(x @ teacher.T, axis=-1)
 
         outsA, tapeA = forward(gA, storeA, {input_id: x})
@@ -506,7 +497,7 @@ def training_equivalence(
             loss_b, d = _softmax_cross_entropy(outs[0], labels)
             return [d]
 
-        _, gradsB = _proxied_grads(gB, storeB, proxied, {input_id: x}, ce_grads)
+        _, gradsB = _proxied_grads(gB, _proxied_effective(gB, storeB, proxied), proxied, {input_id: x}, ce_grads)
         if not np.isfinite(loss_b):
             raise TrainingDivergenceError(f"scheme B diverged at step {_step}")
         for name, grad in gradsB.params.items():

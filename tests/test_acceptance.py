@@ -140,13 +140,13 @@ def test_criterion_3_gradient_equivalence():
     def scheme_b_loss(arrays):
         from lnfold.graph_ir import WeightStore
         st = WeightStore(arrays)
-        outs, _ = forward(fg, st, inputs, param_overrides=_proxied_effective(fg, st, proxied))
+        outs, _ = forward(fg, _proxied_effective(fg, st, proxied), inputs)
         return float(sum(o.sum() for o in outs))
 
     outsA, tapeA = forward(g, store, inputs)
     gradsA = backward(tapeA, [np.ones_like(o) for o in outsA]).params
     from lnfold.verify import _proxied_grads
-    _, gradsB = _proxied_grads(fg, store, proxied, inputs,
+    _, gradsB = _proxied_grads(fg, _proxied_effective(fg, store, proxied), proxied, inputs,
                                lambda outs: [np.ones_like(o) for o in outs])
 
     for loss_fn, grads, tag in ((scheme_a_loss, gradsA, "plain"),

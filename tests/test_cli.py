@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from lnfold import cli, fixtures, fold_apply
+from lnfold import cli, fixtures, fold_apply, verify
 from lnfold.cli import main
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import WeightStore, load_model, model_hash, save_model
@@ -239,19 +239,24 @@ class TestVerifyCmd:
         ("verify", ["--grad", "--grad-trials", "0"]),
         ("pipeline", ["--trials", "0"]),
     ], ids=["verify_trials_0", "verify_trials_negative", "grad_trials_0", "pipeline_trials_0"])
-    def test_no_trials_exits_1(self, tmp_path, capsys, command, flags):
+    def test_no_trials_exits_1(self, tmp_path, capsys, monkeypatch, command, flags):
         orig_topo, orig_blob, *folded = self._folded_linear_then_norm(tmp_path)
         models = [orig_topo, orig_blob]
         if command == "verify":
             models += folded
         else:
             flags = flags + ["--out-dir", str(tmp_path / "pipe")]
+        forwards = []
+        monkeypatch.setattr(verify, "forward", lambda *args, **kwargs: forwards.append(args))
         capsys.readouterr()
         assert main([command, *models, *flags]) == 1
         captured = capsys.readouterr()
         assert '"pass"' not in captured.out
         assert "error: verification could not run: trials must be >= 1" in captured.err
         assert "Traceback" not in captured.err
+        # The count is refused before any work: no forward, no files.
+        assert forwards == []
+        assert not (tmp_path / "pipe").exists()
 
     def test_renamed_centering_target_exits_1(self, tmp_path, capsys):
         def rename(doc):

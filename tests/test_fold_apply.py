@@ -91,12 +91,6 @@ class TestApplyEdgeCases:
         with pytest.raises(FoldError, match="refused"):
             apply_fold(g, w, report)
 
-    def test_unsafe_applied_when_safety_off(self):
-        g, w = fixtures.fanout_trap()
-        report = detect_foldable(g, w)
-        fg, _fw = apply_fold(g, w, report, strict_safety=False)
-        assert fg.nodes["ln"].kind == "RMSNorm"
-
     def test_report_analyzed_without_safety_applies(self):
         # the analyze-time opt-out travels inside the report
         g, w = fixtures.fanout_trap()

@@ -137,20 +137,20 @@ def _single_norm_graph(eps=0.0):
 class TestForward:
     def test_single_norm_graph(self):
         g, w = _single_norm_graph()
-        outs, _ = forward(g, w, [np.array([2.0, 0.0])])
+        outs, _ = forward(g, w, {"x": np.array([2.0, 0.0])})
         np.testing.assert_allclose(outs[0], [1.0, -1.0])
 
     def test_pass_through(self):
         nodes = [make_node("x", "Input", {"shape": [3]}), make_node("out", "Output")]
         g = Graph(nodes, [("x", "out", 0)], ["x"], ["out"])
         x = np.array([1.0, 2.0, 3.0])
-        outs, _ = forward(g, WeightStore({}), [x])
+        outs, _ = forward(g, WeightStore({}), {"x": x})
         np.testing.assert_array_equal(outs[0], x)
 
     def test_nan_input_strict(self):
         g, w = _single_norm_graph()
         with pytest.raises(NumericalError, match="x"):
-            forward(g, w, [np.array([np.nan, 1.0])])
+            forward(g, w, {"x": np.array([np.nan, 1.0])})
 
     def test_deterministic_and_replayable(self):
         g, w = fixtures.post_ln_transformer()
@@ -161,13 +161,21 @@ class TestForward:
         np.testing.assert_array_equal(out1[0], out2[0])
         np.testing.assert_array_equal(tape.replay()[0], out1[0])
 
+    def test_tape_points_at_the_graph(self):
+        g, w = fixtures.post_ln_transformer()
+        _, tape = forward(g, w, sample_inputs(g, np.random.default_rng(0)))
+        assert tape.graph is g
+        assert list(tape.entries) == g.topo_order()
+        for nid, entry in tape.entries.items():
+            assert entry.node is g.nodes[nid]
+
     def test_batched_leading_axis(self):
         g, w = fixtures.mlp_classifier()
         rng = np.random.default_rng(1)
         batch = rng.uniform(-2, 2, size=(5, 10))
-        outs, _ = forward(g, w, [batch])
+        outs, _ = forward(g, w, {"x": batch})
         for i in range(5):
-            row, _ = forward(g, w, [batch[i]])
+            row, _ = forward(g, w, {"x": batch[i]})
             np.testing.assert_allclose(outs[0][i], row[0], atol=1e-14)
 
     @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
@@ -181,10 +189,11 @@ class TestForward:
         _, tape = forward(g, w, stacked)
         for t, sample in enumerate(samples):
             _, alone = forward(g, w, sample)
-            for big, small in zip(tape.entries, alone.entries):
-                assert big.node_id == small.node_id
+            assert list(tape.entries) == list(alone.entries)
+            for nid, big in tape.entries.items():
+                small = alone.entries[nid]
                 assert big.output.shape == (6, 1) + small.output.shape
-                np.testing.assert_array_equal(big.output[t, 0], small.output, err_msg=big.node_id)
+                np.testing.assert_array_equal(big.output[t, 0], small.output, err_msg=nid)
 
 
 def _practical_fold(builder):
@@ -230,7 +239,7 @@ class TestBackward:
         g = Graph(nodes, [("x", "lin", 0), ("lin", "out", 0)], ["x"], ["out"])
         w = WeightStore({"lin.weight": np.eye(3)})
         x = np.array([0.3, -0.7, 1.1])
-        outs, tape = forward(g, w, [x])
+        outs, tape = forward(g, w, {"x": x})
         grads = backward(tape, [np.ones_like(outs[0])])
         np.testing.assert_array_equal(grads.inputs["x"], np.ones(3))
 
@@ -243,7 +252,7 @@ class TestBackward:
         ]
         g = Graph(nodes, [("a", "add", 0), ("b", "add", 1), ("add", "out", 0)], ["a", "b"], ["out"])
         rng = np.random.default_rng(2)
-        outs, tape = forward(g, WeightStore({}), [rng.normal(size=4), rng.normal(size=4)])
+        outs, tape = forward(g, WeightStore({}), {"a": rng.normal(size=4), "b": rng.normal(size=4)})
         dy = rng.normal(size=4)
         grads = backward(tape, [dy])
         np.testing.assert_array_equal(grads.inputs["a"], dy)
@@ -251,7 +260,7 @@ class TestBackward:
 
     def test_out_grad_shape_mismatch(self):
         g, w = _single_norm_graph()
-        _, tape = forward(g, w, [np.array([2.0, 0.0])])
+        _, tape = forward(g, w, {"x": np.array([2.0, 0.0])})
         with pytest.raises(ValueError):
             backward(tape, [np.ones(3)])
 
@@ -285,7 +294,7 @@ class TestGroupNormNode:
         g = self._graph((8,), {"groups": 2, "eps": 1e-5})
         w = WeightStore({"lin.weight": W})
         x = rng.uniform(-2, 2, size=8)
-        outs, _ = forward(g, w, [x])
+        outs, _ = forward(g, w, {"x": x})
         np.testing.assert_allclose(outs[0], group_norm(W @ x, 2, eps=1e-5), atol=1e-14)
 
     def test_channel_axis_gradients(self):
@@ -300,7 +309,7 @@ class TestGroupNormNode:
         edges = [("x", "conv", 0), ("conv", "gn", 0), ("gn", "out", 0)]
         g = Graph(nodes, edges, ["x"], ["out"])
         w = WeightStore({"conv.kernel": rng.normal(size=(4, 2, 3, 3))})
-        inp = [rng.uniform(-2, 2, size=(2, 4, 4))]
+        inp = {"x": rng.uniform(-2, 2, size=(2, 4, 4))}
         outs, tape = forward(g, w, inp)
         # group-normalized outputs sum to zero per group, so a plain sum loss
         # has an identically zero gradient; use the quadratic loss instead
@@ -319,9 +328,9 @@ class TestGroupNormNode:
         w = WeightStore({})
         assert validate_graph(g, w).ok
         batch = np.random.default_rng(6).uniform(-2, 2, size=(4, 4, 3, 3))
-        batched = forward(g, w, [batch])[0][0]
+        batched = forward(g, w, {"x": batch})[0][0]
         for i, sample in enumerate(batch):
-            np.testing.assert_array_equal(batched[i], forward(g, w, [sample])[0][0])
+            np.testing.assert_array_equal(batched[i], forward(g, w, {"x": sample})[0][0])
 
 
 class TestFiniteDifferences:
@@ -335,7 +344,7 @@ class TestFiniteDifferences:
         g = Graph(nodes, [("x", "lin", 0), ("lin", "out", 0)], ["x"], ["out"])
         w0 = 0.8
         w = WeightStore({"lin.weight": np.array([[w0]])})
-        fd = finite_difference_grad(g, w, [np.array([1.0])], "sumsq", h=1e-6)
+        fd = finite_difference_grad(g, w, {"x": np.array([1.0])}, "sumsq", h=1e-6)
         assert abs(fd.params["lin.weight"][0, 0] - 2 * w0) <= 1e-6
         assert not fd.ill_conditioned
 
@@ -350,7 +359,7 @@ class TestFiniteDifferences:
             nodes, [("x", "lin", 0), ("lin", "relu", 0), ("relu", "out", 0)], ["x"], ["out"]
         )
         w = WeightStore({"lin.weight": np.zeros((2, 2))})
-        fd = finite_difference_grad(g, w, [np.array([0.0, 0.0])], "sum", h=1e-6)
+        fd = finite_difference_grad(g, w, {"x": np.array([0.0, 0.0])}, "sum", h=1e-6)
         np.testing.assert_array_equal(fd.params["lin.weight"], np.zeros((2, 2)))
 
     def test_ill_conditioning_flag(self):
@@ -362,7 +371,7 @@ class TestFiniteDifferences:
         ]
         g = Graph(nodes, [("x", "lin", 0), ("lin", "ln", 0), ("ln", "out", 0)], ["x"], ["out"])
         w = WeightStore({"lin.weight": np.eye(2)})
-        fd = finite_difference_grad(g, w, [np.array([1.0, 1.0 + 1e-9])], "sum", h=1e-6)
+        fd = finite_difference_grad(g, w, {"x": np.array([1.0, 1.0 + 1e-9])}, "sum", h=1e-6)
         assert fd.ill_conditioned
 
     def test_loss_selectors(self):
