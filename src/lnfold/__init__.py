@@ -15,7 +15,7 @@ from .centering import (
     is_centered,
     spec_for_node,
 )
-from .fold_apply import FoldError, apply_fold, dry_run
+from .fold_apply import FoldError, apply_fold, check_report, dry_run
 from .fold_detect import (
     FoldReport,
     SafetyVerdict,
@@ -23,6 +23,7 @@ from .fold_detect import (
     build_zero_mean_graph,
     compute_affected_layers,
     detect_foldable,
+    fold_plan,
     plan_auxiliary_centering,
 )
 from .graph_ir import (
@@ -42,18 +43,8 @@ from .graph_ir import (
     stores_equal,
     validate_graph,
 )
-from .tensor_math import (
-    Gradients,
-    NumericalError,
-    Tape,
-    auxiliary_centering,
-    backward,
-    finite_difference_grad,
-    forward,
-    group_norm,
-    layer_norm,
-    rms_norm,
-)
+from .ops import NumericalError, auxiliary_centering, group_norm, layer_norm, rms_norm
+from .tensor_math import Gradients, Tape, backward, finite_difference_grad, forward
 from .verify import (
     EquivalenceReport,
     FlopCount,

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .fold_apply import FoldError, apply_fold, dry_run
+from .fold_apply import FoldError, apply_fold, check_hash, dry_run
 from .fold_detect import FoldReport, detect_foldable
 from .graph_ir import (
     GraphValidationError,
@@ -106,7 +106,7 @@ def _read_report(path: str) -> FoldReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return FoldReport.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         raise _Operational(f"cannot read report: {exc}") from exc
 
 
@@ -114,16 +114,14 @@ def _cmd_fold(args: argparse.Namespace) -> int:
     g, w = _load(args.topology, args.weights)
     report = _read_report(args.report)
     if args.dry_run or not args.out:
-        # apply_fold checks the hash itself, so hash here only when it will not run.
-        observed = model_hash(g, w)
-        if observed != report.model_hash:
-            raise _Operational(
-                f"report was produced for model {report.model_hash[:12]}..., "
-                f"but this model hashes to {observed[:12]}..."
-            )
-        if args.dry_run:
-            print(dry_run(g, report))
-            return 0
+        try:
+            # apply_fold checks the hash itself, so hash here only when it will not run.
+            check_hash(report, model_hash(g, w))
+            if args.dry_run:
+                print(dry_run(g, report))
+                return 0
+        except FoldError as exc:
+            raise _Operational(str(exc)) from exc
         raise _Operational("--out PREFIX is required unless --dry-run")
     _fold(g, w, report, args.practical, args.out)
     _log(f"wrote {args.out}.json and {args.out}.bin")

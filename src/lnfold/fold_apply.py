@@ -4,15 +4,59 @@ model. The input model is never mutated."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from .centering import center_node_params, spec_for_node
-from .fold_detect import FoldReport, graph_with_insertions
+from .centering import center_node_params
+from .fold_detect import FoldPlan, FoldReport, fold_plan, graph_with_insertions
 from .graph_ir import Graph, WeightStore, model_hash, require_valid
 
 
 class FoldError(ValueError):
     """Raised when a report cannot be applied to the given model."""
+
+
+def check_hash(report: FoldReport, observed: str) -> None:
+    """Refuse a report produced for another model than the one whose hash is observed."""
+    if observed != report.model_hash:
+        raise FoldError(
+            f"report was produced for model {report.model_hash[:12]}..., "
+            f"but this model hashes to {observed[:12]}..."
+        )
+
+
+def check_report(g: Graph, report: FoldReport) -> FoldPlan:
+    """The plan that the report's decisions, its foldable LayerNorms and
+    insertion producers, give on g. Refuses decisions that cannot be carried
+    out and targets, insertions or safety that differ from the plan's."""
+    producers = [ins.after for ins in report.insertions]
+    unknown = [p for p in producers if p not in g.nodes]
+    if unknown:
+        raise FoldError(f"insertion after unknown node(s) {', '.join(map(repr, unknown))}")
+    repeated = [nid for ids in (report.foldable, producers) for nid, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise FoldError(f"report lists {repeated[0]!r} more than once")
+    try:
+        plan = fold_plan(g, report.foldable, producers)
+    except ValueError as exc:
+        raise FoldError(f"cannot fold: {exc}") from exc
+    if plan.blocked:
+        ln_id, leaves = next(iter(plan.blocked.items()))
+        raise FoldError(f"LayerNorm {ln_id!r} cannot fold: blocked by {', '.join(sorted(leaves))}")
+    for node_id in {**report.targets, **plan.targets}:  # the report's ids, then any it leaves out
+        spec, given = plan.targets.get(node_id), report.targets.get(node_id)
+        if spec is None:
+            raise FoldError(f"report centers {node_id!r}, which this fold does not center")
+        if given != spec:
+            raise FoldError(f"centering target {node_id!r} needs spec {spec.to_json()}, "
+                            f"report gives {given and given.to_json()}")
+    for given, ins in zip(report.insertions, plan.insertions):
+        if given != ins:
+            raise FoldError(f"insertion after {ins.after!r} should be {ins.to_json()}")
+    if report.safety != plan.safety:
+        raise FoldError(f"report safety differs from this fold's: {plan.safety.to_json()}")
+    return plan
 
 
 def apply_fold(
@@ -23,16 +67,13 @@ def apply_fold(
 ) -> tuple[Graph, WeightStore]:
     """Apply the report's rewrites, returning a new (graph, weights) pair.
 
-    Refuses stale reports (content-hash mismatch), unsafe reports under
-    strict safety, and practical insertion plans unless explicitly allowed.
-    A report with nothing to do returns the model unchanged, bit for bit.
+    Refuses stale reports (content-hash mismatch), reports that check_report
+    refuses, unsafe reports under strict safety, and practical insertion
+    plans unless explicitly allowed. A report with nothing to do returns the
+    model unchanged, bit for bit.
     """
-    observed = model_hash(g, w)
-    if observed != report.model_hash:
-        raise FoldError(
-            f"report was produced for model {report.model_hash[:12]}..., "
-            f"but this model hashes to {observed[:12]}..."
-        )
+    check_hash(report, model_hash(g, w))
+    plan = check_report(g, report)
     if report.insertions and not allow_practical:
         raise FoldError(
             "report plans explicit centering insertions; pass allow_practical=True to apply them"
@@ -48,61 +89,29 @@ def apply_fold(
 
     new_graph = g
     if report.insertions:
-        producers = [ins.after for ins in report.insertions]
-        unknown = [p for p in producers if p not in g.nodes]
-        if unknown:
-            raise FoldError(f"insertion after unknown node(s) {', '.join(map(repr, unknown))}")
-        new_graph, aux_ids = graph_with_insertions(new_graph, producers)
-        for ins in report.insertions:
-            if aux_ids[ins.after] != ins.node_id:
-                raise FoldError(
-                    f"insertion id {ins.node_id!r} does not reproduce on this graph"
-                )
-
-    swaps: dict[str, str] = {}
-    for ln_id in report.foldable:
-        # A repeated id names a node that the first mention already swapped.
-        node = new_graph.nodes.get(ln_id)
-        if node is None or node.kind != "LayerNorm" or ln_id in swaps:
-            raise FoldError(f"report names {ln_id!r} as a foldable LayerNorm but it is not one")
-        swaps[ln_id] = "RMSNorm"
-    new_graph = new_graph.with_kinds(swaps)
+        new_graph, _ids = graph_with_insertions(g, [ins.after for ins in report.insertions])
+    new_graph = new_graph.with_kinds({ln_id: "RMSNorm" for ln_id in report.foldable})
 
     updates: dict[str, np.ndarray] = {}
-    for node_id, spec in report.targets.items():
-        node = g.nodes.get(node_id)
-        if node is None:
-            raise FoldError(f"centering target {node_id!r} does not exist")
-        try:
-            expected = spec_for_node(node)
-        except ValueError as exc:
-            raise FoldError(f"centering target {node_id!r}: {exc}") from exc
-        if spec != expected:
-            raise FoldError(
-                f"centering target {node_id!r} needs spec {expected.to_json()}, report gives {spec.to_json()}"
-            )
+    for node_id in plan.targets:
+        node = g.nodes[node_id]
         updates.update(center_node_params(node, {name: w[name] for name in node.param_refs}))
     new_store = w.replacing(updates)
 
-    new_graph = new_graph.with_provenance(
-        {"folded_from": report.model_hash, "mode": report.mode}
-    )
+    new_graph = new_graph.with_provenance({"folded_from": report.model_hash, "mode": report.mode})
     require_valid(new_graph, new_store)
     return new_graph, new_store
 
 
 def dry_run(g: Graph, report: FoldReport) -> str:
-    """Human-readable diff of what apply_fold would change; mutates nothing."""
-    lines: list[str] = []
-    for ln_id in report.foldable:
-        lines.append(f"replace LayerNorm {ln_id} -> RMSNorm")
+    """Human-readable diff of what apply_fold would change, for a report that
+    check_report accepts; mutates nothing."""
+    check_report(g, report)
+    lines = [f"replace LayerNorm {ln_id} -> RMSNorm" for ln_id in report.foldable]
     for node_id, spec in sorted(report.targets.items()):
-        kind = g.nodes[node_id].kind if node_id in g.nodes else "?"
         bias = " + bias" if spec.includes_bias else ""
-        lines.append(f"center weights of {kind} {node_id} ({spec.family.value}{bias})")
+        lines.append(f"center weights of {g.nodes[node_id].kind} {node_id} ({spec.family.value}{bias})")
     for ins in report.insertions:
         edges = ", ".join(f"{s}->{d}:{slot}" for s, d, slot in ins.edges)
         lines.append(f"insert AuxiliaryCentering {ins.node_id} after {ins.after} (edges: {edges})")
-    if not lines:
-        return "no changes"
-    return "\n".join(lines)
+    return "\n".join(lines) or "no changes"

@@ -181,15 +181,8 @@ def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph, producers: Iterable[st
     return SafetyVerdict(safe=not affected, affected=frozenset(affected))
 
 
-def centering_targets(g: Graph, zmg: ZeroMeanGraph) -> dict[str, CenteringSpec]:
-    """The centering spec of each of zmg's linear leaves, in dataflow order:
-    verification centers proxy gradients in this order, which sets its peak
-    memory on wide models."""
-    return {nid: spec_for_node(g.nodes[nid]) for nid in g.topo_order() if nid in zmg.linear_leaves}
-
-
 # ---------------------------------------------------------------------------
-# Practical extension: auxiliary centering
+# Fold plans, and auxiliary centering for the practical extension
 # ---------------------------------------------------------------------------
 
 
@@ -246,6 +239,49 @@ def graph_with_insertions(g: Graph, producers: list[str]) -> tuple[Graph, dict[s
     return out, dict(zip(producers, ids))
 
 
+def _blocking(leaves: _Leaves, producers: set[str]) -> frozenset[str]:
+    """The leaves that keep a LayerNorm with these reachable leaves from
+    folding when a centering node follows each producer: its off-axis
+    leaves, and the opaque leaves that no last-axis centering node follows."""
+    opaque, off_axis = leaves
+    if OPS["AuxiliaryCentering"].centered_axis == -1:
+        opaque = opaque - producers
+    return opaque | off_axis
+
+
+@dataclass
+class FoldPlan:
+    """What a fold does: the layers it centers, in dataflow order (which
+    sets verification's peak memory on wide models), the centering nodes it
+    splices, its safety verdict, and the leaves that keep each blocked
+    LayerNorm from folding."""
+
+    targets: dict[str, CenteringSpec]
+    insertions: list[AuxInsertion]
+    safety: SafetyVerdict
+    blocked: dict[str, frozenset[str]]
+
+
+def fold_plan(g: Graph, foldable: list[str], producers: list[str]) -> FoldPlan:
+    """The one derivation of a fold from its two decisions: which LayerNorms
+    to fold and which producers to follow with a centering node."""
+    zmg = build_zero_mean_graph(g, *foldable)
+    return _plan(g, zmg, producers, _reachable_leaves(g, zmg))
+
+
+def _plan(g: Graph, zmg: ZeroMeanGraph, producers: list[str], leaves: dict[str, _Leaves]) -> FoldPlan:
+    """fold_plan, given zmg of the LayerNorms to fold and leaves that cover
+    them. An insertion rescues each LayerNorm that reaches its producer as
+    an opaque leaf."""
+    covered = set(producers)
+    blocked = {ln_id: b for ln_id in zmg.roots if (b := _blocking(leaves[ln_id], covered))}
+    insertions = [AuxInsertion(p, aux_id, tuple((p, dst, slot) for dst, slot in g.out_edges(p)),
+                               tuple(ln_id for ln_id in sorted(zmg.roots) if p in leaves[ln_id][0]))
+                  for p, aux_id in zip(producers, _aux_ids(g, producers))]
+    targets = {nid: spec_for_node(g.nodes[nid]) for nid in g.topo_order() if nid in zmg.linear_leaves}
+    return FoldPlan(targets, insertions, compute_affected_layers(g, zmg, producers), blocked)
+
+
 def plan_auxiliary_centering(failing: list["FoldEntry"]) -> tuple[list[str], set[str]]:
     """Pick producers to center so that blocked LayerNorms become foldable.
 
@@ -259,24 +295,16 @@ def plan_auxiliary_centering(failing: list["FoldEntry"]) -> tuple[list[str], set
 
     A centering node after an opaque leaf makes that leaf a zero-mean leaf
     and changes nothing else, since no backtrack walks past an opaque node.
-    So a LayerNorm is rescued by a producer set exactly when the set covers
-    its opaque leaves and it has no off-axis leaf.
+    So a LayerNorm is rescued by a producer set exactly when nothing is
+    _blocking it.
 
     Returns (producers to center, rescued LayerNorm ids).
     """
     candidates = sorted({leaf for entry in failing for leaf in entry.opaque_leaves})
-    if not candidates:
-        return [], set()
-    aux_centers_last_axis = OPS["AuxiliaryCentering"].centered_axis == -1
-    rescuable = {
-        entry.ln_id: entry.opaque_leaves
-        for entry in failing
-        if aux_centers_last_axis and not entry.off_axis_leaves
-    }
 
     def rescued_by(producers: list[str]) -> set[str]:
         centered = set(producers)
-        return {nid for nid, opaque in rescuable.items() if opaque <= centered}
+        return {e.ln_id for e in failing if not _blocking((e.opaque_leaves, e.off_axis_leaves), centered)}
 
     standalone = {c: len(rescued_by([c])) for c in candidates}
     order = sorted(candidates, key=lambda c: (-standalone[c], c))
@@ -344,15 +372,11 @@ class FoldReport:
     insertions: list[AuxInsertion]
     safety: SafetyVerdict
 
-    @property
-    def total_layer_norms(self) -> int:
-        return len(self.entries)
-
     def counts(self) -> dict[str, int]:
         strict = sum(1 for e in self.entries.values() if e.verdict == VERDICT_STRICT)
         practical = sum(1 for e in self.entries.values() if e.verdict == VERDICT_PRACTICAL)
         return {
-            "layer_norms": self.total_layer_norms,
+            "layer_norms": len(self.entries),
             "foldable": len(self.foldable),
             "strict": strict,
             "practical": practical,
@@ -380,14 +404,17 @@ class FoldReport:
         if doc.get("format_version") != REPORT_FORMAT_VERSION:
             raise ValueError(f"unsupported report format_version {doc.get('format_version')!r}")
         entries = {e["ln_id"]: FoldEntry.from_json(e) for e in doc["entries"]}
+        foldable, insertions = list(doc["foldable"]), [AuxInsertion.from_json(i) for i in doc["insertions"]]
+        if not all(isinstance(s, str) for s in [doc["model_hash"], *foldable, *(i.after for i in insertions)]):
+            raise ValueError("model_hash, foldable and insertion producers must be strings")
         return FoldReport(
             mode=doc["mode"],
             model_hash=doc["model_hash"],
             strict_safety=bool(doc["strict_safety"]),
             entries=entries,
-            foldable=list(doc["foldable"]),
+            foldable=foldable,
             targets={t["node"]: CenteringSpec.from_json(t["spec"]) for t in doc["targets"]},
-            insertions=[AuxInsertion.from_json(i) for i in doc["insertions"]],
+            insertions=insertions,
             safety=SafetyVerdict.from_json(doc["safety"]),
         )
 
@@ -404,9 +431,9 @@ def detect_foldable(
     In practical mode, LayerNorms blocked only by opaque leaves can be
     rescued by planning explicit centering insertions after those leaves;
     rescued entries get the practical verdict. The kept plan, and then the
-    strict set, each get one zero-mean graph on the model graph, which
-    gives the targets and seeds the safety walk; under strict safety an
-    unsafe plan gives way to the strict set.
+    strict set, each get one zero-mean graph on the model graph, from which
+    fold_plan's derivation gives the targets, insertions and safety; under
+    strict safety an unsafe plan gives way to the strict set.
     """
     if mode not in ("strict", "practical"):
         raise ValueError(f"mode must be 'strict' or 'practical', got {mode!r}")
@@ -427,30 +454,21 @@ def detect_foldable(
         entries[nid] = FoldEntry(nid, verdict, opaque, off_axis, warnings)
     strict = sorted(nid for nid in ln_ids if entries[nid].verdict == VERDICT_STRICT)
 
-    # (LayerNorms to fold, producers to center, rescued LayerNorms), best first.
-    plans: list[tuple[list[str], list[str], set[str]]] = [(strict, [], set())]
+    # (LayerNorms to fold, producers to center), best first.
+    plans: list[tuple[list[str], list[str]]] = [(strict, [])]
     if mode == "practical":
         failing = [e for e in entries.values() if e.verdict == VERDICT_NOT_FOLDABLE]
         producers, rescued = plan_auxiliary_centering(failing)
         if producers:
-            plans.insert(0, (sorted(set(strict) | rescued), producers, rescued))
-    for foldable, producers, rescued in plans:
-        zmg = build_zero_mean_graph(g, *foldable)
-        safety = compute_affected_layers(g, zmg, producers)
-        if safety.safe or not strict_safety:
+            plans.insert(0, (sorted(set(strict) | rescued), producers))
+    for foldable, producers in plans:
+        plan = _plan(g, build_zero_mean_graph(g, *foldable), producers, reachable)
+        if plan.safety.safe or not strict_safety:
             break
 
-    for nid in rescued:
-        entries[nid] = replace(entries[nid], verdict=VERDICT_PRACTICAL)
-    insertions = [
-        AuxInsertion(
-            after=producer,
-            node_id=aux_id,
-            edges=tuple((producer, dst, slot) for dst, slot in g.out_edges(producer)),
-            rescues=tuple(nid for nid in sorted(rescued) if producer in entries[nid].opaque_leaves),
-        )
-        for producer, aux_id in zip(producers, _aux_ids(g, producers))
-    ]
+    for ins in plan.insertions:
+        for nid in ins.rescues:
+            entries[nid] = replace(entries[nid], verdict=VERDICT_PRACTICAL)
 
     return FoldReport(
         mode=mode,
@@ -458,7 +476,7 @@ def detect_foldable(
         strict_safety=strict_safety,
         entries=entries,
         foldable=foldable,
-        targets=centering_targets(g, zmg),
-        insertions=insertions,
-        safety=safety,
+        targets=plan.targets,
+        insertions=plan.insertions,
+        safety=plan.safety,
     )

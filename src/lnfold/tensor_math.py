@@ -3,7 +3,7 @@
 This is the ground-truth oracle behind every equivalence claim in the
 package: deliberately small, numpy-only, deterministic. forward and backward
 run each node through its kind's kernels in the op registry (lnfold.ops),
-whose numpy primitives are re-exported here. Everything here is a pure
+which also holds the numpy primitives. Everything here is a pure
 function over immutable arrays, so independent evaluations can run
 concurrently.
 """
@@ -17,24 +17,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .graph_ir import Graph, Node, WeightStore
-from .ops import (  # noqa: F401  (the primitives are re-exported)
-    OPS,
-    NumericalError,
-    attention_value_forward,
-    auxiliary_centering,
-    concat,
-    conv2d_forward,
-    embedding_lookup,
-    group_norm,
-    layer_norm,
-    linear_forward,
-    relu,
-    residual_add,
-    rms_norm,
-    rnn_cell_forward,
-    scalar_scale,
-    softmax,
-)
+from .ops import OPS, NumericalError
 
 # Denominators below this are treated as numerically singular when flagging
 # ill-conditioned finite-difference probes.

@@ -15,10 +15,10 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping
 import numpy as np
 
 from .centering import CenteringSpec, center_node_params, default_tolerance
-from .fold_detect import build_zero_mean_graph, centering_targets, detect_foldable
+from .fold_detect import detect_foldable, fold_plan
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
-from .ops import OPS
-from .tensor_math import Gradients, backward, forward, softmax
+from .ops import OPS, softmax
+from .tensor_math import Gradients, backward, forward
 
 
 class SignatureMismatchError(ValueError):
@@ -248,7 +248,7 @@ def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
         nid for nid, node in gA.nodes.items()
         if node.kind == "LayerNorm" and nid in gB.nodes and gB.nodes[nid].kind == "RMSNorm"
     ]
-    proxied = centering_targets(gA, build_zero_mean_graph(gA, *swapped))
+    proxied = fold_plan(gA, swapped, []).targets
     for nid in proxied:
         if nid not in gB.nodes or gB.nodes[nid].param_refs != gA.nodes[nid].param_refs:
             raise ParameterPairingError(f"centered node {nid!r} has no counterpart with the same parameters")

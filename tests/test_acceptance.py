@@ -44,16 +44,15 @@ from lnfold.centering import (
 )
 from lnfold.fold_apply import FoldError, apply_fold
 from lnfold.fold_detect import detect_foldable
-from lnfold.tensor_math import (
+from lnfold.ops import (
     attention_value_forward,
-    backward,
     conv2d_forward,
-    forward,
     layer_norm,
     linear_forward,
     rms_norm,
     rnn_cell_forward,
 )
+from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
     _proxied_effective,
     flops_estimate,

@@ -1,10 +1,12 @@
 """Regression pin: CLI outputs stay byte-identical across refactors.
 
-Each case runs ``analyze`` -> ``fold`` -> ``verify --grad`` through the CLI
-and records exit codes and sha256 digests of the report, the folded model
-files and the verify JSON. The folded-model and verify digests were
-recorded before graph adjacency was indexed; the report digests were
-re-pinned once, for report format 2. Regenerate them with
+Each case runs ``analyze`` -> ``fold --dry-run`` -> ``fold`` -> ``verify
+--grad`` through the CLI and records exit codes and sha256 digests of the
+report, the dry-run diff, the folded model files and the verify JSON. The
+folded-model and verify digests were recorded before graph adjacency was
+indexed; the report digests were re-pinned once, for report format 2. The
+dry-run digests were recorded before reports were checked against a
+re-derived fold plan. Regenerate them with
 ``python tests/test_byte_identity.py`` (with ``src`` on the path) only for
 a change that means to alter output.
 """
@@ -41,15 +43,18 @@ def _sha(path):
 
 
 def run_case(case, mode, workdir):
-    """Exit codes of analyze, fold and verify, and digests of what they wrote."""
+    """Exit codes of analyze, fold and verify, and digests of what they wrote;
+    the dry run's exit code and stdout digest come separately."""
     top, wts = os.path.join(workdir, "model.json"), os.path.join(workdir, "model.bin")
     report, prefix = os.path.join(workdir, "report.json"), os.path.join(workdir, "folded")
     save_model(*CASES[case](), top, wts)
     practical = ["--practical"] if mode == "practical" else []
-    out = io.StringIO()
+    out, diff = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        codes = [
-            main(["analyze", top, wts, "--out", report] + practical),
+        codes = [main(["analyze", top, wts, "--out", report] + practical)]
+        with contextlib.redirect_stdout(diff):
+            dry = main(["fold", top, wts, "--report", report, "--dry-run"] + practical)
+        codes += [
             main(["fold", top, wts, "--report", report, "--out", prefix] + practical),
         ]
         codes.append(
@@ -59,6 +64,7 @@ def run_case(case, mode, workdir):
         )
     return {
         "exit": codes,
+        "dry_run": [dry, hashlib.sha256(diff.getvalue().encode()).hexdigest()],
         "report": _sha(report),
         "folded_json": _sha(prefix + ".json"),
         "folded_bin": _sha(prefix + ".bin"),
@@ -69,6 +75,7 @@ def run_case(case, mode, workdir):
 EXPECTED = {
     "fanout_trap/strict": {
         "exit": [0, 1, None],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
         "report": "6765b7bade7b33482a76131bea508a06b9e7da35a1e1756740191b6004c7a0b0",
         "folded_json": None,
         "folded_bin": None,
@@ -76,6 +83,7 @@ EXPECTED = {
     },
     "fanout_trap/practical": {
         "exit": [0, 1, None],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
         "report": "1b953a4908a27856edd039d091f583b682f395f9cedc6e5430691a0c61597415",
         "folded_json": None,
         "folded_bin": None,
@@ -83,6 +91,7 @@ EXPECTED = {
     },
     "linear_then_norm/strict": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
         "report": "026c0762a72178ada35459192f009b5c7680eb34b7bd7242543e9cc8a34372ff",
         "folded_json": "5d6fb54718eea6ba66ebca68bdf29692f44a23cab306d749ad3e4d48191cb90f",
         "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
@@ -90,6 +99,7 @@ EXPECTED = {
     },
     "linear_then_norm/practical": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
         "report": "fe14ff89597ed2336a0c871966045139d4291df1cad777433debee4014ae92bf",
         "folded_json": "bb7469f232d6b5841cd5156f071a203e4e902366b575790c0958dd2173316a29",
         "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
@@ -97,6 +107,7 @@ EXPECTED = {
     },
     "post_ln_transformer/strict": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "ed96634852e74cd8f6d95b70e1dbea175a36e12254d73fd18920e0ed93cb4f3a"],
         "report": "341c5b4bd113045e2c4d5910559963c1d800045b308dcad79e42ef74cf74b912",
         "folded_json": "88314dbee47cd0c1f918d8bd3b48c3c080170fc4da3d898ccc8041c2b6a3a204",
         "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
@@ -104,6 +115,7 @@ EXPECTED = {
     },
     "post_ln_transformer/practical": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "ed96634852e74cd8f6d95b70e1dbea175a36e12254d73fd18920e0ed93cb4f3a"],
         "report": "c5a13bfcb3fa3825296fb54ce39dbb031605687d218900483fde530eb7461157",
         "folded_json": "faea224fc23979756e8af4c9146b448d115e601f5eea767da4d2811ffcc09288",
         "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
@@ -111,6 +123,7 @@ EXPECTED = {
     },
     "pre_ln_transformer_12/strict": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "d518f60de5bc909104bf429e9ec99844628a7c5ecdfd1118442a21b592476674"],
         "report": "8f1e765f9619962e6db6d3eb48ee302eee97642e076e6a10a873158b21fa05bc",
         "folded_json": "adb4c353c66dfaedc291a9c28317919a1caa165fc17ce503f8d5eef506a84b07",
         "folded_bin": "c5f66b3a3c81902f430325c3550927be03b7d14944dd4792cc90540c6e327981",
@@ -118,6 +131,7 @@ EXPECTED = {
     },
     "pre_ln_transformer_12/practical": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "9fc68975a26286e7ffd017e31d48e47a8db62a6670b825a3a95196181c2ea2c9"],
         "report": "046e0adb869f507812d71e421a8cbdd67d7d5b7faa9cffc86ab5fb7cf0cb5906",
         "folded_json": "f30d98aa312c6146b7d6f1385a0c4c24c5d4000187517e147927d448a2a35f70",
         "folded_bin": "64333646e5199cf87e32aba11e86b47fc11bcf1c4ea755d53d6912b7f6c2314e",
@@ -125,6 +139,7 @@ EXPECTED = {
     },
     "residual_scale_mix/strict": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "42628cd7ac95fd40cb8011d83427b68639f53f2eb7fd73baca87ec117c1afcb3"],
         "report": "abc11ce8ec9620d6460b86c971f24a381f9d72b687abef26f50e2800c4fcc607",
         "folded_json": "5473518e2faa0337b04e16c204871b82d1b2bd02fe8b2e5f8a4684d4eac17d62",
         "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
@@ -132,6 +147,7 @@ EXPECTED = {
     },
     "residual_scale_mix/practical": {
         "exit": [0, 0, 0],
+        "dry_run": [0, "42628cd7ac95fd40cb8011d83427b68639f53f2eb7fd73baca87ec117c1afcb3"],
         "report": "9b8509a0d76bdd864bf6db8c39014a01e62310aa5011479df904fd96d9093dce",
         "folded_json": "4b2ea249a3757384c9599bb4f048c823d15cae3ef8d2acfca0d85ad29afce3ae",
         "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",

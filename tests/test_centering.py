@@ -16,7 +16,7 @@ from lnfold.centering import (
     constraint_residual,
     is_centered,
 )
-from lnfold.tensor_math import (
+from lnfold.ops import (
     attention_value_forward,
     conv2d_forward,
     linear_forward,

@@ -156,32 +156,97 @@ def _insert_after_ghost(doc):
     return doc
 
 
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _insertion_edges(edges):
+    def edit(doc):
+        doc["insertions"][0]["edges"] = edges
+        return doc
+    return edit
+
+
+_FOLD, _DRY_RUN = ["--out", "f", "--practical"], ["--dry-run"]
+_FOLD_FLAGS = pytest.mark.parametrize("flags", [_FOLD, _DRY_RUN], ids=["out", "dry_run"])
+
+# Edits of a linear_then_norm report, and what the refusal says.
+_LINEAR_THEN_NORM_EDITS = pytest.mark.parametrize("edit, message", [
+    (_spec(family="conv_out_channels"), "centering target 'lin' needs spec"),
+    (_spec(family="recurrent_both"), "centering target 'lin' needs spec"),
+    (_spec(family="grouped_columns", groups=3), "centering target 'lin' needs spec"),
+    (_spec(family="grouped_columns", groups=2), "centering target 'lin' needs spec"),
+    (lambda doc: doc["targets"][0].update(node="ln") or doc,
+     "report centers 'ln', which this fold does not center"),
+    (_spec(target="ln.weight"), "centering target 'lin' needs spec"),
+    (_insert_after_ghost, "insertion after unknown node(s) 'ghost'"),
+    (_set("targets", []), "centering target 'lin' needs spec"),
+    (_set("foldable", ["ln", "ln"]), "report lists 'ln' more than once"),
+], ids=["conv_family", "recurrent_family", "groups_3", "groups_2", "target_node_ln",
+        "spec_target_ln_weight", "insertion_after_ghost", "dropped_target",
+        "duplicated_foldable"])
+
+
 class TestMalformedReport:
     """Edits that keep the model hash valid but do not describe a fold of
-    this model: each is refused with a message, never a traceback."""
+    this model: each is refused with a message, never a traceback, by a
+    fold and by a dry run alike."""
 
-    @pytest.mark.parametrize("edit, message", [
-        (_spec(family="conv_out_channels"), "centering target 'lin' needs spec"),
-        (_spec(family="recurrent_both"), "centering target 'lin' needs spec"),
-        (_spec(family="grouped_columns", groups=3), "centering target 'lin' needs spec"),
-        (_spec(family="grouped_columns", groups=2), "centering target 'lin' needs spec"),
-        (lambda doc: doc["targets"][0].update(node="ln") or doc,
-         "centering target 'ln': node kind 'LayerNorm' is not a general linear layer"),
-        (_spec(target="ln.weight"), "centering target 'lin' needs spec"),
-        (_insert_after_ghost, "insertion after unknown node(s) 'ghost'"),
-    ], ids=["conv_family", "recurrent_family", "groups_3", "groups_2", "target_node_ln",
-            "spec_target_ln_weight", "insertion_after_ghost"])
-    def test_fold_exits_1(self, tmp_path, capsys, edit, message):
-        topo, blob = _save(tmp_path, "m", *fixtures.linear_then_norm())
+    def _fold(self, tmp_path, capsys, model, analyze_flags, edit, flags):
+        """Analyze model, edit the report, fold it; the fold's stderr."""
+        topo, blob = _save(tmp_path, "m", *model)
         rep = str(tmp_path / "rep.json")
-        assert main(["analyze", topo, blob, "--out", rep]) == 0
+        assert main(["analyze", topo, blob, "--out", rep, *analyze_flags]) == 0
         _edit_topology(rep, edit)
         capsys.readouterr()
         out = str(tmp_path / "f")
-        assert main(["fold", topo, blob, "--report", rep, "--out", out, "--practical"]) == 1
+        flags = [out if f == "f" else f for f in flags]
+        assert main(["fold", topo, blob, "--report", rep, *flags]) == 1
+        assert not os.path.exists(out + ".json") and not os.path.exists(out + ".bin")
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err and "Traceback" not in err
-        assert not os.path.exists(out + ".json")
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @_LINEAR_THEN_NORM_EDITS
+    def test_fold_exits_1(self, tmp_path, capsys, edit, message):
+        assert message in self._fold(tmp_path, capsys, fixtures.linear_then_norm(), [], edit, _FOLD)
+
+    @_LINEAR_THEN_NORM_EDITS
+    def test_dry_run_exits_1(self, tmp_path, capsys, edit, message):
+        assert message in self._fold(tmp_path, capsys, fixtures.linear_then_norm(), [], edit, _DRY_RUN)
+
+    @_FOLD_FLAGS
+    @pytest.mark.parametrize("name, analyze_flags, edit, message", [
+        ("relu_then_norm", [], _set("foldable", ["ln"]), "LayerNorm 'ln' cannot fold: blocked by act"),
+        ("fanout_trap", [], _set("safety", {"safe": True, "affected": []}),
+         "report safety differs from this fold's: {'safe': False, 'affected': ['act']}"),
+        ("pre_ln_transformer", ["--practical"], _set("insertions", []),
+         "cannot fold: blocked by embed"),
+        ("pre_ln_transformer", ["--practical"], _insertion_edges([]),
+         "insertion after 'embed' should be"),
+    ], ids=["blocked_ln_listed", "forged_safety", "dropped_insertion", "emptied_insertion_edges"])
+    def test_tampered_decision_exits_1(self, tmp_path, capsys, name, analyze_flags, edit, message,
+                                       flags):
+        model = fixtures.ALL_FIXTURES[name]()
+        assert message in self._fold(tmp_path, capsys, model, analyze_flags, edit, flags)
+
+    @_FOLD_FLAGS
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        _set("foldable", None),
+        _set("targets", "x"),
+        _set("safety", None),
+        _set("entries", 5),
+        _set("insertions", [{"after": "lin", "node_id": "c", "edges": [[1]], "rescues": []}]),
+        _set("foldable", [["ln"]]),
+    ], ids=["top_level_list", "foldable_null", "targets_string", "safety_null", "entries_int",
+            "insertion_edge_short", "foldable_id_list"])
+    def test_malformed_json_exits_1(self, tmp_path, capsys, edit, flags):
+        err = self._fold(tmp_path, capsys, fixtures.linear_then_norm(), [], edit, flags)
+        assert err.startswith("error: cannot read report: ")
 
 
 def _extra_edge(doc):

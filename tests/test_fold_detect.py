@@ -433,6 +433,15 @@ class TestWorkDone:
         detect_foldable(g, w, mode=mode)
         assert len(calls) == 1
 
+    def test_leaves_gathered_once(self, monkeypatch):
+        # Every candidate plan reuses the leaves detection already gathered.
+        calls = []
+        original = fold_detect._reachable_leaves
+        monkeypatch.setattr(fold_detect, "_reachable_leaves", lambda *args: calls.append(1) or original(*args))
+        g, w = TestPractical()._shared_leaf_graph(with_relu_consumer=True)
+        detect_foldable(g, w, mode="practical")
+        assert len(calls) == 1
+
     def test_two_hundred_blocks(self):
         # 1,604 nodes: deeper than the interpreter's recursion limit allows
         # a recursive cycle search to go.

@@ -1,6 +1,9 @@
 """Property-based checks of the algebra the whole rewrite rests on."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,7 +19,7 @@ from lnfold.centering import (
     is_centered,
     spec_for_node,
 )
-from lnfold.fold_apply import apply_fold
+from lnfold.fold_apply import FoldError, apply_fold, check_report
 from lnfold.fold_detect import (
     FoldEntry,
     build_zero_mean_graph,
@@ -35,8 +38,8 @@ from lnfold.graph_ir import (
     save_model,
     validate_graph,
 )
-from lnfold.ops import OPS
-from lnfold.tensor_math import forward, group_norm, layer_norm, rms_norm
+from lnfold.ops import OPS, group_norm, layer_norm, rms_norm
+from lnfold.tensor_math import forward
 from lnfold.verify import sample_inputs, verify_forward, verify_gradients
 
 EPS_M = float(np.finfo(np.float64).eps)
@@ -312,6 +315,21 @@ class TestFoldSoundness:
                 got = {key: doc[key] for key in ("foldable", "targets", "insertions", "safety")}
                 want = per_layer_norm_reference(g, w, mode, strict_safety)
                 assert got == want, (mode, strict_safety)
+
+    @settings(max_examples=40, deadline=None)
+    @given(builder_models(), st.sampled_from(["strict", "practical"]), st.booleans())
+    def test_report_must_match_its_plan(self, model, mode, strict_safety):
+        # A report passes its own check; without any one of its targets, or
+        # with its safety verdict flipped, it no longer folds.
+        g, w = model
+        report = detect_foldable(g, w, mode=mode, strict_safety=strict_safety)
+        check_report(g, report)
+        tampered = [replace(report, targets={k: v for k, v in report.targets.items() if k != nid})
+                    for nid in report.targets]
+        tampered.append(replace(report, safety=replace(report.safety, safe=not report.safety.safe)))
+        for bad in tampered:
+            with pytest.raises(FoldError):
+                apply_fold(g, w, bad, allow_practical=True)
 
 
 class TestLeadingBatchAxis:

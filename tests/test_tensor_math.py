@@ -8,19 +8,16 @@ from lnfold import fixtures
 from lnfold.fold_apply import apply_fold
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import NODE_KINDS, Graph, WeightStore, make_node, validate_graph
-from lnfold.tensor_math import (
+from lnfold.ops import (
     NumericalError,
     auxiliary_centering,
-    backward,
-    finite_difference_grad,
-    forward,
     group_norm,
     layer_norm,
     linear_forward,
-    loss_value,
     residual_add,
     rms_norm,
 )
+from lnfold.tensor_math import backward, finite_difference_grad, forward, loss_value
 from lnfold.verify import sample_inputs
 
 EPS_M = np.float64(np.finfo(np.float64).eps)
