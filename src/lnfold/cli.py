@@ -8,6 +8,7 @@ logs and summaries go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -37,10 +38,19 @@ def _default_seed() -> int:
         raise _Operational(f"LNFOLD_SEED must be an integer, got {raw!r}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write path (or a file it names) into an operational error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Operational(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     text = canonical_dumps(doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
     else:
@@ -85,7 +95,8 @@ def _fold(g, w, report: FoldReport, practical: bool, prefix: str):
         folded_g, folded_w = apply_fold(g, w, report, allow_practical=practical)
     except FoldError as exc:
         raise _Operational(str(exc)) from exc
-    save_model(folded_g, folded_w, prefix + ".json", prefix + ".bin")
+    with _writing(prefix + ".json"):
+        save_model(folded_g, folded_w, prefix + ".json", prefix + ".bin")
     return folded_g, folded_w
 
 
@@ -173,7 +184,8 @@ def _cmd_flops(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     _check_trials(args.trials)
-    os.makedirs(args.out_dir, exist_ok=True)
+    with _writing(args.out_dir):
+        os.makedirs(args.out_dir, exist_ok=True)
     g, w = _load(args.topology, args.weights)
     report = _detect(g, w, args.practical, strict_safety=True)
     report_path = os.path.join(args.out_dir, "fold_report.json")

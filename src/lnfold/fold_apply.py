@@ -1,10 +1,11 @@
-"""Executes a FoldReport: centers target weights, swaps LayerNorm for
-RMSNorm, and splices any planned explicit centering nodes, producing a new
-model. The input model is never mutated."""
+"""Executes a FoldReport's checked plan: centers target weights, swaps
+LayerNorm for RMSNorm, and splices the planned explicit centering nodes,
+producing a new model. The input model is never mutated."""
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable
 
 import numpy as np
 
@@ -28,8 +29,12 @@ def check_hash(report: FoldReport, observed: str) -> None:
 
 def check_report(g: Graph, report: FoldReport) -> FoldPlan:
     """The plan that the report's decisions, its foldable LayerNorms and
-    insertion producers, give on g. Refuses decisions that cannot be carried
-    out and targets, insertions or safety that differ from the plan's."""
+    insertion producers, give on g. Refuses a mode other than strict or
+    practical, decisions that cannot be carried out (insertions in a strict
+    report among them), and targets, insertions or safety that differ from
+    the plan's."""
+    if report.mode not in ("strict", "practical"):
+        raise FoldError(f"report mode must be 'strict' or 'practical', got {report.mode!r}")
     producers = [ins.after for ins in report.insertions]
     unknown = [p for p in producers if p not in g.nodes]
     if unknown:
@@ -37,6 +42,8 @@ def check_report(g: Graph, report: FoldReport) -> FoldPlan:
     repeated = [nid for ids in (report.foldable, producers) for nid, n in Counter(ids).items() if n > 1]
     if repeated:
         raise FoldError(f"report lists {repeated[0]!r} more than once")
+    if report.mode == "strict" and producers:
+        raise FoldError("strict report plans explicit centering insertions")
     try:
         plan = fold_plan(g, report.foldable, producers)
     except ValueError as exc:
@@ -59,44 +66,48 @@ def check_report(g: Graph, report: FoldReport) -> FoldPlan:
     return plan
 
 
+def center_targets(g: Graph, w: WeightStore, node_ids: Iterable[str]) -> WeightStore:
+    """w with the parameters of the listed nodes of g centered: a fold's
+    targets, or the effective weights of scheme B's proxies."""
+    updates: dict[str, np.ndarray] = {}
+    for node_id in node_ids:
+        node = g.nodes[node_id]
+        updates.update(center_node_params(node, {name: w[name] for name in node.param_refs}))
+    return w.replacing(updates)
+
+
 def apply_fold(
     g: Graph,
     w: WeightStore,
     report: FoldReport,
     allow_practical: bool = False,
 ) -> tuple[Graph, WeightStore]:
-    """Apply the report's rewrites, returning a new (graph, weights) pair.
+    """Apply the plan that check_report derives from the report, returning a
+    new (graph, weights) pair.
 
     Refuses stale reports (content-hash mismatch), reports that check_report
-    refuses, unsafe reports under strict safety, and practical insertion
-    plans unless explicitly allowed. A report with nothing to do returns the
-    model unchanged, bit for bit.
+    refuses, unsafe plans under strict safety, and practical insertion plans
+    unless explicitly allowed. A report with nothing to do returns the model
+    unchanged, bit for bit.
     """
     check_hash(report, model_hash(g, w))
     plan = check_report(g, report)
-    if report.insertions and not allow_practical:
+    if plan.insertions and not allow_practical:
         raise FoldError(
             "report plans explicit centering insertions; pass allow_practical=True to apply them"
         )
-    if report.strict_safety and not report.safety.safe:
+    if report.strict_safety and not plan.safety.safe:
         raise FoldError(
             "fold refused: centered layers would perturb non-LayerNorm consumers "
-            f"({', '.join(sorted(report.safety.affected))})"
+            f"({', '.join(sorted(plan.safety.affected))})"
         )
 
-    if not report.foldable and not report.insertions:
+    if not report.foldable and not plan.insertions:
         return g, w
 
-    new_graph = g
-    if report.insertions:
-        new_graph, _ids = graph_with_insertions(g, [ins.after for ins in report.insertions])
+    new_graph = graph_with_insertions(g, plan.insertions) if plan.insertions else g
     new_graph = new_graph.with_kinds({ln_id: "RMSNorm" for ln_id in report.foldable})
-
-    updates: dict[str, np.ndarray] = {}
-    for node_id in plan.targets:
-        node = g.nodes[node_id]
-        updates.update(center_node_params(node, {name: w[name] for name in node.param_refs}))
-    new_store = w.replacing(updates)
+    new_store = center_targets(g, w, plan.targets)
 
     new_graph = new_graph.with_provenance({"folded_from": report.model_hash, "mode": report.mode})
     require_valid(new_graph, new_store)
@@ -106,12 +117,12 @@ def apply_fold(
 def dry_run(g: Graph, report: FoldReport) -> str:
     """Human-readable diff of what apply_fold would change, for a report that
     check_report accepts; mutates nothing."""
-    check_report(g, report)
+    plan = check_report(g, report)
     lines = [f"replace LayerNorm {ln_id} -> RMSNorm" for ln_id in report.foldable]
-    for node_id, spec in sorted(report.targets.items()):
+    for node_id, spec in sorted(plan.targets.items()):
         bias = " + bias" if spec.includes_bias else ""
         lines.append(f"center weights of {g.nodes[node_id].kind} {node_id} ({spec.family.value}{bias})")
-    for ins in report.insertions:
+    for ins in plan.insertions:
         edges = ", ".join(f"{s}->{d}:{slot}" for s, d, slot in ins.edges)
         lines.append(f"insert AuxiliaryCentering {ins.node_id} after {ins.after} (edges: {edges})")
     return "\n".join(lines) or "no changes"

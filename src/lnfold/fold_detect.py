@@ -230,13 +230,17 @@ def _aux_ids(g: Graph, producers: list[str]) -> list[str]:
     return ids
 
 
-def graph_with_insertions(g: Graph, producers: list[str]) -> tuple[Graph, dict[str, str]]:
-    """Splice one centering node after each producer; returns (graph, id map)."""
-    out = g
-    ids = _aux_ids(g, producers)
-    for producer, nid in zip(producers, ids):
-        out = out.insert_after(producer, make_node(nid, "AuxiliaryCentering"))
-    return out, dict(zip(producers, ids))
+def graph_with_insertions(g: Graph, insertions: list[AuxInsertion]) -> Graph:
+    """g with each insertion's centering node spliced in, in one
+    construction: the insertion's recorded edges leave its node, which reads
+    its producer, and a graph output that named the producer names it."""
+    moved = {edge: ins.node_id for ins in insertions for edge in ins.edges}
+    edges = [(moved.get((s, d, slot), s), d, slot) for s, d, slot in g.edges]
+    edges += [(ins.after, ins.node_id, 0) for ins in insertions]
+    nodes = [*g.nodes.values(), *(make_node(ins.node_id, "AuxiliaryCentering") for ins in insertions)]
+    renamed = {ins.after: ins.node_id for ins in insertions}
+    outputs = [renamed.get(o, o) for o in g.outputs]
+    return Graph(nodes, edges, g.inputs, outputs, g.provenance)
 
 
 def _blocking(leaves: _Leaves, producers: set[str]) -> frozenset[str]:

@@ -236,25 +236,6 @@ class Graph:
         ]
         return Graph(nodes, self.edges, self.inputs, self.outputs, self.provenance)
 
-    def insert_after(self, producer_id: str, new_node: Node) -> "Graph":
-        """Splice new_node between producer_id and all of its consumers."""
-        if producer_id not in self.nodes:
-            raise KeyError(producer_id)
-        if new_node.id in self.nodes:
-            raise ValueError(f"node id {new_node.id!r} already exists")
-        if OPS.get(new_node.kind, _UNKNOWN_KIND).arity != 1:
-            raise ValueError("inserted node must be unary")
-        edges = []
-        for s, d, slot in self.edges:
-            if s == producer_id:
-                edges.append((new_node.id, d, slot))
-            else:
-                edges.append((s, d, slot))
-        edges.append((producer_id, new_node.id, 0))
-        nodes = list(self.nodes.values()) + [new_node]
-        outputs = [new_node.id if o == producer_id else o for o in self.outputs]
-        return Graph(nodes, edges, self.inputs, outputs, self.provenance)
-
     def with_provenance(self, provenance: Mapping[str, Any]) -> "Graph":
         return Graph(list(self.nodes.values()), self.edges, self.inputs, self.outputs, provenance)
 

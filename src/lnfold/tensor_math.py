@@ -53,20 +53,6 @@ class Tape:
     def value_of(self, node_id: str) -> np.ndarray:
         return self.entries[node_id].output
 
-    def replay(self) -> list[np.ndarray]:
-        """Re-execute every primitive from its saved inputs.
-
-        Reproduces the recorded outputs bit-identically in the same dtype.
-        """
-        outs: dict[str, np.ndarray] = {}
-        for nid, entry in self.entries.items():
-            node = entry.node
-            if node.kind == "Input":
-                outs[nid] = entry.output
-                continue
-            outs[nid] = OPS[node.kind].forward(node.attrs, entry.inputs, entry.params, strict=False)[0]
-        return [outs[o] for o in self.graph.outputs]
-
 
 def forward(
     g: Graph,

@@ -10,11 +10,12 @@ quantifies what the rewrite saves per normalization layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 import numpy as np
 
 from .centering import CenteringSpec, center_node_params, default_tolerance
+from .fold_apply import center_targets
 from .fold_detect import detect_foldable, fold_plan
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
 from .ops import OPS, softmax
@@ -201,16 +202,6 @@ def verify_forward(
     return EquivalenceReport(trials, seed, tol, worst, None, _within(tol, worst))
 
 
-def _proxied_effective(g: Graph, w: WeightStore, proxied: Iterable[str]) -> WeightStore:
-    """The proxy store w with the proxied nodes' weights centered: the
-    effective weights that scheme B's forward pass sees."""
-    effective: dict[str, np.ndarray] = {}
-    for node_id in proxied:
-        node = g.nodes[node_id]
-        effective.update(center_node_params(node, {name: w[name] for name in node.param_refs}))
-    return w.replacing(effective)
-
-
 def _proxied_grads(
     g: Graph,
     effective: WeightStore,
@@ -221,9 +212,10 @@ def _proxied_grads(
 ) -> tuple[list[np.ndarray], Gradients]:
     """Forward/backward with proxy parameters for the proxied node ids.
 
-    The forward pass reads the store _proxied_effective made; gradients
-    w.r.t. the proxy weights project the effective-weight gradients through
-    the same centering map. keep_axis0 is backward's: inputs are stacked
+    The forward pass reads effective, the proxy store with the proxied
+    nodes' weights centered (center_targets); gradients w.r.t. the proxy
+    weights project the effective-weight gradients through the same
+    centering map. keep_axis0 is backward's: inputs are stacked
     trials, each with its own gradients, and the projection centers them all
     in one call per node, since it leaves leading axes alone.
     """
@@ -295,7 +287,7 @@ def verify_gradients(
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
     proxied = _derive_proxied(gA, gB)
-    effective = _proxied_effective(gB, storeB, proxied)
+    effective = center_targets(gB, storeB, proxied)
     params = sum(arr.size for _name, arr in storeA.items())
     per_batch = min(_trials_per_batch(shapesA), _trials_per_batch(shapesB),
                     max(1, TAPE_BUDGET // max(1, params)))
@@ -497,7 +489,7 @@ def training_equivalence(
             loss_b, d = _softmax_cross_entropy(outs[0], labels)
             return [d]
 
-        _, gradsB = _proxied_grads(gB, _proxied_effective(gB, storeB, proxied), proxied, {input_id: x}, ce_grads)
+        _, gradsB = _proxied_grads(gB, center_targets(gB, storeB, proxied), proxied, {input_id: x}, ce_grads)
         if not np.isfinite(loss_b):
             raise TrainingDivergenceError(f"scheme B diverged at step {_step}")
         for name, grad in gradsB.params.items():

@@ -42,7 +42,7 @@ from lnfold.centering import (
     centering_gradient,
     constraint_residual,
 )
-from lnfold.fold_apply import FoldError, apply_fold
+from lnfold.fold_apply import FoldError, apply_fold, center_targets
 from lnfold.fold_detect import detect_foldable
 from lnfold.ops import (
     attention_value_forward,
@@ -54,7 +54,6 @@ from lnfold.ops import (
 )
 from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
-    _proxied_effective,
     flops_estimate,
     sample_inputs,
     training_equivalence,
@@ -139,13 +138,13 @@ def test_criterion_3_gradient_equivalence():
     def scheme_b_loss(arrays):
         from lnfold.graph_ir import WeightStore
         st = WeightStore(arrays)
-        outs, _ = forward(fg, _proxied_effective(fg, st, proxied), inputs)
+        outs, _ = forward(fg, center_targets(fg, st, proxied), inputs)
         return float(sum(o.sum() for o in outs))
 
     outsA, tapeA = forward(g, store, inputs)
     gradsA = backward(tapeA, [np.ones_like(o) for o in outsA]).params
     from lnfold.verify import _proxied_grads
-    _, gradsB = _proxied_grads(fg, _proxied_effective(fg, store, proxied), proxied, inputs,
+    _, gradsB = _proxied_grads(fg, center_targets(fg, store, proxied), proxied, inputs,
                                lambda outs: [np.ones_like(o) for o in outs])
 
     for loss_fn, grads, tag in ((scheme_a_loss, gradsA, "plain"),

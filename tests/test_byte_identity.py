@@ -6,7 +6,8 @@ report, the dry-run diff, the folded model files and the verify JSON. The
 folded-model and verify digests were recorded before graph adjacency was
 indexed; the report digests were re-pinned once, for report format 2. The
 dry-run digests were recorded before reports were checked against a
-re-derived fold plan. Regenerate them with
+re-derived fold plan; the shared_producer digests were recorded before a
+fold spliced its report's recorded insertions. Regenerate them with
 ``python tests/test_byte_identity.py`` (with ``src`` on the path) only for
 a change that means to alter output.
 """
@@ -25,14 +26,29 @@ from lnfold import fixtures
 from lnfold.cli import main
 from lnfold.graph_ir import save_model
 
+
+def shared_producer():
+    """One producer read three times: tokens -> embed; add = ResidualAdd(embed,
+    embed); ln_a(add) and ln_b(embed) are both outputs. A practical fold
+    centers after embed and reroutes all three edges, two into add's slots."""
+    b = fixtures._Builder(0)
+    embed = b.embedding("embed", b.input("tokens", (4,), integer=True, high=13), 13, 16)
+    add = b.simple("add", "ResidualAdd", (embed, embed))
+    b.output(b.layer_norm("ln_a", add, 16))
+    b.output(b.layer_norm("ln_b", embed, 16))
+    return b.build()
+
+
 CASES = {
     "linear_then_norm": lambda: fixtures.linear_then_norm(),
     "residual_scale_mix": lambda: fixtures.residual_scale_mix(),
     "post_ln_transformer": lambda: fixtures.post_ln_transformer(),
     "fanout_trap": lambda: fixtures.fanout_trap(),
     "pre_ln_transformer_12": lambda: fixtures.pre_ln_transformer(blocks=12),
+    "shared_producer": shared_producer,
 }
 MODES = ("strict", "practical")
+
 
 
 def _sha(path):
@@ -152,6 +168,22 @@ EXPECTED = {
         "folded_json": "4b2ea249a3757384c9599bb4f048c823d15cae3ef8d2acfca0d85ad29afce3ae",
         "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
         "verify": "07764629ae807c75ff4c4ada4af2b1ed29613d63d062ededa21e195e4907413b",
+    },
+    "shared_producer/practical": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "e1ecb6cb0b16ff4e9a275d7407a0f8f5abe58f149ee1d291b9186839e2da1ff6"],
+        "report": "f6ae928e5373e5b3d08a41e2d9a69da6ba2f05d7b6725f4afbbea1fb3b37ac43",
+        "folded_json": "70bbcabffd540c268529528d55c993a6d0b3c81df04de89283fb0c8c065c717a",
+        "folded_bin": "498ad3e15ddbd31b406319636d9f1936dd39eb5ab777587b78ba62c04436cd42",
+        "verify": "2e7020a4794264e529044a87ba263ed8302628cd6ada29d915a4df22d636e41a",
+    },
+    "shared_producer/strict": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "d518f60de5bc909104bf429e9ec99844628a7c5ecdfd1118442a21b592476674"],
+        "report": "b9f184fa1d72d5fed43052dc70d9b17e15d5788781b50afa8c3504ae35634d09",
+        "folded_json": "34021ef1ba6f9fbc9671bf2263e16385a9ad049dc987314173f0c8b681dc896d",
+        "folded_bin": "498ad3e15ddbd31b406319636d9f1936dd39eb5ab777587b78ba62c04436cd42",
+        "verify": "381dca335ba3a37782191856d6c4f1654e65b7505820fc418d79080b3d52ea8a",
     },
 }
 

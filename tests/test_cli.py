@@ -227,7 +227,12 @@ class TestMalformedReport:
          "cannot fold: blocked by embed"),
         ("pre_ln_transformer", ["--practical"], _insertion_edges([]),
          "insertion after 'embed' should be"),
-    ], ids=["blocked_ln_listed", "forged_safety", "dropped_insertion", "emptied_insertion_edges"])
+        ("linear_then_norm", [], _set("mode", {"anything": [1, 2]}),
+         "report mode must be 'strict' or 'practical', got {'anything': [1, 2]}"),
+        ("pre_ln_transformer", ["--practical"], _set("mode", "strict"),
+         "strict report plans explicit centering insertions"),
+    ], ids=["blocked_ln_listed", "forged_safety", "dropped_insertion", "emptied_insertion_edges",
+            "unknown_mode", "strict_mode_with_insertions"])
     def test_tampered_decision_exits_1(self, tmp_path, capsys, name, analyze_flags, edit, message,
                                        flags):
         model = fixtures.ALL_FIXTURES[name]()
@@ -247,6 +252,25 @@ class TestMalformedReport:
     def test_malformed_json_exits_1(self, tmp_path, capsys, edit, flags):
         err = self._fold(tmp_path, capsys, fixtures.linear_then_norm(), [], edit, flags)
         assert err.startswith("error: cannot read report: ")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["analyze", "fold", "pipeline"])
+    def test_exits_1_with_message(self, models, tmp_path, capsys, command):
+        topo, blob = models["post_ln_transformer"]
+        rep, missing = str(tmp_path / "rep.json"), str(tmp_path / "missing")
+        assert main(["analyze", topo, blob, "--out", rep]) == 0
+        argv, target = {
+            "analyze": (["analyze", topo, blob, "--out", os.path.join(missing, "r.json")],
+                        os.path.join(missing, "r.json")),
+            "fold": (["fold", topo, blob, "--report", rep, "--out", os.path.join(missing, "f")],
+                     os.path.join(missing, "f.json")),
+            "pipeline": (["pipeline", topo, blob, "--out-dir", rep], rep),  # a file, not a directory
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
 
 
 def _extra_edge(doc):

@@ -414,7 +414,7 @@ class TestWorkDone:
         calls = []
         original = fold_detect.graph_with_insertions
         monkeypatch.setattr(fold_detect, "graph_with_insertions",
-                            lambda g, producers: calls.append(list(producers)) or original(g, producers))
+                            lambda g, insertions: calls.append(list(insertions)) or original(g, insertions))
         g, w = fixtures.pre_ln_transformer(blocks=blocks)
         report = detect_foldable(g, w, mode="practical")
         assert [ins.after for ins in report.insertions] == ["embed"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnfold import fixtures
+from lnfold.fold_detect import AuxInsertion, graph_with_insertions
 from lnfold.graph_ir import (
     NODE_KINDS,
     Graph,
@@ -307,11 +308,18 @@ class TestGraphOps:
     def test_insert_after_rewires_all_consumers(self):
         g, _w = fixtures.pre_ln_transformer()
         consumers = g.successors("embed")
-        g2 = g.insert_after("embed", make_node("probe", "AuxiliaryCentering"))
+        g2 = _splice(g, "embed", "probe")
         assert g2.successors("embed") == ["probe"]
         assert sorted(g2.successors("probe")) == sorted(consumers)
         # original untouched
         assert "probe" not in g.nodes
+
+
+def _splice(g, producer, node_id):
+    """g with a centering node node_id spliced between producer and all of
+    its consumers."""
+    edges = tuple((producer, dst, slot) for dst, slot in g.out_edges(producer))
+    return graph_with_insertions(g, [AuxInsertion(producer, node_id, edges, ())])
 
 
 # Reference adjacency: scan the whole edge list on every call.
@@ -366,7 +374,7 @@ def _rewrites(g):
     with every LayerNorm (or else every ReLU) swapped in one rebuild."""
     out = [g]
     producer = next(nid for nid in g.topo_order() if g.successors(nid))
-    out.append(g.insert_after(producer, make_node("spliced", "AuxiliaryCentering")))
+    out.append(_splice(g, producer, "spliced"))
     swaps = {nid: "RMSNorm" for nid, n in g.nodes.items() if n.kind == "LayerNorm"}
     swaps = swaps or {nid: "DropoutInference" for nid, n in g.nodes.items() if n.kind == "ReLU"}
     out.append(g.with_kinds(swaps))

@@ -34,6 +34,7 @@ from lnfold.graph_ir import (
     NodeClass,
     classify_node,
     load_model,
+    make_node,
     model_hash,
     save_model,
     validate_graph,
@@ -221,6 +222,33 @@ def _centering_node_feeds_a_relu():
     return b.build()
 
 
+def _embedding_read_three_times():
+    """A practical fold centers after embed and reroutes three edges, two of
+    them into the two slots of add."""
+    b = fixtures._Builder(0)
+    embed = b.embedding("embed", b.input("tokens", (4,), integer=True, high=5), 5, 4)
+    b.output(b.layer_norm("ln_a", b.simple("add", "ResidualAdd", (embed, embed)), 4))
+    b.output(b.layer_norm("ln_b", embed, 4))
+    return b.build()
+
+
+def splice_one_by_one(g, producers):
+    """Reference splice: a centering node after each producer in turn, named
+    center_after_<producer> (suffixed _2, _3, ... past taken ids), between
+    the producer and all of its consumers. Returns (graph, producer -> id)."""
+    ids = {}
+    for p in producers:
+        base = nid = f"center_after_{p}"
+        n = 2
+        while nid in g.nodes:
+            nid, n = f"{base}_{n}", n + 1
+        edges = [(nid if s == p else s, d, slot) for s, d, slot in g.edges] + [(p, nid, 0)]
+        outputs = [nid if o == p else o for o in g.outputs]
+        g = Graph([*g.nodes.values(), make_node(nid, "AuxiliaryCentering")], edges, g.inputs, outputs)
+        ids[p] = nid
+    return g, ids
+
+
 def per_layer_norm_reference(g, w, mode, strict_safety):
     """The report fields a fold reads, from one zero-mean graph and one
     affected-layer walk per LayerNorm, unioned."""
@@ -244,7 +272,7 @@ def per_layer_norm_reference(g, w, mode, strict_safety):
 
     if producers:
         # On the spliced graph the inserted nodes are the moved producers.
-        sim, aux_ids = graph_with_insertions(g, producers)
+        sim, aux_ids = splice_one_by_one(g, producers)
         affected = affected_on(sim, sorted(set(strict) | rescued), aux_ids.values())
         if strict_safety and affected:
             producers, rescued = [], set()
@@ -330,6 +358,19 @@ class TestFoldSoundness:
         for bad in tampered:
             with pytest.raises(FoldError):
                 apply_fold(g, w, bad, allow_practical=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(builder_models(), st.sampled_from(["strict", "practical"]), st.booleans())
+    @example(_embedding_read_three_times(), "practical", True)
+    def test_splice_equals_one_by_one_reference(self, model, mode, strict_safety):
+        g, w = model
+        plan = check_report(g, detect_foldable(g, w, mode=mode, strict_safety=strict_safety))
+        spliced = graph_with_insertions(g, plan.insertions)
+        reference, ids = splice_one_by_one(g, [ins.after for ins in plan.insertions])
+        assert ids == {ins.after: ins.node_id for ins in plan.insertions}
+        assert list(spliced.nodes.items()) == list(reference.nodes.items())
+        assert spliced.edges == reference.edges
+        assert spliced.outputs == reference.outputs
 
 
 class TestLeadingBatchAxis:

@@ -153,10 +153,9 @@ class TestForward:
         g, w = fixtures.post_ln_transformer()
         rng = np.random.default_rng(0)
         inp = sample_inputs(g, rng)
-        out1, tape = forward(g, w, inp)
+        out1, _ = forward(g, w, inp)
         out2, _ = forward(g, w, inp)
         np.testing.assert_array_equal(out1[0], out2[0])
-        np.testing.assert_array_equal(tape.replay()[0], out1[0])
 
     def test_tape_points_at_the_graph(self):
         g, w = fixtures.post_ln_transformer()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lnfold import fixtures, verify
-from lnfold.fold_apply import FoldError, apply_fold
+from lnfold.fold_apply import FoldError, apply_fold, center_targets
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, infer_shapes, make_node
 from lnfold.ops import OPS
@@ -88,7 +88,7 @@ def _reference_grad_diff(gA, wA, gB, wB, trials, seed):
     one backward at a time."""
     storeA, storeB = wA.as_f64(), wB.as_f64()
     proxied = verify._derive_proxied(gA, gB)
-    effective = verify._proxied_effective(gB, storeB, proxied)
+    effective = center_targets(gB, storeB, proxied)
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd = worst_grad = 0.0
     for rng in _trial_rngs(seed, trials):
@@ -248,10 +248,10 @@ class TestStackedGradients:
 
         def counting(*args):
             centered.append(args)
-            return proxied_effective(*args)
+            return original(*args)
 
-        proxied_effective = verify._proxied_effective
-        monkeypatch.setattr(verify, "_proxied_effective", counting)
+        original = verify.center_targets
+        monkeypatch.setattr(verify, "center_targets", counting)
         assert verify_gradients(g, w, fg, w, trials=3, seed=0).passed
         assert len(forward_calls) == 6  # three batches
         assert len(centered) == 1
@@ -458,7 +458,7 @@ class TestVerifyGradients:
         assert rep.passed, rep.max_abs_grad_diff
 
     def test_zero_upstream_gradient(self):
-        from lnfold.verify import _derive_proxied, _proxied_effective, _proxied_grads
+        from lnfold.verify import _derive_proxied, _proxied_grads
         g, w = fixtures.linear_then_norm()
         store = w.as_f64()
         fg, _fw = apply_fold(g, w, detect_foldable(g, w))
@@ -467,7 +467,7 @@ class TestVerifyGradients:
         zeros = lambda outs: [np.zeros_like(o) for o in outs]
         rng = np.random.default_rng(0)
         from lnfold.verify import sample_inputs
-        _, grads = _proxied_grads(g, _proxied_effective(g, store, proxied), proxied, sample_inputs(g, rng), zeros)
+        _, grads = _proxied_grads(g, center_targets(g, store, proxied), proxied, sample_inputs(g, rng), zeros)
         for name, grad in grads.params.items():
             np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
