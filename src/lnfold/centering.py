@@ -53,8 +53,8 @@ class CenteringSpec:
 
 def spec_for_node(node: Node) -> CenteringSpec:
     """The unique centering spec for a general-linear node."""
-    op = OPS.get(node.kind)
-    if op is None or op.family is None:
+    op = OPS[node.kind]
+    if op.family is None:
         raise ValueError(f"node kind {node.kind!r} is not a general linear layer")
     has_bias = op.bias_of(node.param_refs) is not None
     return CenteringSpec(target=node.param_refs[0], family=op.family, includes_bias=has_bias)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -16,7 +17,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .jsonutil import canonical_dumps
-from .ops import OPS, NodeClass, OpDef
+from .ops import OPS, NodeClass
 
 FORMAT_VERSION = 1
 
@@ -33,10 +34,6 @@ class ModelFormatError(ValueError):
 
 class GraphValidationError(ValueError):
     """Raised when an operation requires a valid graph but validation failed."""
-
-
-# Defaults that let validation report an unknown kind and keep checking.
-_UNKNOWN_KIND = OpDef()
 
 
 def classify_node(kind: str) -> NodeClass:
@@ -56,6 +53,10 @@ class Node:
     attrs: Mapping[str, Any] = field(default_factory=dict)
     param_refs: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        if self.kind not in OPS:
+            raise ValueError(f"unknown node kind {self.kind!r} on node {self.id!r}")
+
 
 def make_node(
     node_id: str,
@@ -63,8 +64,6 @@ def make_node(
     attrs: Mapping[str, Any] | None = None,
     params: Sequence[str] = (),
 ) -> Node:
-    if kind not in NODE_KINDS:
-        raise ValueError(f"unknown node kind {kind!r}")
     return Node(node_id, kind, dict(attrs or {}), tuple(params))
 
 
@@ -287,7 +286,7 @@ def _shape_of(node: Node, in_shapes: list[tuple[int, ...] | None], sources: list
     def bad(msg: str) -> None:
         problems.append(f"node {node.id!r}: {msg}")
 
-    op = OPS.get(node.kind, _UNKNOWN_KIND)
+    op = OPS[node.kind]
     params = [w[p] if p in w else None for p in node.param_refs]
     # The layout, arity and attr checks report a short parameter list, a
     # wrong input count or a malformed attr; the shape rule would trip on each.
@@ -315,10 +314,6 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
     """
     problems: list[str] = []
 
-    for node in g.nodes.values():
-        if node.kind not in NODE_KINDS:
-            problems.append(f"node {node.id!r}: unknown kind {node.kind!r}")
-
     for s, d, slot in g.edges:
         if s not in g.nodes:
             problems.append(f"edge references unknown source {s!r}")
@@ -337,7 +332,7 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
         slots = [slot for _s, slot in g.in_edges(node.id)]
         if slots != list(range(len(slots))):
             problems.append(f"node {node.id!r}: input slots {slots} are not 0..k-1 with one edge each")
-        op = OPS.get(node.kind, _UNKNOWN_KIND)
+        op = OPS[node.kind]
         if not op.takes(len(slots)):
             need = "needs arity >= 2" if op.arity is None else f"arity must be {op.arity}"
             problems.append(f"node {node.id!r}: {node.kind} {need}, got {len(slots)} incoming edges")
@@ -345,7 +340,7 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
     # Parameter resolution; parameter sharing across nodes is not supported.
     owner: dict[str, str] = {}
     for node in g.nodes.values():
-        lo, hi = OPS.get(node.kind, _UNKNOWN_KIND).params
+        lo, hi = OPS[node.kind].params
         if not (lo <= len(node.param_refs) <= hi):
             problems.append(
                 f"node {node.id!r}: {node.kind} takes {lo}..{hi} params, got {len(node.param_refs)}"
@@ -361,7 +356,7 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
                 owner[ref] = node.id
 
     for node in g.nodes.values():
-        for msg in OPS.get(node.kind, _UNKNOWN_KIND).check_attrs(node.attrs):
+        for msg in OPS[node.kind].check_attrs(node.attrs):
             problems.append(f"node {node.id!r}: {msg}")
 
     for nid in g.inputs:
@@ -462,14 +457,23 @@ def save_model(g: Graph, w: WeightStore, topology_path: str, weights_path: str) 
     with open(topology_path, "w", encoding="utf-8") as fh:
         fh.write(canonical_dumps(doc))
         fh.write("\n")
-    with open(weights_path, "wb") as fh:
-        fh.writelines(raws)
+    try:
+        with open(weights_path, "wb") as fh:
+            fh.writelines(raws)
+    except OSError:
+        os.remove(topology_path)  # a topology without its weights is no model
+        raise
+
+
+def _refuse_constant(name: str) -> None:
+    """json's hook for NaN and +-Infinity, which canonical_dumps never writes."""
+    raise ModelFormatError(f"topology holds {name}; numbers must be finite")
 
 
 def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStore]:
     with open(topology_path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(
                 f"topology parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -495,21 +499,24 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
             raise ModelFormatError(f"edge {entry!r} is not [src, dst, slot]") from None
 
     nodes: list[Node] = []
-    seen: set[str] = set()
-    for spec in doc.get("nodes", []):
-        if not isinstance(spec, dict) or "id" not in spec or "kind" not in spec:
-            raise ModelFormatError(f"node {spec!r} needs an 'id' and a 'kind'")
-        nid = str(spec["id"])
-        kind = str(spec["kind"])
-        if kind not in NODE_KINDS:
-            raise ModelFormatError(f"unknown node kind {kind!r} on node {nid!r}")
-        if nid in seen:
-            raise ModelFormatError(f"duplicate node id {nid!r}")
-        seen.add(nid)
-        attrs, params = spec.get("attrs", {}), spec.get("params", [])
-        if not isinstance(attrs, dict) or not isinstance(params, list):
-            raise ModelFormatError(f"node {nid!r}: 'attrs' must be an object and 'params' a list")
-        nodes.append(make_node(nid, kind, attrs, [str(p) for p in params]))
+    try:
+        for spec in doc.get("nodes", []):
+            if not isinstance(spec, dict) or "id" not in spec or "kind" not in spec:
+                raise ModelFormatError(f"node {spec!r} needs an 'id' and a 'kind'")
+            nid = str(spec["id"])
+            attrs, params = spec.get("attrs", {}), spec.get("params", [])
+            if not isinstance(attrs, dict) or not isinstance(params, list):
+                raise ModelFormatError(f"node {nid!r}: 'attrs' must be an object and 'params' a list")
+            nodes.append(make_node(nid, str(spec["kind"]), attrs, [str(p) for p in params]))
+        graph = Graph(
+            nodes,
+            edges,
+            [str(i) for i in doc.get("inputs", [])],
+            [str(o) for o in doc.get("outputs", [])],
+            doc.get("provenance"),
+        )
+    except ValueError as exc:  # a Node refuses an unknown kind, a Graph a duplicate id
+        raise ModelFormatError(str(exc)) from None
 
     with open(weights_path, "rb") as fh:
         blob = fh.read()
@@ -558,14 +565,6 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
         raise ModelFormatError(
             f"weights blob length {len(blob)} does not match manifest extent {expected_end}"
         )
-
-    graph = Graph(
-        nodes,
-        edges,
-        [str(i) for i in doc.get("inputs", [])],
-        [str(o) for o in doc.get("outputs", [])],
-        doc.get("provenance"),
-    )
     return graph, WeightStore(arrays)
 
 

@@ -109,13 +109,24 @@ def rms_norm(
     return _center_scale(x, eps, gamma, beta, strict, center=False)[0]
 
 
-def group_norm(x: np.ndarray, groups: int, eps: float = DEFAULT_EPS, strict: bool = True) -> np.ndarray:
-    """Per-group layer_norm over contiguous last-axis chunks."""
-    n = x.shape[-1]
+def _group_center_scale(x, groups, axis, eps, strict):
+    """layer_norm over each of groups contiguous chunks of axis.
+
+    Returns (output, xhat, inverse root, denominator); the last three keep
+    the grouped layout, axis last and split into (groups, chunk).
+    """
+    moved = np.moveaxis(x, axis, -1)
+    n = moved.shape[-1]
     if groups < 1 or n % groups != 0:
         raise ValueError(f"groups {groups} must divide axis length {n}")
-    grouped = x.reshape(x.shape[:-1] + (groups, n // groups))
-    return layer_norm(grouped, eps=eps, strict=strict).reshape(x.shape)
+    grouped = moved.reshape(moved.shape[:-1] + (groups, n // groups))
+    _out, xhat, inv, denom = _center_scale(grouped, eps, None, None, strict, center=True)
+    return np.moveaxis(xhat.reshape(moved.shape), -1, axis), xhat, inv, denom
+
+
+def group_norm(x: np.ndarray, groups: int, eps: float = DEFAULT_EPS, strict: bool = True) -> np.ndarray:
+    """Per-group layer_norm over contiguous last-axis chunks."""
+    return _group_center_scale(x, groups, -1, eps, strict)[0]
 
 
 def linear_forward(W: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -138,19 +149,13 @@ def conv2d_forward(
 
 def _im2col(x: np.ndarray, fh: int, fw: int, stride: int, padding: int) -> tuple[np.ndarray, tuple[int, int]]:
     """(B, OH*OW, C*fh*fw) patch matrix for x of shape (B, C, H, W)."""
-    bsz, c, h, w = x.shape
+    bsz, c = x.shape[:2]
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - fh) // stride + 1
-    ow = (w + 2 * padding - fw) // stride + 1
-    cols = np.empty((bsz, oh * ow, c * fh * fw), dtype=x.dtype)
-    idx = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = x[:, :, i * stride : i * stride + fh, j * stride : j * stride + fw]
-            cols[:, idx, :] = patch.reshape(bsz, -1)
-            idx += 1
-    return cols, (oh, ow)
+    # (B, C, OH, OW, fh, fw): a strided view, copied once by the reshape.
+    windows = np.lib.stride_tricks.sliding_window_view(x, (fh, fw), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz, oh * ow, c * fh * fw), (oh, ow)
 
 
 def _col2im(
@@ -165,12 +170,14 @@ def _col2im(
     padded = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     oh = (h + 2 * padding - fh) // stride + 1
     ow = (w + 2 * padding - fw) // stride + 1
-    idx = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = cols[:, idx, :].reshape(bsz, c, fh, fw)
-            padded[:, :, i * stride : i * stride + fh, j * stride : j * stride + fw] += patch
-            idx += 1
+    patches = cols.reshape(bsz, oh, ow, c, fh, fw).transpose(0, 3, 1, 2, 4, 5)
+    # Offsets run from the highest down, so each pixel sums its patches in
+    # ascending output position, as a loop over output positions would.
+    for di in reversed(range(fh)):
+        for dj in reversed(range(fw)):
+            rows = slice(di, di + stride * (oh - 1) + 1, stride)
+            columns = slice(dj, dj + stride * (ow - 1) + 1, stride)
+            padded[:, :, rows, columns] += patches[..., di, dj]
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
@@ -322,11 +329,11 @@ class OpDef:
     bad, which returns None (it runs only on a node whose layout, arity,
     attrs and input ranks pass); check_sources lists problems with the
     nodes feeding the node, one per input slot, and runs where shape does;
-    forward returns (output, saved tensors, smallest normalization
-    denominator); backward returns the gradients for each input slot and
-    each parameter, in slot order. backward's keep says that axis 0 of the
-    activations holds stacked trials: each parameter gradient then keeps
-    that axis, one gradient per trial (see _sum_to).
+    forward returns (output, saved tensors), and the normalizing kinds save
+    their denominator as denom; backward returns the gradients for each
+    input slot and each parameter, in slot order. backward's keep says that
+    axis 0 of the activations holds stacked trials: each parameter gradient
+    then keeps that axis, one gradient per trial (see _sum_to).
     """
 
     node_class = NodeClass.OPAQUE
@@ -381,7 +388,7 @@ class _Linear(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return linear_forward(params[0], self.bias_of(params), x), {}, np.inf
+        return linear_forward(params[0], self.bias_of(params), x), {}
 
     def backward(self, e, dy, keep):
         dW = _matmul_param_grad(e.inputs[0], dy, keep)
@@ -421,7 +428,7 @@ class _Conv2d(OpDef):
         padding = int(attrs.get("padding", 0))
         out, saved = _conv2d_with_patches(params[0], self.bias_of(params), x, stride, padding)
         saved.update({"stride": stride, "padding": padding})
-        return out, saved, np.inf
+        return out, saved
 
     def backward(self, e, dy, keep):
         K, s = e.params[0], e.saved
@@ -462,7 +469,7 @@ class _RecurrentCell(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         x, h_prev = inputs
-        return rnn_cell_forward(params[0], params[1], x, h_prev, self.bias_of(params)), {}, np.inf
+        return rnn_cell_forward(params[0], params[1], x, h_prev, self.bias_of(params)), {}
 
     def backward(self, e, dy, keep):
         (x, h_prev), (Wv, Wh) = e.inputs, e.params[:2]
@@ -485,7 +492,7 @@ class _AttentionValueProjection(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return attention_value_forward(x, params[0]), {}, np.inf
+        return attention_value_forward(x, params[0]), {}
 
     def backward(self, e, dy, keep):
         # d(y = x @ V)/dV is the Linear weight gradient with x and dy swapped.
@@ -526,8 +533,7 @@ class _LayerNorm(OpDef):
     center = removes_mean = True
 
     def _gamma_beta(self, params):
-        beta = params[self.bias] if len(params) > self.bias else None
-        return (params[0] if params else None), beta
+        return (params[0] if params else None), self.bias_of(params)
 
     def check_attrs(self, attrs):
         return _number_problems(
@@ -548,11 +554,11 @@ class _LayerNorm(OpDef):
         (x,) = inputs
         eps = float(attrs.get("eps", DEFAULT_EPS))
         out, xhat, inv, denom = _center_scale(x, eps, *self._gamma_beta(params), strict, self.center)
-        return out, {"xhat": xhat, "inv": inv}, float(denom.min())
+        return out, {"xhat": xhat, "inv": inv, "denom": denom}
 
     def backward(self, e, dy, keep):
         xhat, inv = e.saved["xhat"], e.saved["inv"]
-        gamma = e.params[0] if e.params else None
+        gamma, _beta = self._gamma_beta(e.params)
         g = dy if gamma is None else dy * gamma
         dgamma = [] if gamma is None else [_sum_to(gamma.shape, dy * xhat, keep)]
         return [_norm_input_grad(g, xhat, inv, self.center)], dgamma + self._bias_grad(e.params, dy, keep)
@@ -587,12 +593,8 @@ class _GroupNorm(OpDef):
         eps = float(attrs.get("eps", DEFAULT_EPS))
         groups = int(attrs.get("groups", 1))
         axis = int(attrs.get("axis", -1))
-        moved = np.moveaxis(x, axis, -1)
-        n = moved.shape[-1]
-        grouped = moved.reshape(moved.shape[:-1] + (groups, n // groups))
-        _out, xhat, inv, denom = _center_scale(grouped, eps, None, None, strict, center=True)
-        out = np.moveaxis(xhat.reshape(moved.shape), -1, axis)
-        return out, {"xhat": xhat, "inv": inv, "axis": axis}, float(denom.min())
+        out, xhat, inv, denom = _group_center_scale(x, groups, axis, eps, strict)
+        return out, {"xhat": xhat, "inv": inv, "denom": denom, "axis": axis}
 
     def backward(self, e, dy, keep):
         xhat, inv, axis = e.saved["xhat"], e.saved["inv"], e.saved["axis"]
@@ -611,7 +613,7 @@ class _ScalarScale(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return scalar_scale(x, float(attrs["scale"])), {}, np.inf
+        return scalar_scale(x, float(attrs.get("scale", 1.0))), {}
 
     def backward(self, e, dy, keep):
         return [dy * float(e.node.attrs.get("scale", 1.0))], []
@@ -623,10 +625,6 @@ class _DropoutInference(_ScalarScale):
             return ["training-mode dropout is not representable"]
         return _number_problems(attrs, floats=("scale",))
 
-    def forward(self, attrs, inputs, params, strict):
-        (x,) = inputs
-        return scalar_scale(x, float(attrs.get("scale", 1.0))), {}, np.inf
-
 
 class _ResidualAdd(OpDef):
     node_class, arity = NodeClass.RESIDUAL, None
@@ -637,7 +635,7 @@ class _ResidualAdd(OpDef):
         return shapes[0]
 
     def forward(self, attrs, inputs, params, strict):
-        return residual_add(*inputs), {}, np.inf
+        return residual_add(*inputs), {}
 
     def backward(self, e, dy, keep):
         return [dy] * len(e.inputs), []
@@ -658,7 +656,7 @@ class _Concat(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         widths = tuple(x.shape[-1] for x in inputs)
-        return concat(inputs, axis=-1), {"widths": widths}, np.inf
+        return concat(inputs, axis=-1), {"widths": widths}
 
     def backward(self, e, dy, keep):
         grads, offset = [], 0
@@ -671,7 +669,7 @@ class _Concat(OpDef):
 class _ReLU(OpDef):
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return relu(x), {}, np.inf
+        return relu(x), {}
 
     def backward(self, e, dy, keep):
         return [dy * (e.inputs[0] > 0)], []
@@ -683,7 +681,7 @@ class _Softmax(OpDef):
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
         y = softmax(x)
-        return y, {"y": y}, np.inf
+        return y, {"y": y}
 
     def backward(self, e, dy, keep):
         y = e.saved["y"]
@@ -715,7 +713,7 @@ class _Embedding(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (idx,) = inputs
-        return embedding_lookup(params[0], idx), {}, np.inf
+        return embedding_lookup(params[0], idx), {}
 
     def backward(self, e, dy, keep):
         # Integer indices take no gradient.
@@ -735,7 +733,7 @@ class _AuxiliaryCentering(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return auxiliary_centering(x), {}, np.inf
+        return auxiliary_centering(x), {}
 
     def backward(self, e, dy, keep):
         return [dy - dy.mean(axis=-1, keepdims=True)], []
@@ -766,7 +764,7 @@ class _Input(OpDef):
 class _Output(OpDef):
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return x, {}, np.inf
+        return x, {}
 
     def backward(self, e, dy, keep):
         return [dy], []

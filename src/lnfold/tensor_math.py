@@ -48,7 +48,6 @@ class Tape:
 
     graph: Graph
     entries: dict[str, TapeEntry]
-    min_norm_denom: float
 
     def value_of(self, node_id: str) -> np.ndarray:
         return self.entries[node_id].output
@@ -69,7 +68,6 @@ def forward(
         raise ValueError(f"missing inputs for {missing}")
 
     entries: dict[str, TapeEntry] = {}
-    min_denom = np.inf
 
     for nid in g.topo_order():
         node = g.nodes[nid]
@@ -82,14 +80,13 @@ def forward(
         in_vals = tuple(entries[src].output for src in g.predecessors(nid))
         param_arrays = tuple(w[ref] for ref in node.param_refs)
         try:
-            out, saved, denom = OPS[node.kind].forward(node.attrs, in_vals, param_arrays, strict)
+            out, saved = OPS[node.kind].forward(node.attrs, in_vals, param_arrays, strict)
         except NumericalError as exc:
             raise NumericalError(f"node {nid!r}: {exc}") from None
-        min_denom = min(min_denom, denom)
         entries[nid] = TapeEntry(node, in_vals, param_arrays, out, saved)
 
     outs = [entries[o].output for o in g.outputs]
-    return outs, Tape(g, entries, float(min_denom))
+    return outs, Tape(g, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,7 @@ def finite_difference_grad(
 
     Independent of the reverse-mode path by construction: only forward
     evaluations are used. Flags ill-conditioning when any normalization
-    denominator came within ILL_CONDITION_THRESHOLD of zero.
+    denominator saved on a tape came within ILL_CONDITION_THRESHOLD of zero.
     """
     names = list(param_names) if param_names is not None else w.names()
     arrays = {k: v.astype(np.float64).copy() for k, v in w.items()}
@@ -188,8 +185,8 @@ def finite_difference_grad(
     def run() -> float:
         nonlocal ill
         outs, tape = forward(g, WeightStore(arrays), inputs, strict=False)
-        if tape.min_norm_denom < ILL_CONDITION_THRESHOLD:
-            ill = True
+        ill = ill or any(e.saved["denom"].min(initial=np.inf) < ILL_CONDITION_THRESHOLD
+                         for e in tape.entries.values() if "denom" in e.saved)
         return loss_value(outs, loss_selector)
 
     grads: dict[str, np.ndarray] = {}

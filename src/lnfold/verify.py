@@ -9,6 +9,7 @@ quantifies what the rewrite saves per normalization layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Mapping
 
@@ -144,7 +145,7 @@ TAPE_BUDGET = 2**18
 def _trials_per_batch(shapes: Mapping[str, tuple[int, ...]]) -> int:
     """How many trials one stacked forward of a valid graph with these
     per-sample shapes may evaluate under TAPE_BUDGET."""
-    footprint = sum(int(np.prod(s, dtype=np.int64)) for s in shapes.values())
+    footprint = sum(math.prod(s) for s in shapes.values())
     return max(1, TAPE_BUDGET // max(1, footprint))
 
 

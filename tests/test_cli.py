@@ -272,6 +272,21 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["fold", "pipeline"])
+    def test_failed_weights_write_leaves_no_topology(self, models, tmp_path, capsys, command):
+        topo, blob = models["post_ln_transformer"]
+        rep, out_dir = str(tmp_path / "rep.json"), tmp_path / "pipe"
+        assert main(["analyze", topo, blob, "--out", rep]) == 0
+        prefix = {"fold": tmp_path / "f", "pipeline": out_dir / "folded"}[command]
+        os.makedirs(f"{prefix}.bin")  # a directory where the weights file goes
+        argv = {"fold": ["fold", topo, blob, "--report", rep, "--out", str(prefix)],
+                "pipeline": ["pipeline", topo, blob, "--out-dir", str(out_dir)]}[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {prefix}.bin: ") and "Traceback" not in err
+        assert not os.path.exists(f"{prefix}.json")
+
 
 def _extra_edge(doc):
     doc["edges"].append(["x", "ghost", 0])
@@ -536,6 +551,18 @@ def _node(doc, node_id):
     return next(n for n in doc["nodes"] if n["id"] == node_id)
 
 
+def _set_attr(node_id, key, value):
+    def edit(doc):
+        _node(doc, node_id)["attrs"][key] = value
+        return doc
+    return edit
+
+
+def _duplicate_node(doc):
+    doc["nodes"].append(dict(doc["nodes"][1]))
+    return doc
+
+
 def _linear_without_params(doc):
     _node(doc, "ffn1")["params"] = []
     return doc
@@ -552,15 +579,35 @@ class TestMalformedTopology:
         (_manifest_entry_list, "needs a name, a dtype, an integer shape"),
         (_manifest_shape_text, "needs a name, a dtype, an integer shape"),
         (_attrs_list, "'attrs' must be an object"),
+        (_duplicate_node, "duplicate node id 'lin_in'"),
+        (_set_attr("ln1", "eps", float("nan")), "topology holds NaN"),
+        (_set_attr("ln1", "eps", float("inf")), "topology holds Infinity"),
+        (_set_attr("act", "slope", float("-inf")), "topology holds -Infinity"),
     ], ids=["node_without_kind", "node_without_id", "short_edge", "top_level_list",
             "overlapping_manifest", "manifest_without_dtype", "manifest_entry_list",
-            "manifest_shape_not_integer", "attrs_not_object"])
+            "manifest_shape_not_integer", "attrs_not_object", "duplicate_node_id",
+            "nan_attr", "infinite_attr", "minus_infinite_attr_on_relu"])
     def test_exits_1_with_message(self, models, tmp_path, capsys, edit, message):
         topo, blob = models["post_ln_transformer"]
         _edit_topology(topo, edit)
         assert main(["analyze", topo, blob]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load model: ") and message in err
+
+    @pytest.mark.parametrize("command", ["analyze", "fold", "verify", "pipeline"])
+    def test_non_finite_constant_is_refused_by_every_command(self, models, tmp_path, capsys, command):
+        topo, blob = models["post_ln_transformer"]
+        rep = str(tmp_path / "rep.json")
+        assert main(["analyze", topo, blob, "--out", rep]) == 0
+        _edit_topology(topo, _set_attr("ln1", "eps", float("nan")))
+        argv = {"analyze": ["analyze", topo, blob],
+                "fold": ["fold", topo, blob, "--report", rep, "--out", str(tmp_path / "f")],
+                "verify": ["verify", topo, blob, topo, blob, "--trials", "3"],
+                "pipeline": ["pipeline", topo, blob, "--out-dir", str(tmp_path / "pipe")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load model: topology holds NaN") and "Traceback" not in err
 
     @pytest.mark.parametrize("name, edit, message", [
         ("post_ln_transformer", _linear_without_params, "Linear takes 1..2 params, got 0"),

@@ -15,6 +15,7 @@ from lnfold.graph_ir import (
     Graph,
     GraphValidationError,
     ModelFormatError,
+    Node,
     NodeClass,
     WeightStore,
     classify_node,
@@ -36,6 +37,15 @@ class TestClassifyNode:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             classify_node("FooNorm")
+
+    @pytest.mark.parametrize("build, node", [
+        (lambda: make_node("n", "FooNorm"), "n"),
+        (lambda: Node("n", "FooNorm"), "n"),
+        (lambda: fixtures.linear_then_norm()[0].with_kinds({"ln": "FooNorm"}), "ln"),
+    ], ids=["make_node", "node", "with_kinds"])
+    def test_a_node_refuses_an_unknown_kind(self, build, node):
+        with pytest.raises(ValueError, match=f"unknown node kind 'FooNorm' on node '{node}'"):
+            build()
 
     @pytest.mark.parametrize(
         "kind,cls",
@@ -524,7 +534,8 @@ def _slots(value):
             yield from _slots(value[key])
 
 
-_RETYPED = st.sampled_from([None, True, 0, -3, 2.5, "x", [], {}, [1, "a"], {"k": 1}])
+_RETYPED = st.sampled_from([None, True, 0, -3, 2.5, float("nan"), float("inf"), "x", [], {},
+                           [1, "a"], {"k": 1}])
 
 
 @st.composite
@@ -571,5 +582,6 @@ class TestTopologyFuzz:
             g, w = load_model(str(topo), blob)
         except ModelFormatError:
             return
+        model_hash(g, w)
         report = validate_graph(g, w)
         assert report.ok == (not report.violations)

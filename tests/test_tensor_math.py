@@ -9,7 +9,10 @@ from lnfold.fold_apply import apply_fold
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import NODE_KINDS, Graph, WeightStore, make_node, validate_graph
 from lnfold.ops import (
+    OPS,
     NumericalError,
+    _col2im,
+    _conv2d_with_patches,
     auxiliary_centering,
     group_norm,
     layer_norm,
@@ -105,6 +108,67 @@ class TestGroupNorm:
     def test_divisibility_error(self):
         with pytest.raises(ValueError):
             group_norm(np.ones(5), 2)
+
+
+def _reference_im2col(x, fh, fw, stride, padding):
+    """The patch matrix gathered one output position at a time."""
+    bsz, c, h, w = x.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - fh) // stride + 1
+    ow = (w + 2 * padding - fw) // stride + 1
+    cols = np.empty((bsz, oh * ow, c * fh * fw), dtype=x.dtype)
+    for i in range(oh):
+        for j in range(ow):
+            patch = x[:, :, i * stride : i * stride + fh, j * stride : j * stride + fw]
+            cols[:, i * ow + j, :] = patch.reshape(bsz, -1)
+    return cols, (oh, ow)
+
+
+def _reference_col2im(cols, in_shape, fh, fw, stride, padding):
+    """Patches scattered back one output position at a time, in order."""
+    bsz, c, h, w = in_shape
+    padded = np.zeros((bsz, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    oh = (h + 2 * padding - fh) // stride + 1
+    ow = (w + 2 * padding - fw) // stride + 1
+    for i in range(oh):
+        for j in range(ow):
+            patch = cols[:, i * ow + j, :].reshape(bsz, c, fh, fw)
+            padded[:, :, i * stride : i * stride + fh, j * stride : j * stride + fw] += patch
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
+_CONV_CASES = [
+    (c, kernel, stride, padding, lead)
+    for c in (1, 3)
+    for kernel in ((1, 1), (2, 3), (3, 3), (4, 2))
+    for stride in (1, 2, 3)
+    for padding in (0, 1, 2)
+    for lead in ((), (3,), (4, 1))
+    if kernel[0] <= 3 + 2 * padding and kernel[1] <= 5 + 2 * padding  # the kernel fits a 3x5 input
+]
+
+
+class TestConvPatches:
+    """The strided patch gather and the per-offset scatter equal, bit for
+    bit, a loop over output positions."""
+
+    @pytest.mark.parametrize("c, kernel, stride, padding, lead", _CONV_CASES, ids=[
+        f"c{c}-k{k[0]}x{k[1]}-s{s}-p{p}-lead{''.join(map(str, lead))}" for c, k, s, p, lead in _CONV_CASES])
+    def test_matches_per_position_loops(self, c, kernel, stride, padding, lead):
+        rng = np.random.default_rng(0)
+        fh, fw = kernel
+        x = rng.normal(size=lead + (c, 3, 5))
+        K, b = rng.normal(size=(2, c, fh, fw)), rng.normal(size=2)
+        out, saved = _conv2d_with_patches(K, b, x, stride, padding)
+        flat = x.reshape((-1, c, 3, 5))
+        cols, (oh, ow) = _reference_im2col(flat, fh, fw, stride, padding)
+        ref = (cols @ K.reshape(2, -1).T + b).transpose(0, 2, 1).reshape(lead + (2, oh, ow))
+        assert np.array_equal(saved["cols"], cols) and np.array_equal(out, ref)
+
+        grads = rng.normal(size=cols.shape)
+        assert np.array_equal(_col2im(grads, flat.shape, fh, fw, stride, padding),
+                              _reference_col2im(grads, flat.shape, fh, fw, stride, padding))
 
 
 class TestSimplePrimitives:
@@ -293,6 +357,15 @@ class TestGroupNormNode:
         outs, _ = forward(g, w, {"x": x})
         np.testing.assert_allclose(outs[0], group_norm(W @ x, 2, eps=1e-5), atol=1e-14)
 
+    @pytest.mark.parametrize("axis", [-1, -2, -3])
+    def test_node_and_primitive_are_one_implementation(self, axis):
+        x = np.random.default_rng(7).uniform(-2, 2, size=(3, 4, 6, 4))
+        out, _saved = OPS["GroupNorm"].forward({"groups": 2, "axis": axis}, (x,), (), True)
+        expected = np.moveaxis(group_norm(np.moveaxis(x, axis, -1), 2), -1, axis)
+        assert np.array_equal(out, expected)
+        if axis == -1:
+            assert np.array_equal(out, group_norm(x, 2))
+
     def test_channel_axis_gradients(self):
         # normalize over a non-trailing axis and check against the oracle
         rng = np.random.default_rng(5)
@@ -358,16 +431,21 @@ class TestFiniteDifferences:
         fd = finite_difference_grad(g, w, {"x": np.array([0.0, 0.0])}, "sum", h=1e-6)
         np.testing.assert_array_equal(fd.params["lin.weight"], np.zeros((2, 2)))
 
-    def test_ill_conditioning_flag(self):
+    @pytest.mark.parametrize("kind, attrs, x", [
+        ("LayerNorm", {}, [1.0, 1.0 + 1e-9]),
+        ("RMSNorm", {}, [1e-9, -1e-9]),
+        ("GroupNorm", {"groups": 1}, [1.0, 1.0 + 1e-9]),
+    ], ids=["LayerNorm", "RMSNorm", "GroupNorm"])
+    def test_ill_conditioning_flag(self, kind, attrs, x):
         nodes = [
             make_node("x", "Input", {"shape": [2]}),
             make_node("lin", "Linear", params=["lin.weight"]),
-            make_node("ln", "LayerNorm", {"eps": 0.0}),
+            make_node("ln", kind, {"eps": 0.0, **attrs}),
             make_node("out", "Output"),
         ]
         g = Graph(nodes, [("x", "lin", 0), ("lin", "ln", 0), ("ln", "out", 0)], ["x"], ["out"])
         w = WeightStore({"lin.weight": np.eye(2)})
-        fd = finite_difference_grad(g, w, {"x": np.array([1.0, 1.0 + 1e-9])}, "sum", h=1e-6)
+        fd = finite_difference_grad(g, w, {"x": np.array(x)}, "sum", h=1e-6)
         assert fd.ill_conditioned
 
     def test_loss_selectors(self):
