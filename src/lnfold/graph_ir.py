@@ -147,6 +147,7 @@ class Graph:
         self.outputs: list[str] = list(outputs)
         self.provenance: dict[str, Any] | None = dict(provenance) if provenance else None
         self._kahn: tuple[list[str], dict[str, int]] | None = None
+        self._dead_after: dict[str, tuple[str, ...]] | None = None
         # Adjacency indexes; the graph never changes, so they never go stale.
         # Edges may name ids that are not nodes: validation reports those.
         self._in: dict[str, list[tuple[str, int]]] = {}
@@ -206,6 +207,25 @@ class Graph:
         if left:
             raise GraphValidationError("graph contains a cycle; run validate_graph")
         return order
+
+    def dead_after(self) -> dict[str, tuple[str, ...]]:
+        """For each node, the nodes whose outputs are dead once it has run:
+        those it is the last reader of in topological order, and itself when
+        nothing reads it; graph outputs never die. Cached beside the Kahn
+        pass; raises GraphValidationError on a cycle."""
+        if self._dead_after is None:
+            order = self.topo_order()
+            last_reader = dict(zip(order, order))
+            for nid in order:
+                for src, _slot in self._in.get(nid, ()):
+                    last_reader[src] = nid
+            dead: dict[str, list[str]] = {nid: [] for nid in order}
+            outputs = set(self.outputs)
+            for nid, reader in last_reader.items():
+                if nid not in outputs:
+                    dead[reader].append(nid)
+            self._dead_after = {nid: tuple(ids) for nid, ids in dead.items()}
+        return self._dead_after
 
     def find_cycle(self) -> list[str] | None:
         """Node ids along one cycle, the first repeated last; None if acyclic.

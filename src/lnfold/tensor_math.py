@@ -3,9 +3,11 @@
 This is the ground-truth oracle behind every equivalence claim in the
 package: deliberately small, numpy-only, deterministic. forward and backward
 run each node through its kind's kernels in the op registry (lnfold.ops),
-which also holds the numpy primitives. Everything here is a pure
-function over immutable arrays, so independent evaluations can run
-concurrently.
+which also holds the numpy primitives. forward records a tape for backward,
+or, when only outputs are wanted, keeps none and frees each activation after
+its last reader, so its memory follows the live activations, not the depth.
+Everything here is a pure function over immutable arrays, so independent
+evaluations can run concurrently.
 """
 
 from __future__ import annotations
@@ -58,35 +60,46 @@ def forward(
     w: WeightStore,
     inputs: Mapping[str, np.ndarray],
     strict: bool = True,
-) -> tuple[list[np.ndarray], Tape]:
+    tape: bool = True,
+) -> tuple[list[np.ndarray], Tape | None]:
     """Evaluate the graph in topological order.
 
-    inputs is keyed by Input-node id; every parameter comes from w.
+    inputs is keyed by Input-node id; every parameter comes from w. With
+    tape=False no tape is kept and the second value is None: no node's
+    inputs, parameters or saved tensors are held, and each node's output is
+    dropped as soon as it is dead (Graph.dead_after): once the last node
+    that reads it has run. Graph outputs are never dropped.
     """
     missing = [nid for nid in g.inputs if nid not in inputs]
     if missing:
         raise ValueError(f"missing inputs for {missing}")
 
+    dead_after = None if tape else g.dead_after()
+    values: dict[str, np.ndarray] = {}
     entries: dict[str, TapeEntry] = {}
-
     for nid in g.topo_order():
         node = g.nodes[nid]
         if node.kind == "Input":
-            arr = np.asarray(inputs[nid])
-            if strict and np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
+            in_vals = param_arrays = ()
+            out, saved = np.asarray(inputs[nid]), {}
+            if strict and np.issubdtype(out.dtype, np.floating) and not np.all(np.isfinite(out)):
                 raise NumericalError(f"non-finite input at node {nid!r}")
-            entries[nid] = TapeEntry(node, (), (), arr)
-            continue
-        in_vals = tuple(entries[src].output for src in g.predecessors(nid))
-        param_arrays = tuple(w[ref] for ref in node.param_refs)
-        try:
-            out, saved = OPS[node.kind].forward(node.attrs, in_vals, param_arrays, strict)
-        except NumericalError as exc:
-            raise NumericalError(f"node {nid!r}: {exc}") from None
-        entries[nid] = TapeEntry(node, in_vals, param_arrays, out, saved)
+        else:
+            in_vals = tuple(values[src] for src in g.predecessors(nid))
+            param_arrays = tuple(w[ref] for ref in node.param_refs)
+            try:
+                out, saved = OPS[node.kind].forward(node.attrs, in_vals, param_arrays, strict)
+            except NumericalError as exc:
+                raise NumericalError(f"node {nid!r}: {exc}") from None
+        values[nid] = out
+        if tape:
+            entries[nid] = TapeEntry(node, in_vals, param_arrays, out, saved)
+        else:
+            for dead in dead_after[nid]:
+                del values[dead]
 
-    outs = [entries[o].output for o in g.outputs]
-    return outs, Tape(g, entries)
+    outs = [values[o] for o in g.outputs]
+    return outs, Tape(g, entries) if tape else None
 
 
 # ---------------------------------------------------------------------------

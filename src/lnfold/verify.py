@@ -135,18 +135,34 @@ def _within(tol: float, *worsts: float | None) -> bool:
     return all(w is not None and w <= tol for w in worsts)
 
 
-# Seeded trials are stacked until one forward's tape would hold about this
-# many f64 elements, which bounds the memory a stacked evaluation adds. A
-# gradient batch also keeps each trial's own parameter gradients, so trials
-# times parameters must fit under it as well.
+# Seeded trials are stacked until one evaluation would hold about this many
+# f64 elements, which bounds the memory a stacked evaluation adds. A
+# tape-free forward (verify_forward) counts the activations alive at once
+# (_live_peak); a taped one (gradients, zero-mean probes) counts its whole
+# tape. A gradient batch also keeps each trial's own parameter gradients, so
+# trials times parameters must fit under it as well.
 TAPE_BUDGET = 2**18
 
 
 def _trials_per_batch(shapes: Mapping[str, tuple[int, ...]]) -> int:
-    """How many trials one stacked forward of a valid graph with these
+    """How many trials one stacked taped forward of a valid graph with these
     per-sample shapes may evaluate under TAPE_BUDGET."""
     footprint = sum(math.prod(s) for s in shapes.values())
     return max(1, TAPE_BUDGET // max(1, footprint))
+
+
+def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> int:
+    """The most per-sample elements a tape-free forward of a valid graph
+    with these per-sample shapes holds at once: each node's output counts
+    from when it is computed until it is dead (Graph.dead_after), as
+    forward(..., tape=False) keeps them."""
+    dead_after = g.dead_after()
+    live = peak = 0
+    for nid in g.topo_order():
+        live += math.prod(shapes[nid])
+        peak = max(peak, live)
+        live -= sum(math.prod(shapes[dead]) for dead in dead_after[nid])
+    return peak
 
 
 def _stack_trials(batch: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -183,23 +199,24 @@ def verify_forward(
 ) -> EquivalenceReport:
     """Max elementwise output difference over seeded random inputs, in f64.
 
-    Trials are evaluated in stacked batches under TAPE_BUDGET; each trial
-    draws its inputs from its own generator and is reduced to its own
-    maximum, so the result equals evaluating the trials one at a time. A
-    non-finite output or difference reports None and fails. tol defaults to
-    default_tol of the two stores. Both models are validated first.
+    Trials are evaluated in stacked batches by tape-free forwards, as many
+    per batch as keep the larger of the two models' live activations
+    (_live_peak) under TAPE_BUDGET; each trial draws its inputs from its own
+    generator, so the result equals evaluating the trials one at a time. A
+    difference over no elements is 0; a non-finite output or difference
+    reports None and fails. tol defaults to default_tol of the two stores.
+    Both models are validated first.
     """
     shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
     if tol is None:
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
-    per_batch = min(_trials_per_batch(shapesA), _trials_per_batch(shapesB))
+    per_batch = max(1, TAPE_BUDGET // max(1, _live_peak(gA, shapesA), _live_peak(gB, shapesB)))
     worst: float | None = 0.0
     for inputs in _trial_batches(gA, seed, trials, per_batch):
-        # [0] drops each tape before the next forward runs.
-        outsA = forward(gA, storeA, inputs)[0]
-        outsB = forward(gB, storeB, inputs)[0]
-        worst = _fold_worst(worst, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
+        outsA = forward(gA, storeA, inputs, tape=False)[0]
+        outsB = forward(gB, storeB, inputs, tape=False)[0]
+        worst = _fold_worst(worst, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
     return EquivalenceReport(trials, seed, tol, worst, None, _within(tol, worst))
 
 
@@ -275,9 +292,11 @@ def verify_gradients(
     Model B's weight store holds the proxy parameters (same names and values
     as A's); which of them are proxied follows from the LayerNorms B swapped
     for RMSNorm (_derive_proxied). Trials are stacked as in verify_forward,
-    and each keeps its own parameter gradients, so trials times parameters
-    also stay under TAPE_BUDGET. Non-finite results and the default tol
-    follow verify_forward.
+    but backward needs the tapes, so a batch keeps either model's whole tape
+    (_trials_per_batch) under TAPE_BUDGET; each trial keeps its own
+    parameter gradients, so trials times parameters stay under it as well.
+    Empty differences, non-finite results and the default tol follow
+    verify_forward.
     """
     shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
     if set(wA.names()) != set(wB.names()):
@@ -300,9 +319,9 @@ def verify_gradients(
         outsA, tapeA = forward(gA, storeA, inputs)
         gradsA = backward(tapeA, ones(outsA), True)
         outsB, gradsB = _proxied_grads(gB, effective, proxied, inputs, ones, True)
-        worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
+        worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
         diffs = _grad_diffs(storeA, gradsA, storeB, gradsB)
-        worst_grad = _fold_worst(worst_grad, (np.abs(d).max() for d in diffs))
+        worst_grad = _fold_worst(worst_grad, (np.abs(d).max(initial=0.0) for d in diffs))
     return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
 
 
@@ -318,7 +337,7 @@ def check_zero_mean(
     NaN when any trial's mean is non-finite, so every ``<= tol`` fails.
     axis counts the node's per-sample axes; one outside them raises numpy's
     AxisError. The graph is validated first, and trials are stacked as in
-    verify_forward."""
+    verify_forward, with each batch's whole tape under TAPE_BUDGET."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
     store = w.as_f64()
@@ -331,7 +350,7 @@ def check_zero_mean(
     worst: float | None = 0.0
     for inputs in _trial_batches(g, seed, trials, _trials_per_batch(shapes)):
         _, tape = forward(g, store, inputs)
-        worst = _fold_worst(worst, [np.abs(tape.value_of(node_id).mean(axis=axis)).max()])
+        worst = _fold_worst(worst, [np.abs(tape.value_of(node_id).mean(axis=axis)).max(initial=0.0)])
     return float("nan") if worst is None else worst
 
 

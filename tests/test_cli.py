@@ -325,6 +325,19 @@ class TestVerifyCmd:
         save_model(g, WeightStore(arrays), out + ".json", out + ".bin")
         assert main(["verify", topo, blob, out + ".json", out + ".bin", "--trials", "5"]) == 2
 
+    def test_zero_length_input_verifies(self, tmp_path, capsys):
+        # Validation accepts an empty axis; differences over no elements are 0.
+        b = fixtures._Builder(0)
+        b.output(b.layer_norm("ln", b.linear("lin", b.input("x", (0, 4)), 4, 4), 4))
+        topo, blob = _save(tmp_path, "empty", *b.build())
+        assert main(["analyze", topo, blob]) == 0
+        capsys.readouterr()
+        assert main(["verify", topo, blob, topo, blob, "--grad"]) == 0
+        doc = _last_json(capsys)
+        for part in ("forward", "gradients"):
+            assert (doc[part]["max_abs_forward_diff"], doc[part]["pass"]) == (0.0, True)
+        assert doc["gradients"]["max_abs_grad_diff"] == 0.0
+
     def test_embedding_index_out_of_range_exits_1(self, tmp_path, capsys):
         g, w = fixtures.pre_ln_transformer(blocks=1)
         topo, blob = _save(tmp_path, "orig", g, w)

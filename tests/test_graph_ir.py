@@ -464,6 +464,19 @@ class TestKahnPass:
         assert "node 'x': Input arity must be 0, got 1 incoming edges" in \
             validate_graph(into_input, WeightStore()).violations
 
+    def test_each_output_dies_once_after_its_last_reader(self):
+        # x feeds add on two slots and dies with it; a is a graph output that
+        # r also reads, so it never dies; r and the unread u die where they run.
+        nodes = [make_node("x", "Input", {"shape": [2]}), make_node("add", "ResidualAdd"),
+                 make_node("a", "ReLU"), make_node("r", "ReLU"), make_node("u", "ReLU"),
+                 make_node("out", "Output")]
+        edges = [("x", "add", 0), ("x", "add", 1), ("add", "a", 0), ("a", "r", 0),
+                 ("add", "u", 0), ("r", "out", 0)]
+        g = Graph(nodes, edges, ["x"], ["a", "out"])
+        assert g.topo_order() == ["x", "add", "a", "u", "r", "out"]
+        assert g.dead_after() == {"x": (), "add": ("x",), "a": (), "u": ("add", "u"),
+                                  "r": (), "out": ("r",)}
+
 
 class TestAdjacencyIndex:
     @settings(max_examples=150, deadline=None)

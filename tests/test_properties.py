@@ -386,3 +386,18 @@ class TestLeadingBatchAxis:
             for y_batch, y in zip(batched, forward(g, w, sample)[0]):
                 assert y_batch.shape == (3,) + y.shape
                 assert np.all(np.abs(y_batch[t] - y) <= 1e-12 * (1 + np.abs(y)))
+
+
+class TestTapeFreeForward:
+    @settings(max_examples=40, deadline=None)
+    @given(builder_models(), st.integers(0, 2**16))
+    def test_outputs_equal_the_taped_forward(self, model, seed):
+        # Fan-out, two outputs and unread nodes all drop on their own schedule.
+        g, w = model
+        inputs = sample_inputs(g, np.random.default_rng(seed))
+        lean, tape = forward(g, w, inputs, tape=False)
+        assert tape is None
+        taped = forward(g, w, inputs)[0]
+        assert len(lean) == len(taped)
+        for a, b in zip(lean, taped):
+            np.testing.assert_array_equal(a, b)

@@ -181,15 +181,23 @@ class TestStackedTrials:
         assert forward_calls == [(100, 1) + per_sample] * 2
 
     def test_deep_stack_runs_one_trial_per_batch(self, forward_calls):
+        # Depth adds tape, not live activations: 2,304 per trial at any depth.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
         verify_forward(g, w, g, w, trials=3, seed=0)
-        assert forward_calls == [(1, 1, 8)] * 6
+        assert forward_calls == [(3, 1, 8)] * 2
 
     def test_batches_stop_at_the_tape_budget(self, forward_calls):
-        # 129,800 elements per trial: two trials fit under 2**18.
+        # A 129,800-element tape per trial, but 2,304 live elements.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
         verify_forward(g, w, g, w, trials=5, seed=0)
-        assert forward_calls == [(2, 1, 8)] * 4 + [(1, 1, 8)] * 2
+        assert forward_calls == [(5, 1, 8)] * 2
+
+    def test_batches_stop_at_the_live_budget(self, forward_calls):
+        # 73,728 live elements per trial: three trials fit under 2**18.
+        g, w = fixtures.pre_ln_transformer(d=256, hidden=1024, seq=32, blocks=2)
+        assert verify._live_peak(g, infer_shapes(g, w)) == 73_728
+        verify_forward(g, w, g, w, trials=7, seed=0)
+        assert forward_calls == [(3, 1, 32)] * 4 + [(1, 1, 32)] * 2
 
     def test_back_axis_group_norm_stacks(self, forward_calls):
         # A front-counted axis would name a stacked axis, so validation refuses it.
@@ -206,6 +214,40 @@ class TestStackedTrials:
         g, w = fixtures.linear_then_norm()
         with pytest.raises(GraphValidationError):
             verify_forward(Graph([], [], [], []), WeightStore(), g, w, trials=1)
+
+
+def _chain(b):
+    x = b.input("x", (4,))
+    return [b.linear("c", b.simple("r", "ReLU", b.linear("a", x, 6, 4)), 3, 6)]
+
+
+def _residual_diamond(b):
+    x = b.input("x", (4,))
+    return [b.simple("s", "ResidualAdd", (x, b.linear("b", b.linear("a", x, 8, 4), 4, 8)))]
+
+
+def _output_read_again(b):
+    a = b.linear("a", b.input("x", (4,)), 8, 4)
+    return [a, b.linear("c", b.simple("r", "ReLU", a), 2, 8)]
+
+
+class TestLivePeak:
+    # x 4, a 6, r 6, c 3: r is computed while a is alive, x already gone.
+    # The diamond keeps x alive until s reads it: x, a and b at once. The
+    # output a outlives its reader r, so c is computed beside a and r.
+    @pytest.mark.parametrize("build, peak", [
+        (_chain, 6 + 6),
+        (_residual_diamond, 4 + 8 + 4),
+        (_output_read_again, 8 + 8 + 2),
+    ], ids=["chain", "residual_diamond", "output_read_again"])
+    def test_counts_what_a_tape_free_forward_holds(self, build, peak):
+        b = fixtures._Builder(0)
+        g = Graph(b.nodes, b.edges, b.inputs, build(b))
+        w = WeightStore(b.arrays)
+        assert verify._live_peak(g, infer_shapes(g, w)) == peak
+        inputs = {"x": np.arange(4.0)}
+        for lean, taped in zip(forward(g, w, inputs, tape=False)[0], forward(g, w, inputs)[0]):
+            np.testing.assert_array_equal(lean, taped)
 
 
 class TestStackedGradients:
