@@ -677,6 +677,7 @@ class _ReLU(OpDef):
 
 class _Softmax(OpDef):
     min_rank = 1
+    removes_mean = True
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs

@@ -136,32 +136,29 @@ def _within(tol: float, *worsts: float | None) -> bool:
 
 
 # Seeded trials are stacked until one evaluation would hold about this many
-# f64 elements, which bounds the memory a stacked evaluation adds. A
-# tape-free forward (verify_forward) counts the activations alive at once
-# (_live_peak); a taped one (gradients, zero-mean probes) counts its whole
-# tape. A gradient batch also keeps each trial's own parameter gradients, so
-# trials times parameters must fit under it as well.
+# f64 elements at once, which bounds the memory a stacked evaluation adds.
 TAPE_BUDGET = 2**18
 
 
-def _trials_per_batch(shapes: Mapping[str, tuple[int, ...]]) -> int:
-    """How many trials one stacked taped forward of a valid graph with these
-    per-sample shapes may evaluate under TAPE_BUDGET."""
-    footprint = sum(math.prod(s) for s in shapes.values())
-    return max(1, TAPE_BUDGET // max(1, footprint))
+def _per_batch(*held: int) -> int:
+    """How many trials one stacked evaluation may take when a trial holds at
+    most the largest of held per-sample elements at once (_live_peak, or a
+    gradient batch's per-trial parameter gradients) under TAPE_BUDGET."""
+    return max(1, TAPE_BUDGET // max(1, *held))
 
 
-def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> int:
-    """The most per-sample elements a tape-free forward of a valid graph
-    with these per-sample shapes holds at once: each node's output counts
-    from when it is computed until it is dead (Graph.dead_after), as
-    forward(..., tape=False) keeps them."""
+def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]], tape: bool = False) -> int:
+    """The most per-sample elements forward(g, ..., tape=tape) of a valid
+    graph with these per-sample shapes holds at once: each node's output
+    counts from when it is computed until it is dead (Graph.dead_after). A
+    tape keeps every output, so with tape=True this is the whole tape."""
     dead_after = g.dead_after()
     live = peak = 0
     for nid in g.topo_order():
         live += math.prod(shapes[nid])
         peak = max(peak, live)
-        live -= sum(math.prod(shapes[dead]) for dead in dead_after[nid])
+        if not tape:
+            live -= sum(math.prod(shapes[dead]) for dead in dead_after[nid])
     return peak
 
 
@@ -211,7 +208,7 @@ def verify_forward(
     if tol is None:
         tol = default_tol(wA, wB)
     storeA, storeB = wA.as_f64(), wB.as_f64()
-    per_batch = max(1, TAPE_BUDGET // max(1, _live_peak(gA, shapesA), _live_peak(gB, shapesB)))
+    per_batch = _per_batch(_live_peak(gA, shapesA), _live_peak(gB, shapesB))
     worst: float | None = 0.0
     for inputs in _trial_batches(gA, seed, trials, per_batch):
         outsA = forward(gA, storeA, inputs, tape=False)[0]
@@ -228,24 +225,22 @@ def _proxied_grads(
     out_grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
     keep_axis0: bool = False,
 ) -> tuple[list[np.ndarray], Gradients]:
-    """Forward/backward with proxy parameters for the proxied node ids.
+    """Forward/backward with proxy parameters for the proxied node ids (none
+    for a plain model).
 
     The forward pass reads effective, the proxy store with the proxied
     nodes' weights centered (center_targets); gradients w.r.t. the proxy
-    weights project the effective-weight gradients through the same
-    centering map. keep_axis0 is backward's: inputs are stacked
-    trials, each with its own gradients, and the projection centers them all
-    in one call per node, since it leaves leading axes alone.
+    weights project the effective-weight gradients backward produced
+    through the same centering map. keep_axis0 is backward's: inputs are
+    stacked trials, each with its own gradients, and the projection centers
+    them all in one call per node, since it leaves leading axes alone.
     """
     outs, tape = forward(g, effective, inputs)
     grads = backward(tape, out_grad_fn(outs), keep_axis0)
-    lead = outs[0].shape[:1] if keep_axis0 else ()
     for node_id in proxied:
         node = g.nodes[node_id]
-        grads.params.update(center_node_params(node, {
-            name: grads.params.get(name, np.zeros(lead + effective[name].shape, effective[name].dtype))
-            for name in node.param_refs
-        }))
+        if node.param_refs[0] in grads.params:
+            grads.params.update(center_node_params(node, {name: grads.params[name] for name in node.param_refs}))
     return outs, grads
 
 
@@ -291,11 +286,11 @@ def verify_gradients(
 
     Model B's weight store holds the proxy parameters (same names and values
     as A's); which of them are proxied follows from the LayerNorms B swapped
-    for RMSNorm (_derive_proxied). Trials are stacked as in verify_forward,
-    but backward needs the tapes, so a batch keeps either model's whole tape
-    (_trials_per_batch) under TAPE_BUDGET; each trial keeps its own
-    parameter gradients, so trials times parameters stay under it as well.
-    Empty differences, non-finite results and the default tol follow
+    for RMSNorm (_derive_proxied). Both schemes run through _proxied_grads.
+    Trials are stacked as in verify_forward, but backward needs the tapes,
+    and each trial keeps its own parameter gradients: a trial holds either
+    model's whole tape or the parameter count, whichever is larger. Empty
+    differences, non-finite results and the default tol follow
     verify_forward.
     """
     shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
@@ -309,15 +304,13 @@ def verify_gradients(
     proxied = _derive_proxied(gA, gB)
     effective = center_targets(gB, storeB, proxied)
     params = sum(arr.size for _name, arr in storeA.items())
-    per_batch = min(_trials_per_batch(shapesA), _trials_per_batch(shapesB),
-                    max(1, TAPE_BUDGET // max(1, params)))
+    per_batch = _per_batch(_live_peak(gA, shapesA, tape=True), _live_peak(gB, shapesB, tape=True), params)
 
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd: float | None = 0.0
     worst_grad: float | None = 0.0
     for inputs in _trial_batches(gA, seed, trials, per_batch):
-        outsA, tapeA = forward(gA, storeA, inputs)
-        gradsA = backward(tapeA, ones(outsA), True)
+        outsA, gradsA = _proxied_grads(gA, storeA, (), inputs, ones, True)
         outsB, gradsB = _proxied_grads(gB, effective, proxied, inputs, ones, True)
         worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
         diffs = _grad_diffs(storeA, gradsA, storeB, gradsB)
@@ -337,7 +330,8 @@ def check_zero_mean(
     NaN when any trial's mean is non-finite, so every ``<= tol`` fails.
     axis counts the node's per-sample axes; one outside them raises numpy's
     AxisError. The graph is validated first, and trials are stacked as in
-    verify_forward, with each batch's whole tape under TAPE_BUDGET."""
+    verify_forward: tape-free forwards of the graph with the node as its
+    only output."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
     store = w.as_f64()
@@ -348,9 +342,10 @@ def check_zero_mean(
     # leading trial axes.
     axis = axis - rank if axis >= 0 else axis
     worst: float | None = 0.0
-    for inputs in _trial_batches(g, seed, trials, _trials_per_batch(shapes)):
-        _, tape = forward(g, store, inputs)
-        worst = _fold_worst(worst, [np.abs(tape.value_of(node_id).mean(axis=axis)).max(initial=0.0)])
+    probe = Graph(g.nodes, g.edges, g.inputs, [node_id])
+    for inputs in _trial_batches(g, seed, trials, _per_batch(_live_peak(probe, shapes))):
+        (value,), _ = forward(probe, store, inputs, tape=False)
+        worst = _fold_worst(worst, [np.abs(value.mean(axis=axis)).max(initial=0.0)])
     return float("nan") if worst is None else worst
 
 
@@ -464,8 +459,9 @@ def training_equivalence(
     Scheme A trains its parameters directly; scheme B holds proxy parameters
     for the centered layers and projects both the forward weights and the
     gradients through the centering map each step. Both schemes see the same
-    batches and the same learning rate.
+    batches and the same learning rate. Both models are validated first.
     """
+    _require_same_signature(gA, wA, gB, wB)
     if set(wA.names()) != set(wB.names()):
         raise ParameterPairingError("parameter name sets differ between schemes")
     for name in wA.names():
@@ -496,24 +492,23 @@ def training_equivalence(
         x = rng.uniform(-2.0, 2.0, size=(8, in_dim))
         labels = np.argmax(x @ teacher.T, axis=-1)
 
-        outsA, tapeA = forward(gA, storeA, {input_id: x})
-        loss_a, dlogits = _softmax_cross_entropy(outsA[0], labels)
-        if not np.isfinite(loss_a):
-            raise TrainingDivergenceError(f"scheme A diverged at step {_step}")
-        gradsA = backward(tapeA, [dlogits])
-        for name, grad in gradsA.params.items():
-            arraysA[name] -= lr * grad
+        losses: list[float] = []
 
         def ce_grads(outs: list[np.ndarray]) -> list[np.ndarray]:
-            nonlocal loss_b
-            loss_b, d = _softmax_cross_entropy(outs[0], labels)
+            loss, d = _softmax_cross_entropy(outs[0], labels)
+            losses.append(loss)
             return [d]
 
-        _, gradsB = _proxied_grads(gB, center_targets(gB, storeB, proxied), proxied, {input_id: x}, ce_grads)
-        if not np.isfinite(loss_b):
-            raise TrainingDivergenceError(f"scheme B diverged at step {_step}")
-        for name, grad in gradsB.params.items():
-            arraysB[name] -= lr * grad
+        for scheme, g, effective, proxies, arrays in (
+            ("A", gA, storeA, (), arraysA),
+            ("B", gB, center_targets(gB, storeB, proxied), proxied, arraysB),
+        ):
+            _, grads = _proxied_grads(g, effective, proxies, {input_id: x}, ce_grads)
+            if not np.isfinite(losses[-1]):
+                raise TrainingDivergenceError(f"scheme {scheme} diverged at step {_step}")
+            for name, grad in grads.params.items():
+                arrays[name] -= lr * grad
+        loss_a, loss_b = losses
 
     diff = _fold_worst(0.0, (np.abs(arraysA[name] - arraysB[name]).max() for name in arraysA))
     return TrainingResult(steps, float("nan") if diff is None else diff, loss_a, loss_b)

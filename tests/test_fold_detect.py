@@ -18,7 +18,7 @@ from lnfold.fold_detect import (
 from lnfold.fold_apply import apply_fold
 from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, make_node, validate_graph
 from lnfold.jsonutil import canonical_dumps
-from lnfold.verify import verify_forward
+from lnfold.verify import verify_forward, verify_gradients
 
 
 class TestDetectStrict:
@@ -203,6 +203,15 @@ class TestSafety:
         assert report.foldable == ["ln"] and report.safety.safe
         fg, fw = apply_fold(g, w, report)
         assert verify_forward(g, w, fg, fw, trials=5).passed
+
+    def test_softmax_absorbs_the_shift(self):
+        g, w = self._consumer_graph("Softmax")
+        report = detect_foldable(g, w, mode="strict")
+        assert report.foldable == ["ln"] and list(report.targets) == ["lin"]
+        assert report.safety.safe and not report.safety.affected
+        fg, fw = apply_fold(g, w, report)
+        assert verify_forward(g, w, fg, fw, trials=20).passed
+        assert verify_gradients(g, w, fg, fw, trials=20).passed
 
     def test_centering_node_in_the_model_does_not_move(self):
         # aux is a zero-mean leaf of ln's zero-mean graph, but folding ln

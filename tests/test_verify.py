@@ -180,13 +180,13 @@ class TestStackedTrials:
         per_sample = tuple(g.nodes[g.inputs[0]].attrs["shape"])
         assert forward_calls == [(100, 1) + per_sample] * 2
 
-    def test_deep_stack_runs_one_trial_per_batch(self, forward_calls):
+    def test_deep_stack_runs_every_trial_in_one_batch(self, forward_calls):
         # Depth adds tape, not live activations: 2,304 per trial at any depth.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
         verify_forward(g, w, g, w, trials=3, seed=0)
         assert forward_calls == [(3, 1, 8)] * 2
 
-    def test_batches_stop_at_the_tape_budget(self, forward_calls):
+    def test_the_tape_does_not_split_a_batch(self, forward_calls):
         # A 129,800-element tape per trial, but 2,304 live elements.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
         verify_forward(g, w, g, w, trials=5, seed=0)
@@ -278,7 +278,7 @@ class TestStackedGradients:
     def test_parameter_count_caps_the_batch(self, forward_calls):
         # 3 trials' tapes fit under the budget, but not 2 trials' gradients.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
-        assert verify._trials_per_batch(infer_shapes(g, w)) >= 3
+        assert verify._per_batch(verify._live_peak(g, infer_shapes(g, w), tape=True)) >= 3
         assert 2 * sum(arr.size for _name, arr in w.items()) > verify.TAPE_BUDGET
         verify_gradients(g, w, g, w, trials=3, seed=0)
         assert forward_calls == [(1, 1, 8)] * 6
@@ -594,6 +594,13 @@ class TestCheckZeroMean:
             assert worst == reference, nid
             assert forward_calls[0][:2] == (30, 1)
 
+    def test_probes_keep_no_tape(self, forward_calls):
+        # A 129,800-element tape per trial, but the probe holds far fewer
+        # elements at once, so all five trials run in one batch.
+        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
+        check_zero_mean(g, w, "ffn2_35", trials=5, seed=0)
+        assert forward_calls == [(5, 1, 8)]
+
     def test_front_counted_axis_runs_stacked(self, forward_calls):
         g, w = fixtures.conv_block()
         back = check_zero_mean(g, w, "conv", trials=20, seed=1, axis=-3)
@@ -691,6 +698,12 @@ class TestTrainingEquivalence:
         res = training_equivalence(g, w, fg, w, steps=200, lr=0.05, seed=0)
         assert res.max_weight_diff <= 1e-10
         assert np.isfinite(res.final_loss_a)
+
+    def test_invalid_scheme_b_is_refused(self):
+        g, w, fg = self._pair()
+        cut = Graph(fg.nodes, [e for e in fg.edges if e[1] != "out_0"], fg.inputs, fg.outputs)
+        with pytest.raises(GraphValidationError, match="'out_0': Output arity"):
+            training_equivalence(g, w, cut, w, steps=1)
 
     def test_different_init_rejected(self):
         g, w, fg = self._pair()
