@@ -120,12 +120,23 @@ def _accumulate(grads: dict[str, Any], names: Sequence[str], values: Sequence[np
         grads[name] = grads[name] + g if name in grads else g
 
 
-def backward(tape: Tape, out_grads: Sequence[np.ndarray], keep_axis0: bool = False) -> Gradients:
+def backward(
+    tape: Tape,
+    out_grads: Sequence[np.ndarray],
+    keep_axis0: bool = False,
+    consume: Callable[[Node, dict[str, np.ndarray]], None] | None = None,
+) -> Gradients:
     """Exact reverse-mode gradients for every recorded primitive.
 
     keep_axis0 is for a tape of stacked trials, whose axis 0 indexes the
     trials: each parameter gradient then keeps that axis, holding every
     trial's own gradient, where otherwise all leading axes are summed.
+
+    With consume, each node's parameter gradients, keyed by name, go to
+    consume(node, grads) as soon as its reverse step has run, instead of
+    into Gradients.params, which stays empty. They are final there once
+    the graph is valid, since validation refuses shared parameters. Each
+    activation gradient is dropped once its node has used it.
     """
     g = tape.graph
     if len(out_grads) != len(g.outputs):
@@ -142,7 +153,7 @@ def backward(tape: Tape, out_grads: Sequence[np.ndarray], keep_axis0: bool = Fal
     param_grads: dict[str, np.ndarray] = {}
     input_grads: dict[str, np.ndarray] = {}
     for nid, entry in reversed(tape.entries.items()):
-        dy = grad_of.get(nid)
+        dy = grad_of.pop(nid, None)
         if dy is None:
             continue
         dy = np.asarray(dy)
@@ -151,7 +162,10 @@ def backward(tape: Tape, out_grads: Sequence[np.ndarray], keep_axis0: bool = Fal
             continue
         dxs, dparams = OPS[entry.node.kind].backward(entry, dy, keep_axis0)
         _accumulate(grad_of, g.predecessors(nid), dxs)
-        _accumulate(param_grads, entry.node.param_refs, dparams)
+        if consume is None:
+            _accumulate(param_grads, entry.node.param_refs, dparams)
+        else:
+            consume(entry.node, dict(zip(entry.node.param_refs, dparams)))
 
     return Gradients(params=param_grads, inputs=input_grads)
 

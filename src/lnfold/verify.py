@@ -137,7 +137,7 @@ def _within(tol: float, *worsts: float | None) -> bool:
 
 # Seeded trials are stacked until one evaluation would hold about this many
 # f64 elements at once, which bounds the memory a stacked evaluation adds.
-TAPE_BUDGET = 2**18
+TAPE_BUDGET = 2**20
 
 
 def _per_batch(*held: int) -> int:
@@ -224,6 +224,7 @@ def _proxied_grads(
     inputs: Mapping[str, np.ndarray],
     out_grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
     keep_axis0: bool = False,
+    consume: Callable[[dict[str, np.ndarray]], None] | None = None,
 ) -> tuple[list[np.ndarray], Gradients]:
     """Forward/backward with proxy parameters for the proxied node ids (none
     for a plain model).
@@ -234,14 +235,20 @@ def _proxied_grads(
     through the same centering map. keep_axis0 is backward's: inputs are
     stacked trials, each with its own gradients, and the projection centers
     them all in one call per node, since it leaves leading axes alone.
+    With consume, each node's projected parameter gradients go to
+    consume(grads) as backward produces them, and the returned Gradients
+    hold none; otherwise they are collected there.
     """
     outs, tape = forward(g, effective, inputs)
-    grads = backward(tape, out_grad_fn(outs), keep_axis0)
-    for node_id in proxied:
-        node = g.nodes[node_id]
-        if node.param_refs[0] in grads.params:
-            grads.params.update(center_node_params(node, {name: grads.params[name] for name in node.param_refs}))
-    return outs, grads
+    collected: dict[str, np.ndarray] = {}
+
+    def project(node, grads):
+        if node.id in proxied:
+            grads.update(center_node_params(node, grads))
+        (collected.update if consume is None else consume)(grads)
+
+    grads = backward(tape, out_grad_fn(outs), keep_axis0, project)
+    return outs, Gradients(collected, grads.inputs)
 
 
 def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
@@ -260,18 +267,6 @@ def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
     return proxied
 
 
-def _grad_diffs(storeA: WeightStore, gradsA: Gradients,
-                storeB: WeightStore, gradsB: Gradients) -> Iterator[np.ndarray]:
-    """A's minus B's gradient of each parameter either one has, in A's
-    parameter order; a missing gradient is zero, broadcast against the
-    other's trial axis."""
-    for name in storeA.names():
-        ga, gb = gradsA.params.get(name), gradsB.params.get(name)
-        if ga is None and gb is None:
-            continue
-        yield (np.zeros_like(storeA[name]) if ga is None else ga) - (np.zeros_like(storeB[name]) if gb is None else gb)
-
-
 def verify_gradients(
     gA: Graph,
     wA: WeightStore,
@@ -288,8 +283,13 @@ def verify_gradients(
     as A's); which of them are proxied follows from the LayerNorms B swapped
     for RMSNorm (_derive_proxied). Both schemes run through _proxied_grads.
     Trials are stacked as in verify_forward, but backward needs the tapes,
-    and each trial keeps its own parameter gradients: a trial holds either
-    model's whole tape or the parameter count, whichever is larger. Empty
+    and each trial keeps its own parameter gradients. Scheme B streams its
+    gradients: each parameter's difference from A's is folded as soon as
+    B's backward produces it, and both gradients are dropped there (a
+    gradient only one scheme has is compared with zero). A trial so holds
+    A's parameter gradients beside B's tape, never two gradient sets; a
+    batch takes as many trials as keep either model's whole tape, and the
+    parameter count, under TAPE_BUDGET. Empty
     differences, non-finite results and the default tol follow
     verify_forward.
     """
@@ -311,10 +311,17 @@ def verify_gradients(
     worst_grad: float | None = 0.0
     for inputs in _trial_batches(gA, seed, trials, per_batch):
         outsA, gradsA = _proxied_grads(gA, storeA, (), inputs, ones, True)
-        outsB, gradsB = _proxied_grads(gB, effective, proxied, inputs, ones, True)
+        maxima = []
+
+        def diff_from_a(gradsB):
+            for name, gb in gradsB.items():
+                ga = gradsA.params.pop(name, None)
+                maxima.append(np.abs(gb if ga is None else ga - gb).max(initial=0.0))
+
+        outsB, _ = _proxied_grads(gB, effective, proxied, inputs, ones, True, diff_from_a)
         worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
-        diffs = _grad_diffs(storeA, gradsA, storeB, gradsB)
-        worst_grad = _fold_worst(worst_grad, (np.abs(d).max(initial=0.0) for d in diffs))
+        maxima += (np.abs(ga).max(initial=0.0) for ga in gradsA.params.values())
+        worst_grad = _fold_worst(worst_grad, maxima)
     return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
 
 

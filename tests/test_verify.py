@@ -1,10 +1,13 @@
 """Tests for the verification harness: forward/gradient equivalence,
 zero-mean probes, the operation-count model, and lockstep training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lnfold import fixtures, verify
+from lnfold.centering import center_node_params
 from lnfold.fold_apply import FoldError, apply_fold, center_targets
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, infer_shapes, make_node
@@ -85,7 +88,8 @@ def _reference_forward_diff(gA, wA, gB, wB, trials, seed):
 
 def _reference_grad_diff(gA, wA, gB, wB, trials, seed):
     """verify_gradients' two maxima and verdict, one trial, one forward and
-    one backward at a time."""
+    one collected backward at a time, with B's proxied gradients projected
+    once its backward is done."""
     storeA, storeB = wA.as_f64(), wB.as_f64()
     proxied = verify._derive_proxied(gA, gB)
     effective = center_targets(gB, storeB, proxied)
@@ -95,7 +99,12 @@ def _reference_grad_diff(gA, wA, gB, wB, trials, seed):
         inputs = sample_inputs(gA, rng)
         outsA, tapeA = forward(gA, storeA, inputs)
         gradsA = backward(tapeA, ones(outsA))
-        outsB, gradsB = verify._proxied_grads(gB, effective, proxied, inputs, ones)
+        outsB, tapeB = forward(gB, effective, inputs)
+        gradsB = backward(tapeB, ones(outsB))
+        for nid in proxied:
+            node = gB.nodes[nid]
+            if node.param_refs[0] in gradsB.params:
+                gradsB.params.update(center_node_params(node, gradsB.params))
         worst_fwd = verify._fold_worst(worst_fwd, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
         for name in storeA.names():
             ga, gb = gradsA.params.get(name), gradsB.params.get(name)
@@ -193,11 +202,11 @@ class TestStackedTrials:
         assert forward_calls == [(5, 1, 8)] * 2
 
     def test_batches_stop_at_the_live_budget(self, forward_calls):
-        # 73,728 live elements per trial: three trials fit under 2**18.
+        # 73,728 live elements per trial: fourteen trials fit under 2**20.
         g, w = fixtures.pre_ln_transformer(d=256, hidden=1024, seq=32, blocks=2)
         assert verify._live_peak(g, infer_shapes(g, w)) == 73_728
-        verify_forward(g, w, g, w, trials=7, seed=0)
-        assert forward_calls == [(3, 1, 32)] * 4 + [(1, 1, 32)] * 2
+        verify_forward(g, w, g, w, trials=15, seed=0)
+        assert forward_calls == [(14, 1, 32)] * 2 + [(1, 1, 32)] * 2
 
     def test_back_axis_group_norm_stacks(self, forward_calls):
         # A front-counted axis would name a stacked axis, so validation refuses it.
@@ -276,12 +285,40 @@ class TestStackedGradients:
         assert forward_calls == [(20, 1) + per_sample] * 2
 
     def test_parameter_count_caps_the_batch(self, forward_calls):
-        # 3 trials' tapes fit under the budget, but not 2 trials' gradients.
+        # 5 trials' tapes fit under the budget, but not 5 trials' gradients.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
-        assert verify._per_batch(verify._live_peak(g, infer_shapes(g, w), tape=True)) >= 3
-        assert 2 * sum(arr.size for _name, arr in w.items()) > verify.TAPE_BUDGET
-        verify_gradients(g, w, g, w, trials=3, seed=0)
-        assert forward_calls == [(1, 1, 8)] * 6
+        assert verify._per_batch(verify._live_peak(g, infer_shapes(g, w), tape=True)) >= 5
+        assert 5 * sum(arr.size for _name, arr in w.items()) > verify.TAPE_BUDGET
+        verify_gradients(g, w, g, w, trials=5, seed=0)
+        assert forward_calls == [(4, 1, 8)] * 2 + [(1, 1, 8)] * 2
+
+    def test_deep_stack_runs_both_trials_in_one_batch(self, forward_calls):
+        # 456,672 parameters: two trials' gradients fit under 2**20.
+        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
+        verify_gradients(g, w, g, w, trials=2, seed=0)
+        assert forward_calls == [(2, 1, 8)] * 2
+
+    def test_deep_stack_equals_one_trial_at_a_time(self):
+        # Strict mode folds none of a pre-LN stack's LayerNorms.
+        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        swapped = g.with_kinds({n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"})
+        for gB, wB in ((fg, fw), (swapped, w)):
+            rep = verify_gradients(g, w, gB, wB, trials=4, seed=5)  # batches of 3 and 1
+            assert _grad_result(rep) == _reference_grad_diff(g, w, gB, wB, 4, 5)
+
+    def test_holds_one_set_of_parameter_gradients(self):
+        # Two trials' gradients are 7.3 MB (2 x 456,672 f64); holding both
+        # schemes' gradient sets at once peaks above 16 MB.
+        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        tracemalloc.start()
+        try:
+            assert verify_gradients(g, w, fg, fw, trials=2, seed=0).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
 
     def test_centers_the_proxies_once_per_call(self, monkeypatch, forward_calls):
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
@@ -294,8 +331,8 @@ class TestStackedGradients:
 
         original = verify.center_targets
         monkeypatch.setattr(verify, "center_targets", counting)
-        assert verify_gradients(g, w, fg, w, trials=3, seed=0).passed
-        assert len(forward_calls) == 6  # three batches
+        assert verify_gradients(g, w, fg, w, trials=9, seed=0).passed
+        assert len(forward_calls) == 6  # three batches: 4, 4 and 1 trials
         assert len(centered) == 1
 
     def test_back_axis_group_norm_stacks(self, forward_calls):
@@ -314,16 +351,20 @@ class TestStackedGradients:
         fg, _fw = apply_fold(g, w, detect_foldable(g, w))
         keeps = []
 
-        def poisoned(tape, out_grads, *args):
-            grads = backward(tape, out_grads, *args)
-            keeps.append(args)
-            if len(keeps) == 1:  # model A of the only batch: trial 7 of 20
-                grads.params["lin.weight"][7, 2, 3] = bad
-            return grads
+        def poisoned(tape, out_grads, keep_axis0, consume):
+            keeps.append((keep_axis0, callable(consume)))
+            scheme = len(keeps)
+
+            def poison(node, grads):
+                if scheme == 1 and "lin.weight" in grads:  # model A of the only batch: trial 7 of 20
+                    grads["lin.weight"][7, 2, 3] = bad
+                consume(node, grads)
+
+            return backward(tape, out_grads, keep_axis0, poison)
 
         monkeypatch.setattr(verify, "backward", poisoned)
         rep = verify_gradients(g, w, fg, w, trials=20, seed=0)
-        assert keeps == [(True,), (True,)]
+        assert keeps == [(True, True), (True, True)]
         assert rep.max_abs_forward_diff is not None
         assert (rep.max_abs_grad_diff, rep.passed) == (None, False)
         assert rep.to_json()["max_abs_grad_diff"] is None
@@ -391,7 +432,26 @@ class TestKeptAxisBackward:
 
     @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("kind", sorted(ONE_OP_GRAPHS))
-    def test_leaves_its_arguments_unmodified(self, kind, keep):
+    def test_consumer_gets_the_collected_gradients(self, kind, keep):
+        g, w = ONE_OP_GRAPHS[kind]
+        _, tape, out_grads = self._stacked(g, w)
+        collected = backward(tape, out_grads, keep_axis0=keep)
+        consumed = {}
+
+        def consume(node, grads):
+            assert set(grads) == set(node.param_refs) and not set(grads) & set(consumed)
+            consumed.update(grads)
+
+        streamed = backward(tape, out_grads, keep_axis0=keep, consume=consume)
+        assert streamed.params == {}
+        assert set(consumed) == set(collected.params) == set(w.names())
+        for name, grad in collected.params.items():
+            assert consumed[name].shape == grad.shape and consumed[name].tobytes() == grad.tobytes(), name
+        assert streamed.inputs.keys() == collected.inputs.keys()
+        for nid, grad in collected.inputs.items():
+            assert streamed.inputs[nid].tobytes() == grad.tobytes(), nid
+
+    def _check_leaves_its_arguments_unmodified(self, kind, keep, consume):
         g, w = ONE_OP_GRAPHS[kind]
         _, tape, out_grads = self._stacked(g, w)
         arrays = [*out_grads]
@@ -399,9 +459,19 @@ class TestKeptAxisBackward:
             arrays += [*e.inputs, *e.params, e.output]
             arrays += [v for v in e.saved.values() if isinstance(v, np.ndarray)]
         before = [a.copy() for a in arrays]
-        backward(tape, out_grads, keep_axis0=keep)
+        backward(tape, out_grads, keep_axis0=keep, consume=consume)
         for a, b in zip(arrays, before):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("kind", sorted(ONE_OP_GRAPHS))
+    def test_leaves_its_arguments_unmodified(self, kind, keep):
+        self._check_leaves_its_arguments_unmodified(kind, keep, None)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("kind", sorted(ONE_OP_GRAPHS))
+    def test_consumer_form_leaves_its_arguments_unmodified(self, kind, keep):
+        self._check_leaves_its_arguments_unmodified(kind, keep, lambda node, grads: None)
 
 
 class TestNonFinite:
