@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -72,11 +73,16 @@ class _Operational(Exception):
 _VERIFY_ERRORS = (ValueError, GraphValidationError, ArithmeticError)
 
 
-def _check_trials(*counts: int) -> None:
-    """Refuse a trial count below 1 before any model is loaded or written."""
+def _check_run(args: argparse.Namespace, *counts: int) -> None:
+    """Refuse a trial count below 1, a negative seed, or a tol that is not a
+    finite number >= 0 before any model is loaded or written."""
     try:
         for count in counts:
             check_trials(count)
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"tol must be a finite number >= 0, got {args.tol}")
     except ValueError as exc:
         raise _Operational(f"verification could not run: {exc}") from exc
 
@@ -140,7 +146,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_trials(args.trials, *([args.grad_trials] if args.grad else []))
+    _check_run(args, args.trials, *([args.grad_trials] if args.grad else []))
     gA, wA = _load(args.orig_topology, args.orig_weights)
     gB, wB = _load(args.folded_topology, args.folded_weights)
     try:
@@ -183,7 +189,7 @@ def _cmd_flops(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
+    _check_run(args, args.trials)
     with _writing(args.out_dir):
         os.makedirs(args.out_dir, exist_ok=True)
     g, w = _load(args.topology, args.weights)

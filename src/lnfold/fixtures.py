@@ -52,23 +52,19 @@ class _Builder:
         self._wire(src, nid)
         return nid
 
-    def conv2d(self, nid: str, src: str, out_ch: int, in_ch: int, k: int,
-               stride: int = 1, padding: int = 0, bias: bool = True) -> str:
-        params = [self._weight(f"{nid}.kernel", (out_ch, in_ch, k, k), in_ch * k * k)]
-        if bias:
-            params.append(self._weight(f"{nid}.bias", (out_ch,), 1))
-        self.nodes.append(make_node(nid, "Conv2d", {"stride": stride, "padding": padding}, params))
+    def conv2d(self, nid: str, src: str, out_ch: int, in_ch: int, k: int, padding: int = 0) -> str:
+        params = [self._weight(f"{nid}.kernel", (out_ch, in_ch, k, k), in_ch * k * k),
+                  self._weight(f"{nid}.bias", (out_ch,), 1)]
+        self.nodes.append(make_node(nid, "Conv2d", {"stride": 1, "padding": padding}, params))
         self._wire(src, nid)
         return nid
 
-    def recurrent(self, nid: str, x_src: str, h_src: str, d: int, in_dim: int,
-                  bias: bool = True) -> str:
+    def recurrent(self, nid: str, x_src: str, h_src: str, d: int, in_dim: int) -> str:
         params = [
             self._weight(f"{nid}.w_input", (d, in_dim), in_dim),
             self._weight(f"{nid}.w_hidden", (d, d), d),
+            self._weight(f"{nid}.bias", (d,), 1),
         ]
-        if bias:
-            params.append(self._weight(f"{nid}.bias", (d,), 1))
         self.nodes.append(make_node(nid, "RecurrentCell", params=params))
         self._wire((x_src, h_src), nid)
         return nid

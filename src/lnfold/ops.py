@@ -6,9 +6,10 @@ and, for general-linear kinds, the activation axis its centering constrains
 and its centering family. graph_ir, tensor_math, fold_detect and centering all read
 this one table, so adding a node kind means adding one OpDef to OPS.
 
-The numpy primitives behind the kernels live here too. All of them accept
-arbitrary leading batch axes; normalization acts on the last axis unless a
-node says otherwise. This module imports nothing else from the package.
+Kernels compute their own ops; the numpy primitives kept here are the ones
+the package exports or tests call. All of them accept arbitrary leading batch
+axes; normalization acts on the last axis unless a node says otherwise. This
+module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ class Family(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _inv_sqrt(denom: np.ndarray, strict: bool) -> np.ndarray:
-    if strict and np.any(denom == 0.0):
-        raise NumericalError("zero variance with eps=0; use eps > 0 or lenient mode")
-    with np.errstate(divide="ignore"):
-        inv = np.where(denom > 0.0, 1.0 / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
-    return inv
-
-
 def _center_scale(x, eps, gamma, beta, strict, center):
     """LayerNorm (center=True) or RMSNorm over the last axis, one code path.
 
@@ -73,7 +66,10 @@ def _center_scale(x, eps, gamma, beta, strict, center):
     if center:
         x = x - x.mean(axis=-1, keepdims=True)
     denom = np.mean(x * x, axis=-1, keepdims=True) + eps
-    inv = _inv_sqrt(denom, strict)
+    if strict and np.any(denom == 0.0):
+        raise NumericalError("zero variance with eps=0; use eps > 0 or lenient mode")
+    with np.errstate(divide="ignore"):
+        inv = np.where(denom > 0.0, 1.0 / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
     xhat = x * inv
     out = xhat
     if gamma is not None:
@@ -230,31 +226,10 @@ def residual_add(*xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def scalar_scale(x: np.ndarray, scale: float) -> np.ndarray:
-    return x * scale
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def concat(xs: Sequence[np.ndarray], axis: int = -1) -> np.ndarray:
-    return np.concatenate(list(xs), axis=axis)
-
-
-def embedding_lookup(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise NumericalError("embedding indices must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= len(table)):
-        raise NumericalError(f"embedding indices must lie in [0, {len(table)})")
-    return table[idx]
 
 
 def auxiliary_centering(x: np.ndarray) -> np.ndarray:
@@ -613,7 +588,7 @@ class _ScalarScale(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return scalar_scale(x, float(attrs.get("scale", 1.0))), {}
+        return x * float(attrs.get("scale", 1.0)), {}
 
     def backward(self, e, dy, keep):
         return [dy * float(e.node.attrs.get("scale", 1.0))], []
@@ -656,7 +631,7 @@ class _Concat(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         widths = tuple(x.shape[-1] for x in inputs)
-        return concat(inputs, axis=-1), {"widths": widths}
+        return np.concatenate(inputs, axis=-1), {"widths": widths}
 
     def backward(self, e, dy, keep):
         grads, offset = [], 0
@@ -669,7 +644,7 @@ class _Concat(OpDef):
 class _ReLU(OpDef):
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return relu(x), {}
+        return np.maximum(x, 0.0), {}
 
     def backward(self, e, dy, keep):
         return [dy * (e.inputs[0] > 0)], []
@@ -713,8 +688,12 @@ class _Embedding(OpDef):
         return []
 
     def forward(self, attrs, inputs, params, strict):
-        (idx,) = inputs
-        return embedding_lookup(params[0], idx), {}
+        (idx,), (table,) = inputs, params
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise NumericalError("embedding indices must be integers")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(table)):
+            raise NumericalError(f"embedding indices must lie in [0, {len(table)})")
+        return table[idx], {}
 
     def backward(self, e, dy, keep):
         # Integer indices take no gradient.
@@ -756,7 +735,10 @@ class _Input(OpDef):
             return ["Input node missing 'shape' attr"]
         if not isinstance(shape, (list, tuple)) or not all(_is_int(s) and s >= 0 for s in shape):
             return [f"Input shape must be a list of non-negative integers, got {shape!r}"]
-        return _number_problems(attrs, ints=("high",))
+        return _number_problems(attrs, ints=("high",)) or (
+            [f"attr 'high' must be >= 1 on an integer Input, got {attrs['high']!r}"]
+            if attrs.get("integer") and _Input.high(attrs) < 1 else []
+        )
 
     def shape(self, attrs, shapes, params, bad):
         return tuple(int(s) for s in attrs["shape"])

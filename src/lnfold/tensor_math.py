@@ -132,11 +132,11 @@ def backward(
     trials: each parameter gradient then keeps that axis, holding every
     trial's own gradient, where otherwise all leading axes are summed.
 
-    With consume, each node's parameter gradients, keyed by name, go to
-    consume(node, grads) as soon as its reverse step has run, instead of
-    into Gradients.params, which stays empty. They are final there once
-    the graph is valid, since validation refuses shared parameters. Each
-    activation gradient is dropped once its node has used it.
+    Each node's parameter gradients, keyed by name, go to consume(node,
+    grads) as soon as its reverse step has run, final there for a valid
+    graph (validation refuses shared parameters). By default they are
+    collected into Gradients.params, which stays empty under a caller's
+    consume. Each activation gradient is dropped once its node has used it.
     """
     g = tape.graph
     if len(out_grads) != len(g.outputs):
@@ -152,6 +152,8 @@ def backward(
 
     param_grads: dict[str, np.ndarray] = {}
     input_grads: dict[str, np.ndarray] = {}
+    if consume is None:
+        consume = lambda node, grads: _accumulate(param_grads, grads, grads.values())
     for nid, entry in reversed(tape.entries.items()):
         dy = grad_of.pop(nid, None)
         if dy is None:
@@ -162,10 +164,7 @@ def backward(
             continue
         dxs, dparams = OPS[entry.node.kind].backward(entry, dy, keep_axis0)
         _accumulate(grad_of, g.predecessors(nid), dxs)
-        if consume is None:
-            _accumulate(param_grads, entry.node.param_refs, dparams)
-        else:
-            consume(entry.node, dict(zip(entry.node.param_refs, dparams)))
+        consume(entry.node, dict(zip(entry.node.param_refs, dparams)))
 
     return Gradients(params=param_grads, inputs=input_grads)
 
@@ -175,9 +174,7 @@ def backward(
 # ---------------------------------------------------------------------------
 
 
-def loss_value(outputs: Sequence[np.ndarray], selector: str | Callable = "sum") -> float:
-    if callable(selector):
-        return float(selector(outputs))
+def loss_value(outputs: Sequence[np.ndarray], selector: str = "sum") -> float:
     if selector == "sum":
         return float(sum(o.sum() for o in outputs))
     if selector == "sumsq":
@@ -195,9 +192,8 @@ def finite_difference_grad(
     g: Graph,
     w: WeightStore,
     inputs: Mapping[str, np.ndarray],
-    loss_selector: str | Callable = "sum",
+    loss_selector: str = "sum",
     h: float = 1e-6,
-    param_names: Sequence[str] | None = None,
 ) -> FiniteDifferenceResult:
     """Central-difference parameter gradients; the oracle for backward().
 
@@ -205,7 +201,6 @@ def finite_difference_grad(
     evaluations are used. Flags ill-conditioning when any normalization
     denominator saved on a tape came within ILL_CONDITION_THRESHOLD of zero.
     """
-    names = list(param_names) if param_names is not None else w.names()
     arrays = {k: v.astype(np.float64).copy() for k, v in w.items()}
     ill = False
 
@@ -217,7 +212,7 @@ def finite_difference_grad(
         return loss_value(outs, loss_selector)
 
     grads: dict[str, np.ndarray] = {}
-    for name in names:
+    for name in w.names():
         arr = arrays[name]
         grad = np.zeros_like(arr)
         flat = arr.reshape(-1)

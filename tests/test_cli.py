@@ -375,6 +375,32 @@ class TestVerifyCmd:
         assert forwards == []
         assert not (tmp_path / "pipe").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "pipeline"])
+    @pytest.mark.parametrize("flags, seed_env, message", [
+        (["--tol", "nan"], None, "tol must be a finite number >= 0, got nan"),
+        (["--tol", "inf"], None, "tol must be a finite number >= 0, got inf"),
+        (["--tol", "1e400"], None, "tol must be a finite number >= 0, got inf"),
+        (["--tol", "-1"], None, "tol must be a finite number >= 0, got -1.0"),
+        (["--seed", "-1"], None, "seed must be >= 0, got -1"),
+        ([], "-1", "seed must be >= 0, got -1"),
+    ], ids=["tol_nan", "tol_inf", "tol_overflow", "tol_negative", "seed_negative", "env_seed_negative"])
+    def test_bad_tol_or_seed_exits_1(self, tmp_path, capsys, monkeypatch, command, flags, seed_env, message):
+        models = list(self._folded_linear_then_norm(tmp_path))
+        if command == "pipeline":
+            models, flags = models[:2], flags + ["--out-dir", str(tmp_path / "pipe")]
+        if seed_env is not None:
+            monkeypatch.setenv("LNFOLD_SEED", seed_env)
+        before = sorted(os.listdir(tmp_path))
+        loads = []
+        monkeypatch.setattr(cli, "load_model", lambda *args: loads.append(args))
+        capsys.readouterr()
+        assert main([command, *models, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verification could not run: {message}\n"
+        # Refused before any model is loaded or any file is written.
+        assert loads == [] and sorted(os.listdir(tmp_path)) == before
+
     def test_renamed_centering_target_exits_1(self, tmp_path, capsys):
         def rename(doc):
             _node(doc, "lin")["id"] = "lin2"
@@ -640,7 +666,10 @@ class TestMalformedTopology:
          "embedding indices must come from an integer Input; Input 'tokens' is not one"),
         (lambda doc: _node(doc, "tokens")["attrs"].update(high=100) or doc,
          "embedding indices must lie in [0, 13), but Input 'tokens' draws them below high=100"),
-    ], ids=["float_indices", "indices_past_table"])
+        # An integer Input draws from [0, high), which is empty below high=1.
+        (lambda doc: _node(doc, "tokens")["attrs"].update(high=0) or doc,
+         "node 'tokens': attr 'high' must be >= 1 on an integer Input, got 0"),
+    ], ids=["float_indices", "indices_past_table", "no_indices_to_draw"])
     def test_embedding_input_exits_1(self, models, tmp_path, capsys, edit, message):
         topo, blob = models["pre_ln_transformer"]
         _edit_topology(topo, edit)

@@ -215,6 +215,18 @@ class TestForward:
         with pytest.raises(NumericalError, match="x"):
             forward(g, w, {"x": np.array([np.nan, 1.0])})
 
+    @pytest.mark.parametrize("tokens, message", [
+        ([0.0, 1.0, 2.0], "node 'embed': embedding indices must be integers"),
+        ([0, 7, 1], r"node 'embed': embedding indices must lie in \[0, 7\)"),
+        ([0, -1, 1], r"node 'embed': embedding indices must lie in \[0, 7\)"),
+    ], ids=["float", "past_table", "negative"])
+    def test_embedding_refuses_bad_indices(self, tokens, message):
+        b = fixtures._Builder(0)
+        b.output(b.embedding("embed", b.input("tokens", (3,), integer=True, high=7), 7, 4))
+        g, w = b.build()
+        with pytest.raises(NumericalError, match=message):
+            forward(g, w, {"tokens": np.array(tokens)})
+
     def test_deterministic_and_replayable(self):
         g, w = fixtures.post_ln_transformer()
         rng = np.random.default_rng(0)
