@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import threading
 
 from .fold_apply import FoldError, apply_fold, check_hash, dry_run
 from .fold_detect import FoldReport, detect_foldable
@@ -24,7 +25,7 @@ from .graph_ir import (
     save_model,
 )
 from .jsonutil import canonical_dumps
-from .verify import check_trials, flops_estimate, verify_forward, verify_gradients
+from .verify import check_seed, check_trials, checks_overlap, flops_estimate, verify_forward, verify_gradients
 
 
 def _log(msg: str) -> None:
@@ -79,8 +80,7 @@ def _check_run(args: argparse.Namespace, *counts: int) -> None:
     try:
         for count in counts:
             check_trials(count)
-        if args.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {args.seed}")
+        check_seed(args.seed)
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"tol must be a finite number >= 0, got {args.tol}")
     except ValueError as exc:
@@ -145,24 +145,51 @@ def _cmd_fold(args: argparse.Namespace) -> int:
     return 0
 
 
+def _side_by_side(first, second) -> list:
+    """Run first on a second thread while second runs on this one, and
+    return both results once that thread has ended. When both raise,
+    first's exception wins, as it would if first had run before second."""
+    outcome: dict = {}
+
+    def run():
+        try:
+            outcome["result"] = first()
+        except BaseException as exc:  # re-raised on the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, name="lnfold-verify-forward")
+    thread.start()
+    try:
+        later = second()
+    finally:
+        thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+    return [outcome["result"], later]
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_run(args, args.trials, *([args.grad_trials] if args.grad else []))
     gA, wA = _load(args.orig_topology, args.orig_weights)
     gB, wB = _load(args.folded_topology, args.folded_weights)
+
+    def forward_check():
+        return verify_forward(gA, wA, gB, wB, trials=args.trials, seed=args.seed, tol=args.tol)
+
+    def gradient_check():
+        return verify_gradients(gA, wA, gB, wB, trials=args.grad_trials, seed=args.seed, tol=args.tol)
+
     try:
-        fwd = verify_forward(gA, wA, gB, wB, trials=args.trials, seed=args.seed, tol=args.tol)
-        doc = {"forward": fwd.to_json()}
-        ok = fwd.passed
-        if args.grad:
-            grad = verify_gradients(
-                gA, wA, gB, wB, trials=args.grad_trials, seed=args.seed, tol=args.tol
-            )
-            doc["gradients"] = grad.to_json()
-            ok = ok and grad.passed
+        if not args.grad:
+            reports = [forward_check()]
+        elif checks_overlap(wA):
+            reports = _side_by_side(forward_check, gradient_check)
+        else:
+            reports = [forward_check(), gradient_check()]
     except _VERIFY_ERRORS as exc:
         raise _Operational(f"verification could not run: {exc}") from exc
-    _emit(doc, None)
-    return 0 if ok else 2
+    _emit({part: report.to_json() for part, report in zip(("forward", "gradients"), reports)}, None)
+    return 0 if all(report.passed for report in reports) else 2
 
 
 def _cmd_flops(args: argparse.Namespace) -> int:

@@ -80,8 +80,15 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def check_seed(seed: int) -> None:
+    """ValueError unless seed can seed numpy's generators (an integer >= 0)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
     check_trials(trials)
+    check_seed(seed)
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
@@ -145,6 +152,19 @@ def _per_batch(*held: int) -> int:
     most the largest of held per-sample elements at once (_live_peak, or a
     gradient batch's per-trial parameter gradients) under TAPE_BUDGET."""
     return max(1, TAPE_BUDGET // max(1, *held))
+
+
+def _param_count(w: WeightStore) -> int:
+    return sum(arr.size for _name, arr in w.items())
+
+
+def checks_overlap(wA: WeightStore) -> bool:
+    """Whether verify --grad runs its forward check beside its gradient
+    check, on two threads: when the original model's parameter gradients
+    alone fill a gradient batch (more than TAPE_BUDGET // 2 parameters), so
+    both checks spend their time in long numpy calls that release the GIL.
+    Smaller models are interpreter-bound and run the checks in turn."""
+    return _per_batch(_param_count(wA)) == 1
 
 
 def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]], tape: bool = False) -> int:
@@ -303,8 +323,8 @@ def verify_gradients(
     storeA, storeB = wA.as_f64(), wB.as_f64()
     proxied = _derive_proxied(gA, gB)
     effective = center_targets(gB, storeB, proxied)
-    params = sum(arr.size for _name, arr in storeA.items())
-    per_batch = _per_batch(_live_peak(gA, shapesA, tape=True), _live_peak(gB, shapesB, tape=True), params)
+    per_batch = _per_batch(_live_peak(gA, shapesA, tape=True), _live_peak(gB, shapesB, tape=True),
+                           _param_count(storeA))
 
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd: float | None = 0.0
@@ -316,7 +336,8 @@ def verify_gradients(
         def diff_from_a(gradsB):
             for name, gb in gradsB.items():
                 ga = gradsA.params.pop(name, None)
-                maxima.append(np.abs(gb if ga is None else ga - gb).max(initial=0.0))
+                d = (0.0 if ga is None else ga) - gb
+                maxima.append(np.abs(d, out=d).max(initial=0.0))
 
         outsB, _ = _proxied_grads(gB, effective, proxied, inputs, ones, True, diff_from_a)
         worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
@@ -468,6 +489,7 @@ def training_equivalence(
     gradients through the centering map each step. Both schemes see the same
     batches and the same learning rate. Both models are validated first.
     """
+    check_seed(seed)
     _require_same_signature(gA, wA, gB, wB)
     if set(wA.names()) != set(wB.names()):
         raise ParameterPairingError("parameter name sets differ between schemes")

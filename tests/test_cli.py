@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from lnfold import cli, fixtures, fold_apply, verify
 from lnfold.cli import main
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import WeightStore, load_model, model_hash, save_model
+from lnfold.jsonutil import canonical_dumps
 
 
 @pytest.fixture()
@@ -487,6 +490,97 @@ def _save(tmp_path, stem, g, w):
 
 def _last_json(capsys):
     return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def wide_pair(tmp_path_factory):
+    """A 1.19 M-parameter model and its practical fold, saved: big enough
+    that verify --grad runs its two checks side by side."""
+    tmp = tmp_path_factory.mktemp("wide")
+    g, w = fixtures.pre_ln_transformer(d=256, hidden=1024, seq=32, blocks=2)
+    folded = fold_apply.apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+    return (*_save(tmp, "orig", g, w), *_save(tmp, "folded", *folded))
+
+
+_FEW_TRIALS = ["--grad", "--trials", "3", "--grad-trials", "1", "--seed", "3"]
+
+
+class TestOverlappedChecks:
+    def test_only_large_models_overlap(self, wide_pair):
+        assert verify.checks_overlap(load_model(*wide_pair[:2])[1])
+        assert not verify.checks_overlap(fixtures.linear_then_norm()[1])
+
+    def test_output_equals_the_checks_run_in_turn(self, wide_pair, capsys):
+        gA, wA = load_model(*wide_pair[:2])
+        gB, wB = load_model(*wide_pair[2:])
+        expected = {
+            "forward": verify.verify_forward(gA, wA, gB, wB, trials=3, seed=3).to_json(),
+            "gradients": verify.verify_gradients(gA, wA, gB, wB, trials=1, seed=3).to_json(),
+        }
+        capsys.readouterr()
+        threads = threading.active_count()
+        # Frequent thread switches, so the two checks interleave finely while
+        # they fill the cold caches of the graphs they share.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert main(["verify", *wide_pair, *_FEW_TRIALS]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert capsys.readouterr().out == canonical_dumps(expected) + "\n"
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("large", [True, False], ids=["wide", "linear_then_norm"])
+    def test_forward_check_thread(self, wide_pair, tmp_path, capsys, monkeypatch, large):
+        paths = wide_pair if large else TestVerifyCmd()._folded_linear_then_norm(tmp_path)
+        ran_on = {}
+
+        def recording(check, original):
+            def run(*args, **kwargs):
+                ran_on[check] = threading.current_thread()
+                return original(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(cli, "verify_forward", recording("forward", cli.verify_forward))
+        monkeypatch.setattr(cli, "verify_gradients", recording("gradients", cli.verify_gradients))
+        threads = threading.active_count()
+        assert main(["verify", *paths, *_FEW_TRIALS]) == 0
+        assert threading.active_count() == threads
+        assert ran_on["gradients"] is threading.main_thread()
+        assert (ran_on["forward"] is not threading.main_thread()) is large
+
+    @pytest.mark.parametrize("failing, message", [
+        ({"forward"}, "forward check broke"),
+        ({"gradients"}, "gradient check broke"),
+        ({"forward", "gradients"}, "forward check broke"),
+    ], ids=["forward", "gradients", "both"])
+    def test_failed_check_exits_1(self, wide_pair, capsys, monkeypatch, failing, message):
+        # The gradient check ends first, so when both fail the forward
+        # check's failure has to win by order, not by time.
+        gradient_done = threading.Event()
+
+        def forward_check(*args, **kwargs):
+            gradient_done.wait(timeout=10)
+            if "forward" in failing:
+                raise ValueError("forward check broke")
+            return real_forward(*args, **kwargs)
+
+        def gradient_check(*args, **kwargs):
+            gradient_done.set()
+            if "gradients" in failing:
+                raise ValueError("gradient check broke")
+            return real_gradients(*args, **kwargs)
+
+        real_forward, real_gradients = cli.verify_forward, cli.verify_gradients
+        monkeypatch.setattr(cli, "verify_forward", forward_check)
+        monkeypatch.setattr(cli, "verify_gradients", gradient_check)
+        capsys.readouterr()
+        threads = threading.active_count()
+        assert main(["verify", *wide_pair, *_FEW_TRIALS]) == 1
+        assert threading.active_count() == threads
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verification could not run: {message}\n"
 
 
 class TestNonFiniteCmd:

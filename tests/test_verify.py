@@ -632,6 +632,16 @@ class TestTrialCount:
             with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
                 run()
 
+    def test_negative_seed_is_refused(self):
+        g, w = fixtures.linear_then_norm()
+        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        for run in (lambda: verify_forward(g, w, fg, fw, trials=2, seed=-1),
+                    lambda: verify_gradients(g, w, fg, w, trials=2, seed=-1),
+                    lambda: check_zero_mean(g, w, "lin", trials=2, seed=-1),
+                    lambda: training_equivalence(g, w, fg, w, steps=1, seed=-1)):
+            with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+                run()
+
 
 class TestCheckZeroMean:
     def test_centered_linear(self):
