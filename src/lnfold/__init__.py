@@ -31,10 +31,8 @@ from .graph_ir import (
     GraphValidationError,
     ModelFormatError,
     Node,
-    NodeClass,
     ValidationReport,
     WeightStore,
-    classify_node,
     graphs_equal,
     load_model,
     make_node,

@@ -1,14 +1,14 @@
 """Detection of foldable LayerNorms and of the upstream layers to center.
 
 Detection is one backtracking analysis. From a LayerNorm it walks upstream
-through scalar and residual nodes, which preserve a zero-mean input, and
-stops at the first node of any other class. The walk and its leaves form
-the LayerNorm's zero-mean graph: general linear leaves can be made to emit
-zero-mean output by centering their weights, zero-mean leaves emit it
-already, and opaque leaves give no guarantee. A LayerNorm folds into
-RMSNorm when its zero-mean graph has no opaque leaf and every other leaf
-centers the LayerNorm's own (last) axis; its centering targets are the
-linear leaves.
+through the kinds that pass a zero-mean input on (OpDef.passes_mean) and
+stops at the first node of any other kind. The walk and its leaves form
+the LayerNorm's zero-mean graph: general linear leaves (kinds with a
+centering family) can be made to emit zero-mean output by centering their
+weights, zero-mean leaves (a centered_axis and no family) emit it already,
+and opaque leaves give no guarantee. A LayerNorm folds into RMSNorm when
+its zero-mean graph has no opaque leaf and every other leaf centers the
+LayerNorm's own (last) axis; its centering targets are the linear leaves.
 
 The backtrack from a vertex does not depend on which LayerNorm reached it,
 so detection walks once from all LayerNorms together and reads each one's
@@ -29,7 +29,6 @@ from typing import Iterable
 from .centering import CenteringSpec, spec_for_node
 from .graph_ir import (
     Graph,
-    NodeClass,
     WeightStore,
     infer_shapes,  # noqa: F401  (unused here; lnbench's tracer patches this name)
     make_node,
@@ -44,9 +43,6 @@ VERDICT_STRICT = "foldable_strict"
 VERDICT_PRACTICAL = "foldable_practical"
 VERDICT_NOT_FOLDABLE = "not_foldable"
 
-_PASS_THROUGH = (NodeClass.SCALAR, NodeClass.RESIDUAL)
-
-
 # ---------------------------------------------------------------------------
 # Zero-mean graph
 # ---------------------------------------------------------------------------
@@ -57,9 +53,10 @@ class ZeroMeanGraph:
     """Backtracked subgraph from some LayerNorms to their guarantee providers.
 
     The root LayerNorms are metadata, not vertices. Interior vertices are
-    scalar or residual nodes; leaves are partitioned by class. Every
-    predecessor of a root or of an interior vertex is a vertex, so the
-    backtrack follows the model graph's own edges.
+    nodes whose kind passes a zero-mean input on; leaves are partitioned by
+    what their kind declares (see OpDef). Every predecessor of a root or of
+    an interior vertex is a vertex, so the backtrack follows the model
+    graph's own edges.
     """
 
     roots: tuple[str, ...]
@@ -70,8 +67,9 @@ class ZeroMeanGraph:
 
 
 def build_zero_mean_graph(g: Graph, *ln_ids: str) -> ZeroMeanGraph:
-    """Backtrack from the ln_ids through scalar and residual nodes to the
-    leaves; the union of the LayerNorms' own zero-mean graphs."""
+    """Backtrack from the ln_ids through the nodes whose kind passes a
+    zero-mean input on, to the leaves; the union of the LayerNorms' own
+    zero-mean graphs."""
     for ln_id in ln_ids:
         node = g.nodes.get(ln_id)
         if node is None or node.kind != "LayerNorm":
@@ -83,12 +81,12 @@ def build_zero_mean_graph(g: Graph, *ln_ids: str) -> ZeroMeanGraph:
         if vertex in zmg.vertices:
             continue
         zmg.vertices.add(vertex)
-        cls = OPS[g.nodes[vertex].kind].node_class
-        if cls in _PASS_THROUGH:
+        op = OPS[g.nodes[vertex].kind]
+        if op.passes_mean:
             frontier.extend(g.predecessors(vertex))
-        elif cls is NodeClass.GENERAL_LINEAR:
+        elif op.family is not None:
             zmg.linear_leaves.add(vertex)
-        elif cls is NodeClass.ZERO_MEAN:
+        elif op.centered_axis is not None:
             zmg.zero_mean_leaves.add(vertex)
         else:
             zmg.opaque_leaves.add(vertex)
@@ -158,8 +156,8 @@ def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph, producers: Iterable[st
     of each producer it centers read that producer's output minus its mean.
     Nothing else moves: zero-mean leaves already in the model keep their
     output. Every consumer of a moved node sees the shift, inside the
-    zero-mean graph or not. Scalar and residual nodes pass it on, and kinds
-    with OpDef.removes_mean absorb it; any other node it reaches is an
+    zero-mean graph or not. Kinds with OpDef.passes_mean pass it on, and
+    kinds with OpDef.removes_mean absorb it; any other node it reaches is an
     affected layer, and so is a moved or passing node that is a graph output.
     """
     moved = zmg.linear_leaves | set(producers)
@@ -172,7 +170,7 @@ def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph, producers: Iterable[st
             continue
         visited.add(nid)
         op = OPS[g.nodes[nid].kind]
-        if op.node_class in _PASS_THROUGH:
+        if op.passes_mean:
             if nid in g.outputs:
                 affected.add(nid)
             frontier.extend(g.successors(nid))

@@ -1,4 +1,4 @@
-"""Computation-graph IR: node taxonomy, validation, and the model file format.
+"""Computation-graph IR: nodes, graphs, validation, and the model file format.
 
 A model is a DAG of typed nodes plus a weight store. The graph and store are
 immutable after construction: every rewrite builds new instances, so any
@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .jsonutil import canonical_dumps
-from .ops import OPS, NodeClass
+from .ops import OPS
 
 FORMAT_VERSION = 1
 
@@ -34,14 +34,6 @@ class ModelFormatError(ValueError):
 
 class GraphValidationError(ValueError):
     """Raised when an operation requires a valid graph but validation failed."""
-
-
-def classify_node(kind: str) -> NodeClass:
-    """Map a node kind to its behavioral class. Total over NODE_KINDS."""
-    try:
-        return OPS[kind].node_class
-    except KeyError:
-        raise ValueError(f"unknown node kind {kind!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """The op registry: every fact about each node kind, in one entry per kind.
 
 An entry (an OpDef) holds the kind's input arity and rank, parameter
-layout, node class, shape rule, forward kernel, backward rule, attr checks
-and, for general-linear kinds, the activation axis its centering constrains
-and its centering family. graph_ir, tensor_math, fold_detect and centering all read
-this one table, so adding a node kind means adding one OpDef to OPS.
+layout, shape rule, forward kernel, backward rule, attr checks and what it
+does to a per-sample mean. graph_ir, tensor_math, fold_detect and centering
+all read this one table, so adding a node kind means adding one OpDef to OPS.
 
 Kernels compute their own ops; the numpy primitives kept here are the ones
 the package exports or tests call. All of them accept arbitrary leading batch
@@ -24,22 +23,6 @@ DEFAULT_EPS = 1e-5
 
 class NumericalError(ArithmeticError):
     """Raised in strict mode on division by zero or non-finite inputs."""
-
-
-class NodeClass(Enum):
-    """Behavioral classes driving foldability analysis.
-
-    GENERAL_LINEAR layers can be forced to emit zero-mean output by centering
-    their weights. SCALAR and RESIDUAL layers preserve an incoming zero-mean
-    guarantee. ZERO_MEAN layers emit zero-mean output unconditionally. OPAQUE
-    layers give no guarantee and stop the analysis.
-    """
-
-    GENERAL_LINEAR = "general_linear"
-    SCALAR = "scalar"
-    RESIDUAL = "residual"
-    ZERO_MEAN = "zero_mean"
-    OPAQUE = "opaque"
 
 
 class Family(Enum):
@@ -293,11 +276,15 @@ class OpDef:
     fewest per-sample axes each input needs: the kinds that read the last
     axis need one. params is the (min, max) number of parameter refs and
     bias the slot of the optional bias among them, always the last one.
-    General-linear kinds name the activation axis their centering
-    constrains and their centering family; the zero-mean kind names the
-    axis its output is centered on. removes_mean marks the kinds whose
-    output does not change when a per-sample constant is added to their
-    input along the last axis.
+
+    What a kind does to a per-sample mean is all fold detection reads.
+    passes_mean: the output is zero-mean along the last axis when every
+    input is, and moves by a constant along it when every input does.
+    removes_mean: the output ignores a per-sample constant added to the
+    input along the last axis. A kind with a centering family is
+    general-linear: centering its weights makes its output zero-mean along
+    centered_axis; a centered_axis alone says the output already is. Any
+    other kind is opaque.
 
     The rules: check_attrs lists attr problems; shape maps per-sample input
     shapes and parameters to the output shape, reporting problems through
@@ -311,14 +298,13 @@ class OpDef:
     then keeps that axis, one gradient per trial (see _sum_to).
     """
 
-    node_class = NodeClass.OPAQUE
     arity: int | None = 1
     min_rank = 0
     params = (0, 0)
     bias: int | None = None
     centered_axis: int | None = None
     family: Family | None = None
-    removes_mean = False
+    passes_mean = removes_mean = False
 
     def takes(self, inputs: int) -> bool:
         """Whether a node of this kind may have this many incoming edges."""
@@ -348,7 +334,7 @@ class OpDef:
 
 
 class _Linear(OpDef):
-    node_class, min_rank, params, bias = NodeClass.GENERAL_LINEAR, 1, (1, 2), 1
+    min_rank, params, bias = 1, (1, 2), 1
     centered_axis, family = -1, Family.LINEAR_COLUMNS
 
     def shape(self, attrs, shapes, params, bad):
@@ -371,7 +357,7 @@ class _Linear(OpDef):
 
 
 class _Conv2d(OpDef):
-    node_class, min_rank, params, bias = NodeClass.GENERAL_LINEAR, 3, (1, 2), 1
+    min_rank, params, bias = 3, (1, 2), 1
     centered_axis, family = -3, Family.CONV_OUT_CHANNELS  # channel axis of (..., C, H, W)
 
     def check_attrs(self, attrs):
@@ -425,7 +411,7 @@ class _Conv2d(OpDef):
 
 
 class _RecurrentCell(OpDef):
-    node_class, arity, min_rank, params, bias = NodeClass.GENERAL_LINEAR, 2, 1, (2, 3), 2
+    arity, min_rank, params, bias = 2, 1, (2, 3), 2
     centered_axis, family = -1, Family.RECURRENT_BOTH
 
     def shape(self, attrs, shapes, params, bad):
@@ -453,7 +439,7 @@ class _RecurrentCell(OpDef):
 
 
 class _AttentionValueProjection(OpDef):
-    node_class, min_rank, params = NodeClass.GENERAL_LINEAR, 1, (1, 1)
+    min_rank, params = 1, (1, 1)
     centered_axis, family = -1, Family.ATTENTION_VALUE_ROWS
 
     def shape(self, attrs, shapes, params, bad):
@@ -502,10 +488,11 @@ def _eps_problems(attrs) -> list[str]:
 
 class _LayerNorm(OpDef):
     """Last-axis LayerNorm with optional gamma and beta; RMSNorm below is
-    the same op without the centering step."""
+    the same op without the centering step. The kernel centers exactly when
+    the kind declares removes_mean."""
 
     min_rank, params, bias = 1, (0, 2), 1
-    center = removes_mean = True
+    removes_mean = True
 
     def _gamma_beta(self, params):
         return (params[0] if params else None), self.bias_of(params)
@@ -528,7 +515,7 @@ class _LayerNorm(OpDef):
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
         eps = float(attrs.get("eps", DEFAULT_EPS))
-        out, xhat, inv, denom = _center_scale(x, eps, *self._gamma_beta(params), strict, self.center)
+        out, xhat, inv, denom = _center_scale(x, eps, *self._gamma_beta(params), strict, self.removes_mean)
         return out, {"xhat": xhat, "inv": inv, "denom": denom}
 
     def backward(self, e, dy, keep):
@@ -536,11 +523,11 @@ class _LayerNorm(OpDef):
         gamma, _beta = self._gamma_beta(e.params)
         g = dy if gamma is None else dy * gamma
         dgamma = [] if gamma is None else [_sum_to(gamma.shape, dy * xhat, keep)]
-        return [_norm_input_grad(g, xhat, inv, self.center)], dgamma + self._bias_grad(e.params, dy, keep)
+        return [_norm_input_grad(g, xhat, inv, self.removes_mean)], dgamma + self._bias_grad(e.params, dy, keep)
 
 
 class _RMSNorm(_LayerNorm):
-    center = removes_mean = False
+    removes_mean = False
 
 
 class _GroupNorm(OpDef):
@@ -579,7 +566,7 @@ class _GroupNorm(OpDef):
 
 
 class _ScalarScale(OpDef):
-    node_class = NodeClass.SCALAR
+    passes_mean = True
 
     def check_attrs(self, attrs):
         if "scale" not in attrs:
@@ -602,7 +589,7 @@ class _DropoutInference(_ScalarScale):
 
 
 class _ResidualAdd(OpDef):
-    node_class, arity = NodeClass.RESIDUAL, None
+    passes_mean, arity = True, None
 
     def shape(self, attrs, shapes, params, bad):
         if len(set(shapes)) != 1:
@@ -708,7 +695,7 @@ class _Embedding(OpDef):
 
 
 class _AuxiliaryCentering(OpDef):
-    node_class, centered_axis, min_rank = NodeClass.ZERO_MEAN, -1, 1
+    centered_axis, min_rank = -1, 1
     removes_mean = True
 
     def forward(self, attrs, inputs, params, strict):

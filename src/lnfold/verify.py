@@ -10,6 +10,7 @@ quantifies what the rewrite saves per normalization layer.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Mapping
 
@@ -162,9 +163,11 @@ def checks_overlap(wA: WeightStore) -> bool:
     """Whether verify --grad runs its forward check beside its gradient
     check, on two threads: when the original model's parameter gradients
     alone fill a gradient batch (more than TAPE_BUDGET // 2 parameters), so
-    both checks spend their time in long numpy calls that release the GIL.
-    Smaller models are interpreter-bound and run the checks in turn."""
-    return _per_batch(_param_count(wA)) == 1
+    both checks spend their time in long numpy calls that release the GIL,
+    and the process may run on more than one CPU. Smaller models are
+    interpreter-bound and run the checks in turn, as does a single CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) > 1 and _per_batch(_param_count(wA)) == 1
 
 
 def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]], tape: bool = False) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class TestAnalyze:
         assert main(["analyze", topo, blob, "--out", out]) == 0
         err = capsys.readouterr().err
         assert "LN=5" in err and "foldable=0" in err
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert doc["counts"]["strict"] == 0
 
     def test_pre_ln_practical_summary(self, models, tmp_path, capsys):
@@ -58,7 +59,7 @@ class TestAnalyze:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["analyze", topo, blob, "--out", a])
         main(["analyze", topo, blob, "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestFold:
@@ -111,7 +112,7 @@ class TestFold:
     def test_stale_report_message(self, models, tmp_path, capsys, flags):
         # The hash check comes first whichever of the CLI or apply_fold makes it.
         topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
-        stale = json.load(open(rep))["model_hash"]
+        stale = json.loads(Path(rep).read_text())["model_hash"]
         other_topo, other_blob = models["concat_then_norm"]
         other = model_hash(*load_model(other_topo, other_blob))
         capsys.readouterr()
@@ -505,10 +506,45 @@ def wide_pair(tmp_path_factory):
 _FEW_TRIALS = ["--grad", "--trials", "3", "--grad-trials", "1", "--seed", "3"]
 
 
+def _usable_cpus(monkeypatch, cpus, affinity=True):
+    """Make the process see this many usable CPUs, through os.sched_getaffinity
+    or, with affinity=False, through os.cpu_count on a platform without it."""
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 class TestOverlappedChecks:
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        # The checks overlap only on a second CPU; give every case one.
+        _usable_cpus(monkeypatch, 2)
+
     def test_only_large_models_overlap(self, wide_pair):
         assert verify.checks_overlap(load_model(*wide_pair[:2])[1])
         assert not verify.checks_overlap(fixtures.linear_then_norm()[1])
+
+    @pytest.mark.parametrize("affinity, cpus", [(True, 1), (True, 2), (False, 1), (False, 2), (False, None)],
+                             ids=["affinity_1", "affinity_2", "cpu_count_1", "cpu_count_2", "cpu_count_unknown"])
+    def test_only_several_cpus_overlap(self, wide_pair, monkeypatch, affinity, cpus):
+        _usable_cpus(monkeypatch, cpus, affinity)
+        assert verify.checks_overlap(load_model(*wide_pair[:2])[1]) is (cpus == 2)
+
+    def test_one_cpu_runs_the_checks_in_turn(self, wide_pair, capsys, monkeypatch):
+        _usable_cpus(monkeypatch, 1)
+        ran_on = []
+
+        def recording(*args, **kwargs):
+            ran_on.append(threading.current_thread())
+            return real_forward(*args, **kwargs)
+
+        real_forward = cli.verify_forward
+        monkeypatch.setattr(cli, "verify_forward", recording)
+        assert main(["verify", *wide_pair, *_FEW_TRIALS]) == 0
+        assert ran_on == [threading.main_thread()]
 
     def test_output_equals_the_checks_run_in_turn(self, wide_pair, capsys):
         gA, wA = load_model(*wide_pair[:2])

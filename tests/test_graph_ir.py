@@ -1,7 +1,8 @@
-"""Tests for the IR: node classification, validation, model file round-trip."""
+"""Tests for the IR: node kinds, validation, model file round-trip."""
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +12,11 @@ from hypothesis import strategies as st
 from lnfold import fixtures
 from lnfold.fold_detect import AuxInsertion, graph_with_insertions
 from lnfold.graph_ir import (
-    NODE_KINDS,
     Graph,
     GraphValidationError,
     ModelFormatError,
     Node,
-    NodeClass,
     WeightStore,
-    classify_node,
     graphs_equal,
     load_model,
     make_node,
@@ -27,17 +25,33 @@ from lnfold.graph_ir import (
     stores_equal,
     validate_graph,
 )
+from lnfold.ops import OPS, Family
+
+
+# What fold detection reads of each kind: (passes_mean, family, centered_axis).
+# A family makes a general-linear leaf, a centered_axis alone a zero-mean leaf.
+DECLARED_ROLES = {
+    "Linear": (False, Family.LINEAR_COLUMNS, -1),
+    "Conv2d": (False, Family.CONV_OUT_CHANNELS, -3),
+    "RecurrentCell": (False, Family.RECURRENT_BOTH, -1),
+    "AttentionValueProjection": (False, Family.ATTENTION_VALUE_ROWS, -1),
+    "ScalarScale": (True, None, None),
+    "DropoutInference": (True, None, None),
+    "ResidualAdd": (True, None, None),
+    "AuxiliaryCentering": (False, None, -1),
+    "LayerNorm": (False, None, None),
+    "RMSNorm": (False, None, None),
+    "GroupNorm": (False, None, None),
+    "Concat": (False, None, None),
+    "ReLU": (False, None, None),
+    "Softmax": (False, None, None),
+    "Embedding": (False, None, None),
+    "Input": (False, None, None),
+    "Output": (False, None, None),
+}
 
 
 class TestClassifyNode:
-    def test_total_over_all_kinds(self):
-        for kind in NODE_KINDS:
-            assert isinstance(classify_node(kind), NodeClass)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            classify_node("FooNorm")
-
     @pytest.mark.parametrize("build, node", [
         (lambda: make_node("n", "FooNorm"), "n"),
         (lambda: Node("n", "FooNorm"), "n"),
@@ -47,30 +61,10 @@ class TestClassifyNode:
         with pytest.raises(ValueError, match=f"unknown node kind 'FooNorm' on node '{node}'"):
             build()
 
-    @pytest.mark.parametrize(
-        "kind,cls",
-        [
-            ("Linear", NodeClass.GENERAL_LINEAR),
-            ("Conv2d", NodeClass.GENERAL_LINEAR),
-            ("RecurrentCell", NodeClass.GENERAL_LINEAR),
-            ("AttentionValueProjection", NodeClass.GENERAL_LINEAR),
-            ("ScalarScale", NodeClass.SCALAR),
-            ("DropoutInference", NodeClass.SCALAR),
-            ("ResidualAdd", NodeClass.RESIDUAL),
-            ("AuxiliaryCentering", NodeClass.ZERO_MEAN),
-            ("LayerNorm", NodeClass.OPAQUE),
-            ("RMSNorm", NodeClass.OPAQUE),
-            ("GroupNorm", NodeClass.OPAQUE),
-            ("Concat", NodeClass.OPAQUE),
-            ("ReLU", NodeClass.OPAQUE),
-            ("Softmax", NodeClass.OPAQUE),
-            ("Embedding", NodeClass.OPAQUE),
-            ("Input", NodeClass.OPAQUE),
-            ("Output", NodeClass.OPAQUE),
-        ],
-    )
-    def test_expected_partition(self, kind, cls):
-        assert classify_node(kind) is cls
+    @pytest.mark.parametrize("kind", list(DECLARED_ROLES))
+    def test_expected_partition(self, kind):
+        op = OPS[kind]
+        assert (op.passes_mean, op.family, op.centered_axis) == DECLARED_ROLES[kind]
 
 
 class TestValidation:
@@ -279,8 +273,8 @@ class TestModelFiles:
         g, w = fixtures.linear_then_norm()
         topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
         save_model(g, w, topo, blob)
-        raw = open(blob, "rb").read()
-        open(blob, "wb").write(raw[:-8])
+        raw = Path(blob).read_bytes()
+        Path(blob).write_bytes(raw[:-8])
         with pytest.raises(ModelFormatError, match="ln.gamma|ln.beta|lin"):
             load_model(topo, blob)
 
@@ -288,9 +282,9 @@ class TestModelFiles:
         g, w = fixtures.linear_then_norm()
         topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
         save_model(g, w, topo, blob)
-        doc = json.load(open(topo))
+        doc = json.loads(Path(topo).read_text())
         doc["nodes"][1]["kind"] = "FooNorm"
-        json.dump(doc, open(topo, "w"))
+        Path(topo).write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="FooNorm"):
             load_model(topo, blob)
 

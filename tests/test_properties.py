@@ -31,8 +31,6 @@ from lnfold.fold_detect import (
 from lnfold.graph_ir import (
     NODE_KINDS,
     Graph,
-    NodeClass,
-    classify_node,
     load_model,
     make_node,
     model_hash,
@@ -126,7 +124,14 @@ class TestClassification:
     @settings(max_examples=len(NODE_KINDS))
     @given(st.sampled_from(sorted(NODE_KINDS)))
     def test_total_and_single_valued(self, kind):
-        assert classify_node(kind) in NodeClass
+        # Fold detection reads one role off a kind's declarations: a kind
+        # that passes a mean on is never also a leaf, and a leaf with a
+        # centering family names the axis that family centers.
+        op = OPS[kind]
+        if op.passes_mean:
+            assert op.family is None and op.centered_axis is None
+        if op.family is not None:
+            assert op.centered_axis is not None
 
 
 # What builder_models draws: each pick adds one node, or several in order.
