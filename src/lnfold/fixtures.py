@@ -75,14 +75,13 @@ class _Builder:
         self._wire(src, nid)
         return nid
 
-    def layer_norm(self, nid: str, src: str, n: int, eps: float = 1e-5,
-                   affine: bool = True) -> str:
+    def layer_norm(self, nid: str, src: str, n: int, affine: bool = True) -> str:
         params = []
         if affine:
             self.arrays[f"{nid}.gamma"] = self.rng.uniform(0.5, 1.5, size=(n,))
             self.arrays[f"{nid}.beta"] = self.rng.uniform(-0.5, 0.5, size=(n,))
             params = [f"{nid}.gamma", f"{nid}.beta"]
-        self.nodes.append(make_node(nid, "LayerNorm", {"eps": eps}, params))
+        self.nodes.append(make_node(nid, "LayerNorm", {"eps": 1e-5}, params))
         self._wire(src, nid)
         return nid
 
@@ -115,13 +114,13 @@ class _Builder:
 # ---------------------------------------------------------------------------
 
 
-def linear_then_norm(out_dim: int = 8, in_dim: int = 6, seed: int = 0, bias: bool = True,
-                     affine: bool = True) -> tuple[Graph, WeightStore]:
+def linear_then_norm(out_dim: int = 8, in_dim: int = 6, seed: int = 0,
+                     bias: bool = True) -> tuple[Graph, WeightStore]:
     """Input -> Linear -> LayerNorm: the textbook foldable case."""
     b = _Builder(seed)
     x = b.input("x", (in_dim,))
     lin = b.linear("lin", x, out_dim, in_dim, bias=bias)
-    ln = b.layer_norm("ln", lin, out_dim, affine=affine)
+    ln = b.layer_norm("ln", lin, out_dim)
     b.output(ln)
     return b.build()
 
@@ -163,15 +162,15 @@ def recurrent_then_norm(d: int = 6, in_dim: int = 5, seed: int = 0) -> tuple[Gra
 
 
 def mlp_classifier(in_dim: int = 10, hidden: int = 16, classes: int = 4,
-                   seed: int = 0, affine: bool = True) -> tuple[Graph, WeightStore]:
+                   seed: int = 0) -> tuple[Graph, WeightStore]:
     """Two-layer MLP with a LayerNorm after each linear; logits output."""
     b = _Builder(seed)
     x = b.input("x", (in_dim,))
     l1 = b.linear("l1", x, hidden, in_dim)
-    n1 = b.layer_norm("n1", l1, hidden, affine=affine)
+    n1 = b.layer_norm("n1", l1, hidden)
     a1 = b.simple("a1", "ReLU", n1)
     l2 = b.linear("l2", a1, classes, hidden)
-    n2 = b.layer_norm("n2", l2, classes, affine=affine)
+    n2 = b.layer_norm("n2", l2, classes)
     b.output(n2)
     return b.build()
 

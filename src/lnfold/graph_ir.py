@@ -81,9 +81,6 @@ class WeightStore:
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
 
-    def __len__(self) -> int:
-        return len(self._arrays)
-
     def names(self) -> list[str]:
         return list(self._arrays)
 
@@ -506,7 +503,9 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
     for entry in doc.get("edges", []):
         try:
             src, dst, slot = entry[:3]
-            edges.append((str(src), str(dst), int(slot)))
+            if type(slot) is not int:  # not int(slot): that reads 0.9 and true as slots
+                raise TypeError
+            edges.append((str(src), str(dst), slot))
         except (TypeError, ValueError):
             raise ModelFormatError(f"edge {entry!r} is not [src, dst, slot]") from None
 
@@ -540,14 +539,16 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
         try:
             name = str(entry["name"])
             tag = entry["dtype"]
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = int(entry["offset"])
-            byte_len = int(entry["byte_len"])
+            shape, offset, byte_len = tuple(entry["shape"]), entry["offset"], entry["byte_len"]
+            if any(type(v) is not int for v in (*shape, offset, byte_len)):
+                raise TypeError
         except (KeyError, TypeError, ValueError):
             raise ModelFormatError(
                 f"manifest entry {entry!r} needs a name, a dtype, an integer shape, "
-                "an offset and a byte_len"
+                "offset and byte_len"
             ) from None
+        if name in arrays:
+            raise ModelFormatError(f"parameter {name!r} is listed twice in the manifest")
         if not isinstance(tag, str) or tag not in _WIRE_DTYPES:
             raise ModelFormatError(f"parameter {name!r}: unknown dtype {tag!r}")
         if min((offset, byte_len) + shape) < 0:

@@ -526,6 +526,9 @@ class TestOverlappedChecks:
     def test_only_large_models_overlap(self, wide_pair):
         assert verify.checks_overlap(load_model(*wide_pair[:2])[1])
         assert not verify.checks_overlap(fixtures.linear_then_norm()[1])
+        # The benchmark's deepest stack: 456,672 parameters, below 2^19.
+        deepest = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)[1]
+        assert not verify.checks_overlap(deepest)
 
     @pytest.mark.parametrize("affinity, cpus", [(True, 1), (True, 2), (False, 1), (False, 2), (False, None)],
                              ids=["affinity_1", "affinity_2", "cpu_count_1", "cpu_count_2", "cpu_count_unknown"])
@@ -711,6 +714,30 @@ def _manifest_shape_text(doc):
     return doc
 
 
+def _set_edge_slot(value):
+    """Write value as the slot of an edge whose slot int(value) equals, so
+    only a refusal of value itself can fail the load."""
+    def edit(doc):
+        next(e for e in doc["edges"] if e[2] == int(value))[2] = value
+        return doc
+    return edit
+
+
+def _set_manifest(key, change):
+    def edit(doc):
+        entry = doc["weights_manifest"][1]
+        entry[key] = change(entry[key])
+        return doc
+    return edit
+
+
+def _duplicate_parameter(doc):
+    # An empty entry listed first, which the real one would silently replace.
+    first = doc["weights_manifest"][0]
+    doc["weights_manifest"].insert(0, dict(first, shape=[0], offset=0, byte_len=0))
+    return doc
+
+
 def _attrs_list(doc):
     doc["nodes"][0]["attrs"] = [["shape", [6]]]
     return doc
@@ -747,6 +774,16 @@ class TestMalformedTopology:
         (_manifest_without_dtype, "needs a name, a dtype, an integer shape"),
         (_manifest_entry_list, "needs a name, a dtype, an integer shape"),
         (_manifest_shape_text, "needs a name, a dtype, an integer shape"),
+        (_set_manifest("shape", lambda shape: [shape[0] + 0.9, *shape[1:]]), "an integer shape, offset"),
+        (_set_manifest("shape", lambda shape: [str(shape[0]), *shape[1:]]), "an integer shape, offset"),
+        (_set_manifest("offset", lambda offset: offset + 0.7), "an integer shape, offset"),
+        (_set_manifest("offset", str), "an integer shape, offset"),
+        (_set_manifest("byte_len", lambda byte_len: byte_len + 0.2), "an integer shape, offset"),
+        (_duplicate_parameter, "is listed twice in the manifest"),
+        (_set_edge_slot(0.9), "is not [src, dst, slot]"),
+        (_set_edge_slot("0"), "is not [src, dst, slot]"),
+        (_set_edge_slot(1e-9), "is not [src, dst, slot]"),
+        (_set_edge_slot(True), "is not [src, dst, slot]"),
         (_attrs_list, "'attrs' must be an object"),
         (_duplicate_node, "duplicate node id 'lin_in'"),
         (_set_attr("ln1", "eps", float("nan")), "topology holds NaN"),
@@ -754,7 +791,10 @@ class TestMalformedTopology:
         (_set_attr("act", "slope", float("-inf")), "topology holds -Infinity"),
     ], ids=["node_without_kind", "node_without_id", "short_edge", "top_level_list",
             "overlapping_manifest", "manifest_without_dtype", "manifest_entry_list",
-            "manifest_shape_not_integer", "attrs_not_object", "duplicate_node_id",
+            "manifest_shape_not_integer", "manifest_shape_fraction", "manifest_shape_text_entry",
+            "manifest_offset_fraction", "manifest_offset_text", "manifest_byte_len_fraction",
+            "manifest_duplicate_name", "edge_slot_fraction", "edge_slot_text", "edge_slot_tiny",
+            "edge_slot_true", "attrs_not_object", "duplicate_node_id",
             "nan_attr", "infinite_attr", "minus_infinite_attr_on_relu"])
     def test_exits_1_with_message(self, models, tmp_path, capsys, edit, message):
         topo, blob = models["post_ln_transformer"]
