@@ -4,13 +4,8 @@ RMSNorm, with machine-checked forward/backward equivalence."""
 from .centering import (
     CenteringSpec,
     Family,
+    center,
     center_bias,
-    center_columns,
-    center_conv_kernel,
-    center_grouped_columns,
-    center_recurrent,
-    center_value_rows,
-    centering_gradient,
     constraint_residual,
     is_centered,
     spec_for_node,

@@ -2,10 +2,11 @@
 
 Each general-linear-layer family has one constrained axis per weight tensor:
 when every constrained slice sums to zero, the layer's output mean over the
-matching activation axis is identically zero for all inputs. The transforms
-here project weights onto that constraint surface. All of them are linear,
-idempotent, symmetric projections, so the same function doubles as the
-gradient map for the reparameterized (proxy-weight) training scheme.
+matching activation axis is identically zero for all inputs. center
+projects a tensor onto that constraint surface for any family. The
+projection is linear, idempotent and symmetric, so the same function
+doubles as the gradient map for the reparameterized (proxy-weight) training
+scheme.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .ops import OPS, Family
 class CenteringSpec:
     """How to center one node's parameters.
 
-    target names the main weight; for RECURRENT_BOTH the second matrix is
-    found through the owning node. includes_bias centers the bias alongside
-    the weight, which keeps biased layers exactly equivalent.
+    target names the main weight; center_node_params also centers the
+    node's other weights before its bias slot (a RecurrentCell's hidden
+    matrix). includes_bias centers the bias alongside the weights, which
+    keeps biased layers exactly equivalent.
     """
 
     target: str
@@ -86,68 +88,27 @@ def _slices(t: np.ndarray, family: Family, groups: int) -> np.ndarray:
     return t.reshape(t.shape[:-2] + (groups, m // groups, t.shape[-1]))
 
 
-def _apply_family(t: np.ndarray, family: Family, groups: int = 1) -> np.ndarray:
-    s = _slices(t, family, groups)
-    return (s - s.mean(axis=_WEIGHT_AXIS[family], keepdims=True)).reshape(t.shape)
+def center(t: np.ndarray, family: Family, groups: int = 1) -> np.ndarray:
+    """Project t onto family's constraint surface: subtract each constrained
+    slice's mean. The projection is symmetric and idempotent, so it maps
+    weights and the gradients of proxy weights alike. Leading axes of t
+    (one gradient per stacked trial) ride along.
 
-
-def center_columns(W: np.ndarray) -> np.ndarray:
-    """Subtract each column's mean so every column sums to zero."""
-    if W.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {W.shape}")
-    return _apply_family(W, Family.LINEAR_COLUMNS)
-
-
-def center_conv_kernel(K: np.ndarray) -> np.ndarray:
-    """Center over output channels per (in-channel, kernel position)."""
-    if K.ndim != 4:
-        raise ValueError(f"expected a 4-axis kernel, got shape {K.shape}")
-    return _apply_family(K, Family.CONV_OUT_CHANNELS)
-
-
-def center_recurrent(Wv: np.ndarray, Wh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-center both cell matrices independently."""
-    return center_columns(Wv), center_columns(Wh)
-
-
-def center_value_rows(V: np.ndarray) -> np.ndarray:
-    """Center each row of the value projection over the output width."""
-    if V.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {V.shape}")
-    return _apply_family(V, Family.ATTENTION_VALUE_ROWS)
-
-
-def center_grouped_columns(W: np.ndarray, groups: int) -> np.ndarray:
-    """Center each contiguous chunk of m/groups rows within every column.
-
-    With groups == rows, each chunk is a single element and the projection
-    zeroes the matrix: the grouped constraint is over-determined there.
+    Grouped columns with one row per group zero the matrix: the grouped
+    constraint is over-determined there.
     """
-    if W.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {W.shape}")
-    if groups == W.shape[0] and np.any(W):
+    if family is Family.GROUPED_COLUMNS and groups == t.shape[-2] and np.any(t):
         warnings.warn(
             "one-element groups over-constrain the weights; the projection zeroes the layer",
             stacklevel=2,
         )
-    return _apply_family(W, Family.GROUPED_COLUMNS, groups)
+    s = _slices(t, family, groups)
+    return (s - s.mean(axis=_WEIGHT_AXIS[family], keepdims=True)).reshape(t.shape)
 
 
 def center_bias(b: np.ndarray) -> np.ndarray:
     """Bias rides along as one more weight column: subtract its mean."""
     return b - b.mean(axis=-1, keepdims=True)
-
-
-def centering_gradient(dV: np.ndarray, family: Family = Family.LINEAR_COLUMNS,
-                       groups: int = 1) -> np.ndarray:
-    """Map a gradient w.r.t. the effective weight back to the proxy weight.
-
-    Every family's transform is a symmetric idempotent projection, so the
-    backward map is the forward map applied to the gradient.
-    """
-    if family is Family.GROUPED_COLUMNS:
-        return center_grouped_columns(dV, groups)
-    return _apply_family(dV, family, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +144,12 @@ def is_centered(W: np.ndarray, family: Family, groups: int = 1, tol: float | Non
 
 def center_node_params(node: Node, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Centered replacements for one general-linear node's parameters, keyed
-    by name, as spec_for_node(node) prescribes. Leading axes of the arrays
-    (one gradient per stacked trial) ride along."""
-    spec = spec_for_node(node)
-    centered = node.param_refs[:2] if spec.family is Family.RECURRENT_BOTH else [spec.target]
-    out = {name: _apply_family(arrays[name], spec.family) for name in centered}
-    bias_name = OPS[node.kind].bias_of(node.param_refs)
+    by name, as spec_for_node(node) prescribes: every weight before the
+    kind's bias slot goes through center, the bias through center_bias.
+    Leading axes of the arrays (one gradient per stacked trial) ride along."""
+    spec, op = spec_for_node(node), OPS[node.kind]
+    out = {name: center(arrays[name], spec.family) for name in node.param_refs[:op.bias]}
+    bias_name = op.bias_of(node.param_refs)
     if bias_name is not None:
         out[bias_name] = center_bias(arrays[bias_name])
     return out

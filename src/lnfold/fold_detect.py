@@ -403,8 +403,9 @@ class FoldReport:
 
     @staticmethod
     def from_json(doc: dict) -> "FoldReport":
-        if doc.get("format_version") != REPORT_FORMAT_VERSION:
-            raise ValueError(f"unsupported report format_version {doc.get('format_version')!r}")
+        version = doc.get("format_version")
+        if type(version) is not int or version != REPORT_FORMAT_VERSION:
+            raise ValueError(f"unsupported report format_version {version!r}")
         entries = {e["ln_id"]: FoldEntry.from_json(e) for e in doc["entries"]}
         foldable, insertions = list(doc["foldable"]), [AuxInsertion.from_json(i) for i in doc["insertions"]]
         if not all(isinstance(s, str) for s in [doc["model_hash"], *foldable, *(i.after for i in insertions)]):

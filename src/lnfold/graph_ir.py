@@ -490,42 +490,42 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
     if not isinstance(doc, dict):
         raise ModelFormatError(f"topology must be a JSON object, got {type(doc).__name__}")
 
+    # Fields are taken as JSON wrote them, never coerced: true and 1.0 are
+    # not the integer 1, and the number 7 is not the node id "7".
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version!r}")
     for key in ("nodes", "edges", "inputs", "outputs", "weights_manifest"):
         if not isinstance(doc.get(key, []), list):
             raise ModelFormatError(f"topology {key!r} must be a list, got {type(doc[key]).__name__}")
+    for key in ("inputs", "outputs"):
+        if not all(isinstance(nid, str) for nid in doc.get(key, [])):
+            raise ModelFormatError(f"topology {key!r} must list node ids as strings")
     if not isinstance(doc.get("provenance") or {}, dict):
         raise ModelFormatError("topology 'provenance' must be an object")
 
     edges: list[tuple[str, str, int]] = []
     for entry in doc.get("edges", []):
-        try:
-            src, dst, slot = entry[:3]
-            if type(slot) is not int:  # not int(slot): that reads 0.9 and true as slots
-                raise TypeError
-            edges.append((str(src), str(dst), slot))
-        except (TypeError, ValueError):
-            raise ModelFormatError(f"edge {entry!r} is not [src, dst, slot]") from None
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[1], str) and type(entry[2]) is int):
+            raise ModelFormatError(f"edge {entry!r} is not [src, dst, slot]")
+        edges.append(tuple(entry))
 
     nodes: list[Node] = []
     try:
         for spec in doc.get("nodes", []):
-            if not isinstance(spec, dict) or "id" not in spec or "kind" not in spec:
-                raise ModelFormatError(f"node {spec!r} needs an 'id' and a 'kind'")
-            nid = str(spec["id"])
+            if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)
+                    and isinstance(spec.get("kind"), str)):
+                raise ModelFormatError(f"node {spec!r} needs an 'id' and a 'kind', both strings")
+            nid = spec["id"]
             attrs, params = spec.get("attrs", {}), spec.get("params", [])
-            if not isinstance(attrs, dict) or not isinstance(params, list):
-                raise ModelFormatError(f"node {nid!r}: 'attrs' must be an object and 'params' a list")
-            nodes.append(make_node(nid, str(spec["kind"]), attrs, [str(p) for p in params]))
-        graph = Graph(
-            nodes,
-            edges,
-            [str(i) for i in doc.get("inputs", [])],
-            [str(o) for o in doc.get("outputs", [])],
-            doc.get("provenance"),
-        )
+            if not (isinstance(attrs, dict) and isinstance(params, list)
+                    and all(isinstance(p, str) for p in params)):
+                raise ModelFormatError(
+                    f"node {nid!r}: 'attrs' must be an object and 'params' a list of strings"
+                )
+            nodes.append(make_node(nid, spec["kind"], attrs, params))
+        graph = Graph(nodes, edges, doc.get("inputs", []), doc.get("outputs", []), doc.get("provenance"))
     except ValueError as exc:  # a Node refuses an unknown kind, a Graph a duplicate id
         raise ModelFormatError(str(exc)) from None
 
@@ -537,10 +537,9 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
     expected_end = 0
     for entry in doc.get("weights_manifest", []):
         try:
-            name = str(entry["name"])
-            tag = entry["dtype"]
+            name, tag = entry["name"], entry["dtype"]
             shape, offset, byte_len = tuple(entry["shape"]), entry["offset"], entry["byte_len"]
-            if any(type(v) is not int for v in (*shape, offset, byte_len)):
+            if not isinstance(name, str) or any(type(v) is not int for v in (*shape, offset, byte_len)):
                 raise TypeError
         except (KeyError, TypeError, ValueError):
             raise ModelFormatError(
@@ -559,6 +558,10 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
                 f"but the weights blob has only {len(blob)} bytes"
             )
         itemsize = np.dtype(_WIRE_DTYPES[tag]).itemsize
+        if byte_len % itemsize:
+            raise ModelFormatError(
+                f"parameter {name!r}: byte_len {byte_len} is not a whole number of {tag} values"
+            )
         flat = np.frombuffer(blob, dtype=_WIRE_DTYPES[tag], count=byte_len // itemsize, offset=offset)
         if flat.size != int(np.prod(shape, dtype=np.int64)):
             raise ModelFormatError(

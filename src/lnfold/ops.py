@@ -276,6 +276,9 @@ class OpDef:
     fewest per-sample axes each input needs: the kinds that read the last
     axis need one. params is the (min, max) number of parameter refs and
     bias the slot of the optional bias among them, always the last one.
+    A general-linear kind's weights are the parameters before its bias slot
+    (every parameter when it has none): a fold centers each of them by the
+    kind's family, and the bias by its mean.
 
     What a kind does to a per-sample mean is all fold detection reads.
     passes_mean: the output is zero-mean along the last axis when every

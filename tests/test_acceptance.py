@@ -33,13 +33,8 @@ import pytest
 from lnfold import fixtures
 from lnfold.centering import (
     Family,
+    center,
     center_bias,
-    center_columns,
-    center_conv_kernel,
-    center_grouped_columns,
-    center_recurrent,
-    center_value_rows,
-    centering_gradient,
     constraint_residual,
 )
 from lnfold.fold_apply import FoldError, apply_fold, center_targets
@@ -212,7 +207,7 @@ def test_criterion_6_centering_families():
     cases = {}
 
     W = rng.uniform(-1, 1, size=(24, 16))
-    V = center_columns(W)
+    V = center(W, Family.LINEAR_COLUMNS)
     b = center_bias(rng.uniform(-1, 1, size=24))
     cases["linear"] = (
         Family.LINEAR_COLUMNS, 1, W, V,
@@ -220,7 +215,7 @@ def test_criterion_6_centering_families():
     )
 
     K0 = rng.uniform(-1, 1, size=(6, 3, 3, 3))
-    K = center_conv_kernel(K0)
+    K = center(K0, Family.CONV_OUT_CHANNELS)
     kb = center_bias(rng.uniform(-1, 1, size=6))
     cases["conv"] = (
         Family.CONV_OUT_CHANNELS, 1, K0, K,
@@ -231,7 +226,7 @@ def test_criterion_6_centering_families():
 
     Wv0 = rng.uniform(-1, 1, size=(8, 5))
     Wh0 = rng.uniform(-1, 1, size=(8, 8))
-    Wv, Wh = center_recurrent(Wv0, Wh0)
+    Wv, Wh = center(Wv0, Family.RECURRENT_BOTH), center(Wh0, Family.RECURRENT_BOTH)
     cases["recurrent"] = (
         Family.RECURRENT_BOTH, 1, Wv0, Wv,
         lambda: rnn_cell_forward(
@@ -240,7 +235,7 @@ def test_criterion_6_centering_families():
     )
 
     A0 = rng.uniform(-1, 1, size=(5, 10))
-    A = center_value_rows(A0)
+    A = center(A0, Family.ATTENTION_VALUE_ROWS)
     cases["attention_value"] = (
         Family.ATTENTION_VALUE_ROWS, 1, A0, A,
         lambda: np.abs(
@@ -250,7 +245,7 @@ def test_criterion_6_centering_families():
 
     G0 = rng.uniform(-1, 1, size=(12, 7))
     groups, chunk = 3, 4
-    G = center_grouped_columns(G0, groups)
+    G = center(G0, Family.GROUPED_COLUMNS, groups)
     cases["grouped"] = (
         Family.GROUPED_COLUMNS, groups, G0, G,
         lambda: np.abs(
@@ -259,7 +254,7 @@ def test_criterion_6_centering_families():
     )
 
     for name, (family, grp, raw, centered, output_mean, n) in cases.items():
-        twice = centering_gradient(centered, family, grp)
+        twice = center(centered, family, grp)
         assert np.abs(twice - centered).max() <= 4 * EPS_M, name
         assert constraint_residual(centered, family, grp) <= 1e-9, name
         # second matrix of the recurrent pair checked separately

@@ -100,6 +100,13 @@ class TestFold:
         assert main(["fold", topo, blob, "--report", rep, "--out", str(tmp_path / "f")]) == 1
         assert "unsupported report format_version 1" in capsys.readouterr().err
 
+    def test_fractional_format_version_refused(self, models, tmp_path, capsys):
+        topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
+        _edit_topology(rep, lambda doc: dict(doc, format_version=2.0))
+        capsys.readouterr()
+        assert main(["fold", topo, blob, "--report", rep, "--out", str(tmp_path / "f")]) == 1
+        assert "unsupported report format_version 2.0" in capsys.readouterr().err
+
     def test_stale_report_refused(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
         g, w = load_model(topo, blob)
@@ -759,6 +766,24 @@ def _duplicate_node(doc):
     return doc
 
 
+def _input_id_number(doc):
+    # The Input's id written as the number 7 everywhere it appears.
+    _node(doc, "x")["id"] = 7
+    doc["edges"] = [[7 if end == "x" else end for end in e[:2]] + e[2:] for e in doc["edges"]]
+    doc["inputs"] = [7]
+    return doc
+
+
+def _null_param_ref(doc):
+    _node(doc, "lin_in")["params"][1] = None
+    return doc
+
+
+def _edge_with_fourth_item(doc):
+    doc["edges"][0].append(0)
+    return doc
+
+
 def _linear_without_params(doc):
     _node(doc, "ffn1")["params"] = []
     return doc
@@ -789,13 +814,26 @@ class TestMalformedTopology:
         (_set_attr("ln1", "eps", float("nan")), "topology holds NaN"),
         (_set_attr("ln1", "eps", float("inf")), "topology holds Infinity"),
         (_set_attr("act", "slope", float("-inf")), "topology holds -Infinity"),
+        (_input_id_number, "topology 'inputs' must list node ids as strings"),
+        (lambda doc: _node(doc, "x").update(id=7) or doc, "needs an 'id' and a 'kind', both strings"),
+        (lambda doc: _node(doc, "x").update(kind=0) or doc, "needs an 'id' and a 'kind', both strings"),
+        (_null_param_ref, "'params' a list of strings"),
+        (lambda doc: doc["edges"][0].__setitem__(0, 7) or doc, "is not [src, dst, slot]"),
+        (_edge_with_fourth_item, "is not [src, dst, slot]"),
+        (lambda doc: dict(doc, outputs=[7]), "topology 'outputs' must list node ids as strings"),
+        (_set_manifest("name", lambda name: 7), "needs a name, a dtype"),
+        (lambda doc: dict(doc, format_version=True), "unsupported format_version True"),
+        (lambda doc: dict(doc, format_version=1.0), "unsupported format_version 1.0"),
     ], ids=["node_without_kind", "node_without_id", "short_edge", "top_level_list",
             "overlapping_manifest", "manifest_without_dtype", "manifest_entry_list",
             "manifest_shape_not_integer", "manifest_shape_fraction", "manifest_shape_text_entry",
             "manifest_offset_fraction", "manifest_offset_text", "manifest_byte_len_fraction",
             "manifest_duplicate_name", "edge_slot_fraction", "edge_slot_text", "edge_slot_tiny",
             "edge_slot_true", "attrs_not_object", "duplicate_node_id",
-            "nan_attr", "infinite_attr", "minus_infinite_attr_on_relu"])
+            "nan_attr", "infinite_attr", "minus_infinite_attr_on_relu",
+            "input_id_number", "node_id_number", "node_kind_number", "param_ref_null",
+            "edge_end_number", "edge_fourth_item", "output_id_number", "manifest_name_number",
+            "format_version_true", "format_version_fraction"])
     def test_exits_1_with_message(self, models, tmp_path, capsys, edit, message):
         topo, blob = models["post_ln_transformer"]
         _edit_topology(topo, edit)

@@ -278,6 +278,18 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="ln.gamma|ln.beta|lin"):
             load_model(topo, blob)
 
+    def test_byte_len_of_part_values_is_refused(self, tmp_path):
+        g, w = fixtures.linear_then_norm()
+        topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
+        save_model(g, w, topo, blob)
+        doc = json.loads(Path(topo).read_text())
+        last = doc["weights_manifest"][-1]
+        last["byte_len"] += 1
+        Path(topo).write_text(json.dumps(doc))
+        Path(blob).write_bytes(Path(blob).read_bytes() + b"\x00")
+        with pytest.raises(ModelFormatError, match=f"parameter '{last['name']}': byte_len .* whole number"):
+            load_model(topo, blob)
+
     def test_unknown_kind(self, tmp_path):
         g, w = fixtures.linear_then_norm()
         topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")

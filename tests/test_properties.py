@@ -14,8 +14,7 @@ import tempfile
 from lnfold import fixtures
 from lnfold.centering import (
     Family,
-    center_columns,
-    center_grouped_columns,
+    center,
     is_centered,
     spec_for_node,
 )
@@ -61,12 +60,12 @@ def vectors(min_n=2, max_n=32):
 class TestCenteringAlgebra:
     @given(matrices())
     def test_idempotent(self, W):
-        once = center_columns(W)
-        np.testing.assert_allclose(center_columns(once), once, atol=4 * EPS_M)
+        once = center(W, Family.LINEAR_COLUMNS)
+        np.testing.assert_allclose(center(once, Family.LINEAR_COLUMNS), once, atol=4 * EPS_M)
 
     @given(matrices())
     def test_constraint_satisfied(self, W):
-        assert is_centered(center_columns(W), Family.LINEAR_COLUMNS, tol=1e-9)
+        assert is_centered(center(W, Family.LINEAR_COLUMNS), Family.LINEAR_COLUMNS, tol=1e-9)
 
     @given(matrices(max_m=12), st.sampled_from([1, 2, 3]))
     def test_grouped_reduces_to_plain(self, W, groups):
@@ -76,12 +75,12 @@ class TestCenteringAlgebra:
         W = W[:m]
         if groups == 1:
             np.testing.assert_allclose(
-                center_grouped_columns(W, 1), center_columns(W), atol=1e-12
+                center(W, Family.GROUPED_COLUMNS, 1), center(W, Family.LINEAR_COLUMNS), atol=1e-12
             )
         else:
             if W.shape[0] == groups:
                 return  # one-element groups warn and zero the matrix
-            centered = center_grouped_columns(W, groups)
+            centered = center(W, Family.GROUPED_COLUMNS, groups)
             assert is_centered(centered, Family.GROUPED_COLUMNS, groups, tol=1e-9)
 
 

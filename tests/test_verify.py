@@ -696,10 +696,10 @@ class TestCheckZeroMean:
                 check_zero_mean(g, w, "lin", axis=axis)
 
     def test_conv_channel_axis(self):
-        from lnfold.centering import center_bias, center_conv_kernel
+        from lnfold.centering import Family, center, center_bias
         g, w = fixtures.conv_block()
         arrays = {k: v.copy() for k, v in w.items()}
-        arrays["conv.kernel"] = center_conv_kernel(arrays["conv.kernel"])
+        arrays["conv.kernel"] = center(arrays["conv.kernel"], Family.CONV_OUT_CHANNELS)
         arrays["conv.bias"] = center_bias(arrays["conv.bias"])
         worst = check_zero_mean(g, WeightStore(arrays), "conv", trials=50, seed=0, axis=-3)
         assert worst <= 8 * 4 * EPS_M * 20  # 4 channels; sums over 2*3*3 kernel taps
