@@ -7,7 +7,9 @@ folded-model and verify digests were recorded before graph adjacency was
 indexed; the report digests were re-pinned once, for report format 2. The
 dry-run digests were recorded before reports were checked against a
 re-derived fold plan; the shared_producer digests were recorded before a
-fold spliced its report's recorded insertions. Regenerate them with
+fold spliced its report's recorded insertions; the linear_then_norm_f32
+and integer_input_norms digests were recorded before the normalization
+kernels were rewritten with fewer numpy calls. Regenerate them with
 ``python tests/test_byte_identity.py`` (with ``src`` on the path) only for
 a change that means to alter output.
 """
@@ -20,11 +22,12 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from lnfold import fixtures
 from lnfold.cli import main
-from lnfold.graph_ir import save_model
+from lnfold.graph_ir import WeightStore, save_model
 
 
 def shared_producer():
@@ -39,6 +42,24 @@ def shared_producer():
     return b.build()
 
 
+def linear_then_norm_f32():
+    """linear_then_norm with every weight stored as f32."""
+    g, w = fixtures.linear_then_norm()
+    return g, WeightStore({name: arr.astype(np.float32) for name, arr in w.items()})
+
+
+def integer_input_norms():
+    """An integer Input read directly by a LayerNorm and an RMSNorm, so the
+    norm kernels see int64 rows (some constant); a Linear -> LayerNorm after
+    the first gives the fold a target."""
+    b = fixtures._Builder(0)
+    tokens = b.input("tokens", (8,), integer=True, high=5)
+    ln_in = b.layer_norm("ln_in", tokens, 8)
+    b.output(b.simple("rms_in", "RMSNorm", tokens, {"eps": 1e-5}))
+    b.output(b.layer_norm("ln", b.linear("lin", ln_in, 8, 8), 8))
+    return b.build()
+
+
 CASES = {
     "linear_then_norm": lambda: fixtures.linear_then_norm(),
     "residual_scale_mix": lambda: fixtures.residual_scale_mix(),
@@ -46,6 +67,8 @@ CASES = {
     "fanout_trap": lambda: fixtures.fanout_trap(),
     "pre_ln_transformer_12": lambda: fixtures.pre_ln_transformer(blocks=12),
     "shared_producer": shared_producer,
+    "linear_then_norm_f32": linear_then_norm_f32,
+    "integer_input_norms": integer_input_norms,
 }
 MODES = ("strict", "practical")
 
@@ -105,6 +128,22 @@ EXPECTED = {
         "folded_bin": None,
         "verify": None,
     },
+    "integer_input_norms/strict": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
+        "report": "ee8072c1601e896b3f436c9e1167cc162534bc47666396abb3d3fd52a5f771d9",
+        "folded_json": "91f4997a66b7f26e0baf9a9b009a360011bf3cdcaa5d915bddc4c7136adc308d",
+        "folded_bin": "e1de2e319bc2ea285db7d1465fc28c5c7421a952827b4ad4ecd703967d65e64e",
+        "verify": "c73ad52afaba645ffe3547b2de39ef8783ec4a4a1a58142013cab107558c0e81",
+    },
+    "integer_input_norms/practical": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
+        "report": "680589349e28a626884a4507ade11d77580d006f85c160cff66e2772abf11ccb",
+        "folded_json": "3d5a8f5b604ce055939443b1e85192535f45bc0dc0cc3841013069cb498d9e03",
+        "folded_bin": "e1de2e319bc2ea285db7d1465fc28c5c7421a952827b4ad4ecd703967d65e64e",
+        "verify": "c73ad52afaba645ffe3547b2de39ef8783ec4a4a1a58142013cab107558c0e81",
+    },
     "linear_then_norm/strict": {
         "exit": [0, 0, 0],
         "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
@@ -120,6 +159,22 @@ EXPECTED = {
         "folded_json": "bb7469f232d6b5841cd5156f071a203e4e902366b575790c0958dd2173316a29",
         "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
         "verify": "d934a1d6bbed03d9143fdb9a6dec49482a26e5dd77acbdef6255d44973ef5eaa",
+    },
+    "linear_then_norm_f32/strict": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
+        "report": "b29276e19a6492a9729aa12132534b582684ac46ddc3100c175b5de7f5ae242f",
+        "folded_json": "236da03390cb905dc545a41fdb73b1ede9a05fceccfd2d70057418d4eb9f784c",
+        "folded_bin": "5cdc9670b3841c3d45c2d1d3d788af966d7d2dd1b260c8abe262a01831f3af9c",
+        "verify": "613490d2c0e8a5a482df5ebdef21ba221448175b002d6abf03cd121539631c21",
+    },
+    "linear_then_norm_f32/practical": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "2b3444c0329f214409190c9cb77d5f68aba11899886370ade1516300f4d5189f"],
+        "report": "576ca21b81ed8ab8026b758450087b55f2815e02c3ce3994c7c85f7791dbfaac",
+        "folded_json": "6ffe6af92fa44104a43717eb1f37866554ba82554328a1b225cde584cd8038dd",
+        "folded_bin": "5cdc9670b3841c3d45c2d1d3d788af966d7d2dd1b260c8abe262a01831f3af9c",
+        "verify": "613490d2c0e8a5a482df5ebdef21ba221448175b002d6abf03cd121539631c21",
     },
     "post_ln_transformer/strict": {
         "exit": [0, 0, 0],
