@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_ir import Node
+from .jsonutil import exact
 from .ops import OPS, Family
 
 
@@ -48,8 +49,8 @@ class CenteringSpec:
         return CenteringSpec(
             target=doc["target"],
             family=Family(doc["family"]),
-            includes_bias=bool(doc["includes_bias"]),
-            groups=int(doc.get("groups", 1)),
+            includes_bias=exact(doc["includes_bias"], bool, "includes_bias"),
+            groups=exact(doc.get("groups", 1), int, "groups"),
         )
 
 

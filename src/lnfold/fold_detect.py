@@ -35,6 +35,7 @@ from .graph_ir import (
     model_hash,
     require_valid,
 )
+from .jsonutil import exact
 from .ops import OPS
 
 REPORT_FORMAT_VERSION = 2
@@ -145,7 +146,7 @@ class SafetyVerdict:
 
     @staticmethod
     def from_json(doc: dict) -> "SafetyVerdict":
-        return SafetyVerdict(safe=bool(doc["safe"]), affected=frozenset(doc["affected"]))
+        return SafetyVerdict(safe=exact(doc["safe"], bool, "safe"), affected=frozenset(doc["affected"]))
 
 
 def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph, producers: Iterable[str] = ()) -> SafetyVerdict:
@@ -206,7 +207,7 @@ class AuxInsertion:
         return AuxInsertion(
             after=doc["after"],
             node_id=doc["node_id"],
-            edges=tuple((e[0], e[1], int(e[2])) for e in doc["edges"]),
+            edges=tuple((e[0], e[1], exact(e[2], int, "insertion edge slot")) for e in doc["edges"]),
             rescues=tuple(doc["rescues"]),
         )
 
@@ -413,7 +414,7 @@ class FoldReport:
         return FoldReport(
             mode=doc["mode"],
             model_hash=doc["model_hash"],
-            strict_safety=bool(doc["strict_safety"]),
+            strict_safety=exact(doc["strict_safety"], bool, "strict_safety"),
             entries=entries,
             foldable=foldable,
             targets={t["node"]: CenteringSpec.from_json(t["spec"]) for t in doc["targets"]},

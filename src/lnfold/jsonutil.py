@@ -15,6 +15,14 @@ from typing import Any
 import numpy as np
 
 
+def exact(value: Any, kind: type, name: str) -> Any:
+    """value, read back from JSON, if it is exactly a kind (bool or int):
+    true is not the integer 1, and neither "no" nor 1.9 is coerced."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, got {value!r}")
+    return value
+
+
 def _format_float(value: float) -> str:
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"non-finite float {value!r} cannot be serialized")

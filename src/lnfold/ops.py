@@ -40,26 +40,50 @@ class Family(Enum):
 # ---------------------------------------------------------------------------
 
 
+def _mean(x):
+    """Last-axis mean with the axis kept, computed as np.mean computes it
+    (integers and booleans summed in f64) without its Python wrapper."""
+    m = np.add.reduce(x, axis=-1, keepdims=True, dtype=np.float64 if x.dtype.kind in "biu" else None)
+    # np.mean divides an f32 sum in f64 and rounds; below 2**24 elements
+    # that is exactly the f32 quotient taken here.
+    m /= x.shape[-1]
+    return m
+
+
+def _add_bias(out, b):
+    """out + b, added in place when that keeps out's dtype and so its bits;
+    out must be an array the caller owns."""
+    if b is None:
+        return out
+    if np.result_type(out, b) != out.dtype:
+        return out + b
+    out += b
+    return out
+
+
 def _center_scale(x, eps, gamma, beta, strict, center):
     """LayerNorm (center=True) or RMSNorm over the last axis, one code path.
 
     Returns (output, xhat, inverse root, denominator); xhat is the output
-    before the affine.
+    before the affine. When some row's denominator is not positive (eps = 0
+    on a constant row, or a NaN), the call takes the guarded where path;
+    otherwise the inverse root is taken directly, with the same bits.
     """
     if center:
-        x = x - x.mean(axis=-1, keepdims=True)
-    denom = np.mean(x * x, axis=-1, keepdims=True) + eps
-    if strict and np.any(denom == 0.0):
-        raise NumericalError("zero variance with eps=0; use eps > 0 or lenient mode")
-    with np.errstate(divide="ignore"):
-        inv = np.where(denom > 0.0, 1.0 / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
-    xhat = x * inv
-    out = xhat
-    if gamma is not None:
-        out = out * gamma
-    if beta is not None:
-        out = out + beta
-    return out, xhat, inv, denom
+        x = x - _mean(x)
+    sq = x * x
+    denom = _mean(sq) + eps
+    if denom.min(initial=np.inf) > 0.0:
+        inv = 1.0 / np.sqrt(denom)
+    else:
+        if strict and np.any(denom == 0.0):
+            raise NumericalError("zero variance with eps=0; use eps > 0 or lenient mode")
+        with np.errstate(divide="ignore"):
+            inv = np.where(denom > 0.0, 1.0 / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
+    xhat = np.multiply(x, inv, out=sq if sq.dtype == np.result_type(x, inv) else None)
+    if gamma is None:
+        return (xhat if beta is None else xhat + beta), xhat, inv, denom
+    return _add_bias(xhat * gamma, beta), xhat, inv, denom
 
 
 def layer_norm(
@@ -109,10 +133,7 @@ def group_norm(x: np.ndarray, groups: int, eps: float = DEFAULT_EPS, strict: boo
 
 
 def linear_forward(W: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    out = x @ W.T
-    if b is not None:
-        out = out + b
-    return out
+    return _add_bias(x @ W.T, b)
 
 
 def conv2d_forward(
@@ -176,9 +197,7 @@ def _conv2d_with_patches(
         raise ValueError(f"conv input has {c} channels, kernel expects {ci}")
     flat = x.reshape((-1, c, h, w))
     cols, (oh, ow) = _im2col(flat, fh, fw, stride, padding)
-    out2 = cols @ K.reshape(co, -1).T  # (B, OH*OW, co)
-    if b is not None:
-        out2 = out2 + b
+    out2 = _add_bias(cols @ K.reshape(co, -1).T, b)  # (B, OH*OW, co)
     out = out2.transpose(0, 2, 1).reshape(lead + (co, oh, ow))
     saved = {"cols": cols, "in_shape": (flat.shape), "lead": lead, "oh": oh, "ow": ow}
     return out, saved
@@ -191,10 +210,7 @@ def rnn_cell_forward(
     h_prev: np.ndarray,
     b: np.ndarray | None = None,
 ) -> np.ndarray:
-    out = x @ Wv.T + h_prev @ Wh.T
-    if b is not None:
-        out = out + b
-    return out
+    return _add_bias(x @ Wv.T + h_prev @ Wh.T, b)
 
 
 def attention_value_forward(B: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -217,7 +233,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def auxiliary_centering(x: np.ndarray) -> np.ndarray:
     """Subtract the last-axis mean; the explicit form of a folded centering."""
-    return x - x.mean(axis=-1, keepdims=True)
+    return x - _mean(x)
 
 
 # Parameter gradients sum over every leading (batch) axis. With keep, axis 0
@@ -253,11 +269,12 @@ def _per_trial(keep: bool, reduce: Callable[..., np.ndarray], *arrays: np.ndarra
 
 
 def _norm_input_grad(g, xhat, inv, center):
-    """Input gradient of _center_scale, given g = d(loss)/d(xhat)."""
-    proj = xhat * np.mean(g * xhat, axis=-1, keepdims=True)
-    if center:
-        return inv * (g - g.mean(axis=-1, keepdims=True) - proj)
-    return inv * (g - proj)
+    """Input gradient of _center_scale, given g = d(loss)/d(xhat):
+    inv * (g [- mean(g)] - xhat * mean(g * xhat)), in one buffer."""
+    buf = g * xhat
+    np.multiply(xhat, _mean(buf), out=buf)
+    np.subtract(g - _mean(g) if center else g, buf, out=buf)
+    return np.multiply(inv, buf, out=buf)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +723,7 @@ class _AuxiliaryCentering(OpDef):
         return auxiliary_centering(x), {}
 
     def backward(self, e, dy, keep):
-        return [dy - dy.mean(axis=-1, keepdims=True)], []
+        return [dy - _mean(dy)], []
 
 
 class _Input(OpDef):

@@ -265,6 +265,27 @@ class TestMalformedReport:
         assert err.startswith("error: cannot read report: ")
 
 
+    @_FOLD_FLAGS
+    @pytest.mark.parametrize("name, analyze_flags, edit, message", [
+        ("linear_then_norm", [], _spec(includes_bias="no"), "includes_bias must be a JSON boolean, got 'no'"),
+        ("linear_then_norm", [], _spec(includes_bias=1), "includes_bias must be a JSON boolean, got 1"),
+        ("linear_then_norm", [], _spec(groups=1.9), "groups must be a JSON integer, got 1.9"),
+        ("linear_then_norm", [], _spec(groups=True), "groups must be a JSON integer, got True"),
+        ("linear_then_norm", [], _set("strict_safety", "false"),
+         "strict_safety must be a JSON boolean, got 'false'"),
+        ("linear_then_norm", [], _set("safety", {"safe": 1, "affected": []}),
+         "safe must be a JSON boolean, got 1"),
+        ("pre_ln_transformer", ["--practical"],
+         lambda doc: doc["insertions"][0]["edges"][0].__setitem__(2, 0.0) or doc,
+         "insertion edge slot must be a JSON integer, got 0.0"),
+    ], ids=["includes_bias_string", "includes_bias_int", "groups_float", "groups_bool",
+            "strict_safety_string", "safe_int", "slot_float"])
+    def test_coerced_field_exits_1(self, tmp_path, capsys, name, analyze_flags, edit, message,
+                                   flags):
+        err = self._fold(tmp_path, capsys, fixtures.ALL_FIXTURES[name](), analyze_flags, edit, flags)
+        assert err.startswith(f"error: cannot read report: {message}")
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["analyze", "fold", "pipeline"])
     def test_exits_1_with_message(self, models, tmp_path, capsys, command):
