@@ -21,6 +21,7 @@ from .graph_ir import (
     ModelFormatError,
     load_model,
     model_hash,
+    require_valid,
     save_model,
 )
 from .jsonutil import canonical_dumps
@@ -46,6 +47,18 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise _Operational(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
+def _refusing():
+    """Turn a model that fails validation, or a report that cannot fold it,
+    into an operational error."""
+    try:
+        yield
+    except GraphValidationError as exc:
+        raise _Operational(f"model failed validation: {exc}") from exc
+    except FoldError as exc:
+        raise _Operational(str(exc)) from exc
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -88,18 +101,14 @@ def _check_run(args: argparse.Namespace, *counts: int) -> None:
 
 def _detect(g, w, practical: bool, strict_safety: bool) -> FoldReport:
     mode = "practical" if practical else "strict"
-    try:
+    with _refusing():
         return detect_foldable(g, w, mode=mode, strict_safety=strict_safety)
-    except GraphValidationError as exc:
-        raise _Operational(f"model failed validation: {exc}") from exc
 
 
 def _fold(g, w, report: FoldReport, practical: bool, prefix: str):
     """Apply the report and write the folded model to prefix.json/.bin."""
-    try:
+    with _refusing():
         folded_g, folded_w = apply_fold(g, w, report, allow_practical=practical)
-    except FoldError as exc:
-        raise _Operational(str(exc)) from exc
     with _writing(prefix + ".json"):
         save_model(folded_g, folded_w, prefix + ".json", prefix + ".bin")
     return folded_g, folded_w
@@ -130,14 +139,14 @@ def _cmd_fold(args: argparse.Namespace) -> int:
     g, w = _load(args.topology, args.weights)
     report = _read_report(args.report)
     if args.dry_run or not args.out:
-        try:
-            # apply_fold checks the hash itself, so hash here only when it will not run.
+        # apply_fold checks the hash and validates the model itself, so do
+        # both here only when it will not run.
+        with _refusing():
             check_hash(report, model_hash(g, w))
             if args.dry_run:
+                require_valid(g, w)
                 print(dry_run(g, report))
                 return 0
-        except FoldError as exc:
-            raise _Operational(str(exc)) from exc
         raise _Operational("--out PREFIX is required unless --dry-run")
     _fold(g, w, report, args.practical, args.out)
     _log(f"wrote {args.out}.json and {args.out}.bin")

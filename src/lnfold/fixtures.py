@@ -35,7 +35,8 @@ class _Builder:
         attrs: dict = {"shape": list(shape)}
         if integer:
             attrs["integer"] = True
-            attrs["high"] = int(high or 2)
+        if high is not None:
+            attrs["high"] = high
         self.nodes.append(make_node(nid, "Input", attrs))
         self.inputs.append(nid)
         return nid

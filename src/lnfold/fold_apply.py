@@ -85,12 +85,14 @@ def apply_fold(
     """Apply the plan that check_report derives from the report, returning a
     new (graph, weights) pair.
 
-    Refuses stale reports (content-hash mismatch), reports that check_report
-    refuses, unsafe plans under strict safety, and practical insertion plans
-    unless explicitly allowed. A report with nothing to do returns the model
-    unchanged, bit for bit.
+    Refuses stale reports (content-hash mismatch), an invalid model
+    (GraphValidationError), reports that check_report refuses, unsafe plans
+    under strict safety, and practical insertion plans unless explicitly
+    allowed. A report with nothing to do returns the model unchanged, bit
+    for bit.
     """
     check_hash(report, model_hash(g, w))
+    require_valid(g, w)
     plan = check_report(g, report)
     if plan.insertions and not allow_practical:
         raise FoldError(

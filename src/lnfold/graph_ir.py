@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -479,10 +480,19 @@ def _refuse_constant(name: str) -> None:
     raise ModelFormatError(f"topology holds {name}; numbers must be finite")
 
 
+def _parse_float(text: str) -> float:
+    """json's hook for a number with a fraction or exponent; one beyond a
+    double, which float() reads as +-inf, is refused like Infinity."""
+    value = float(text)
+    if math.isinf(value):
+        _refuse_constant(text)
+    return value
+
+
 def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStore]:
     with open(topology_path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_refuse_constant)
+            doc = json.load(fh, parse_float=_parse_float, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(
                 f"topology parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

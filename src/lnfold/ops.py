@@ -13,6 +13,7 @@ module imports nothing else from the package.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
 
@@ -306,16 +307,19 @@ class OpDef:
     centered_axis; a centered_axis alone says the output already is. Any
     other kind is opaque.
 
-    The rules: check_attrs lists attr problems; shape maps per-sample input
-    shapes and parameters to the output shape, reporting problems through
-    bad, which returns None (it runs only on a node whose layout, arity,
-    attrs and input ranks pass); check_sources lists problems with the
-    nodes feeding the node, one per input slot, and runs where shape does;
-    forward returns (output, saved tensors), and the normalizing kinds save
-    their denominator as denom; backward returns the gradients for each
-    input slot and each parameter, in slot order. backward's keep says that
-    axis 0 of the activations holds stacked trials: each parameter gradient
-    then keeps that axis, one gradient per trial (see _sum_to).
+    The rules: attr_types maps each attr a kind reads to its (type,
+    default), in the order check_attrs reports them, and attr reads one;
+    check_attrs lists attr problems, quoting an attr as the file holds it;
+    shape maps per-sample input shapes and parameters to the output shape,
+    reporting problems through bad, which returns None (it runs only on a
+    node whose layout, arity, attrs and input ranks pass); check_sources
+    lists problems with the nodes feeding the node, one per input slot, and
+    runs where shape does; forward returns (output, saved tensors), and the
+    normalizing kinds save their denominator as denom; backward returns the
+    gradients for each input slot and each parameter, in slot order.
+    backward's keep says that axis 0 of the activations holds stacked
+    trials: each parameter gradient then keeps that axis, one gradient per
+    trial (see _sum_to).
     """
 
     arity: int | None = 1
@@ -325,6 +329,12 @@ class OpDef:
     centered_axis: int | None = None
     family: Family | None = None
     passes_mean = removes_mean = False
+    attr_types: Mapping[str, tuple[type, Any]] = {}
+
+    def attr(self, attrs: Mapping[str, Any], name: str) -> Any:
+        """The named attr converted to its declared type, or its default when absent."""
+        kind, default = self.attr_types[name]
+        return kind(attrs[name]) if name in attrs else default
 
     def takes(self, inputs: int) -> bool:
         """Whether a node of this kind may have this many incoming edges."""
@@ -344,7 +354,10 @@ class OpDef:
             bad(f"bias shape {b.shape} != ({size},)")
 
     def check_attrs(self, attrs: Mapping[str, Any]) -> list[str]:
-        return []
+        """The declared attrs present with the wrong JSON type; a kind adds its range rules."""
+        return [f"attr {name!r} must be {_ATTR_TYPES[kind][0]}, got {attrs[name]!r}"
+                for name, (kind, _default) in self.attr_types.items()
+                if name in attrs and not _ATTR_TYPES[kind][1](attrs[name])]
 
     def shape(self, attrs, shapes: list[Shape], params: list, bad) -> Shape | None:
         return shapes[0]
@@ -379,11 +392,12 @@ class _Linear(OpDef):
 class _Conv2d(OpDef):
     min_rank, params, bias = 3, (1, 2), 1
     centered_axis, family = -3, Family.CONV_OUT_CHANNELS  # channel axis of (..., C, H, W)
+    attr_types = {"stride": (int, 1), "padding": (int, 0)}
 
     def check_attrs(self, attrs):
-        return _number_problems(attrs, ints=("stride", "padding")) or (
-            (["stride must be >= 1"] if int(attrs.get("stride", 1)) < 1 else [])
-            + (["padding must be >= 0"] if int(attrs.get("padding", 0)) < 0 else [])
+        return super().check_attrs(attrs) or (
+            (["stride must be >= 1"] if self.attr(attrs, "stride") < 1 else [])
+            + (["padding must be >= 0"] if self.attr(attrs, "padding") < 0 else [])
         )
 
     def shape(self, attrs, shapes, params, bad):
@@ -392,8 +406,7 @@ class _Conv2d(OpDef):
             return bad(f"kernel must be 4-D, got shape {kernel.shape}")
         co, ci, fh, fw = kernel.shape
         c, h, wdt = shapes[0][-3:]
-        stride = int(attrs.get("stride", 1))
-        padding = int(attrs.get("padding", 0))
+        stride, padding = self.attr(attrs, "stride"), self.attr(attrs, "padding")
         if c != ci:
             return bad(f"kernel expects {ci} input channels, got {c}")
         oh = (h + 2 * padding - fh) // stride + 1
@@ -405,8 +418,7 @@ class _Conv2d(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        stride = int(attrs.get("stride", 1))
-        padding = int(attrs.get("padding", 0))
+        stride, padding = self.attr(attrs, "stride"), self.attr(attrs, "padding")
         out, saved = _conv2d_with_patches(params[0], self.bias_of(params), x, stride, padding)
         saved.update({"stride": stride, "padding": padding})
         return out, saved
@@ -488,21 +500,17 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
-def _number_problems(attrs, ints=(), floats=()) -> list[str]:
-    """The named attrs that are present but not numbers (whole numbers, for ints)."""
-    problems = []
-    for key in ints:
-        value = attrs.get(key, 0)
-        if not (_is_int(value) or _is_number(value) and float(value).is_integer()):
-            problems.append(f"attr {key!r} must be an integer, got {value!r}")
-    for key in floats:
-        if not _is_number(attrs.get(key, 0.0)):
-            problems.append(f"attr {key!r} must be a number, got {attrs[key]!r}")
-    return problems
+# What a declared attr type takes from JSON, and how a refusal names it. A
+# float must fit a double; an int may be any whole number.
+_ATTR_TYPES: dict[type, tuple[str, Callable[[Any], bool]]] = {
+    int: ("an integer", lambda v: _is_int(v) or _is_number(v) and float(v).is_integer()),
+    float: ("a number", lambda v: _is_number(v) and (not _is_int(v) or abs(v) <= sys.float_info.max)),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
 
-def _eps_problems(attrs) -> list[str]:
-    eps = float(attrs.get("eps", DEFAULT_EPS))
+def _eps_problems(eps: float) -> list[str]:
     return [f"eps must be >= 0, got {eps}"] if eps < 0 else []
 
 
@@ -513,20 +521,19 @@ class _LayerNorm(OpDef):
 
     min_rank, params, bias = 1, (0, 2), 1
     removes_mean = True
+    attr_types = {"normalized_axis_length": (int, None), "eps": (float, DEFAULT_EPS)}
 
     def _gamma_beta(self, params):
         return (params[0] if params else None), self.bias_of(params)
 
     def check_attrs(self, attrs):
-        return _number_problems(
-            attrs, ints=("normalized_axis_length",), floats=("eps",)
-        ) or _eps_problems(attrs)
+        return super().check_attrs(attrs) or _eps_problems(self.attr(attrs, "eps"))
 
     def shape(self, attrs, shapes, params, bad):
         n = shapes[0][-1]
-        declared = attrs.get("normalized_axis_length")
-        if declared is not None and int(declared) != n:
-            bad(f"normalized_axis_length {declared} != incoming width {n}")
+        declared = self.attr(attrs, "normalized_axis_length")
+        if declared is not None and declared != n:
+            bad(f"normalized_axis_length {attrs['normalized_axis_length']} != incoming width {n}")
         for role, p in zip(("gamma", "beta"), self._gamma_beta(params)):
             if p is not None and p.shape != (n,):
                 bad(f"{role} shape {p.shape} != ({n},)")
@@ -534,7 +541,7 @@ class _LayerNorm(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        eps = float(attrs.get("eps", DEFAULT_EPS))
+        eps = self.attr(attrs, "eps")
         out, xhat, inv, denom = _center_scale(x, eps, *self._gamma_beta(params), strict, self.removes_mean)
         return out, {"xhat": xhat, "inv": inv, "denom": denom}
 
@@ -551,17 +558,18 @@ class _RMSNorm(_LayerNorm):
 
 
 class _GroupNorm(OpDef):
+    attr_types = {"groups": (int, 1), "axis": (int, -1), "eps": (float, DEFAULT_EPS)}
+
     def check_attrs(self, attrs):
-        return _number_problems(attrs, ints=("groups", "axis"), floats=("eps",)) or (
-            _eps_problems(attrs)
-            + ([] if int(attrs.get("groups", 1)) >= 1 else ["groups must be >= 1"])
+        return super().check_attrs(attrs) or (
+            _eps_problems(self.attr(attrs, "eps"))
+            + ([] if self.attr(attrs, "groups") >= 1 else ["groups must be >= 1"])
             # Leading batch axes would shift an axis counted from the front.
-            + ([] if int(attrs.get("axis", -1)) < 0 else [f"axis {attrs['axis']} must be negative"])
+            + ([] if self.attr(attrs, "axis") < 0 else [f"axis {attrs['axis']} must be negative"])
         )
 
     def shape(self, attrs, shapes, params, bad):
-        axis = int(attrs.get("axis", -1))
-        groups = int(attrs.get("groups", 1))
+        axis, groups = self.attr(attrs, "axis"), self.attr(attrs, "groups")
         try:
             length = shapes[0][axis]
         except IndexError:
@@ -571,10 +579,8 @@ class _GroupNorm(OpDef):
         return shapes[0]
 
     def forward(self, attrs, inputs, params, strict):
-        (x,) = inputs
-        eps = float(attrs.get("eps", DEFAULT_EPS))
-        groups = int(attrs.get("groups", 1))
-        axis = int(attrs.get("axis", -1))
+        (x,), axis = inputs, self.attr(attrs, "axis")
+        groups, eps = self.attr(attrs, "groups"), self.attr(attrs, "eps")
         out, xhat, inv, denom = _group_center_scale(x, groups, axis, eps, strict)
         return out, {"xhat": xhat, "inv": inv, "denom": denom, "axis": axis}
 
@@ -587,25 +593,29 @@ class _GroupNorm(OpDef):
 
 class _ScalarScale(OpDef):
     passes_mean = True
+    attr_types = {"scale": (float, 1.0)}
 
     def check_attrs(self, attrs):
         if "scale" not in attrs:
             return ["ScalarScale requires a 'scale' attr"]
-        return _number_problems(attrs, floats=("scale",))
+        return super().check_attrs(attrs)
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return x * float(attrs.get("scale", 1.0)), {}
+        return x * self.attr(attrs, "scale"), {}
 
     def backward(self, e, dy, keep):
-        return [dy * float(e.node.attrs.get("scale", 1.0))], []
+        return [dy * self.attr(e.node.attrs, "scale")], []
 
 
 class _DropoutInference(_ScalarScale):
+    attr_types = {"mode": (str, "inference"), **_ScalarScale.attr_types}
+
     def check_attrs(self, attrs):
-        if attrs.get("mode", "inference") != "inference":
+        # Any mode but "inference", of any type, is training; unlike ScalarScale, scale is optional.
+        if self.attr(attrs, "mode") != "inference":
             return ["training-mode dropout is not representable"]
-        return _number_problems(attrs, floats=("scale",))
+        return OpDef.check_attrs(self, attrs)
 
 
 class _ResidualAdd(OpDef):
@@ -625,12 +635,10 @@ class _ResidualAdd(OpDef):
 
 class _Concat(OpDef):
     arity, min_rank = None, 1
-
-    def check_attrs(self, attrs):
-        return _number_problems(attrs, ints=("axis",))
+    attr_types = {"axis": (int, -1)}
 
     def shape(self, attrs, shapes, params, bad):
-        if int(attrs.get("axis", -1)) != -1:
+        if self.attr(attrs, "axis") != -1:
             return bad("only last-axis concat is supported")
         if len({s[:-1] for s in shapes}) != 1:
             return bad(f"concat operands disagree off the last axis: {shapes}")
@@ -682,14 +690,11 @@ class _Embedding(OpDef):
 
     def check_sources(self, sources, params):
         (src,), table = sources, params[0]
-        if src.kind != "Input" or not src.attrs.get("integer"):
+        if src.kind != "Input" or not OPS["Input"].attr(src.attrs, "integer"):
             return [f"embedding indices must come from an integer Input; "
                     f"{src.kind} {src.id!r} is not one"]
-        # The shape rule reports a table that is not 2-D, check_attrs a bad high.
-        if table.ndim != 2 or _number_problems(src.attrs, ints=("high",)):
-            return []
-        high = _Input.high(src.attrs)
-        if high > len(table):
+        high = OPS["Input"].attr(src.attrs, "high")
+        if table.ndim == 2 and high > len(table):  # the shape rule reports a table that is not 2-D
             return [f"embedding indices must lie in [0, {len(table)}), but Input {src.id!r} "
                     f"draws them below high={high}"]
         return []
@@ -727,14 +732,11 @@ class _AuxiliaryCentering(OpDef):
 
 
 class _Input(OpDef):
-    """Bound to a caller-supplied array, so it has no forward or backward rule."""
+    """Bound to a caller-supplied array, so it has no forward or backward rule.
+    An integer Input draws its values from [0, high)."""
 
     arity = 0
-
-    @staticmethod
-    def high(attrs: Mapping[str, Any]) -> int:
-        """An integer Input draws its values from [0, high); high defaults to 2."""
-        return int(attrs.get("high", 2))
+    attr_types = {"integer": (bool, False), "high": (int, 2)}
 
     def check_attrs(self, attrs):
         shape = attrs.get("shape")
@@ -742,9 +744,9 @@ class _Input(OpDef):
             return ["Input node missing 'shape' attr"]
         if not isinstance(shape, (list, tuple)) or not all(_is_int(s) and s >= 0 for s in shape):
             return [f"Input shape must be a list of non-negative integers, got {shape!r}"]
-        return _number_problems(attrs, ints=("high",)) or (
+        return super().check_attrs(attrs) or (
             [f"attr 'high' must be >= 1 on an integer Input, got {attrs['high']!r}"]
-            if attrs.get("integer") and _Input.high(attrs) < 1 else []
+            if self.attr(attrs, "integer") and self.attr(attrs, "high") < 1 else []
         )
 
     def shape(self, attrs, shapes, params, bad):

@@ -23,6 +23,8 @@ from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
 from .ops import OPS, softmax
 from .tensor_math import Gradients, backward, forward
 
+_INPUT = OPS["Input"]
+
 
 class SignatureMismatchError(ValueError):
     """The two models do not take or produce the same tensors."""
@@ -68,8 +70,8 @@ def sample_inputs(g: Graph, rng: np.random.Generator) -> dict[str, np.ndarray]:
     for nid in g.inputs:
         attrs = g.nodes[nid].attrs
         shape = tuple(int(s) for s in attrs.get("shape", ()))
-        if attrs.get("integer"):
-            out[nid] = rng.integers(0, OPS["Input"].high(attrs), size=shape)
+        if _INPUT.attr(attrs, "integer"):
+            out[nid] = rng.integers(0, _INPUT.attr(attrs, "high"), size=shape)
         else:
             out[nid] = rng.uniform(-2.0, 2.0, size=shape)
     return out
@@ -95,12 +97,8 @@ def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
 
 def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> tuple:
     ins = tuple(
-        (
-            tuple(g.nodes[nid].attrs.get("shape", ())),
-            bool(g.nodes[nid].attrs.get("integer", False)),
-            OPS["Input"].high(g.nodes[nid].attrs),
-        )
-        for nid in g.inputs
+        (tuple(attrs.get("shape", ())), _INPUT.attr(attrs, "integer"), _INPUT.attr(attrs, "high"))
+        for attrs in (g.nodes[nid].attrs for nid in g.inputs)
     )
     outs = tuple(shapes.get(o) for o in g.outputs)
     return ins, outs
@@ -499,7 +497,7 @@ def training_equivalence(
     for name in wA.names():
         if not np.array_equal(wA[name], wB[name]):
             raise ValueError(f"schemes must share initial weights; {name!r} differs")
-    if len(gA.inputs) != 1 or gA.nodes[gA.inputs[0]].attrs.get("integer"):
+    if len(gA.inputs) != 1 or _INPUT.attr(gA.nodes[gA.inputs[0]].attrs, "integer"):
         raise ValueError("training harness expects one real-valued input")
 
     arraysA = {k: v.astype(np.float64) for k, v in wA.items()}

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lnfold import cli, fixtures, fold_apply, verify
+from lnfold import cli, fixtures, fold_apply, graph_ir, verify
 from lnfold.cli import main
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import WeightStore, load_model, model_hash, save_model
@@ -142,6 +142,18 @@ class TestFold:
         flags = [str(tmp_path / f) if f == "f" else f for f in flags]
         main(["fold", topo, blob, "--report", rep, *flags])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags", [["--out", "f"], ["--dry-run"]])
+    def test_fold_validates_model_once(self, models, tmp_path, monkeypatch, flags):
+        topo, blob, rep = self._analyze(models, tmp_path, "post_ln_transformer")
+        validated = []
+        original = graph_ir.validate_graph
+        monkeypatch.setattr(graph_ir, "validate_graph",
+                            lambda g, w: validated.append(g.provenance) or original(g, w))
+        flags = [str(tmp_path / f) if f == "f" else f for f in flags]
+        assert main(["fold", topo, blob, "--report", rep, *flags]) == 0
+        # The folded model, which records what it was folded from, is checked too.
+        assert [p for p in validated if not p] == [None]
 
     def test_unsafe_model_refused(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "fanout_trap")
@@ -905,6 +917,61 @@ class TestMalformedTopology:
         assert main(["analyze", topo, blob]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model failed validation: ") and message in err
+
+    @pytest.mark.parametrize("value", ["false", 1])
+    def test_non_boolean_integer_exits_1(self, tmp_path, capsys, value):
+        # Read by truthiness, "false" made a float input a {0, 1} index stream.
+        topo, blob = _save(tmp_path, "m", *fixtures.linear_then_norm())
+        _edit_topology(topo, _set_attr("x", "integer", value))
+        assert main(["analyze", topo, blob]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model failed validation: node 'x': attr 'integer' must be a boolean, got {value!r}\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "pipeline"])
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400"])
+    def test_float_beyond_a_double_exits_1(self, tmp_path, capsys, command, literal):
+        # json reads such a literal as +-inf without calling parse_constant.
+        topo, blob = _save(tmp_path, "m", *fixtures.linear_then_norm())
+        _edit_topology(topo, _set_attr("ln", "eps", "EPS"))
+        Path(topo).write_text(Path(topo).read_text().replace('"EPS"', literal))
+        argv = {"analyze": ["analyze", topo, blob],
+                "pipeline": ["pipeline", topo, blob, "--out-dir", str(tmp_path / "pipe")]}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot load model: topology holds {literal}; numbers must be finite\n")
+
+    def test_integer_beyond_a_double_exits_1(self, tmp_path, capsys):
+        topo, blob = _save(tmp_path, "m", *fixtures.linear_then_norm())
+        _edit_topology(topo, _set_attr("ln", "eps", 10**400))
+        assert main(["analyze", topo, blob]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model failed validation: node 'ln': attr 'eps' must be a number, got {10**400}\n")
+
+
+class TestFoldInvalidModel:
+    """fold refuses a model that fails validation, as analyze does, even
+    given a hand-written report whose model_hash matches it."""
+
+    @_FOLD_FLAGS
+    @pytest.mark.parametrize("name, edit, message", [
+        ("linear_then_norm", lambda doc: doc["edges"].append(["ghost", "ln", 0]) or doc,
+         "edge references unknown source 'ghost'"),
+        ("linear_then_norm", _set_attr("ln", "eps", -1), "node 'ln': eps must be >= 0, got -1.0"),
+        ("conv_block", _set_attr("conv", "stride", 0), "node 'conv': stride must be >= 1"),
+    ], ids=["edge_from_unknown_node", "negative_eps", "conv_stride_0"])
+    def test_exits_1(self, tmp_path, capsys, name, edit, message, flags):
+        topo, blob = _save(tmp_path, "m", *fixtures.ALL_FIXTURES[name]())
+        rep = str(tmp_path / "rep.json")
+        assert main(["analyze", topo, blob, "--out", rep]) == 0
+        _edit_topology(topo, edit)
+        _edit_topology(rep, lambda doc: dict(doc, model_hash=model_hash(*load_model(topo, blob))))
+        capsys.readouterr()
+        out = str(tmp_path / "f")
+        assert main(["fold", topo, blob, "--report", rep, *[out if f == "f" else f for f in flags]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: model failed validation: ") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not os.path.exists(out + ".json") and not os.path.exists(out + ".bin")
 
 
 class TestFlopsCmd:

@@ -206,9 +206,14 @@ class TestValidation:
         (lambda: _replace_node(fixtures.linear_then_norm(), make_node(
             "x", "Input", {"shape": [6], "integer": True, "high": 0})),
          "node 'x': attr 'high' must be >= 1 on an integer Input, got 0"),
+        # A truthy string would turn a float input into a {0, 1} index stream.
+        (lambda: _replace_node(fixtures.linear_then_norm(), make_node(
+            "x", "Input", {"shape": [6], "integer": "false"})),
+         "node 'x': attr 'integer' must be a boolean, got 'false'"),
         (lambda: _replace_node(fixtures.linear_then_norm(), make_node("x", "Input", {"shape": []})),
          "node 'lin': input 0 has per-sample shape (); Linear needs at least 1 axes"),
-    ], ids=["eps_text", "conv_stride_0", "input_shape_text", "integer_input_high_0", "rank_0_into_linear"])
+    ], ids=["eps_text", "conv_stride_0", "input_shape_text", "integer_input_high_0",
+            "integer_input_text", "rank_0_into_linear"])
     def test_malformed_attrs_reported_not_raised(self, model, message):
         report = validate_graph(*model())
         assert message in report.violations
