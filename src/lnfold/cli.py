@@ -165,6 +165,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return verify_gradients(gA, wA, gB, wB, trials=args.grad_trials, seed=args.seed, tol=args.tol)
 
     try:
+        # Each model is validated once, before either check starts; the
+        # checks then read the shapes require_valid keeps, on either thread.
+        require_valid(gA, wA)
+        require_valid(gB, wB)
         if not args.grad:
             reports = [forward_check()]
         elif checks_overlap(wA):

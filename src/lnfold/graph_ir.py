@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .jsonutil import canonical_dumps
+from .jsonutil import Raw, canonical_dumps
 from .ops import OPS
 
 FORMAT_VERSION = 1
@@ -61,14 +61,15 @@ def make_node(
 
 
 class WeightStore:
-    """Named parameter tensors. f32 or f64, row-major, immutable by convention."""
+    """Named parameter tensors. f32 or f64, row-major; no array is added,
+    dropped or swapped once the store is built."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray] | None = None):
         self._arrays: dict[str, np.ndarray] = {}
         for name, arr in (arrays or {}).items():
-            self.add(name, arr)
+            self._add(name, arr)
 
-    def add(self, name: str, arr: np.ndarray) -> None:
+    def _add(self, name: str, arr: np.ndarray) -> None:
         arr = np.ascontiguousarray(arr)
         if arr.dtype not in (np.float32, np.float64):
             raise ValueError(f"parameter {name!r} must be f32 or f64, got {arr.dtype}")
@@ -98,10 +99,7 @@ class WeightStore:
         unknown = set(updates) - set(self._arrays)
         if unknown:
             raise KeyError(f"unknown parameters {sorted(unknown)}")
-        out = WeightStore()
-        for name, arr in self.items():
-            out.add(name, updates.get(name, arr))
-        return out
+        return WeightStore({name: updates.get(name, arr) for name, arr in self.items()})
 
 
 class Graph:
@@ -138,6 +136,8 @@ class Graph:
         self.provenance: dict[str, Any] | None = dict(provenance) if provenance else None
         self._kahn: tuple[list[str], dict[str, int]] | None = None
         self._dead_after: dict[str, tuple[str, ...]] | None = None
+        # require_valid's last success: the store it checked, and the shapes.
+        self._valid: tuple[WeightStore, dict[str, tuple[int, ...] | None]] | None = None
         # Adjacency indexes; the graph never changes, so they never go stale.
         # Edges may name ids that are not nodes: validation reports those.
         self._in: dict[str, list[tuple[str, int]]] = {}
@@ -410,11 +410,15 @@ def infer_shapes(
 
 
 def require_valid(g: Graph, w: WeightStore) -> dict[str, tuple[int, ...] | None]:
-    """Raise GraphValidationError unless g is valid; else every node's shape."""
-    report = validate_graph(g, w)
-    if not report.ok:
-        raise GraphValidationError("; ".join(report.violations))
-    return report.shapes
+    """Raise GraphValidationError unless g is valid with w; else every node's
+    shape. Neither a graph nor a store changes once built, so the shapes
+    are remembered on g for this very store, and the pair is validated once."""
+    if g._valid is None or g._valid[0] is not w:
+        report = validate_graph(g, w)
+        if not report.ok:
+            raise GraphValidationError("; ".join(report.violations))
+        g._valid = w, report.shapes
+    return g._valid[1]
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +426,29 @@ def require_valid(g: Graph, w: WeightStore) -> dict[str, tuple[int, ...] | None]
 # ---------------------------------------------------------------------------
 
 
+# json's C encoder writes strings, ints and lists as canonical_dumps does,
+# and floats differently (1e-05, not 1.0000000000000001e-05).
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
+
+
 def _topology_dict(g: Graph, manifest: list[dict[str, Any]]) -> dict[str, Any]:
+    """The topology document for canonical_dumps. The parts that hold no
+    float (all but node attrs and provenance) come already encoded, as Raw."""
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "nodes": [
             {
-                "id": n.id,
-                "kind": n.kind,
+                "id": Raw(_encode(n.id)),
+                "kind": Raw(_encode(n.kind)),
                 "attrs": dict(n.attrs),
-                "params": list(n.param_refs),
+                "params": Raw(_encode(n.param_refs)),
             }
             for n in g.nodes.values()
         ],
-        "edges": [[s, d, slot] for (s, d, slot) in g.edges],
-        "inputs": list(g.inputs),
-        "outputs": list(g.outputs),
-        "weights_manifest": manifest,
+        "edges": Raw(_encode(g.edges)),
+        "inputs": Raw(_encode(g.inputs)),
+        "outputs": Raw(_encode(g.outputs)),
+        "weights_manifest": Raw(_encode(manifest)),
     }
     if g.provenance:
         doc["provenance"] = dict(g.provenance)
@@ -573,7 +584,7 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
                 f"parameter {name!r}: byte_len {byte_len} is not a whole number of {tag} values"
             )
         flat = np.frombuffer(blob, dtype=_WIRE_DTYPES[tag], count=byte_len // itemsize, offset=offset)
-        if flat.size != int(np.prod(shape, dtype=np.int64)):
+        if flat.size != math.prod(shape):
             raise ModelFormatError(
                 f"parameter {name!r}: {flat.size} values do not fill shape {shape}"
             )

@@ -354,10 +354,18 @@ class OpDef:
             bad(f"bias shape {b.shape} != ({size},)")
 
     def check_attrs(self, attrs: Mapping[str, Any]) -> list[str]:
-        """The declared attrs present with the wrong JSON type; a kind adds its range rules."""
-        return [f"attr {name!r} must be {_ATTR_TYPES[kind][0]}, got {attrs[name]!r}"
-                for name, (kind, _default) in self.attr_types.items()
-                if name in attrs and not _ATTR_TYPES[kind][1](attrs[name])]
+        """The declared attrs present with the wrong JSON type, and the int
+        attrs beyond int64; a kind adds its range rules."""
+        problems = []
+        for name, (kind, _default) in self.attr_types.items():
+            if name not in attrs:
+                continue
+            label, accepts = _ATTR_TYPES[kind]
+            if not accepts(attrs[name]):
+                problems.append(f"attr {name!r} must be {label}, got {attrs[name]!r}")
+            elif kind is int and not _INT64.min <= attrs[name] <= _INT64.max:
+                problems.append(f"attr {name!r} must lie in the int64 range, got {attrs[name]!r}")
+        return problems
 
     def shape(self, attrs, shapes: list[Shape], params: list, bad) -> Shape | None:
         return shapes[0]
@@ -500,8 +508,11 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
+_INT64 = np.iinfo(np.int64)
+
 # What a declared attr type takes from JSON, and how a refusal names it. A
-# float must fit a double; an int may be any whole number.
+# float must fit a double; an int may be any whole number, which
+# OpDef.check_attrs then bounds to int64.
 _ATTR_TYPES: dict[type, tuple[str, Callable[[Any], bool]]] = {
     int: ("an integer", lambda v: _is_int(v) or _is_number(v) and float(v).is_integer()),
     float: ("a number", lambda v: _is_number(v) and (not _is_int(v) or abs(v) <= sys.float_info.max)),

@@ -153,7 +153,7 @@ class TestFold:
         flags = [str(tmp_path / f) if f == "f" else f for f in flags]
         assert main(["fold", topo, blob, "--report", rep, *flags]) == 0
         # The folded model, which records what it was folded from, is checked too.
-        assert [p for p in validated if not p] == [None]
+        assert [p is None for p in validated] == ([True] if "--dry-run" in flags else [True, False])
 
     def test_unsafe_model_refused(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "fanout_trap")
@@ -771,6 +771,12 @@ def _set_manifest(key, change):
     return edit
 
 
+def _wrapping_shape(doc):
+    # 2**62 * 4 values wrap to 0 in int64, as many as byte_len 0 holds.
+    doc["weights_manifest"][1].update(shape=[2**62, 4], byte_len=0)
+    return doc
+
+
 def _duplicate_parameter(doc):
     # An empty entry listed first, which the real one would silently replace.
     first = doc["weights_manifest"][0]
@@ -838,6 +844,7 @@ class TestMalformedTopology:
         (_set_manifest("offset", str), "an integer shape, offset"),
         (_set_manifest("byte_len", lambda byte_len: byte_len + 0.2), "an integer shape, offset"),
         (_duplicate_parameter, "is listed twice in the manifest"),
+        (_wrapping_shape, f"0 values do not fill shape ({2**62}, 4)"),
         (_set_edge_slot(0.9), "is not [src, dst, slot]"),
         (_set_edge_slot("0"), "is not [src, dst, slot]"),
         (_set_edge_slot(1e-9), "is not [src, dst, slot]"),
@@ -861,8 +868,8 @@ class TestMalformedTopology:
             "overlapping_manifest", "manifest_without_dtype", "manifest_entry_list",
             "manifest_shape_not_integer", "manifest_shape_fraction", "manifest_shape_text_entry",
             "manifest_offset_fraction", "manifest_offset_text", "manifest_byte_len_fraction",
-            "manifest_duplicate_name", "edge_slot_fraction", "edge_slot_text", "edge_slot_tiny",
-            "edge_slot_true", "attrs_not_object", "duplicate_node_id",
+            "manifest_duplicate_name", "manifest_shape_product_wraps", "edge_slot_fraction",
+            "edge_slot_text", "edge_slot_tiny", "edge_slot_true", "attrs_not_object", "duplicate_node_id",
             "nan_attr", "infinite_attr", "minus_infinite_attr_on_relu",
             "input_id_number", "node_id_number", "node_kind_number", "param_ref_null",
             "edge_end_number", "edge_fourth_item", "output_id_number", "manifest_name_number",
@@ -947,6 +954,23 @@ class TestMalformedTopology:
         assert capsys.readouterr().err == (
             f"error: model failed validation: node 'ln': attr 'eps' must be a number, got {10**400}\n")
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("attr", ["padding", "stride"])
+    def test_int_attr_beyond_int64_exits_1(self, tmp_path, capsys, command, attr):
+        # Unbounded, a padding of 10**400 passed analyze and crashed verify.
+        topo, blob = _save(tmp_path, "m", *fixtures.conv_block())
+        _edit_topology(topo, _set_attr("conv", attr, 10**400))
+        argv, prefix = {
+            "analyze": (["analyze", topo, blob], "model failed validation"),
+            "verify": (["verify", topo, blob, topo, blob, "--trials", "3", "--grad"],
+                       "verification could not run"),
+        }[command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {prefix}: node 'conv': attr {attr!r} must lie in the int64 range, got {10**400}\n")
+
 
 class TestFoldInvalidModel:
     """fold refuses a model that fails validation, as analyze does, even
@@ -972,6 +996,45 @@ class TestFoldInvalidModel:
         assert captured.err.startswith("error: model failed validation: ") and message in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert not os.path.exists(out + ".json") and not os.path.exists(out + ".bin")
+
+
+class TestValidatedOncePerModel:
+    """Each command validates each model it reads once, and pipeline the
+    model it writes as well (fold: TestFold.test_fold_validates_model_once)."""
+
+    @pytest.fixture()
+    def validated(self, monkeypatch):
+        calls = []
+        original = graph_ir.validate_graph
+        monkeypatch.setattr(graph_ir, "validate_graph", lambda g, w: calls.append(g) or original(g, w))
+        return calls
+
+    @pytest.fixture()
+    def folded(self, models, tmp_path):
+        topo, blob = models["post_ln_transformer"]
+        g, w = load_model(topo, blob)
+        return topo, blob, *_save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w)))
+
+    def test_analyze(self, models, capsys, validated):
+        assert main(["analyze", *models["post_ln_transformer"]]) == 0
+        assert len(validated) == 1
+
+    @pytest.mark.parametrize("flags, overlap", [([], False), (["--grad"], False), (["--grad"], True)],
+                             ids=["forward", "grad", "grad_overlapped"])
+    def test_verify(self, folded, capsys, monkeypatch, validated, flags, overlap):
+        ran_on = []
+        real_forward = cli.verify_forward
+        monkeypatch.setattr(cli, "checks_overlap", lambda w: overlap)
+        monkeypatch.setattr(cli, "verify_forward", lambda *a, **k: ran_on.append(
+            threading.current_thread()) or real_forward(*a, **k))
+        assert main(["verify", *folded, "--trials", "3", "--grad-trials", "2", *flags]) == 0
+        assert (ran_on[0] is not threading.main_thread()) is overlap
+        assert [g.provenance is None for g in validated] == [True, False]
+
+    def test_pipeline(self, models, tmp_path, capsys, validated):
+        topo, blob = models["post_ln_transformer"]
+        assert main(["pipeline", topo, blob, "--out-dir", str(tmp_path / "pipe"), "--trials", "3"]) == 0
+        assert [g.provenance is None for g in validated] == [True, False]
 
 
 class TestFlopsCmd:

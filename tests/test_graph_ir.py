@@ -1,6 +1,7 @@
 """Tests for the IR: node kinds, validation, model file round-trip."""
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnfold import fixtures
-from lnfold.fold_detect import AuxInsertion, graph_with_insertions
+from lnfold import fixtures, graph_ir
+from lnfold.fold_apply import apply_fold
+from lnfold.fold_detect import AuxInsertion, detect_foldable, graph_with_insertions
 from lnfold.graph_ir import (
+    TAG_BY_DTYPE,
     Graph,
     GraphValidationError,
     ModelFormatError,
@@ -21,11 +24,14 @@ from lnfold.graph_ir import (
     load_model,
     make_node,
     model_hash,
+    require_valid,
     save_model,
     stores_equal,
     validate_graph,
 )
+from lnfold.jsonutil import canonical_dumps
 from lnfold.ops import OPS, Family
+from test_properties import builder_models
 
 
 # What fold detection reads of each kind: (passes_mean, family, centered_axis).
@@ -218,6 +224,14 @@ class TestValidation:
         report = validate_graph(*model())
         assert message in report.violations
 
+    @pytest.mark.parametrize("value, ok", [
+        (2**63 - 1, True), (-2**63, True), (2**63, False), (-2**63 - 1, False), (1e19, False),
+    ], ids=["int64_max", "int64_min", "past_max", "past_min", "whole_float_past_max"])
+    def test_int_attrs_stay_in_int64(self, value, ok):
+        # The bound lives in the base check, so every kind's int attrs get it.
+        assert OPS["Concat"].check_attrs({"axis": value}) == (
+            [] if ok else [f"attr 'axis' must lie in the int64 range, got {value!r}"])
+
     def test_edge_to_unknown_node_reported_not_raised(self):
         g, w = fixtures.linear_then_norm()
         g = Graph(g.nodes, list(g.edges) + [("lin", "ghost", 0)], g.inputs, g.outputs)
@@ -239,6 +253,13 @@ def _unary_recurrent_cell():
 
 
 class TestWeightStore:
+    def test_arrays_cannot_be_added_after_construction(self):
+        _g, w = fixtures.linear_then_norm()
+        names = w.names()
+        with pytest.raises(AttributeError):
+            w.add("extra", np.zeros(3))
+        assert w.names() == names and "extra" not in w
+
     def test_as_f64_shares_f64_arrays_and_widens_f32(self):
         _g, w = fixtures.linear_then_norm()
         w32 = WeightStore({k: v.astype(np.float32) for k, v in w.items()})
@@ -247,6 +268,118 @@ class TestWeightStore:
         for name, arr in w32.as_f64().items():
             assert arr.dtype == np.float64 and not np.shares_memory(arr, w32[name]), name
             np.testing.assert_array_equal(arr, w32[name])
+
+
+class TestRequireValid:
+    @pytest.fixture()
+    def validated(self, monkeypatch):
+        calls = []
+        original = graph_ir.validate_graph
+        monkeypatch.setattr(graph_ir, "validate_graph", lambda g, w: calls.append(g) or original(g, w))
+        return calls
+
+    def test_a_pair_is_validated_once(self, validated):
+        g, w = fixtures.post_ln_transformer()
+        shapes = require_valid(g, w)
+        assert require_valid(g, w) is shapes
+        assert shapes == validate_graph(g, w).shapes
+        assert len(validated) == 1
+
+    def test_another_store_is_validated_again(self, validated):
+        g, w = fixtures.post_ln_transformer()
+        require_valid(g, w)
+        require_valid(g, WeightStore(dict(w.items())))
+        require_valid(g.with_provenance({"note": 1}), w)
+        assert len(validated) == 3
+
+    def test_a_failure_is_not_remembered(self, validated):
+        g, w = fixtures.linear_then_norm()
+        bad = Graph(g.nodes, list(g.edges) + [("lin", "ghost", 0)], g.inputs, g.outputs)
+        for _ in range(2):
+            with pytest.raises(GraphValidationError, match="unknown destination 'ghost'"):
+                require_valid(bad, w)
+        assert len(validated) == 2
+
+
+def _reference_topology(g, w):
+    """The topology text as canonical_dumps writes it from plain values,
+    every part of the document walked in Python."""
+    manifest, offset = [], 0
+    for name in sorted(w.names()):
+        arr = w[name]
+        manifest.append({"name": name, "dtype": TAG_BY_DTYPE[arr.dtype], "shape": list(arr.shape),
+                         "offset": offset, "byte_len": arr.nbytes})
+        offset += arr.nbytes
+    doc = {
+        "format_version": 1,
+        "nodes": [{"id": n.id, "kind": n.kind, "attrs": dict(n.attrs), "params": list(n.param_refs)}
+                  for n in g.nodes.values()],
+        "edges": [[s, d, slot] for (s, d, slot) in g.edges],
+        "inputs": list(g.inputs),
+        "outputs": list(g.outputs),
+        "weights_manifest": manifest,
+    }
+    if g.provenance:
+        doc["provenance"] = dict(g.provenance)
+    return canonical_dumps(doc)
+
+
+def _assert_topology_matches_reference(g, w, tmp_path):
+    topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
+    save_model(g, w, topo, blob)
+    text = Path(topo).read_text(encoding="utf-8")
+    reference = _reference_topology(g, w)
+    assert text == reference + "\n"
+    assert canonical_dumps(json.loads(text)) == reference
+    digest = hashlib.sha256(reference.encode("utf-8") + b"\x00" + Path(blob).read_bytes())
+    assert model_hash(g, w) == digest.hexdigest()
+
+
+def _odd_strings_model():
+    """A Linear and a LayerNorm whose ids and parameter names hold non-ASCII
+    text, quotes, backslashes and control characters."""
+    x, lin, ln, out = "x\u00e9\u2603", 'lin "a"\\b', "ln\n\t\x00\x1f\x7f\u2028", "out/\u00fc"
+    weight, bias = "w\\\"\r\u0001\u00e5", "b\u4e2d\U0001f600"
+    nodes = [
+        make_node(x, "Input", {"shape": [3]}),
+        make_node(lin, "Linear", {}, [weight, bias]),
+        make_node(ln, "LayerNorm", {"eps": 1e-5, "note\u00e9\"\\": "\x02\u00e9"}),
+        make_node(out, "Output"),
+    ]
+    g = Graph(nodes, [(x, lin, 0), (lin, ln, 0), (ln, out, 0)], [x], [out],
+              {"folded_from": "\u00e9\"\\\x03", "mode": "strict"})
+    w = WeightStore({weight: np.arange(6.0).reshape(2, 3), bias: np.ones(2, np.float32)})
+    return g, w
+
+
+class TestTopologyWriter:
+    """save_model and model_hash write the topology that canonical_dumps
+    writes from the same document of plain values, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
+    def test_fixtures(self, name, tmp_path):
+        g, w = fixtures.ALL_FIXTURES[name]()
+        _assert_topology_matches_reference(g, w, tmp_path)
+        w32 = WeightStore({k: v.astype(np.float32) for k, v in w.items()})
+        _assert_topology_matches_reference(g, w32, tmp_path)
+
+    @pytest.mark.parametrize("name, mode", [("post_ln_transformer", "strict"),
+                                            ("pre_ln_transformer", "practical")])
+    def test_folded_model_with_provenance(self, name, mode, tmp_path):
+        g, w = fixtures.ALL_FIXTURES[name]()
+        folded_g, folded_w = apply_fold(g, w, detect_foldable(g, w, mode=mode), allow_practical=True)
+        assert folded_g.provenance
+        _assert_topology_matches_reference(folded_g, folded_w, tmp_path)
+
+    def test_escaped_strings(self, tmp_path):
+        g, w = _odd_strings_model()
+        _assert_topology_matches_reference(g, w, tmp_path)
+        assert graphs_equal(load_model(str(tmp_path / "m.json"), str(tmp_path / "m.bin"))[0], g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(builder_models())
+    def test_builder_models(self, tmp_path_factory, model):
+        _assert_topology_matches_reference(*model, tmp_path_factory.mktemp("writer"))
 
 
 class TestModelFiles:
