@@ -65,17 +65,10 @@ class WeightStore:
     dropped or swapped once the store is built."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray] | None = None):
-        self._arrays: dict[str, np.ndarray] = {}
-        for name, arr in (arrays or {}).items():
-            self._add(name, arr)
-
-    def _add(self, name: str, arr: np.ndarray) -> None:
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype not in (np.float32, np.float64):
-            raise ValueError(f"parameter {name!r} must be f32 or f64, got {arr.dtype}")
-        if name in self._arrays:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._arrays[name] = arr
+        self._arrays = {name: np.ascontiguousarray(arr) for name, arr in (arrays or {}).items()}
+        for name, arr in self._arrays.items():
+            if arr.dtype not in (np.float32, np.float64):
+                raise ValueError(f"parameter {name!r} must be f32 or f64, got {arr.dtype}")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -504,10 +497,14 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
     with open(topology_path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh, parse_float=_parse_float, parse_constant=_refuse_constant)
+        except ModelFormatError:  # the float and constant hooks' refusals
+            raise
         except json.JSONDecodeError as exc:
             raise ModelFormatError(
                 f"topology parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except ValueError as exc:  # bytes that are not UTF-8, an int literal past int()'s digit limit
+            raise ModelFormatError(f"topology parse error: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"topology must be a JSON object, got {type(doc).__name__}")
 

@@ -13,6 +13,7 @@ module imports nothing else from the package.
 
 from __future__ import annotations
 
+import math
 import sys
 from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
@@ -241,6 +242,7 @@ def auxiliary_centering(x: np.ndarray) -> np.ndarray:
 # holds stacked trials instead and stays: each trial gets the gradient it
 # would get evaluated by itself, bit for bit, because each trial's slice
 # goes through the same numpy reduction (or per-slice BLAS call) alone.
+# _sum_to and _matmul_param_grad are the only code that knows the kept axis.
 
 
 def _sum_to(shape: tuple[int, ...], g: np.ndarray, keep: bool = False) -> np.ndarray:
@@ -259,14 +261,6 @@ def _matmul_param_grad(x: np.ndarray, dy: np.ndarray, keep: bool = False) -> np.
     xf = x.reshape(lead + (-1, x.shape[-1]))
     df = dy.reshape(lead + (-1, dy.shape[-1]))
     return df.swapaxes(-1, -2) @ xf
-
-
-def _per_trial(keep: bool, reduce: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
-    """reduce(*arrays), for a reduction with no kept-axis form of its own:
-    with keep, reduce runs on each trial's slices and the results stack."""
-    if not keep:
-        return reduce(*arrays)
-    return np.stack([reduce(*trial) for trial in zip(*arrays)])
 
 
 def _norm_input_grad(g, xhat, inv, center):
@@ -319,7 +313,8 @@ class OpDef:
     gradients for each input slot and each parameter, in slot order.
     backward's keep says that axis 0 of the activations holds stacked
     trials: each parameter gradient then keeps that axis, one gradient per
-    trial (see _sum_to).
+    trial, through _sum_to and _matmul_param_grad, the only two helpers
+    that know that axis.
     """
 
     arity: int | None = 1
@@ -375,16 +370,19 @@ class OpDef:
 
 
 class _Linear(OpDef):
+    """The sum over input slots of x @ W.T, one weight W per slot, plus the bias."""
+
     min_rank, params, bias = 1, (1, 2), 1
     centered_axis, family = -1, Family.LINEAR_COLUMNS
 
     def shape(self, attrs, shapes, params, bad):
-        weight = params[0]
-        if weight.ndim != 2:
-            return bad(f"weight must be 2-D, got shape {weight.shape}")
-        m, n = weight.shape
-        if shapes[0][-1] != n:
-            return bad(f"weight shape {weight.shape} disagrees with incoming width {shapes[0][-1]}")
+        weights = params[: self.bias]
+        for weight, incoming in zip(weights, shapes):
+            if weight.ndim != 2:
+                return bad(f"weight must be 2-D, got shape {weight.shape}")
+            if incoming[-1] != weight.shape[1]:
+                return bad(f"weight shape {weight.shape} disagrees with incoming width {incoming[-1]}")
+        m = len(weights[0])
         self._check_bias(params, m, bad)
         return shapes[0][:-1] + (m,)
 
@@ -393,8 +391,9 @@ class _Linear(OpDef):
         return linear_forward(params[0], self.bias_of(params), x), {}
 
     def backward(self, e, dy, keep):
-        dW = _matmul_param_grad(e.inputs[0], dy, keep)
-        return [dy @ e.params[0]], [dW] + self._bias_grad(e.params, dy, keep)
+        dx = [dy @ weight for weight in e.params[: self.bias]]
+        dW = [_matmul_param_grad(x, dy, keep) for x in e.inputs]
+        return dx, dW + self._bias_grad(e.params, dy, keep)
 
 
 class _Conv2d(OpDef):
@@ -434,48 +433,31 @@ class _Conv2d(OpDef):
     def backward(self, e, dy, keep):
         K, s = e.params[0], e.saved
         co, _ci, fh, fw = K.shape
-
-        def patch_rows(d):  # (B, OH*OW, co), row for row with the patch matrix
-            return d.reshape((-1, co, s["oh"] * s["ow"])).transpose(0, 2, 1)
-
-        def kernel_grad(d, cols):
-            cols = cols.reshape((-1,) + cols.shape[-2:])
-            return np.einsum("bpo,bpk->ok", patch_rows(d), cols).reshape(K.shape)
-
-        # The patch matrix regains its leading axes, so a kept axis 0 splits it by trial.
-        dparams = [_per_trial(keep, kernel_grad, dy, s["cols"].reshape(s["lead"] + s["cols"].shape[1:]))]
-        if self.bias_of(e.params) is not None:
-            dparams.append(_per_trial(keep, lambda d: patch_rows(d).reshape(-1, co).sum(axis=0), dy))
-        dx = _col2im(patch_rows(dy) @ K.reshape(co, -1), s["in_shape"], fh, fw, s["stride"], s["padding"])
-        return [dx.reshape(s["lead"] + dx.shape[-3:])], dparams
+        rows = dy.reshape((-1, co, s["oh"] * s["ow"])).swapaxes(1, 2)  # row for row with the patch matrix
+        dx = _col2im(rows @ K.reshape(co, -1), s["in_shape"], fh, fw, s["stride"], s["padding"])
+        # A kept trial axis splits off the patch batch, for the helpers to keep.
+        trials = s["lead"][:keep] + (-1,)
+        rows, cols = rows.reshape(trials + rows.shape[1:]), s["cols"].reshape(trials + s["cols"].shape[1:])
+        dK = _matmul_param_grad(cols, rows, keep).reshape(s["lead"][:keep] + K.shape)
+        return [dx.reshape(s["lead"] + dx.shape[-3:])], [dK] + self._bias_grad(e.params, rows, keep)
 
 
-class _RecurrentCell(OpDef):
-    arity, min_rank, params, bias = 2, 1, (2, 3), 2
-    centered_axis, family = -1, Family.RECURRENT_BOTH
+class _RecurrentCell(_Linear):
+    """A two-slot Linear, x @ Wv.T + h_prev @ Wh.T + b, whose hidden weight
+    Wh is square."""
+
+    arity, params, bias = 2, (2, 3), 2
+    family = Family.RECURRENT_BOTH
 
     def shape(self, attrs, shapes, params, bad):
-        w_in, w_hid = params[0], params[1]
-        if w_in.ndim != 2 or w_hid.ndim != 2:
-            return bad("recurrent weights must be 2-D")
-        d, n = w_in.shape
-        if w_hid.shape != (d, d):
-            return bad(f"hidden weight shape {w_hid.shape} != ({d}, {d})")
-        if shapes[0][-1] != n:
-            return bad(f"input width {shapes[0][-1]} != {n}")
-        if shapes[1][-1] != d:
-            return bad(f"hidden-state width {shapes[1][-1]} != {d}")
-        self._check_bias(params, d, bad)
-        return shapes[0][:-1] + (d,)
+        w_in, w_hid = params[:2]
+        if w_in.ndim == w_hid.ndim == 2 and w_hid.shape != (len(w_in),) * 2:
+            return bad(f"hidden weight shape {w_hid.shape} != {(len(w_in),) * 2}")
+        return super().shape(attrs, shapes, params, bad)
 
     def forward(self, attrs, inputs, params, strict):
         x, h_prev = inputs
         return rnn_cell_forward(params[0], params[1], x, h_prev, self.bias_of(params)), {}
-
-    def backward(self, e, dy, keep):
-        (x, h_prev), (Wv, Wh) = e.inputs, e.params[:2]
-        dW = [_matmul_param_grad(x, dy, keep), _matmul_param_grad(h_prev, dy, keep)]
-        return [dy @ Wv, dy @ Wh], dW + self._bias_grad(e.params, dy, keep)
 
 
 class _AttentionValueProjection(OpDef):
@@ -719,15 +701,14 @@ class _Embedding(OpDef):
         return table[idx], {}
 
     def backward(self, e, dy, keep):
-        # Integer indices take no gradient.
-        table = e.params[0]
-
-        def scatter(idx, d):
-            dtable = np.zeros_like(table)
-            np.add.at(dtable, np.asarray(idx).ravel(), d.reshape(-1, table.shape[1]))
-            return dtable
-
-        return [], [_per_trial(keep, scatter, e.inputs[0], dy)]
+        # Integer indices take no gradient. Trial t scatters into rows offset
+        # by t * vocab, so each trial accumulates in the order it would alone.
+        (idx,), table = e.inputs, e.params[0]
+        trials, (vocab, width) = len(idx) if keep else 1, table.shape
+        rows = idx.reshape(trials, -1) + vocab * np.arange(trials)[:, None]
+        dtable = np.zeros((trials * vocab, width), dtype=table.dtype)
+        np.add.at(dtable, rows.ravel(), dy.reshape(-1, width))
+        return [], [dtable.reshape((trials,) * keep + table.shape)]
 
 
 class _AuxiliaryCentering(OpDef):
@@ -755,6 +736,8 @@ class _Input(OpDef):
             return ["Input node missing 'shape' attr"]
         if not isinstance(shape, (list, tuple)) or not all(_is_int(s) and s >= 0 for s in shape):
             return [f"Input shape must be a list of non-negative integers, got {shape!r}"]
+        if max(shape, default=0) > _INT64.max or math.prod(shape) > _INT64.max:
+            return [f"Input shape must have entries and an element count within int64, got {shape!r}"]
         return super().check_attrs(attrs) or (
             [f"attr 'high' must be >= 1 on an integer Input, got {attrs['high']!r}"]
             if self.attr(attrs, "integer") and self.attr(attrs, "high") < 1 else []

@@ -9,9 +9,10 @@ dry-run digests were recorded before reports were checked against a
 re-derived fold plan; the shared_producer digests were recorded before a
 fold spliced its report's recorded insertions; the linear_then_norm_f32
 and integer_input_norms digests were recorded before the normalization
-kernels were rewritten with fewer numpy calls. Regenerate them with
-``python tests/test_byte_identity.py`` (with ``src`` on the path) only for
-a change that means to alter output.
+kernels were rewritten with fewer numpy calls; the recurrent_then_norm
+digests were recorded before RecurrentCell took Linear's backward.
+Regenerate them with ``python tests/test_byte_identity.py`` (with ``src``
+on the path) only for a change that means to alter output.
 """
 
 import contextlib
@@ -69,6 +70,7 @@ CASES = {
     "shared_producer": shared_producer,
     "linear_then_norm_f32": linear_then_norm_f32,
     "integer_input_norms": integer_input_norms,
+    "recurrent_then_norm": lambda: fixtures.recurrent_then_norm(),
 }
 MODES = ("strict", "practical")
 
@@ -207,6 +209,22 @@ EXPECTED = {
         "folded_json": "f30d98aa312c6146b7d6f1385a0c4c24c5d4000187517e147927d448a2a35f70",
         "folded_bin": "64333646e5199cf87e32aba11e86b47fc11bcf1c4ea755d53d6912b7f6c2314e",
         "verify": "25944bfe330370518865df31736846ded260ced07cd42941a8e5469b79588eb1",
+    },
+    "recurrent_then_norm/practical": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "16046a8f45dc95fd5da7c7d4886f97f5cd0ea30727e5e1fec082d4442b32a6c9"],
+        "report": "40c0988359d93aafab56738ec1b83ff0bae05d1d227ff45cfcf8bbb5bc46594c",
+        "folded_json": "a97b3673c3ab8e424747c132adbdf3e7ff7c3188cf978520879701d31bd95def",
+        "folded_bin": "aa9799fc3417d480d2f4beae633e969eb81e2064c8d4a4cd1efa44c6dfb6e9b3",
+        "verify": "4f3a4e467310a1a07fc656aa4086dae0f6e64d3a9edf13370418dc9ff31e286a",
+    },
+    "recurrent_then_norm/strict": {
+        "exit": [0, 0, 0],
+        "dry_run": [0, "16046a8f45dc95fd5da7c7d4886f97f5cd0ea30727e5e1fec082d4442b32a6c9"],
+        "report": "18767cb7993cea26733634ae5c7aa67ee2454c6fd3661eec285d6f6df5ea69e1",
+        "folded_json": "f4e99d7afd66d94ab47fe3f09cc6e45589eb20fef337e2baead02f956a1532b5",
+        "folded_bin": "aa9799fc3417d480d2f4beae633e969eb81e2064c8d4a4cd1efa44c6dfb6e9b3",
+        "verify": "4f3a4e467310a1a07fc656aa4086dae0f6e64d3a9edf13370418dc9ff31e286a",
     },
     "residual_scale_mix/strict": {
         "exit": [0, 0, 0],

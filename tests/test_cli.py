@@ -12,7 +12,7 @@ import pytest
 from lnfold import cli, fixtures, fold_apply, graph_ir, verify
 from lnfold.cli import main
 from lnfold.fold_detect import detect_foldable
-from lnfold.graph_ir import WeightStore, load_model, model_hash, save_model
+from lnfold.graph_ir import Graph, WeightStore, load_model, make_node, model_hash, save_model, validate_graph
 from lnfold.jsonutil import canonical_dumps
 
 
@@ -908,6 +908,50 @@ class TestMalformedTopology:
         assert main(["analyze", topo, blob]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model failed validation: ") and message in err
+
+    @pytest.mark.parametrize("arrays, h_width, message", [
+        ({"cell.w_input": np.zeros(5)}, 6, "weight must be 2-D, got shape (5,)"),
+        ({"cell.w_hidden": np.zeros((6, 5))}, 6, "hidden weight shape (6, 5) != (6, 6)"),
+        ({"cell.w_input": np.zeros((6, 4))}, 6, "weight shape (6, 4) disagrees with incoming width 5"),
+        ({}, 5, "weight shape (6, 6) disagrees with incoming width 5"),
+    ], ids=["input_weight_1d", "hidden_weight_not_square", "input_width", "hidden_state_width"])
+    def test_recurrent_cell_shapes_exit_1(self, tmp_path, capsys, arrays, h_width, message):
+        # RecurrentCell is a two-slot Linear: each slot's weight meets its own input.
+        g, w = fixtures.recurrent_then_norm()
+        nodes = [make_node("h_prev", "Input", {"shape": [h_width]}) if n.id == "h_prev" else n
+                 for n in g.nodes.values()]
+        g, w = Graph(nodes, g.edges, g.inputs, g.outputs), WeightStore(dict(w.items(), **arrays))
+        assert validate_graph(g, w).violations == [f"node 'cell': {message}"]
+        topo, blob = _save(tmp_path, "m", g, w)
+        assert main(["analyze", topo, blob]) == 1
+        assert capsys.readouterr().err == f"error: model failed validation: node 'cell': {message}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("shape", [[2**70, 6], [2**40, 2**40]], ids=["entry", "element_count"])
+    def test_input_shape_beyond_int64_exits_1(self, tmp_path, capsys, command, shape):
+        # No array has such a shape: analyze passed [2**70, 6], and verify failed allocating it.
+        topo, blob = _save(tmp_path, "m", *fixtures.linear_then_norm())
+        _edit_topology(topo, _set_attr("x", "shape", shape))
+        argv, prefix = {
+            "analyze": (["analyze", topo, blob], "model failed validation"),
+            "verify": (["verify", topo, blob, topo, blob, "--trials", "3"], "verification could not run"),
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {prefix}: node 'x': Input shape must have entries and an element count "
+            f"within int64, got {shape!r}\n")
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"9" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        (b'"\xff"', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["integer_past_digit_limit", "invalid_utf8"])
+    def test_unreadable_text_exits_1(self, tmp_path, capsys, raw, message):
+        topo, blob = _save(tmp_path, "m", *fixtures.linear_then_norm())
+        _edit_topology(topo, _set_attr("ln", "note", "RAW"))
+        Path(topo).write_bytes(Path(topo).read_bytes().replace(b'"RAW"', raw))
+        assert main(["analyze", topo, blob]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load model: topology parse error: ") and message in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: _node(doc, "tokens")["attrs"].pop("integer") and doc,

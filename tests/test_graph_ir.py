@@ -218,8 +218,13 @@ class TestValidation:
          "node 'x': attr 'integer' must be a boolean, got 'false'"),
         (lambda: _replace_node(fixtures.linear_then_norm(), make_node("x", "Input", {"shape": []})),
          "node 'lin': input 0 has per-sample shape (); Linear needs at least 1 axes"),
+        (lambda: _replace_node(fixtures.linear_then_norm(), make_node("x", "Input", {"shape": [2**63, 0]})),
+         "node 'x': Input shape must have entries and an element count within int64, got [9223372036854775808, 0]"),
+        (lambda: _replace_node(fixtures.linear_then_norm(), make_node("x", "Input", {"shape": [2**62, 2]})),
+         "node 'x': Input shape must have entries and an element count within int64, got [4611686018427387904, 2]"),
     ], ids=["eps_text", "conv_stride_0", "input_shape_text", "integer_input_high_0",
-            "integer_input_text", "rank_0_into_linear"])
+            "integer_input_text", "rank_0_into_linear", "input_shape_entry_past_int64",
+            "input_shape_count_past_int64"])
     def test_malformed_attrs_reported_not_raised(self, model, message):
         report = validate_graph(*model())
         assert message in report.violations
