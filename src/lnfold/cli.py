@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -237,7 +238,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 _TOL_HELP = "default: 1e-5 if either model holds f32 weights, else 1e-9"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    caller. --seed defaults to None: main() puts in LNFOLD_SEED's value,
+    read on every call."""
     parser = argparse.ArgumentParser(
         prog="lnfold",
         description="Detect foldable LayerNorms, center upstream weights, swap in RMSNorm, verify equivalence.",
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("folded_weights")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--grad-trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grad", action="store_true", help="also compare parameter gradients")
     p.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     p.set_defaults(fn=_cmd_verify)
@@ -287,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--practical", action="store_true")
     p.add_argument("--out-dir", default="lnfold_out")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help=_TOL_HELP)
     p.set_defaults(fn=_cmd_pipeline)
 
@@ -296,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()  # reads LNFOLD_SEED
+        seed = _default_seed()  # before parsing, so a bad LNFOLD_SEED is refused even with --help
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 1
+        if "seed" in args and args.seed is None:
+            args.seed = seed
         return args.fn(args)
     except _Operational as exc:
         _log(f"error: {exc}")

@@ -444,7 +444,7 @@ class _Conv2d(OpDef):
 
 class _RecurrentCell(_Linear):
     """A two-slot Linear, x @ Wv.T + h_prev @ Wh.T + b, whose hidden weight
-    Wh is square."""
+    Wh is square and whose inputs agree off the last axis."""
 
     arity, params, bias = 2, (2, 3), 2
     family = Family.RECURRENT_BOTH
@@ -453,6 +453,8 @@ class _RecurrentCell(_Linear):
         w_in, w_hid = params[:2]
         if w_in.ndim == w_hid.ndim == 2 and w_hid.shape != (len(w_in),) * 2:
             return bad(f"hidden weight shape {w_hid.shape} != {(len(w_in),) * 2}")
+        if shapes[0][:-1] != shapes[1][:-1]:
+            return bad(f"input shapes {shapes[0]} and {shapes[1]} disagree off the last axis")
         return super().shape(attrs, shapes, params, bad)
 
     def forward(self, attrs, inputs, params, strict):

@@ -10,6 +10,7 @@ quantifies what the rewrite saves per normalization layer.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Mapping
@@ -89,10 +90,55 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _trial_rngs(seed: int, trials: int) -> list[np.random.Generator]:
-    check_trials(trials)
-    check_seed(seed)
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx) and
+# the multiplier of PCG64's 128-bit step (pcg64.h).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _hash_consts(init: int, mult: int, first: int, n: int) -> np.ndarray:
+    """The values a hash constant takes over its calls first .. first + n,
+    as a uint32 column: hashmix call i xors in row i and multiplies by row
+    i + 1."""
+    consts = [init * pow(mult, i, 2**32) & _MASK32 for i in range(first, first + n + 1)]
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> 16
+
+
+def _spawn_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row i is SeedSequence(seed, spawn_key=(start + i,)).generate_state(4,
+    np.uint64), the words PCG64 seeds itself from, for trial indices below
+    2**64 (one or two uint32 key words). Every child starts from the pool
+    its seed's words alone mix to; numpy's mixing of the key words into
+    that pool, and the state drawn from it, run here once for all indices,
+    on uint32 arrays of shape (4 pool words, indices)."""
+    seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
+    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length(), 32)] or [0]
+    words += [0] * (4 - len(words))  # a spawned sequence pads its entropy to the pool size
+    pool = np.random.SeedSequence(words).pool[:, None]
+    index = np.arange(start, stop, dtype=np.uint64)
+    # Each key word mixes into every pool word, continuing the hash constant
+    # after the seed's 4 * len(words) hashmix calls (4 to fill the pool, 12
+    # to mix it, 4 per word past the fourth); the high word exists from
+    # 2**32 on.
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(words), 8)
+    for i, word in enumerate(((index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32))):
+        mixed = _mix(pool, _hashmix(word, consts[4 * i : 4 * i + 4], consts[4 * i + 1 : 4 * i + 5]))
+        pool = np.where(index > _MASK32, mixed, pool) if i else mixed
+    consts = _hash_consts(_INIT_B, _MULT_B, 0, 8)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], consts[:-1], consts[1:])
+    return np.ascontiguousarray(state.T, "<u4").view("<u8")
 
 
 def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> tuple:
@@ -195,10 +241,25 @@ def _stack_trials(batch: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
 
 def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator[dict[str, np.ndarray]]:
     """Yield the stacked inputs (_stack_trials) of consecutive batches of up
-    to per_batch seeded trials; each trial draws from its own generator."""
-    rngs = _trial_rngs(seed, trials)
+    to per_batch seeded trials. Trial t draws from
+    PCG64(SeedSequence(seed).spawn(trials)[t]): one generator per call is
+    set to each trial's stream in turn, seeded from _spawn_states as
+    PCG64's own seeding (pcg64_set_seed) does, so each call owns its
+    generator and may run beside another."""
+    check_trials(trials)
+    check_seed(seed)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
     for start in range(0, trials, per_batch):
-        yield _stack_trials([sample_inputs(g, rng) for rng in rngs[start : start + per_batch]])
+        batch = []
+        for s_hi, s_lo, q_hi, q_lo in _spawn_states(seed, start, min(start + per_batch, trials)).tolist():
+            # pcg_setseq_128_srandom_r: odd increment; step from 0, add the seed, step
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            batch.append(sample_inputs(g, rng))
+        yield _stack_trials(batch)
 
 
 # ---------------------------------------------------------------------------

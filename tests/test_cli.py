@@ -927,6 +927,19 @@ class TestMalformedTopology:
         assert capsys.readouterr().err == f"error: model failed validation: node 'cell': {message}\n"
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_recurrent_cell_inputs_disagreeing_off_the_last_axis_exit_1(self, tmp_path, capsys, command):
+        # Both inputs feed one sum: analyze used to pass this, and verify failed broadcasting it.
+        topo, blob = _save(tmp_path, "m", *fixtures.recurrent_then_norm())
+        _edit_topology(topo, lambda doc: _set_attr("h_prev", "shape", [4, 6])(_set_attr("x", "shape", [3, 5])(doc)))
+        argv, prefix = {
+            "analyze": (["analyze", topo, blob], "model failed validation"),
+            "verify": (["verify", topo, blob, topo, blob, "--trials", "2"], "verification could not run"),
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {prefix}: node 'cell': input shapes (3, 5) and (4, 6) disagree off the last axis\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
     @pytest.mark.parametrize("shape", [[2**70, 6], [2**40, 2**40]], ids=["entry", "element_count"])
     def test_input_shape_beyond_int64_exits_1(self, tmp_path, capsys, command, shape):
         # No array has such a shape: analyze passed [2**70, 6], and verify failed allocating it.
@@ -1118,13 +1131,27 @@ class TestSeedEnv:
         out = str(tmp_path / "folded")
         main(["fold", topo, blob, "--report", rep, "--out", out])
         monkeypatch.setenv("LNFOLD_SEED", "123")
-        # parser defaults are bound at construction; main() rebuilds the parser
+        # main() reads LNFOLD_SEED on every call
         assert main(["verify", topo, blob, out + ".json", out + ".bin", "--trials", "3"]) == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["forward"]["seed"] == 123
 
-    @pytest.mark.parametrize("argv", [["flops", "--d", "4"], ["analyze", "missing.json", "missing.bin"]],
-                             ids=["flops", "analyze"])
+    def test_one_parser_reads_the_seed_on_every_call(self, models, capsys, monkeypatch):
+        topo, blob = models["post_ln_transformer"]
+        cli.build_parser.cache_clear()
+        seeds = []
+        for value in ("123", None):
+            if value is None:
+                monkeypatch.delenv("LNFOLD_SEED")
+            else:
+                monkeypatch.setenv("LNFOLD_SEED", value)
+            assert main(["verify", topo, blob, topo, blob, "--trials", "1"]) == 0
+            seeds.append(_last_json(capsys)["forward"]["seed"])
+        assert seeds == [123, 0]
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", [["flops", "--d", "4"], ["analyze", "missing.json", "missing.bin"], ["--help"]],
+                             ids=["flops", "analyze", "help"])
     def test_non_integer_seed_exits_1(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("LNFOLD_SEED", "abc")
         assert main(argv) == 1

@@ -2,6 +2,7 @@
 zero-mean probes, the operation-count model, and lockstep training."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
     ParameterPairingError,
     SignatureMismatchError,
-    _trial_rngs,
     check_zero_mean,
     default_tol,
     flops_estimate,
@@ -71,6 +71,12 @@ class TestVerifyForward:
         fg, fw = apply_fold(g, w32, detect_foldable(g, w32))
         rep = verify_forward(g, w32, fg, fw, trials=20, seed=0, tol=1e-5)
         assert rep.passed
+
+
+def _trial_rngs(seed, trials):
+    """numpy's own per-trial generators, the oracle for verify's streams:
+    trial t draws from PCG64(SeedSequence(seed).spawn(trials)[t])."""
+    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
 def _reference_forward_diff(gA, wA, gB, wB, trials, seed):
@@ -223,6 +229,57 @@ class TestStackedTrials:
         g, w = fixtures.linear_then_norm()
         with pytest.raises(GraphValidationError):
             verify_forward(Graph([], [], [], []), WeightStore(), g, w, trials=1)
+
+
+# Seeds of one to five uint32 words: both sides of the one/two-word edge at
+# 2**32, and past numpy's four-word entropy pool from 2**128 on.
+STREAM_SEEDS = pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 12345678901234567890, 2**128 + 5, 3**100],
+    ids=["0", "2^32-1", "2^32", "2^64+3", "12345678901234567890", "2^128+5", "3^100"])
+
+
+class TestTrialStreams:
+    """verify's seeded inputs are numpy's per-trial streams, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["linear_then_norm", "pre_ln_transformer", "recurrent_then_norm"],
+                             ids=["float_input", "integer_input", "two_inputs"])
+    @STREAM_SEEDS
+    def test_batches_equal_numpy_streams(self, seed, name):
+        g, _ = fixtures.ALL_FIXTURES[name]()
+        for trials in (1, 7, 100, 101):
+            reference = [sample_inputs(g, rng) for rng in _trial_rngs(seed, trials)]
+            for per_batch in sorted({1, 3, 50, trials}):
+                batches = list(verify._trial_batches(g, seed, trials, per_batch))
+                assert len(batches) == -(-trials // per_batch)
+                for start, batch in zip(range(0, trials, per_batch), batches):
+                    expected = verify._stack_trials(reference[start : start + per_batch])
+                    assert batch.keys() == expected.keys()
+                    for nid, value in batch.items():
+                        assert value.dtype == expected[nid].dtype
+                        assert np.array_equal(value, expected[nid]), (trials, per_batch, start, nid)
+
+    @STREAM_SEEDS
+    def test_spawn_key_words(self, seed):
+        # A key below 2**32 is one uint32 word, from 2**32 on two.
+        for start, stop in ((0, 3), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)):
+            expected = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+                        for i in range(start, stop)]
+            assert np.array_equal(verify._spawn_states(seed, start, stop), expected), (start, stop)
+
+    def test_numpy_integer_seed(self):
+        g, _ = fixtures.linear_then_norm()
+        (batch,) = verify._trial_batches(g, np.uint64(2**64 - 1), 5, 5)
+        expected = verify._stack_trials([sample_inputs(g, rng) for rng in _trial_rngs(2**64 - 1, 5)])
+        assert np.array_equal(batch["x"], expected["x"])
+
+    def test_checks_on_two_threads_draw_the_same_streams(self):
+        g, w = fixtures.linear_then_norm()
+        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        alone = verify_forward(g, w, fg, fw, trials=30, seed=9), verify_gradients(g, w, fg, fw, trials=9, seed=9)
+        with ThreadPoolExecutor(2) as pool:
+            forward_run = pool.submit(verify_forward, g, w, fg, fw, trials=30, seed=9)
+            gradient_run = pool.submit(verify_gradients, g, w, fg, fw, trials=9, seed=9)
+            assert (forward_run.result(timeout=60), gradient_run.result(timeout=60)) == alone
 
 
 def _chain(b):
