@@ -5,10 +5,11 @@ layout, shape rule, forward kernel, backward rule, attr checks and what it
 does to a per-sample mean. graph_ir, tensor_math, fold_detect and centering
 all read this one table, so adding a node kind means adding one OpDef to OPS.
 
-Kernels compute their own ops; the numpy primitives kept here are the ones
-the package exports or tests call. All of them accept arbitrary leading batch
-axes; normalization acts on the last axis unless a node says otherwise. This
-module imports nothing else from the package.
+Each kind's forward is the only implementation of its op (a RecurrentCell
+runs Linear's). The module-level primitives are the normalizations and the
+centering the package exports, and softmax, which verify calls. All accept
+arbitrary leading batch axes; normalization acts on the last axis unless a
+node says otherwise. This module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -134,21 +135,6 @@ def group_norm(x: np.ndarray, groups: int, eps: float = DEFAULT_EPS, strict: boo
     return _group_center_scale(x, groups, -1, eps, strict)[0]
 
 
-def linear_forward(W: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    return _add_bias(x @ W.T, b)
-
-
-def conv2d_forward(
-    K: np.ndarray,
-    b: np.ndarray | None,
-    x: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    out, _ = _conv2d_with_patches(K, b, x, stride, padding)
-    return out
-
-
 def _im2col(x: np.ndarray, fh: int, fw: int, stride: int, padding: int) -> tuple[np.ndarray, tuple[int, int]]:
     """(B, OH*OW, C*fh*fw) patch matrix for x of shape (B, C, H, W)."""
     bsz, c = x.shape[:2]
@@ -183,48 +169,6 @@ def _col2im(
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
-
-
-def _conv2d_with_patches(
-    K: np.ndarray,
-    b: np.ndarray | None,
-    x: np.ndarray,
-    stride: int,
-    padding: int,
-) -> tuple[np.ndarray, dict[str, Any]]:
-    lead = x.shape[:-3]
-    c, h, w = x.shape[-3:]
-    co, ci, fh, fw = K.shape
-    if c != ci:
-        raise ValueError(f"conv input has {c} channels, kernel expects {ci}")
-    flat = x.reshape((-1, c, h, w))
-    cols, (oh, ow) = _im2col(flat, fh, fw, stride, padding)
-    out2 = _add_bias(cols @ K.reshape(co, -1).T, b)  # (B, OH*OW, co)
-    out = out2.transpose(0, 2, 1).reshape(lead + (co, oh, ow))
-    saved = {"cols": cols, "in_shape": (flat.shape), "lead": lead, "oh": oh, "ow": ow}
-    return out, saved
-
-
-def rnn_cell_forward(
-    Wv: np.ndarray,
-    Wh: np.ndarray,
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    b: np.ndarray | None = None,
-) -> np.ndarray:
-    return _add_bias(x @ Wv.T + h_prev @ Wh.T, b)
-
-
-def attention_value_forward(B: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Project attention-mixed activations through the value matrix: B @ V."""
-    return B @ V
-
-
-def residual_add(*xs: np.ndarray) -> np.ndarray:
-    out = xs[0]
-    for x in xs[1:]:
-        out = out + x
-    return out
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -387,8 +331,11 @@ class _Linear(OpDef):
         return shapes[0][:-1] + (m,)
 
     def forward(self, attrs, inputs, params, strict):
-        (x,) = inputs
-        return linear_forward(params[0], self.bias_of(params), x), {}
+        weights = params[: self.bias]
+        out = inputs[0] @ weights[0].T
+        for x, weight in zip(inputs[1:], weights[1:]):
+            out = out + x @ weight.T
+        return _add_bias(out, self.bias_of(params)), {}
 
     def backward(self, e, dy, keep):
         dx = [dy @ weight for weight in e.params[: self.bias]]
@@ -424,11 +371,18 @@ class _Conv2d(OpDef):
         return shapes[0][:-3] + (co, oh, ow)
 
     def forward(self, attrs, inputs, params, strict):
-        (x,) = inputs
+        (x,), K = inputs, params[0]
         stride, padding = self.attr(attrs, "stride"), self.attr(attrs, "padding")
-        out, saved = _conv2d_with_patches(params[0], self.bias_of(params), x, stride, padding)
-        saved.update({"stride": stride, "padding": padding})
-        return out, saved
+        lead, (c, h, w) = x.shape[:-3], x.shape[-3:]
+        co, ci, fh, fw = K.shape
+        if c != ci:
+            raise ValueError(f"conv input has {c} channels, kernel expects {ci}")
+        flat = x.reshape((-1, c, h, w))
+        cols, (oh, ow) = _im2col(flat, fh, fw, stride, padding)
+        out = _add_bias(cols @ K.reshape(co, -1).T, self.bias_of(params))  # (B, OH*OW, co)
+        out = out.transpose(0, 2, 1).reshape(lead + (co, oh, ow))
+        return out, {"cols": cols, "in_shape": flat.shape, "lead": lead, "oh": oh, "ow": ow,
+                     "stride": stride, "padding": padding}
 
     def backward(self, e, dy, keep):
         K, s = e.params[0], e.saved
@@ -457,10 +411,6 @@ class _RecurrentCell(_Linear):
             return bad(f"input shapes {shapes[0]} and {shapes[1]} disagree off the last axis")
         return super().shape(attrs, shapes, params, bad)
 
-    def forward(self, attrs, inputs, params, strict):
-        x, h_prev = inputs
-        return rnn_cell_forward(params[0], params[1], x, h_prev, self.bias_of(params)), {}
-
 
 class _AttentionValueProjection(OpDef):
     min_rank, params = 1, (1, 1)
@@ -477,7 +427,7 @@ class _AttentionValueProjection(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return attention_value_forward(x, params[0]), {}
+        return x @ params[0], {}
 
     def backward(self, e, dy, keep):
         # d(y = x @ V)/dV is the Linear weight gradient with x and dy swapped.
@@ -622,7 +572,10 @@ class _ResidualAdd(OpDef):
         return shapes[0]
 
     def forward(self, attrs, inputs, params, strict):
-        return residual_add(*inputs), {}
+        out = inputs[0]
+        for x in inputs[1:]:
+            out = out + x
+        return out, {}
 
     def backward(self, e, dy, keep):
         return [dy] * len(e.inputs), []

@@ -39,14 +39,7 @@ from lnfold.centering import (
 )
 from lnfold.fold_apply import FoldError, apply_fold, center_targets
 from lnfold.fold_detect import detect_foldable
-from lnfold.ops import (
-    attention_value_forward,
-    conv2d_forward,
-    layer_norm,
-    linear_forward,
-    rms_norm,
-    rnn_cell_forward,
-)
+from lnfold.ops import OPS, layer_norm, rms_norm
 from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
     flops_estimate,
@@ -211,7 +204,7 @@ def test_criterion_6_centering_families():
     b = center_bias(rng.uniform(-1, 1, size=24))
     cases["linear"] = (
         Family.LINEAR_COLUMNS, 1, W, V,
-        lambda: linear_forward(V, b, rng.uniform(-2, 2, size=16)).mean(), 24,
+        lambda: OPS["Linear"].forward({}, [rng.uniform(-2, 2, size=16)], [V, b], True)[0].mean(), 24,
     )
 
     K0 = rng.uniform(-1, 1, size=(6, 3, 3, 3))
@@ -220,7 +213,8 @@ def test_criterion_6_centering_families():
     cases["conv"] = (
         Family.CONV_OUT_CHANNELS, 1, K0, K,
         lambda: np.abs(
-            conv2d_forward(K, kb, rng.uniform(-2, 2, size=(3, 8, 8)), 1, 1).mean(axis=0)
+            OPS["Conv2d"].forward({"stride": 1, "padding": 1}, [rng.uniform(-2, 2, size=(3, 8, 8))], [K, kb], True)[0]
+            .mean(axis=0)
         ).max(), 6,
     )
 
@@ -229,9 +223,9 @@ def test_criterion_6_centering_families():
     Wv, Wh = center(Wv0, Family.RECURRENT_BOTH), center(Wh0, Family.RECURRENT_BOTH)
     cases["recurrent"] = (
         Family.RECURRENT_BOTH, 1, Wv0, Wv,
-        lambda: rnn_cell_forward(
-            Wv, Wh, rng.uniform(-2, 2, size=5), rng.uniform(-2, 2, size=8)
-        ).mean(), 8,
+        lambda: OPS["RecurrentCell"].forward(
+            {}, [rng.uniform(-2, 2, size=5), rng.uniform(-2, 2, size=8)], [Wv, Wh], True
+        )[0].mean(), 8,
     )
 
     A0 = rng.uniform(-1, 1, size=(5, 10))
@@ -239,7 +233,8 @@ def test_criterion_6_centering_families():
     cases["attention_value"] = (
         Family.ATTENTION_VALUE_ROWS, 1, A0, A,
         lambda: np.abs(
-            attention_value_forward(rng.uniform(-2, 2, size=(4, 5)), A).mean(axis=-1)
+            OPS["AttentionValueProjection"].forward({}, [rng.uniform(-2, 2, size=(4, 5))], [A], True)[0]
+            .mean(axis=-1)
         ).max(), 10,
     )
 
@@ -249,7 +244,8 @@ def test_criterion_6_centering_families():
     cases["grouped"] = (
         Family.GROUPED_COLUMNS, groups, G0, G,
         lambda: np.abs(
-            linear_forward(G, None, rng.uniform(-2, 2, size=7)).reshape(groups, chunk).mean(axis=-1)
+            OPS["Linear"].forward({}, [rng.uniform(-2, 2, size=7)], [G], True)[0]
+            .reshape(groups, chunk).mean(axis=-1)
         ).max(), chunk,
     )
 

@@ -11,12 +11,7 @@ from lnfold.centering import (
     constraint_residual,
     is_centered,
 )
-from lnfold.ops import (
-    attention_value_forward,
-    conv2d_forward,
-    linear_forward,
-    rnn_cell_forward,
-)
+from lnfold.ops import OPS
 
 EPS_M = float(np.finfo(np.float64).eps)
 RNG = np.random.default_rng(42)
@@ -98,7 +93,7 @@ class TestConvKernel:
         b = center_bias(RNG.uniform(-1, 1, size=6))
         for _ in range(20):
             x = RNG.uniform(-2, 2, size=(3, 8, 8))
-            y = conv2d_forward(K, b, x, stride=1, padding=1)
+            y = OPS["Conv2d"].forward({"stride": 1, "padding": 1}, [x], [K, b], True)[0]
             channel_mean = y.mean(axis=0)
             assert np.abs(channel_mean).max() <= 8 * 6 * EPS_M * 10
 
@@ -122,7 +117,7 @@ class TestRecurrent:
         for _ in range(20):
             x = RNG.uniform(-2, 2, size=4)
             h_prev = RNG.uniform(-2, 2, size=6)
-            c = rnn_cell_forward(Wv, Wh, x, h_prev)
+            c = OPS["RecurrentCell"].forward({}, [x, h_prev], [Wv, Wh], True)[0]
             assert abs(c.mean()) <= 8 * 6 * EPS_M
 
 
@@ -140,7 +135,7 @@ class TestAttentionValue:
         V = center(RNG.uniform(-1, 1, size=(5, 8)), Family.ATTENTION_VALUE_ROWS)
         for _ in range(20):
             B = RNG.uniform(-2, 2, size=(3, 5))
-            y = attention_value_forward(B, V)
+            y = OPS["AttentionValueProjection"].forward({}, [B], [V], True)[0]
             assert np.abs(y.mean(axis=-1)).max() <= 8 * 8 * EPS_M
 
 
@@ -172,7 +167,7 @@ class TestGroupedColumns:
         W = center(RNG.uniform(-1, 1, size=(groups * chunk, 5)), Family.GROUPED_COLUMNS, groups)
         for _ in range(20):
             x = RNG.uniform(-2, 2, size=5)
-            y = linear_forward(W, None, x).reshape(groups, chunk)
+            y = OPS["Linear"].forward({}, [x], [W], True)[0].reshape(groups, chunk)
             assert np.abs(y.mean(axis=-1)).max() <= 8 * chunk * EPS_M
 
 

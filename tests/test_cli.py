@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -159,6 +160,34 @@ class TestFold:
         topo, blob, rep = self._analyze(models, tmp_path, "fanout_trap")
         assert main(["fold", topo, blob, "--report", rep, "--out", str(tmp_path / "f")]) == 1
 
+    def test_pass_through_graph_output_is_affected(self, tmp_path, capsys):
+        # scale passes the centering shift on, and as a graph output it shows it.
+        topo, blob = _save(tmp_path, "m", *_scaled_output_graph())
+        rep, out = str(tmp_path / "rep.json"), str(tmp_path / "f")
+        assert main(["analyze", topo, blob, "--out", rep]) == 0
+        assert "safe=no" in capsys.readouterr().err
+        assert json.loads(Path(rep).read_text())["safety"]["affected"] == ["scale"]
+        assert main(["fold", topo, blob, "--report", rep, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: fold refused: centered layers would perturb non-LayerNorm consumers (scale)\n")
+        assert not os.path.exists(out + ".json") and not os.path.exists(out + ".bin")
+
+    def test_insertion_id_skips_a_taken_name(self, tmp_path, capsys):
+        # The Output already holds center_after_embed, so the insertion after embed takes the next free id.
+        topo, blob = _save(tmp_path, "orig", *_pre_ln_output_named("center_after_embed"))
+        rep, out = str(tmp_path / "rep.json"), str(tmp_path / "folded")
+        assert main(["analyze", topo, blob, "--practical", "--out", rep]) == 0
+        (insertion,) = json.loads(Path(rep).read_text())["insertions"]
+        assert insertion["node_id"] == "center_after_embed_2"
+        capsys.readouterr()
+        assert main(["fold", topo, blob, "--report", rep, "--dry-run"]) == 0
+        assert "insert AuxiliaryCentering center_after_embed_2 after embed" in capsys.readouterr().out
+        assert main(["fold", topo, blob, "--report", rep, "--out", out, "--practical"]) == 0
+        g, _w = load_model(out + ".json", out + ".bin")
+        assert (g.nodes["center_after_embed_2"].kind, g.nodes["center_after_embed"].kind) == (
+            "AuxiliaryCentering", "Output")
+        assert main(["verify", topo, blob, out + ".json", out + ".bin", "--grad"]) == 0
+
     def test_practical_needs_flag(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "pre_ln_transformer", "--practical")
         out = str(tmp_path / "folded")
@@ -208,9 +237,10 @@ _LINEAR_THEN_NORM_EDITS = pytest.mark.parametrize("edit, message", [
     (_insert_after_ghost, "insertion after unknown node(s) 'ghost'"),
     (_set("targets", []), "centering target 'lin' needs spec"),
     (_set("foldable", ["ln", "ln"]), "report lists 'ln' more than once"),
+    (_set("foldable", ["lin"]), "cannot fold: 'lin' is not a LayerNorm node"),
 ], ids=["conv_family", "recurrent_family", "groups_3", "groups_2", "target_node_ln",
         "spec_target_ln_weight", "insertion_after_ghost", "dropped_target",
-        "duplicated_foldable"])
+        "duplicated_foldable", "foldable_linear"])
 
 
 class TestMalformedReport:
@@ -498,6 +528,26 @@ def _centering_node_graph():
     b.output(b.layer_norm("ln", aux, 5))
     b.output(b.simple("act", "ReLU", aux))
     return b.build()
+
+
+def _scaled_output_graph():
+    """x -> lin -> ln, and lin -> ScalarScale scale; ln and scale are the
+    graph outputs, with no Output node."""
+    b = fixtures._Builder(0)
+    lin = b.linear("lin", b.input("x", (4,)), 5, 4)
+    b.layer_norm("ln", lin, 5)
+    b.simple("scale", "ScalarScale", lin, {"scale": 0.5})
+    b.outputs = ["ln", "scale"]
+    return b.build()
+
+
+def _pre_ln_output_named(node_id):
+    """pre_ln_transformer with its Output node renamed node_id."""
+    g, w = fixtures.pre_ln_transformer()
+    (old,) = g.outputs
+    nodes = [make_node(node_id, "Output") if n.id == old else n for n in g.nodes.values()]
+    edges = [(src, node_id if dst == old else dst, slot) for src, dst, slot in g.edges]
+    return Graph(nodes, edges, g.inputs, [node_id]), w
 
 
 class TestFoldThenVerifyGrad:
@@ -864,6 +914,9 @@ class TestMalformedTopology:
         (_set_manifest("name", lambda name: 7), "needs a name, a dtype"),
         (lambda doc: dict(doc, format_version=True), "unsupported format_version True"),
         (lambda doc: dict(doc, format_version=1.0), "unsupported format_version 1.0"),
+        (_set_manifest("dtype", lambda tag: "f16"), "unknown dtype 'f16'"),
+        (_set_manifest("offset", lambda offset: -8), "negative shape, offset or byte_len"),
+        (lambda doc: dict(doc, provenance=["folded"]), "topology 'provenance' must be an object"),
     ], ids=["node_without_kind", "node_without_id", "short_edge", "top_level_list",
             "overlapping_manifest", "manifest_without_dtype", "manifest_entry_list",
             "manifest_shape_not_integer", "manifest_shape_fraction", "manifest_shape_text_entry",
@@ -873,7 +926,8 @@ class TestMalformedTopology:
             "nan_attr", "infinite_attr", "minus_infinite_attr_on_relu",
             "input_id_number", "node_id_number", "node_kind_number", "param_ref_null",
             "edge_end_number", "edge_fourth_item", "output_id_number", "manifest_name_number",
-            "format_version_true", "format_version_fraction"])
+            "format_version_true", "format_version_fraction", "manifest_dtype_f16",
+            "manifest_offset_negative", "provenance_list"])
     def test_exits_1_with_message(self, models, tmp_path, capsys, edit, message):
         topo, blob = models["post_ln_transformer"]
         _edit_topology(topo, edit)
@@ -1110,6 +1164,24 @@ class TestFlopsCmd:
 
     def test_invalid_d(self, capsys):
         assert main(["flops", "--d", "0"]) == 1
+
+    def test_invalid_groups(self, capsys):
+        assert main(["flops", "--d", "8", "--variant", "welford", "--groups", "0"]) == 1
+        assert capsys.readouterr().err == "error: --groups must be >= 1, got 0\n"
+
+
+def test_fixtures_module_writes_every_fixture(tmp_path):
+    # The README's `python -m lnfold.fixtures OUTDIR`, run against the package under test.
+    env = dict(os.environ, PYTHONPATH=str(Path(fixtures.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "lnfold.fixtures", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert len(fixtures.ALL_FIXTURES) == 13
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        f"{name}.{ext}" for name in fixtures.ALL_FIXTURES for ext in ("json", "bin"))
+    for name, build in fixtures.ALL_FIXTURES.items():
+        loaded = load_model(str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.bin"))
+        assert model_hash(*loaded) == model_hash(*build()), name
 
 
 class TestPipeline:

@@ -222,9 +222,29 @@ class TestValidation:
          "node 'x': Input shape must have entries and an element count within int64, got [9223372036854775808, 0]"),
         (lambda: _replace_node(fixtures.linear_then_norm(), make_node("x", "Input", {"shape": [2**62, 2]})),
          "node 'x': Input shape must have entries and an element count within int64, got [4611686018427387904, 2]"),
+        (lambda: _one_node("Conv2d", [(2, 4, 4)], [(4, 2, 3)]), "node 'n': kernel must be 4-D, got shape (4, 2, 3)"),
+        (lambda: _one_node("Conv2d", [(3, 4, 4)], [(4, 2, 3, 3)]), "node 'n': kernel expects 2 input channels, got 3"),
+        (lambda: _one_node("Conv2d", [(2, 2, 2)], [(4, 2, 3, 3)]), "node 'n': kernel 3x3 does not fit input 2x2"),
+        (lambda: _one_node("AttentionValueProjection", [(4,)], [(4, 4, 1)]),
+         "node 'n': value weight must be 2-D, got shape (4, 4, 1)"),
+        (lambda: _one_node("AttentionValueProjection", [(5,)], [(4, 4)]), "node 'n': incoming width 5 != 4"),
+        (lambda: _one_node("LayerNorm", [(4,)], attrs={"normalized_axis_length": 5}),
+         "node 'n': normalized_axis_length 5 != incoming width 4"),
+        (lambda: _one_node("LayerNorm", [(4,)], [(3,)]), "node 'n': gamma shape (3,) != (4,)"),
+        (lambda: _one_node("GroupNorm", [(4,)], attrs={"axis": -5}), "node 'n': axis -5 out of range for shape (4,)"),
+        (lambda: _one_node("ScalarScale", [(4,)]), "node 'n': ScalarScale requires a 'scale' attr"),
+        (lambda: _one_node("ResidualAdd", [(4,), (5,)]), "node 'n': branch shapes differ: [(4,), (5,)]"),
+        (lambda: _one_node("Concat", [(4,), (4,)], attrs={"axis": 0}), "node 'n': only last-axis concat is supported"),
+        (lambda: _one_node("Concat", [(2, 4), (3, 4)]),
+         "node 'n': concat operands disagree off the last axis: [(2, 4), (3, 4)]"),
+        (lambda: _one_node("Embedding", [(3,)], [(4,)], input_attrs={"integer": True}),
+         "node 'n': embedding table must be 2-D, got shape (4,)"),
     ], ids=["eps_text", "conv_stride_0", "input_shape_text", "integer_input_high_0",
             "integer_input_text", "rank_0_into_linear", "input_shape_entry_past_int64",
-            "input_shape_count_past_int64"])
+            "input_shape_count_past_int64", "conv_kernel_3d", "conv_channels", "conv_kernel_too_big",
+            "value_weight_3d", "value_width", "normalized_axis_length", "gamma_shape", "group_norm_axis",
+            "scalar_scale_without_scale", "residual_branch_shapes", "concat_axis_0", "concat_off_last_axis",
+            "embedding_table_1d"])
     def test_malformed_attrs_reported_not_raised(self, model, message):
         report = validate_graph(*model())
         assert message in report.violations
@@ -255,6 +275,18 @@ def _unary_recurrent_cell():
     cell = g.nodes["cell"]
     g = Graph(g.nodes, [e for e in g.edges if e[0] != "h_prev"], g.inputs, g.outputs)
     return _replace_node((g, w), make_node("cell", cell.kind, cell.attrs, cell.param_refs))
+
+
+def _one_node(kind, shapes, params=(), attrs=None, input_attrs=None):
+    """Inputs x0, x1, ... of the given per-sample shapes feeding node 'n' of
+    kind, whose parameters are zero arrays of the given shapes, into an Output."""
+    inputs = [make_node(f"x{i}", "Input", {"shape": list(shape), **(input_attrs or {})})
+              for i, shape in enumerate(shapes)]
+    refs = [f"n.p{i}" for i in range(len(params))]
+    nodes = inputs + [make_node("n", kind, attrs, refs), make_node("out", "Output")]
+    edges = [(x.id, "n", slot) for slot, x in enumerate(inputs)] + [("n", "out", 0)]
+    g = Graph(nodes, edges, [x.id for x in inputs], ["out"])
+    return g, WeightStore({ref: np.zeros(shape) for ref, shape in zip(refs, params)})
 
 
 class TestWeightStore:
@@ -419,6 +451,14 @@ class TestModelFiles:
         raw = Path(blob).read_bytes()
         Path(blob).write_bytes(raw[:-8])
         with pytest.raises(ModelFormatError, match="ln.gamma|ln.beta|lin"):
+            load_model(topo, blob)
+
+    def test_overlong_blob_is_refused(self, tmp_path):
+        g, w = fixtures.linear_then_norm()
+        topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
+        save_model(g, w, topo, blob)
+        Path(blob).write_bytes(Path(blob).read_bytes() + bytes(8))
+        with pytest.raises(ModelFormatError, match=r"^weights blob length 584 does not match manifest extent 576$"):
             load_model(topo, blob)
 
     def test_byte_len_of_part_values_is_refused(self, tmp_path):

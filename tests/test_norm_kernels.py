@@ -21,8 +21,6 @@ from lnfold.ops import (
     _center_scale,
     _group_center_scale,
     _norm_input_grad,
-    linear_forward,
-    rnn_cell_forward,
 )
 
 
@@ -187,7 +185,7 @@ class TestBiasAdd:
         x = rng.standard_normal((4, 6)).astype(np.float32)
         W = rng.standard_normal((3, 6)).astype(np.float32)
         b = rng.standard_normal(3)
-        out = linear_forward(W, b, x)
+        out = OPS["Linear"].forward({}, [x], [W, b], True)[0]
         assert out.dtype == np.float64
         assert _bits(out) == _bits(x @ W.T + b)
 
@@ -197,5 +195,6 @@ class TestBiasAdd:
         x = rng.standard_normal((2, 1, 4, 6))
         W, Wh = rng.standard_normal((3, 6)).astype(w_dtype), rng.standard_normal((3, 3)).astype(w_dtype)
         h, b = rng.standard_normal((2, 1, 4, 3)), rng.standard_normal(3).astype(b_dtype)
-        assert _bits(linear_forward(W, b, x)) == _bits(x @ W.T + b)
-        assert _bits(rnn_cell_forward(W, Wh, x, h, b)) == _bits(x @ W.T + h @ Wh.T + b)
+        assert _bits(OPS["Linear"].forward({}, [x], [W, b], True)[0]) == _bits(x @ W.T + b)
+        cell = OPS["RecurrentCell"].forward({}, [x, h], [W, Wh, b], True)[0]
+        assert _bits(cell) == _bits(x @ W.T + h @ Wh.T + b)

@@ -14,12 +14,9 @@ from lnfold.ops import (
     OPS,
     NumericalError,
     _col2im,
-    _conv2d_with_patches,
     auxiliary_centering,
     group_norm,
     layer_norm,
-    linear_forward,
-    residual_add,
     rms_norm,
 )
 from lnfold.tensor_math import backward, finite_difference_grad, forward, loss_value
@@ -162,7 +159,7 @@ class TestConvPatches:
         fh, fw = kernel
         x = rng.normal(size=lead + (c, 3, 5))
         K, b = rng.normal(size=(2, c, fh, fw)), rng.normal(size=2)
-        out, saved = _conv2d_with_patches(K, b, x, stride, padding)
+        out, saved = OPS["Conv2d"].forward({"stride": stride, "padding": padding}, [x], [K, b], True)
         flat = x.reshape((-1, c, 3, 5))
         cols, (oh, ow) = _reference_im2col(flat, fh, fw, stride, padding)
         ref = (cols @ K.reshape(2, -1).T + b).transpose(0, 2, 1).reshape(lead + (2, oh, ow))
@@ -176,14 +173,14 @@ class TestConvPatches:
 class TestSimplePrimitives:
     def test_linear_identity(self):
         W = np.eye(2)
-        np.testing.assert_array_equal(linear_forward(W, None, np.array([3.0, 4.0])), [3.0, 4.0])
+        np.testing.assert_array_equal(OPS["Linear"].forward({}, [np.array([3.0, 4.0])], [W], True)[0], [3.0, 4.0])
 
     def test_auxiliary_centering(self):
         np.testing.assert_allclose(auxiliary_centering(np.array([2.0, 0.0])), [1.0, -1.0])
 
     def test_residual_add(self):
         np.testing.assert_array_equal(
-            residual_add(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [4.0, 6.0]
+            OPS["ResidualAdd"].forward({}, [np.array([1.0, 2.0]), np.array([3.0, 4.0])], [], True)[0], [4.0, 6.0]
         )
 
 
