@@ -519,7 +519,7 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
     for key in ("inputs", "outputs"):
         if not all(isinstance(nid, str) for nid in doc.get(key, [])):
             raise ModelFormatError(f"topology {key!r} must list node ids as strings")
-    if not isinstance(doc.get("provenance") or {}, dict):
+    if not isinstance(doc.get("provenance", {}), dict):
         raise ModelFormatError("topology 'provenance' must be an object")
 
     edges: list[tuple[str, str, int]] = []

@@ -9,6 +9,7 @@ quantifies what the rewrite saves per normalization layer.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -91,11 +92,11 @@ def check_seed(seed: int) -> None:
 
 
 # numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx) and
-# the multiplier of PCG64's 128-bit step (pcg64.h).
+# the multiplier of PCG64's 128-bit step (pcg64.h), as (hi, lo) uint64 words.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG_MULT = (np.array([2549297995355413924], np.uint64), np.array([4865540595714422341], np.uint64))
+_MASK32 = 2**32 - 1
 
 
 def _hash_consts(init: int, mult: int, first: int, n: int) -> np.ndarray:
@@ -229,37 +230,140 @@ def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]], tape: bool = Fal
     return peak
 
 
-def _stack_trials(batch: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Inputs of several trials as one (trials, 1) + per-sample stack.
+# 128-bit values are (hi, lo) pairs of uint64 arrays. Every wrapping
+# operation runs on arrays: numpy warns when a uint64 scalar overflows.
+
+
+def _add128(a, b):
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _mul128(a, b):
+    """a * b mod 2**128. The high word of the low words' product is summed
+    from their 32-bit partial products (Hacker's Delight's mulhu)."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    u = (t & _MASK32) + a0 * b1
+    return a1 * b1 + (t >> 32) + (u >> 32) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+@functools.cache
+def _pcg_jumps(log_n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(M^k, 1 + M + ... + M^(k-1)) mod 2**128 for k = 1 .. 2**log_n, with M
+    PCG64's multiplier: k steps take a state s with increment inc to
+    M^k s + (1 + ... + M^(k-1)) inc. Each table doubles the one before,
+    since M^(m+k) = M^k M^m and the sum to m + k is M^k times the sum to m
+    plus the sum to k. The arrays are shared and read-only."""
+    if not log_n:
+        table = _PCG_MULT, (np.zeros(1, np.uint64), np.ones(1, np.uint64))
+    else:
+        powers, sums = _pcg_jumps(log_n - 1)
+        last_power, last_sum = [tuple(word[-1:] for word in pair) for pair in (powers, sums)]
+        join = lambda old, new: tuple(np.concatenate(words) for words in zip(old, new))
+        table = join(powers, _mul128(powers, last_power)), join(sums, _add128(_mul128(powers, last_sum), sums))
+    for words in (*table[0], *table[1]):
+        words.flags.writeable = False
+    return table
+
+
+# _pcg_words runs about 50 uint64 operations per word, which are several
+# times faster on arrays that stay in cache: a pass covers whole trials of
+# about this many words at most.
+_WORDS_PER_PASS = 2**14
+
+
+def _pcg_words(seeds: np.ndarray, n: int) -> np.ndarray:
+    """(trials, n) uint64: the first n next_uint64 outputs of the PCG64 each
+    _spawn_states row (s, q) seeds, for every trial and step at once.
+    pcg_setseq_128_srandom_r sets inc = 2 q + 1 and the state to
+    (inc + s) M + inc, so after k more steps the state is
+    M^(k+1) (s + inc) + (1 + ... + M^k) inc; a step's output is XSL-RR of
+    the new state, rotr64(hi ^ lo, hi >> 58)."""
+    powers, sums = [[word[1 : n + 1] for word in pair] for pair in _pcg_jumps(n.bit_length())]
+    out = np.empty((len(seeds), n), np.uint64)
+    rows = max(1, _WORDS_PER_PASS // max(1, n))
+    for first in range(0, len(seeds), rows):
+        s_hi, s_lo, q_hi, q_lo = seeds[first : first + rows].T[:, :, None]
+        inc = (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1)
+        hi, lo = _add128(_mul128(powers, _add128((s_hi, s_lo), inc)), _mul128(sums, inc))
+        x, rot = hi ^ lo, hi >> 58
+        out[first : first + rows] = x >> rot | x << (-rot & 63)
+    return out
+
+
+def _stream_layout(g: Graph) -> tuple[list[tuple], int]:
+    """Where sample_inputs takes each input from its trial's PCG64 outputs,
+    and how many outputs a trial takes: (nid, shape, high, take) per input
+    in g.inputs order, high None for a float input, whose take is a slice
+    of whole words. An integer input with high up to 2**32 takes uint32
+    halves, as indices into the words viewed as '<u4' (a word's low half
+    first): PCG64's next32 buffers a word's high half, past float draws,
+    until the next integer draw. An input that draws nothing (high 1, or
+    no elements) or 64-bit integers (high above 2**32) has take None."""
+    layout, words, buffered = [], 0, []
+    for nid in g.inputs:
+        attrs = g.nodes[nid].attrs
+        shape = tuple(int(s) for s in attrs.get("shape", ()))
+        size = math.prod(shape)
+        high = _INPUT.attr(attrs, "high") if _INPUT.attr(attrs, "integer") else None
+        if high is None:
+            take = slice(words, words + size)
+            words += size
+        elif high == 1 or high > 2**32 or not size:
+            take = None
+        else:
+            fresh = size - len(buffered)
+            take = np.concatenate([buffered, np.arange(2 * words, 2 * words + fresh)]).astype(np.intp)
+            words += (fresh + 1) // 2
+            buffered = [2 * words - 1] if fresh % 2 else []
+        layout.append((nid, shape, high, take))
+    return layout, words
+
+
+def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator[dict[str, np.ndarray]]:
+    """Yield the inputs of consecutive batches of up to per_batch seeded
+    trials, each a fresh C-contiguous (trials, 1) + per-sample array.
 
     The singleton axis keeps every matmul a stack of the same per-trial BLAS
     calls (a (trials, d) stack would become one matrix product, which rounds
     differently), so stacked results equal one-at-a-time results bit for bit.
-    """
-    return {nid: np.stack([trial[nid] for trial in batch])[:, None] for nid in batch[0]}
-
-
-def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator[dict[str, np.ndarray]]:
-    """Yield the stacked inputs (_stack_trials) of consecutive batches of up
-    to per_batch seeded trials. Trial t draws from
-    PCG64(SeedSequence(seed).spawn(trials)[t]): one generator per call is
-    set to each trial's stream in turn, seeded from _spawn_states as
-    PCG64's own seeding (pcg64_set_seed) does, so each call owns its
-    generator and may run beside another."""
+    Trial t draws from PCG64(SeedSequence(seed).spawn(trials)[t]): its state
+    is seeded from _spawn_states, and its outputs are computed for the whole
+    batch on uint64 arrays (_pcg_words, _stream_layout). Floats are
+    Generator.uniform(-2, 2)'s; integers are Generator.integers(0, high)'s
+    Lemire method. A trial that would reject a Lemire draw, or draws 64-bit
+    integers, is redrawn by a numpy Generator of its own, seeded from its
+    SeedSequence child. Nothing is shared between calls but read-only jump
+    tables (_pcg_jumps), so calls may run beside each other."""
     check_trials(trials)
     check_seed(seed)
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
+    layout, words = _stream_layout(g)
     for start in range(0, trials, per_batch):
-        batch = []
-        for s_hi, s_lo, q_hi, q_lo in _spawn_states(seed, start, min(start + per_batch, trials)).tolist():
-            # pcg_setseq_128_srandom_r: odd increment; step from 0, add the seed, step
-            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            batch.append(sample_inputs(g, rng))
-        yield _stack_trials(batch)
+        stream = _pcg_words(_spawn_states(seed, start, min(start + per_batch, trials)), words)
+        halves = stream.astype("<u8", copy=False).view("<u4")
+        count = len(stream)
+        redraw = np.zeros(count, bool)
+        batch = {}
+        for nid, shape, high, take in layout:
+            if high is None:
+                # -2 + 4 * ((word >> 11) * 2**-53): the product is exact, the sum rounds once
+                values = (stream[:, take] >> 11) * 2.0**-51
+                values -= 2.0
+            elif take is None:  # nothing to draw, or 64-bit draws, which numpy's generator makes below
+                values = np.zeros((count, math.prod(shape)), np.int64)
+                redraw |= high > 2**32
+            else:
+                scaled = np.multiply(np.take(halves, take, axis=1), high, dtype=np.uint64)
+                values = (scaled >> 32).astype(np.int64)
+                redraw |= ((scaled & _MASK32) < (2**32 - high) % high).any(axis=1)
+            batch[nid] = values.reshape((count, 1) + shape)
+        for t in np.flatnonzero(redraw).tolist():
+            child = np.random.SeedSequence(seed, spawn_key=(start + t,))
+            for nid, values in sample_inputs(g, np.random.Generator(np.random.PCG64(child))).items():
+                batch[nid][t, 0] = values
+        yield batch
 
 
 # ---------------------------------------------------------------------------

@@ -916,7 +916,8 @@ class TestMalformedTopology:
         (lambda doc: dict(doc, format_version=1.0), "unsupported format_version 1.0"),
         (_set_manifest("dtype", lambda tag: "f16"), "unknown dtype 'f16'"),
         (_set_manifest("offset", lambda offset: -8), "negative shape, offset or byte_len"),
-        (lambda doc: dict(doc, provenance=["folded"]), "topology 'provenance' must be an object"),
+        *((lambda doc, value=value: dict(doc, provenance=value), "topology 'provenance' must be an object")
+          for value in (["folded"], [], False, 0, "", None)),
     ], ids=["node_without_kind", "node_without_id", "short_edge", "top_level_list",
             "overlapping_manifest", "manifest_without_dtype", "manifest_entry_list",
             "manifest_shape_not_integer", "manifest_shape_fraction", "manifest_shape_text_entry",
@@ -927,13 +928,20 @@ class TestMalformedTopology:
             "input_id_number", "node_id_number", "node_kind_number", "param_ref_null",
             "edge_end_number", "edge_fourth_item", "output_id_number", "manifest_name_number",
             "format_version_true", "format_version_fraction", "manifest_dtype_f16",
-            "manifest_offset_negative", "provenance_list"])
+            "manifest_offset_negative", "provenance_list", "provenance_empty_list", "provenance_false",
+            "provenance_zero", "provenance_empty_text", "provenance_null"])
     def test_exits_1_with_message(self, models, tmp_path, capsys, edit, message):
         topo, blob = models["post_ln_transformer"]
         _edit_topology(topo, edit)
         assert main(["analyze", topo, blob]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load model: ") and message in err
+
+    def test_empty_provenance_loads_as_none(self, models):
+        topo, blob = models["post_ln_transformer"]
+        _edit_topology(topo, lambda doc: dict(doc, provenance={}))
+        assert load_model(topo, blob)[0].provenance is None
+        assert main(["analyze", topo, blob]) == 0
 
     @pytest.mark.parametrize("command", ["analyze", "fold", "verify", "pipeline"])
     def test_non_finite_constant_is_refused_by_every_command(self, models, tmp_path, capsys, command):

@@ -1,6 +1,7 @@
 """Tests for the verification harness: forward/gradient equivalence,
 zero-mean probes, the operation-count model, and lockstep training."""
 
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -77,6 +78,12 @@ def _trial_rngs(seed, trials):
     """numpy's own per-trial generators, the oracle for verify's streams:
     trial t draws from PCG64(SeedSequence(seed).spawn(trials)[t])."""
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
+
+
+def _stack_trials(batch):
+    """Inputs of several trials as one (trials, 1) + per-sample stack, the
+    layout of verify's batches."""
+    return {nid: np.stack([trial[nid] for trial in batch])[:, None] for nid in batch[0]}
 
 
 def _reference_forward_diff(gA, wA, gB, wB, trials, seed):
@@ -241,22 +248,47 @@ STREAM_SEEDS = pytest.mark.parametrize(
 class TestTrialStreams:
     """verify's seeded inputs are numpy's per-trial streams, bit for bit."""
 
-    @pytest.mark.parametrize("name", ["linear_then_norm", "pre_ln_transformer", "recurrent_then_norm"],
-                             ids=["float_input", "integer_input", "two_inputs"])
-    @STREAM_SEEDS
-    def test_batches_equal_numpy_streams(self, seed, name):
-        g, _ = fixtures.ALL_FIXTURES[name]()
-        for trials in (1, 7, 100, 101):
+    @staticmethod
+    def _assert_batches_equal_streams(g, seed, trials_list=(1, 7, 100, 101)):
+        for trials in trials_list:
             reference = [sample_inputs(g, rng) for rng in _trial_rngs(seed, trials)]
             for per_batch in sorted({1, 3, 50, trials}):
                 batches = list(verify._trial_batches(g, seed, trials, per_batch))
                 assert len(batches) == -(-trials // per_batch)
                 for start, batch in zip(range(0, trials, per_batch), batches):
-                    expected = verify._stack_trials(reference[start : start + per_batch])
+                    expected = _stack_trials(reference[start : start + per_batch])
                     assert batch.keys() == expected.keys()
                     for nid, value in batch.items():
                         assert value.dtype == expected[nid].dtype
+                        assert value.dtype in (np.float64, np.int64) and value.flags.c_contiguous
                         assert np.array_equal(value, expected[nid]), (trials, per_batch, start, nid)
+
+    @pytest.mark.parametrize("name", ["linear_then_norm", "pre_ln_transformer", "recurrent_then_norm"],
+                             ids=["float_input", "integer_input", "two_inputs"])
+    @STREAM_SEEDS
+    def test_batches_equal_numpy_streams(self, seed, name):
+        self._assert_batches_equal_streams(fixtures.ALL_FIXTURES[name]()[0], seed)
+
+    # Inputs in g.inputs order, each (per-sample shape, high), high None for
+    # a float input. An odd integer input leaves the high half of its last
+    # word buffered, past float inputs, for the next integer input; high 1
+    # draws nothing; about half of all draws at 2**31 + 1 are rejected, so
+    # nearly every trial is redrawn by numpy's generator, as is every trial
+    # that draws 64-bit integers (high above 2**32).
+    @pytest.mark.parametrize("inputs", [
+        [((5,), 13), ((3,), None), ((4,), 7)],
+        *([((3,), 13), ((4,), high), ((2,), None), ((3,), 5)]
+          for high in (1, 2, 2**31 + 1, 2**32, 2**32 + 1, 2**63 - 1)),
+        [((), None), ((0,), 13), ((), 13), ((0, 3), None), ((3,), 7)],
+        [((3, 32, 32), None), ((5,), 13)],
+    ], ids=["buffered_half", "high_1", "high_2", "high_2^31+1", "high_2^32", "high_2^32+1",
+            "high_int64_max", "scalar_and_empty", "several_passes"])
+    @STREAM_SEEDS
+    def test_layouts_equal_numpy_streams(self, seed, inputs):
+        b = fixtures._Builder(0)
+        for i, (shape, high) in enumerate(inputs):
+            b.output(b.input(f"x{i}", shape, integer=high is not None, high=high))
+        self._assert_batches_equal_streams(b.build()[0], seed, (1, 7, 101))
 
     @STREAM_SEEDS
     def test_spawn_key_words(self, seed):
@@ -269,8 +301,31 @@ class TestTrialStreams:
     def test_numpy_integer_seed(self):
         g, _ = fixtures.linear_then_norm()
         (batch,) = verify._trial_batches(g, np.uint64(2**64 - 1), 5, 5)
-        expected = verify._stack_trials([sample_inputs(g, rng) for rng in _trial_rngs(2**64 - 1, 5)])
+        expected = _stack_trials([sample_inputs(g, rng) for rng in _trial_rngs(2**64 - 1, 5)])
         assert np.array_equal(batch["x"], expected["x"])
+
+    def test_threads_filling_the_jump_tables_at_once(self):
+        # More threads than cores, each needing tables of its own length,
+        # start from an empty cache and switch often.
+        graphs = []
+        for size in (3, 40, 300, 3000):
+            b = fixtures._Builder(0)
+            b.output(b.input("x", (size,)))
+            graphs.append(b.build()[0])
+        expected = [[_stack_trials([sample_inputs(g, rng) for rng in _trial_rngs(5, 9)[start : start + 4]])["x"]
+                     for start in (0, 4, 8)] for g in graphs]
+        verify._pcg_jumps.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(graphs)) as pool:
+                runs = [pool.submit(lambda g=g: [batch["x"] for batch in verify._trial_batches(g, 5, 9, 4)])
+                        for g in graphs]
+                drawn = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(drawn, expected):
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_checks_on_two_threads_draw_the_same_streams(self):
         g, w = fixtures.linear_then_norm()
@@ -470,7 +525,7 @@ def test_every_kind_with_parameters_has_a_one_op_graph():
 class TestKeptAxisBackward:
     def _stacked(self, g, w, trials=5):
         batch = [sample_inputs(g, rng) for rng in _trial_rngs(11, trials)]
-        outs, tape = forward(g, w, verify._stack_trials(batch))
+        outs, tape = forward(g, w, _stack_trials(batch))
         out_grads = [np.random.default_rng(5).normal(size=o.shape) for o in outs]
         return batch, tape, out_grads
 
