@@ -83,8 +83,9 @@ class _Operational(Exception):
     pass
 
 
-# What verification raises when it cannot run a model at all.
-_VERIFY_ERRORS = (ValueError, GraphValidationError, ArithmeticError)
+# What verification raises when it cannot run a model at all, or cannot
+# hold its inputs or activations in memory.
+_VERIFY_ERRORS = (ValueError, GraphValidationError, ArithmeticError, MemoryError)
 
 
 def _check_run(args: argparse.Namespace, *counts: int) -> None:

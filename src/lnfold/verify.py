@@ -9,7 +9,6 @@ quantifies what the rewrite saves per normalization layer.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -65,20 +64,6 @@ class EquivalenceReport:
 # ---------------------------------------------------------------------------
 
 
-def sample_inputs(g: Graph, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Draw one input set: uniform [-2, 2] floats, or seeded integers for
-    inputs marked integer (index streams for embedding lookups)."""
-    out: dict[str, np.ndarray] = {}
-    for nid in g.inputs:
-        attrs = g.nodes[nid].attrs
-        shape = tuple(int(s) for s in attrs.get("shape", ()))
-        if _INPUT.attr(attrs, "integer"):
-            out[nid] = rng.integers(0, _INPUT.attr(attrs, "high"), size=shape)
-        else:
-            out[nid] = rng.uniform(-2.0, 2.0, size=shape)
-    return out
-
-
 def check_trials(trials: int) -> None:
     """ValueError unless there is at least one trial to run."""
     if trials < 1:
@@ -86,60 +71,9 @@ def check_trials(trials: int) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """ValueError unless seed can seed numpy's generators (an integer >= 0)."""
+    """ValueError unless seed can seed the trial streams (an integer >= 0)."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-
-
-# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx) and
-# the multiplier of PCG64's 128-bit step (pcg64.h), as (hi, lo) uint64 words.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (np.array([2549297995355413924], np.uint64), np.array([4865540595714422341], np.uint64))
-_MASK32 = 2**32 - 1
-
-
-def _hash_consts(init: int, mult: int, first: int, n: int) -> np.ndarray:
-    """The values a hash constant takes over its calls first .. first + n,
-    as a uint32 column: hashmix call i xors in row i and multiplies by row
-    i + 1."""
-    consts = [init * pow(mult, i, 2**32) & _MASK32 for i in range(first, first + n + 1)]
-    return np.array(consts, np.uint32)[:, None]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mul
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ result >> 16
-
-
-def _spawn_states(seed: int, start: int, stop: int) -> np.ndarray:
-    """Row i is SeedSequence(seed, spawn_key=(start + i,)).generate_state(4,
-    np.uint64), the words PCG64 seeds itself from, for trial indices below
-    2**64 (one or two uint32 key words). Every child starts from the pool
-    its seed's words alone mix to; numpy's mixing of the key words into
-    that pool, and the state drawn from it, run here once for all indices,
-    on uint32 arrays of shape (4 pool words, indices)."""
-    seed = operator.index(seed)  # numpy integers too, as SeedSequence takes them
-    words = [seed >> shift & _MASK32 for shift in range(0, seed.bit_length(), 32)] or [0]
-    words += [0] * (4 - len(words))  # a spawned sequence pads its entropy to the pool size
-    pool = np.random.SeedSequence(words).pool[:, None]
-    index = np.arange(start, stop, dtype=np.uint64)
-    # Each key word mixes into every pool word, continuing the hash constant
-    # after the seed's 4 * len(words) hashmix calls (4 to fill the pool, 12
-    # to mix it, 4 per word past the fourth); the high word exists from
-    # 2**32 on.
-    consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(words), 8)
-    for i, word in enumerate(((index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32))):
-        mixed = _mix(pool, _hashmix(word, consts[4 * i : 4 * i + 4], consts[4 * i + 1 : 4 * i + 5]))
-        pool = np.where(index > _MASK32, mixed, pool) if i else mixed
-    consts = _hash_consts(_INIT_B, _MULT_B, 0, 8)
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], consts[:-1], consts[1:])
-    return np.ascontiguousarray(state.T, "<u4").view("<u8")
 
 
 def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> tuple:
@@ -230,96 +164,39 @@ def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]], tape: bool = Fal
     return peak
 
 
-# 128-bit values are (hi, lo) pairs of uint64 arrays. Every wrapping
-# operation runs on arrays: numpy warns when a uint64 scalar overflows.
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-ratio step
+# between counters and the two multipliers of its output function.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_MASK64 = 2**64 - 1
 
 
-def _add128(a, b):
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < b[1]), lo
+def _splitmix(keys: np.ndarray, first: int, n: int) -> np.ndarray:
+    """(len(keys), n) uint64: outputs first .. first + n - 1 of the
+    SplitMix64 stream each uint64 key starts, output i being
+    mix(key + (i + 1) * GAMMA) mod 2**64, with mix SplitMix64's output
+    function. Every wrapping operation runs on arrays: numpy warns when a
+    uint64 scalar overflows."""
+    z = np.add.outer(keys, np.arange(first, first + n, dtype=np.uint64) * _GAMMA + _GAMMA)
+    z ^= z >> 30
+    z *= _MIX_A
+    z ^= z >> 27
+    z *= _MIX_B
+    z ^= z >> 31
+    return z
 
 
-def _mul128(a, b):
-    """a * b mod 2**128. The high word of the low words' product is summed
-    from their 32-bit partial products (Hacker's Delight's mulhu)."""
-    (a_hi, a_lo), (b_hi, b_lo) = a, b
-    a0, a1, b0, b1 = a_lo & _MASK32, a_lo >> 32, b_lo & _MASK32, b_lo >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    u = (t & _MASK32) + a0 * b1
-    return a1 * b1 + (t >> 32) + (u >> 32) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
-
-
-@functools.cache
-def _pcg_jumps(log_n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """(M^k, 1 + M + ... + M^(k-1)) mod 2**128 for k = 1 .. 2**log_n, with M
-    PCG64's multiplier: k steps take a state s with increment inc to
-    M^k s + (1 + ... + M^(k-1)) inc. Each table doubles the one before,
-    since M^(m+k) = M^k M^m and the sum to m + k is M^k times the sum to m
-    plus the sum to k. The arrays are shared and read-only."""
-    if not log_n:
-        table = _PCG_MULT, (np.zeros(1, np.uint64), np.ones(1, np.uint64))
-    else:
-        powers, sums = _pcg_jumps(log_n - 1)
-        last_power, last_sum = [tuple(word[-1:] for word in pair) for pair in (powers, sums)]
-        join = lambda old, new: tuple(np.concatenate(words) for words in zip(old, new))
-        table = join(powers, _mul128(powers, last_power)), join(sums, _add128(_mul128(powers, last_sum), sums))
-    for words in (*table[0], *table[1]):
-        words.flags.writeable = False
-    return table
-
-
-# _pcg_words runs about 50 uint64 operations per word, which are several
-# times faster on arrays that stay in cache: a pass covers whole trials of
-# about this many words at most.
-_WORDS_PER_PASS = 2**14
-
-
-def _pcg_words(seeds: np.ndarray, n: int) -> np.ndarray:
-    """(trials, n) uint64: the first n next_uint64 outputs of the PCG64 each
-    _spawn_states row (s, q) seeds, for every trial and step at once.
-    pcg_setseq_128_srandom_r sets inc = 2 q + 1 and the state to
-    (inc + s) M + inc, so after k more steps the state is
-    M^(k+1) (s + inc) + (1 + ... + M^k) inc; a step's output is XSL-RR of
-    the new state, rotr64(hi ^ lo, hi >> 58)."""
-    powers, sums = [[word[1 : n + 1] for word in pair] for pair in _pcg_jumps(n.bit_length())]
-    out = np.empty((len(seeds), n), np.uint64)
-    rows = max(1, _WORDS_PER_PASS // max(1, n))
-    for first in range(0, len(seeds), rows):
-        s_hi, s_lo, q_hi, q_lo = seeds[first : first + rows].T[:, :, None]
-        inc = (q_hi << 1 | q_lo >> 63, q_lo << 1 | 1)
-        hi, lo = _add128(_mul128(powers, _add128((s_hi, s_lo), inc)), _mul128(sums, inc))
-        x, rot = hi ^ lo, hi >> 58
-        out[first : first + rows] = x >> rot | x << (-rot & 63)
-    return out
-
-
-def _stream_layout(g: Graph) -> tuple[list[tuple], int]:
-    """Where sample_inputs takes each input from its trial's PCG64 outputs,
-    and how many outputs a trial takes: (nid, shape, high, take) per input
-    in g.inputs order, high None for a float input, whose take is a slice
-    of whole words. An integer input with high up to 2**32 takes uint32
-    halves, as indices into the words viewed as '<u4' (a word's low half
-    first): PCG64's next32 buffers a word's high half, past float draws,
-    until the next integer draw. An input that draws nothing (high 1, or
-    no elements) or 64-bit integers (high above 2**32) has take None."""
-    layout, words, buffered = [], 0, []
-    for nid in g.inputs:
-        attrs = g.nodes[nid].attrs
-        shape = tuple(int(s) for s in attrs.get("shape", ()))
-        size = math.prod(shape)
-        high = _INPUT.attr(attrs, "high") if _INPUT.attr(attrs, "integer") else None
-        if high is None:
-            take = slice(words, words + size)
-            words += size
-        elif high == 1 or high > 2**32 or not size:
-            take = None
-        else:
-            fresh = size - len(buffered)
-            take = np.concatenate([buffered, np.arange(2 * words, 2 * words + fresh)]).astype(np.intp)
-            words += (fresh + 1) // 2
-            buffered = [2 * words - 1] if fresh % 2 else []
-        layout.append((nid, shape, high, take))
-    return layout, words
+def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """The keys of trials start .. stop - 1, as uint64: trial t's key is
+    output t of the stream the seed's key starts. The seed's key folds its
+    64-bit words in, least significant first, from 0: each step takes
+    output 0 of the stream started by the key xor the word. A seed is an
+    integer >= 0 of any size, numpy integers too; 0 is one word."""
+    seed = operator.index(seed)
+    key = 0
+    for shift in range(0, max(1, seed.bit_length()), 64):
+        key = int(_splitmix(np.array([key ^ seed >> shift & _MASK64], np.uint64), 0, 1)[0, 0])
+    return _splitmix(np.array([key], np.uint64), start, stop - start)[0]
 
 
 def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator[dict[str, np.ndarray]]:
@@ -329,40 +206,31 @@ def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator
     The singleton axis keeps every matmul a stack of the same per-trial BLAS
     calls (a (trials, d) stack would become one matrix product, which rounds
     differently), so stacked results equal one-at-a-time results bit for bit.
-    Trial t draws from PCG64(SeedSequence(seed).spawn(trials)[t]): its state
-    is seeded from _spawn_states, and its outputs are computed for the whole
-    batch on uint64 arrays (_pcg_words, _stream_layout). Floats are
-    Generator.uniform(-2, 2)'s; integers are Generator.integers(0, high)'s
-    Lemire method. A trial that would reject a Lemire draw, or draws 64-bit
-    integers, is redrawn by a numpy Generator of its own, seeded from its
-    SeedSequence child. Nothing is shared between calls but read-only jump
-    tables (_pcg_jumps), so calls may run beside each other."""
+    Value i of a trial, counted across g.inputs in order, is output i of the
+    SplitMix64 stream its key starts (_trial_keys), so it depends only on the
+    seed, the trial index and i, never on the batch split or the trial
+    count. A float is (word >> 11) * 2**-51 - 2, in [-2, 2), rounded once;
+    an integer is word mod high, in [0, high), biased by less than
+    high / 2**64. Nothing is shared between calls, so calls may run beside
+    each other."""
     check_trials(trials)
     check_seed(seed)
-    layout, words = _stream_layout(g)
     for start in range(0, trials, per_batch):
-        stream = _pcg_words(_spawn_states(seed, start, min(start + per_batch, trials)), words)
-        halves = stream.astype("<u8", copy=False).view("<u4")
-        count = len(stream)
-        redraw = np.zeros(count, bool)
-        batch = {}
-        for nid, shape, high, take in layout:
-            if high is None:
-                # -2 + 4 * ((word >> 11) * 2**-53): the product is exact, the sum rounds once
-                values = (stream[:, take] >> 11) * 2.0**-51
-                values -= 2.0
-            elif take is None:  # nothing to draw, or 64-bit draws, which numpy's generator makes below
-                values = np.zeros((count, math.prod(shape)), np.int64)
-                redraw |= high > 2**32
+        keys = _trial_keys(seed, start, min(start + per_batch, trials))
+        batch, first = {}, 0
+        for nid in g.inputs:
+            attrs = g.nodes[nid].attrs
+            shape = tuple(int(s) for s in attrs.get("shape", ()))
+            words = _splitmix(keys, first, math.prod(shape))
+            first += words.shape[1]
+            if _INPUT.attr(attrs, "integer"):
+                words %= int(_INPUT.attr(attrs, "high"))
+                values = words.view(np.int64)  # below high, so below 2**63
             else:
-                scaled = np.multiply(np.take(halves, take, axis=1), high, dtype=np.uint64)
-                values = (scaled >> 32).astype(np.int64)
-                redraw |= ((scaled & _MASK32) < (2**32 - high) % high).any(axis=1)
-            batch[nid] = values.reshape((count, 1) + shape)
-        for t in np.flatnonzero(redraw).tolist():
-            child = np.random.SeedSequence(seed, spawn_key=(start + t,))
-            for nid, values in sample_inputs(g, np.random.Generator(np.random.PCG64(child))).items():
-                batch[nid][t, 0] = values
+                words >>= 11
+                values = words * 2.0**-51  # exact: the sum below rounds once
+                values -= 2.0
+            batch[nid] = values.reshape((len(keys), 1) + shape)
         yield batch
 
 
@@ -384,11 +252,11 @@ def verify_forward(
 
     Trials are evaluated in stacked batches by tape-free forwards, as many
     per batch as keep the larger of the two models' live activations
-    (_live_peak) under TAPE_BUDGET; each trial draws its inputs from its own
-    generator, so the result equals evaluating the trials one at a time. A
-    difference over no elements is 0; a non-finite output or difference
-    reports None and fails. tol defaults to default_tol of the two stores.
-    Both models are validated first.
+    (_live_peak) under TAPE_BUDGET; a trial's inputs depend only on the seed
+    and its index (_trial_batches), so the result equals evaluating the
+    trials one at a time. A difference over no elements is 0; a non-finite
+    output or difference reports None and fails. tol defaults to default_tol
+    of the two stores. Both models are validated first.
     """
     shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
     if tol is None:

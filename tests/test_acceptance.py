@@ -43,11 +43,11 @@ from lnfold.ops import OPS, layer_norm, rms_norm
 from lnfold.tensor_math import backward, forward
 from lnfold.verify import (
     flops_estimate,
-    sample_inputs,
     training_equivalence,
     verify_forward,
     verify_gradients,
 )
+from sampling import sample_inputs
 
 EPS_M = float(np.finfo(np.float64).eps)
 

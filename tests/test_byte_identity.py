@@ -10,7 +10,9 @@ re-derived fold plan; the shared_producer digests were recorded before a
 fold spliced its report's recorded insertions; the linear_then_norm_f32
 and integer_input_norms digests were recorded before the normalization
 kernels were rewritten with fewer numpy calls; the recurrent_then_norm
-digests were recorded before RecurrentCell took Linear's backward.
+digests were recorded before RecurrentCell took Linear's backward. The
+verify digests were re-pinned once, when verify's inputs moved from numpy's
+per-trial generators to lnfold's own SplitMix64 counter stream.
 Regenerate them with ``python tests/test_byte_identity.py`` (with ``src``
 on the path) only for a change that means to alter output.
 """
@@ -136,7 +138,7 @@ EXPECTED = {
         "report": "ee8072c1601e896b3f436c9e1167cc162534bc47666396abb3d3fd52a5f771d9",
         "folded_json": "91f4997a66b7f26e0baf9a9b009a360011bf3cdcaa5d915bddc4c7136adc308d",
         "folded_bin": "e1de2e319bc2ea285db7d1465fc28c5c7421a952827b4ad4ecd703967d65e64e",
-        "verify": "c73ad52afaba645ffe3547b2de39ef8783ec4a4a1a58142013cab107558c0e81",
+        "verify": "1febe5d7a50adcea4646182ddf3786979408431e267a826100641543ee410312",
     },
     "integer_input_norms/practical": {
         "exit": [0, 0, 0],
@@ -144,7 +146,7 @@ EXPECTED = {
         "report": "680589349e28a626884a4507ade11d77580d006f85c160cff66e2772abf11ccb",
         "folded_json": "3d5a8f5b604ce055939443b1e85192535f45bc0dc0cc3841013069cb498d9e03",
         "folded_bin": "e1de2e319bc2ea285db7d1465fc28c5c7421a952827b4ad4ecd703967d65e64e",
-        "verify": "c73ad52afaba645ffe3547b2de39ef8783ec4a4a1a58142013cab107558c0e81",
+        "verify": "1febe5d7a50adcea4646182ddf3786979408431e267a826100641543ee410312",
     },
     "linear_then_norm/strict": {
         "exit": [0, 0, 0],
@@ -152,7 +154,7 @@ EXPECTED = {
         "report": "026c0762a72178ada35459192f009b5c7680eb34b7bd7242543e9cc8a34372ff",
         "folded_json": "5d6fb54718eea6ba66ebca68bdf29692f44a23cab306d749ad3e4d48191cb90f",
         "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
-        "verify": "d934a1d6bbed03d9143fdb9a6dec49482a26e5dd77acbdef6255d44973ef5eaa",
+        "verify": "f2f47e36fc66247c53efe3f7c18400134ae626f63b3df6da50655acb5f809d1f",
     },
     "linear_then_norm/practical": {
         "exit": [0, 0, 0],
@@ -160,7 +162,7 @@ EXPECTED = {
         "report": "fe14ff89597ed2336a0c871966045139d4291df1cad777433debee4014ae92bf",
         "folded_json": "bb7469f232d6b5841cd5156f071a203e4e902366b575790c0958dd2173316a29",
         "folded_bin": "17f7420497f599f0b83644773d56d1dfbc8ff09a7bfd9c72535dfd2448c18817",
-        "verify": "d934a1d6bbed03d9143fdb9a6dec49482a26e5dd77acbdef6255d44973ef5eaa",
+        "verify": "f2f47e36fc66247c53efe3f7c18400134ae626f63b3df6da50655acb5f809d1f",
     },
     "linear_then_norm_f32/strict": {
         "exit": [0, 0, 0],
@@ -168,7 +170,7 @@ EXPECTED = {
         "report": "b29276e19a6492a9729aa12132534b582684ac46ddc3100c175b5de7f5ae242f",
         "folded_json": "236da03390cb905dc545a41fdb73b1ede9a05fceccfd2d70057418d4eb9f784c",
         "folded_bin": "5cdc9670b3841c3d45c2d1d3d788af966d7d2dd1b260c8abe262a01831f3af9c",
-        "verify": "613490d2c0e8a5a482df5ebdef21ba221448175b002d6abf03cd121539631c21",
+        "verify": "cbb2e9528a24b27dadd597f0354f512cce77dc8ac054cac1c149e2f9f6c854a8",
     },
     "linear_then_norm_f32/practical": {
         "exit": [0, 0, 0],
@@ -176,7 +178,7 @@ EXPECTED = {
         "report": "576ca21b81ed8ab8026b758450087b55f2815e02c3ce3994c7c85f7791dbfaac",
         "folded_json": "6ffe6af92fa44104a43717eb1f37866554ba82554328a1b225cde584cd8038dd",
         "folded_bin": "5cdc9670b3841c3d45c2d1d3d788af966d7d2dd1b260c8abe262a01831f3af9c",
-        "verify": "613490d2c0e8a5a482df5ebdef21ba221448175b002d6abf03cd121539631c21",
+        "verify": "cbb2e9528a24b27dadd597f0354f512cce77dc8ac054cac1c149e2f9f6c854a8",
     },
     "post_ln_transformer/strict": {
         "exit": [0, 0, 0],
@@ -184,7 +186,7 @@ EXPECTED = {
         "report": "341c5b4bd113045e2c4d5910559963c1d800045b308dcad79e42ef74cf74b912",
         "folded_json": "88314dbee47cd0c1f918d8bd3b48c3c080170fc4da3d898ccc8041c2b6a3a204",
         "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
-        "verify": "9d8c8a31329a4c9e4587015b4a2cf78e089aea5069b990d349df9425bd5b7038",
+        "verify": "4dcbfe034a1381d8dbc2c85d42d01f45e50a359b40809016a8df49795bba2cea",
     },
     "post_ln_transformer/practical": {
         "exit": [0, 0, 0],
@@ -192,7 +194,7 @@ EXPECTED = {
         "report": "c5a13bfcb3fa3825296fb54ce39dbb031605687d218900483fde530eb7461157",
         "folded_json": "faea224fc23979756e8af4c9146b448d115e601f5eea767da4d2811ffcc09288",
         "folded_bin": "e4a815f2023ca295cf4b0d62ec528e401526e1f714560818ee9334699b440b12",
-        "verify": "9d8c8a31329a4c9e4587015b4a2cf78e089aea5069b990d349df9425bd5b7038",
+        "verify": "4dcbfe034a1381d8dbc2c85d42d01f45e50a359b40809016a8df49795bba2cea",
     },
     "pre_ln_transformer_12/strict": {
         "exit": [0, 0, 0],
@@ -208,7 +210,7 @@ EXPECTED = {
         "report": "046e0adb869f507812d71e421a8cbdd67d7d5b7faa9cffc86ab5fb7cf0cb5906",
         "folded_json": "f30d98aa312c6146b7d6f1385a0c4c24c5d4000187517e147927d448a2a35f70",
         "folded_bin": "64333646e5199cf87e32aba11e86b47fc11bcf1c4ea755d53d6912b7f6c2314e",
-        "verify": "25944bfe330370518865df31736846ded260ced07cd42941a8e5469b79588eb1",
+        "verify": "e2c9c28f344a877695bd34fe75c0dabd5eddac4442c73632a08f018c185284d6",
     },
     "recurrent_then_norm/practical": {
         "exit": [0, 0, 0],
@@ -216,7 +218,7 @@ EXPECTED = {
         "report": "40c0988359d93aafab56738ec1b83ff0bae05d1d227ff45cfcf8bbb5bc46594c",
         "folded_json": "a97b3673c3ab8e424747c132adbdf3e7ff7c3188cf978520879701d31bd95def",
         "folded_bin": "aa9799fc3417d480d2f4beae633e969eb81e2064c8d4a4cd1efa44c6dfb6e9b3",
-        "verify": "4f3a4e467310a1a07fc656aa4086dae0f6e64d3a9edf13370418dc9ff31e286a",
+        "verify": "0ea48bb7b8c7d5852f4c2882143ecbfb85a4ddc306eb6c1766dbb3e842bebe38",
     },
     "recurrent_then_norm/strict": {
         "exit": [0, 0, 0],
@@ -224,7 +226,7 @@ EXPECTED = {
         "report": "18767cb7993cea26733634ae5c7aa67ee2454c6fd3661eec285d6f6df5ea69e1",
         "folded_json": "f4e99d7afd66d94ab47fe3f09cc6e45589eb20fef337e2baead02f956a1532b5",
         "folded_bin": "aa9799fc3417d480d2f4beae633e969eb81e2064c8d4a4cd1efa44c6dfb6e9b3",
-        "verify": "4f3a4e467310a1a07fc656aa4086dae0f6e64d3a9edf13370418dc9ff31e286a",
+        "verify": "0ea48bb7b8c7d5852f4c2882143ecbfb85a4ddc306eb6c1766dbb3e842bebe38",
     },
     "residual_scale_mix/strict": {
         "exit": [0, 0, 0],
@@ -232,7 +234,7 @@ EXPECTED = {
         "report": "abc11ce8ec9620d6460b86c971f24a381f9d72b687abef26f50e2800c4fcc607",
         "folded_json": "5473518e2faa0337b04e16c204871b82d1b2bd02fe8b2e5f8a4684d4eac17d62",
         "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
-        "verify": "07764629ae807c75ff4c4ada4af2b1ed29613d63d062ededa21e195e4907413b",
+        "verify": "9a51daea41812535793767154baf8676dbce9384552d998cb0c5e9786d787860",
     },
     "residual_scale_mix/practical": {
         "exit": [0, 0, 0],
@@ -240,7 +242,7 @@ EXPECTED = {
         "report": "9b8509a0d76bdd864bf6db8c39014a01e62310aa5011479df904fd96d9093dce",
         "folded_json": "4b2ea249a3757384c9599bb4f048c823d15cae3ef8d2acfca0d85ad29afce3ae",
         "folded_bin": "85cdf5a4f358c6a31fbff9831c6efeba495b03cfd07f75dbc0fd291ac4c79fab",
-        "verify": "07764629ae807c75ff4c4ada4af2b1ed29613d63d062ededa21e195e4907413b",
+        "verify": "9a51daea41812535793767154baf8676dbce9384552d998cb0c5e9786d787860",
     },
     "shared_producer/practical": {
         "exit": [0, 0, 0],
@@ -248,7 +250,7 @@ EXPECTED = {
         "report": "f6ae928e5373e5b3d08a41e2d9a69da6ba2f05d7b6725f4afbbea1fb3b37ac43",
         "folded_json": "70bbcabffd540c268529528d55c993a6d0b3c81df04de89283fb0c8c065c717a",
         "folded_bin": "498ad3e15ddbd31b406319636d9f1936dd39eb5ab777587b78ba62c04436cd42",
-        "verify": "2e7020a4794264e529044a87ba263ed8302628cd6ada29d915a4df22d636e41a",
+        "verify": "ba9b31060e8ba673ff02c7ecb426dff91735b9da57d9ac8348c89b3e53848bcf",
     },
     "shared_producer/strict": {
         "exit": [0, 0, 0],

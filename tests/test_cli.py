@@ -412,6 +412,30 @@ class TestVerifyCmd:
             assert (doc[part]["max_abs_forward_diff"], doc[part]["pass"]) == (0.0, True)
         assert doc["gradients"]["max_abs_grad_diff"] == 0.0
 
+    @pytest.mark.parametrize("argv", [["verify", "--trials", "1"], ["verify", "--grad"], ["pipeline"]],
+                             ids=["verify", "verify_grad", "pipeline"])
+    def test_inputs_too_large_to_draw_exit_1(self, tmp_path, capsys, argv):
+        # A valid model whose 6 * 2**40 input values (48 TiB as uint64) no
+        # host can draw. The command runs in a child process under a 3 GB
+        # address-space cap, so a draw that grows instead of failing at once
+        # runs out of memory there, not on the host.
+        g, w = fixtures.linear_then_norm()
+        topo, blob = _save(tmp_path, "huge", g, w)
+        _edit_topology(topo, lambda doc: _node(doc, "x")["attrs"].update(shape=[2**40, 6]) or doc)
+        report, prefix = str(tmp_path / "report.json"), str(tmp_path / "folded")
+        assert main(["analyze", topo, blob, "--out", report]) == 0
+        assert main(["fold", topo, blob, "--report", report, "--out", prefix]) == 0
+        models = [topo, blob, prefix + ".json", prefix + ".bin"] if argv[0] == "verify" else [
+            topo, blob, "--out-dir", str(tmp_path / "pipe")]
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                "from lnfold.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", code, argv[0], *models, *argv[1:]],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: verification could not run: Unable to allocate"), done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_embedding_index_out_of_range_exits_1(self, tmp_path, capsys):
         g, w = fixtures.pre_ln_transformer(blocks=1)
         topo, blob = _save(tmp_path, "orig", g, w)

@@ -9,8 +9,9 @@ from lnfold.centering import Family, is_centered
 from lnfold.fold_apply import FoldError, apply_fold, dry_run
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import WeightStore, validate_graph
-from lnfold.verify import sample_inputs, verify_forward
+from lnfold.verify import verify_forward
 from lnfold.tensor_math import forward
+from sampling import sample_inputs
 
 
 class TestApplyStrict:
@@ -171,7 +172,6 @@ class TestStrictSoundness:
         # the rewritten graph (including the spliced centering node) must
         # itself have exact gradients
         from lnfold.tensor_math import backward, finite_difference_grad, forward
-        from lnfold.verify import sample_inputs
 
         g, w = fixtures.pre_ln_transformer(blocks=1)
         report = detect_foldable(g, w, mode="practical")

@@ -38,7 +38,8 @@ from lnfold.graph_ir import (
 )
 from lnfold.ops import OPS, group_norm, layer_norm, rms_norm
 from lnfold.tensor_math import forward
-from lnfold.verify import sample_inputs, verify_forward, verify_gradients
+from lnfold.verify import verify_forward, verify_gradients
+from sampling import sample_inputs
 
 EPS_M = float(np.finfo(np.float64).eps)
 

@@ -20,7 +20,7 @@ from lnfold.ops import (
     rms_norm,
 )
 from lnfold.tensor_math import backward, finite_difference_grad, forward, loss_value
-from lnfold.verify import sample_inputs
+from sampling import sample_inputs
 
 EPS_M = np.float64(np.finfo(np.float64).eps)
 

@@ -1,6 +1,7 @@
 """Tests for the verification harness: forward/gradient equivalence,
 zero-mean probes, the operation-count model, and lockstep training."""
 
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -22,11 +23,11 @@ from lnfold.verify import (
     default_tol,
     flops_estimate,
     model_speedup_estimate,
-    sample_inputs,
     training_equivalence,
     verify_forward,
     verify_gradients,
 )
+from sampling import sample_inputs
 
 EPS_M = float(np.finfo(np.float64).eps)
 
@@ -74,10 +75,47 @@ class TestVerifyForward:
         assert rep.passed
 
 
-def _trial_rngs(seed, trials):
-    """numpy's own per-trial generators, the oracle for verify's streams:
-    trial t draws from PCG64(SeedSequence(seed).spawn(trials)[t])."""
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(trials)]
+# verify's trial stream drawn one value at a time on Python ints, the oracle
+# for its stacked draw: SplitMix64's golden-ratio step and output function.
+_MASK64, _GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def _trial_key(seed, t):
+    """The seed's 64-bit words, least significant first, fold into its key
+    from 0, one mix((key ^ word) + GAMMA) each; trial t's key is
+    mix(key + (t + 1) * GAMMA)."""
+    seed, key = int(seed), 0
+    for shift in range(0, max(1, seed.bit_length()), 64):
+        key = _mix((key ^ seed >> shift & _MASK64) + _GAMMA & _MASK64)
+    return _mix(key + (t + 1) * _GAMMA & _MASK64)
+
+
+def _reference_inputs(g, seed, t):
+    """Trial t's inputs. Value i, counted across g.inputs in order, comes from
+    the word mix(trial key + (i + 1) * GAMMA): a float is
+    (word >> 11) * 2**-51 - 2, an integer word mod high."""
+    key, i, out = _trial_key(seed, t), 0, {}
+    for nid in g.inputs:
+        attrs = g.nodes[nid].attrs
+        shape = tuple(attrs.get("shape", ()))
+        words = [_mix(key + (i + j + 1) * _GAMMA & _MASK64) for j in range(math.prod(shape))]
+        i += len(words)
+        if OPS["Input"].attr(attrs, "integer"):
+            high = OPS["Input"].attr(attrs, "high")
+            out[nid] = np.array([word % high for word in words], np.int64).reshape(shape)
+        else:
+            out[nid] = np.array([(word >> 11) * 2.0**-51 - 2.0 for word in words]).reshape(shape)
+    return out
+
+
+def _reference_trials(g, seed, trials):
+    return [_reference_inputs(g, seed, t) for t in range(trials)]
 
 
 def _stack_trials(batch):
@@ -90,8 +128,7 @@ def _reference_forward_diff(gA, wA, gB, wB, trials, seed):
     """verify_forward's maximum, one trial and one forward at a time."""
     storeA, storeB = wA.as_f64(), wB.as_f64()
     worst = 0.0
-    for rng in _trial_rngs(seed, trials):
-        inputs = sample_inputs(gA, rng)
+    for inputs in _reference_trials(gA, seed, trials):
         outsA, _ = forward(gA, storeA, inputs)
         outsB, _ = forward(gB, storeB, inputs)
         for a, b in zip(outsA, outsB):
@@ -108,8 +145,7 @@ def _reference_grad_diff(gA, wA, gB, wB, trials, seed):
     effective = center_targets(gB, storeB, proxied)
     ones = lambda outs: [np.ones_like(o) for o in outs]
     worst_fwd = worst_grad = 0.0
-    for rng in _trial_rngs(seed, trials):
-        inputs = sample_inputs(gA, rng)
+    for inputs in _reference_trials(gA, seed, trials):
         outsA, tapeA = forward(gA, storeA, inputs)
         gradsA = backward(tapeA, ones(outsA))
         outsB, tapeB = forward(gB, effective, inputs)
@@ -238,30 +274,38 @@ class TestStackedTrials:
             verify_forward(Graph([], [], [], []), WeightStore(), g, w, trials=1)
 
 
-# Seeds of one to five uint32 words: both sides of the one/two-word edge at
-# 2**32, and past numpy's four-word entropy pool from 2**128 on.
+# Seeds of one to five 64-bit words; test_numpy_integer_seed adds a numpy one.
 STREAM_SEEDS = pytest.mark.parametrize(
-    "seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 12345678901234567890, 2**128 + 5, 3**100],
-    ids=["0", "2^32-1", "2^32", "2^64+3", "12345678901234567890", "2^128+5", "3^100"])
+    "seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 12345678901234567890, 2**128 + 5, 3**100, 2**192 + 7, 2**256 + 9],
+    ids=["0", "2^32-1", "2^32", "2^64+3", "12345678901234567890", "2^128+5", "3^100", "2^192+7", "2^256+9"])
 
 
 class TestTrialStreams:
-    """verify's seeded inputs are numpy's per-trial streams, bit for bit."""
+    """verify's seeded inputs equal the one-value-at-a-time reference stream
+    bit for bit, whatever the batch split or the trial count. (The
+    *_numpy_streams tests keep the names they had when the draw reproduced
+    numpy's generators.)"""
 
     @staticmethod
     def _assert_batches_equal_streams(g, seed, trials_list=(1, 7, 100, 101)):
+        # Trial t's reference is drawn once: it must not depend on how many
+        # trials the check runs or how they are split into batches.
+        reference = _reference_trials(g, seed, max(trials_list))
         for trials in trials_list:
-            reference = [sample_inputs(g, rng) for rng in _trial_rngs(seed, trials)]
             for per_batch in sorted({1, 3, 50, trials}):
                 batches = list(verify._trial_batches(g, seed, trials, per_batch))
                 assert len(batches) == -(-trials // per_batch)
                 for start, batch in zip(range(0, trials, per_batch), batches):
-                    expected = _stack_trials(reference[start : start + per_batch])
+                    expected = _stack_trials(reference[start : min(start + per_batch, trials)])
                     assert batch.keys() == expected.keys()
                     for nid, value in batch.items():
                         assert value.dtype == expected[nid].dtype
                         assert value.dtype in (np.float64, np.int64) and value.flags.c_contiguous
                         assert np.array_equal(value, expected[nid]), (trials, per_batch, start, nid)
+        for nid in g.inputs:
+            attrs, drawn = g.nodes[nid].attrs, np.stack([trial[nid] for trial in reference])
+            low, high = (0, OPS["Input"].attr(attrs, "high")) if OPS["Input"].attr(attrs, "integer") else (-2, 2)
+            assert drawn.size == 0 or (drawn.min() >= low and drawn.max() < high), nid
 
     @pytest.mark.parametrize("name", ["linear_then_norm", "pre_ln_transformer", "recurrent_then_norm"],
                              ids=["float_input", "integer_input", "two_inputs"])
@@ -270,11 +314,10 @@ class TestTrialStreams:
         self._assert_batches_equal_streams(fixtures.ALL_FIXTURES[name]()[0], seed)
 
     # Inputs in g.inputs order, each (per-sample shape, high), high None for
-    # a float input. An odd integer input leaves the high half of its last
-    # word buffered, past float inputs, for the next integer input; high 1
-    # draws nothing; about half of all draws at 2**31 + 1 are rejected, so
-    # nearly every trial is redrawn by numpy's generator, as is every trial
-    # that draws 64-bit integers (high above 2**32).
+    # a float input. Integer inputs span high 1 (all zeros) to the int64
+    # maximum, between float inputs, so each input's values must start
+    # where the last one's ended; several_passes is a 3x32x32 input, drawn
+    # for fewer trials so the reference stays near 10**5 values.
     @pytest.mark.parametrize("inputs", [
         [((5,), 13), ((3,), None), ((4,), 7)],
         *([((3,), 13), ((4,), high), ((2,), None), ((3,), 5)]
@@ -288,43 +331,64 @@ class TestTrialStreams:
         b = fixtures._Builder(0)
         for i, (shape, high) in enumerate(inputs):
             b.output(b.input(f"x{i}", shape, integer=high is not None, high=high))
-        self._assert_batches_equal_streams(b.build()[0], seed, (1, 7, 101))
+        per_trial = sum(math.prod(shape) for shape, _high in inputs)
+        self._assert_batches_equal_streams(b.build()[0], seed, (1, 7, min(101, 10**5 // per_trial)))
 
     @STREAM_SEEDS
     def test_spawn_key_words(self, seed):
-        # A key below 2**32 is one uint32 word, from 2**32 on two.
+        # Trial keys past 2**32 and up to the last index below 2**64.
         for start, stop in ((0, 3), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)):
-            expected = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
-                        for i in range(start, stop)]
-            assert np.array_equal(verify._spawn_states(seed, start, stop), expected), (start, stop)
+            expected = [_trial_key(seed, t) for t in range(start, stop)]
+            assert verify._trial_keys(seed, start, stop).tolist() == expected, (start, stop)
 
     def test_numpy_integer_seed(self):
         g, _ = fixtures.linear_then_norm()
         (batch,) = verify._trial_batches(g, np.uint64(2**64 - 1), 5, 5)
-        expected = _stack_trials([sample_inputs(g, rng) for rng in _trial_rngs(2**64 - 1, 5)])
-        assert np.array_equal(batch["x"], expected["x"])
+        (same,) = verify._trial_batches(g, 2**64 - 1, 5, 5)
+        expected = _stack_trials(_reference_trials(g, 2**64 - 1, 5))
+        assert np.array_equal(batch["x"], expected["x"]) and np.array_equal(same["x"], expected["x"])
 
-    def test_threads_filling_the_jump_tables_at_once(self):
-        # More threads than cores, each needing tables of its own length,
-        # start from an empty cache and switch often.
+    def test_mix_is_splitmix64(self):
+        # SplitMix64 seeded with 0 outputs mix(GAMMA), mix(2 GAMMA), ... (Steele
+        # et al. 2014; Vigna's splitmix64.c), which is the stream key 0 starts.
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert verify._splitmix(np.zeros(1, np.uint64), 0, 3).tolist() == [published]
+        assert [_mix(k * _GAMMA & _MASK64) for k in (1, 2, 3)] == published
+
+    def test_pinned_values(self):
+        # A float input, then an integer one: value i counts across both.
+        b = fixtures._Builder(0)
+        b.output(b.input("x", (3,)))
+        b.output(b.input("k", (2,), integer=True, high=1000))
+        g = b.build()[0]
+        pinned = {
+            (0, 0): ([-1.445162359417783, 1.8844083312051532, -0.8886685095803704], [466, 991]),
+            (3**100, 41): ([0.16580107746240547, 1.7461713072053775, 0.4343364380321515], [85, 523]),
+        }
+        for (seed, t), (floats, ints) in pinned.items():
+            (batch,) = verify._trial_batches(g, seed, t + 1, t + 1)
+            assert batch["x"][t, 0].tolist() == floats and batch["k"][t, 0].tolist() == ints, (seed, t)
+
+    def test_threads_drawing_at_once(self):
+        # More threads than cores, switching often, each drawing graphs of
+        # different sizes in batches: nothing is shared between draws.
         graphs = []
         for size in (3, 40, 300, 3000):
             b = fixtures._Builder(0)
             b.output(b.input("x", (size,)))
+            b.output(b.input("k", (size,), integer=True, high=13))
             graphs.append(b.build()[0])
-        expected = [[_stack_trials([sample_inputs(g, rng) for rng in _trial_rngs(5, 9)[start : start + 4]])["x"]
-                     for start in (0, 4, 8)] for g in graphs]
-        verify._pcg_jumps.cache_clear()
+        draw = lambda g: [batch[nid] for batch in verify._trial_batches(g, 5, 9, 4) for nid in g.inputs]
+        expected = [draw(g) for g in graphs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(len(graphs)) as pool:
-                runs = [pool.submit(lambda g=g: [batch["x"] for batch in verify._trial_batches(g, 5, 9, 4)])
-                        for g in graphs]
+                runs = [pool.submit(draw, g) for g in graphs for _repeat in range(3)]
                 drawn = [run.result(timeout=60) for run in runs]
         finally:
             sys.setswitchinterval(interval)
-        for got, want in zip(drawn, expected):
+        for got, want in zip(drawn, [want for want in expected for _repeat in range(3)]):
             assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_checks_on_two_threads_draw_the_same_streams(self):
@@ -524,7 +588,7 @@ def test_every_kind_with_parameters_has_a_one_op_graph():
 
 class TestKeptAxisBackward:
     def _stacked(self, g, w, trials=5):
-        batch = [sample_inputs(g, rng) for rng in _trial_rngs(11, trials)]
+        batch = _reference_trials(g, 11, trials)
         outs, tape = forward(g, w, _stack_trials(batch))
         out_grads = [np.random.default_rng(5).normal(size=o.shape) for o in outs]
         return batch, tape, out_grads
@@ -690,7 +754,6 @@ class TestVerifyGradients:
         assert list(proxied) == ["lin"]
         zeros = lambda outs: [np.zeros_like(o) for o in outs]
         rng = np.random.default_rng(0)
-        from lnfold.verify import sample_inputs
         _, grads = _proxied_grads(g, center_targets(g, store, proxied), proxied, sample_inputs(g, rng), zeros)
         for name, grad in grads.params.items():
             np.testing.assert_array_equal(grad, np.zeros_like(grad))
@@ -776,12 +839,13 @@ class TestCheckZeroMean:
     def test_stacked_equals_one_trial_at_a_time(self, name, forward_calls):
         g, w = fixtures.ALL_FIXTURES[name]()
         store = w.as_f64()
+        trials = _reference_trials(g, 5, 30)
         for nid in g.nodes:
             forward_calls.clear()
             worst = check_zero_mean(g, w, nid, trials=30, seed=5)
             reference = 0.0
-            for rng in _trial_rngs(5, 30):
-                value = forward(g, store, sample_inputs(g, rng))[1].value_of(nid)
+            for inputs in trials:
+                value = forward(g, store, inputs)[1].value_of(nid)
                 reference = max(reference, float(np.abs(value.mean(axis=-1)).max()))
             assert worst == reference, nid
             assert forward_calls[0][:2] == (30, 1)
