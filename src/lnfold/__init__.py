@@ -7,7 +7,6 @@ from .centering import (
     center,
     center_bias,
     constraint_residual,
-    is_centered,
     spec_for_node,
 )
 from .fold_apply import FoldError, apply_fold, check_report, dry_run
@@ -28,16 +27,14 @@ from .graph_ir import (
     Node,
     ValidationReport,
     WeightStore,
-    graphs_equal,
     load_model,
     make_node,
     model_hash,
     save_model,
-    stores_equal,
     validate_graph,
 )
-from .ops import NumericalError, auxiliary_centering, group_norm, layer_norm, rms_norm
-from .tensor_math import Gradients, Tape, backward, finite_difference_grad, forward
+from .ops import NumericalError
+from .tensor_math import Gradients, Tape, backward, forward
 from .verify import (
     EquivalenceReport,
     FlopCount,

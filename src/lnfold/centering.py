@@ -123,21 +123,6 @@ def constraint_residual(W: np.ndarray, family: Family, groups: int = 1) -> float
     return float(np.abs(sums).max()) if sums.size else 0.0
 
 
-def default_tolerance(dtype: np.dtype, axis_len: int) -> float:
-    base = 1e-9 if np.dtype(dtype) == np.float64 else 1e-5
-    return base * max(axis_len, 1)
-
-
-def is_centered(W: np.ndarray, family: Family, groups: int = 1, tol: float | None = None) -> bool:
-    """True iff every constrained slice sums to at most tol in absolute value.
-
-    The all-zero tensor trivially satisfies every family's constraint.
-    """
-    if tol is None:
-        tol = default_tolerance(W.dtype, _slices(W, family, groups).shape[_WEIGHT_AXIS[family]])
-    return constraint_residual(W, family, groups) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Node-level application
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .ops import OPS
 
 FORMAT_VERSION = 1
 
-NODE_KINDS = tuple(OPS)
-
 DTYPE_TAGS = {"f32": np.float32, "f64": np.float64}
 TAG_BY_DTYPE = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 _WIRE_DTYPES = {"f32": "<f4", "f64": "<f8"}
@@ -242,33 +240,6 @@ class Graph:
         return Graph(list(self.nodes.values()), self.edges, self.inputs, self.outputs, provenance)
 
 
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    """Structural equality; provenance is metadata and not compared."""
-    if set(a.nodes) != set(b.nodes):
-        return False
-    for nid, node in a.nodes.items():
-        other = b.nodes[nid]
-        if (node.kind, dict(node.attrs), node.param_refs) != (other.kind, dict(other.attrs), other.param_refs):
-            return False
-    return (
-        sorted(a.edges) == sorted(b.edges)
-        and a.inputs == b.inputs
-        and a.outputs == b.outputs
-    )
-
-
-def stores_equal(a: WeightStore, b: WeightStore) -> bool:
-    if set(a.names()) != set(b.names()):
-        return False
-    for name, arr in a.items():
-        other = b[name]
-        if arr.dtype != other.dtype or arr.shape != other.shape:
-            return False
-        if not np.array_equal(arr, other):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -362,7 +333,9 @@ def validate_graph(g: Graph, w: WeightStore) -> ValidationReport:
         for msg in OPS[node.kind].check_attrs(node.attrs):
             problems.append(f"node {node.id!r}: {msg}")
 
-    for nid in g.inputs:
+    for nid in dict.fromkeys(g.inputs):
+        if g.inputs.count(nid) > 1:  # an Input binds one array; trials would draw it twice
+            problems.append(f"declared input {nid!r} is listed twice")
         if nid not in g.nodes:
             problems.append(f"declared input {nid!r} does not exist")
         elif g.nodes[nid].kind != "Input":

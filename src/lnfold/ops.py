@@ -6,10 +6,10 @@ does to a per-sample mean. graph_ir, tensor_math, fold_detect and centering
 all read this one table, so adding a node kind means adding one OpDef to OPS.
 
 Each kind's forward is the only implementation of its op (a RecurrentCell
-runs Linear's). The module-level primitives are the normalizations and the
-centering the package exports, and softmax, which verify calls. All accept
-arbitrary leading batch axes; normalization acts on the last axis unless a
-node says otherwise. This module imports nothing else from the package.
+runs Linear's). The one module-level primitive is softmax, which verify
+also calls. Every kernel accepts arbitrary leading batch axes;
+normalization acts on the last axis unless a node says otherwise. This
+module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -89,52 +89,6 @@ def _center_scale(x, eps, gamma, beta, strict, center):
     return _add_bias(xhat * gamma, beta), xhat, inv, denom
 
 
-def layer_norm(
-    x: np.ndarray,
-    eps: float = DEFAULT_EPS,
-    gamma: np.ndarray | None = None,
-    beta: np.ndarray | None = None,
-    strict: bool = True,
-) -> np.ndarray:
-    """Center over the last axis, then scale by the root second moment."""
-    return _center_scale(x, eps, gamma, beta, strict, center=True)[0]
-
-
-def rms_norm(
-    x: np.ndarray,
-    eps: float = DEFAULT_EPS,
-    gamma: np.ndarray | None = None,
-    beta: np.ndarray | None = None,
-    strict: bool = True,
-) -> np.ndarray:
-    """Scale by the root mean square of the raw last-axis vector.
-
-    The optional affine matches layer_norm, bias included, so affine
-    parameters can be moved between the two verbatim.
-    """
-    return _center_scale(x, eps, gamma, beta, strict, center=False)[0]
-
-
-def _group_center_scale(x, groups, axis, eps, strict):
-    """layer_norm over each of groups contiguous chunks of axis.
-
-    Returns (output, xhat, inverse root, denominator); the last three keep
-    the grouped layout, axis last and split into (groups, chunk).
-    """
-    moved = np.moveaxis(x, axis, -1)
-    n = moved.shape[-1]
-    if groups < 1 or n % groups != 0:
-        raise ValueError(f"groups {groups} must divide axis length {n}")
-    grouped = moved.reshape(moved.shape[:-1] + (groups, n // groups))
-    _out, xhat, inv, denom = _center_scale(grouped, eps, None, None, strict, center=True)
-    return np.moveaxis(xhat.reshape(moved.shape), -1, axis), xhat, inv, denom
-
-
-def group_norm(x: np.ndarray, groups: int, eps: float = DEFAULT_EPS, strict: bool = True) -> np.ndarray:
-    """Per-group layer_norm over contiguous last-axis chunks."""
-    return _group_center_scale(x, groups, -1, eps, strict)[0]
-
-
 def _im2col(x: np.ndarray, fh: int, fw: int, stride: int, padding: int) -> tuple[np.ndarray, tuple[int, int]]:
     """(B, OH*OW, C*fh*fw) patch matrix for x of shape (B, C, H, W)."""
     bsz, c = x.shape[:2]
@@ -175,11 +129,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def auxiliary_centering(x: np.ndarray) -> np.ndarray:
-    """Subtract the last-axis mean; the explicit form of a folded centering."""
-    return x - _mean(x)
 
 
 # Parameter gradients sum over every leading (batch) axis. With keep, axis 0
@@ -253,9 +202,10 @@ class OpDef:
     node whose layout, arity, attrs and input ranks pass); check_sources
     lists problems with the nodes feeding the node, one per input slot, and
     runs where shape does; forward returns (output, saved tensors), and the
-    normalizing kinds save their denominator as denom; backward returns the
-    gradients for each input slot and each parameter, in slot order.
-    backward's keep says that axis 0 of the activations holds stacked
+    normalizing kinds save their denominator as denom, which the tests'
+    finite-difference oracle reads to flag ill-conditioned probes; backward
+    returns the gradients for each input slot and each parameter, in slot
+    order. backward's keep says that axis 0 of the activations holds stacked
     trials: each parameter gradient then keeps that axis, one gradient per
     trial, through _sum_to and _matmul_param_grad, the only two helpers
     that know that axis.
@@ -526,7 +476,15 @@ class _GroupNorm(OpDef):
     def forward(self, attrs, inputs, params, strict):
         (x,), axis = inputs, self.attr(attrs, "axis")
         groups, eps = self.attr(attrs, "groups"), self.attr(attrs, "eps")
-        out, xhat, inv, denom = _group_center_scale(x, groups, axis, eps, strict)
+        # LayerNorm over each of groups contiguous chunks of axis; xhat, inv
+        # and denom keep the grouped layout, axis last and split into (groups, chunk).
+        moved = np.moveaxis(x, axis, -1)
+        n = moved.shape[-1]
+        if groups < 1 or n % groups != 0:
+            raise ValueError(f"groups {groups} must divide axis length {n}")
+        grouped = moved.reshape(moved.shape[:-1] + (groups, n // groups))
+        _out, xhat, inv, denom = _center_scale(grouped, eps, None, None, strict, center=True)
+        out = np.moveaxis(xhat.reshape(moved.shape), -1, axis)
         return out, {"xhat": xhat, "inv": inv, "denom": denom, "axis": axis}
 
     def backward(self, e, dy, keep):
@@ -672,7 +630,7 @@ class _AuxiliaryCentering(OpDef):
 
     def forward(self, attrs, inputs, params, strict):
         (x,) = inputs
-        return auxiliary_centering(x), {}
+        return x - _mean(x), {}
 
     def backward(self, e, dy, keep):
         return [dy - _mean(dy)], []

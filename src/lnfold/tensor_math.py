@@ -2,10 +2,10 @@
 
 This is the ground-truth oracle behind every equivalence claim in the
 package: deliberately small, numpy-only, deterministic. forward and backward
-run each node through its kind's kernels in the op registry (lnfold.ops),
-which also holds the numpy primitives. forward records a tape for backward,
-or, when only outputs are wanted, keeps none and frees each activation after
-its last reader, so its memory follows the live activations, not the depth.
+run each node through its kind's kernels in the op registry (lnfold.ops).
+forward records a tape for backward, or, when only outputs are wanted, keeps
+none and frees each activation after its last reader, so its memory follows
+the live activations, not the depth.
 Everything here is a pure function over immutable arrays, so independent
 evaluations can run concurrently.
 """
@@ -20,10 +20,6 @@ import numpy as np
 
 from .graph_ir import Graph, Node, WeightStore
 from .ops import OPS, NumericalError
-
-# Denominators below this are treated as numerically singular when flagging
-# ill-conditioned finite-difference probes.
-ILL_CONDITION_THRESHOLD = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +46,6 @@ class Tape:
 
     graph: Graph
     entries: dict[str, TapeEntry]
-
-    def value_of(self, node_id: str) -> np.ndarray:
-        return self.entries[node_id].output
 
 
 def forward(
@@ -144,7 +137,7 @@ def backward(
 
     out_grads = [np.asarray(og) for og in out_grads]
     for oid, og in zip(g.outputs, out_grads):
-        ref = tape.value_of(oid)
+        ref = tape.entries[oid].output
         if og.shape != ref.shape:
             raise ValueError(f"output grad for {oid!r} has shape {og.shape}, expected {ref.shape}")
     grad_of: dict[str, np.ndarray] = {}
@@ -168,62 +161,3 @@ def backward(
 
     return Gradients(params=param_grads, inputs=input_grads)
 
-
-# ---------------------------------------------------------------------------
-# Loss selectors and finite differences
-# ---------------------------------------------------------------------------
-
-
-def loss_value(outputs: Sequence[np.ndarray], selector: str = "sum") -> float:
-    if selector == "sum":
-        return float(sum(o.sum() for o in outputs))
-    if selector == "sumsq":
-        return float(sum((o * o).sum() for o in outputs))
-    raise ValueError(f"unknown loss selector {selector!r}")
-
-
-@dataclass
-class FiniteDifferenceResult:
-    params: dict[str, np.ndarray]
-    ill_conditioned: bool
-
-
-def finite_difference_grad(
-    g: Graph,
-    w: WeightStore,
-    inputs: Mapping[str, np.ndarray],
-    loss_selector: str = "sum",
-    h: float = 1e-6,
-) -> FiniteDifferenceResult:
-    """Central-difference parameter gradients; the oracle for backward().
-
-    Independent of the reverse-mode path by construction: only forward
-    evaluations are used. Flags ill-conditioning when any normalization
-    denominator saved on a tape came within ILL_CONDITION_THRESHOLD of zero.
-    """
-    arrays = {k: v.astype(np.float64).copy() for k, v in w.items()}
-    ill = False
-
-    def run() -> float:
-        nonlocal ill
-        outs, tape = forward(g, WeightStore(arrays), inputs, strict=False)
-        ill = ill or any(e.saved["denom"].min(initial=np.inf) < ILL_CONDITION_THRESHOLD
-                         for e in tape.entries.values() if "denom" in e.saved)
-        return loss_value(outs, loss_selector)
-
-    grads: dict[str, np.ndarray] = {}
-    for name in w.names():
-        arr = arrays[name]
-        grad = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            plus = run()
-            flat[i] = orig - h
-            minus = run()
-            flat[i] = orig
-            gflat[i] = (plus - minus) / (2.0 * h)
-        grads[name] = grad
-    return FiniteDifferenceResult(params=grads, ill_conditioned=ill)

@@ -17,7 +17,7 @@ from typing import Callable, Collection, Iterator, Mapping
 
 import numpy as np
 
-from .centering import CenteringSpec, center_node_params, default_tolerance
+from .centering import CenteringSpec, center_node_params
 from .fold_apply import center_targets
 from .fold_detect import detect_foldable, fold_plan
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
@@ -98,8 +98,8 @@ def default_tol(*stores: WeightStore) -> float:
     """The centering tolerance of the least precise array in the stores
     (one-shot centering leaves residuals of that dtype's size): 1e-5 when
     any array is f32, 1e-9 otherwise."""
-    return max((default_tolerance(arr.dtype, 1) for w in stores for _name, arr in w.items()),
-               default=default_tolerance(np.float64, 1))
+    f32 = any(arr.dtype == np.float32 for w in stores for _name, arr in w.items())
+    return 1e-5 if f32 else 1e-9
 
 
 def _fold_worst(worst: float | None, values) -> float | None:

@@ -987,7 +987,8 @@ class TestMalformedTopology:
         ("recurrent_then_norm",
          lambda doc: dict(doc, edges=[e for e in doc["edges"] if e[0] != "h_prev"]),
          "RecurrentCell arity must be 2, got 1"),
-    ], ids=["linear_without_params", "unary_recurrent_cell"])
+        ("linear_then_norm", lambda doc: dict(doc, inputs=["x", "x"]), "declared input 'x' is listed twice"),
+    ], ids=["linear_without_params", "unary_recurrent_cell", "input_listed_twice"])
     def test_short_layout_exits_1(self, tmp_path, capsys, name, edit, message):
         topo, blob = _save(tmp_path, name, *fixtures.ALL_FIXTURES[name]())
         _edit_topology(topo, edit)

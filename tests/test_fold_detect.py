@@ -83,6 +83,11 @@ class TestDetectStrict:
         with pytest.raises(GraphValidationError):
             detect_foldable(g, WeightStore({}))
 
+    def test_unknown_mode_rejected(self):
+        g, w = fixtures.linear_then_norm()
+        with pytest.raises(ValueError, match="^mode must be 'strict' or 'practical', got 'lenient'$"):
+            detect_foldable(g, w, mode="lenient")
+
     def test_length_one_axis_warning(self):
         g, w = fixtures.linear_then_norm(out_dim=1, in_dim=3)
         report = detect_foldable(g, w)

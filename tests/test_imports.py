@@ -1,11 +1,19 @@
-"""Every name a package module imports is read in that module, and verify
-draws its inputs without numpy's generators.
+"""Every name a package module imports is read in that module, every public
+name a package module defines is read somewhere, and verify draws its inputs
+without numpy's generators.
 
 A dead-import check in place of a linter: each module under src/lnfold
 (except the re-exporting __init__) is parsed with ast. Exempt are
 `from __future__` imports and, on a line marked `# noqa: F401`, a name that
 lnbench's tracer patches in that module: a `SPANS` entry or a module-level
 `COUNTS` entry of lnbench/tracing.py.
+
+A dead-name check: each public module-level function, class or constant of
+a package module must be read in some package module (outside __init__ and
+its own definition) or in lnbench/, where the tracer names functions as
+strings. A read is a loaded name, an imported name, or an attribute of a
+package module (`cli.main`). KEPT_UNREAD exempts the few names kept for
+what they check, each with its reason.
 
 verify's sampled checks draw from a stream lnfold defines itself, so their
 output does not change when numpy changes its generator algorithms; only
@@ -23,6 +31,7 @@ from test_tracer_hooks import tracing
 
 SRC = Path(__file__).parent.parent / "src"
 MODULES = sorted(p for p in (SRC / "lnfold").glob("*.py") if p.name != "__init__.py")
+LNBENCH = Path(__file__).parent.parent / "lnbench"
 
 
 def _tracer_targets(module: str) -> set[str]:
@@ -57,6 +66,80 @@ def test_the_check_sees_an_unread_import():
     # noqa exempts only a name the tracer patches.
     assert _unread_imports("import os  # noqa: F401\nfrom typing import Any  # noqa: F401\n", {"Any"}) == [
         "line 1: os"]
+
+
+# Public names that no command reads, kept on purpose.
+KEPT_UNREAD = {
+    "check_zero_mean": "the zero-mean probe of one node; the fold tests check every centered layer with it",
+    "training_equivalence": "acceptance criterion 4 trains both schemes in lockstep with it",
+    "constraint_residual": "acceptance criterion 6 measures each family's centering with it",
+    "model_speedup_estimate": "the paper's end-to-end saving, for a per-node timing report to call",
+}
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Public module-level functions, classes and constants, with their definitions."""
+    names: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return {name: node for name, node in names.items() if not name.startswith("_")}
+
+
+def _reads(tree: ast.Module, modules: set[str], skip: ast.AST | None = None, strings: bool = False) -> set[str]:
+    """Names tree reads outside skip: loaded and imported names, attributes of
+    the named modules and, with strings, every string constant."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _unread_names(package: dict[str, str], outside: tuple[str, ...] = ()) -> list[str]:
+    """module.name for each public name of the package's modules (name ->
+    source) read in none of them, bar its own definition, nor in outside."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read_in = {module: _reads(tree, set(trees)) for module, tree in trees.items()}
+    read_outside = set().union(*(_reads(ast.parse(source), set(trees), strings=True) for source in outside))
+    unread = []
+    for module, tree in trees.items():
+        for name, definition in _defined(tree).items():
+            if name in read_outside or any(name in read_in[other] for other in trees if other != module):
+                continue
+            if name not in _reads(tree, set(trees), definition):
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_public_name_is_read():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    outside = tuple(p.read_text(encoding="utf-8") for p in sorted(LNBENCH.rglob("*.py")))
+    assert [name for name in _unread_names(package, outside) if name.split(".")[1] not in KEPT_UNREAD] == []
+
+
+def test_the_check_sees_an_unread_name():
+    package = {
+        "ops": "LIMIT = 3\nclass Op:\n    def again(self):\n        return Op()\ndef used():\n    return LIMIT\n"
+               "def traced():\n    pass\ndef _private():\n    pass\n",
+        "cli": "from . import ops\ndef main():\n    return ops.used()\n",
+    }
+    # Op reads only itself; main is read only outside, traced only as a string there.
+    assert _unread_names(package) == ["ops.Op", "ops.traced", "cli.main"]
+    assert _unread_names(package, ("from lnfold import cli\ncli.main()\nSPANS = [('ops', 'traced')]\n",)) == [
+        "ops.Op"]
 
 
 def test_cli_import_loads_no_thread_pool():

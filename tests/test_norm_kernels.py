@@ -19,7 +19,6 @@ from lnfold.ops import (
     OPS,
     NumericalError,
     _center_scale,
-    _group_center_scale,
     _norm_input_grad,
 )
 
@@ -157,10 +156,15 @@ def test_group_norm_matches_reference_bits(dtype, axis, monkeypatch):
     the axis is not last."""
     x = _input((2, 3, 12, 12), dtype, "zero", np.random.default_rng(3))
     for eps in (1e-5, 0.0):
-        new = _run(_group_center_scale, x, 3, axis, eps, False)
+
+        def kernel():  # the output and each saved array
+            out, saved = OPS["GroupNorm"].forward({"groups": 3, "axis": axis, "eps": eps}, [x], [], False)
+            return out, saved["xhat"], saved["inv"], saved["denom"]
+
+        new = _run(kernel)
         with monkeypatch.context() as m:
             m.setattr(ops, "_center_scale", _REF_center_scale)
-            ref = _run(_group_center_scale, x, 3, axis, eps, False)
+            ref = _run(kernel)
         _assert_same(new, ref, (axis, eps))
 
 

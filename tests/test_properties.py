@@ -15,7 +15,7 @@ from lnfold import fixtures
 from lnfold.centering import (
     Family,
     center,
-    is_centered,
+    constraint_residual,
     spec_for_node,
 )
 from lnfold.fold_apply import FoldError, apply_fold, check_report
@@ -28,7 +28,6 @@ from lnfold.fold_detect import (
     plan_auxiliary_centering,
 )
 from lnfold.graph_ir import (
-    NODE_KINDS,
     Graph,
     load_model,
     make_node,
@@ -36,7 +35,7 @@ from lnfold.graph_ir import (
     save_model,
     validate_graph,
 )
-from lnfold.ops import OPS, group_norm, layer_norm, rms_norm
+from lnfold.ops import OPS
 from lnfold.tensor_math import forward
 from lnfold.verify import verify_forward, verify_gradients
 from sampling import sample_inputs
@@ -66,7 +65,7 @@ class TestCenteringAlgebra:
 
     @given(matrices())
     def test_constraint_satisfied(self, W):
-        assert is_centered(center(W, Family.LINEAR_COLUMNS), Family.LINEAR_COLUMNS, tol=1e-9)
+        assert constraint_residual(center(W, Family.LINEAR_COLUMNS), Family.LINEAR_COLUMNS) <= 1e-9
 
     @given(matrices(max_m=12), st.sampled_from([1, 2, 3]))
     def test_grouped_reduces_to_plain(self, W, groups):
@@ -82,7 +81,7 @@ class TestCenteringAlgebra:
             if W.shape[0] == groups:
                 return  # one-element groups warn and zero the matrix
             centered = center(W, Family.GROUPED_COLUMNS, groups)
-            assert is_centered(centered, Family.GROUPED_COLUMNS, groups, tol=1e-9)
+            assert constraint_residual(centered, Family.GROUPED_COLUMNS, groups) <= 1e-9
 
 
 class TestNormalizationAlgebra:
@@ -92,7 +91,7 @@ class TestNormalizationAlgebra:
         # divided by sqrt(var + eps); near-constant inputs amplify it by
         # 1/sqrt(eps), so the bound carries that factor.
         eps = 1e-5
-        y = layer_norm(x, eps=eps)
+        y = OPS["LayerNorm"].forward({"eps": eps}, [x], [], True)[0]
         scale = max(1.0, float(np.abs(x).max())) / np.sqrt(x.var() + eps)
         assert abs(y.mean()) <= 8 * x.shape[0] * EPS_M * scale
 
@@ -103,26 +102,29 @@ class TestNormalizationAlgebra:
         # the output's own ulps, not absolute.
         x = x - x.mean()
         x = x - x.mean()
-        rms = rms_norm(x, 1e-5)
-        diff = np.abs(layer_norm(x, 1e-5) - rms).max()
+        rms = OPS["RMSNorm"].forward({"eps": 1e-5}, [x], [], True)[0]
+        diff = np.abs(OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0] - rms).max()
         assert diff <= 4 * EPS_M * max(1.0, float(np.abs(rms).max()))
 
     @given(vectors())
     def test_group_norm_with_one_group_is_layer_norm(self, x):
-        np.testing.assert_array_equal(group_norm(x, 1, eps=1e-5), layer_norm(x, eps=1e-5))
+        np.testing.assert_array_equal(OPS["GroupNorm"].forward({"groups": 1, "eps": 1e-5}, [x], [], True)[0],
+                                      OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0])
 
     @given(vectors(), st.floats(0.1, 3.0))
     def test_scalar_scale_invariance_of_ln_with_zero_eps(self, x, a):
         if np.ptp(x) < 1e-3:
             return  # stay away from the zero-variance singularity
         np.testing.assert_allclose(
-            layer_norm(a * x, eps=0.0), layer_norm(x, eps=0.0), atol=1e-9
+            OPS["LayerNorm"].forward({"eps": 0.0}, [a * x], [], True)[0],
+            OPS["LayerNorm"].forward({"eps": 0.0}, [x], [], True)[0],
+            atol=1e-9,
         )
 
 
 class TestClassification:
-    @settings(max_examples=len(NODE_KINDS))
-    @given(st.sampled_from(sorted(NODE_KINDS)))
+    @settings(max_examples=len(OPS))
+    @given(st.sampled_from(sorted(OPS)))
     def test_total_and_single_valued(self, kind):
         # Fold detection reads one role off a kind's declarations: a kind
         # that passes a mean on is never also a leaf, and a leaf with a

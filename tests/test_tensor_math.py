@@ -9,17 +9,10 @@ import pytest
 from lnfold import fixtures
 from lnfold.fold_apply import apply_fold
 from lnfold.fold_detect import detect_foldable
-from lnfold.graph_ir import NODE_KINDS, Graph, WeightStore, make_node, validate_graph
-from lnfold.ops import (
-    OPS,
-    NumericalError,
-    _col2im,
-    auxiliary_centering,
-    group_norm,
-    layer_norm,
-    rms_norm,
-)
-from lnfold.tensor_math import backward, finite_difference_grad, forward, loss_value
+from lnfold.graph_ir import Graph, WeightStore, make_node, validate_graph
+from lnfold.ops import OPS, NumericalError, _col2im
+from lnfold.tensor_math import backward, forward
+from oracles import finite_difference_grad, loss_value
 from sampling import sample_inputs
 
 EPS_M = np.float64(np.finfo(np.float64).eps)
@@ -31,60 +24,66 @@ def rel_error(a: np.ndarray, f: np.ndarray) -> float:
 
 class TestLayerNorm:
     def test_already_centered_unit_moment(self):
-        np.testing.assert_array_equal(layer_norm(np.array([1.0, -1.0]), eps=0.0), [1.0, -1.0])
+        y = OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([1.0, -1.0])], [], True)[0]
+        np.testing.assert_array_equal(y, [1.0, -1.0])
 
     def test_hand_oracle(self):
         # mu = 1, centered = [1, -1], second moment = 1
-        np.testing.assert_allclose(layer_norm(np.array([2.0, 0.0]), eps=0.0), [1.0, -1.0])
+        y = OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [], True)[0]
+        np.testing.assert_allclose(y, [1.0, -1.0])
 
     def test_constants_annihilated(self):
         for c in (0.0, 3.5, -7.25):
             np.testing.assert_array_equal(
-                layer_norm(np.array([c, c]), eps=1e-5), [0.0, 0.0]
+                OPS["LayerNorm"].forward({"eps": 1e-5}, [np.array([c, c])], [], True)[0], [0.0, 0.0]
             )
 
     def test_output_mean_is_zero(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-2, 2, size=(200, 33))
-        y = layer_norm(x, eps=1e-5)
+        y = OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0]
         assert np.abs(y.mean(axis=-1)).max() <= 8 * 33 * EPS_M
 
     def test_strict_zero_variance_raises(self):
         with pytest.raises(NumericalError):
-            layer_norm(np.array([2.0, 2.0]), eps=0.0, strict=True)
+            OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 2.0])], [], True)
 
     def test_lenient_zero_variance_returns_zeros(self):
         np.testing.assert_array_equal(
-            layer_norm(np.array([2.0, 2.0]), eps=0.0, strict=False), [0.0, 0.0]
+            OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 2.0])], [], False)[0], [0.0, 0.0]
         )
 
     def test_affine(self):
         gamma = np.array([2.0, 3.0])
         beta = np.array([1.0, -1.0])
         np.testing.assert_allclose(
-            layer_norm(np.array([2.0, 0.0]), 0.0, gamma, beta), [3.0, -4.0]
+            OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [gamma, beta], True)[0],
+            [3.0, -4.0],
         )
 
 
 class TestRmsNorm:
     def test_unit_second_moment_untouched(self):
-        np.testing.assert_array_equal(rms_norm(np.array([1.0, -1.0]), eps=0.0), [1.0, -1.0])
+        y = OPS["RMSNorm"].forward({"eps": 0.0}, [np.array([1.0, -1.0])], [], True)[0]
+        np.testing.assert_array_equal(y, [1.0, -1.0])
 
     def test_hand_oracle(self):
         # second moment = 2
         np.testing.assert_allclose(
-            rms_norm(np.array([2.0, 0.0]), eps=0.0), [np.sqrt(2.0), 0.0]
+            OPS["RMSNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [], True)[0], [np.sqrt(2.0), 0.0]
         )
 
     def test_zero_vector(self):
-        np.testing.assert_array_equal(rms_norm(np.zeros(2), eps=1e-5), [0.0, 0.0])
+        y = OPS["RMSNorm"].forward({"eps": 1e-5}, [np.zeros(2)], [], True)[0]
+        np.testing.assert_array_equal(y, [0.0, 0.0])
 
     def test_matches_layer_norm_on_zero_mean_input(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-2, 2, size=(500, 16))
         x -= x.mean(axis=-1, keepdims=True)
         x -= x.mean(axis=-1, keepdims=True)
-        diff = np.abs(layer_norm(x, 1e-5) - rms_norm(x, 1e-5)).max()
+        ln = OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0]
+        diff = np.abs(ln - OPS["RMSNorm"].forward({"eps": 1e-5}, [x], [], True)[0]).max()
         assert diff <= 4 * EPS_M
 
 
@@ -92,21 +91,24 @@ class TestGroupNorm:
     def test_single_group_equals_layer_norm(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-2, 2, size=(10, 12))
-        np.testing.assert_array_equal(group_norm(x, 1, eps=1e-5), layer_norm(x, eps=1e-5))
+        np.testing.assert_array_equal(OPS["GroupNorm"].forward({"groups": 1, "eps": 1e-5}, [x], [], True)[0],
+                                      OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0])
 
     def test_hand_oracle_two_groups(self):
         # [1,3]: centered [-1,1], var 1; [2,6]: centered [-2,2], var 4
+        x = np.array([1.0, 3.0, 2.0, 6.0])
         np.testing.assert_allclose(
-            group_norm(np.array([1.0, 3.0, 2.0, 6.0]), 2, eps=0.0), [-1.0, 1.0, -1.0, 1.0]
+            OPS["GroupNorm"].forward({"groups": 2, "eps": 0.0}, [x], [], True)[0], [-1.0, 1.0, -1.0, 1.0]
         )
 
     def test_instance_style_all_zeros(self):
         x = np.array([1.0, -3.0, 2.0, 0.5])
-        np.testing.assert_array_equal(group_norm(x, 4, eps=1e-5), np.zeros(4))
+        y = OPS["GroupNorm"].forward({"groups": 4, "eps": 1e-5}, [x], [], True)[0]
+        np.testing.assert_array_equal(y, np.zeros(4))
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError):
-            group_norm(np.ones(5), 2)
+            OPS["GroupNorm"].forward({"groups": 2}, [np.ones(5)], [], True)
 
 
 def _reference_im2col(x, fh, fw, stride, padding):
@@ -176,7 +178,8 @@ class TestSimplePrimitives:
         np.testing.assert_array_equal(OPS["Linear"].forward({}, [np.array([3.0, 4.0])], [W], True)[0], [3.0, 4.0])
 
     def test_auxiliary_centering(self):
-        np.testing.assert_allclose(auxiliary_centering(np.array([2.0, 0.0])), [1.0, -1.0])
+        y = OPS["AuxiliaryCentering"].forward({}, [np.array([2.0, 0.0])], [], True)[0]
+        np.testing.assert_allclose(y, [1.0, -1.0])
 
     def test_residual_add(self):
         np.testing.assert_array_equal(
@@ -206,6 +209,11 @@ class TestForward:
         x = np.array([1.0, 2.0, 3.0])
         outs, _ = forward(g, WeightStore({}), {"x": x})
         np.testing.assert_array_equal(outs[0], x)
+
+    def test_missing_input_is_refused(self):
+        g, w = _single_norm_graph()
+        with pytest.raises(ValueError, match=r"^missing inputs for \['x'\]$"):
+            forward(g, w, {})
 
     def test_nan_input_strict(self):
         g, w = _single_norm_graph()
@@ -327,7 +335,7 @@ def test_every_kind_is_gradient_checked():
     checked = {"GroupNorm"}
     for build in FD_CASES.values():
         checked |= {node.kind for node in build()[0].nodes.values()}
-    assert checked == set(NODE_KINDS)
+    assert checked == set(OPS)
 
 
 class TestBackward:
@@ -365,6 +373,12 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(tape, [np.ones(3)])
 
+    def test_out_grad_count_mismatch(self):
+        g, w = _single_norm_graph()
+        _, tape = forward(g, w, {"x": np.array([2.0, 0.0])})
+        with pytest.raises(ValueError, match="^expected 1 output grads, got 2$"):
+            backward(tape, [np.ones(2), np.ones(2)])
+
     @pytest.mark.parametrize("name", FD_CASES)
     def test_gradients_match_finite_differences(self, name):
         g, w = FD_CASES[name]()
@@ -396,16 +410,18 @@ class TestGroupNormNode:
         w = WeightStore({"lin.weight": W})
         x = rng.uniform(-2, 2, size=8)
         outs, _ = forward(g, w, {"x": x})
-        np.testing.assert_allclose(outs[0], group_norm(W @ x, 2, eps=1e-5), atol=1e-14)
+        expected = OPS["GroupNorm"].forward({"groups": 2, "eps": 1e-5}, [W @ x], [], True)[0]
+        np.testing.assert_allclose(outs[0], expected, atol=1e-14)
 
     @pytest.mark.parametrize("axis", [-1, -2, -3])
     def test_node_and_primitive_are_one_implementation(self, axis):
         x = np.random.default_rng(7).uniform(-2, 2, size=(3, 4, 6, 4))
         out, _saved = OPS["GroupNorm"].forward({"groups": 2, "axis": axis}, (x,), (), True)
-        expected = np.moveaxis(group_norm(np.moveaxis(x, axis, -1), 2), -1, axis)
+        moved = OPS["GroupNorm"].forward({"groups": 2}, [np.moveaxis(x, axis, -1)], [], True)[0]
+        expected = np.moveaxis(moved, -1, axis)
         assert np.array_equal(out, expected)
         if axis == -1:
-            assert np.array_equal(out, group_norm(x, 2))
+            assert np.array_equal(out, OPS["GroupNorm"].forward({"groups": 2}, [x], [], True)[0])
 
     def test_channel_axis_gradients(self):
         # normalize over a non-trailing axis and check against the oracle

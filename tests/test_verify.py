@@ -845,7 +845,7 @@ class TestCheckZeroMean:
             worst = check_zero_mean(g, w, nid, trials=30, seed=5)
             reference = 0.0
             for inputs in trials:
-                value = forward(g, store, inputs)[1].value_of(nid)
+                value = forward(g, store, inputs)[1].entries[nid].output
                 reference = max(reference, float(np.abs(value.mean(axis=-1)).max()))
             assert worst == reference, nid
             assert forward_calls[0][:2] == (30, 1)
@@ -920,6 +920,8 @@ class TestFlops:
             flops_estimate("ln", "welford", 8)
         with pytest.raises(ValueError):
             flops_estimate("nope", "naive", 8)
+        with pytest.raises(ValueError, match="^variant must be 'naive' or 'welford', got 'fused'$"):
+            flops_estimate("ln", "fused", 8)
 
 
 class TestSpeedupEstimate:
@@ -967,6 +969,20 @@ class TestTrainingEquivalence:
         arrays["l1.weight"][0, 0] += 0.5
         with pytest.raises(ValueError, match="initial weights"):
             training_equivalence(g, w, fg, WeightStore(arrays), steps=1, lr=0.05)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda g, w, fg: (g, w, fg, WeightStore(dict(w.items(), extra=np.zeros(1)))),
+         ParameterPairingError, "parameter name sets differ between schemes"),
+        (lambda g, w, fg: (*fixtures.pre_ln_transformer(),) * 2,
+         ValueError, "training harness expects one real-valued input"),
+        (lambda g, w, fg: (*fixtures.recurrent_then_norm(),) * 2,
+         ValueError, "training harness expects one real-valued input"),
+        (lambda g, w, fg: (g, w, g, w), ValueError, "scheme B should carry RMSNorm at 'n1'"),
+    ], ids=["parameter_sets_differ", "integer_input", "second_input", "strict_layer_norm_kept"])
+    def test_refusals(self, build, error, message):
+        gA, wA, gB, wB = build(*self._pair())
+        with pytest.raises(error, match=message):
+            training_equivalence(gA, wA, gB, wB, steps=1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_weight_gap_is_nan(self):
