@@ -34,7 +34,7 @@ from .graph_ir import (
     validate_graph,
 )
 from .ops import NumericalError
-from .tensor_math import Gradients, Tape, backward, forward
+from .tensor_math import Tape, backward, forward
 from .verify import (
     EquivalenceReport,
     FlopCount,

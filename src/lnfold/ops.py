@@ -25,7 +25,8 @@ DEFAULT_EPS = 1e-5
 
 
 class NumericalError(ArithmeticError):
-    """Raised in strict mode on division by zero or non-finite inputs."""
+    """A zero normalization denominator, a non-finite input, or embedding
+    indices outside the table: evaluation fails closed, always."""
 
 
 class Family(Enum):
@@ -64,13 +65,14 @@ def _add_bias(out, b):
     return out
 
 
-def _center_scale(x, eps, gamma, beta, strict, center):
+def _center_scale(x, eps, gamma, beta, center):
     """LayerNorm (center=True) or RMSNorm over the last axis, one code path.
 
     Returns (output, xhat, inverse root, denominator); xhat is the output
-    before the affine. When some row's denominator is not positive (eps = 0
-    on a constant row, or a NaN), the call takes the guarded where path;
-    otherwise the inverse root is taken directly, with the same bits.
+    before the affine, and beta comes only with gamma. A zero denominator
+    (eps = 0 on a constant row) raises NumericalError; a NaN row takes the
+    guarded where path, which gives it an inverse root of 0. Otherwise the
+    inverse root is taken directly, with the same bits.
     """
     if center:
         x = x - _mean(x)
@@ -79,13 +81,13 @@ def _center_scale(x, eps, gamma, beta, strict, center):
     if denom.min(initial=np.inf) > 0.0:
         inv = 1.0 / np.sqrt(denom)
     else:
-        if strict and np.any(denom == 0.0):
-            raise NumericalError("zero variance with eps=0; use eps > 0 or lenient mode")
+        if np.any(denom == 0.0):
+            raise NumericalError("zero variance with eps=0; use eps > 0")
         with np.errstate(divide="ignore"):
             inv = np.where(denom > 0.0, 1.0 / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
     xhat = np.multiply(x, inv, out=sq if sq.dtype == np.result_type(x, inv) else None)
     if gamma is None:
-        return (xhat if beta is None else xhat + beta), xhat, inv, denom
+        return xhat, xhat, inv, denom
     return _add_bias(xhat * gamma, beta), xhat, inv, denom
 
 
@@ -280,7 +282,7 @@ class _Linear(OpDef):
         self._check_bias(params, m, bad)
         return shapes[0][:-1] + (m,)
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         weights = params[: self.bias]
         out = inputs[0] @ weights[0].T
         for x, weight in zip(inputs[1:], weights[1:]):
@@ -320,7 +322,7 @@ class _Conv2d(OpDef):
         self._check_bias(params, co, bad)
         return shapes[0][:-3] + (co, oh, ow)
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,), K = inputs, params[0]
         stride, padding = self.attr(attrs, "stride"), self.attr(attrs, "padding")
         lead, (c, h, w) = x.shape[:-3], x.shape[-3:]
@@ -375,7 +377,7 @@ class _AttentionValueProjection(OpDef):
             return bad(f"incoming width {shapes[0][-1]} != {d}")
         return shapes[0][:-1] + (dv,)
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,) = inputs
         return x @ params[0], {}
 
@@ -434,10 +436,10 @@ class _LayerNorm(OpDef):
                 bad(f"{role} shape {p.shape} != ({n},)")
         return shapes[0]
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,) = inputs
         eps = self.attr(attrs, "eps")
-        out, xhat, inv, denom = _center_scale(x, eps, *self._gamma_beta(params), strict, self.removes_mean)
+        out, xhat, inv, denom = _center_scale(x, eps, *self._gamma_beta(params), self.removes_mean)
         return out, {"xhat": xhat, "inv": inv, "denom": denom}
 
     def backward(self, e, dy, keep):
@@ -473,7 +475,7 @@ class _GroupNorm(OpDef):
             bad(f"groups {groups} must divide axis length {length}")
         return shapes[0]
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,), axis = inputs, self.attr(attrs, "axis")
         groups, eps = self.attr(attrs, "groups"), self.attr(attrs, "eps")
         # LayerNorm over each of groups contiguous chunks of axis; xhat, inv
@@ -483,7 +485,7 @@ class _GroupNorm(OpDef):
         if groups < 1 or n % groups != 0:
             raise ValueError(f"groups {groups} must divide axis length {n}")
         grouped = moved.reshape(moved.shape[:-1] + (groups, n // groups))
-        _out, xhat, inv, denom = _center_scale(grouped, eps, None, None, strict, center=True)
+        _out, xhat, inv, denom = _center_scale(grouped, eps, None, None, center=True)
         out = np.moveaxis(xhat.reshape(moved.shape), -1, axis)
         return out, {"xhat": xhat, "inv": inv, "denom": denom, "axis": axis}
 
@@ -503,7 +505,7 @@ class _ScalarScale(OpDef):
             return ["ScalarScale requires a 'scale' attr"]
         return super().check_attrs(attrs)
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,) = inputs
         return x * self.attr(attrs, "scale"), {}
 
@@ -529,7 +531,7 @@ class _ResidualAdd(OpDef):
             return bad(f"branch shapes differ: {shapes}")
         return shapes[0]
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         out = inputs[0]
         for x in inputs[1:]:
             out = out + x
@@ -550,7 +552,7 @@ class _Concat(OpDef):
             return bad(f"concat operands disagree off the last axis: {shapes}")
         return shapes[0][:-1] + (sum(s[-1] for s in shapes),)
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         widths = tuple(x.shape[-1] for x in inputs)
         return np.concatenate(inputs, axis=-1), {"widths": widths}
 
@@ -563,7 +565,7 @@ class _Concat(OpDef):
 
 
 class _ReLU(OpDef):
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,) = inputs
         return np.maximum(x, 0.0), {}
 
@@ -575,7 +577,7 @@ class _Softmax(OpDef):
     min_rank = 1
     removes_mean = True
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,) = inputs
         y = softmax(x)
         return y, {"y": y}
@@ -605,7 +607,7 @@ class _Embedding(OpDef):
                     f"draws them below high={high}"]
         return []
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (idx,), (table,) = inputs, params
         if not np.issubdtype(idx.dtype, np.integer):
             raise NumericalError("embedding indices must be integers")
@@ -628,7 +630,7 @@ class _AuxiliaryCentering(OpDef):
     centered_axis, min_rank = -1, 1
     removes_mean = True
 
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,) = inputs
         return x - _mean(x), {}
 
@@ -661,7 +663,7 @@ class _Input(OpDef):
 
 
 class _Output(OpDef):
-    def forward(self, attrs, inputs, params, strict):
+    def forward(self, attrs, inputs, params):
         (x,) = inputs
         return x, {}
 

@@ -52,16 +52,17 @@ def forward(
     g: Graph,
     w: WeightStore,
     inputs: Mapping[str, np.ndarray],
-    strict: bool = True,
     tape: bool = True,
 ) -> tuple[list[np.ndarray], Tape | None]:
     """Evaluate the graph in topological order.
 
-    inputs is keyed by Input-node id; every parameter comes from w. With
-    tape=False no tape is kept and the second value is None: no node's
-    inputs, parameters or saved tensors are held, and each node's output is
-    dropped as soon as it is dead (Graph.dead_after): once the last node
-    that reads it has run. Graph outputs are never dropped.
+    inputs is keyed by Input-node id; every parameter comes from w. A
+    non-finite float input or a zero normalization denominator raises
+    NumericalError naming the node. With tape=False no tape is kept and the
+    second value is None: no node's inputs, parameters or saved tensors are
+    held, and each node's output is dropped as soon as it is dead
+    (Graph.dead_after): once the last node that reads it has run. Graph
+    outputs are never dropped.
     """
     missing = [nid for nid in g.inputs if nid not in inputs]
     if missing:
@@ -75,13 +76,13 @@ def forward(
         if node.kind == "Input":
             in_vals = param_arrays = ()
             out, saved = np.asarray(inputs[nid]), {}
-            if strict and np.issubdtype(out.dtype, np.floating) and not np.all(np.isfinite(out)):
+            if np.issubdtype(out.dtype, np.floating) and not np.all(np.isfinite(out)):
                 raise NumericalError(f"non-finite input at node {nid!r}")
         else:
             in_vals = tuple(values[src] for src in g.predecessors(nid))
             param_arrays = tuple(w[ref] for ref in node.param_refs)
             try:
-                out, saved = OPS[node.kind].forward(node.attrs, in_vals, param_arrays, strict)
+                out, saved = OPS[node.kind].forward(node.attrs, in_vals, param_arrays)
             except NumericalError as exc:
                 raise NumericalError(f"node {nid!r}: {exc}") from None
         values[nid] = out
@@ -100,12 +101,6 @@ def forward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Gradients:
-    params: dict[str, np.ndarray]
-    inputs: dict[str, np.ndarray]
-
-
 def _accumulate(grads: dict[str, Any], names: Sequence[str], values: Sequence[np.ndarray]) -> None:
     """Add each gradient into grads under its name; repeated names add up,
     and a lone one is stored as given (no gradient is updated in place)."""
@@ -118,8 +113,8 @@ def backward(
     out_grads: Sequence[np.ndarray],
     keep_axis0: bool = False,
     consume: Callable[[Node, dict[str, np.ndarray]], None] | None = None,
-) -> Gradients:
-    """Exact reverse-mode gradients for every recorded primitive.
+) -> dict[str, np.ndarray]:
+    """Exact reverse-mode parameter gradients for every recorded primitive.
 
     keep_axis0 is for a tape of stacked trials, whose axis 0 indexes the
     trials: each parameter gradient then keeps that axis, holding every
@@ -128,8 +123,9 @@ def backward(
     Each node's parameter gradients, keyed by name, go to consume(node,
     grads) as soon as its reverse step has run, final there for a valid
     graph (validation refuses shared parameters). By default they are
-    collected into Gradients.params, which stays empty under a caller's
-    consume. Each activation gradient is dropped once its node has used it.
+    collected into the returned dict, which stays empty under a caller's
+    consume. Each activation gradient is dropped once its node has used
+    it, and an Input's unused: inputs take no gradient.
     """
     g = tape.graph
     if len(out_grads) != len(g.outputs):
@@ -144,20 +140,16 @@ def backward(
     _accumulate(grad_of, g.outputs, out_grads)
 
     param_grads: dict[str, np.ndarray] = {}
-    input_grads: dict[str, np.ndarray] = {}
     if consume is None:
         consume = lambda node, grads: _accumulate(param_grads, grads, grads.values())
     for nid, entry in reversed(tape.entries.items()):
         dy = grad_of.pop(nid, None)
-        if dy is None:
+        if dy is None or entry.node.kind == "Input":
             continue
         dy = np.asarray(dy)
-        if entry.node.kind == "Input":
-            input_grads[nid] = dy
-            continue
         dxs, dparams = OPS[entry.node.kind].backward(entry, dy, keep_axis0)
         _accumulate(grad_of, g.predecessors(nid), dxs)
         consume(entry.node, dict(zip(entry.node.param_refs, dparams)))
 
-    return Gradients(params=param_grads, inputs=input_grads)
+    return param_grads
 

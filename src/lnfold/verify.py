@@ -22,7 +22,7 @@ from .fold_apply import center_targets
 from .fold_detect import detect_foldable, fold_plan
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
 from .ops import OPS, softmax
-from .tensor_math import Gradients, backward, forward
+from .tensor_math import backward, forward
 
 _INPUT = OPS["Input"]
 
@@ -279,7 +279,7 @@ def _proxied_grads(
     out_grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
     keep_axis0: bool = False,
     consume: Callable[[dict[str, np.ndarray]], None] | None = None,
-) -> tuple[list[np.ndarray], Gradients]:
+) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
     """Forward/backward with proxy parameters for the proxied node ids (none
     for a plain model).
 
@@ -290,8 +290,8 @@ def _proxied_grads(
     stacked trials, each with its own gradients, and the projection centers
     them all in one call per node, since it leaves leading axes alone.
     With consume, each node's projected parameter gradients go to
-    consume(grads) as backward produces them, and the returned Gradients
-    hold none; otherwise they are collected there.
+    consume(grads) as backward produces them, and the returned dict holds
+    none; otherwise they are collected there.
     """
     outs, tape = forward(g, effective, inputs)
     collected: dict[str, np.ndarray] = {}
@@ -301,8 +301,8 @@ def _proxied_grads(
             grads.update(center_node_params(node, grads))
         (collected.update if consume is None else consume)(grads)
 
-    grads = backward(tape, out_grad_fn(outs), keep_axis0, project)
-    return outs, Gradients(collected, grads.inputs)
+    backward(tape, out_grad_fn(outs), keep_axis0, project)
+    return outs, collected
 
 
 def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
@@ -369,13 +369,13 @@ def verify_gradients(
 
         def diff_from_a(gradsB):
             for name, gb in gradsB.items():
-                ga = gradsA.params.pop(name, None)
+                ga = gradsA.pop(name, None)
                 d = (0.0 if ga is None else ga) - gb
                 maxima.append(np.abs(d, out=d).max(initial=0.0))
 
         outsB, _ = _proxied_grads(gB, effective, proxied, inputs, ones, True, diff_from_a)
         worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
-        maxima += (np.abs(ga).max(initial=0.0) for ga in gradsA.params.values())
+        maxima += (np.abs(ga).max(initial=0.0) for ga in gradsA.values())
         worst_grad = _fold_worst(worst_grad, maxima)
     return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
 
@@ -569,7 +569,7 @@ def training_equivalence(
             _, grads = _proxied_grads(g, effective, proxies, {input_id: x}, ce_grads)
             if not np.isfinite(losses[-1]):
                 raise TrainingDivergenceError(f"scheme {scheme} diverged at step {_step}")
-            for name, grad in grads.params.items():
+            for name, grad in grads.items():
                 arrays[name] -= lr * grad
         loss_a, loss_b = losses
 

@@ -48,7 +48,7 @@ def finite_difference_grad(
 
     def run() -> float:
         nonlocal ill
-        outs, tape = forward(g, WeightStore(arrays), inputs, strict=False)
+        outs, tape = forward(g, WeightStore(arrays), inputs)
         ill = ill or any(e.saved["denom"].min(initial=np.inf) < ILL_CONDITION_THRESHOLD
                          for e in tape.entries.values() if "denom" in e.saved)
         return loss_value(outs, loss_selector)

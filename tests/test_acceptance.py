@@ -130,13 +130,13 @@ def test_criterion_3_gradient_equivalence():
         return float(sum(o.sum() for o in outs))
 
     outsA, tapeA = forward(g, store, inputs)
-    gradsA = backward(tapeA, [np.ones_like(o) for o in outsA]).params
+    gradsA = backward(tapeA, [np.ones_like(o) for o in outsA])
     from lnfold.verify import _proxied_grads
     _, gradsB = _proxied_grads(fg, center_targets(fg, store, proxied), proxied, inputs,
                                lambda outs: [np.ones_like(o) for o in outs])
 
     for loss_fn, grads, tag in ((scheme_a_loss, gradsA, "plain"),
-                                (scheme_b_loss, gradsB.params, "proxy")):
+                                (scheme_b_loss, gradsB, "proxy")):
         worst_rel = 0.0
         for name in store.names():
             arrays = {k: v.copy() for k, v in store.items()}
@@ -204,7 +204,7 @@ def test_criterion_6_centering_families():
     b = center_bias(rng.uniform(-1, 1, size=24))
     cases["linear"] = (
         Family.LINEAR_COLUMNS, 1, W, V,
-        lambda: OPS["Linear"].forward({}, [rng.uniform(-2, 2, size=16)], [V, b], True)[0].mean(), 24,
+        lambda: OPS["Linear"].forward({}, [rng.uniform(-2, 2, size=16)], [V, b])[0].mean(), 24,
     )
 
     K0 = rng.uniform(-1, 1, size=(6, 3, 3, 3))
@@ -213,7 +213,7 @@ def test_criterion_6_centering_families():
     cases["conv"] = (
         Family.CONV_OUT_CHANNELS, 1, K0, K,
         lambda: np.abs(
-            OPS["Conv2d"].forward({"stride": 1, "padding": 1}, [rng.uniform(-2, 2, size=(3, 8, 8))], [K, kb], True)[0]
+            OPS["Conv2d"].forward({"stride": 1, "padding": 1}, [rng.uniform(-2, 2, size=(3, 8, 8))], [K, kb])[0]
             .mean(axis=0)
         ).max(), 6,
     )
@@ -224,7 +224,7 @@ def test_criterion_6_centering_families():
     cases["recurrent"] = (
         Family.RECURRENT_BOTH, 1, Wv0, Wv,
         lambda: OPS["RecurrentCell"].forward(
-            {}, [rng.uniform(-2, 2, size=5), rng.uniform(-2, 2, size=8)], [Wv, Wh], True
+            {}, [rng.uniform(-2, 2, size=5), rng.uniform(-2, 2, size=8)], [Wv, Wh]
         )[0].mean(), 8,
     )
 
@@ -233,7 +233,7 @@ def test_criterion_6_centering_families():
     cases["attention_value"] = (
         Family.ATTENTION_VALUE_ROWS, 1, A0, A,
         lambda: np.abs(
-            OPS["AttentionValueProjection"].forward({}, [rng.uniform(-2, 2, size=(4, 5))], [A], True)[0]
+            OPS["AttentionValueProjection"].forward({}, [rng.uniform(-2, 2, size=(4, 5))], [A])[0]
             .mean(axis=-1)
         ).max(), 10,
     )
@@ -244,7 +244,7 @@ def test_criterion_6_centering_families():
     cases["grouped"] = (
         Family.GROUPED_COLUMNS, groups, G0, G,
         lambda: np.abs(
-            OPS["Linear"].forward({}, [rng.uniform(-2, 2, size=7)], [G], True)[0]
+            OPS["Linear"].forward({}, [rng.uniform(-2, 2, size=7)], [G])[0]
             .reshape(groups, chunk).mean(axis=-1)
         ).max(), chunk,
     )
@@ -280,8 +280,8 @@ def test_criterion_8_zero_mean_identity():
     x -= x.mean(axis=-1, keepdims=True)
     x -= x.mean(axis=-1, keepdims=True)
     eps = 1e-5
-    ln = OPS["LayerNorm"].forward({"eps": eps}, [x], [], True)[0]
-    diff = np.abs(ln - OPS["RMSNorm"].forward({"eps": eps}, [x], [], True)[0]).max()
+    ln = OPS["LayerNorm"].forward({"eps": eps}, [x], [])[0]
+    diff = np.abs(ln - OPS["RMSNorm"].forward({"eps": eps}, [x], [])[0]).max()
     assert diff <= 4 * EPS_M, diff
     _report(8, f"10,000 zero-mean vectors: elementwise |LN - RMS| = {diff:.3e} "
                f"<= {4 * EPS_M:.3e}")

@@ -100,7 +100,7 @@ class TestConvKernel:
         b = center_bias(RNG.uniform(-1, 1, size=6))
         for _ in range(20):
             x = RNG.uniform(-2, 2, size=(3, 8, 8))
-            y = OPS["Conv2d"].forward({"stride": 1, "padding": 1}, [x], [K, b], True)[0]
+            y = OPS["Conv2d"].forward({"stride": 1, "padding": 1}, [x], [K, b])[0]
             channel_mean = y.mean(axis=0)
             assert np.abs(channel_mean).max() <= 8 * 6 * EPS_M * 10
 
@@ -124,7 +124,7 @@ class TestRecurrent:
         for _ in range(20):
             x = RNG.uniform(-2, 2, size=4)
             h_prev = RNG.uniform(-2, 2, size=6)
-            c = OPS["RecurrentCell"].forward({}, [x, h_prev], [Wv, Wh], True)[0]
+            c = OPS["RecurrentCell"].forward({}, [x, h_prev], [Wv, Wh])[0]
             assert abs(c.mean()) <= 8 * 6 * EPS_M
 
 
@@ -142,7 +142,7 @@ class TestAttentionValue:
         V = center(RNG.uniform(-1, 1, size=(5, 8)), Family.ATTENTION_VALUE_ROWS)
         for _ in range(20):
             B = RNG.uniform(-2, 2, size=(3, 5))
-            y = OPS["AttentionValueProjection"].forward({}, [B], [V], True)[0]
+            y = OPS["AttentionValueProjection"].forward({}, [B], [V])[0]
             assert np.abs(y.mean(axis=-1)).max() <= 8 * 8 * EPS_M
 
 
@@ -174,7 +174,7 @@ class TestGroupedColumns:
         W = center(RNG.uniform(-1, 1, size=(groups * chunk, 5)), Family.GROUPED_COLUMNS, groups)
         for _ in range(20):
             x = RNG.uniform(-2, 2, size=5)
-            y = OPS["Linear"].forward({}, [x], [W], True)[0].reshape(groups, chunk)
+            y = OPS["Linear"].forward({}, [x], [W])[0].reshape(groups, chunk)
             assert np.abs(y.mean(axis=-1)).max() <= 8 * chunk * EPS_M
 
 

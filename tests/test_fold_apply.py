@@ -183,7 +183,7 @@ class TestStrictSoundness:
         grads = backward(tape, [np.ones_like(o) for o in outs])
         fd = finite_difference_grad(fg, fw, inp, "sum", h=1e-6)
         for pname in fw.names():
-            analytic = grads.params.get(pname, np.zeros_like(fw[pname]))
+            analytic = grads.get(pname, np.zeros_like(fw[pname]))
             rel = np.abs(analytic - fd.params[pname]).max() / max(
                 np.abs(fd.params[pname]).max(), 1e-12
             )

@@ -13,7 +13,8 @@ a package module must be read in some package module (outside __init__ and
 its own definition) or in lnbench/, where the tracer names functions as
 strings. A read is a loaded name, an imported name, or an attribute of a
 package module (`cli.main`). KEPT_UNREAD exempts the few names kept for
-what they check, each with its reason.
+what they check, each with its reason, and an exemption lapses as soon as
+its name is gone or gains a reader.
 
 verify's sampled checks draw from a stream lnfold defines itself, so their
 output does not change when numpy changes its generator algorithms; only
@@ -24,6 +25,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -124,10 +126,25 @@ def _unread_names(package: dict[str, str], outside: tuple[str, ...] = ()) -> lis
     return unread
 
 
-def test_every_public_name_is_read():
+def _stale_exemptions(unread: list[str], kept: Mapping[str, str]) -> list[str]:
+    """The kept names not among the unread module.name entries: names no
+    package module defines any more, or that some module or lnbench/ reads."""
+    names = {name.split(".")[1] for name in unread}
+    return [name for name in kept if name not in names]
+
+
+def _unread_in_repo() -> list[str]:
     package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     outside = tuple(p.read_text(encoding="utf-8") for p in sorted(LNBENCH.rglob("*.py")))
-    assert [name for name in _unread_names(package, outside) if name.split(".")[1] not in KEPT_UNREAD] == []
+    return _unread_names(package, outside)
+
+
+def test_every_public_name_is_read():
+    assert [name for name in _unread_in_repo() if name.split(".")[1] not in KEPT_UNREAD] == []
+
+
+def test_every_exemption_is_still_needed():
+    assert _stale_exemptions(_unread_in_repo(), KEPT_UNREAD) == []
 
 
 def test_the_check_sees_an_unread_name():
@@ -140,6 +157,16 @@ def test_the_check_sees_an_unread_name():
     assert _unread_names(package) == ["ops.Op", "ops.traced", "cli.main"]
     assert _unread_names(package, ("from lnfold import cli\ncli.main()\nSPANS = [('ops', 'traced')]\n",)) == [
         "ops.Op"]
+
+
+def test_the_check_sees_a_stale_exemption():
+    package = {
+        "ops": "class Op:\n    pass\ndef used():\n    pass\n",
+        "cli": "from . import ops\ndef main():\n    return ops.used()\n",
+    }
+    kept = {"Op": "still unread", "used": "cli reads it now", "gone": "no longer defined"}
+    # main is unread too, but not exempted: the other check reports it.
+    assert _stale_exemptions(_unread_names(package), kept) == ["used", "gone"]
 
 
 def test_cli_import_loads_no_thread_pool():

@@ -6,8 +6,10 @@ centered_axis alone), so each case runs one kind's forward on random f64
 inputs with a leading sample axis and checks each rule the kind states.
 Each kind also declares its attrs once, in attr_types: the kind reads no
 other attr, and the declared type and default are the ones it enforces.
+Every kernel takes the same arguments, so a kind evaluates one way only.
 """
 
+import inspect
 from collections.abc import Mapping
 from types import SimpleNamespace
 
@@ -74,7 +76,7 @@ def test_declared_rules_hold(kind):
     xs = _draw(rng, sources)
 
     def run(inputs, store=arrays):
-        return op.forward(node.attrs, inputs, [store[ref] for ref in node.param_refs], True)[0]
+        return op.forward(node.attrs, inputs, [store[ref] for ref in node.param_refs])[0]
 
     out = run(xs)
     assert np.all(np.isfinite(out))
@@ -90,6 +92,15 @@ def test_declared_rules_hold(kind):
         assert np.abs(centered.mean(axis=op.centered_axis)).max() <= TOL
     elif op.centered_axis is not None:
         assert np.abs(out.mean(axis=op.centered_axis)).max() <= TOL
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_kernels_take_no_mode(kind):
+    # No extra argument, not even one with a default: tensor_math calls each
+    # kernel with exactly these, as every command evaluates a model.
+    op = OPS[kind]
+    assert str(inspect.signature(op.forward)) == "(attrs, inputs, params)"
+    assert str(inspect.signature(op.backward)) == "(e, dy, keep)"
 
 
 class _Recording(Mapping):
@@ -129,7 +140,7 @@ def test_kind_reads_only_declared_attrs(kind):
     assert op.shape(attrs, [tuple(a["shape"]) for a in sources], params, pytest.fail) is not None
     assert op.check_sources(source_nodes, params) == []
     xs = _draw(np.random.default_rng(0), sources)
-    out, saved = op.forward(attrs, xs, params, True)
+    out, saved = op.forward(attrs, xs, params)
     entry = SimpleNamespace(node=Node("op", kind, attrs, node.param_refs), inputs=xs, params=params,
                             output=out, saved=saved)
     op.backward(entry, np.ones_like(out), False)

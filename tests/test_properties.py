@@ -91,7 +91,7 @@ class TestNormalizationAlgebra:
         # divided by sqrt(var + eps); near-constant inputs amplify it by
         # 1/sqrt(eps), so the bound carries that factor.
         eps = 1e-5
-        y = OPS["LayerNorm"].forward({"eps": eps}, [x], [], True)[0]
+        y = OPS["LayerNorm"].forward({"eps": eps}, [x], [])[0]
         scale = max(1.0, float(np.abs(x).max())) / np.sqrt(x.var() + eps)
         assert abs(y.mean()) <= 8 * x.shape[0] * EPS_M * scale
 
@@ -102,22 +102,22 @@ class TestNormalizationAlgebra:
         # the output's own ulps, not absolute.
         x = x - x.mean()
         x = x - x.mean()
-        rms = OPS["RMSNorm"].forward({"eps": 1e-5}, [x], [], True)[0]
-        diff = np.abs(OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0] - rms).max()
+        rms = OPS["RMSNorm"].forward({"eps": 1e-5}, [x], [])[0]
+        diff = np.abs(OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [])[0] - rms).max()
         assert diff <= 4 * EPS_M * max(1.0, float(np.abs(rms).max()))
 
     @given(vectors())
     def test_group_norm_with_one_group_is_layer_norm(self, x):
-        np.testing.assert_array_equal(OPS["GroupNorm"].forward({"groups": 1, "eps": 1e-5}, [x], [], True)[0],
-                                      OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0])
+        np.testing.assert_array_equal(OPS["GroupNorm"].forward({"groups": 1, "eps": 1e-5}, [x], [])[0],
+                                      OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [])[0])
 
     @given(vectors(), st.floats(0.1, 3.0))
     def test_scalar_scale_invariance_of_ln_with_zero_eps(self, x, a):
         if np.ptp(x) < 1e-3:
             return  # stay away from the zero-variance singularity
         np.testing.assert_allclose(
-            OPS["LayerNorm"].forward({"eps": 0.0}, [a * x], [], True)[0],
-            OPS["LayerNorm"].forward({"eps": 0.0}, [x], [], True)[0],
+            OPS["LayerNorm"].forward({"eps": 0.0}, [a * x], [])[0],
+            OPS["LayerNorm"].forward({"eps": 0.0}, [x], [])[0],
             atol=1e-9,
         )
 

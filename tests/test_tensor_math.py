@@ -24,57 +24,69 @@ def rel_error(a: np.ndarray, f: np.ndarray) -> float:
 
 class TestLayerNorm:
     def test_already_centered_unit_moment(self):
-        y = OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([1.0, -1.0])], [], True)[0]
+        y = OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([1.0, -1.0])], [])[0]
         np.testing.assert_array_equal(y, [1.0, -1.0])
 
     def test_hand_oracle(self):
         # mu = 1, centered = [1, -1], second moment = 1
-        y = OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [], True)[0]
+        y = OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [])[0]
         np.testing.assert_allclose(y, [1.0, -1.0])
 
     def test_constants_annihilated(self):
         for c in (0.0, 3.5, -7.25):
             np.testing.assert_array_equal(
-                OPS["LayerNorm"].forward({"eps": 1e-5}, [np.array([c, c])], [], True)[0], [0.0, 0.0]
+                OPS["LayerNorm"].forward({"eps": 1e-5}, [np.array([c, c])], [])[0], [0.0, 0.0]
             )
 
     def test_output_mean_is_zero(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-2, 2, size=(200, 33))
-        y = OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0]
+        y = OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [])[0]
         assert np.abs(y.mean(axis=-1)).max() <= 8 * 33 * EPS_M
 
-    def test_strict_zero_variance_raises(self):
-        with pytest.raises(NumericalError):
-            OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 2.0])], [], True)
-
-    def test_lenient_zero_variance_returns_zeros(self):
-        np.testing.assert_array_equal(
-            OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 2.0])], [], False)[0], [0.0, 0.0]
-        )
+    @pytest.mark.parametrize("kind, attrs, row", [
+        ("LayerNorm", {}, [0.0, 0.0, 0.0, 0.0]),
+        ("LayerNorm", {}, [2.0, 2.0, 2.0, 2.0]),
+        ("RMSNorm", {}, [0.0, 0.0, 0.0, 0.0]),
+        ("GroupNorm", {"groups": 2}, [0.0, 0.0, 0.0, 0.0]),
+    ], ids=["LayerNorm", "LayerNorm-constant", "RMSNorm", "GroupNorm"])
+    def test_zero_variance_raises(self, kind, attrs, row):
+        # eps 0 on a row with nothing left to normalize: the kernel refuses,
+        # and forward refuses the whole batch, naming the node.
+        batch = np.array([[1.0, -2.0, 0.5, 3.0], row])
+        with pytest.raises(NumericalError, match=r"^zero variance with eps=0; use eps > 0$"):
+            OPS[kind].forward({"eps": 0.0, **attrs}, [batch], [])
+        nodes = [
+            make_node("x", "Input", {"shape": [4]}),
+            make_node("ln", kind, {"eps": 0.0, **attrs}),
+            make_node("out", "Output"),
+        ]
+        g = Graph(nodes, [("x", "ln", 0), ("ln", "out", 0)], ["x"], ["out"])
+        with pytest.raises(NumericalError, match=r"^node 'ln': zero variance with eps=0; use eps > 0$"):
+            forward(g, WeightStore({}), {"x": batch})
 
     def test_affine(self):
         gamma = np.array([2.0, 3.0])
         beta = np.array([1.0, -1.0])
         np.testing.assert_allclose(
-            OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [gamma, beta], True)[0],
+            OPS["LayerNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [gamma, beta])[0],
             [3.0, -4.0],
         )
 
 
 class TestRmsNorm:
     def test_unit_second_moment_untouched(self):
-        y = OPS["RMSNorm"].forward({"eps": 0.0}, [np.array([1.0, -1.0])], [], True)[0]
+        y = OPS["RMSNorm"].forward({"eps": 0.0}, [np.array([1.0, -1.0])], [])[0]
         np.testing.assert_array_equal(y, [1.0, -1.0])
 
     def test_hand_oracle(self):
         # second moment = 2
         np.testing.assert_allclose(
-            OPS["RMSNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [], True)[0], [np.sqrt(2.0), 0.0]
+            OPS["RMSNorm"].forward({"eps": 0.0}, [np.array([2.0, 0.0])], [])[0], [np.sqrt(2.0), 0.0]
         )
 
     def test_zero_vector(self):
-        y = OPS["RMSNorm"].forward({"eps": 1e-5}, [np.zeros(2)], [], True)[0]
+        y = OPS["RMSNorm"].forward({"eps": 1e-5}, [np.zeros(2)], [])[0]
         np.testing.assert_array_equal(y, [0.0, 0.0])
 
     def test_matches_layer_norm_on_zero_mean_input(self):
@@ -82,8 +94,8 @@ class TestRmsNorm:
         x = rng.uniform(-2, 2, size=(500, 16))
         x -= x.mean(axis=-1, keepdims=True)
         x -= x.mean(axis=-1, keepdims=True)
-        ln = OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0]
-        diff = np.abs(ln - OPS["RMSNorm"].forward({"eps": 1e-5}, [x], [], True)[0]).max()
+        ln = OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [])[0]
+        diff = np.abs(ln - OPS["RMSNorm"].forward({"eps": 1e-5}, [x], [])[0]).max()
         assert diff <= 4 * EPS_M
 
 
@@ -91,24 +103,24 @@ class TestGroupNorm:
     def test_single_group_equals_layer_norm(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-2, 2, size=(10, 12))
-        np.testing.assert_array_equal(OPS["GroupNorm"].forward({"groups": 1, "eps": 1e-5}, [x], [], True)[0],
-                                      OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [], True)[0])
+        np.testing.assert_array_equal(OPS["GroupNorm"].forward({"groups": 1, "eps": 1e-5}, [x], [])[0],
+                                      OPS["LayerNorm"].forward({"eps": 1e-5}, [x], [])[0])
 
     def test_hand_oracle_two_groups(self):
         # [1,3]: centered [-1,1], var 1; [2,6]: centered [-2,2], var 4
         x = np.array([1.0, 3.0, 2.0, 6.0])
         np.testing.assert_allclose(
-            OPS["GroupNorm"].forward({"groups": 2, "eps": 0.0}, [x], [], True)[0], [-1.0, 1.0, -1.0, 1.0]
+            OPS["GroupNorm"].forward({"groups": 2, "eps": 0.0}, [x], [])[0], [-1.0, 1.0, -1.0, 1.0]
         )
 
     def test_instance_style_all_zeros(self):
         x = np.array([1.0, -3.0, 2.0, 0.5])
-        y = OPS["GroupNorm"].forward({"groups": 4, "eps": 1e-5}, [x], [], True)[0]
+        y = OPS["GroupNorm"].forward({"groups": 4, "eps": 1e-5}, [x], [])[0]
         np.testing.assert_array_equal(y, np.zeros(4))
 
     def test_divisibility_error(self):
         with pytest.raises(ValueError):
-            OPS["GroupNorm"].forward({"groups": 2}, [np.ones(5)], [], True)
+            OPS["GroupNorm"].forward({"groups": 2}, [np.ones(5)], [])
 
 
 def _reference_im2col(x, fh, fw, stride, padding):
@@ -161,7 +173,7 @@ class TestConvPatches:
         fh, fw = kernel
         x = rng.normal(size=lead + (c, 3, 5))
         K, b = rng.normal(size=(2, c, fh, fw)), rng.normal(size=2)
-        out, saved = OPS["Conv2d"].forward({"stride": stride, "padding": padding}, [x], [K, b], True)
+        out, saved = OPS["Conv2d"].forward({"stride": stride, "padding": padding}, [x], [K, b])
         flat = x.reshape((-1, c, 3, 5))
         cols, (oh, ow) = _reference_im2col(flat, fh, fw, stride, padding)
         ref = (cols @ K.reshape(2, -1).T + b).transpose(0, 2, 1).reshape(lead + (2, oh, ow))
@@ -175,15 +187,15 @@ class TestConvPatches:
 class TestSimplePrimitives:
     def test_linear_identity(self):
         W = np.eye(2)
-        np.testing.assert_array_equal(OPS["Linear"].forward({}, [np.array([3.0, 4.0])], [W], True)[0], [3.0, 4.0])
+        np.testing.assert_array_equal(OPS["Linear"].forward({}, [np.array([3.0, 4.0])], [W])[0], [3.0, 4.0])
 
     def test_auxiliary_centering(self):
-        y = OPS["AuxiliaryCentering"].forward({}, [np.array([2.0, 0.0])], [], True)[0]
+        y = OPS["AuxiliaryCentering"].forward({}, [np.array([2.0, 0.0])], [])[0]
         np.testing.assert_allclose(y, [1.0, -1.0])
 
     def test_residual_add(self):
         np.testing.assert_array_equal(
-            OPS["ResidualAdd"].forward({}, [np.array([1.0, 2.0]), np.array([3.0, 4.0])], [], True)[0], [4.0, 6.0]
+            OPS["ResidualAdd"].forward({}, [np.array([1.0, 2.0]), np.array([3.0, 4.0])], [])[0], [4.0, 6.0]
         )
 
 
@@ -339,33 +351,48 @@ def test_every_kind_is_gradient_checked():
 
 
 class TestBackward:
+    # Inputs take no gradient, so the gradient a node hands back to its input
+    # is read off an identity Linear upstream of it: its bias gradient is
+    # exactly that input gradient.
+    @staticmethod
+    def _identity(nid, n):
+        node = make_node(nid, "Linear", params=[f"{nid}.weight", f"{nid}.bias"])
+        return node, {f"{nid}.weight": np.eye(n), f"{nid}.bias": np.zeros(n)}
+
     def test_identity_linear_sum_loss(self):
+        up, up_params = self._identity("up", 3)
         nodes = [
             make_node("x", "Input", {"shape": [3]}),
+            up,
             make_node("lin", "Linear", params=["lin.weight"]),
             make_node("out", "Output"),
         ]
-        g = Graph(nodes, [("x", "lin", 0), ("lin", "out", 0)], ["x"], ["out"])
-        w = WeightStore({"lin.weight": np.eye(3)})
+        g = Graph(nodes, [("x", "up", 0), ("up", "lin", 0), ("lin", "out", 0)], ["x"], ["out"])
+        w = WeightStore({"lin.weight": np.eye(3), **up_params})
         x = np.array([0.3, -0.7, 1.1])
         outs, tape = forward(g, w, {"x": x})
         grads = backward(tape, [np.ones_like(outs[0])])
-        np.testing.assert_array_equal(grads.inputs["x"], np.ones(3))
+        np.testing.assert_array_equal(grads["up.bias"], np.ones(3))
 
     def test_residual_replicates_gradient(self):
+        (pa, pa_params), (pb, pb_params) = self._identity("pa", 4), self._identity("pb", 4)
         nodes = [
             make_node("a", "Input", {"shape": [4]}),
             make_node("b", "Input", {"shape": [4]}),
+            pa,
+            pb,
             make_node("add", "ResidualAdd"),
             make_node("out", "Output"),
         ]
-        g = Graph(nodes, [("a", "add", 0), ("b", "add", 1), ("add", "out", 0)], ["a", "b"], ["out"])
+        edges = [("a", "pa", 0), ("b", "pb", 0), ("pa", "add", 0), ("pb", "add", 1), ("add", "out", 0)]
+        g = Graph(nodes, edges, ["a", "b"], ["out"])
         rng = np.random.default_rng(2)
-        outs, tape = forward(g, WeightStore({}), {"a": rng.normal(size=4), "b": rng.normal(size=4)})
+        outs, tape = forward(g, WeightStore({**pa_params, **pb_params}),
+                             {"a": rng.normal(size=4), "b": rng.normal(size=4)})
         dy = rng.normal(size=4)
         grads = backward(tape, [dy])
-        np.testing.assert_array_equal(grads.inputs["a"], dy)
-        np.testing.assert_array_equal(grads.inputs["b"], dy)
+        np.testing.assert_array_equal(grads["pa.bias"], dy)
+        np.testing.assert_array_equal(grads["pb.bias"], dy)
 
     def test_out_grad_shape_mismatch(self):
         g, w = _single_norm_graph()
@@ -388,7 +415,7 @@ class TestBackward:
         grads = backward(tape, [np.ones_like(o) for o in outs])
         fd = finite_difference_grad(g, w, inp, "sum", h=1e-6)
         for pname in w.names():
-            analytic = grads.params.get(pname, np.zeros_like(w[pname]))
+            analytic = grads.get(pname, np.zeros_like(w[pname]))
             assert rel_error(analytic, fd.params[pname]) <= 1e-5, pname
 
 
@@ -410,18 +437,18 @@ class TestGroupNormNode:
         w = WeightStore({"lin.weight": W})
         x = rng.uniform(-2, 2, size=8)
         outs, _ = forward(g, w, {"x": x})
-        expected = OPS["GroupNorm"].forward({"groups": 2, "eps": 1e-5}, [W @ x], [], True)[0]
+        expected = OPS["GroupNorm"].forward({"groups": 2, "eps": 1e-5}, [W @ x], [])[0]
         np.testing.assert_allclose(outs[0], expected, atol=1e-14)
 
     @pytest.mark.parametrize("axis", [-1, -2, -3])
     def test_node_and_primitive_are_one_implementation(self, axis):
         x = np.random.default_rng(7).uniform(-2, 2, size=(3, 4, 6, 4))
-        out, _saved = OPS["GroupNorm"].forward({"groups": 2, "axis": axis}, (x,), (), True)
-        moved = OPS["GroupNorm"].forward({"groups": 2}, [np.moveaxis(x, axis, -1)], [], True)[0]
+        out, _saved = OPS["GroupNorm"].forward({"groups": 2, "axis": axis}, (x,), ())
+        moved = OPS["GroupNorm"].forward({"groups": 2}, [np.moveaxis(x, axis, -1)], [])[0]
         expected = np.moveaxis(moved, -1, axis)
         assert np.array_equal(out, expected)
         if axis == -1:
-            assert np.array_equal(out, OPS["GroupNorm"].forward({"groups": 2}, [x], [], True)[0])
+            assert np.array_equal(out, OPS["GroupNorm"].forward({"groups": 2}, [x], [])[0])
 
     def test_channel_axis_gradients(self):
         # normalize over a non-trailing axis and check against the oracle
@@ -441,7 +468,7 @@ class TestGroupNormNode:
         # has an identically zero gradient; use the quadratic loss instead
         grads = backward(tape, [2.0 * outs[0]])
         fd = finite_difference_grad(g, w, inp, "sumsq", h=1e-6)
-        assert rel_error(grads.params["conv.kernel"], fd.params["conv.kernel"]) <= 1e-5
+        assert rel_error(grads["conv.kernel"], fd.params["conv.kernel"]) <= 1e-5
 
 
     def test_batched_forward_equals_per_sample_forwards(self):

@@ -152,11 +152,11 @@ def _reference_grad_diff(gA, wA, gB, wB, trials, seed):
         gradsB = backward(tapeB, ones(outsB))
         for nid in proxied:
             node = gB.nodes[nid]
-            if node.param_refs[0] in gradsB.params:
-                gradsB.params.update(center_node_params(node, gradsB.params))
+            if node.param_refs[0] in gradsB:
+                gradsB.update(center_node_params(node, gradsB))
         worst_fwd = verify._fold_worst(worst_fwd, (np.abs(a - b).max() for a, b in zip(outsA, outsB)))
         for name in storeA.names():
-            ga, gb = gradsA.params.get(name), gradsB.params.get(name)
+            ga, gb = gradsA.get(name), gradsB.get(name)
             if ga is None and gb is None:
                 continue
             ga = np.zeros_like(storeA[name]) if ga is None else ga
@@ -598,13 +598,13 @@ class TestKeptAxisBackward:
         g, w = ONE_OP_GRAPHS[kind]
         batch, tape, out_grads = self._stacked(g, w)
         kept = backward(tape, out_grads, keep_axis0=True)
-        assert set(kept.params) == set(w.names())
+        assert set(kept) == set(w.names())
         for t, inputs in enumerate(batch):
             _, single_tape = forward(g, w, inputs)
             single = backward(single_tape, [og[t, 0] for og in out_grads])
-            for name, grad in single.params.items():
-                assert kept.params[name].shape == (len(batch),) + grad.shape
-                assert kept.params[name][t].tobytes() == grad.tobytes(), (name, t)
+            for name, grad in single.items():
+                assert kept[name].shape == (len(batch),) + grad.shape
+                assert kept[name][t].tobytes() == grad.tobytes(), (name, t)
 
     @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("kind", sorted(ONE_OP_GRAPHS))
@@ -619,13 +619,10 @@ class TestKeptAxisBackward:
             consumed.update(grads)
 
         streamed = backward(tape, out_grads, keep_axis0=keep, consume=consume)
-        assert streamed.params == {}
-        assert set(consumed) == set(collected.params) == set(w.names())
-        for name, grad in collected.params.items():
+        assert streamed == {}
+        assert set(consumed) == set(collected) == set(w.names())
+        for name, grad in collected.items():
             assert consumed[name].shape == grad.shape and consumed[name].tobytes() == grad.tobytes(), name
-        assert streamed.inputs.keys() == collected.inputs.keys()
-        for nid, grad in collected.inputs.items():
-            assert streamed.inputs[nid].tobytes() == grad.tobytes(), nid
 
     def _check_leaves_its_arguments_unmodified(self, kind, keep, consume):
         g, w = ONE_OP_GRAPHS[kind]
@@ -755,7 +752,7 @@ class TestVerifyGradients:
         zeros = lambda outs: [np.zeros_like(o) for o in outs]
         rng = np.random.default_rng(0)
         _, grads = _proxied_grads(g, center_targets(g, store, proxied), proxied, sample_inputs(g, rng), zeros)
-        for name, grad in grads.params.items():
+        for name, grad in grads.items():
             np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
     def test_runs_no_detection(self, monkeypatch):
