@@ -11,13 +11,15 @@ import hashlib
 import json
 import math
 import os
+import stat
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from json.encoder import encode_basestring
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .jsonutil import Raw, canonical_dumps
+from .jsonutil import canonical_dumps
 from .ops import OPS
 
 FORMAT_VERSION = 1
@@ -397,28 +399,33 @@ def require_valid(g: Graph, w: WeightStore) -> dict[str, tuple[int, ...] | None]
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
 
 
-def _topology_dict(g: Graph, manifest: list[dict[str, Any]]) -> dict[str, Any]:
-    """The topology document for canonical_dumps. The parts that hold no
-    float (all but node attrs and provenance) come already encoded, as Raw."""
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "nodes": [
-            {
-                "id": Raw(_encode(n.id)),
-                "kind": Raw(_encode(n.kind)),
-                "attrs": dict(n.attrs),
-                "params": Raw(_encode(n.param_refs)),
-            }
-            for n in g.nodes.values()
-        ],
-        "edges": Raw(_encode(g.edges)),
-        "inputs": Raw(_encode(g.inputs)),
-        "outputs": Raw(_encode(g.outputs)),
-        "weights_manifest": Raw(_encode(manifest)),
-    }
-    if g.provenance:
-        doc["provenance"] = dict(g.provenance)
-    return doc
+def _attrs_text(attrs: Mapping[str, Any], texts: dict[str, str]) -> str:
+    """canonical_dumps of a node's attrs, written once per distinct attrs.
+    Their repr is the key: it tells apart what canonical_dumps writes
+    differently (1, 1.0 and True; 0.0 and -0.0; the keys 1 and "1")."""
+    if not attrs:
+        return "{}"
+    key = repr(attrs)
+    if key not in texts:
+        texts[key] = canonical_dumps(dict(attrs))
+    return texts[key]
+
+
+def _topology_text(g: Graph, manifest: list[dict[str, Any]]) -> str:
+    """The canonical topology text that save_model writes and model_hash
+    hashes. The parts that hold no float go through json's C encoder (node
+    ids, kinds and params string by string); node attrs and provenance go
+    through canonical_dumps for their float format."""
+    texts: dict[str, str] = {}
+    nodes = ",".join(
+        f'{{"id":{encode_basestring(n.id)},"kind":{encode_basestring(n.kind)},'
+        f'"attrs":{_attrs_text(n.attrs, texts)},"params":[{",".join(map(encode_basestring, n.param_refs))}]}}'
+        for n in g.nodes.values()
+    )
+    provenance = f',"provenance":{canonical_dumps(g.provenance)}' if g.provenance else ""
+    return (f'{{"format_version":{FORMAT_VERSION},"nodes":[{nodes}],"edges":{_encode(g.edges)},'
+            f'"inputs":{_encode(g.inputs)},"outputs":{_encode(g.outputs)},'
+            f'"weights_manifest":{_encode(manifest)}{provenance}}}')
 
 
 def _manifest_and_arrays(w: WeightStore) -> tuple[list[dict[str, Any]], list[np.ndarray]]:
@@ -440,9 +447,9 @@ def _manifest_and_arrays(w: WeightStore) -> tuple[list[dict[str, Any]], list[np.
 
 def save_model(g: Graph, w: WeightStore, topology_path: str, weights_path: str) -> None:
     manifest, raws = _manifest_and_arrays(w)
-    doc = _topology_dict(g, manifest)
+    text = _topology_text(g, manifest)
     with open(topology_path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(doc))
+        fh.write(text)
         fh.write("\n")
     try:
         with open(weights_path, "wb") as fh:
@@ -464,6 +471,21 @@ def _parse_float(text: str) -> float:
     if math.isinf(value):
         _refuse_constant(text)
     return value
+
+
+def _read_weights(fh: BinaryIO) -> np.ndarray:
+    """The whole weights file as one writable byte array. A regular file is
+    read straight into it, each byte copied once; a pipe or FIFO, whose size
+    is not known up front, is read to its end first. The file is never
+    memory-mapped: fold may overwrite the model it loaded."""
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        return np.frombuffer(bytearray(fh.read()), np.uint8)
+    blob = np.empty(info.st_size, np.uint8)
+    got = fh.readinto(blob)
+    if got != info.st_size:
+        raise ModelFormatError(f"weights file yielded {got} of its {info.st_size} bytes")
+    return blob
 
 
 def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStore]:
@@ -521,7 +543,7 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
         raise ModelFormatError(str(exc)) from None
 
     with open(weights_path, "rb") as fh:
-        blob = fh.read()
+        blob = _read_weights(fh)
 
     arrays: dict[str, np.ndarray] = {}
     ranges: list[tuple[int, int, str]] = []
@@ -558,7 +580,8 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
             raise ModelFormatError(
                 f"parameter {name!r}: {flat.size} values do not fill shape {shape}"
             )
-        arrays[name] = flat.reshape(shape).astype(DTYPE_TAGS[tag], copy=True)
+        # A view of the blob, copied only where its offset leaves it unaligned.
+        arrays[name] = flat.reshape(shape).astype(DTYPE_TAGS[tag], copy=offset % itemsize != 0)
         if byte_len:
             ranges.append((offset, offset + byte_len, name))
         expected_end = max(expected_end, offset + byte_len)
@@ -578,9 +601,8 @@ def load_model(topology_path: str, weights_path: str) -> tuple[Graph, WeightStor
 def model_hash(g: Graph, w: WeightStore) -> str:
     """Content hash pinning analysis reports to the exact model they saw."""
     manifest, raws = _manifest_and_arrays(w)
-    doc = _topology_dict(g, manifest)
     digest = hashlib.sha256()
-    digest.update(canonical_dumps(doc).encode("utf-8"))
+    digest.update(_topology_text(g, manifest).encode("utf-8"))
     digest.update(b"\x00")
     for raw in raws:
         digest.update(raw)

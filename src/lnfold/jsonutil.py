@@ -33,10 +33,6 @@ def _format_float(value: float) -> str:
     return text
 
 
-class Raw(str):
-    """Finished JSON text, which canonical_dumps writes out as it is."""
-
-
 def canonical_dumps(obj: Any) -> str:
     """Serialize ``obj`` to deterministic JSON text."""
     out: list[str] = []
@@ -57,7 +53,7 @@ def _write(obj: Any, out: list[str]) -> None:
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
         # What json.dumps(obj, ensure_ascii=False) calls for a string.
-        out.append(obj if type(obj) is Raw else encode_basestring(obj))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):

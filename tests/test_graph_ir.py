@@ -3,6 +3,9 @@
 import copy
 import hashlib
 import json
+import os
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnfold import fixtures, graph_ir
+from lnfold import cli, fixtures, graph_ir
 from lnfold.fold_apply import apply_fold
 from lnfold.fold_detect import AuxInsertion, detect_foldable, graph_with_insertions
 from lnfold.graph_ir import (
+    DTYPE_TAGS,
     TAG_BY_DTYPE,
     Graph,
     GraphValidationError,
@@ -440,6 +444,44 @@ class TestTopologyWriter:
         _assert_topology_matches_reference(*model, tmp_path_factory.mktemp("writer"))
 
 
+def _relu_chain(attrs_list):
+    """An Input and a chain of ReLU nodes, the i-th holding attrs_list[i]."""
+    ids = [f"r{i}" for i in range(len(attrs_list))]
+    nodes = [make_node("x", "Input", {"shape": [3]})] + [make_node(nid, "ReLU", attrs)
+                                                         for nid, attrs in zip(ids, attrs_list)]
+    return Graph(nodes, list(zip(["x"] + ids, ids, [0] * len(ids))), ["x"], ids[-1:])
+
+
+class TestAttrsText:
+    def test_each_distinct_attrs_is_written_once(self, tmp_path, monkeypatch):
+        attrs_list = [{}, {"eps": 1e-5}, {"eps": 1e-5}, {"eps": 1}, {"eps": 1.0}, {"eps": True},
+                      {"eps": 0.0}, {"eps": -0.0}, {}, {"eps": 1e-5}, {"k": [3]}, {"k": [3.0]}]
+        g = _relu_chain(attrs_list)
+        written = []
+
+        def counting(obj):
+            written.append(obj)
+            return canonical_dumps(obj)
+
+        monkeypatch.setattr(graph_ir, "canonical_dumps", counting)
+        _assert_topology_matches_reference(g, WeightStore(), tmp_path)
+        written.clear()
+        model_hash(g, WeightStore())
+        # {"shape": [3]} of the Input, then eps 1e-5, 1, 1.0, True, 0.0, -0.0, [3] and [3.0].
+        assert len(written) == 9
+
+    @pytest.mark.parametrize("attrs_list, error, message", [
+        ([{"1": "a"}, {1: "a"}], TypeError, "JSON object keys must be strings, got 1"),
+        ([{"eps": 1.0}, {"eps": float("nan")}], ValueError, "non-finite float nan cannot be serialized"),
+    ], ids=["integer_key", "nan"])
+    def test_refusals_are_not_hidden_by_a_written_twin(self, attrs_list, error, message, tmp_path):
+        g = _relu_chain(attrs_list)
+        with pytest.raises(error, match=f"^{message}$"):
+            model_hash(g, WeightStore())
+        with pytest.raises(error, match=f"^{message}$"):
+            save_model(g, WeightStore(), str(tmp_path / "m.json"), str(tmp_path / "m.bin"))
+
+
 def _structure(g):
     """A graph's nodes (a frozen Node compares kind, attrs and params),
     edges, inputs and outputs, each in order; provenance is left out."""
@@ -515,6 +557,79 @@ class TestModelFiles:
         Path(blob).write_bytes(Path(blob).read_bytes() + b"\x00")
         with pytest.raises(ModelFormatError, match=f"parameter '{last['name']}': byte_len .* whole number"):
             load_model(topo, blob)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_weights_from_a_fifo(self, tmp_path):
+        # A pipe reports no size; its bytes are read to the end.
+        g, w = fixtures.post_ln_transformer()
+        topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
+        save_model(g, w, topo, blob)
+        fifo = str(tmp_path / "weights.fifo")
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=Path(fifo).write_bytes, args=(Path(blob).read_bytes(),))
+        writer.start()
+        try:
+            _g2, from_fifo = load_model(topo, fifo)
+        finally:
+            # A loader that never opened the FIFO leaves the writer waiting
+            # for a reader: be one until it is done (the bytes fit the pipe).
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join()
+            os.close(reader)
+        assert _arrays(from_fifo) == _arrays(load_model(topo, blob)[1])
+
+    def test_a_file_shorter_than_its_size_is_refused(self, tmp_path, monkeypatch):
+        g, w = fixtures.linear_then_norm()
+        topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
+        save_model(g, w, topo, blob)
+        real_fstat = os.fstat
+
+        def fstat(fd):  # the file is said to hold 8 bytes more than it yields
+            fields = list(real_fstat(fd))
+            fields[6] += 8  # st_size
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(graph_ir.os, "fstat", fstat)
+        with pytest.raises(ModelFormatError, match=r"^weights file yielded 576 of its 584 bytes$"):
+            load_model(topo, blob)
+        assert cli.main(["analyze", topo, blob]) == 1
+
+    def test_loaded_arrays_are_aligned_writable_and_separate(self, tmp_path):
+        # An odd-length f32 array sorts first, so the f64 arrays after it sit
+        # at offsets that are not a multiple of 8.
+        g = Graph([make_node("x", "Input", {"shape": [3]}), make_node("out", "Output")],
+                  [("x", "out", 0)], ["x"], ["out"])
+        rng = np.random.default_rng(7)
+        w = WeightStore({"a": rng.standard_normal(3).astype(np.float32),
+                         "b": rng.standard_normal((2, 3)), "c": rng.standard_normal(5),
+                         "d": rng.standard_normal(4).astype(np.float32), "e": np.zeros((0, 3))})
+        topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
+        save_model(g, w, topo, blob)
+        manifest = json.loads(Path(topo).read_text())["weights_manifest"]
+        assert [m["offset"] % 8 for m in manifest[1:3]] == [4, 4]
+        _g2, w2 = load_model(topo, blob)
+        assert _arrays(w2) == _arrays(w)
+        for entry in manifest:
+            arr = w2[entry["name"]]
+            assert arr.dtype == DTYPE_TAGS[entry["dtype"]], entry
+            assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous, entry
+        loaded = [arr for _name, arr in w2.items()]
+        assert not any(np.shares_memory(p, q) for i, p in enumerate(loaded) for q in loaded[i + 1:])
+
+    def test_load_holds_the_weights_once(self, tmp_path):
+        g, w = fixtures.pre_ln_transformer(d=128, hidden=512, seq=2, blocks=2)
+        weight_bytes = sum(arr.nbytes for _name, arr in w.items())
+        assert weight_bytes >= 2e6
+        topo, blob = str(tmp_path / "m.json"), str(tmp_path / "m.bin")
+        save_model(g, w, topo, blob)
+        tracemalloc.start()
+        try:
+            _g2, w2 = load_model(topo, blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _arrays(w2) == _arrays(w)
+        assert peak < 1.5 * weight_bytes
 
     def test_unknown_kind(self, tmp_path):
         g, w = fixtures.linear_then_norm()

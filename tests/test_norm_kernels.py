@@ -2,10 +2,11 @@
 
 _REF_center_scale and _REF_norm_input_grad below are the kernels as they
 stood before the rewrite that cut their numpy calls (np.mean twice, the
-guarded where on every call, fresh temporaries for the affine). The rewrite
-must give the same bits: every returned array is compared byte for byte,
-with its dtype, shape and strides, and so are the warnings numpy emits and
-the NumericalError a zero denominator raises.
+guarded where on every call, fresh temporaries for the affine), and
+_REF_norm_backward is LayerNorm's and RMSNorm's backward written out the
+same way. A rewrite must give the same bits: every returned array is
+compared byte for byte, with its dtype, shape and strides, and so are the
+warnings numpy emits and the NumericalError a zero denominator raises.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from lnfold import ops
+from lnfold.tensor_math import TapeEntry
 from lnfold.ops import (
     OPS,
     NumericalError,
@@ -51,6 +53,18 @@ def _REF_norm_input_grad(g, xhat, inv, center):
     if center:
         return inv * (g - g.mean(axis=-1, keepdims=True) - proj)
     return inv * (g - proj)
+
+
+def _REF_norm_backward(dy, xhat, inv, gamma, beta, center, keep):
+    """The input gradient, then those of gamma and beta, each summed over
+    every leading axis but a kept trial axis 0."""
+    lead = tuple(range(keep, dy.ndim - 1))
+    grads = [_REF_norm_input_grad(dy if gamma is None else dy * gamma, xhat, inv, center)]
+    if gamma is not None:
+        grads.append((dy * xhat).sum(axis=lead) if lead else dy * xhat)
+    if beta is not None:
+        grads.append(dy.sum(axis=lead) if lead else dy)
+    return tuple(grads)
 
 
 def _run(fn, *args):
@@ -138,6 +152,43 @@ def test_kernels_match_reference_bits(dtype, row, eps):
                                  case + ("grad", g_dtype))
         np.testing.assert_array_equal(x, x_before)  # the kernels leave x alone
     assert checked == len(SHAPES) * 7 * 2
+
+
+@pytest.mark.parametrize("eps", [1e-5, 0.0])
+@pytest.mark.parametrize("dtype, row", [(d, r) for d, r in GRID if d != "int64"])
+def test_norm_backward_matches_reference_bits(dtype, row, eps):
+    rng = np.random.default_rng(sum(map(ord, "backward" + dtype + row)))
+    checked = 0
+    for kind in ("LayerNorm", "RMSNorm"):
+        op = OPS[kind]
+        for shape_name, shape in SHAPES.items():
+            x = _input(shape, dtype, row, rng)
+            dy = rng.standard_normal(shape).astype(dtype)
+            dy_before = dy.copy()
+            for gamma, beta in _affines(shape[-1], dtype, rng):
+                params = tuple(p for p in (gamma, beta) if p is not None)
+                case = (kind, shape_name, gamma is None or gamma.dtype, beta is None or beta.dtype)
+                try:
+                    with np.errstate(all="ignore"):  # the forward test compares its warnings
+                        out, saved = op.forward({"eps": eps}, [x], list(params))
+                except NumericalError:  # eps 0 on a row that is, or centers to, zero
+                    assert eps == 0.0 and row in ("zero", "const"), case
+                    continue
+                entry = TapeEntry(None, (x,), params, out, saved)
+                for keep in (False, True) if len(shape) > 1 else (False,):
+
+                    def kernel():
+                        dxs, dparams = op.backward(entry, dy, keep)
+                        return (*dxs, *dparams)
+
+                    ref = _run(_REF_norm_backward, dy, saved["xhat"], saved["inv"], gamma, beta,
+                               op.removes_mean, keep)
+                    _assert_same(_run(kernel), ref, case + (keep,))
+                    checked += 1
+            np.testing.assert_array_equal(dy, dy_before)  # backward leaves dy alone
+    # Each kind: 7 affines on 3 shapes, two of which run with and without keep.
+    refused = {"zero": 2, "const": 1}.get(row, 0) if eps == 0.0 else 0
+    assert checked == (2 - refused) * 7 * 5
 
 
 @pytest.mark.parametrize("axis", [-1, -2])
