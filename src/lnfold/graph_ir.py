@@ -399,27 +399,14 @@ def require_valid(g: Graph, w: WeightStore) -> dict[str, tuple[int, ...] | None]
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False).encode
 
 
-def _attrs_text(attrs: Mapping[str, Any], texts: dict[str, str]) -> str:
-    """canonical_dumps of a node's attrs, written once per distinct attrs.
-    Their repr is the key: it tells apart what canonical_dumps writes
-    differently (1, 1.0 and True; 0.0 and -0.0; the keys 1 and "1")."""
-    if not attrs:
-        return "{}"
-    key = repr(attrs)
-    if key not in texts:
-        texts[key] = canonical_dumps(dict(attrs))
-    return texts[key]
-
-
 def _topology_text(g: Graph, manifest: list[dict[str, Any]]) -> str:
     """The canonical topology text that save_model writes and model_hash
     hashes. The parts that hold no float go through json's C encoder (node
     ids, kinds and params string by string); node attrs and provenance go
     through canonical_dumps for their float format."""
-    texts: dict[str, str] = {}
     nodes = ",".join(
         f'{{"id":{encode_basestring(n.id)},"kind":{encode_basestring(n.kind)},'
-        f'"attrs":{_attrs_text(n.attrs, texts)},"params":[{",".join(map(encode_basestring, n.param_refs))}]}}'
+        f'"attrs":{canonical_dumps(dict(n.attrs))},"params":[{",".join(map(encode_basestring, n.param_refs))}]}}'
         for n in g.nodes.values()
     )
     provenance = f',"provenance":{canonical_dumps(g.provenance)}' if g.provenance else ""

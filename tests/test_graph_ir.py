@@ -453,22 +453,21 @@ def _relu_chain(attrs_list):
 
 
 class TestAttrsText:
-    def test_each_distinct_attrs_is_written_once(self, tmp_path, monkeypatch):
-        attrs_list = [{}, {"eps": 1e-5}, {"eps": 1e-5}, {"eps": 1}, {"eps": 1.0}, {"eps": True},
-                      {"eps": 0.0}, {"eps": -0.0}, {}, {"eps": 1e-5}, {"k": [3]}, {"k": [3.0]}]
-        g = _relu_chain(attrs_list)
-        written = []
-
-        def counting(obj):
-            written.append(obj)
-            return canonical_dumps(obj)
-
-        monkeypatch.setattr(graph_ir, "canonical_dumps", counting)
+    # Pairs of attrs that canonical_dumps writes differently, some of whose
+    # repr agree (an ndarray's repr rounds to 8 digits, and under numpy 1.x
+    # np.float32(1e-5) prints as 1e-05), so no node may reuse another's text.
+    @pytest.mark.parametrize("first, second", [
+        ({"eps": 1}, {"eps": 1.0}), ({"eps": 1.0}, {"eps": True}), ({"eps": 0.0}, {"eps": -0.0}),
+        ({"k": [3]}, {"k": [3.0]}),
+        ({"w": np.array([0.1234567891])}, {"w": np.array([0.12345678901])}),
+        ({"eps": np.float32(1e-5)}, {"eps": 1e-5}),
+    ], ids=["int_float", "float_bool", "signed_zero", "int_list", "near_equal_arrays", "float32"])
+    def test_each_node_writes_its_own_attrs(self, first, second, tmp_path):
+        assert canonical_dumps(first) != canonical_dumps(second)
+        g = _relu_chain([first, second, first, {}, second])
         _assert_topology_matches_reference(g, WeightStore(), tmp_path)
-        written.clear()
-        model_hash(g, WeightStore())
-        # {"shape": [3]} of the Input, then eps 1e-5, 1, 1.0, True, 0.0, -0.0, [3] and [3.0].
-        assert len(written) == 9
+        assert model_hash(g, WeightStore()) != model_hash(_relu_chain([first, first, first, {}, second]),
+                                                          WeightStore())
 
     @pytest.mark.parametrize("attrs_list, error, message", [
         ([{"1": "a"}, {1: "a"}], TypeError, "JSON object keys must be strings, got 1"),
