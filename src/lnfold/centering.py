@@ -36,14 +36,6 @@ class CenteringSpec:
     includes_bias: bool = False
     groups: int = 1
 
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "family": self.family.value,
-            "includes_bias": self.includes_bias,
-            "groups": self.groups,
-        }
-
     @staticmethod
     def from_json(doc: dict) -> "CenteringSpec":
         return CenteringSpec(

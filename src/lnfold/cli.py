@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .fold_apply import FoldError, apply_fold, check_hash, dry_run
+from .fold_apply import FoldError, InsertionsNotAllowed, apply_fold, check_hash, dry_run
 from .fold_detect import FoldReport, detect_foldable
 from .graph_ir import (
     GraphValidationError,
@@ -25,7 +25,7 @@ from .graph_ir import (
     require_valid,
     save_model,
 )
-from .jsonutil import canonical_dumps
+from .jsonutil import canonical_dumps, plain
 from .verify import check_seed, check_trials, checks_overlap, flops_estimate, verify_forward, verify_gradients
 
 
@@ -58,6 +58,8 @@ def _refusing():
         yield
     except GraphValidationError as exc:
         raise _Operational(f"model failed validation: {exc}") from exc
+    except InsertionsNotAllowed as exc:
+        raise _Operational("report plans explicit centering insertions; pass --practical to apply them") from exc
     except FoldError as exc:
         raise _Operational(str(exc)) from exc
 
@@ -208,8 +210,8 @@ def _cmd_flops(args: argparse.Namespace) -> int:
             "d": args.d,
             "variant": args.variant,
             "groups": groups,
-            "layer_norm": ln.to_json(),
-            "rms_norm": rms.to_json(),
+            "layer_norm": plain(ln),
+            "rms_norm": plain(rms),
             "saving_fraction": saving,
         },
         None,

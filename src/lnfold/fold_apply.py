@@ -12,10 +12,15 @@ import numpy as np
 from .centering import center_node_params
 from .fold_detect import FoldPlan, FoldReport, fold_plan, graph_with_insertions
 from .graph_ir import Graph, WeightStore, model_hash, require_valid
+from .jsonutil import plain
 
 
 class FoldError(ValueError):
     """Raised when a report cannot be applied to the given model."""
+
+
+class InsertionsNotAllowed(FoldError):
+    """Raised when a report plans insertions that the caller did not allow."""
 
 
 def check_hash(report: FoldReport, observed: str) -> None:
@@ -56,13 +61,13 @@ def check_report(g: Graph, report: FoldReport) -> FoldPlan:
         if spec is None:
             raise FoldError(f"report centers {node_id!r}, which this fold does not center")
         if given != spec:
-            raise FoldError(f"centering target {node_id!r} needs spec {spec.to_json()}, "
-                            f"report gives {given and given.to_json()}")
+            raise FoldError(f"centering target {node_id!r} needs spec {plain(spec)}, "
+                            f"report gives {given and plain(given)}")
     for given, ins in zip(report.insertions, plan.insertions):
         if given != ins:
-            raise FoldError(f"insertion after {ins.after!r} should be {ins.to_json()}")
+            raise FoldError(f"insertion after {ins.after!r} should be {plain(ins)}")
     if report.safety != plan.safety:
-        raise FoldError(f"report safety differs from this fold's: {plan.safety.to_json()}")
+        raise FoldError(f"report safety differs from this fold's: {plain(plan.safety)}")
     return plan
 
 
@@ -95,7 +100,7 @@ def apply_fold(
     require_valid(g, w)
     plan = check_report(g, report)
     if plan.insertions and not allow_practical:
-        raise FoldError(
+        raise InsertionsNotAllowed(
             "report plans explicit centering insertions; pass allow_practical=True to apply them"
         )
     if report.strict_safety and not plan.safety.safe:

@@ -35,7 +35,7 @@ from .graph_ir import (
     model_hash,
     require_valid,
 )
-from .jsonutil import exact
+from .jsonutil import exact, plain
 from .ops import OPS
 
 REPORT_FORMAT_VERSION = 2
@@ -141,9 +141,6 @@ class SafetyVerdict:
     safe: bool
     affected: frozenset[str] = frozenset()
 
-    def to_json(self) -> dict:
-        return {"safe": self.safe, "affected": sorted(self.affected)}
-
     @staticmethod
     def from_json(doc: dict) -> "SafetyVerdict":
         return SafetyVerdict(safe=exact(doc["safe"], bool, "safe"), affected=frozenset(doc["affected"]))
@@ -193,14 +190,6 @@ class AuxInsertion:
     node_id: str
     edges: tuple[tuple[str, str, int], ...]
     rescues: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "after": self.after,
-            "node_id": self.node_id,
-            "edges": [list(e) for e in self.edges],
-            "rescues": list(self.rescues),
-        }
 
     @staticmethod
     def from_json(doc: dict) -> "AuxInsertion":
@@ -342,15 +331,6 @@ class FoldEntry:
     off_axis_leaves: frozenset[str] = frozenset()
     warnings: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "ln_id": self.ln_id,
-            "verdict": self.verdict,
-            "opaque_leaves": sorted(self.opaque_leaves),
-            "off_axis_leaves": sorted(self.off_axis_leaves),
-            "warnings": list(self.warnings),
-        }
-
     @staticmethod
     def from_json(doc: dict) -> "FoldEntry":
         return FoldEntry(
@@ -394,12 +374,10 @@ class FoldReport:
             "strict_safety": self.strict_safety,
             "counts": self.counts(),
             "foldable": list(self.foldable),
-            "entries": [self.entries[k].to_json() for k in sorted(self.entries)],
-            "targets": [
-                {"node": nid, "spec": spec.to_json()} for nid, spec in sorted(self.targets.items())
-            ],
-            "insertions": [ins.to_json() for ins in self.insertions],
-            "safety": self.safety.to_json(),
+            "entries": [plain(self.entries[k]) for k in sorted(self.entries)],
+            "targets": [{"node": nid, "spec": plain(spec)} for nid, spec in sorted(self.targets.items())],
+            "insertions": plain(self.insertions),
+            "safety": plain(self.safety),
         }
 
     @staticmethod

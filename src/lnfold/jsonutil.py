@@ -8,7 +8,9 @@ so identical data always yields byte-identical text.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from enum import Enum
 from json.encoder import encode_basestring
 from typing import Any
 
@@ -21,6 +23,24 @@ def exact(value: Any, kind: type, name: str) -> Any:
     if type(value) is not kind:
         raise ValueError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, got {value!r}")
     return value
+
+
+def plain(obj: Any) -> Any:
+    """A report value as the JSON values canonical_dumps writes, the one rule
+    for every report type: a dataclass becomes its fields in declaration
+    order, a set or frozenset a sorted list, a list or tuple a list of plain
+    items and an Enum its value; anything else is kept."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (str, int, float)):  # most report values, kept at once
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [plain(value) for value in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
 
 
 def _format_float(value: float) -> str:

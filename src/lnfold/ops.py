@@ -6,10 +6,9 @@ does to a per-sample mean. graph_ir, tensor_math, fold_detect and centering
 all read this one table, so adding a node kind means adding one OpDef to OPS.
 
 Each kind's forward is the only implementation of its op (a RecurrentCell
-runs Linear's). The one module-level primitive is softmax, which verify
-also calls. Every kernel accepts arbitrary leading batch axes;
-normalization acts on the last axis unless a node says otherwise. This
-module imports nothing else from the package.
+runs Linear's; verify's cross-entropy runs Softmax's). Every kernel takes
+any leading batch axes; normalization acts on the last axis unless a node
+says otherwise. This module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -125,12 +124,6 @@ def _col2im(
     if padding:
         return padded[:, :, padding:-padding, padding:-padding]
     return padded
-
-
-def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # Parameter gradients sum over every leading (batch) axis. With keep, axis 0
@@ -579,7 +572,8 @@ class _Softmax(OpDef):
 
     def forward(self, attrs, inputs, params):
         (x,) = inputs
-        y = softmax(x)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
         return y, {"y": y}
 
     def backward(self, e, dy, keep):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterator, Mapping
 
 import numpy as np
@@ -21,7 +21,7 @@ from .centering import CenteringSpec, center_node_params
 from .fold_apply import center_targets
 from .fold_detect import detect_foldable, fold_plan
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid
-from .ops import OPS, softmax
+from .ops import OPS
 from .tensor_math import backward, forward
 
 _INPUT = OPS["Input"]
@@ -396,8 +396,8 @@ def check_zero_mean(
     only output."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
+    shapes = require_valid(g, w)
     store = w.as_f64()
-    shapes = require_valid(g, store)
     rank = len(shapes[node_id])
     np.zeros((0,) * rank).sum(axis=axis)  # numpy's own range check
     # Counted from the back, the axis names the same one behind the stack's
@@ -431,21 +431,10 @@ class FlopCount:
     variant: str
     d: int
     g: int | None = None
+    ticks: int = field(init=False)
 
-    @property
-    def ticks(self) -> int:
-        return self.adds + self.muls + 3 * self.divs
-
-    def to_json(self) -> dict:
-        return {
-            "adds": self.adds,
-            "muls": self.muls,
-            "divs": self.divs,
-            "variant": self.variant,
-            "d": self.d,
-            "g": self.g,
-            "ticks": self.ticks,
-        }
+    def __post_init__(self) -> None:
+        self.ticks = self.adds + self.muls + 3 * self.divs
 
 
 def flops_estimate(norm: str, variant: str, d: int, groups: int | None = None) -> FlopCount:
@@ -500,7 +489,7 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[floa
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
     loss = float(np.mean(logz - logits[np.arange(n), labels]))
-    probs = softmax(logits)
+    probs = OPS["Softmax"].forward({}, [logits], [])[0]
     probs[np.arange(n), labels] -= 1.0
     return loss, probs / n
 

@@ -191,7 +191,10 @@ class TestFold:
     def test_practical_needs_flag(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "pre_ln_transformer", "--practical")
         out = str(tmp_path / "folded")
+        capsys.readouterr()
         assert main(["fold", topo, blob, "--report", rep, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: report plans explicit centering insertions; pass --practical to apply them\n")
         assert main(["fold", topo, blob, "--report", rep, "--out", out, "--practical"]) == 0
 
 
@@ -1195,6 +1198,23 @@ class TestFlopsCmd:
         assert (doc["layer_norm"]["adds"], doc["layer_norm"]["muls"], doc["layer_norm"]["divs"]) == (448, 220, 64)
         assert (doc["rms_norm"]["adds"], doc["rms_norm"]["muls"], doc["rms_norm"]["divs"]) == (64, 192, 0)
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["--d", "8"],
+         '{"d":8,"variant":"naive","groups":null,'
+         '"layer_norm":{"adds":40,"muls":16,"divs":8,"variant":"naive","d":8,"g":null,"ticks":80},'
+         '"rms_norm":{"adds":8,"muls":16,"divs":8,"variant":"naive","d":8,"g":null,"ticks":48},'
+         '"saving_fraction":0.40000000000000002}\n'),
+        (["--d", "64", "--variant", "welford", "--groups", "4"],
+         '{"d":64,"variant":"welford","groups":4,'
+         '"layer_norm":{"adds":448,"muls":220,"divs":64,"variant":"welford","d":64,"g":4,"ticks":860},'
+         '"rms_norm":{"adds":64,"muls":192,"divs":0,"variant":"welford","d":64,"g":4,"ticks":256},'
+         '"saving_fraction":0.70232558139534884}\n'),
+    ], ids=["naive", "welford"])
+    def test_stdout_is_pinned(self, capsys, argv, stdout):
+        # Byte for byte: each count's key order is FlopCount's field order.
+        assert main(["flops", *argv]) == 0
+        assert capsys.readouterr().out == stdout
+
     def test_invalid_d(self, capsys):
         assert main(["flops", "--d", "0"]) == 1
 
@@ -1215,6 +1235,21 @@ def test_fixtures_module_writes_every_fixture(tmp_path):
     for name, build in fixtures.ALL_FIXTURES.items():
         loaded = load_model(str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.bin"))
         assert model_hash(*loaded) == model_hash(*build()), name
+
+
+def test_readme_quick_start(tmp_path, monkeypatch, capsys):
+    # The README's command-line walk-through, in its order and with its paths.
+    monkeypatch.chdir(tmp_path)
+    assert fixtures.main(["demo/"]) == 0
+    model = ["demo/pre_ln_transformer.json", "demo/pre_ln_transformer.bin"]
+    capsys.readouterr()
+    assert main(["analyze", *model, "--practical", "--out", "report.json"]) == 0
+    assert capsys.readouterr().err == "LN=5 foldable=5 strict=0 practical=5 insertions=1 safe=yes\n"
+    assert main(["fold", *model, "--report", "report.json", "--practical", "--out", "folded"]) == 0
+    assert main(["verify", *model, "folded.json", "folded.bin", "--trials", "100", "--grad"]) == 0
+    assert main(["flops", "--d", "4096", "--variant", "welford", "--groups", "32"]) == 0
+    post_ln = ["demo/post_ln_transformer.json", "demo/post_ln_transformer.bin"]
+    assert main(["pipeline", *post_ln, "--out-dir", "out/"]) == 0
 
 
 class TestPipeline:

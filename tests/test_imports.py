@@ -16,6 +16,10 @@ package module (`cli.main`). KEPT_UNREAD exempts the few names kept for
 what they check, each with its reason, and an exemption lapses as soon as
 its name is gone or gains a reader.
 
+A one-rule check: report types serialize through jsonutil.plain, so no
+class under src/lnfold defines to_json except those in OWN_TO_JSON, each
+with its reason.
+
 verify's sampled checks draw from a stream lnfold defines itself, so their
 output does not change when numpy changes its generator algorithms; only
 training_equivalence, which no report depends on, reads np.random.
@@ -167,6 +171,31 @@ def test_the_check_sees_a_stale_exemption():
     kept = {"Op": "still unread", "used": "cli reads it now", "gone": "no longer defined"}
     # main is unread too, but not exempted: the other check reports it.
     assert _stale_exemptions(_unread_names(package), kept) == ["used", "gone"]
+
+
+# Classes whose JSON is not their fields in declaration order.
+OWN_TO_JSON = {
+    "FoldReport": "adds format_version and counts, and writes entries and targets as sorted, keyed lists",
+    "EquivalenceReport": "writes passed as pass, which is a Python keyword",
+}
+
+
+def _own_to_json(source: str) -> list[str]:
+    """The classes in source that define a to_json method."""
+    return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == "to_json" for item in node.body)]
+
+
+def test_report_types_serialize_through_one_rule():
+    defined = [name for path in MODULES for name in _own_to_json(path.read_text(encoding="utf-8"))]
+    assert sorted(defined) == sorted(OWN_TO_JSON)
+
+
+def test_the_check_sees_a_to_json():
+    source = ("class Spec:\n    def to_json(self):\n        return {}\n"
+              "class Other:\n    def from_json(doc):\n        pass\n"
+              "def to_json():\n    pass\n")
+    assert _own_to_json(source) == ["Spec"]
 
 
 def test_cli_import_loads_no_thread_pool():

@@ -35,6 +35,7 @@ from lnfold.graph_ir import (
     save_model,
     validate_graph,
 )
+from lnfold.jsonutil import plain
 from lnfold.ops import OPS
 from lnfold.tensor_math import forward
 from lnfold.verify import verify_forward, verify_gradients
@@ -289,7 +290,7 @@ def per_layer_norm_reference(g, w, mode, strict_safety):
     targets = sorted({leaf for nid in foldable for leaf in zmgs[nid].linear_leaves})
     return {
         "foldable": foldable,
-        "targets": [{"node": t, "spec": spec_for_node(g.nodes[t]).to_json()} for t in targets],
+        "targets": [{"node": t, "spec": plain(spec_for_node(g.nodes[t]))} for t in targets],
         "insertions": [
             {"after": p, "node_id": aux_ids[p],
              "edges": [[p, dst, slot] for dst, slot in g.out_edges(p)],

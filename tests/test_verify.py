@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lnfold import fixtures, verify
+from lnfold import fixtures, graph_ir, verify
 from lnfold.centering import center_node_params
 from lnfold.fold_apply import FoldError, apply_fold, center_targets
 from lnfold.fold_detect import detect_foldable
@@ -831,6 +831,16 @@ class TestCheckZeroMean:
         g, w = fixtures.linear_then_norm()
         with pytest.raises(KeyError):
             check_zero_mean(g, w, "nope")
+
+    def test_probes_validate_the_model_once(self, monkeypatch):
+        # Validated as given, not as its f64 copy: the check remembers (g, w).
+        g, w = fixtures.linear_then_norm()
+        validated = []
+        original = graph_ir.validate_graph
+        monkeypatch.setattr(graph_ir, "validate_graph", lambda g, w: validated.append(g) or original(g, w))
+        for _ in range(3):
+            check_zero_mean(g, w, "lin", trials=2)
+        assert validated == [g]
 
     @pytest.mark.parametrize("name", sorted(fixtures.ALL_FIXTURES))
     def test_stacked_equals_one_trial_at_a_time(self, name, forward_calls):
