@@ -152,7 +152,7 @@ class Graph:
         return list(self._out.get(node_id, ()))
 
     def predecessors(self, node_id: str) -> list[str]:
-        return [s for (s, _slot) in self.in_edges(node_id)]
+        return [s for s, _slot in self._in.get(node_id, ())]
 
     def successors(self, node_id: str) -> list[str]:
         return list(dict.fromkeys(d for d, _slot in self.out_edges(node_id)))

@@ -85,13 +85,14 @@ def _signature(g: Graph, shapes: Mapping[str, tuple[int, ...]]) -> tuple:
     return ins, outs
 
 
-def _require_same_signature(gA: Graph, wA: WeightStore, gB: Graph, wB: WeightStore) -> tuple[dict, dict]:
-    """Both models' per-sample shapes, once both are valid
-    (GraphValidationError otherwise) and their signatures agree."""
-    shapesA, shapesB = require_valid(gA, wA), require_valid(gB, wB)
-    if _signature(gA, shapesA) != _signature(gB, shapesB):
+def _valid_shapes(*models: tuple[Graph, WeightStore]) -> list[dict]:
+    """Each (graph, store) model's per-sample shapes, once every model is
+    valid (GraphValidationError otherwise) and all share one signature."""
+    shapes = [require_valid(g, w) for g, w in models]
+    signatures = [_signature(g, s) for (g, _w), s in zip(models, shapes)]
+    if any(sig != signatures[0] for sig in signatures):
         raise SignatureMismatchError("models do not share input/output signatures")
-    return shapesA, shapesB
+    return shapes
 
 
 def default_tol(*stores: WeightStore) -> float:
@@ -118,20 +119,9 @@ def _fold_worst(worst: float | None, values) -> float | None:
     return worst
 
 
-def _within(tol: float, *worsts: float | None) -> bool:
-    return all(w is not None and w <= tol for w in worsts)
-
-
 # Seeded trials are stacked until one evaluation would hold about this many
 # f64 elements at once, which bounds the memory a stacked evaluation adds.
 TAPE_BUDGET = 2**20
-
-
-def _per_batch(*held: int) -> int:
-    """How many trials one stacked evaluation may take when a trial holds at
-    most the largest of held per-sample elements at once (_live_peak, or a
-    gradient batch's per-trial parameter gradients) under TAPE_BUDGET."""
-    return max(1, TAPE_BUDGET // max(1, *held))
 
 
 def _param_count(w: WeightStore) -> int:
@@ -146,7 +136,7 @@ def checks_overlap(wA: WeightStore) -> bool:
     and the process may run on more than one CPU. Smaller models are
     interpreter-bound and run the checks in turn, as does a single CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1 and _per_batch(_param_count(wA)) == 1
+    return (cpus or 1) > 1 and _param_count(wA) > TAPE_BUDGET // 2
 
 
 def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]], tape: bool = False) -> int:
@@ -239,6 +229,38 @@ def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator
 # ---------------------------------------------------------------------------
 
 
+def _sampled(models: list[tuple[Graph, WeightStore]], trials: int, seed: int, tol: float | None, start: Callable,
+             tape: bool = False, held: int = 0, sized: list[Graph] | None = None) -> tuple[list, float, bool]:
+    """Run a sampled check of one or two (graph, store) models; return its
+    worst values, the tol they were judged by and whether each is finite
+    and within it. The models are validated, and two must share a
+    signature; tol defaults to default_tol of their stores.
+
+    start(*stores), run once on each store widened to f64, returns the
+    check's measure(inputs): for a batch of trials, one iterable of maxima
+    per value the check reports, folded into that value's worst
+    (_fold_worst: 0 over no elements, None once a maximum is non-finite).
+    Batches (_trial_batches) give the worsts of running the trials one at a
+    time, and take as many trials as keep the larger of held and each sized
+    graph's live peak (_live_peak, or its whole tape; sized defaults to the
+    models' graphs) under TAPE_BUDGET.
+    """
+    shapes = _valid_shapes(*models)
+    if tol is None:
+        tol = default_tol(*(w for _g, w in models))
+    measure = start(*(w.as_f64() for _g, w in models))
+    peak = max(held, *(_live_peak(g, s, tape) for g, s in zip(sized or [g for g, _w in models], shapes)))
+    worsts: list[float | None] = []
+    for inputs in _trial_batches(models[0][0], seed, trials, max(1, TAPE_BUDGET // max(1, peak))):
+        maxima = measure(inputs)
+        worsts = [_fold_worst(worst, values) for worst, values in zip(worsts or [0.0] * len(maxima), maxima)]
+    return worsts, tol, all(worst is not None and worst <= tol for worst in worsts)
+
+
+def _max_diffs(outsA: list[np.ndarray], outsB: list[np.ndarray]) -> Iterator:
+    return (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB))
+
+
 def verify_forward(
     gA: Graph,
     wA: WeightStore,
@@ -248,27 +270,16 @@ def verify_forward(
     seed: int = 0,
     tol: float | None = None,
 ) -> EquivalenceReport:
-    """Max elementwise output difference over seeded random inputs, in f64.
+    """Max elementwise output difference over seeded random inputs, in f64,
+    from tape-free forwards of both models, run by _sampled (which states
+    the batching, the default tol and what a non-finite difference does)."""
 
-    Trials are evaluated in stacked batches by tape-free forwards, as many
-    per batch as keep the larger of the two models' live activations
-    (_live_peak) under TAPE_BUDGET; a trial's inputs depend only on the seed
-    and its index (_trial_batches), so the result equals evaluating the
-    trials one at a time. A difference over no elements is 0; a non-finite
-    output or difference reports None and fails. tol defaults to default_tol
-    of the two stores. Both models are validated first.
-    """
-    shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
-    if tol is None:
-        tol = default_tol(wA, wB)
-    storeA, storeB = wA.as_f64(), wB.as_f64()
-    per_batch = _per_batch(_live_peak(gA, shapesA), _live_peak(gB, shapesB))
-    worst: float | None = 0.0
-    for inputs in _trial_batches(gA, seed, trials, per_batch):
-        outsA = forward(gA, storeA, inputs, tape=False)[0]
-        outsB = forward(gB, storeB, inputs, tape=False)[0]
-        worst = _fold_worst(worst, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
-    return EquivalenceReport(trials, seed, tol, worst, None, _within(tol, worst))
+    def start(storeA, storeB):
+        return lambda inputs: [_max_diffs(forward(gA, storeA, inputs, tape=False)[0],
+                                          forward(gB, storeB, inputs, tape=False)[0])]
+
+    (worst,), tol, passed = _sampled([(gA, wA), (gB, wB)], trials, seed, tol, start)
+    return EquivalenceReport(trials, seed, tol, worst, None, passed)
 
 
 def _proxied_grads(
@@ -331,53 +342,43 @@ def verify_gradients(
     tol: float | None = None,
 ) -> EquivalenceReport:
     """Compare d(loss)/d(parameter) between the plain scheme A and the
-    proxy-weight scheme B under a sum-of-outputs loss.
+    proxy-weight scheme B under a sum-of-outputs loss, run by _sampled with
+    tapes. B's store holds the proxy parameters (A's names and values); the
+    LayerNorms B swapped for RMSNorm say which are proxied (_derive_proxied).
 
-    Model B's weight store holds the proxy parameters (same names and values
-    as A's); which of them are proxied follows from the LayerNorms B swapped
-    for RMSNorm (_derive_proxied). Both schemes run through _proxied_grads.
-    Trials are stacked as in verify_forward, but backward needs the tapes,
-    and each trial keeps its own parameter gradients. Scheme B streams its
-    gradients: each parameter's difference from A's is folded as soon as
-    B's backward produces it, and both gradients are dropped there (a
-    gradient only one scheme has is compared with zero). A trial so holds
-    A's parameter gradients beside B's tape, never two gradient sets; a
-    batch takes as many trials as keep either model's whole tape, and the
-    parameter count, under TAPE_BUDGET. Empty
-    differences, non-finite results and the default tol follow
-    verify_forward.
+    Both schemes run through _proxied_grads, and each stacked trial keeps
+    its own parameter gradients. B streams its gradients: each one's
+    difference from A's is folded as B's backward produces it, and both are
+    dropped there (a gradient only one scheme has is compared with zero). A
+    trial so holds A's parameter gradients beside B's tape, and a batch is
+    sized by both whole tapes and the parameter count.
     """
-    shapesA, shapesB = _require_same_signature(gA, wA, gB, wB)
-    if set(wA.names()) != set(wB.names()):
-        raise ParameterPairingError(
-            "parameter name sets differ; cannot pair proxy weights with originals"
-        )
-    if tol is None:
-        tol = default_tol(wA, wB)
-    storeA, storeB = wA.as_f64(), wB.as_f64()
-    proxied = _derive_proxied(gA, gB)
-    effective = center_targets(gB, storeB, proxied)
-    per_batch = _per_batch(_live_peak(gA, shapesA, tape=True), _live_peak(gB, shapesB, tape=True),
-                           _param_count(storeA))
-
     ones = lambda outs: [np.ones_like(o) for o in outs]
-    worst_fwd: float | None = 0.0
-    worst_grad: float | None = 0.0
-    for inputs in _trial_batches(gA, seed, trials, per_batch):
-        outsA, gradsA = _proxied_grads(gA, storeA, (), inputs, ones, True)
-        maxima = []
 
-        def diff_from_a(gradsB):
-            for name, gb in gradsB.items():
-                ga = gradsA.pop(name, None)
-                d = (0.0 if ga is None else ga) - gb
-                maxima.append(np.abs(d, out=d).max(initial=0.0))
+    def start(storeA, storeB):
+        if set(wA.names()) != set(wB.names()):
+            raise ParameterPairingError("parameter name sets differ; cannot pair proxy weights with originals")
+        proxied = _derive_proxied(gA, gB)
+        effective = center_targets(gB, storeB, proxied)
 
-        outsB, _ = _proxied_grads(gB, effective, proxied, inputs, ones, True, diff_from_a)
-        worst_fwd = _fold_worst(worst_fwd, (np.abs(a - b).max(initial=0.0) for a, b in zip(outsA, outsB)))
-        maxima += (np.abs(ga).max(initial=0.0) for ga in gradsA.values())
-        worst_grad = _fold_worst(worst_grad, maxima)
-    return EquivalenceReport(trials, seed, tol, worst_fwd, worst_grad, _within(tol, worst_fwd, worst_grad))
+        def measure(inputs):
+            outsA, gradsA = _proxied_grads(gA, storeA, (), inputs, ones, True)
+            maxima = []
+
+            def diff_from_a(gradsB):
+                for name, gb in gradsB.items():
+                    ga = gradsA.pop(name, None)
+                    d = (0.0 if ga is None else ga) - gb
+                    maxima.append(np.abs(d, out=d).max(initial=0.0))
+
+            outsB, _ = _proxied_grads(gB, effective, proxied, inputs, ones, True, diff_from_a)
+            maxima += (np.abs(ga).max(initial=0.0) for ga in gradsA.values())
+            return _max_diffs(outsA, outsB), maxima
+        return measure
+
+    (fwd, grad), tol, passed = _sampled([(gA, wA), (gB, wB)], trials, seed, tol, start,
+                                        tape=True, held=_param_count(wA))
+    return EquivalenceReport(trials, seed, tol, fwd, grad, passed)
 
 
 def check_zero_mean(
@@ -391,23 +392,21 @@ def check_zero_mean(
     """Max |mean along axis| of one node's output over seeded random inputs;
     NaN when any trial's mean is non-finite, so every ``<= tol`` fails.
     axis counts the node's per-sample axes; one outside them raises numpy's
-    AxisError. The graph is validated first, and trials are stacked as in
-    verify_forward: tape-free forwards of the graph with the node as its
-    only output."""
+    AxisError. Run by _sampled on the graph, whose trials are tape-free
+    forwards of a probe: the graph with the node as its only output."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
-    shapes = require_valid(g, w)
-    store = w.as_f64()
-    rank = len(shapes[node_id])
-    np.zeros((0,) * rank).sum(axis=axis)  # numpy's own range check
-    # Counted from the back, the axis names the same one behind the stack's
-    # leading trial axes.
-    axis = axis - rank if axis >= 0 else axis
-    worst: float | None = 0.0
     probe = Graph(g.nodes, g.edges, g.inputs, [node_id])
-    for inputs in _trial_batches(g, seed, trials, _per_batch(_live_peak(probe, shapes))):
-        (value,), _ = forward(probe, store, inputs, tape=False)
-        worst = _fold_worst(worst, [np.abs(value.mean(axis=axis)).max(initial=0.0)])
+
+    def start(store):
+        rank = len(require_valid(g, w)[node_id])  # the shapes _sampled's validation kept
+        np.zeros((0,) * rank).sum(axis=axis)  # numpy's own range check
+        # Counted from the back, it names the same axis behind the trial axes.
+        back = axis - rank if axis >= 0 else axis
+        mean = lambda inputs: forward(probe, store, inputs, tape=False)[0][0].mean(axis=back)
+        return lambda inputs: [[np.abs(mean(inputs)).max(initial=0.0)]]
+
+    (worst,), _tol, _passed = _sampled([(g, w)], trials, seed, None, start, sized=[probe])
     return float("nan") if worst is None else worst
 
 
@@ -486,8 +485,8 @@ class TrainingResult:
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     n = logits.shape[0]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
+    top = logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(logits - top).sum(axis=-1)) + top[:, 0]
     loss = float(np.mean(logz - logits[np.arange(n), labels]))
     probs = OPS["Softmax"].forward({}, [logits], [])[0]
     probs[np.arange(n), labels] -= 1.0
@@ -513,7 +512,7 @@ def training_equivalence(
     batches and the same learning rate. Both models are validated first.
     """
     check_seed(seed)
-    _require_same_signature(gA, wA, gB, wB)
+    _valid_shapes((gA, wA), (gB, wB))
     if set(wA.names()) != set(wB.names()):
         raise ParameterPairingError("parameter name sets differ between schemes")
     for name in wA.names():

@@ -647,6 +647,11 @@ class TestOverlappedChecks:
         deepest = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)[1]
         assert not verify.checks_overlap(deepest)
 
+    def test_overlap_starts_past_half_the_budget(self):
+        # A gradient batch holds one trial once the parameters alone pass 2^19.
+        assert not verify.checks_overlap(WeightStore({"w": np.zeros(2**19)}))
+        assert verify.checks_overlap(WeightStore({"w": np.zeros(2**19 + 1)}))
+
     @pytest.mark.parametrize("affinity, cpus", [(True, 1), (True, 2), (False, 1), (False, 2), (False, None)],
                              ids=["affinity_1", "affinity_2", "cpu_count_1", "cpu_count_2", "cpu_count_unknown"])
     def test_only_several_cpus_overlap(self, wide_pair, monkeypatch, affinity, cpus):

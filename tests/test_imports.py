@@ -23,6 +23,11 @@ with its reason.
 verify's sampled checks draw from a stream lnfold defines itself, so their
 output does not change when numpy changes its generator algorithms; only
 training_equivalence, which no report depends on, reads np.random.
+
+A one-loop check: the steps every sampled check shares (drawing the trial
+batches, sizing them, picking the default tol) are each called from one
+function in src/lnfold, verify's runner, so a change to how a check is
+run or judged is made in one place.
 """
 
 import ast
@@ -240,3 +245,44 @@ def test_the_check_sees_numpy_random():
               "def training_equivalence():\n    return np.random.default_rng(0)\n"
               "def draw():\n    return np.random.default_rng(0)\n")
     assert _numpy_random_reads(source) == [2, 3, 7]
+
+
+# The shared steps of verify's sampled checks, and the one function that calls them.
+SAMPLED_STEPS = ("_trial_batches", "_live_peak", "default_tol")
+RUNNER = "verify._sampled"
+
+
+def _callers(source: str) -> dict[str, set[str]]:
+    """For each of SAMPLED_STEPS, the functions in source that call it, each
+    named by its innermost enclosing def ("" at module level)."""
+    found: dict[str, set[str]] = {name: set() for name in SAMPLED_STEPS}
+
+    def visit(node: ast.AST, fn: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee in found:
+                found[callee].add(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_function_runs_every_sampled_check():
+    callers: dict[str, set[str]] = {name: set() for name in SAMPLED_STEPS}
+    for path in MODULES:
+        for name, fns in _callers(path.read_text(encoding="utf-8")).items():
+            callers[name] |= {f"{path.stem}.{fn}" for fn in fns}
+    assert callers == {name: {RUNNER} for name in SAMPLED_STEPS}
+
+
+def test_the_check_sees_a_second_caller():
+    source = ("def _sampled():\n    return default_tol(w), _live_peak(g, s)\n"
+              "def check():\n    def start():\n        return [verify.default_tol(w) for w in ws]\n"
+              "    return start\n"
+              "_trial_batches(g, 0, 1, 1)\n")
+    assert _callers(source) == {"_trial_batches": {""}, "_live_peak": {"_sampled"},
+                                "default_tol": {"_sampled", "start"}}

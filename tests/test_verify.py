@@ -162,7 +162,8 @@ def _reference_grad_diff(gA, wA, gB, wB, trials, seed):
             ga = np.zeros_like(storeA[name]) if ga is None else ga
             gb = np.zeros_like(storeB[name]) if gb is None else gb
             worst_grad = verify._fold_worst(worst_grad, [np.abs(ga - gb).max()])
-    return worst_fwd, worst_grad, verify._within(default_tol(wA, wB), worst_fwd, worst_grad)
+    tol = default_tol(wA, wB)
+    return worst_fwd, worst_grad, all(w is not None and w <= tol for w in (worst_fwd, worst_grad))
 
 
 def _grad_result(rep):
@@ -463,7 +464,7 @@ class TestStackedGradients:
     def test_parameter_count_caps_the_batch(self, forward_calls):
         # 5 trials' tapes fit under the budget, but not 5 trials' gradients.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
-        assert verify._per_batch(verify._live_peak(g, infer_shapes(g, w), tape=True)) >= 5
+        assert verify.TAPE_BUDGET // verify._live_peak(g, infer_shapes(g, w), tape=True) >= 5
         assert 5 * sum(arr.size for _name, arr in w.items()) > verify.TAPE_BUDGET
         verify_gradients(g, w, g, w, trials=5, seed=0)
         assert forward_calls == [(4, 1, 8)] * 2 + [(1, 1, 8)] * 2
@@ -792,6 +793,47 @@ class TestVerifyGradients:
             verify_gradients(g, w, fg, fw, trials=1)
         with pytest.raises(ParameterPairingError, match="centered node 'lin'"):
             training_equivalence(g, w, fg, w, steps=1)
+
+
+def _scaled_output(scale):
+    """linear_then_norm with a ScalarScale between ln and the output; the
+    scale has no parameters, so the weights are linear_then_norm's."""
+    b = fixtures._Builder(0)
+    lin = b.linear("lin", b.input("x", (6,)), 8, 6)
+    b.output(b.simple("scale", "ScalarScale", b.layer_norm("ln", lin, 8), {"scale": scale}))
+    return b.build()
+
+
+def _open_hole(hole, why):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"ROADMAP item 10, hole {hole}: {why}")
+
+
+class TestOpenVerifyHoles:
+    """Verdicts verify gets wrong today, at the default trials and tol. The
+    naive swap carries ln as RMSNorm and leaves lin uncentered. Each case
+    is a strict xfail, so the change that closes its hole must flip it."""
+
+    def test_the_naive_swap_changes_the_outputs(self):
+        g, w = _scaled_output(1e-10)
+        _g, base = fixtures.linear_then_norm()
+        assert all(np.array_equal(w[name], base[name]) for name in base.names())
+        assert verify_forward(g, w, g.with_kinds({"ln": "RMSNorm"}), w).max_abs_forward_diff > 1e-10
+
+    @_open_hole(1, "an absolute tol passes a wrong fold whose outputs are tiny (1.56e-10 at scale 1e-10)")
+    def test_naive_swap_behind_a_small_scale_fails_forward(self):
+        g, w = _scaled_output(1e-10)
+        assert not verify_forward(g, w, g.with_kinds({"ln": "RMSNorm"}), w).passed
+
+    @_open_hole(1, "an absolute tol fails a right fold whose outputs are large (8.9e-8 at scale 1e8)")
+    def test_strict_fold_behind_a_large_scale_passes_forward(self):
+        g, w = _scaled_output(1e8)
+        assert verify_forward(g, w, *apply_fold(g, w, detect_foldable(g, w))).passed
+
+    @_open_hole(2, "scheme B centers the targets itself, so it never reads an uncentered one")
+    @pytest.mark.parametrize("scale", [1.0, 1e-10])
+    def test_naive_swap_fails_gradients(self, scale):
+        g, w = _scaled_output(scale)
+        assert not verify_gradients(g, w, g.with_kinds({"ln": "RMSNorm"}), w).passed
 
 
 class TestTrialCount:
