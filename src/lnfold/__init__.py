@@ -38,11 +38,9 @@ from .tensor_math import Tape, backward, forward
 from .verify import (
     EquivalenceReport,
     FlopCount,
-    TrainingDivergenceError,
     check_zero_mean,
     flops_estimate,
     model_speedup_estimate,
-    training_equivalence,
     verify_forward,
     verify_gradients,
 )

@@ -35,7 +35,7 @@ from .graph_ir import (
     model_hash,
     require_valid,
 )
-from .jsonutil import exact, plain
+from .jsonutil import exact, plain, strings
 from .ops import OPS
 
 REPORT_FORMAT_VERSION = 2
@@ -143,7 +143,8 @@ class SafetyVerdict:
 
     @staticmethod
     def from_json(doc: dict) -> "SafetyVerdict":
-        return SafetyVerdict(safe=exact(doc["safe"], bool, "safe"), affected=frozenset(doc["affected"]))
+        return SafetyVerdict(safe=exact(doc["safe"], bool, "safe"),
+                             affected=frozenset(strings(doc["affected"], "affected")))
 
 
 def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph, producers: Iterable[str] = ()) -> SafetyVerdict:
@@ -194,10 +195,11 @@ class AuxInsertion:
     @staticmethod
     def from_json(doc: dict) -> "AuxInsertion":
         return AuxInsertion(
-            after=doc["after"],
-            node_id=doc["node_id"],
-            edges=tuple((e[0], e[1], exact(e[2], int, "insertion edge slot")) for e in doc["edges"]),
-            rescues=tuple(doc["rescues"]),
+            after=exact(doc["after"], str, "insertion producer"),
+            node_id=exact(doc["node_id"], str, "insertion node_id"),
+            edges=tuple((exact(e[0], str, "insertion edge end"), exact(e[1], str, "insertion edge end"),
+                         exact(e[2], int, "insertion edge slot")) for e in doc["edges"]),
+            rescues=tuple(strings(doc["rescues"], "insertion rescues")),
         )
 
 
@@ -334,11 +336,11 @@ class FoldEntry:
     @staticmethod
     def from_json(doc: dict) -> "FoldEntry":
         return FoldEntry(
-            ln_id=doc["ln_id"],
-            verdict=doc["verdict"],
-            opaque_leaves=frozenset(doc["opaque_leaves"]),
-            off_axis_leaves=frozenset(doc["off_axis_leaves"]),
-            warnings=list(doc["warnings"]),
+            ln_id=exact(doc["ln_id"], str, "ln_id"),
+            verdict=exact(doc["verdict"], str, "verdict"),
+            opaque_leaves=frozenset(strings(doc["opaque_leaves"], "opaque_leaves")),
+            off_axis_leaves=frozenset(strings(doc["off_axis_leaves"], "off_axis_leaves")),
+            warnings=strings(doc["warnings"], "warnings"),
         )
 
 
@@ -385,18 +387,14 @@ class FoldReport:
         version = doc.get("format_version")
         if type(version) is not int or version != REPORT_FORMAT_VERSION:
             raise ValueError(f"unsupported report format_version {version!r}")
-        entries = {e["ln_id"]: FoldEntry.from_json(e) for e in doc["entries"]}
-        foldable, insertions = list(doc["foldable"]), [AuxInsertion.from_json(i) for i in doc["insertions"]]
-        if not all(isinstance(s, str) for s in [doc["model_hash"], *foldable, *(i.after for i in insertions)]):
-            raise ValueError("model_hash, foldable and insertion producers must be strings")
         return FoldReport(
             mode=doc["mode"],
-            model_hash=doc["model_hash"],
+            model_hash=exact(doc["model_hash"], str, "model_hash"),
             strict_safety=exact(doc["strict_safety"], bool, "strict_safety"),
-            entries=entries,
-            foldable=foldable,
+            entries={entry.ln_id: entry for entry in map(FoldEntry.from_json, doc["entries"])},
+            foldable=strings(doc["foldable"], "foldable"),
             targets={t["node"]: CenteringSpec.from_json(t["spec"]) for t in doc["targets"]},
-            insertions=insertions,
+            insertions=[AuxInsertion.from_json(i) for i in doc["insertions"]],
             safety=SafetyVerdict.from_json(doc["safety"]),
         )
 

@@ -16,13 +16,22 @@ from typing import Any
 
 import numpy as np
 
+_KIND_NAMES = {bool: "boolean", int: "integer", str: "string"}
+
 
 def exact(value: Any, kind: type, name: str) -> Any:
-    """value, read back from JSON, if it is exactly a kind (bool or int):
-    true is not the integer 1, and neither "no" nor 1.9 is coerced."""
+    """value, read back from JSON, if it is exactly a kind (bool, int or
+    str): true is not the integer 1, and neither "no" nor 1.9 is coerced."""
     if type(value) is not kind:
-        raise ValueError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, got {value!r}")
+        raise ValueError(f"{name} must be a JSON {_KIND_NAMES[kind]}, got {value!r}")
     return value
+
+
+def strings(value: Any, name: str) -> list[str]:
+    """A copy of value, read back from JSON, if it is a list of strings."""
+    if type(value) is not list or not all(type(item) is str for item in value):
+        raise ValueError(f"{name} must be a JSON list of strings, got {value!r}")
+    return list(value)
 
 
 def plain(obj: Any) -> Any:

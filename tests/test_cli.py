@@ -225,6 +225,14 @@ def _insertion_edges(edges):
     return edit
 
 
+def _first(key, **fields):
+    """Update the first item of the report's key list (an entry or an insertion)."""
+    def edit(doc):
+        doc[key][0].update(fields)
+        return doc
+    return edit
+
+
 _FOLD, _DRY_RUN = ["--out", "f", "--practical"], ["--dry-run"]
 _FOLD_FLAGS = pytest.mark.parametrize("flags", [_FOLD, _DRY_RUN], ids=["out", "dry_run"])
 
@@ -323,8 +331,33 @@ class TestMalformedReport:
         ("pre_ln_transformer", ["--practical"],
          lambda doc: doc["insertions"][0]["edges"][0].__setitem__(2, 0.0) or doc,
          "insertion edge slot must be a JSON integer, got 0.0"),
+        ("pre_ln_transformer", ["--practical"], _set("model_hash", 5), "model_hash must be a JSON string, got 5"),
+        ("pre_ln_transformer", ["--practical"], _set("foldable", "ln_f"),
+         "foldable must be a JSON list of strings, got 'ln_f'"),
+        ("pre_ln_transformer", ["--practical"], _first("entries", ln_id=5), "ln_id must be a JSON string, got 5"),
+        ("pre_ln_transformer", ["--practical"], _first("entries", verdict=7),
+         "verdict must be a JSON string, got 7"),
+        ("pre_ln_transformer", ["--practical"], _first("entries", opaque_leaves="xy"),
+         "opaque_leaves must be a JSON list of strings, got 'xy'"),
+        ("pre_ln_transformer", ["--practical"], _first("entries", off_axis_leaves=[1]),
+         "off_axis_leaves must be a JSON list of strings, got [1]"),
+        ("pre_ln_transformer", ["--practical"], _first("entries", warnings="abc"),
+         "warnings must be a JSON list of strings, got 'abc'"),
+        ("pre_ln_transformer", ["--practical"], _set("safety", {"safe": True, "affected": ""}),
+         "affected must be a JSON list of strings, got ''"),
+        ("pre_ln_transformer", ["--practical"], _first("insertions", after=["embed"]),
+         "insertion producer must be a JSON string, got ['embed']"),
+        ("pre_ln_transformer", ["--practical"], _first("insertions", node_id=0),
+         "insertion node_id must be a JSON string, got 0"),
+        ("pre_ln_transformer", ["--practical"],
+         lambda doc: doc["insertions"][0]["edges"][0].__setitem__(1, 5) or doc,
+         "insertion edge end must be a JSON string, got 5"),
+        ("pre_ln_transformer", ["--practical"], _first("insertions", rescues="ln"),
+         "insertion rescues must be a JSON list of strings, got 'ln'"),
     ], ids=["includes_bias_string", "includes_bias_int", "groups_float", "groups_bool",
-            "strict_safety_string", "safe_int", "slot_float"])
+            "strict_safety_string", "safe_int", "slot_float", "model_hash_int", "foldable_string",
+            "ln_id_int", "verdict_int", "opaque_leaves_string", "off_axis_leaves_ints", "warnings_string",
+            "affected_string", "producer_list", "node_id_int", "edge_end_int", "rescues_string"])
     def test_coerced_field_exits_1(self, tmp_path, capsys, name, analyze_flags, edit, message,
                                    flags):
         err = self._fold(tmp_path, capsys, fixtures.ALL_FIXTURES[name](), analyze_flags, edit, flags)
