@@ -15,6 +15,7 @@ import stat
 from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -100,8 +101,9 @@ class Graph:
 
     Edges are (src id, dst id, dst input slot), and they are the only record
     of a node's inputs: its arity is its number of incoming edges, one per
-    slot 0..k-1. Time-unrolling of the recurrent cell is the caller's
-    concern; the cell is one node with two input slots.
+    slot 0..k-1, and preds, indexed from them at construction, maps each
+    node id to its source ids in slot order. Time-unrolling of the recurrent
+    cell is the caller's concern; the cell is one node with two input slots.
     """
 
     def __init__(
@@ -138,8 +140,17 @@ class Graph:
         for s, d, slot in self.edges:
             self._in.setdefault(d, []).append((s, slot))
             self._out.setdefault(s, []).append((d, slot))
-        for incoming in self._in.values():
-            incoming.sort(key=lambda e: e[1])
+        # The tuple forward and backward read per node; an edge destination
+        # that is no node has one too. Most nodes have one incoming edge,
+        # which needs no sort.
+        self.preds: dict[str, tuple[str, ...]] = dict.fromkeys(self.nodes, ())
+        by_slot, source = itemgetter(1), itemgetter(0)
+        for d, incoming in self._in.items():
+            if len(incoming) == 1:
+                self.preds[d] = (incoming[0][0],)
+            else:
+                incoming.sort(key=by_slot)
+                self.preds[d] = tuple(map(source, incoming))
 
     # -- adjacency ---------------------------------------------------------
 
@@ -152,7 +163,7 @@ class Graph:
         return list(self._out.get(node_id, ()))
 
     def predecessors(self, node_id: str) -> list[str]:
-        return [s for s, _slot in self._in.get(node_id, ())]
+        return list(self.preds.get(node_id, ()))
 
     def successors(self, node_id: str) -> list[str]:
         return list(dict.fromkeys(d for d, _slot in self.out_edges(node_id)))

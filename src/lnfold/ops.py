@@ -46,7 +46,10 @@ class Family(Enum):
 def _mean(x):
     """Last-axis mean with the axis kept, computed as np.mean computes it
     (integers and booleans summed in f64) without its Python wrapper."""
-    m = np.add.reduce(x, axis=-1, keepdims=True, dtype=np.float64 if x.dtype.kind in "biu" else None)
+    if x.dtype.kind in "biu":
+        m = np.add.reduce(x, -1, np.float64, keepdims=True)
+    else:
+        m = np.add.reduce(x, -1, keepdims=True)
     # np.mean divides an f32 sum in f64 and rounds; below 2**24 elements
     # that is exactly the f32 quotient taken here.
     m /= x.shape[-1]
@@ -71,14 +74,16 @@ def _center_scale(x, eps, gamma, beta, center):
     before the affine, and beta comes only with gamma. A zero denominator
     (eps = 0 on a constant row) raises NumericalError; a NaN row takes the
     guarded where path, which gives it an inverse root of 0. Otherwise the
-    inverse root is taken directly, with the same bits.
+    inverse root is taken directly, in the fresh square-root array, with
+    the same bits.
     """
     if center:
         x = x - _mean(x)
     sq = x * x
     denom = _mean(sq) + eps
     if denom.min(initial=np.inf) > 0.0:
-        inv = 1.0 / np.sqrt(denom)
+        inv = np.sqrt(denom)
+        np.divide(1.0, inv, out=inv)
     else:
         if np.any(denom == 0.0):
             raise NumericalError("zero variance with eps=0; use eps > 0")
@@ -138,7 +143,7 @@ def _sum_to(shape: tuple[int, ...], g: np.ndarray, keep: bool = False) -> np.nda
     all but axis 0 when keep."""
     extra = g.ndim - len(shape) - keep
     if extra:
-        g = g.sum(axis=tuple(range(keep, keep + extra)))
+        g = np.add.reduce(g, tuple(range(keep, keep + extra)))
     return g
 
 
@@ -436,11 +441,12 @@ class _LayerNorm(OpDef):
         return out, {"xhat": xhat, "inv": inv, "denom": denom}
 
     def backward(self, e, dy, keep):
-        xhat, inv = e.saved["xhat"], e.saved["inv"]
-        gamma, _beta = self._gamma_beta(e.params)
-        g = dy if gamma is None else dy * gamma
-        dgamma = [] if gamma is None else [_sum_to(gamma.shape, dy * xhat, keep)]
-        return [_norm_input_grad(g, xhat, inv, self.removes_mean)], dgamma + self._bias_grad(e.params, dy, keep)
+        xhat, inv, params = e.saved["xhat"], e.saved["inv"], e.params
+        if not params:
+            return [_norm_input_grad(dy, xhat, inv, self.removes_mean)], []
+        gamma = params[0]
+        dparams = [_sum_to(gamma.shape, dy * xhat, keep)] + self._bias_grad(params, dy, keep)
+        return [_norm_input_grad(dy * gamma, xhat, inv, self.removes_mean)], dparams
 
 
 class _RMSNorm(_LayerNorm):
@@ -563,7 +569,7 @@ class _ReLU(OpDef):
         return np.maximum(x, 0.0), {}
 
     def backward(self, e, dy, keep):
-        return [dy * (e.inputs[0] > 0)], []
+        return [dy * (e.inputs[0] > 0).astype(dy.dtype)], []
 
 
 class _Softmax(OpDef):

@@ -69,18 +69,19 @@ def forward(
         raise ValueError(f"missing inputs for {missing}")
 
     dead_after = None if tape else g.dead_after()
+    nodes, preds = g.nodes, g.preds
     values: dict[str, np.ndarray] = {}
     entries: dict[str, TapeEntry] = {}
     for nid in g.topo_order():
-        node = g.nodes[nid]
+        node = nodes[nid]
         if node.kind == "Input":
             in_vals = param_arrays = ()
             out, saved = np.asarray(inputs[nid]), {}
-            if np.issubdtype(out.dtype, np.floating) and not np.all(np.isfinite(out)):
+            if out.dtype.kind == "f" and not np.isfinite(out).all():
                 raise NumericalError(f"non-finite input at node {nid!r}")
         else:
-            in_vals = tuple(values[src] for src in g.predecessors(nid))
-            param_arrays = tuple(w[ref] for ref in node.param_refs)
+            in_vals = tuple(map(values.__getitem__, preds[nid]))
+            param_arrays = tuple([w[ref] for ref in node.param_refs])
             try:
                 out, saved = OPS[node.kind].forward(node.attrs, in_vals, param_arrays)
             except NumericalError as exc:
@@ -148,7 +149,7 @@ def backward(
             continue
         dy = np.asarray(dy)
         dxs, dparams = OPS[entry.node.kind].backward(entry, dy, keep_axis0)
-        _accumulate(grad_of, g.predecessors(nid), dxs)
+        _accumulate(grad_of, g.preds[nid], dxs)
         consume(entry.node, dict(zip(entry.node.param_refs, dparams)))
 
     return param_grads

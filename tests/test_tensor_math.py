@@ -11,11 +11,15 @@ from lnfold.fold_apply import apply_fold
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import Graph, WeightStore, make_node, validate_graph
 from lnfold.ops import OPS, NumericalError, _col2im
-from lnfold.tensor_math import backward, forward
+from lnfold.tensor_math import TapeEntry, backward, forward
 from oracles import finite_difference_grad, loss_value
 from sampling import sample_inputs
 
 EPS_M = np.float64(np.finfo(np.float64).eps)
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.strides, a.tobytes()
 
 
 def rel_error(a: np.ndarray, f: np.ndarray) -> float:
@@ -198,6 +202,21 @@ class TestSimplePrimitives:
             OPS["ResidualAdd"].forward({}, [np.array([1.0, 2.0]), np.array([3.0, 4.0])], [])[0], [4.0, 6.0]
         )
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_relu_backward_keeps_the_plain_product_bits(self, dtype):
+        # dy times the mask cast to dy's dtype: the bits of dy * (x > 0),
+        # signed zeros and NaN included.
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300])
+        rng = np.random.default_rng(8)
+        x = np.concatenate([specials, rng.standard_normal(25)]).reshape(4, 8)
+        dy = np.concatenate([-specials, rng.standard_normal(25)]).astype(dtype)
+        dy = rng.permutation(dy).reshape(4, 8)
+        entry = TapeEntry(None, (x,), (), OPS["ReLU"].forward({}, (x,), ())[0])
+        with np.errstate(invalid="ignore"):
+            got = OPS["ReLU"].backward(entry, dy, False)[0][0]
+            want = dy * (x > 0)
+        assert _bits(got) == _bits(want)
+
 
 def _single_norm_graph(eps=0.0):
     nodes = [
@@ -227,10 +246,25 @@ class TestForward:
         with pytest.raises(ValueError, match=r"^missing inputs for \['x'\]$"):
             forward(g, w, {})
 
-    def test_nan_input_strict(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "posinf", "neginf"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_nan_input_strict(self, dtype, bad):
         g, w = _single_norm_graph()
-        with pytest.raises(NumericalError, match="x"):
-            forward(g, w, {"x": np.array([np.nan, 1.0])})
+        with pytest.raises(NumericalError, match=r"^non-finite input at node 'x'$"):
+            forward(g, w, {"x": np.array([bad, 1.0], dtype=dtype)})
+
+    def test_only_float_inputs_are_checked(self, monkeypatch):
+        # An integer or bool Input cannot hold a non-finite value, so its
+        # array never reaches np.isfinite; a float one does.
+        checked = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda x: checked.append(x.dtype) or isfinite(x))
+        g, w = _single_norm_graph(eps=1e-5)
+        for x in (np.array([2, 0]), np.array([True, False])):
+            out, _ = forward(g, w, {"x": x})
+            assert isfinite(out[0]).all() and not checked
+        forward(g, w, {"x": np.array([2.0, 0.0])})
+        assert checked == [np.dtype(np.float64)]
 
     @pytest.mark.parametrize("tokens, message", [
         ([0.0, 1.0, 2.0], "node 'embed': embedding indices must be integers"),
@@ -320,6 +354,60 @@ class TestForward:
 def _practical_fold(builder):
     g, w = builder()
     return apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+
+
+def _reference_forward(g, w, inputs):
+    """forward written plainly: each node's kernel in topo_order, its inputs
+    found by a scan of the edge list in slot order. Every node's value."""
+    values = {}
+    for nid in g.topo_order():
+        node = g.nodes[nid]
+        if node.kind == "Input":
+            values[nid] = np.asarray(inputs[nid])
+            continue
+        sources = [s for _slot, s in sorted((slot, s) for s, d, slot in g.edges if d == nid)]
+        params = tuple(w[ref] for ref in node.param_refs)
+        values[nid] = OPS[node.kind].forward(node.attrs, tuple(values[s] for s in sources), params)[0]
+    return values
+
+
+def _f32_copy(builder):
+    g, w = builder()
+    return g, WeightStore({name: arr.astype(np.float32) for name, arr in w.items()})
+
+
+def _edges_reversed(builder):
+    g, w = builder()
+    return Graph(list(g.nodes.values()), g.edges[::-1], g.inputs, g.outputs), w
+
+
+# Every fixture, its f32 copy, a fold rebuilt around a spliced
+# AuxiliaryCentering, and two-input nodes whose edges are listed last slot first.
+ENGINE_CASES = {
+    **fixtures.ALL_FIXTURES,
+    **{f"{name}_f32": lambda build=build: _f32_copy(build) for name, build in fixtures.ALL_FIXTURES.items()},
+    "pre_ln_transformer_practical_fold": lambda: _practical_fold(fixtures.pre_ln_transformer),
+    "recurrent_then_norm_edges_reversed": lambda: _edges_reversed(fixtures.recurrent_then_norm),
+    "concat_then_norm_edges_reversed": lambda: _edges_reversed(fixtures.concat_then_norm),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_forward_matches_the_edge_scan_reference(name):
+    g, w = ENGINE_CASES[name]()
+    if name.endswith("_practical_fold"):
+        assert any(n.kind == "AuxiliaryCentering" for n in g.nodes.values())
+    samples = [sample_inputs(g, np.random.default_rng(seed)) for seed in range(4)]
+    stacked = {nid: np.stack([s[nid] for s in samples])[:, None] for nid in g.inputs}
+    for inputs in (samples[0], stacked):
+        ref = _reference_forward(g, w, inputs)
+        outs, tape = forward(g, w, inputs)
+        assert list(tape.entries) == list(ref)
+        for nid, entry in tape.entries.items():
+            assert _bits(entry.output) == _bits(ref[nid]), nid
+        lean, _ = forward(g, w, inputs, tape=False)
+        for oid, a, b in zip(g.outputs, outs, lean, strict=True):
+            assert _bits(a) == _bits(ref[oid]) == _bits(b), oid
 
 
 # Graphs whose reverse-mode gradients are checked against finite differences.
