@@ -39,7 +39,7 @@ class CenteringSpec:
     @staticmethod
     def from_json(doc: dict) -> "CenteringSpec":
         return CenteringSpec(
-            target=doc["target"],
+            target=exact(doc["target"], str, "target"),
             family=Family(doc["family"]),
             includes_bias=exact(doc["includes_bias"], bool, "includes_bias"),
             groups=exact(doc.get("groups", 1), int, "groups"),

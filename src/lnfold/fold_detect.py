@@ -24,7 +24,7 @@ checks that they perturb nothing but nodes that remove a per-sample mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Any, Iterable
 
 from .centering import CenteringSpec, spec_for_node
 from .graph_ir import (
@@ -344,6 +344,17 @@ class FoldEntry:
         )
 
 
+def _unique(pairs: Iterable[tuple[str, Any]]) -> dict[str, Any]:
+    """The (id, item) pairs of a report list as a dict; ValueError when an
+    id is listed twice, which a dict would silently collapse."""
+    keyed: dict[str, Any] = {}
+    for key, item in pairs:
+        if key in keyed:
+            raise ValueError(f"report lists {key!r} more than once")
+        keyed[key] = item
+    return keyed
+
+
 @dataclass
 class FoldReport:
     """Everything a fold needs: verdicts, targets, insertion plan, safety."""
@@ -391,9 +402,10 @@ class FoldReport:
             mode=doc["mode"],
             model_hash=exact(doc["model_hash"], str, "model_hash"),
             strict_safety=exact(doc["strict_safety"], bool, "strict_safety"),
-            entries={entry.ln_id: entry for entry in map(FoldEntry.from_json, doc["entries"])},
+            entries=_unique((entry.ln_id, entry) for entry in map(FoldEntry.from_json, doc["entries"])),
             foldable=strings(doc["foldable"], "foldable"),
-            targets={t["node"]: CenteringSpec.from_json(t["spec"]) for t in doc["targets"]},
+            targets=_unique((exact(t["node"], str, "node"), CenteringSpec.from_json(t["spec"]))
+                            for t in doc["targets"]),
             insertions=[AuxInsertion.from_json(i) for i in doc["insertions"]],
             safety=SafetyVerdict.from_json(doc["safety"]),
         )

@@ -135,7 +135,9 @@ def _col2im(
 # holds stacked trials instead and stays: each trial gets the gradient it
 # would get evaluated by itself, bit for bit, because each trial's slice
 # goes through the same numpy reduction (or per-slice BLAS call) alone.
-# _sum_to and _matmul_param_grad are the only code that knows the kept axis.
+# Four places know the kept axis: _sum_to and _matmul_param_grad, and the
+# backwards of _Conv2d, which splits it off the patch batch, and _Embedding,
+# which scatters each trial into its own rows.
 
 
 def _sum_to(shape: tuple[int, ...], g: np.ndarray, keep: bool = False) -> np.ndarray:
@@ -207,8 +209,8 @@ class OpDef:
     returns the gradients for each input slot and each parameter, in slot
     order. backward's keep says that axis 0 of the activations holds stacked
     trials: each parameter gradient then keeps that axis, one gradient per
-    trial, through _sum_to and _matmul_param_grad, the only two helpers
-    that know that axis.
+    trial. Only _sum_to, _matmul_param_grad, _Conv2d.backward and
+    _Embedding.backward know that axis.
     """
 
     arity: int | None = 1

@@ -12,7 +12,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -226,7 +226,7 @@ def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator
 
 
 def _sampled(models: list[tuple[Graph, WeightStore]], trials: int, seed: int, tol: float | None, start: Callable,
-             tape: bool = False, held: int = 0, sized: list[Graph] | None = None) -> tuple[list, float, bool]:
+             tape: bool = False, held: int = 0) -> tuple[list, float, bool]:
     """Run a sampled check of one or two (graph, store) models; return its
     worst values, the tol they were judged by and whether each is finite
     and within it. The models are validated, and two must share a
@@ -237,15 +237,14 @@ def _sampled(models: list[tuple[Graph, WeightStore]], trials: int, seed: int, to
     per value the check reports, folded into that value's worst
     (_fold_worst: 0 over no elements, None once a maximum is non-finite).
     Batches (_trial_batches) give the worsts of running the trials one at a
-    time, and take as many trials as keep the larger of held and each sized
-    graph's live peak (_live_peak, or its whole tape; sized defaults to the
-    models' graphs) under TAPE_BUDGET.
+    time, and take as many trials as keep the larger of held and each
+    model's live peak (_live_peak, or its whole tape) under TAPE_BUDGET.
     """
     shapes = _valid_shapes(*models)
     if tol is None:
         tol = default_tol(*(w for _g, w in models))
     measure = start(*(w.as_f64() for _g, w in models))
-    peak = max(held, *(_live_peak(g, s, tape) for g, s in zip(sized or [g for g, _w in models], shapes)))
+    peak = max(held, *(_live_peak(g, s, tape) for (g, _w), s in zip(models, shapes)))
     worsts: list[float | None] = []
     for inputs in _trial_batches(models[0][0], seed, trials, max(1, TAPE_BUDGET // max(1, peak))):
         maxima = measure(inputs)
@@ -278,40 +277,6 @@ def verify_forward(
     return EquivalenceReport(trials, seed, tol, worst, None, passed)
 
 
-def _proxied_grads(
-    g: Graph,
-    effective: WeightStore,
-    proxied: Collection[str],
-    inputs: Mapping[str, np.ndarray],
-    out_grad_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
-    keep_axis0: bool = False,
-    consume: Callable[[dict[str, np.ndarray]], None] | None = None,
-) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
-    """Forward/backward with proxy parameters for the proxied node ids (none
-    for a plain model).
-
-    The forward pass reads effective, the proxy store with the proxied
-    nodes' weights centered (center_targets); gradients w.r.t. the proxy
-    weights project the effective-weight gradients backward produced
-    through the same centering map. keep_axis0 is backward's: inputs are
-    stacked trials, each with its own gradients, and the projection centers
-    them all in one call per node, since it leaves leading axes alone.
-    With consume, each node's projected parameter gradients go to
-    consume(grads) as backward produces them, and the returned dict holds
-    none; otherwise they are collected there.
-    """
-    outs, tape = forward(g, effective, inputs)
-    collected: dict[str, np.ndarray] = {}
-
-    def project(node, grads):
-        if node.id in proxied:
-            grads.update(center_node_params(node, grads))
-        (collected.update if consume is None else consume)(grads)
-
-    backward(tape, out_grad_fn(outs), keep_axis0, project)
-    return outs, collected
-
-
 def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
     """Which of scheme B's parameters are proxies for centered weights: the
     centering targets of the LayerNorms of A that B carries as RMSNorm.
@@ -342,12 +307,15 @@ def verify_gradients(
     tapes. B's store holds the proxy parameters (A's names and values); the
     LayerNorms B swapped for RMSNorm say which are proxied (_derive_proxied).
 
-    Both schemes run through _proxied_grads, and each stacked trial keeps
-    its own parameter gradients. B streams its gradients: each one's
-    difference from A's is folded as B's backward produces it, and both are
-    dropped there (a gradient only one scheme has is compared with zero). A
-    trial so holds A's parameter gradients beside B's tape, and a batch is
-    sized by both whole tapes and the parameter count.
+    Each stacked trial keeps its own parameter gradients. A's backward
+    collects them, and A's tape is dropped before B's forward runs on the
+    effective store (center_targets: the proxied nodes' weights centered).
+    B's backward streams its gradients: a proxied node's are projected
+    through the same centering map (center_node_params), then each one's
+    difference from A's is folded and both are dropped (a gradient only
+    one scheme has is compared with zero). A trial so holds A's gradients
+    beside B's tape, and a batch is sized by both whole tapes and the
+    parameter count.
     """
     ones = lambda outs: [np.ones_like(o) for o in outs]
 
@@ -358,16 +326,21 @@ def verify_gradients(
         effective = center_targets(gB, storeB, proxied)
 
         def measure(inputs):
-            outsA, gradsA = _proxied_grads(gA, storeA, (), inputs, ones, True)
+            outsA, tape = forward(gA, storeA, inputs)
+            gradsA = backward(tape, ones(outsA), True)
+            del tape  # A's tape is freed before B's forward runs
             maxima = []
 
-            def diff_from_a(gradsB):
+            def diff_from_a(node, gradsB):
+                if node.id in proxied:
+                    gradsB.update(center_node_params(node, gradsB))
                 for name, gb in gradsB.items():
                     ga = gradsA.pop(name, None)
                     d = (0.0 if ga is None else ga) - gb
                     maxima.append(np.abs(d, out=d).max(initial=0.0))
 
-            outsB, _ = _proxied_grads(gB, effective, proxied, inputs, ones, True, diff_from_a)
+            outsB, tape = forward(gB, effective, inputs)
+            backward(tape, ones(outsB), True, diff_from_a)
             maxima += (np.abs(ga).max(initial=0.0) for ga in gradsA.values())
             return _max_diffs(outsA, outsB), maxima
         return measure
@@ -388,21 +361,20 @@ def check_zero_mean(
     """Max |mean along axis| of one node's output over seeded random inputs;
     NaN when any trial's mean is non-finite, so every ``<= tol`` fails.
     axis counts the node's per-sample axes; one outside them raises numpy's
-    AxisError. Run by _sampled on the graph, whose trials are tape-free
-    forwards of a probe: the graph with the node as its only output."""
+    AxisError. Run by _sampled with tapes: each batch's node output is read
+    off the tape of a forward of the whole graph."""
     if node_id not in g.nodes:
         raise KeyError(node_id)
-    probe = Graph(g.nodes, g.edges, g.inputs, [node_id])
 
     def start(store):
         rank = len(require_valid(g, w)[node_id])  # the shapes _sampled's validation kept
         np.zeros((0,) * rank).sum(axis=axis)  # numpy's own range check
         # Counted from the back, it names the same axis behind the trial axes.
         back = axis - rank if axis >= 0 else axis
-        mean = lambda inputs: forward(probe, store, inputs, tape=False)[0][0].mean(axis=back)
+        mean = lambda inputs: forward(g, store, inputs)[1].entries[node_id].output.mean(axis=back)
         return lambda inputs: [[np.abs(mean(inputs)).max(initial=0.0)]]
 
-    (worst,), _tol, _passed = _sampled([(g, w)], trials, seed, None, start, sized=[probe])
+    (worst,), _tol, _passed = _sampled([(g, w)], trials, seed, None, start, tape=True)
     return float("nan") if worst is None else worst
 
 

@@ -35,6 +35,7 @@ from lnfold.centering import (
     Family,
     center,
     center_bias,
+    center_node_params,
     constraint_residual,
 )
 from lnfold.fold_apply import FoldError, apply_fold, center_targets
@@ -131,9 +132,17 @@ def test_criterion_3_gradient_equivalence():
 
     outsA, tapeA = forward(g, store, inputs)
     gradsA = backward(tapeA, [np.ones_like(o) for o in outsA])
-    from lnfold.verify import _proxied_grads
-    _, gradsB = _proxied_grads(fg, center_targets(fg, store, proxied), proxied, inputs,
-                               lambda outs: [np.ones_like(o) for o in outs])
+    # Scheme B: gradients w.r.t. the proxies are the effective-weight
+    # gradients passed through the centering map.
+    outsB, tapeB = forward(fg, center_targets(fg, store, proxied), inputs)
+    gradsB = {}
+
+    def project(node, grads):
+        if node.id in proxied:
+            grads.update(center_node_params(node, grads))
+        gradsB.update(grads)
+
+    backward(tapeB, [np.ones_like(o) for o in outsB], consume=project)
 
     for loss_fn, grads, tag in ((scheme_a_loss, gradsA, "plain"),
                                 (scheme_b_loss, gradsB, "proxy")):

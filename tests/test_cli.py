@@ -225,8 +225,16 @@ def _insertion_edges(edges):
     return edit
 
 
+def _repeat_first(key):
+    """Append a copy of the first item of the report's key list."""
+    def edit(doc):
+        doc[key].append(dict(doc[key][0]))
+        return doc
+    return edit
+
+
 def _first(key, **fields):
-    """Update the first item of the report's key list (an entry or an insertion)."""
+    """Update the first item of the report's key list (an entry, a target or an insertion)."""
     def edit(doc):
         doc[key][0].update(fields)
         return doc
@@ -248,10 +256,12 @@ _LINEAR_THEN_NORM_EDITS = pytest.mark.parametrize("edit, message", [
     (_insert_after_ghost, "insertion after unknown node(s) 'ghost'"),
     (_set("targets", []), "centering target 'lin' needs spec"),
     (_set("foldable", ["ln", "ln"]), "report lists 'ln' more than once"),
+    (_repeat_first("targets"), "report lists 'lin' more than once"),
+    (_repeat_first("entries"), "report lists 'ln' more than once"),
     (_set("foldable", ["lin"]), "cannot fold: 'lin' is not a LayerNorm node"),
 ], ids=["conv_family", "recurrent_family", "groups_3", "groups_2", "target_node_ln",
         "spec_target_ln_weight", "insertion_after_ghost", "dropped_target",
-        "duplicated_foldable", "foldable_linear"])
+        "duplicated_foldable", "duplicated_target", "duplicated_entry", "foldable_linear"])
 
 
 class TestMalformedReport:
@@ -324,6 +334,8 @@ class TestMalformedReport:
         ("linear_then_norm", [], _spec(includes_bias=1), "includes_bias must be a JSON boolean, got 1"),
         ("linear_then_norm", [], _spec(groups=1.9), "groups must be a JSON integer, got 1.9"),
         ("linear_then_norm", [], _spec(groups=True), "groups must be a JSON integer, got True"),
+        ("linear_then_norm", [], _first("targets", node=7), "node must be a JSON string, got 7"),
+        ("linear_then_norm", [], _spec(target=5), "target must be a JSON string, got 5"),
         ("linear_then_norm", [], _set("strict_safety", "false"),
          "strict_safety must be a JSON boolean, got 'false'"),
         ("linear_then_norm", [], _set("safety", {"safe": 1, "affected": []}),
@@ -355,8 +367,9 @@ class TestMalformedReport:
         ("pre_ln_transformer", ["--practical"], _first("insertions", rescues="ln"),
          "insertion rescues must be a JSON list of strings, got 'ln'"),
     ], ids=["includes_bias_string", "includes_bias_int", "groups_float", "groups_bool",
-            "strict_safety_string", "safe_int", "slot_float", "model_hash_int", "foldable_string",
-            "ln_id_int", "verdict_int", "opaque_leaves_string", "off_axis_leaves_ints", "warnings_string",
+            "target_node_int", "spec_target_int", "strict_safety_string", "safe_int", "slot_float",
+            "model_hash_int", "foldable_string", "ln_id_int", "verdict_int", "opaque_leaves_string",
+            "off_axis_leaves_ints", "warnings_string",
             "affected_string", "producer_list", "node_id_int", "edge_end_int", "rescues_string"])
     def test_coerced_field_exits_1(self, tmp_path, capsys, name, analyze_flags, edit, message,
                                    flags):

@@ -29,6 +29,10 @@ batches, sizing them, picking the default tol) are each called from one
 function in src/lnfold, verify's runner, so a change to how a check is
 run or judged is made in one place. No function in verify calls the names
 it imports only for the tracer to patch.
+
+A no-helper check: every call of the engine's forward or backward in
+verify sits inside one of its three public checks, so what each scheme
+reads and how its gradients are projected stays in the check itself.
 """
 
 import ast
@@ -245,13 +249,14 @@ SAMPLED_STEPS = ("_trial_batches", "_live_peak", "default_tol")
 RUNNER = "verify._sampled"
 
 
-def _callers(source: str, names: tuple[str, ...] = SAMPLED_STEPS) -> dict[str, set[str]]:
+def _callers(source: str, names: tuple[str, ...] = SAMPLED_STEPS, outer: bool = False) -> dict[str, set[str]]:
     """For each of names, the functions in source that call it, each named
-    by its innermost enclosing def ("" at module level)."""
+    by its innermost enclosing def, or with outer its outermost ("" at
+    module level)."""
     found: dict[str, set[str]] = {name: set() for name in names}
 
     def visit(node: ast.AST, fn: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (outer and fn):
             fn = node.name
         elif isinstance(node, ast.Call):
             callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
@@ -288,3 +293,25 @@ TRACER_ONLY = ("detect_foldable", "infer_shapes")
 def test_verify_calls_no_tracer_only_name():
     source = (SRC / "lnfold" / "verify.py").read_text(encoding="utf-8")
     assert _callers(source, TRACER_ONLY) == {name: set() for name in TRACER_ONLY}
+
+
+# verify's public checks: the only functions there that run the engine.
+CHECKS = ("verify_forward", "verify_gradients", "check_zero_mean")
+ENGINE = ("forward", "backward")
+
+
+def _engine_runners(source: str) -> set[str]:
+    """The module-level functions of source that call forward or backward,
+    directly or in a function nested in them."""
+    return set().union(*_callers(source, ENGINE, outer=True).values())
+
+
+def test_only_the_public_checks_run_the_engine():
+    assert _engine_runners((SRC / "lnfold" / "verify.py").read_text(encoding="utf-8")) <= set(CHECKS)
+
+
+def test_the_check_sees_a_helper_run_the_engine():
+    source = ("def check():\n    def measure(inputs):\n        return forward(g, w, inputs)\n    return measure\n"
+              "def _helper(tape):\n    return tensor_math.backward(tape, [])\n")
+    assert _callers(source, ENGINE) == {"forward": {"measure"}, "backward": {"_helper"}}
+    assert _engine_runners(source) == {"check", "_helper"}

@@ -529,20 +529,16 @@ class TestStackedGradients:
         fg, _fw = apply_fold(g, w, detect_foldable(g, w))
         keeps = []
 
-        def poisoned(tape, out_grads, keep_axis0, consume):
+        def poisoned(tape, out_grads, keep_axis0, consume=None):
             keeps.append((keep_axis0, callable(consume)))
-            scheme = len(keeps)
-
-            def poison(node, grads):
-                if scheme == 1 and "lin.weight" in grads:  # model A of the only batch: trial 7 of 20
-                    grads["lin.weight"][7, 2, 3] = bad
-                consume(node, grads)
-
-            return backward(tape, out_grads, keep_axis0, poison)
+            grads = backward(tape, out_grads, keep_axis0, consume)
+            if len(keeps) == 1:  # model A of the only batch, which collects: trial 7 of 20
+                grads["lin.weight"][7, 2, 3] = bad
+            return grads
 
         monkeypatch.setattr(verify, "backward", poisoned)
         rep = verify_gradients(g, w, fg, w, trials=20, seed=0)
-        assert keeps == [(True, True), (True, True)]
+        assert keeps == [(True, False), (True, True)]
         assert rep.max_abs_forward_diff is not None
         assert (rep.max_abs_grad_diff, rep.passed) == (None, False)
         assert rep.to_json()["max_abs_grad_diff"] is None
@@ -745,15 +741,21 @@ class TestVerifyGradients:
         assert rep.passed, rep.max_abs_grad_diff
 
     def test_zero_upstream_gradient(self):
-        from lnfold.verify import _derive_proxied, _proxied_grads
         g, w = fixtures.linear_then_norm()
         store = w.as_f64()
         fg, _fw = apply_fold(g, w, detect_foldable(g, w))
-        proxied = _derive_proxied(g, fg)
+        proxied = verify._derive_proxied(g, fg)
         assert list(proxied) == ["lin"]
-        zeros = lambda outs: [np.zeros_like(o) for o in outs]
-        rng = np.random.default_rng(0)
-        _, grads = _proxied_grads(g, center_targets(g, store, proxied), proxied, sample_inputs(g, rng), zeros)
+        outs, tape = forward(g, center_targets(g, store, proxied), sample_inputs(g, np.random.default_rng(0)))
+        grads = {}
+
+        def project(node, node_grads):
+            if node.id in proxied:
+                node_grads.update(center_node_params(node, node_grads))
+            grads.update(node_grads)
+
+        backward(tape, [np.zeros_like(o) for o in outs], consume=project)
+        assert grads
         for name, grad in grads.items():
             np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
@@ -897,12 +899,12 @@ class TestCheckZeroMean:
             assert worst == reference, nid
             assert forward_calls[0][:2] == (30, 1)
 
-    def test_probes_keep_no_tape(self, forward_calls):
-        # A 129,800-element tape per trial, but the probe holds far fewer
-        # elements at once, so all five trials run in one batch.
+    def test_probes_batch_by_the_whole_tape(self, forward_calls):
+        # The node is read off a tape: 129,800 elements per trial, so eight
+        # trials fit under the budget and a ninth starts a second batch.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
-        check_zero_mean(g, w, "ffn2_35", trials=5, seed=0)
-        assert forward_calls == [(5, 1, 8)]
+        check_zero_mean(g, w, "ffn2_35", trials=9, seed=0)
+        assert forward_calls == [(8, 1, 8), (1, 1, 8)]
 
     def test_front_counted_axis_runs_stacked(self, forward_calls):
         g, w = fixtures.conv_block()
