@@ -17,7 +17,7 @@ from .fold_detect import (
     build_zero_mean_graph,
     compute_affected_layers,
     detect_foldable,
-    fold_plan,
+    fold_report,
     plan_auxiliary_centering,
 )
 from .graph_ir import (

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_ir import Node
-from .jsonutil import exact
 from .ops import OPS, Family
 
 
@@ -35,15 +34,6 @@ class CenteringSpec:
     family: Family
     includes_bias: bool = False
     groups: int = 1
-
-    @staticmethod
-    def from_json(doc: dict) -> "CenteringSpec":
-        return CenteringSpec(
-            target=exact(doc["target"], str, "target"),
-            family=Family(doc["family"]),
-            includes_bias=exact(doc["includes_bias"], bool, "includes_bias"),
-            groups=exact(doc.get("groups", 1), int, "groups"),
-        )
 
 
 def spec_for_node(node: Node) -> CenteringSpec:

@@ -24,7 +24,7 @@ checks that they perturb nothing but nodes that remove a per-sample mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from .centering import CenteringSpec, spec_for_node
 from .graph_ir import (
@@ -35,7 +35,7 @@ from .graph_ir import (
     model_hash,
     require_valid,
 )
-from .jsonutil import exact, plain, strings
+from .jsonutil import plain
 from .ops import OPS
 
 REPORT_FORMAT_VERSION = 2
@@ -141,11 +141,6 @@ class SafetyVerdict:
     safe: bool
     affected: frozenset[str] = frozenset()
 
-    @staticmethod
-    def from_json(doc: dict) -> "SafetyVerdict":
-        return SafetyVerdict(safe=exact(doc["safe"], bool, "safe"),
-                             affected=frozenset(strings(doc["affected"], "affected")))
-
 
 def compute_affected_layers(g: Graph, zmg: ZeroMeanGraph, producers: Iterable[str] = ()) -> SafetyVerdict:
     """Trace where the centered activations flow.
@@ -192,16 +187,6 @@ class AuxInsertion:
     edges: tuple[tuple[str, str, int], ...]
     rescues: tuple[str, ...]
 
-    @staticmethod
-    def from_json(doc: dict) -> "AuxInsertion":
-        return AuxInsertion(
-            after=exact(doc["after"], str, "insertion producer"),
-            node_id=exact(doc["node_id"], str, "insertion node_id"),
-            edges=tuple((exact(e[0], str, "insertion edge end"), exact(e[1], str, "insertion edge end"),
-                         exact(e[2], int, "insertion edge slot")) for e in doc["edges"]),
-            rescues=tuple(strings(doc["rescues"], "insertion rescues")),
-        )
-
 
 def _aux_ids(g: Graph, producers: list[str]) -> list[str]:
     """The id of the centering node spliced after each producer: the first
@@ -220,60 +205,42 @@ def _aux_ids(g: Graph, producers: list[str]) -> list[str]:
     return ids
 
 
-def graph_with_insertions(g: Graph, insertions: list[AuxInsertion]) -> Graph:
-    """g with each insertion's centering node spliced in, in one
+def graph_with_insertions(g: Graph, insertions: list[AuxInsertion], kinds: Mapping[str, str],
+                          provenance: Mapping[str, Any] | None) -> Graph:
+    """g with each insertion's centering node spliced in, each node named in
+    kinds given that kind, and provenance in place of g's, in one
     construction: the insertion's recorded edges leave its node, which reads
     its producer, and a graph output that named the producer names it."""
     moved = {edge: ins.node_id for ins in insertions for edge in ins.edges}
     edges = [(moved.get((s, d, slot), s), d, slot) for s, d, slot in g.edges]
     edges += [(ins.after, ins.node_id, 0) for ins in insertions]
-    nodes = [*g.nodes.values(), *(make_node(ins.node_id, "AuxiliaryCentering") for ins in insertions)]
+    nodes = [make_node(n.id, kinds[n.id], n.attrs, n.param_refs) if n.id in kinds else n
+             for n in g.nodes.values()]
+    nodes += [make_node(ins.node_id, "AuxiliaryCentering") for ins in insertions]
     renamed = {ins.after: ins.node_id for ins in insertions}
     outputs = [renamed.get(o, o) for o in g.outputs]
-    return Graph(nodes, edges, g.inputs, outputs, g.provenance)
+    return Graph(nodes, edges, g.inputs, outputs, provenance)
 
 
-def _blocking(leaves: _Leaves, producers: set[str]) -> frozenset[str]:
-    """The leaves that keep a LayerNorm with these reachable leaves from
-    folding when a centering node follows each producer: its off-axis
-    leaves, and the opaque leaves that no last-axis centering node follows."""
-    opaque, off_axis = leaves
+def blocking(entry: FoldEntry, producers: set[str]) -> frozenset[str]:
+    """The leaves that keep entry's LayerNorm from folding when a centering
+    node follows each producer: its off-axis leaves, and the opaque leaves
+    that no last-axis centering node follows."""
+    opaque = entry.opaque_leaves
     if OPS["AuxiliaryCentering"].centered_axis == -1:
         opaque = opaque - producers
-    return opaque | off_axis
+    return opaque | entry.off_axis_leaves
 
 
-@dataclass
-class FoldPlan:
-    """What a fold does: the layers it centers, in dataflow order (which
-    sets verification's peak memory on wide models), the centering nodes it
-    splices, its safety verdict, and the leaves that keep each blocked
-    LayerNorm from folding."""
-
-    targets: dict[str, CenteringSpec]
-    insertions: list[AuxInsertion]
-    safety: SafetyVerdict
-    blocked: dict[str, frozenset[str]]
+def _targets(g: Graph, zmg: ZeroMeanGraph) -> dict[str, CenteringSpec]:
+    """The layers a fold of zmg's LayerNorms centers, its linear leaves, in
+    dataflow order (which sets verification's peak memory on wide models)."""
+    return {nid: spec_for_node(g.nodes[nid]) for nid in g.topo_order() if nid in zmg.linear_leaves}
 
 
-def fold_plan(g: Graph, foldable: list[str], producers: list[str]) -> FoldPlan:
-    """The one derivation of a fold from its two decisions: which LayerNorms
-    to fold and which producers to follow with a centering node."""
-    zmg = build_zero_mean_graph(g, *foldable)
-    return _plan(g, zmg, producers, _reachable_leaves(g, zmg))
-
-
-def _plan(g: Graph, zmg: ZeroMeanGraph, producers: list[str], leaves: dict[str, _Leaves]) -> FoldPlan:
-    """fold_plan, given zmg of the LayerNorms to fold and leaves that cover
-    them. An insertion rescues each LayerNorm that reaches its producer as
-    an opaque leaf."""
-    covered = set(producers)
-    blocked = {ln_id: b for ln_id in zmg.roots if (b := _blocking(leaves[ln_id], covered))}
-    insertions = [AuxInsertion(p, aux_id, tuple((p, dst, slot) for dst, slot in g.out_edges(p)),
-                               tuple(ln_id for ln_id in sorted(zmg.roots) if p in leaves[ln_id][0]))
-                  for p, aux_id in zip(producers, _aux_ids(g, producers))]
-    targets = {nid: spec_for_node(g.nodes[nid]) for nid in g.topo_order() if nid in zmg.linear_leaves}
-    return FoldPlan(targets, insertions, compute_affected_layers(g, zmg, producers), blocked)
+def centering_targets(g: Graph, ln_ids: list[str]) -> dict[str, CenteringSpec]:
+    """The layers a fold of the ln_ids centers, with their specs, in dataflow order."""
+    return _targets(g, build_zero_mean_graph(g, *ln_ids))
 
 
 def plan_auxiliary_centering(failing: list["FoldEntry"]) -> tuple[list[str], set[str]]:
@@ -290,7 +257,7 @@ def plan_auxiliary_centering(failing: list["FoldEntry"]) -> tuple[list[str], set
     A centering node after an opaque leaf makes that leaf a zero-mean leaf
     and changes nothing else, since no backtrack walks past an opaque node.
     So a LayerNorm is rescued by a producer set exactly when nothing is
-    _blocking it.
+    blocking it.
 
     Returns (producers to center, rescued LayerNorm ids).
     """
@@ -298,7 +265,7 @@ def plan_auxiliary_centering(failing: list["FoldEntry"]) -> tuple[list[str], set
 
     def rescued_by(producers: list[str]) -> set[str]:
         centered = set(producers)
-        return {e.ln_id for e in failing if not _blocking((e.opaque_leaves, e.off_axis_leaves), centered)}
+        return {e.ln_id for e in failing if not blocking(e, centered)}
 
     standalone = {c: len(rescued_by([c])) for c in candidates}
     order = sorted(candidates, key=lambda c: (-standalone[c], c))
@@ -332,27 +299,6 @@ class FoldEntry:
     opaque_leaves: frozenset[str] = frozenset()
     off_axis_leaves: frozenset[str] = frozenset()
     warnings: list[str] = field(default_factory=list)
-
-    @staticmethod
-    def from_json(doc: dict) -> "FoldEntry":
-        return FoldEntry(
-            ln_id=exact(doc["ln_id"], str, "ln_id"),
-            verdict=exact(doc["verdict"], str, "verdict"),
-            opaque_leaves=frozenset(strings(doc["opaque_leaves"], "opaque_leaves")),
-            off_axis_leaves=frozenset(strings(doc["off_axis_leaves"], "off_axis_leaves")),
-            warnings=strings(doc["warnings"], "warnings"),
-        )
-
-
-def _unique(pairs: Iterable[tuple[str, Any]]) -> dict[str, Any]:
-    """The (id, item) pairs of a report list as a dict; ValueError when an
-    id is listed twice, which a dict would silently collapse."""
-    keyed: dict[str, Any] = {}
-    for key, item in pairs:
-        if key in keyed:
-            raise ValueError(f"report lists {key!r} more than once")
-        keyed[key] = item
-    return keyed
 
 
 @dataclass
@@ -393,22 +339,44 @@ class FoldReport:
             "safety": plain(self.safety),
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "FoldReport":
-        version = doc.get("format_version")
-        if type(version) is not int or version != REPORT_FORMAT_VERSION:
-            raise ValueError(f"unsupported report format_version {version!r}")
-        return FoldReport(
-            mode=doc["mode"],
-            model_hash=exact(doc["model_hash"], str, "model_hash"),
-            strict_safety=exact(doc["strict_safety"], bool, "strict_safety"),
-            entries=_unique((entry.ln_id, entry) for entry in map(FoldEntry.from_json, doc["entries"])),
-            foldable=strings(doc["foldable"], "foldable"),
-            targets=_unique((exact(t["node"], str, "node"), CenteringSpec.from_json(t["spec"]))
-                            for t in doc["targets"]),
-            insertions=[AuxInsertion.from_json(i) for i in doc["insertions"]],
-            safety=SafetyVerdict.from_json(doc["safety"]),
-        )
+
+def layer_norm_entries(g: Graph, shapes: Mapping[str, tuple[int, ...] | None]) -> dict[str, FoldEntry]:
+    """Every LayerNorm's entry before any plan, from one union zero-mean
+    graph: its reachable leaves, a warning when shapes (require_valid's)
+    give it a normalized axis of length 1, and the strict verdict when no
+    leaf blocks it, else not foldable."""
+    ln_ids = [nid for nid, node in g.nodes.items() if node.kind == "LayerNorm"]
+    reachable = _reachable_leaves(g, build_zero_mean_graph(g, *ln_ids))
+    entries: dict[str, FoldEntry] = {}
+    for nid in ln_ids:
+        opaque, off_axis = reachable[nid]
+        warnings: list[str] = []
+        shape = shapes.get(nid)
+        if shape is not None and shape[-1] == 1:
+            warnings.append(
+                "normalizes an axis of length 1; centering annihilates the activation"
+            )
+        verdict = VERDICT_NOT_FOLDABLE if opaque or off_axis else VERDICT_STRICT
+        entries[nid] = FoldEntry(nid, verdict, opaque, off_axis, warnings)
+    return entries
+
+
+def fold_report(g: Graph, entries: dict[str, FoldEntry], digest: str, mode: str, strict_safety: bool,
+                foldable: list[str], producers: list[str]) -> FoldReport:
+    """The one derivation of a fold from its two decisions, the LayerNorms
+    to fold (none of them blocked once the producers are centered) and the
+    producers to follow with a centering node: the report they give on g,
+    whose model hash is digest and whose entries are layer_norm_entries'.
+    An insertion rescues each LayerNorm that reaches its producer as an
+    opaque leaf, which gets the practical verdict."""
+    zmg = build_zero_mean_graph(g, *foldable)
+    insertions = [AuxInsertion(p, aux_id, tuple((p, dst, slot) for dst, slot in g.out_edges(p)),
+                               tuple(ln_id for ln_id in sorted(foldable) if p in entries[ln_id].opaque_leaves))
+                  for p, aux_id in zip(producers, _aux_ids(g, producers))]
+    rescued = {ln_id for ins in insertions for ln_id in ins.rescues}
+    entries = {nid: replace(e, verdict=VERDICT_PRACTICAL) if nid in rescued else e for nid, e in entries.items()}
+    return FoldReport(mode, digest, strict_safety, entries, foldable, _targets(g, zmg), insertions,
+                      compute_affected_layers(g, zmg, producers))
 
 
 def detect_foldable(
@@ -421,30 +389,15 @@ def detect_foldable(
     FoldReport.
 
     In practical mode, LayerNorms blocked only by opaque leaves can be
-    rescued by planning explicit centering insertions after those leaves;
-    rescued entries get the practical verdict. The kept plan, and then the
-    strict set, each get one zero-mean graph on the model graph, from which
-    fold_plan's derivation gives the targets, insertions and safety; under
+    rescued by planning explicit centering insertions after those leaves.
+    The kept plan, and then the strict set, each get one zero-mean graph on
+    the model graph, from which fold_report derives the report; under
     strict safety an unsafe plan gives way to the strict set.
     """
     if mode not in ("strict", "practical"):
         raise ValueError(f"mode must be 'strict' or 'practical', got {mode!r}")
-    shapes = require_valid(g, w)
-    ln_ids = [nid for nid, node in g.nodes.items() if node.kind == "LayerNorm"]
-    reachable = _reachable_leaves(g, build_zero_mean_graph(g, *ln_ids))
-
-    entries: dict[str, FoldEntry] = {}
-    for nid in ln_ids:
-        opaque, off_axis = reachable[nid]
-        warnings: list[str] = []
-        shape = shapes.get(nid)
-        if shape is not None and shape[-1] == 1:
-            warnings.append(
-                "normalizes an axis of length 1; centering annihilates the activation"
-            )
-        verdict = VERDICT_NOT_FOLDABLE if opaque or off_axis else VERDICT_STRICT
-        entries[nid] = FoldEntry(nid, verdict, opaque, off_axis, warnings)
-    strict = sorted(nid for nid in ln_ids if entries[nid].verdict == VERDICT_STRICT)
+    entries = layer_norm_entries(g, require_valid(g, w))
+    strict = sorted(nid for nid, e in entries.items() if e.verdict == VERDICT_STRICT)
 
     # (LayerNorms to fold, producers to center), best first.
     plans: list[tuple[list[str], list[str]]] = [(strict, [])]
@@ -453,22 +406,9 @@ def detect_foldable(
         producers, rescued = plan_auxiliary_centering(failing)
         if producers:
             plans.insert(0, (sorted(set(strict) | rescued), producers))
+    digest = model_hash(g, w)
     for foldable, producers in plans:
-        plan = _plan(g, build_zero_mean_graph(g, *foldable), producers, reachable)
-        if plan.safety.safe or not strict_safety:
+        report = fold_report(g, entries, digest, mode, strict_safety, foldable, producers)
+        if report.safety.safe or not strict_safety:
             break
-
-    for ins in plan.insertions:
-        for nid in ins.rescues:
-            entries[nid] = replace(entries[nid], verdict=VERDICT_PRACTICAL)
-
-    return FoldReport(
-        mode=mode,
-        model_hash=model_hash(g, w),
-        strict_safety=strict_safety,
-        entries=entries,
-        foldable=foldable,
-        targets=plan.targets,
-        insertions=plan.insertions,
-        safety=plan.safety,
-    )
+    return report

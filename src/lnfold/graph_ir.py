@@ -249,9 +249,6 @@ class Graph:
         ]
         return Graph(nodes, self.edges, self.inputs, self.outputs, self.provenance)
 
-    def with_provenance(self, provenance: Mapping[str, Any]) -> "Graph":
-        return Graph(list(self.nodes.values()), self.edges, self.inputs, self.outputs, provenance)
-
 
 # ---------------------------------------------------------------------------
 # Validation

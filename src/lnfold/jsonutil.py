@@ -16,12 +16,12 @@ from typing import Any
 
 import numpy as np
 
-_KIND_NAMES = {bool: "boolean", int: "integer", str: "string"}
+_KIND_NAMES = {bool: "boolean", int: "integer", str: "string", list: "list", dict: "object"}
 
 
 def exact(value: Any, kind: type, name: str) -> Any:
-    """value, read back from JSON, if it is exactly a kind (bool, int or
-    str): true is not the integer 1, and neither "no" nor 1.9 is coerced."""
+    """value, read back from JSON, if its type is exactly kind: true is not
+    the integer 1, and neither "no" nor 1.9 is coerced."""
     if type(value) is not kind:
         raise ValueError(f"{name} must be a JSON {_KIND_NAMES[kind]}, got {value!r}")
     return value

@@ -19,7 +19,7 @@ import numpy as np
 from .centering import CenteringSpec, center_node_params
 from .fold_apply import center_targets
 # detect_foldable and infer_shapes are imported only for lnbench's tracer, which patches them here.
-from .fold_detect import detect_foldable, fold_plan  # noqa: F401
+from .fold_detect import centering_targets, detect_foldable  # noqa: F401
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid  # noqa: F401
 from .ops import OPS
 from .tensor_math import backward, forward
@@ -286,7 +286,7 @@ def _derive_proxied(gA: Graph, gB: Graph) -> dict[str, CenteringSpec]:
         nid for nid, node in gA.nodes.items()
         if node.kind == "LayerNorm" and nid in gB.nodes and gB.nodes[nid].kind == "RMSNorm"
     ]
-    proxied = fold_plan(gA, swapped, []).targets
+    proxied = centering_targets(gA, swapped)
     for nid in proxied:
         if nid not in gB.nodes or gB.nodes[nid].param_refs != gA.nodes[nid].param_refs:
             raise ParameterPairingError(f"centered node {nid!r} has no counterpart with the same parameters")

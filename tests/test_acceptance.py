@@ -93,7 +93,7 @@ def test_criterion_2_forward_equivalence():
         assert all(
             report.entries[ln].verdict == "foldable_strict" for ln in report.foldable
         )
-        fg, fw = apply_fold(g, w, report)
+        fg, fw = apply_fold(g, w, report.to_json())
         rep = verify_forward(g, w, fg, fw, trials=100, seed=0, tol=1e-9)
         assert rep.passed, (name, rep.max_abs_forward_diff)
         worst = max(worst, rep.max_abs_forward_diff)
@@ -107,7 +107,7 @@ def test_criterion_3_gradient_equivalence():
     start = time.monotonic()
     g, w = fixtures.linear_then_norm()
     report = detect_foldable(g, w)
-    fg, _fw = apply_fold(g, w, report)
+    fg, _fw = apply_fold(g, w, report.to_json())
 
     rep = verify_gradients(g, w, fg, w, trials=20, seed=0, tol=1e-9)
     assert rep.passed, rep.max_abs_grad_diff
@@ -175,7 +175,7 @@ def test_criterion_4_training_equivalence():
     start = time.monotonic()
     g, w = fixtures.mlp_classifier()
     report = detect_foldable(g, w)
-    fg, _fw = apply_fold(g, w, report)
+    fg, _fw = apply_fold(g, w, report.to_json())
     gap, loss_a, loss_b = train_lockstep(g, w, fg, report.targets, steps=1000, lr=0.05, seed=0)
     assert gap <= 1e-9, gap
     assert np.isfinite(loss_a) and np.isfinite(loss_b)
@@ -278,7 +278,7 @@ def test_criterion_7_safety_refusal():
     assert not report.safety.safe
     assert set(report.safety.affected) == {"act"}
     with pytest.raises(FoldError):
-        apply_fold(g, w, report)
+        apply_fold(g, w, report.to_json())
     _report(7, "fan-out trap flagged unsafe (affected: act) and the fold refused")
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, JSON determinism, pipeline wiring."""
 
+import copy
 import json
 import os
 import subprocess
@@ -244,24 +245,91 @@ def _first(key, **fields):
 _FOLD, _DRY_RUN = ["--out", "f", "--practical"], ["--dry-run"]
 _FOLD_FLAGS = pytest.mark.parametrize("flags", [_FOLD, _DRY_RUN], ids=["out", "dry_run"])
 
+
+def _count(**counts):
+    def edit(doc):
+        doc["counts"].update(counts)
+        return doc
+    return edit
+
+
+def _ghost_entry(doc):
+    doc["entries"].append({"ln_id": "ghost", "verdict": "whatever", "opaque_leaves": [],
+                           "off_axis_leaves": [], "warnings": []})
+    return doc
+
+
+_LIN_TARGET = ('{"node": "lin", "spec": {"target": "lin.weight", "family": "linear_columns", '
+               '"includes_bias": true, "groups": 1}}')
+_LN_ENTRY = '{"ln_id": "ln", "verdict": "foldable_strict", "opaque_leaves": [], "off_axis_leaves": [], "warnings": []}'
+
 # Edits of a linear_then_norm report, and what the refusal says.
 _LINEAR_THEN_NORM_EDITS = pytest.mark.parametrize("edit, message", [
-    (_spec(family="conv_out_channels"), "centering target 'lin' needs spec"),
-    (_spec(family="recurrent_both"), "centering target 'lin' needs spec"),
-    (_spec(family="grouped_columns", groups=3), "centering target 'lin' needs spec"),
-    (_spec(family="grouped_columns", groups=2), "centering target 'lin' needs spec"),
+    (_spec(family="conv_out_channels"),
+     'report field targets[0].spec.family is "conv_out_channels"; this model\'s fold gives "linear_columns"'),
+    (_spec(family="recurrent_both"),
+     'report field targets[0].spec.family is "recurrent_both"; this model\'s fold gives "linear_columns"'),
+    (_spec(family="grouped_columns", groups=3),
+     'report field targets[0].spec.family is "grouped_columns"; this model\'s fold gives "linear_columns"'),
+    (_spec(family="grouped_columns", groups=2),
+     'report field targets[0].spec.family is "grouped_columns"; this model\'s fold gives "linear_columns"'),
     (lambda doc: doc["targets"][0].update(node="ln") or doc,
-     "report centers 'ln', which this fold does not center"),
-    (_spec(target="ln.weight"), "centering target 'lin' needs spec"),
+     'report field targets[0].node is "ln"; this model\'s fold gives "lin"'),
+    (_spec(target="ln.weight"),
+     'report field targets[0].spec.target is "ln.weight"; this model\'s fold gives "lin.weight"'),
     (_insert_after_ghost, "insertion after unknown node(s) 'ghost'"),
-    (_set("targets", []), "centering target 'lin' needs spec"),
+    (_set("targets", []), f"report field targets[0] is absent; this model's fold gives {_LIN_TARGET}"),
     (_set("foldable", ["ln", "ln"]), "report lists 'ln' more than once"),
-    (_repeat_first("targets"), "report lists 'lin' more than once"),
-    (_repeat_first("entries"), "report lists 'ln' more than once"),
+    (_repeat_first("targets"), f"report field targets[1] is {_LIN_TARGET}; this model's fold gives absent"),
+    (_repeat_first("entries"), f"report field entries[1] is {_LN_ENTRY}; this model's fold gives absent"),
     (_set("foldable", ["lin"]), "cannot fold: 'lin' is not a LayerNorm node"),
+    (_ghost_entry, 'report field entries[1] is {"ln_id": "ghost", "verdict": "whatever", "opaque_leaves": [], '
+                   '"off_axis_leaves": [], "warnings": []}; this model\'s fold gives absent'),
+    (_first("entries", verdict="foldable_practical"),
+     'report field entries[0].verdict is "foldable_practical"; this model\'s fold gives "foldable_strict"'),
+    (_count(layer_norms=99), "report field counts.layer_norms is 99; this model's fold gives 1"),
+    (_count(foldable="1"), 'report field counts.foldable is "1"; this model\'s fold gives 1'),
+    (_set("note", "edited"), 'report field note is "edited"; this model\'s fold gives absent'),
 ], ids=["conv_family", "recurrent_family", "groups_3", "groups_2", "target_node_ln",
         "spec_target_ln_weight", "insertion_after_ghost", "dropped_target",
-        "duplicated_foldable", "duplicated_target", "duplicated_entry", "foldable_linear"])
+        "duplicated_foldable", "duplicated_target", "duplicated_entry", "foldable_linear",
+        "ghost_entry", "entry_verdict_changed", "layer_norms_count", "foldable_count_string",
+        "extra_key"])
+
+# The report fields a fold reads as decisions, besides each insertion's producer.
+_DECISIONS = ("format_version", "model_hash", "mode", "strict_safety", "foldable", "insertions")
+
+
+def _named(keys):
+    """What the refusal of a report with the leaf at keys retyped names: a
+    decision's name, or any other leaf's JSON path."""
+    if keys[0] in _DECISIONS and (len(keys) == 1 or keys[0] == "foldable"):
+        return keys[0]
+    if keys[0] == "insertions" and keys[-1] == "after":
+        return "insertion producer"
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+    return f"report field {path} is "
+
+
+def _leaf_keys(value, keys=()):
+    """The key path of every leaf of a JSON value: each scalar and each empty list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaf_keys(item, keys + (key,))
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaf_keys(item, keys + (i,))
+    else:
+        yield keys
+
+
+def _retyped(value):
+    """value as a JSON value of another type: true as 1, 2 as 2.0, "x" as ["x"] and [] as {}."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    return [value] if isinstance(value, str) else {}
 
 
 class TestMalformedReport:
@@ -296,11 +364,11 @@ class TestMalformedReport:
     @pytest.mark.parametrize("name, analyze_flags, edit, message", [
         ("relu_then_norm", [], _set("foldable", ["ln"]), "LayerNorm 'ln' cannot fold: blocked by act"),
         ("fanout_trap", [], _set("safety", {"safe": True, "affected": []}),
-         "report safety differs from this fold's: {'safe': False, 'affected': ['act']}"),
+         "report field safety.safe is true; this model's fold gives false"),
         ("pre_ln_transformer", ["--practical"], _set("insertions", []),
          "cannot fold: blocked by embed"),
         ("pre_ln_transformer", ["--practical"], _insertion_edges([]),
-         "insertion after 'embed' should be"),
+         'report field insertions[0].edges[0] is absent; this model\'s fold gives ["embed", "ln_attn_0", 0]'),
         ("linear_then_norm", [], _set("mode", {"anything": [1, 2]}),
          "report mode must be 'strict' or 'practical', got {'anything': [1, 2]}"),
         ("pre_ln_transformer", ["--practical"], _set("mode", "strict"),
@@ -313,59 +381,69 @@ class TestMalformedReport:
         assert message in self._fold(tmp_path, capsys, model, analyze_flags, edit, flags)
 
     @_FOLD_FLAGS
-    @pytest.mark.parametrize("edit", [
-        lambda doc: [doc],
-        _set("foldable", None),
-        _set("targets", "x"),
-        _set("safety", None),
-        _set("entries", 5),
-        _set("insertions", [{"after": "lin", "node_id": "c", "edges": [[1]], "rescues": []}]),
-        _set("foldable", [["ln"]]),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "cannot read report: report must be a JSON object, got [{"),
+        (_set("foldable", None), "cannot read report: foldable must be a JSON list of strings, got None"),
+        (_set("targets", "x"), f'report field targets is "x"; this model\'s fold gives [{_LIN_TARGET}]'),
+        (_set("safety", None), 'report field safety is null; this model\'s fold gives {"safe": true, "affected": []}'),
+        (_set("entries", 5), f"report field entries is 5; this model's fold gives [{_LN_ENTRY}]"),
+        (_set("insertions", [{"after": "lin", "node_id": "c", "edges": [[1]], "rescues": []}]),
+         "strict report plans explicit centering insertions"),
+        (_set("foldable", [["ln"]]), "cannot read report: foldable must be a JSON list of strings, got [['ln']]"),
     ], ids=["top_level_list", "foldable_null", "targets_string", "safety_null", "entries_int",
             "insertion_edge_short", "foldable_id_list"])
-    def test_malformed_json_exits_1(self, tmp_path, capsys, edit, flags):
+    def test_malformed_json_exits_1(self, tmp_path, capsys, edit, message, flags):
         err = self._fold(tmp_path, capsys, fixtures.linear_then_norm(), [], edit, flags)
-        assert err.startswith("error: cannot read report: ")
+        assert err.startswith(f"error: {message}")
 
 
     @_FOLD_FLAGS
     @pytest.mark.parametrize("name, analyze_flags, edit, message", [
-        ("linear_then_norm", [], _spec(includes_bias="no"), "includes_bias must be a JSON boolean, got 'no'"),
-        ("linear_then_norm", [], _spec(includes_bias=1), "includes_bias must be a JSON boolean, got 1"),
-        ("linear_then_norm", [], _spec(groups=1.9), "groups must be a JSON integer, got 1.9"),
-        ("linear_then_norm", [], _spec(groups=True), "groups must be a JSON integer, got True"),
-        ("linear_then_norm", [], _first("targets", node=7), "node must be a JSON string, got 7"),
-        ("linear_then_norm", [], _spec(target=5), "target must be a JSON string, got 5"),
+        ("linear_then_norm", [], _spec(includes_bias="no"),
+         'report field targets[0].spec.includes_bias is "no"; this model\'s fold gives true'),
+        ("linear_then_norm", [], _spec(includes_bias=1),
+         "report field targets[0].spec.includes_bias is 1; this model's fold gives true"),
+        ("linear_then_norm", [], _spec(groups=1.9),
+         "report field targets[0].spec.groups is 1.9; this model's fold gives 1"),
+        ("linear_then_norm", [], _spec(groups=True),
+         "report field targets[0].spec.groups is true; this model's fold gives 1"),
+        ("linear_then_norm", [], _first("targets", node=7),
+         'report field targets[0].node is 7; this model\'s fold gives "lin"'),
+        ("linear_then_norm", [], _spec(target=5),
+         'report field targets[0].spec.target is 5; this model\'s fold gives "lin.weight"'),
         ("linear_then_norm", [], _set("strict_safety", "false"),
-         "strict_safety must be a JSON boolean, got 'false'"),
+         "cannot read report: strict_safety must be a JSON boolean, got 'false'"),
         ("linear_then_norm", [], _set("safety", {"safe": 1, "affected": []}),
-         "safe must be a JSON boolean, got 1"),
+         "report field safety.safe is 1; this model's fold gives true"),
         ("pre_ln_transformer", ["--practical"],
          lambda doc: doc["insertions"][0]["edges"][0].__setitem__(2, 0.0) or doc,
-         "insertion edge slot must be a JSON integer, got 0.0"),
-        ("pre_ln_transformer", ["--practical"], _set("model_hash", 5), "model_hash must be a JSON string, got 5"),
+         "report field insertions[0].edges[0][2] is 0.0; this model's fold gives 0"),
+        ("pre_ln_transformer", ["--practical"], _set("model_hash", 5),
+         "cannot read report: model_hash must be a JSON string, got 5"),
         ("pre_ln_transformer", ["--practical"], _set("foldable", "ln_f"),
-         "foldable must be a JSON list of strings, got 'ln_f'"),
-        ("pre_ln_transformer", ["--practical"], _first("entries", ln_id=5), "ln_id must be a JSON string, got 5"),
+         "cannot read report: foldable must be a JSON list of strings, got 'ln_f'"),
+        ("pre_ln_transformer", ["--practical"], _first("entries", ln_id=5),
+         'report field entries[0].ln_id is 5; this model\'s fold gives "ln_attn_0"'),
         ("pre_ln_transformer", ["--practical"], _first("entries", verdict=7),
-         "verdict must be a JSON string, got 7"),
+         'report field entries[0].verdict is 7; this model\'s fold gives "foldable_practical"'),
         ("pre_ln_transformer", ["--practical"], _first("entries", opaque_leaves="xy"),
-         "opaque_leaves must be a JSON list of strings, got 'xy'"),
+         'report field entries[0].opaque_leaves is "xy"; this model\'s fold gives ["embed"]'),
         ("pre_ln_transformer", ["--practical"], _first("entries", off_axis_leaves=[1]),
-         "off_axis_leaves must be a JSON list of strings, got [1]"),
+         "report field entries[0].off_axis_leaves[0] is 1; this model's fold gives absent"),
         ("pre_ln_transformer", ["--practical"], _first("entries", warnings="abc"),
-         "warnings must be a JSON list of strings, got 'abc'"),
+         'report field entries[0].warnings is "abc"; this model\'s fold gives []'),
         ("pre_ln_transformer", ["--practical"], _set("safety", {"safe": True, "affected": ""}),
-         "affected must be a JSON list of strings, got ''"),
+         'report field safety.affected is ""; this model\'s fold gives []'),
         ("pre_ln_transformer", ["--practical"], _first("insertions", after=["embed"]),
-         "insertion producer must be a JSON string, got ['embed']"),
+         "cannot read report: insertion producer must be a JSON string, got ['embed']"),
         ("pre_ln_transformer", ["--practical"], _first("insertions", node_id=0),
-         "insertion node_id must be a JSON string, got 0"),
+         'report field insertions[0].node_id is 0; this model\'s fold gives "center_after_embed"'),
         ("pre_ln_transformer", ["--practical"],
          lambda doc: doc["insertions"][0]["edges"][0].__setitem__(1, 5) or doc,
-         "insertion edge end must be a JSON string, got 5"),
+         'report field insertions[0].edges[0][1] is 5; this model\'s fold gives "ln_attn_0"'),
         ("pre_ln_transformer", ["--practical"], _first("insertions", rescues="ln"),
-         "insertion rescues must be a JSON list of strings, got 'ln'"),
+         'report field insertions[0].rescues is "ln"; this model\'s fold gives '
+         '["ln_attn_0", "ln_attn_1", "ln_ffn_0", "ln_ffn_1", "ln_final"]'),
     ], ids=["includes_bias_string", "includes_bias_int", "groups_float", "groups_bool",
             "target_node_int", "spec_target_int", "strict_safety_string", "safe_int", "slot_float",
             "model_hash_int", "foldable_string", "ln_id_int", "verdict_int", "opaque_leaves_string",
@@ -374,7 +452,31 @@ class TestMalformedReport:
     def test_coerced_field_exits_1(self, tmp_path, capsys, name, analyze_flags, edit, message,
                                    flags):
         err = self._fold(tmp_path, capsys, fixtures.ALL_FIXTURES[name](), analyze_flags, edit, flags)
-        assert err.startswith(f"error: cannot read report: {message}")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name, analyze_flags", [("linear_then_norm", []), ("pre_ln_transformer", ["--practical"])],
+                             ids=["linear_then_norm_strict", "pre_ln_transformer_practical"])
+    def test_every_retyped_leaf_exits_1(self, tmp_path, capsys, name, analyze_flags):
+        # A decision is refused as it is read, naming the field; any other
+        # leaf as a difference from the report its decisions give, at its path.
+        topo, blob = _save(tmp_path, "m", *fixtures.ALL_FIXTURES[name]())
+        rep, out = str(tmp_path / "rep.json"), str(tmp_path / "f")
+        assert main(["analyze", topo, blob, "--out", rep, *analyze_flags]) == 0
+        doc = json.loads(Path(rep).read_text())
+        missed = []
+        for keys in _leaf_keys(doc):
+            edited = copy.deepcopy(doc)
+            leaf = edited
+            for key in keys[:-1]:
+                leaf = leaf[key]
+            leaf[keys[-1]] = _retyped(leaf[keys[-1]])
+            Path(rep).write_text(json.dumps(edited))
+            capsys.readouterr()
+            code = main(["fold", topo, blob, "--report", rep, *[out if f == "f" else f for f in _FOLD]])
+            err = capsys.readouterr().err
+            if code != 1 or _named(keys) not in err or os.path.exists(out + ".json") or os.path.exists(out + ".bin"):
+                missed.append((keys, code, err))
+        assert missed == []
 
 
 class TestUnwritableOutput:
@@ -424,7 +526,7 @@ class TestVerifyCmd:
     def test_invalid_folded_model_exits_1(self, tmp_path, capsys, edit, message):
         g, w = fixtures.linear_then_norm()
         topo, blob = _save(tmp_path, "orig", g, w)
-        folded = _save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w)))
+        folded = _save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w).to_json()))
         _edit_topology(folded[0], edit)
         capsys.readouterr()
         assert main(["verify", topo, blob, *folded, "--trials", "3", "--grad"]) == 1
@@ -495,7 +597,7 @@ class TestVerifyCmd:
     def _folded_linear_then_norm(self, tmp_path):
         g, w = fixtures.linear_then_norm()
         return (*_save(tmp_path, "orig", g, w),
-                *_save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w))))
+                *_save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w).to_json())))
 
     @pytest.mark.parametrize("command, flags", [
         ("verify", ["--trials", "0"]),
@@ -662,7 +764,7 @@ def wide_pair(tmp_path_factory):
     that verify --grad runs its two checks side by side."""
     tmp = tmp_path_factory.mktemp("wide")
     g, w = fixtures.pre_ln_transformer(d=256, hidden=1024, seq=32, blocks=2)
-    folded = fold_apply.apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+    folded = fold_apply.apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
     return (*_save(tmp, "orig", g, w), *_save(tmp, "folded", *folded))
 
 
@@ -793,7 +895,7 @@ class TestOverlappedChecks:
 class TestNonFiniteCmd:
     def test_verify_nan_folded_weight_exits_2(self, tmp_path, capsys):
         g, w = fixtures.linear_then_norm()
-        fg, fw = fold_apply.apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = fold_apply.apply_fold(g, w, detect_foldable(g, w).to_json())
         arrays = {k: v.copy() for k, v in fw.items()}
         arrays["lin.weight"][0, 0] = np.nan
         topo, blob = _save(tmp_path, "orig", g, w)
@@ -1211,7 +1313,7 @@ class TestValidatedOncePerModel:
     def folded(self, models, tmp_path):
         topo, blob = models["post_ln_transformer"]
         g, w = load_model(topo, blob)
-        return topo, blob, *_save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w)))
+        return topo, blob, *_save(tmp_path, "folded", *fold_apply.apply_fold(g, w, detect_foldable(g, w).to_json()))
 
     def test_analyze(self, models, capsys, validated):
         assert main(["analyze", *models["post_ln_transformer"]]) == 0

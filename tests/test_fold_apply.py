@@ -18,7 +18,7 @@ class TestApplyStrict:
     def test_linear_then_norm(self):
         g, w = fixtures.linear_then_norm()
         report = detect_foldable(g, w)
-        fg, fw = apply_fold(g, w, report)
+        fg, fw = apply_fold(g, w, report.to_json())
         assert fg.nodes["ln"].kind == "RMSNorm"
         assert constraint_residual(fw["lin.weight"], Family.LINEAR_COLUMNS) <= 1e-12
         assert abs(fw["lin.bias"].sum()) <= 1e-12
@@ -28,7 +28,7 @@ class TestApplyStrict:
     def test_untouched_weights_bit_identical(self):
         g, w = fixtures.post_ln_transformer()
         report = detect_foldable(g, w)
-        _fg, fw = apply_fold(g, w, report)
+        _fg, fw = apply_fold(g, w, report.to_json())
         touched = set()
         for nid in report.targets:
             touched.update(g.nodes[nid].param_refs)
@@ -39,7 +39,7 @@ class TestApplyStrict:
     def test_parameter_names_and_shapes_preserved(self):
         g, w = fixtures.post_ln_transformer()
         report = detect_foldable(g, w)
-        fg, fw = apply_fold(g, w, report)
+        fg, fw = apply_fold(g, w, report.to_json())
         assert set(fw.names()) == set(w.names())
         for name in w.names():
             assert fw[name].shape == w[name].shape
@@ -49,7 +49,7 @@ class TestApplyStrict:
     def test_eps_and_affine_copied_verbatim(self):
         g, w = fixtures.linear_then_norm()
         report = detect_foldable(g, w)
-        fg, fw = apply_fold(g, w, report)
+        fg, fw = apply_fold(g, w, report.to_json())
         assert fg.nodes["ln"].attrs["eps"] == g.nodes["ln"].attrs["eps"]
         assert fg.nodes["ln"].param_refs == g.nodes["ln"].param_refs
         np.testing.assert_array_equal(fw["ln.gamma"], w["ln.gamma"])
@@ -58,7 +58,7 @@ class TestApplyStrict:
     def test_provenance_recorded(self):
         g, w = fixtures.linear_then_norm()
         report = detect_foldable(g, w)
-        fg, _fw = apply_fold(g, w, report)
+        fg, _fw = apply_fold(g, w, report.to_json())
         assert fg.provenance == {"folded_from": report.model_hash, "mode": "strict"}
 
 
@@ -67,15 +67,15 @@ class TestApplyEdgeCases:
         g, w = fixtures.relu_then_norm()
         report = detect_foldable(g, w)
         assert report.foldable == []
-        fg, fw = apply_fold(g, w, report)
+        fg, fw = apply_fold(g, w, report.to_json())
         assert fg is g and fw is w
 
     def test_idempotent(self):
         g, w = fixtures.post_ln_transformer()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         report2 = detect_foldable(fg, fw)
         assert report2.foldable == []
-        fg2, fw2 = apply_fold(fg, fw, report2)
+        fg2, fw2 = apply_fold(fg, fw, report2.to_json())
         assert fg2 is fg and fw2 is fw
 
     def test_hash_mismatch_refused(self):
@@ -84,33 +84,33 @@ class TestApplyEdgeCases:
         arrays = {k: v.copy() for k, v in w.items()}
         arrays["lin.weight"][0, 0] += 0.25
         with pytest.raises(FoldError, match="hash"):
-            apply_fold(g, WeightStore(arrays), report)
+            apply_fold(g, WeightStore(arrays), report.to_json())
 
     def test_unsafe_refused_under_strict_safety(self):
         g, w = fixtures.fanout_trap()
         report = detect_foldable(g, w)
         with pytest.raises(FoldError, match="refused"):
-            apply_fold(g, w, report)
+            apply_fold(g, w, report.to_json())
 
     def test_report_analyzed_without_safety_applies(self):
         # the analyze-time opt-out travels inside the report
         g, w = fixtures.fanout_trap()
         report = detect_foldable(g, w, strict_safety=False)
-        fg, _fw = apply_fold(g, w, report)
+        fg, _fw = apply_fold(g, w, report.to_json())
         assert fg.nodes["ln"].kind == "RMSNorm"
 
     def test_practical_requires_flag(self):
         g, w = fixtures.pre_ln_transformer()
         report = detect_foldable(g, w, mode="practical")
         with pytest.raises(FoldError, match="allow_practical"):
-            apply_fold(g, w, report)
+            apply_fold(g, w, report.to_json())
 
 
 class TestApplyPractical:
     def test_pre_ln_full_rewrite(self):
         g, w = fixtures.pre_ln_transformer()
         report = detect_foldable(g, w, mode="practical")
-        fg, fw = apply_fold(g, w, report, allow_practical=True)
+        fg, fw = apply_fold(g, w, report.to_json(), allow_practical=True)
         aux = [n for n in fg.nodes.values() if n.kind == "AuxiliaryCentering"]
         assert len(aux) == 1
         assert fg.predecessors(aux[0].id) == ["embed"]
@@ -122,7 +122,7 @@ class TestApplyPractical:
     def test_parameter_count_preserved_plus_zero_param_nodes(self):
         g, w = fixtures.pre_ln_transformer()
         report = detect_foldable(g, w, mode="practical")
-        fg, fw = apply_fold(g, w, report, allow_practical=True)
+        fg, fw = apply_fold(g, w, report.to_json(), allow_practical=True)
         assert set(fw.names()) == set(w.names())
         assert len(fg.nodes) == len(g.nodes) + 1
 
@@ -131,7 +131,7 @@ class TestDryRun:
     def test_post_ln_diff(self):
         g, w = fixtures.post_ln_transformer()
         report = detect_foldable(g, w)
-        text = dry_run(g, report)
+        text = dry_run(g, w, report.to_json())
         lines = text.splitlines()
         assert sum("-> RMSNorm" in ln for ln in lines) == 2
         assert sum(ln.startswith("center weights") for ln in lines) == 4
@@ -139,12 +139,12 @@ class TestDryRun:
 
     def test_no_changes(self):
         g, w = fixtures.relu_then_norm()
-        assert dry_run(g, detect_foldable(g, w)) == "no changes"
+        assert dry_run(g, w, detect_foldable(g, w).to_json()) == "no changes"
 
     def test_insertions_listed_with_edges(self):
         g, w = fixtures.pre_ln_transformer()
         report = detect_foldable(g, w, mode="practical")
-        text = dry_run(g, report)
+        text = dry_run(g, w, report.to_json())
         assert "insert AuxiliaryCentering" in text
         assert "embed->" in text
 
@@ -160,7 +160,7 @@ class TestStrictSoundness:
         for name, builder in fixtures.STRICT_FOLDABLE_FIXTURES.items():
             g, w = builder()
             report = detect_foldable(g, w)
-            fg, fw = apply_fold(g, w, report)
+            fg, fw = apply_fold(g, w, report.to_json())
             shapes = infer_shapes(fg, fw)
             for ln_id in report.foldable:
                 feeder = fg.predecessors(ln_id)[0]
@@ -176,7 +176,7 @@ class TestStrictSoundness:
 
         g, w = fixtures.pre_ln_transformer(blocks=1)
         report = detect_foldable(g, w, mode="practical")
-        fg, fw = apply_fold(g, w, report, allow_practical=True)
+        fg, fw = apply_fold(g, w, report.to_json(), allow_practical=True)
         rng = np.random.default_rng(6)
         inp = sample_inputs(fg, rng)
         outs, tape = forward(fg, fw.as_f64(), inp)

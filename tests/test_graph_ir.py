@@ -350,7 +350,7 @@ class TestRequireValid:
         g, w = fixtures.post_ln_transformer()
         require_valid(g, w)
         require_valid(g, WeightStore(dict(w.items())))
-        require_valid(g.with_provenance({"note": 1}), w)
+        require_valid(Graph(list(g.nodes.values()), g.edges, g.inputs, g.outputs, {"note": 1}), w)
         assert len(validated) == 3
 
     def test_a_failure_is_not_remembered(self, validated):
@@ -428,7 +428,7 @@ class TestTopologyWriter:
                                             ("pre_ln_transformer", "practical")])
     def test_folded_model_with_provenance(self, name, mode, tmp_path):
         g, w = fixtures.ALL_FIXTURES[name]()
-        folded_g, folded_w = apply_fold(g, w, detect_foldable(g, w, mode=mode), allow_practical=True)
+        folded_g, folded_w = apply_fold(g, w, detect_foldable(g, w, mode=mode).to_json(), allow_practical=True)
         assert folded_g.provenance
         _assert_topology_matches_reference(folded_g, folded_w, tmp_path)
 
@@ -678,7 +678,7 @@ def _splice(g, producer, node_id):
     """g with a centering node node_id spliced between producer and all of
     its consumers."""
     edges = tuple((producer, dst, slot) for dst, slot in g.out_edges(producer))
-    return graph_with_insertions(g, [AuxInsertion(producer, node_id, edges, ())])
+    return graph_with_insertions(g, [AuxInsertion(producer, node_id, edges, ())], {}, g.provenance)
 
 
 # Reference adjacency: scan the whole edge list on every call.

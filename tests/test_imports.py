@@ -18,7 +18,9 @@ its name is gone or gains a reader.
 
 A one-rule check: report types serialize through jsonutil.plain, so no
 class under src/lnfold defines to_json except those in OWN_TO_JSON, each
-with its reason.
+with its reason. A one-reader check: a fold report is read by rebuilding it
+from its decisions and comparing, so no class under src/lnfold defines
+from_json.
 
 verify's sampled checks draw from a stream lnfold defines itself, so their
 output does not change when numpy changes its generator algorithms: verify
@@ -189,22 +191,35 @@ OWN_TO_JSON = {
 }
 
 
-def _own_to_json(source: str) -> list[str]:
-    """The classes in source that define a to_json method."""
+def _classes_defining(source: str, method: str) -> list[str]:
+    """The classes in source that define the named method."""
     return [node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
-            and any(isinstance(item, ast.FunctionDef) and item.name == "to_json" for item in node.body)]
+            and any(isinstance(item, ast.FunctionDef) and item.name == method for item in node.body)]
+
+
+def _package_classes_defining(method: str) -> list[str]:
+    return [name for path in MODULES for name in _classes_defining(path.read_text(encoding="utf-8"), method)]
 
 
 def test_report_types_serialize_through_one_rule():
-    defined = [name for path in MODULES for name in _own_to_json(path.read_text(encoding="utf-8"))]
-    assert sorted(defined) == sorted(OWN_TO_JSON)
+    assert sorted(_package_classes_defining("to_json")) == sorted(OWN_TO_JSON)
+
+
+_METHODS_SOURCE = ("class Spec:\n    def to_json(self):\n        return {}\n"
+                   "class Other:\n    def from_json(doc):\n        pass\n"
+                   "def to_json():\n    pass\n")
 
 
 def test_the_check_sees_a_to_json():
-    source = ("class Spec:\n    def to_json(self):\n        return {}\n"
-              "class Other:\n    def from_json(doc):\n        pass\n"
-              "def to_json():\n    pass\n")
-    assert _own_to_json(source) == ["Spec"]
+    assert _classes_defining(_METHODS_SOURCE, "to_json") == ["Spec"]
+
+
+def test_reports_are_read_by_comparison():
+    assert _package_classes_defining("from_json") == []
+
+
+def test_the_check_sees_a_from_json():
+    assert _classes_defining(_METHODS_SOURCE, "from_json") == ["Other"]
 
 
 def test_cli_import_loads_no_thread_pool():

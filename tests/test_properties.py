@@ -1,7 +1,5 @@
 """Property-based checks of the algebra the whole rewrite rests on."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -313,7 +311,7 @@ class TestFoldSoundness:
         report = detect_foldable(g, w, mode=mode)
         if not report.safety.safe:
             return
-        fg, fw = apply_fold(g, w, report, allow_practical=True)
+        fg, fw = apply_fold(g, w, report.to_json(), allow_practical=True)
         assert verify_forward(g, w, fg, fw, trials=8, seed=1).passed
         assert verify_gradients(g, w, fg, fw, trials=3, seed=1).passed
 
@@ -358,22 +356,22 @@ class TestFoldSoundness:
         # A report passes its own check; without any one of its targets, or
         # with its safety verdict flipped, it no longer folds.
         g, w = model
-        report = detect_foldable(g, w, mode=mode, strict_safety=strict_safety)
-        check_report(g, report)
-        tampered = [replace(report, targets={k: v for k, v in report.targets.items() if k != nid})
-                    for nid in report.targets]
-        tampered.append(replace(report, safety=replace(report.safety, safe=not report.safety.safe)))
+        doc = detect_foldable(g, w, mode=mode, strict_safety=strict_safety).to_json()
+        assert check_report(g, w, doc).to_json() == doc
+        tampered = [dict(doc, targets=doc["targets"][:i] + doc["targets"][i + 1:])
+                    for i in range(len(doc["targets"]))]
+        tampered.append(dict(doc, safety=dict(doc["safety"], safe=not doc["safety"]["safe"])))
         for bad in tampered:
-            with pytest.raises(FoldError):
-                apply_fold(g, w, bad, allow_practical=True)
+            with pytest.raises(FoldError, match="^report field (targets|safety)"):
+                check_report(g, w, bad)
 
     @settings(max_examples=40, deadline=None)
     @given(builder_models(), st.sampled_from(["strict", "practical"]), st.booleans())
     @example(_embedding_read_three_times(), "practical", True)
     def test_splice_equals_one_by_one_reference(self, model, mode, strict_safety):
         g, w = model
-        plan = check_report(g, detect_foldable(g, w, mode=mode, strict_safety=strict_safety))
-        spliced = graph_with_insertions(g, plan.insertions)
+        plan = check_report(g, w, detect_foldable(g, w, mode=mode, strict_safety=strict_safety).to_json())
+        spliced = graph_with_insertions(g, plan.insertions, {}, g.provenance)
         reference, ids = splice_one_by_one(g, [ins.after for ins in plan.insertions])
         assert ids == {ins.after: ins.node_id for ins in plan.insertions}
         assert list(spliced.nodes.items()) == list(reference.nodes.items())

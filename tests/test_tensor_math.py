@@ -353,7 +353,7 @@ class TestForward:
 
 def _practical_fold(builder):
     g, w = builder()
-    return apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+    return apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
 
 
 def _reference_forward(g, w, inputs):

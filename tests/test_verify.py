@@ -42,13 +42,13 @@ class TestVerifyForward:
 
     def test_folded_post_ln(self):
         g, w = fixtures.post_ln_transformer()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         rep = verify_forward(g, w, fg, fw, trials=100, seed=0, tol=1e-12)
         assert rep.passed, rep.max_abs_forward_diff
 
     def test_corrupted_weight_fails(self):
         g, w = fixtures.post_ln_transformer()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         arrays = {k: v.copy() for k, v in fw.items()}
         arrays["ffn2.weight"][0, 0] += 1e-3
         rep = verify_forward(g, w, fg, WeightStore(arrays), trials=10, seed=0)
@@ -71,7 +71,7 @@ class TestVerifyForward:
         # f32 centering leaves f32-sized residuals; the f32 tolerance is 1e-5
         g, w = fixtures.linear_then_norm()
         w32 = WeightStore({k: v.astype(np.float32) for k, v in w.items()})
-        fg, fw = apply_fold(g, w32, detect_foldable(g, w32))
+        fg, fw = apply_fold(g, w32, detect_foldable(g, w32).to_json())
         rep = verify_forward(g, w32, fg, fw, trials=20, seed=0, tol=1e-5)
         assert rep.passed
 
@@ -183,7 +183,7 @@ def _comparison_pairs(name, f32, mode):
         w = _as_f32(w)
     pairs = []
     try:
-        pairs.append(apply_fold(g, w, detect_foldable(g, w, mode=mode), allow_practical=True))
+        pairs.append(apply_fold(g, w, detect_foldable(g, w, mode=mode).to_json(), allow_practical=True))
     except FoldError:
         pass
     swap = {n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"}
@@ -227,7 +227,7 @@ class TestStackedTrials:
 
     def test_deep_pre_ln_equals_one_trial_at_a_time(self):
         g, w = fixtures.pre_ln_transformer(blocks=12)
-        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
         swapped = g.with_kinds({n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"})
         for gB, wB in ((fg, fw), (swapped, w)):
             rep = verify_forward(g, w, gB, wB, trials=30, seed=2)
@@ -395,7 +395,7 @@ class TestTrialStreams:
 
     def test_checks_on_two_threads_draw_the_same_streams(self):
         g, w = fixtures.linear_then_norm()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         alone = verify_forward(g, w, fg, fw, trials=30, seed=9), verify_gradients(g, w, fg, fw, trials=9, seed=9)
         with ThreadPoolExecutor(2) as pool:
             forward_run = pool.submit(verify_forward, g, w, fg, fw, trials=30, seed=9)
@@ -449,7 +449,7 @@ class TestStackedGradients:
 
     def test_deep_pre_ln_equals_one_trial_at_a_time(self):
         g, w = fixtures.pre_ln_transformer(blocks=12)
-        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
         swapped = g.with_kinds({n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"})
         for gB, wB in ((fg, fw), (swapped, w)):
             rep = verify_gradients(g, w, gB, wB, trials=20, seed=2)
@@ -479,7 +479,7 @@ class TestStackedGradients:
     def test_deep_stack_equals_one_trial_at_a_time(self):
         # Strict mode folds none of a pre-LN stack's LayerNorms.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=36)
-        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
         swapped = g.with_kinds({n.id: "RMSNorm" for n in g.nodes.values() if n.kind == "LayerNorm"})
         for gB, wB in ((fg, fw), (swapped, w)):
             rep = verify_gradients(g, w, gB, wB, trials=4, seed=5)  # batches of 3 and 1
@@ -489,7 +489,7 @@ class TestStackedGradients:
         # Two trials' gradients are 7.3 MB (2 x 456,672 f64); holding both
         # schemes' gradient sets at once peaks above 16 MB.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
-        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
         tracemalloc.start()
         try:
             assert verify_gradients(g, w, fg, fw, trials=2, seed=0).passed
@@ -500,7 +500,7 @@ class TestStackedGradients:
 
     def test_centers_the_proxies_once_per_call(self, monkeypatch, forward_calls):
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
-        fg, _fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
         centered = []
 
         def counting(*args):
@@ -526,7 +526,7 @@ class TestStackedGradients:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_one_bad_trial_gradient_fails_its_batch(self, monkeypatch, bad):
         g, w = fixtures.linear_then_norm()
-        fg, _fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         keeps = []
 
         def poisoned(tape, out_grads, keep_axis0, consume=None):
@@ -648,7 +648,7 @@ class TestKeptAxisBackward:
 class TestNonFinite:
     def _nan_fold(self):
         g, w = fixtures.linear_then_norm()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         arrays = {k: v.copy() for k, v in fw.items()}
         arrays["lin.weight"][0, 0] = np.nan
         return g, w, fg, WeightStore(arrays)
@@ -685,7 +685,7 @@ class TestNonFinite:
 
     def test_nan_weight_fails_gradients(self):
         g, w = fixtures.linear_then_norm()
-        fg, _fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         arrays = {k: v.copy() for k, v in w.items()}
         arrays["ln.gamma"][2] = np.nan
         rep = verify_gradients(g, w, fg, WeightStore(arrays), trials=5, seed=0)
@@ -719,7 +719,7 @@ class TestDefaultTolerance:
     def test_f32_fold_passes_at_the_default(self):
         g, w = fixtures.post_ln_transformer()
         w32 = _as_f32(w)
-        fg, fw = apply_fold(g, w32, detect_foldable(g, w32))
+        fg, fw = apply_fold(g, w32, detect_foldable(g, w32).to_json())
         rep = verify_forward(g, w32, fg, fw, trials=20, seed=0)
         assert (rep.tol, rep.passed) == (1e-5, True)
         assert rep.max_abs_forward_diff > 1e-9
@@ -729,21 +729,21 @@ class TestDefaultTolerance:
 class TestVerifyGradients:
     def test_proxy_scheme_matches(self):
         g, w = fixtures.linear_then_norm()
-        fg, _fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         # scheme B holds the raw weights as proxies
         rep = verify_gradients(g, w, fg, w, trials=20, seed=0, tol=1e-9)
         assert rep.passed, rep.max_abs_grad_diff
 
     def test_deployed_centered_weights_also_match(self):
         g, w = fixtures.post_ln_transformer()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         rep = verify_gradients(g, w, fg, fw, trials=10, seed=1, tol=1e-9)
         assert rep.passed, rep.max_abs_grad_diff
 
     def test_zero_upstream_gradient(self):
         g, w = fixtures.linear_then_norm()
         store = w.as_f64()
-        fg, _fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, _fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         proxied = verify._derive_proxied(g, fg)
         assert list(proxied) == ["lin"]
         outs, tape = forward(g, center_targets(g, store, proxied), sample_inputs(g, np.random.default_rng(0)))
@@ -762,7 +762,7 @@ class TestVerifyGradients:
     def test_runs_no_detection(self, monkeypatch):
         # The proxies are read off the LayerNorm->RMSNorm swaps of the fold.
         g, w = fixtures.pre_ln_transformer()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical"), allow_practical=True)
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
         monkeypatch.setattr(verify, "detect_foldable",
                             lambda *args, **kwargs: pytest.fail("verify_gradients ran detection"))
         assert verify_gradients(g, w, fg, fw, trials=2).passed
@@ -772,7 +772,7 @@ class TestVerifyGradients:
     def test_proxies_are_the_report_targets(self, name, mode):
         g, w = fixtures.ALL_FIXTURES[name]()
         report = detect_foldable(g, w, mode=mode, strict_safety=False)
-        fg, _fw = apply_fold(g, w, report, allow_practical=True)
+        fg, _fw = apply_fold(g, w, report.to_json(), allow_practical=True)
         proxied = verify._derive_proxied(g, fg)
         assert list(proxied.items()) == list(report.targets.items())
 
@@ -785,7 +785,7 @@ class TestVerifyGradients:
     @pytest.mark.parametrize("params", [None, ["lin.weight"]], ids=["renamed", "bias_dropped"])
     def test_target_must_own_the_same_parameters(self, params):
         g, w = fixtures.linear_then_norm()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         lin = fg.nodes["lin"]
         moved = make_node("lin2" if params is None else "lin", lin.kind, lin.attrs,
                           params or lin.param_refs)
@@ -828,7 +828,7 @@ class TestOpenVerifyHoles:
     @_open_hole(1, "an absolute tol fails a right fold whose outputs are large (8.9e-8 at scale 1e8)")
     def test_strict_fold_behind_a_large_scale_passes_forward(self):
         g, w = _scaled_output(1e8)
-        assert verify_forward(g, w, *apply_fold(g, w, detect_foldable(g, w))).passed
+        assert verify_forward(g, w, *apply_fold(g, w, detect_foldable(g, w).to_json())).passed
 
     @_open_hole(2, "scheme B centers the targets itself, so it never reads an uncentered one")
     @pytest.mark.parametrize("scale", [1.0, 1e-10])
@@ -849,7 +849,7 @@ class TestTrialCount:
 
     def test_negative_seed_is_refused(self):
         g, w = fixtures.linear_then_norm()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         for run in (lambda: verify_forward(g, w, fg, fw, trials=2, seed=-1),
                     lambda: verify_gradients(g, w, fg, w, trials=2, seed=-1),
                     lambda: check_zero_mean(g, w, "lin", trials=2, seed=-1)):
@@ -860,7 +860,7 @@ class TestTrialCount:
 class TestCheckZeroMean:
     def test_centered_linear(self):
         g, w = fixtures.linear_then_norm()
-        fg, fw = apply_fold(g, w, detect_foldable(g, w))
+        fg, fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         worst = check_zero_mean(fg, fw, "lin", trials=100, seed=0)
         assert worst <= 8 * 8 * EPS_M
 
@@ -995,7 +995,7 @@ class TestTrainingEquivalence:
     def _pair(self):
         g, w = fixtures.mlp_classifier()
         report = detect_foldable(g, w)
-        fg, _fw = apply_fold(g, w, report)
+        fg, _fw = apply_fold(g, w, report.to_json())
         return g, w, fg, report.targets
 
     def test_zero_steps_zero_diff(self):
