@@ -9,7 +9,7 @@ from .centering import (
     constraint_residual,
     spec_for_node,
 )
-from .fold_apply import FoldError, apply_fold, check_report, dry_run
+from .fold_apply import FoldError, apply_fold, apply_report, check_report, dry_run
 from .fold_detect import (
     FoldReport,
     SafetyVerdict,

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from .fold_apply import FoldError, InsertionsNotAllowed, apply_fold, dry_run
+from .fold_apply import FoldError, InsertionsNotAllowed, apply_fold, apply_report, dry_run
 from .fold_detect import FoldReport, detect_foldable
 from .graph_ir import (
     GraphValidationError,
@@ -109,10 +109,11 @@ def _detect(g, w, practical: bool, strict_safety: bool) -> FoldReport:
         return detect_foldable(g, w, mode=mode, strict_safety=strict_safety)
 
 
-def _fold(g, w, doc: dict, practical: bool, prefix: str):
-    """Apply the report, given as JSON, and write the folded model to prefix.json/.bin."""
+def _fold(apply, g, w, report, practical: bool, prefix: str):
+    """Apply the report by apply (apply_fold for a report as JSON, apply_report
+    for the FoldReport just built) and write the folded model to prefix.json/.bin."""
     with _refusing():
-        folded_g, folded_w = apply_fold(g, w, doc, allow_practical=practical)
+        folded_g, folded_w = apply(g, w, report, allow_practical=practical)
     with _writing(prefix + ".json"):
         save_model(folded_g, folded_w, prefix + ".json", prefix + ".bin")
     return folded_g, folded_w
@@ -149,7 +150,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
             raise _Operational("--out PREFIX is required unless --dry-run")
         print(diff)
         return 0
-    _fold(g, w, doc, args.practical, args.out)
+    _fold(apply_fold, g, w, doc, args.practical, args.out)
     _log(f"wrote {args.out}.json and {args.out}.bin")
     return 0
 
@@ -223,10 +224,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     g, w = _load(args.topology, args.weights)
     report = _detect(g, w, args.practical, strict_safety=True)
     report_path = os.path.join(args.out_dir, "fold_report.json")
-    doc = report.to_json()
-    _emit(doc, report_path)
+    _emit(report.to_json(), report_path)
     prefix = os.path.join(args.out_dir, "folded")
-    folded_g, folded_w = _fold(g, w, doc, args.practical, prefix)
+    folded_g, folded_w = _fold(apply_report, g, w, report, args.practical, prefix)
     try:
         fwd = verify_forward(g, w, folded_g, folded_w, trials=args.trials, seed=args.seed, tol=args.tol)
     except _VERIFY_ERRORS as exc:

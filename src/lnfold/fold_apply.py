@@ -128,13 +128,24 @@ def apply_fold(
     allow_practical: bool = False,
 ) -> tuple[Graph, WeightStore]:
     """Apply the report that check_report reads from doc, a fold report as
-    JSON, returning a new (graph, weights) pair.
+    JSON, returning a new (graph, weights) pair (apply_report). Refuses
+    what check_report or apply_report refuses."""
+    return apply_report(g, w, check_report(g, w, doc), allow_practical)
 
-    Refuses what check_report refuses, unsafe plans under strict safety,
-    and practical insertion plans unless explicitly allowed. A report with
-    nothing to do returns the model unchanged, bit for bit.
+
+def apply_report(
+    g: Graph,
+    w: WeightStore,
+    report: FoldReport,
+    allow_practical: bool = False,
+) -> tuple[Graph, WeightStore]:
+    """Apply report, a FoldReport of the model (g, w) as detect_foldable or
+    check_report gives it, returning a new (graph, weights) pair.
+
+    Refuses unsafe plans under strict safety, and practical insertion plans
+    unless explicitly allowed. A report with nothing to do returns the
+    model unchanged, bit for bit.
     """
-    report = check_report(g, w, doc)
     if report.insertions and not allow_practical:
         raise InsertionsNotAllowed(
             "report plans explicit centering insertions; pass allow_practical=True to apply them"

@@ -1,9 +1,10 @@
 """Dense-tensor execution engine with forward evaluation and exact gradients.
 
 This is the ground-truth oracle behind every equivalence claim in the
-package: deliberately small, numpy-only, deterministic. forward and backward
-run each node through its kind's kernels in the op registry (lnfold.ops).
-forward records a tape for backward, or, when only outputs are wanted, keeps
+package: deliberately small, numpy-only, deterministic. forward and
+reverse_steps, the one reverse-mode loop (backward runs it to the end), run
+each node through its kind's kernels in the op registry (lnfold.ops).
+forward records a tape for reverse mode, or, when only outputs are wanted, keeps
 none and frees each activation after its last reader, so its memory follows
 the live activations, not the depth.
 Everything here is a pure function over immutable arrays, so independent
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,24 +110,24 @@ def _accumulate(grads: dict[str, Any], names: Sequence[str], values: Sequence[np
         grads[name] = grads[name] + g if name in grads else g
 
 
-def backward(
+def reverse_steps(
     tape: Tape,
     out_grads: Sequence[np.ndarray],
     keep_axis0: bool = False,
-    consume: Callable[[Node, dict[str, np.ndarray]], None] | None = None,
-) -> dict[str, np.ndarray]:
-    """Exact reverse-mode parameter gradients for every recorded primitive.
+) -> Iterator[tuple[Node, dict[str, np.ndarray]]]:
+    """Reverse mode over a tape, one node at a time: yield (node, its
+    parameter gradients keyed by name) for each node the output gradients
+    reach, in reverse tape order, each final for a valid graph (validation
+    refuses shared parameters).
 
-    keep_axis0 is for a tape of stacked trials, whose axis 0 indexes the
-    trials: each parameter gradient then keeps that axis, holding every
+    The count and shapes of out_grads are checked here, before the first
+    step. keep_axis0 is for a tape of stacked trials, whose axis 0 indexes
+    the trials: each parameter gradient then keeps that axis, holding every
     trial's own gradient, where otherwise all leading axes are summed.
-
-    Each node's parameter gradients, keyed by name, go to consume(node,
-    grads) as soon as its reverse step has run, final there for a valid
-    graph (validation refuses shared parameters). By default they are
-    collected into the returned dict, which stays empty under a caller's
-    consume. Each activation gradient is dropped once its node has used
-    it, and an Input's unused: inputs take no gradient.
+    Each activation gradient is dropped once its node has used it, and an
+    Input's unused: inputs take no gradient. A yielded gradient may be the
+    very array a later step reads, so a caller must not update it in place
+    while it walks on.
     """
     g = tape.graph
     if len(out_grads) != len(g.outputs):
@@ -140,17 +141,35 @@ def backward(
     grad_of: dict[str, np.ndarray] = {}
     _accumulate(grad_of, g.outputs, out_grads)
 
+    def steps():
+        preds = g.preds
+        for nid, entry in reversed(tape.entries.items()):
+            dy = grad_of.pop(nid, None)
+            if dy is None or entry.node.kind == "Input":
+                continue
+            dxs, dparams = OPS[entry.node.kind].backward(entry, np.asarray(dy), keep_axis0)
+            _accumulate(grad_of, preds[nid], dxs)
+            yield entry.node, dict(zip(entry.node.param_refs, dparams))
+    return steps()
+
+
+def backward(
+    tape: Tape,
+    out_grads: Sequence[np.ndarray],
+    keep_axis0: bool = False,
+    consume: Callable[[Node, dict[str, np.ndarray]], None] | None = None,
+) -> dict[str, np.ndarray]:
+    """Exact reverse-mode parameter gradients for every recorded primitive:
+    reverse_steps run to the end.
+
+    Each node's parameter gradients, keyed by name, go to consume(node,
+    grads) as soon as its reverse step has run. By default they are
+    collected into the returned dict, which stays empty under a caller's
+    consume.
+    """
     param_grads: dict[str, np.ndarray] = {}
     if consume is None:
         consume = lambda node, grads: _accumulate(param_grads, grads, grads.values())
-    for nid, entry in reversed(tape.entries.items()):
-        dy = grad_of.pop(nid, None)
-        if dy is None or entry.node.kind == "Input":
-            continue
-        dy = np.asarray(dy)
-        dxs, dparams = OPS[entry.node.kind].backward(entry, dy, keep_axis0)
-        _accumulate(grad_of, g.preds[nid], dxs)
-        consume(entry.node, dict(zip(entry.node.param_refs, dparams)))
-
+    for node, grads in reverse_steps(tape, out_grads, keep_axis0):
+        consume(node, grads)
     return param_grads
-

@@ -22,7 +22,7 @@ from .fold_apply import center_targets
 from .fold_detect import centering_targets, detect_foldable  # noqa: F401
 from .graph_ir import Graph, WeightStore, infer_shapes, require_valid  # noqa: F401
 from .ops import OPS
-from .tensor_math import backward, forward
+from .tensor_math import backward, forward, reverse_steps
 
 _INPUT = OPS["Input"]
 
@@ -120,19 +120,16 @@ def _fold_worst(worst: float | None, values) -> float | None:
 TAPE_BUDGET = 2**20
 
 
-def _param_count(w: WeightStore) -> int:
-    return sum(arr.size for _name, arr in w.items())
-
-
 def checks_overlap(wA: WeightStore) -> bool:
     """Whether verify --grad runs its forward check beside its gradient
-    check, on two threads: when the original model's parameter gradients
-    alone fill a gradient batch (more than TAPE_BUDGET // 2 parameters), so
-    both checks spend their time in long numpy calls that release the GIL,
-    and the process may run on more than one CPU. Smaller models are
+    check, on two threads: when the original model has more than
+    TAPE_BUDGET // 2 parameters and the process may run on more than one
+    CPU. Above that size the weight matrices are wide enough that both
+    checks spend their time in long numpy calls that release the GIL; the
+    deep stacks of narrow layers below it, at any depth, are
     interpreter-bound and run the checks in turn, as does a single CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1 and _param_count(wA) > TAPE_BUDGET // 2
+    return (cpus or 1) > 1 and sum(arr.size for _name, arr in wA.items()) > TAPE_BUDGET // 2
 
 
 def _live_peak(g: Graph, shapes: Mapping[str, tuple[int, ...]], tape: bool = False) -> int:
@@ -226,7 +223,7 @@ def _trial_batches(g: Graph, seed: int, trials: int, per_batch: int) -> Iterator
 
 
 def _sampled(models: list[tuple[Graph, WeightStore]], trials: int, seed: int, tol: float | None, start: Callable,
-             tape: bool = False, held: int = 0) -> tuple[list, float, bool]:
+             tape: bool = False) -> tuple[list, float, bool]:
     """Run a sampled check of one or two (graph, store) models; return its
     worst values, the tol they were judged by and whether each is finite
     and within it. The models are validated, and two must share a
@@ -237,14 +234,16 @@ def _sampled(models: list[tuple[Graph, WeightStore]], trials: int, seed: int, to
     per value the check reports, folded into that value's worst
     (_fold_worst: 0 over no elements, None once a maximum is non-finite).
     Batches (_trial_batches) give the worsts of running the trials one at a
-    time, and take as many trials as keep the larger of held and each
-    model's live peak (_live_peak, or its whole tape) under TAPE_BUDGET.
+    time, and take as many trials as keep under TAPE_BUDGET the largest
+    model's live peak (_live_peak) or, with tape=True, all the models'
+    whole tapes together.
     """
     shapes = _valid_shapes(*models)
     if tol is None:
         tol = default_tol(*(w for _g, w in models))
     measure = start(*(w.as_f64() for _g, w in models))
-    peak = max(held, *(_live_peak(g, s, tape) for (g, _w), s in zip(models, shapes)))
+    peaks = [_live_peak(g, s, tape) for (g, _w), s in zip(models, shapes)]
+    peak = sum(peaks) if tape else max(peaks)
     worsts: list[float | None] = []
     for inputs in _trial_batches(models[0][0], seed, trials, max(1, TAPE_BUDGET // max(1, peak))):
         maxima = measure(inputs)
@@ -307,15 +306,17 @@ def verify_gradients(
     tapes. B's store holds the proxy parameters (A's names and values); the
     LayerNorms B swapped for RMSNorm say which are proxied (_derive_proxied).
 
-    Each stacked trial keeps its own parameter gradients. A's backward
-    collects them, and A's tape is dropped before B's forward runs on the
-    effective store (center_targets: the proxied nodes' weights centered).
-    B's backward streams its gradients: a proxied node's are projected
-    through the same centering map (center_node_params), then each one's
-    difference from A's is folded and both are dropped (a gradient only
-    one scheme has is compared with zero). A trial so holds A's gradients
-    beside B's tape, and a batch is sized by both whole tapes and the
-    parameter count.
+    Each stacked trial keeps its own parameter gradients. A's forward and
+    B's, on the effective store (center_targets: the proxied nodes'
+    weights centered), both keep their tapes; then both reverse passes
+    walk in lockstep. B's backward streams its gradients: a proxied node's
+    are projected through the same centering map (center_node_params), and
+    A's reverse_steps advance until A's gradient of that name is there.
+    Each pair's difference is folded and both are dropped; what is left of
+    A once B's walk ends, like any gradient only one scheme has, is
+    compared with zero. Gradients pair by name, since B's order differs
+    where it inserts nodes. A trial so holds both tapes and no gradient
+    set, and a batch is sized by both whole tapes.
     """
     ones = lambda outs: [np.ones_like(o) for o in outs]
 
@@ -326,27 +327,31 @@ def verify_gradients(
         effective = center_targets(gB, storeB, proxied)
 
         def measure(inputs):
-            outsA, tape = forward(gA, storeA, inputs)
-            gradsA = backward(tape, ones(outsA), True)
-            del tape  # A's tape is freed before B's forward runs
+            outsA, tapeA = forward(gA, storeA, inputs)
+            outsB, tapeB = forward(gB, effective, inputs)
+            stepsA = reverse_steps(tapeA, ones(outsA), True)
+            gradsA: dict[str, np.ndarray] = {}  # reached by A's walk, not yet paired
             maxima = []
 
             def diff_from_a(node, gradsB):
                 if node.id in proxied:
                     gradsB.update(center_node_params(node, gradsB))
                 for name, gb in gradsB.items():
+                    while name not in gradsA and (step := next(stepsA, None)):
+                        gradsA.update(step[1])
                     ga = gradsA.pop(name, None)
+                    # Fresh: either gradient may be an array a paused walk still reads.
                     d = (0.0 if ga is None else ga) - gb
                     maxima.append(np.abs(d, out=d).max(initial=0.0))
 
-            outsB, tape = forward(gB, effective, inputs)
-            backward(tape, ones(outsB), True, diff_from_a)
+            backward(tapeB, ones(outsB), True, diff_from_a)
             maxima += (np.abs(ga).max(initial=0.0) for ga in gradsA.values())
+            for _node, grads in stepsA:
+                maxima += (np.abs(ga).max(initial=0.0) for ga in grads.values())
             return _max_diffs(outsA, outsB), maxima
         return measure
 
-    (fwd, grad), tol, passed = _sampled([(gA, wA), (gB, wB)], trials, seed, tol, start,
-                                        tape=True, held=_param_count(wA))
+    (fwd, grad), tol, passed = _sampled([(gA, wA), (gB, wB)], trials, seed, tol, start, tape=True)
     return EquivalenceReport(trials, seed, tol, fwd, grad, passed)
 
 

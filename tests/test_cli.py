@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lnfold import cli, fixtures, fold_apply, graph_ir, verify
+from lnfold import cli, fixtures, fold_apply, fold_detect, graph_ir, verify
 from lnfold.cli import main
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import Graph, WeightStore, load_model, make_node, model_hash, save_model, validate_graph
@@ -156,6 +156,28 @@ class TestFold:
         assert main(["fold", topo, blob, "--report", rep, *flags]) == 0
         # The folded model, which records what it was folded from, is checked too.
         assert [p is None for p in validated] == ([True] if "--dry-run" in flags else [True, False])
+
+    @pytest.mark.parametrize("flags", [[], ["--practical"]])
+    def test_pipeline_hashes_model_once(self, models, tmp_path, monkeypatch, flags):
+        # The fold applies the report the pipeline has just built: no second hash.
+        topo, blob = models["post_ln_transformer"]
+        calls = []
+        for module in (cli, fold_apply, fold_detect):
+            original = module.model_hash
+            monkeypatch.setattr(module, "model_hash",
+                                lambda g, w, original=original: calls.append(1) or original(g, w))
+        assert main(["pipeline", topo, blob, "--out-dir", str(tmp_path / "out"), *flags]) == 0
+        assert len(calls) == 1
+
+    def test_pipeline_validates_each_model_once(self, models, tmp_path, monkeypatch):
+        topo, blob = models["post_ln_transformer"]
+        validated = []
+        original = graph_ir.validate_graph
+        monkeypatch.setattr(graph_ir, "validate_graph",
+                            lambda g, w: validated.append(g.provenance) or original(g, w))
+        assert main(["pipeline", topo, blob, "--out-dir", str(tmp_path / "out")]) == 0
+        # The original model, then the folded one, which records what it was folded from.
+        assert [p is None for p in validated] == [True, False]
 
     def test_unsafe_model_refused(self, models, tmp_path, capsys):
         topo, blob, rep = self._analyze(models, tmp_path, "fanout_trap")

@@ -32,9 +32,10 @@ function in src/lnfold, verify's runner, so a change to how a check is
 run or judged is made in one place. No function in verify calls the names
 it imports only for the tracer to patch.
 
-A no-helper check: every call of the engine's forward or backward in
-verify sits inside one of its three public checks, so what each scheme
-reads and how its gradients are projected stays in the check itself.
+A no-helper check: every call of the engine's forward, backward or
+reverse_steps in verify sits inside one of its three public checks, so what
+each scheme reads and how its gradients are projected and paired stays in
+the check itself.
 """
 
 import ast
@@ -312,11 +313,11 @@ def test_verify_calls_no_tracer_only_name():
 
 # verify's public checks: the only functions there that run the engine.
 CHECKS = ("verify_forward", "verify_gradients", "check_zero_mean")
-ENGINE = ("forward", "backward")
+ENGINE = ("forward", "backward", "reverse_steps")
 
 
 def _engine_runners(source: str) -> set[str]:
-    """The module-level functions of source that call forward or backward,
+    """The module-level functions of source that call an ENGINE function,
     directly or in a function nested in them."""
     return set().union(*_callers(source, ENGINE, outer=True).values())
 
@@ -327,6 +328,7 @@ def test_only_the_public_checks_run_the_engine():
 
 def test_the_check_sees_a_helper_run_the_engine():
     source = ("def check():\n    def measure(inputs):\n        return forward(g, w, inputs)\n    return measure\n"
-              "def _helper(tape):\n    return tensor_math.backward(tape, [])\n")
-    assert _callers(source, ENGINE) == {"forward": {"measure"}, "backward": {"_helper"}}
-    assert _engine_runners(source) == {"check", "_helper"}
+              "def _helper(tape):\n    return tensor_math.backward(tape, [])\n"
+              "def _walk(tape):\n    return list(reverse_steps(tape, []))\n")
+    assert _callers(source, ENGINE) == {"forward": {"measure"}, "backward": {"_helper"}, "reverse_steps": {"_walk"}}
+    assert _engine_runners(source) == {"check", "_helper", "_walk"}

@@ -11,7 +11,7 @@ from lnfold.fold_apply import apply_fold
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import Graph, WeightStore, make_node, validate_graph
 from lnfold.ops import OPS, NumericalError, _col2im
-from lnfold.tensor_math import TapeEntry, backward, forward
+from lnfold.tensor_math import TapeEntry, backward, forward, reverse_steps
 from oracles import finite_difference_grad, loss_value
 from sampling import sample_inputs
 
@@ -493,6 +493,29 @@ class TestBackward:
         _, tape = forward(g, w, {"x": np.array([2.0, 0.0])})
         with pytest.raises(ValueError, match="^expected 1 output grads, got 2$"):
             backward(tape, [np.ones(2), np.ones(2)])
+
+    def test_reverse_steps_checks_its_output_grads_when_called(self):
+        # The check runs before the first step is taken, not at the first next().
+        g, w = _single_norm_graph()
+        _, tape = forward(g, w, {"x": np.array([2.0, 0.0])})
+        with pytest.raises(ValueError, match=r"^output grad for 'out' has shape \(3,\), expected \(2,\)$"):
+            reverse_steps(tape, [np.ones(3)])
+        with pytest.raises(ValueError, match="^expected 1 output grads, got 0$"):
+            reverse_steps(tape, [])
+
+    @pytest.mark.parametrize("name", ["pre_ln_transformer", "concat_then_norm", "recurrent_then_norm"])
+    def test_backward_collects_the_reverse_steps(self, name):
+        g, w = fixtures.ALL_FIXTURES[name]()
+        outs, tape = forward(g, w, sample_inputs(g, np.random.default_rng(1)))
+        out_grads = [np.ones_like(o) for o in outs]
+        steps = list(reverse_steps(tape, out_grads))
+        reached = [nid for nid, entry in reversed(tape.entries.items()) if entry.node.kind != "Input"]
+        assert [node.id for node, _grads in steps] == reached
+        grads = backward(tape, out_grads)
+        assert list(grads) == [name for _node, step in steps for name in step]
+        for _node, step in steps:
+            for name, grad in step.items():
+                np.testing.assert_array_equal(grad, grads[name])
 
     @pytest.mark.parametrize("name", FD_CASES)
     def test_gradients_match_finite_differences(self, name):

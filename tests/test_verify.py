@@ -16,7 +16,7 @@ from lnfold.fold_apply import FoldError, apply_fold, center_targets
 from lnfold.fold_detect import detect_foldable
 from lnfold.graph_ir import Graph, GraphValidationError, WeightStore, infer_shapes, make_node
 from lnfold.ops import OPS
-from lnfold.tensor_math import backward, forward
+from lnfold.tensor_math import backward, forward, reverse_steps
 from lnfold.verify import (
     ParameterPairingError,
     SignatureMismatchError,
@@ -462,16 +462,20 @@ class TestStackedGradients:
         per_sample = tuple(g.nodes[g.inputs[0]].attrs["shape"])
         assert forward_calls == [(20, 1) + per_sample] * 2
 
-    def test_parameter_count_caps_the_batch(self, forward_calls):
-        # 5 trials' tapes fit under the budget, but not 5 trials' gradients.
+    def test_both_tapes_cap_the_batch(self, forward_calls):
+        # Either scheme's tape alone fits 7 trials under the budget, but
+        # both together fit 6.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
-        assert verify.TAPE_BUDGET // verify._live_peak(g, infer_shapes(g, w), tape=True) >= 5
-        assert 5 * sum(arr.size for _name, arr in w.items()) > verify.TAPE_BUDGET
-        verify_gradients(g, w, g, w, trials=5, seed=0)
-        assert forward_calls == [(4, 1, 8)] * 2 + [(1, 1, 8)] * 2
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
+        peaks = [verify._live_peak(mg, infer_shapes(mg, mw), tape=True) for mg, mw in ((g, w), (fg, fw))]
+        assert verify.TAPE_BUDGET // max(peaks) >= 7
+        assert verify.TAPE_BUDGET // sum(peaks) == 6
+        rep = verify_gradients(g, w, fg, fw, trials=7, seed=0)
+        assert forward_calls == [(6, 1, 8)] * 2 + [(1, 1, 8)] * 2
+        assert _grad_result(rep) == _reference_grad_diff(g, w, fg, fw, 7, 0)
 
     def test_deep_stack_runs_both_trials_in_one_batch(self, forward_calls):
-        # 456,672 parameters: two trials' gradients fit under 2**20.
+        # Both schemes' tapes hold 172,808 elements a trial: three trials fit under 2**20.
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
         verify_gradients(g, w, g, w, trials=2, seed=0)
         assert forward_calls == [(2, 1, 8)] * 2
@@ -485,18 +489,41 @@ class TestStackedGradients:
             rep = verify_gradients(g, w, gB, wB, trials=4, seed=5)  # batches of 3 and 1
             assert _grad_result(rep) == _reference_grad_diff(g, w, gB, wB, 4, 5)
 
-    def test_holds_one_set_of_parameter_gradients(self):
-        # Two trials' gradients are 7.3 MB (2 x 456,672 f64); holding both
-        # schemes' gradient sets at once peaks above 16 MB.
-        g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=48)
+    @staticmethod
+    def _traced_peak(trials, **sizes):
+        g, w = fixtures.pre_ln_transformer(**sizes)
         fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
         tracemalloc.start()
         try:
-            assert verify_gradients(g, w, fg, fw, trials=2, seed=0).passed
-            peak = tracemalloc.get_traced_memory()[1]
+            assert verify_gradients(g, w, fg, fw, trials=trials, seed=0).passed
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14e6
+
+    def test_holds_no_set_of_parameter_gradients(self):
+        # Two trials' gradients are 7.3 MB (2 x 456,672 f64); holding one
+        # scheme's set while the other walks would peak above 13 MB.
+        assert self._traced_peak(2, d=32, hidden=128, seq=8, blocks=48) < 11e6
+
+    def test_wide_model_holds_no_set_of_parameter_gradients(self):
+        # One trial's gradients are 37.9 MB (4,735,488 f64); holding one
+        # scheme's set beside the tapes would peak near 90 MB.
+        assert self._traced_peak(1, d=512, hidden=2048, seq=32, blocks=2) < 75e6
+
+    def test_pairs_gradients_by_name(self):
+        # B lists its nodes and edges in reverse, so its reverse walk hands
+        # the parameter gradients over in another order than A's.
+        g, w = fixtures.post_ln_transformer()
+        fg, fw = apply_fold(g, w, detect_foldable(g, w, mode="practical").to_json(), allow_practical=True)
+        gB = Graph(list(fg.nodes.values())[::-1], fg.edges[::-1], fg.inputs, fg.outputs, fg.provenance)
+
+        def order(g, w):
+            outs, tape = forward(g, w, sample_inputs(g, np.random.default_rng(0)))
+            return [name for _node, grads in reverse_steps(tape, [np.ones_like(o) for o in outs]) for name in grads]
+
+        assert order(g, w) != order(gB, fw)
+        rep = verify_gradients(g, w, gB, fw, trials=20, seed=3)
+        assert _grad_result(rep) == _reference_grad_diff(g, w, gB, fw, 20, 3)
 
     def test_centers_the_proxies_once_per_call(self, monkeypatch, forward_calls):
         g, w = fixtures.pre_ln_transformer(d=32, hidden=128, seq=8, blocks=24)
@@ -510,7 +537,7 @@ class TestStackedGradients:
         original = verify.center_targets
         monkeypatch.setattr(verify, "center_targets", counting)
         assert verify_gradients(g, w, fg, w, trials=9, seed=0).passed
-        assert len(forward_calls) == 6  # three batches: 4, 4 and 1 trials
+        assert len(forward_calls) == 4  # two batches: 6 and 3 trials
         assert len(centered) == 1
 
     def test_back_axis_group_norm_stacks(self, forward_calls):
@@ -529,16 +556,25 @@ class TestStackedGradients:
         fg, _fw = apply_fold(g, w, detect_foldable(g, w).to_json())
         keeps = []
 
-        def poisoned(tape, out_grads, keep_axis0, consume=None):
-            keeps.append((keep_axis0, callable(consume)))
-            grads = backward(tape, out_grads, keep_axis0, consume)
-            if len(keeps) == 1:  # model A of the only batch, which collects: trial 7 of 20
+        def poison(grads):
+            if "lin.weight" in grads:  # a copy: the paused walk may still read the array
+                grads["lin.weight"] = grads["lin.weight"].copy()
                 grads["lin.weight"][7, 2, 3] = bad
             return grads
 
-        monkeypatch.setattr(verify, "backward", poisoned)
+        def poisoned(tape, out_grads, keep_axis0):
+            # Model A of the only batch, which walks by reverse_steps: trial 7 of 20.
+            keeps.append(("reverse_steps", keep_axis0))
+            return ((node, poison(grads)) for node, grads in reverse_steps(tape, out_grads, keep_axis0))
+
+        def recording(tape, out_grads, keep_axis0, consume=None):
+            keeps.append(("backward", keep_axis0, callable(consume)))
+            return backward(tape, out_grads, keep_axis0, consume)
+
+        monkeypatch.setattr(verify, "reverse_steps", poisoned)
+        monkeypatch.setattr(verify, "backward", recording)
         rep = verify_gradients(g, w, fg, w, trials=20, seed=0)
-        assert keeps == [(True, False), (True, True)]
+        assert keeps == [("reverse_steps", True), ("backward", True, True)]
         assert rep.max_abs_forward_diff is not None
         assert (rep.max_abs_grad_diff, rep.passed) == (None, False)
         assert rep.to_json()["max_abs_grad_diff"] is None
